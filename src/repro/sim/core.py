@@ -13,6 +13,7 @@ top of these primitives in :mod:`repro.sim.resources`.
 
 from __future__ import annotations
 
+import gc
 from collections import deque
 from heapq import heappop, heappush
 from sys import getrefcount
@@ -29,6 +30,22 @@ _PENDING = object()
 
 class SimulationError(Exception):
     """Raised for misuse of the simulation kernel."""
+
+
+def _suspend_gc() -> bool:
+    """Switch the cyclic collector off; return whether it was on.
+
+    The dispatch loops run with the collector suspended and re-enable
+    it (only if it was on) in their ``finally``. A run frees everything
+    by reference count — events, processes and records form no cycles,
+    pinned by ``tests/test_gc_quiet.py`` — so every collection the
+    allocation counters trigger walks the long-lived heap (0.3–0.8 M
+    records, log entries and samples) to reclaim nothing: 5–25 % of a
+    run's host time that no profiler row shows (DESIGN.md §8).
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    return was_enabled
 
 
 class Event:
@@ -498,6 +515,7 @@ class Environment:
         tfree = self._tfree
         refs = getrefcount
         events = 0
+        collecting = _suspend_gc()
         try:
             while True:
                 if nowq:
@@ -526,6 +544,8 @@ class Environment:
                     tfree.append(event)
         finally:
             self.events_processed += events
+            if collecting:
+                gc.enable()
         if until is not None:
             self._now = max(self._now, until)
 
@@ -538,6 +558,7 @@ class Environment:
         tfree = self._tfree
         refs = getrefcount
         events = 0
+        collecting = _suspend_gc()
         try:
             while process._value is _PENDING:
                 if nowq:
@@ -557,6 +578,8 @@ class Environment:
                     tfree.append(event)
         finally:
             self.events_processed += events
+            if collecting:
+                gc.enable()
         if not process._ok:
             process.defuse()
             raise process._value
