@@ -9,7 +9,7 @@ while letting unrelated transactions route in parallel.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set
+from typing import Callable, Dict, Iterable, List, Optional, Set
 
 from repro.sim.core import Environment
 from repro.sim.resources import RWLock
@@ -36,11 +36,16 @@ class PartitionTable:
             for partition, master in placement.items()
         }
         #: Flat partition -> master map mirroring ``_infos``. The
-        #: strategy's scoring loops look masters up per co-access pair;
-        #: one dict index here replaces two method frames through
-        #: :meth:`info`. Kept in sync by :meth:`set_master` (the only
-        #: mutator of ``PartitionInfo.master``).
+        #: strategy looks masters up per co-access pair and the access
+        #: statistics per sampled partition; one dict index here
+        #: replaces two method frames through :meth:`info`. Kept in
+        #: sync by :meth:`set_master` (the only mutator of
+        #: ``PartitionInfo.master``).
         self.masters: Dict[int, int] = dict(placement)
+        #: Called as ``(partition, old, new)`` just before a master
+        #: changes; the access statistics hang their per-site write
+        #: totals here (``AccessStatistics.follow_masters``).
+        self.on_master_change: Optional[Callable[[int, int, int], None]] = None
 
     def __len__(self) -> int:
         return len(self._infos)
@@ -55,7 +60,10 @@ class PartitionTable:
         return self.info(partition).master
 
     def set_master(self, partition: int, site: int) -> None:
-        self.info(partition).master = site
+        info = self.info(partition)
+        if self.on_master_change is not None and info.master != site:
+            self.on_master_change(partition, info.master, site)
+        info.master = site
         self.masters[partition] = site
 
     def masters_of(self, partitions: Iterable[int]) -> Set[int]:

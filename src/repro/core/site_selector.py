@@ -82,11 +82,14 @@ class SiteSelector:
         self.scheme = scheme
         self.cpu = Resource(self.env, self.config.selector_cores)
         self.table = PartitionTable(self.env, placement)
+        weights = weights or StrategyWeights()
         self.statistics = AccessStatistics(
-            stats_config, rng=cluster.streams.stream("selector-sampling")
+            stats_config,
+            rng=cluster.streams.stream("selector-sampling"),
+            track_inter=weights.inter_txn != 0,
         )
         self.strategy = RemasterStrategy(
-            weights or StrategyWeights(),
+            weights,
             self.statistics,
             self.table,
             cluster.num_sites,

@@ -26,13 +26,21 @@ expiry horizon. A folded state is bit-identical to what per-observe
 ingestion would have produced (pinned by the golden statistics test),
 and queries remain side-effect-free in the observable sense: folding
 only materializes state that was already determined at observe time.
+
+Per-site write loads, read on every remastering decision, are kept
+**incrementally** once a partition table is attached
+(:meth:`AccessStatistics.follow_masters`): a per-site total moves when a
+sample is ingested, expired or evicted, and when a master changes. Every
+count is an integer-valued float (each mutation is ±1.0), so the sums
+are exact and order-independent below 2**53 and the totals equal a
+rescan of the window bit for bit (DESIGN.md §8).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Deque, Dict, Iterable, List, Mapping, Optional, Tuple
 
 
 @dataclass
@@ -58,15 +66,25 @@ class _Sample:
     time: float
     client_id: int
     partitions: Tuple[int, ...]
-    inter_pairs: Tuple[Tuple[int, int], ...]
+    #: Inter-transaction pairs, flat: ``(earlier, later, earlier, ...)``.
+    inter_pairs: Tuple[int, ...]
 
 
 class AccessStatistics:
     """Sliding-window partition access and co-access statistics."""
 
-    def __init__(self, config: Optional[StatisticsConfig] = None, rng=None):
+    def __init__(
+        self,
+        config: Optional[StatisticsConfig] = None,
+        rng=None,
+        track_inter: bool = True,
+    ):
         self.config = config or StatisticsConfig()
         self._rng = rng
+        #: Whether inter-transaction pairs are recorded; the selector
+        #: derives it from its weights (a zero ``inter_txn`` weight
+        #: never reads the table).
+        self.track_inter = track_inter
         self._writes: Dict[int, float] = {}
         self._total: float = 0.0
         #: Incremental ``sum(self._writes.values())``; exact because
@@ -79,6 +97,10 @@ class AccessStatistics:
         self._recent: Dict[int, Deque[Tuple[float, Tuple[int, ...]]]] = {}
         #: Sampled write sets awaiting ingestion, in observe order.
         self._pending: List[Tuple[float, int, Tuple[int, ...]]] = []
+        #: Live partition -> master map and the retained write count
+        #: mastered at each site (see :meth:`follow_masters`).
+        self._masters: Mapping[int, int] = {}
+        self._site_writes: List[float] = []
         self.observed = 0
         self.sampled = 0
 
@@ -140,10 +162,6 @@ class AccessStatistics:
     def _ingest(self, now: float, client_id: int, partitions: Tuple[int, ...]) -> None:
         self._expire(now)
 
-        # The bump loops below are `_bump` inlined (fold is the hottest
-        # statistics path); the additions happen in exactly the same
-        # order with the same +1.0 increments, so the folded state stays
-        # bit-identical to the golden statistics trace.
         writes = self._writes
         for partition in partitions:
             if partition in writes:
@@ -152,34 +170,41 @@ class AccessStatistics:
                 writes[partition] = 1.0
         self._total += 1.0
         self._mass += float(len(partitions))
+        if self._site_writes:
+            self._shift_site_writes(partitions, 1.0)
 
-        if len(partitions) > 1:
-            intra = self._intra
-            for index, left in enumerate(partitions):
-                for right in partitions[index + 1:]:
-                    row = intra.get(left)
-                    if row is None:
-                        row = intra[left] = {}
-                    if right in row:
-                        row[right] += 1.0
-                    else:
-                        row[right] = 1.0
-                    row = intra.get(right)
-                    if row is None:
-                        row = intra[right] = {}
-                    if left in row:
-                        row[left] += 1.0
-                    else:
-                        row[left] = 1.0
+        # Rows are created in the order a per-pair bump would create
+        # them and filled in the same order, so every co-access row
+        # iterates exactly as the golden statistics trace pins.
+        intra = self._intra
+        for index in range(len(partitions) - 1):
+            left = partitions[index]
+            left_row = intra.get(left)
+            if left_row is None:
+                left_row = intra[left] = {}
+            for right in partitions[index + 1:]:
+                if right in left_row:
+                    left_row[right] += 1.0
+                else:
+                    left_row[right] = 1.0
+                row = intra.get(right)
+                if row is None:
+                    row = intra[right] = {}
+                if left in row:
+                    row[left] += 1.0
+                else:
+                    row[left] = 1.0
 
-        inter_pairs = self._record_inter(now, client_id, partitions)
+        inter_pairs = (
+            self._record_inter(now, client_id, partitions) if self.track_inter else ()
+        )
         self._retained.append(_Sample(now, client_id, partitions, inter_pairs))
         if len(self._retained) > self.config.max_samples:
             self._remove(self._retained.popleft())
 
     def _record_inter(
         self, now: float, client_id: int, partitions: Tuple[int, ...]
-    ) -> Tuple[Tuple[int, int], ...]:
+    ) -> Tuple[int, ...]:
         """Pair this write set with the client's recent ones within Δt."""
         window = self.config.inter_txn_window_ms
         recent = self._recent.get(client_id)
@@ -188,15 +213,14 @@ class AccessStatistics:
         horizon = now - window
         while recent and recent[0][0] < horizon:
             recent.popleft()
-        pairs: List[Tuple[int, int]] = []
+        pairs: List[int] = []
         append = pairs.append
         cap = self.config.max_inter_pairs
         inter = self._inter
         count = 0
-        # Break out of the whole pairing once the cap is reached (the
-        # eager version kept iterating while contributing nothing). The
-        # bump is `_bump` inlined; a row is only created when a pair is
-        # actually added, so the inter table's keys are unchanged.
+        # Break out of the whole pairing once the cap is reached. A row
+        # is only created when a pair is actually added, so the table
+        # never holds an empty row.
         full = cap <= 0
         for _, previous in recent:
             if full:
@@ -214,24 +238,14 @@ class AccessStatistics:
                         row[later] += 1.0
                     else:
                         row[later] = 1.0
-                    append((earlier, later))
+                    append(earlier)
+                    append(later)
                     count += 1
                     if count >= cap:
                         full = True
                         break
         recent.append((now, partitions))
         return tuple(pairs)
-
-    @staticmethod
-    def _bump(table: Dict[int, Dict[int, float]], left: int, right: int, amount: float) -> None:
-        """Reference single-pair bump (the fold loops inline this)."""
-        row = table.get(left)
-        if row is None:
-            row = table[left] = {}
-        if right in row:
-            row[right] += amount
-        else:
-            row[right] = amount
 
     # -- expiry -----------------------------------------------------------------
 
@@ -251,11 +265,14 @@ class AccessStatistics:
                 writes[partition] = count
         self._total = max(0.0, self._total - 1.0)
         self._mass -= float(len(sample.partitions))
+        if self._site_writes:
+            self._shift_site_writes(sample.partitions, -1.0)
         for index, left in enumerate(sample.partitions):
             for right in sample.partitions[index + 1:]:
                 self._decay(self._intra, left, right)
                 self._decay(self._intra, right, left)
-        for earlier, later in sample.inter_pairs:
+        pairs = iter(sample.inter_pairs)
+        for earlier, later in zip(pairs, pairs):
             self._decay(self._inter, earlier, later)
 
     @staticmethod
@@ -323,17 +340,49 @@ class AccessStatistics:
             self._fold()
         return self._inter.get(partition, {})
 
-    def site_write_loads(self, master_of, num_sites: int) -> List[float]:
-        """Fraction of sampled writes mastered at each site.
+    # -- per-site write loads ----------------------------------------------
 
-        ``master_of`` maps a partition id to its current master site.
+    def follow_masters(self, table, num_sites: int) -> None:
+        """Keep per-site write totals against ``table``'s live masters.
+
+        ``table`` (a :class:`~repro.core.partitions.PartitionTable`)
+        reports every reassignment to :meth:`_master_changed` before
+        applying it; the totals start from the only rescan this class
+        does and are owned here from then on.
         """
         if self._pending:
             self._fold()
-        loads = [0.0] * num_sites
+        self._masters = masters = table.masters
+        self._site_writes = totals = [0.0] * num_sites
+        for partition, count in self._writes.items():
+            totals[masters[partition]] += count
+        table.on_master_change = self._master_changed
+
+    def _shift_site_writes(self, partitions: Tuple[int, ...], amount: float) -> None:
+        masters = self._masters
+        totals = self._site_writes
+        for partition in partitions:
+            totals[masters[partition]] += amount
+
+    def _master_changed(self, partition: int, old: int, new: int) -> None:
+        """Move ``partition``'s folded writes from site ``old`` to ``new``.
+
+        Pending samples need no care: they are not in the totals yet and
+        will be counted at whichever master is current when they fold.
+        """
+        count = self._writes.get(partition)
+        if count:
+            self._site_writes[old] -= count
+            self._site_writes[new] += count
+
+    def site_write_loads(self) -> List[float]:
+        """Fraction of sampled writes mastered at each site.
+
+        Needs :meth:`follow_masters`; O(sites), not O(partitions).
+        """
+        if self._pending:
+            self._fold()
         total = self._mass
         if total <= 0:
-            return loads
-        for partition, count in self._writes.items():
-            loads[master_of(partition)] += count
-        return [load / total for load in loads]
+            return [0.0] * len(self._site_writes)
+        return [load / total for load in self._site_writes]

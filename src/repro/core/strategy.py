@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.partitions import PartitionTable
 from repro.core.statistics import AccessStatistics
@@ -151,7 +151,15 @@ def balance_distance(loads: Sequence[float]) -> float:
 
 
 class RemasterStrategy:
-    """Scores candidate sites for a remastering decision."""
+    """Scores candidate sites for a remastering decision.
+
+    A decision walks the co-access rows of the write set once, not once
+    per candidate per feature: whatever does not depend on the candidate
+    is computed once, and each pair's likelihood is dealt to one
+    accumulator per site in the order a per-candidate scan would add it,
+    so every :class:`SiteScore` field equals the per-candidate oracle's
+    (``tests/test_strategy.py``; cost model in DESIGN.md §8).
+    """
 
     def __init__(
         self,
@@ -161,6 +169,8 @@ class RemasterStrategy:
         num_sites: int,
         rng=None,
     ):
+        if weights.inter_txn and not statistics.track_inter:
+            raise ValueError("inter_txn weight needs statistics with track_inter=True")
         self.weights = weights
         self.statistics = statistics
         self.table = table
@@ -169,167 +179,131 @@ class RemasterStrategy:
         #: without it, cold-start decisions (all features zero) would
         #: stampede every partition to the lowest-indexed site.
         self._rng = rng
+        statistics.follow_masters(table, num_sites)
 
     # -- feature computation ---------------------------------------------------
 
-    def _balance_feature(
-        self, write_partitions: Sequence[int], candidate: int, loads: List[float]
-    ) -> float:
-        """Equations 2-4: change in balance, scaled by current imbalance."""
-        after = list(loads)
-        masters = self.table.masters
-        for partition in write_partitions:
-            weight = self.statistics.access_fraction(partition)
-            current = masters[partition]
-            if current != candidate:
-                after[current] -= weight
-                after[candidate] += weight
-        dist_before = balance_distance(loads)
-        dist_after = balance_distance(after)
-        delta = dist_before - dist_after  # Eq. 3
-        rate = max(dist_before, dist_after)  # Eq. 4
-        return delta * math.exp(rate)
-
-    def _refresh_delay_feature(
-        self,
-        candidate: int,
-        source_vvs: Sequence[VersionVector],
-        candidate_vv: VersionVector,
-        session_vv: Optional[VersionVector],
-    ) -> float:
-        """Equation 5: updates the candidate must apply before execution."""
-        if not source_vvs and session_vv is None:
-            return 0.0
-        required = None
-        for vector in source_vvs:
-            if required is None:
-                required = vector.copy()
-            else:
-                required.merge(vector)
-        if session_vv is not None:
-            if required is None:
-                required = session_vv.copy()
-            else:
-                required.merge(session_vv)
-        return float(candidate_vv.lag_behind(required))
-
-    def _localization_feature(
+    def _localization(
         self,
         write_partitions: Sequence[int],
-        candidate: int,
-        probability,
-        partners,
-    ) -> float:
-        """Equations 6-7: co-access-weighted single-sitedness change."""
-        write_set = set(write_partitions)
-        score = 0.0
-        # Fused form of the probability calls: ``partners(first)`` is the
-        # same co-access row ``probability(first, second)`` divides out
-        # of, so iterating its items and dividing by the base mass here
-        # produces bit-identical likelihoods (same operands, same order)
-        # without re-looking the row up per pair. ``partners`` folds any
-        # pending sample, so the raw ``_writes`` read below is current.
-        stat_writes = self.statistics._writes
+        candidates: Sequence[int],
+        co_access: Dict[int, Dict[int, float]],
+    ) -> List[float]:
+        """Equations 6-7 for every candidate, indexed by site.
+
+        ``first`` (in the write set) lands on the candidate; its partner
+        ``second`` follows only if it is in the write set too. A split
+        pair brought together scores ``+count / writes(first)``, a
+        co-located pair split ``-`` that. So a partner inside the write
+        set rewards every candidate alike (if the pair is split today);
+        one outside it rewards only its own master (if split) or costs
+        every other candidate (if together).
+        """
+        gain = [0.0] * self.num_sites
+        writes = self.statistics.partition_writes
         masters = self.table.masters
+        write_set = set(write_partitions)
         for first in write_partitions:
-            row = partners(first)
-            if not row:
-                continue
-            base = stat_writes.get(first, 0.0)
-            if base <= 0:
+            row = co_access.get(first)
+            # An inter row can outlive its partition's own samples.
+            base = writes.get(first, 0.0)
+            if not row or base <= 0:
                 continue
             first_master = masters[first]
             for second, count in row.items():
-                if second == first:
-                    continue
                 likelihood = count / base
-                if likelihood <= 0.0:
-                    continue
-                # Inlined _single_sited (per-pair method call is the
-                # scoring loop's hottest edge).
                 second_master = masters[second]
-                second_after = candidate if second in write_set else second_master
-                if candidate == second_after:
+                if second in write_set:
                     if first_master != second_master:
-                        score += likelihood
-                elif first_master == second_master:
-                    score -= likelihood
-        return score
+                        for site in candidates:
+                            gain[site] += likelihood
+                elif first_master != second_master:
+                    gain[second_master] += likelihood
+                else:
+                    for site in candidates:
+                        if site != second_master:
+                            gain[site] -= likelihood
+        return gain
 
-    def _single_sited(
-        self, candidate: int, first: int, second: int, write_set: set
-    ) -> int:
-        """+1 if the move co-locates the pair, -1 if it splits it, else 0.
-
-        ``first`` is in the write set, so its post-move master is the
-        candidate; ``second`` moves only if it is also in the write set.
-        """
-        before = self.table.master_of(first) == self.table.master_of(second)
-        second_after = candidate if second in write_set else self.table.master_of(second)
-        after = candidate == second_after
-        if after and not before:
-            return 1
-        if before and not after:
-            return -1
-        return 0
-
-    # -- the decision -----------------------------------------------------------
-
-    def score_site(
+    def _score_candidates(
         self,
-        candidate: int,
+        candidates: Sequence[int],
         write_partitions: Sequence[int],
-        loads: List[float],
-        source_vvs: Sequence[VersionVector],
-        candidate_vv: VersionVector,
+        site_vvs: Sequence[VersionVector],
         session_vv: Optional[VersionVector],
-        health: Optional[float] = None,
-    ) -> SiteScore:
-        """Compute all features and the Equation-8 benefit for one site.
+        health: Optional[Sequence[float]],
+    ) -> List[SiteScore]:
+        """All features and the Equation-8 benefit of every candidate.
 
-        ``health`` is the detector's graded confidence (1 = healthy)
-        for the candidate, or None outside failure handling. The
-        health term is only folded in when both the weight and the
+        The health term is only folded in when both the weight and the
         penalty are nonzero, so runs without health evidence (or with
         ``weights.health == 0``) compute bit-identical benefits.
         """
         weights = self.weights
-        balance = self._balance_feature(write_partitions, candidate, loads)
-        delay = self._refresh_delay_feature(
-            candidate, source_vvs, candidate_vv, session_vv
-        )
+        statistics = self.statistics
+        masters = self.table.masters
+
+        # Equations 2-4 (balance): what each write-set partition would
+        # carry along, and the distance before any move.
+        loads = statistics.site_write_loads()
+        carried = [
+            (masters[partition], statistics.access_fraction(partition))
+            for partition in write_partitions
+        ]
+        dist_before = balance_distance(loads)
+
+        # Equation 5 (refresh delay): the candidate must reach the merge
+        # of the current masters' vectors and the session's. Merging the
+        # candidate's own vector in as well cannot add lag, so one merge
+        # serves every candidate.
+        required = VersionVector.zeros(self.num_sites)
+        for master in {master for master, _ in carried}:
+            required.merge(site_vvs[master])
+        if session_vv is not None:
+            required.merge(session_vv)
+
+        no_gain = [0.0] * self.num_sites
         intra = (
-            self._localization_feature(
-                write_partitions,
-                candidate,
-                self.statistics.intra_probability,
-                self.statistics.intra_partners,
-            )
+            self._localization(write_partitions, candidates, statistics.co_intra)
             if weights.intra_txn
-            else 0.0
+            else no_gain
         )
         inter = (
-            self._localization_feature(
-                write_partitions,
-                candidate,
-                self.statistics.inter_probability,
-                self.statistics.inter_partners,
-            )
+            self._localization(write_partitions, candidates, statistics.co_inter)
             if weights.inter_txn
-            else 0.0
+            else no_gain
         )
-        benefit = (
-            weights.balance * balance
-            - weights.delay * delay
-            + weights.intra_txn * intra
-            + weights.inter_txn * inter
-        )
-        penalty = 0.0
-        if health is not None and weights.health:
-            penalty = 1.0 - health
-            if penalty:
-                benefit -= weights.health * penalty
-        return SiteScore(candidate, balance, delay, intra, inter, benefit, penalty)
+
+        scores = []
+        for candidate in candidates:
+            after = list(loads)
+            for current, fraction in carried:
+                if current != candidate:
+                    after[current] -= fraction
+                    after[candidate] += fraction
+            dist_after = balance_distance(after)
+            delta = dist_before - dist_after  # Eq. 3
+            rate = max(dist_before, dist_after)  # Eq. 4
+            balance = delta * math.exp(rate)
+            delay = float(site_vvs[candidate].lag_behind(required))
+            benefit = (
+                weights.balance * balance
+                - weights.delay * delay
+                + weights.intra_txn * intra[candidate]
+                + weights.inter_txn * inter[candidate]
+            )
+            penalty = 0.0
+            if health is not None and weights.health:
+                penalty = 1.0 - health[candidate]
+                if penalty:
+                    benefit -= weights.health * penalty
+            scores.append(SiteScore(
+                candidate, balance, delay, intra[candidate], inter[candidate],
+                benefit, penalty,
+            ))
+        return scores
+
+    # -- the decision -----------------------------------------------------------
 
     def decide(
         self,
@@ -370,9 +344,6 @@ class RemasterStrategy:
         the runner-up, the tied set, and which rule picked the winner,
         so a recorded decision is auditable even when rule 2 applied.
         """
-        masters = self.table.masters
-        loads = self.statistics.site_write_loads(masters.__getitem__, self.num_sites)
-        current_masters = {masters[p] for p in write_partitions}
         candidates = [
             candidate
             for candidate in range(self.num_sites)
@@ -380,24 +351,12 @@ class RemasterStrategy:
         ]
         if not candidates:
             raise ValueError("no candidate sites left after exclusions")
-        scores = []
-        for candidate in candidates:
-            source_vvs = [
-                site_vvs[master]
-                for master in current_masters
-                if master != candidate
-            ]
-            scores.append(
-                self.score_site(
-                    candidate,
-                    write_partitions,
-                    loads,
-                    source_vvs,
-                    site_vvs[candidate],
-                    session_vv,
-                    health=None if health is None else health[candidate],
-                )
-            )
+        return self._pick(self._score_candidates(
+            candidates, write_partitions, site_vvs, session_vv, health
+        ))
+
+    def _pick(self, scores: List[SiteScore]) -> StrategyDecision:
+        """Apply the tie-breaking contract of :meth:`decide` to ``scores``."""
         top = max(score.benefit for score in scores)
         margin = 1e-12 + 1e-9 * abs(top)
         tied = [score for score in scores if top - score.benefit <= margin]

@@ -176,6 +176,10 @@ class Tracer(NullTracer):
         self.instants: List[InstantRecord] = []
         self.edges: List[EdgeRecord] = []
         self.txns: Dict[int, TxnRecord] = {}
+        #: ``txn_id -> spans`` in (start, -end) order, covering the
+        #: first ``_indexed`` entries of ``spans`` (see :meth:`spans_of`).
+        self._spans_by_txn: Dict[Optional[int], List[SpanRecord]] = {}
+        self._indexed = 0
 
     # -- hooks (called from instrumented protocol code) ---------------------
 
@@ -236,10 +240,22 @@ class Tracer(NullTracer):
     # -- reconstruction ------------------------------------------------------
 
     def spans_of(self, txn_id: int) -> List[SpanRecord]:
-        """All spans of one transaction, in start order."""
-        mine = [s for s in self.spans if s.txn_id == txn_id]
-        mine.sort(key=lambda s: (s.start, -s.end))
-        return mine
+        """All spans of one transaction, in start order.
+
+        Served from an index built in one pass over ``spans`` and
+        rebuilt only when spans were recorded since, so folding a whole
+        trace (one call per transaction) is linear in the trace, not
+        quadratic.
+        """
+        if self._indexed != len(self.spans):
+            index: Dict[Optional[int], List[SpanRecord]] = {}
+            for span in self.spans:
+                index.setdefault(span.txn_id, []).append(span)
+            for mine in index.values():
+                mine.sort(key=lambda s: (s.start, -s.end))
+            self._spans_by_txn = index
+            self._indexed = len(self.spans)
+        return list(self._spans_by_txn.get(txn_id, ()))
 
     def span_tree(self, txn_id: int) -> List[SpanNode]:
         """Reconstruct the span tree of one transaction by containment.

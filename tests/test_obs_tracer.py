@@ -241,3 +241,56 @@ class TestAggregation:
         tracer.span("route", 0.0, 1.0, txn=txn, site=2, reason="affinity")
         span = tracer.spans[0]
         assert dict(span.args) == {"site": 2, "reason": "affinity"}
+
+
+class _CountingSpans(list):
+    """A span list that counts every element handed out by iteration."""
+
+    touched = 0
+
+    def __iter__(self):
+        for span in super().__iter__():
+            self.touched += 1
+            yield span
+
+
+class TestFoldIsLinear:
+    """``spans_of`` per transaction must not rescan the whole trace:
+    the attribution fold of an 8.5 s run took 138 s when it did."""
+
+    @staticmethod
+    def fold_touches(num_txns):
+        from repro.obs.attribution import AttributionReport
+
+        tracer = Tracer()
+        tracer.spans = _CountingSpans()
+        for index in range(num_txns):
+            txn = make_txn()
+            begin = 10.0 * index
+            tracer.txn_begin(txn, begin)
+            tracer.span("txn", begin, begin + 4.0, track="client", txn=txn)
+            tracer.span("route", begin, begin + 1.0, track="selector", txn=txn)
+            tracer.span("execute", begin + 1.0, begin + 4.0, track="site0", txn=txn)
+            tracer.txn_end(txn, Outcome(committed=True), begin + 4.0)
+        report = AttributionReport.from_tracer(tracer)
+        assert len(report.txns) == num_txns
+        for txn_id in tracer.txns:
+            assert len(tracer.span_tree(txn_id)) == 1
+        return tracer.spans.touched
+
+    def test_twice_the_transactions_touch_twice_the_spans(self):
+        small, large = self.fold_touches(200), self.fold_touches(400)
+        assert small > 0
+        assert large <= 2.2 * small
+
+    def test_index_follows_spans_recorded_after_a_query(self):
+        tracer = Tracer()
+        txn = make_txn()
+        tracer.span("route", 0.0, 1.0, txn=txn)
+        assert [s.name for s in tracer.spans_of(txn.txn_id)] == ["route"]
+        tracer.span("execute", 1.0, 2.0, txn=txn)
+        tracer.span("txn", 0.0, 2.0, txn=txn)
+        assert [s.name for s in tracer.spans_of(txn.txn_id)] == [
+            "txn", "route", "execute"
+        ]
+        assert tracer.spans_of(-1) == []

@@ -21,6 +21,7 @@ import hashlib
 import json
 import random
 
+from repro.core.partitions import PartitionTable
 from repro.core.statistics import AccessStatistics, StatisticsConfig
 from repro.sim.core import Environment, SimulationError
 from repro.sim.resources import Resource, RWLock, Store
@@ -207,6 +208,9 @@ def run_statistics_scenario():
         max_inter_pairs=16,
     )
     stats = AccessStatistics(config, rng=random.Random(11))
+    stats.follow_masters(
+        PartitionTable(Environment(), {p: p % 3 for p in range(12)}), 3
+    )
     driver = random.Random(97)
     snapshots = []
     now = 0.0
@@ -230,7 +234,7 @@ def run_statistics_scenario():
                 ),
                 [
                     round(load, 12)
-                    for load in stats.site_write_loads(lambda p: p % 3, 3)
+                    for load in stats.site_write_loads()
                 ],
             ])
     return {

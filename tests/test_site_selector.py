@@ -220,3 +220,40 @@ class TestRouteRead:
 
         process = cluster.env.process(run())
         assert cluster.env.run_until_complete(process) == 0
+
+
+class TestStatisticsFollowTheWeights:
+    """The selector maintains only the statistics its weights read."""
+
+    def route_pair_then_single(self, weights):
+        cluster, _, selector = make_selector(weights=weights)
+
+        def run():
+            for txn in (write_txn(0, 1), write_txn(2)):  # same client, within Δt
+                route = yield from selector.route_update(txn)
+                cluster.activity.finish(route.site, route.partitions)
+
+        cluster.env.run_until_complete(cluster.env.process(run()))
+        return selector.statistics
+
+    def test_zero_inter_weight_keeps_no_inter_rows(self):
+        statistics = self.route_pair_then_single(StrategyWeights.for_ycsb())
+        assert not statistics.track_inter
+        assert statistics.co_intra and not statistics.co_inter
+
+    def test_nonzero_inter_weight_keeps_them(self):
+        statistics = self.route_pair_then_single(StrategyWeights.for_tpcc())
+        assert statistics.track_inter
+        assert statistics.co_inter
+
+    def test_site_loads_follow_the_selector_table(self):
+        cluster, _, selector = make_selector()
+
+        def run():
+            route = yield from selector.route_update(write_txn(0, 1))
+            cluster.activity.finish(route.site, route.partitions)
+            return route
+
+        route = cluster.env.run_until_complete(cluster.env.process(run()))
+        loads = selector.statistics.site_write_loads()
+        assert loads[route.site] == 1.0 and sum(loads) == 1.0

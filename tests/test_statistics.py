@@ -2,7 +2,9 @@
 
 import random
 
+from repro.core.partitions import PartitionTable
 from repro.core.statistics import AccessStatistics, StatisticsConfig
+from repro.sim.core import Environment
 
 
 def make_stats(**overrides):
@@ -33,12 +35,22 @@ class TestWriteFrequencies:
 
     def test_site_write_loads_sum_to_one(self):
         stats = make_stats()
+        table = PartitionTable(Environment(), {0: 0, 1: 0, 2: 1})
         stats.observe(0.0, 1, [0, 1])
+        stats.follow_masters(table, num_sites=3)  # picks up what is there
         stats.observe(1.0, 1, [2])
-        master_of = {0: 0, 1: 0, 2: 1}.__getitem__
-        loads = stats.site_write_loads(master_of, num_sites=3)
+        loads = stats.site_write_loads()
         assert loads == [2.0 / 3.0, 1.0 / 3.0, 0.0]
         assert sum(loads) == 1.0
+
+    def test_site_write_loads_follow_a_remastering(self):
+        stats = make_stats()
+        table = PartitionTable(Environment(), {0: 0, 1: 0, 2: 1})
+        stats.follow_masters(table, num_sites=3)
+        stats.observe(0.0, 1, [0, 1])
+        stats.observe(1.0, 1, [2])
+        table.set_master(1, 2)
+        assert stats.site_write_loads() == [1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0]
 
     def test_access_fraction_normalizes_by_mass(self):
         stats = make_stats()

@@ -1,18 +1,152 @@
-"""Unit tests for the remastering strategy (Equations 2-8)."""
+"""Unit tests for the remastering strategy (Equations 2-8).
+
+The per-candidate scorer below is the **oracle**: it is the form the
+equations are written in — one candidate at a time, one feature at a
+time, every co-access row rescanned — and the form ``decide`` used
+before it scored all candidates in one pass. ``src/`` keeps only the
+one-pass scorer; every field it produces must ``==`` the oracle's.
+"""
 
 import math
+import random
+from itertools import zip_longest
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.partitions import PartitionTable
 from repro.core.statistics import AccessStatistics, StatisticsConfig
 from repro.core.strategy import (
     RemasterStrategy,
+    SiteScore,
+    StrategyDecision,
     StrategyWeights,
     balance_distance,
 )
 from repro.sim.core import Environment
 from repro.versioning import VersionVector
+
+
+# -- the per-candidate oracle --------------------------------------------------
+
+
+def rescan_site_write_loads(stats, master_of, num_sites):
+    """Per-site write loads by walking every partition with a write."""
+    loads = [0.0] * num_sites
+    total = sum(stats.partition_writes.values())
+    if total <= 0:
+        return loads
+    for partition, count in stats.partition_writes.items():
+        loads[master_of(partition)] += count
+    return [load / total for load in loads]
+
+
+def single_sited(table, candidate, first, second, write_set):
+    """+1 if the move co-locates the pair, -1 if it splits it, else 0.
+
+    ``first`` is in the write set, so its post-move master is the
+    candidate; ``second`` moves only if it is also in the write set.
+    """
+    before = table.master_of(first) == table.master_of(second)
+    second_after = candidate if second in write_set else table.master_of(second)
+    after = candidate == second_after
+    if after and not before:
+        return 1
+    if before and not after:
+        return -1
+    return 0
+
+
+def oracle_balance(strategy, write_partitions, candidate, loads):
+    """Equations 2-4: change in balance, scaled by current imbalance."""
+    after = list(loads)
+    for partition in write_partitions:
+        weight = strategy.statistics.access_fraction(partition)
+        current = strategy.table.master_of(partition)
+        if current != candidate:
+            after[current] -= weight
+            after[candidate] += weight
+    dist_before = balance_distance(loads)
+    dist_after = balance_distance(after)
+    return (dist_before - dist_after) * math.exp(max(dist_before, dist_after))
+
+
+def oracle_refresh_delay(source_vvs, candidate_vv, session_vv):
+    """Equation 5: updates the candidate must apply before execution."""
+    required = None
+    for vector in list(source_vvs) + ([session_vv] if session_vv is not None else []):
+        if required is None:
+            required = vector.copy()
+        else:
+            required.merge(vector)
+    return 0.0 if required is None else float(candidate_vv.lag_behind(required))
+
+
+def oracle_localization(strategy, write_partitions, candidate, probability, partners):
+    """Equations 6-7: co-access-weighted single-sitedness change."""
+    write_set = set(write_partitions)
+    score = 0.0
+    for first in write_partitions:
+        for second in partners(first):
+            if second == first:
+                continue
+            likelihood = probability(first, second)
+            if likelihood <= 0.0:
+                continue
+            sited = single_sited(strategy.table, candidate, first, second, write_set)
+            if sited > 0:
+                score += likelihood
+            elif sited < 0:
+                score -= likelihood
+    return score
+
+
+def oracle_score(strategy, candidate, write_partitions, loads, source_vvs,
+                 candidate_vv, session_vv, health=None):
+    weights, stats = strategy.weights, strategy.statistics
+    balance = oracle_balance(strategy, write_partitions, candidate, loads)
+    delay = oracle_refresh_delay(source_vvs, candidate_vv, session_vv)
+    intra = oracle_localization(
+        strategy, write_partitions, candidate,
+        stats.intra_probability, stats.intra_partners,
+    ) if weights.intra_txn else 0.0
+    inter = oracle_localization(
+        strategy, write_partitions, candidate,
+        stats.inter_probability, stats.inter_partners,
+    ) if weights.inter_txn else 0.0
+    benefit = (
+        weights.balance * balance
+        - weights.delay * delay
+        + weights.intra_txn * intra
+        + weights.inter_txn * inter
+    )
+    penalty = 0.0
+    if health is not None and weights.health:
+        penalty = 1.0 - health
+        if penalty:
+            benefit -= weights.health * penalty
+    return SiteScore(candidate, balance, delay, intra, inter, benefit, penalty)
+
+
+def oracle_scores(strategy, write_partitions, site_vvs, session_vv=None,
+                  exclude=None, health=None):
+    """Score each candidate separately, as Equation 8 is written."""
+    table = strategy.table
+    loads = rescan_site_write_loads(
+        strategy.statistics, table.master_of, strategy.num_sites
+    )
+    current_masters = table.masters_of(write_partitions)
+    return [
+        oracle_score(
+            strategy, candidate, write_partitions, loads,
+            [site_vvs[m] for m in current_masters if m != candidate],
+            site_vvs[candidate], session_vv,
+            health=None if health is None else health[candidate],
+        )
+        for candidate in range(strategy.num_sites)
+        if not exclude or candidate not in exclude
+    ]
 
 
 def make_strategy(placement, weights=None, num_sites=2):
@@ -49,22 +183,15 @@ class TestBalanceFeature:
         strategy, stats, _ = make_strategy({0: 0, 1: 0})
         stats.observe(0.0, 1, [0])
         stats.observe(1.0, 1, [1])
-        loads = stats.site_write_loads(
-            strategy.table.master_of, strategy.num_sites
-        )
-        toward_balance = strategy._balance_feature([1], 1, loads)
-        away_from_balance = strategy._balance_feature([1], 0, loads)
-        assert toward_balance > 0.0
-        assert away_from_balance == 0.0  # no move, no change
+        scores = strategy.decide([1], fresh_vvs(2)).scores
+        assert scores[1].balance > 0.0  # toward balance
+        assert scores[0].balance == 0.0  # no move, no change
 
     def test_unbalancing_scores_negative(self):
         strategy, stats, _ = make_strategy({0: 0, 1: 1})
         stats.observe(0.0, 1, [0])
         stats.observe(1.0, 1, [1])
-        loads = stats.site_write_loads(
-            strategy.table.master_of, strategy.num_sites
-        )
-        assert strategy._balance_feature([1], 0, loads) < 0.0
+        assert strategy.decide([1], fresh_vvs(2)).scores[0].balance < 0.0
 
     def test_choose_site_balances_load(self):
         # Partitions 0,1 at site 0, partition 2 at site 1; site 0 is
@@ -89,12 +216,7 @@ class TestRefreshDelayFeature:
         )
         # Site 1 lags: it has not applied site 0's 5 updates.
         site_vvs = [VersionVector([5, 0]), VersionVector([0, 0])]
-        score_fresh = strategy.score_site(
-            0, [0, 1], [0.5, 0.5], [site_vvs[1]], site_vvs[0], None
-        )
-        score_stale = strategy.score_site(
-            1, [0, 1], [0.5, 0.5], [site_vvs[0]], site_vvs[1], None
-        )
+        score_fresh, score_stale = strategy.decide([0, 1], site_vvs).scores
         assert score_fresh.refresh_delay == 0.0
         assert score_stale.refresh_delay == 5.0
         assert score_fresh.benefit > score_stale.benefit
@@ -102,26 +224,25 @@ class TestRefreshDelayFeature:
     def test_session_vector_contributes(self):
         strategy, _, _ = make_strategy({0: 0}, num_sites=2)
         session = VersionVector([3, 0])
-        delay = strategy._refresh_delay_feature(
-            0, [], VersionVector([1, 0]), session
-        )
-        assert delay == 2.0
+        site_vvs = [VersionVector([1, 0]), VersionVector([1, 0])]
+        decision = strategy.decide([0], site_vvs, session_vv=session)
+        assert decision.scores[0].refresh_delay == 2.0
 
 
 class TestLocalizationFeatures:
     def test_single_sited_colocation(self):
-        strategy, _, table = make_strategy({0: 0, 1: 1})
+        _, _, table = make_strategy({0: 0, 1: 1})
         # Remastering write set {0} to site 1 co-locates 0 with 1.
-        assert strategy._single_sited(1, 0, 1, {0}) == 1
+        assert single_sited(table, 1, 0, 1, {0}) == 1
         # Remastering {0} to site 0 leaves them split: no change.
-        assert strategy._single_sited(0, 0, 1, {0}) == 0
+        assert single_sited(table, 0, 0, 1, {0}) == 0
 
     def test_single_sited_split(self):
-        strategy, _, table = make_strategy({0: 0, 1: 0})
+        _, _, table = make_strategy({0: 0, 1: 0})
         # 0 and 1 are together at site 0; moving only 0 to site 1 splits.
-        assert strategy._single_sited(1, 0, 1, {0}) == -1
+        assert single_sited(table, 1, 0, 1, {0}) == -1
         # Moving both keeps them together: no change.
-        assert strategy._single_sited(1, 0, 1, {0, 1}) == 0
+        assert single_sited(table, 1, 0, 1, {0, 1}) == 0
 
     def test_intra_feature_prefers_colocating_site(self):
         # Partitions 0, 1 frequently co-written; 0 at site 0, 1 at
@@ -253,18 +374,10 @@ class TestTieBreaking:
 
     def test_near_tie_within_float_noise_margin_counts_as_tied(self):
         strategy = self.tied_strategy(rng=None)
-        scores = {0: 1.0, 1: 1.0 + 1e-13, 2: 0.5}
-        original = strategy.score_site
-
-        def doctored(candidate, *args, **kwargs):
-            score = original(candidate, *args, **kwargs)
-            return type(score)(
-                score.site, score.balance, score.refresh_delay,
-                score.intra_txn, score.inter_txn, scores[candidate],
-            )
-
-        strategy.score_site = doctored
-        decision = strategy.decide([1], fresh_vvs(3))
+        decision = strategy._pick([
+            SiteScore(site, 0.0, 0.0, 0.0, 0.0, benefit)
+            for site, benefit in enumerate((1.0, 1.0 + 1e-13, 0.5))
+        ])
         assert decision.tied == (0, 1)
         assert decision.site == 0  # lowest of the tied pair
         assert decision.tie_break == "lowest-site"
@@ -287,9 +400,8 @@ class TestEquation8:
         )
         stats.observe(0.0, 1, [0, 1])
         site_vvs = [VersionVector([4, 0]), VersionVector([0, 0])]
-        score = strategy.score_site(
-            1, [0], [1.0, 0.0], [site_vvs[0]], site_vvs[1], None
-        )
+        score = strategy.decide([0], site_vvs).scores[1]
+        assert score.refresh_delay and score.intra_txn and score.balance
         expected = (
             2.0 * score.balance
             - 0.5 * score.refresh_delay
@@ -297,3 +409,110 @@ class TestEquation8:
             + 1.0 * score.inter_txn
         )
         assert score.benefit == pytest.approx(expected)
+
+
+# -- one-pass decide == per-candidate oracle -----------------------------------
+
+SITES = 4
+PARTITIONS = 10
+
+#: A window small enough that a 40-step interleaving crosses every
+#: mutation point: expiry, ``max_samples`` eviction, inter rows whose
+#: ``earlier`` partition has already left the window.
+TIGHT_WINDOW = dict(
+    sample_rate=1.0, inter_txn_window_ms=12.0, expiry_ms=40.0,
+    max_samples=9, max_inter_pairs=6,
+)
+
+write_sets = st.lists(st.integers(0, PARTITIONS - 1), min_size=1, max_size=4, unique=True)
+vectors = st.lists(st.integers(0, 9), min_size=SITES, max_size=SITES)
+steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("observe"), st.floats(0.0, 25.0), st.integers(0, 2), write_sets),
+        st.tuples(st.just("move"), st.integers(0, PARTITIONS - 1), st.integers(0, SITES - 1)),
+        st.tuples(
+            st.just("decide"), write_sets,
+            st.lists(vectors, min_size=SITES, max_size=SITES),
+            st.none() | vectors,
+            st.sets(st.integers(0, SITES - 1), max_size=SITES - 1),
+            st.none() | st.lists(st.floats(0.0, 1.0), min_size=SITES, max_size=SITES),
+        ),
+    ),
+    min_size=1, max_size=40,
+)
+
+
+def build(weights, track_inter=True, rng=None):
+    table = PartitionTable(
+        Environment(), {p: p % SITES for p in range(PARTITIONS)}
+    )
+    stats = AccessStatistics(StatisticsConfig(**TIGHT_WINDOW), track_inter=track_inter)
+    return RemasterStrategy(weights, stats, table, SITES, rng=rng)
+
+
+def replay(strategy, script):
+    """Apply ``script``; yield ``(decide-arguments)`` at each decide step."""
+    now = 0.0
+    for step in script:
+        if step[0] == "observe":
+            _, gap, client, partitions = step
+            now += gap
+            strategy.statistics.observe(now, client, partitions)
+        elif step[0] == "move":
+            strategy.table.set_master(step[1], step[2])
+        else:
+            _, partitions, site_vvs, session, exclude, health = step
+            yield (
+                sorted(partitions),
+                [VersionVector(vector) for vector in site_vvs],
+                None if session is None else VersionVector(session),
+                exclude,
+                health,
+            )
+
+
+class TestOnePassEqualsOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(steps)
+    def test_site_write_loads_equal_a_rescan(self, script):
+        strategy = build(StrategyWeights())
+        stats, table = strategy.statistics, strategy.table
+        for _ in replay(strategy, script + [("decide", [0], [[0] * SITES] * SITES,
+                                             None, set(), None)]):
+            assert stats.site_write_loads() == rescan_site_write_loads(
+                stats, table.master_of, SITES
+            )
+
+    @settings(max_examples=150, deadline=None)
+    @given(steps, st.sampled_from([
+        StrategyWeights.for_tpcc(),
+        StrategyWeights.for_ycsb(),
+        StrategyWeights(balance=1.0, delay=0.5, intra_txn=1.0, inter_txn=2.0, health=3.0),
+    ]))
+    def test_decision_equals_per_candidate_oracle(self, script, weights):
+        rng = random.Random(5)
+        strategy = build(weights, rng=rng)
+        for arguments in replay(strategy, script):
+            expected_scores = oracle_scores(strategy, *arguments)
+            draws = rng.getstate()
+            expected = strategy._pick(expected_scores)
+            rng.setstate(draws)
+            decision = strategy.decide(*arguments)
+            assert isinstance(decision, StrategyDecision)
+            assert decision == expected  # site, every score field, tie fields
+
+    @settings(max_examples=100, deadline=None)
+    @given(steps)
+    def test_untracked_inter_table_changes_no_decision(self, script):
+        weights = StrategyWeights.for_ycsb()
+        assert weights.inter_txn == 0.0
+        tracking, lean = build(weights), build(weights, track_inter=False)
+        # zip_longest, not zip: both replays must run to their last step.
+        for left, right in zip_longest(replay(tracking, script), replay(lean, script)):
+            assert tracking.decide(*left) == lean.decide(*right)
+        assert not lean.statistics.co_inter
+        assert lean.statistics.co_intra == tracking.statistics.co_intra
+
+    def test_inter_weight_needs_a_tracking_instance(self):
+        with pytest.raises(ValueError, match="track_inter"):
+            build(StrategyWeights.for_tpcc(), track_inter=False)
