@@ -17,8 +17,6 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Dict, Iterable, List
 
-import networkx as nx
-
 from repro.transactions import Transaction
 
 
@@ -28,10 +26,15 @@ class SchismPartitioner:
     def __init__(self, num_partitions: int, num_sites: int, seed: int = 0):
         if num_sites < 1:
             raise ValueError(f"num_sites must be >= 1, got {num_sites}")
+        # Imported here, not at module scope: networkx costs 120 ms and
+        # 24 MB to import, and ``repro.partitioning`` is on the import
+        # path of every run while only this class uses it.
+        import networkx
+
         self.num_partitions = num_partitions
         self.num_sites = num_sites
         self.seed = seed
-        self.graph = nx.Graph()
+        self.graph = networkx.Graph()
         self.graph.add_nodes_from(range(num_partitions))
         for node in self.graph.nodes:
             self.graph.nodes[node]["weight"] = 0
@@ -99,7 +102,9 @@ class SchismPartitioner:
         seed_right = set(ordered[target:])
         if not seed_left or not seed_right:
             return list(seed_left), list(seed_right)
-        left, right = nx.algorithms.community.kernighan_lin_bisection(
+        from networkx.algorithms.community import kernighan_lin_bisection
+
+        left, right = kernighan_lin_bisection(
             subgraph,
             partition=(seed_left, seed_right),
             weight="weight",

@@ -1,6 +1,8 @@
 """Tests for partition schemes and the Schism-style partitioner."""
 
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -139,3 +141,20 @@ class TestSchism:
         placement = partitioner.placement()
         assert set(placement) == set(range(9))
         assert set(placement.values()) <= {0, 1, 2}
+
+
+def test_networkx_is_imported_only_by_the_partitioner():
+    """``import repro`` must not pay networkx's 120 ms / 24 MB: every
+    CLI call, spawn worker and benchmark child imports the package, and
+    only :class:`SchismPartitioner` needs the library."""
+    code = (
+        "import sys, repro.bench, repro.cli, repro.faults.chaos\n"
+        "assert 'networkx' not in sys.modules, 'imported eagerly'\n"
+        "from repro.partitioning import SchismPartitioner\n"
+        "SchismPartitioner(4, 2)\n"
+        "assert 'networkx' in sys.modules\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
