@@ -32,20 +32,53 @@ class SimulationError(Exception):
     """Raised for misuse of the simulation kernel."""
 
 
+#: Events dispatched with the collector suspended since the last
+#: repayment — process-wide, like the collector itself.
+_unswept_events = 0
+
+#: Repay once this many events (roughly a second of dispatch, tens of
+#: MB of simulator state) went by without the collector.
+_SWEEP_AFTER_EVENTS = 1 << 18
+
+
 def _suspend_gc() -> bool:
     """Switch the cyclic collector off; return whether it was on.
 
-    The dispatch loops run with the collector suspended and re-enable
-    it (only if it was on) in their ``finally``. A run frees everything
-    by reference count — events, processes and records form no cycles,
-    pinned by ``tests/test_gc_quiet.py`` — so every collection the
-    allocation counters trigger walks the long-lived heap (0.3–0.8 M
-    records, log entries and samples) to reclaim nothing: 5–25 % of a
-    run's host time that no profiler row shows (DESIGN.md §8).
+    The dispatch loops run with the collector suspended and hand the
+    caller's setting back through :func:`_resume_gc` in their
+    ``finally``. A run frees everything by reference count — what it
+    discards forms no cycles, pinned by ``tests/test_gc_quiet.py`` — so
+    every collection the allocation counters trigger walks the
+    long-lived heap (0.3–0.8 M records, log entries and samples) to
+    reclaim nothing: 5–25 % of a run's host time that no profiler row
+    shows (DESIGN.md §8).
     """
     was_enabled = gc.isenabled()
     gc.disable()
     return was_enabled
+
+
+def _resume_gc(events: int) -> None:
+    """Switch the collector back on after ``events`` dispatched without it."""
+    global _unswept_events
+    _unswept_events += events
+    gc.enable()
+
+
+def _repay_gc() -> None:
+    """Collect what earlier simulations left, before a new one allocates.
+
+    A *finished* simulation is one big cycle (environment <-> waiting
+    processes <-> their frames), so dropping it frees nothing until a
+    full collection runs — and the collector, suspended while events
+    were dispatched, never saw the allocations that would have
+    scheduled one. Without this a process that runs simulation after
+    simulation keeps every one of them (6 runs: 481 MB against 190).
+    """
+    global _unswept_events
+    if _unswept_events >= _SWEEP_AFTER_EVENTS and gc.isenabled():
+        _unswept_events = 0
+        gc.collect()
 
 
 class Event:
@@ -365,6 +398,7 @@ class Environment:
     """The simulation environment: virtual clock plus event queue."""
 
     def __init__(self, initial_time: float = 0.0, obs=None):
+        _repay_gc()
         self._now = float(initial_time)
         self._queue: list = []
         #: The current-timestamp run: events scheduled at `now` while no
@@ -545,7 +579,7 @@ class Environment:
         finally:
             self.events_processed += events
             if collecting:
-                gc.enable()
+                _resume_gc(events)
         if until is not None:
             self._now = max(self._now, until)
 
@@ -579,7 +613,7 @@ class Environment:
         finally:
             self.events_processed += events
             if collecting:
-                gc.enable()
+                _resume_gc(events)
         if not process._ok:
             process.defuse()
             raise process._value

@@ -2,18 +2,22 @@
 
 ``Environment.run`` / ``run_until_complete`` suspend the cyclic garbage
 collector for the dispatch loop (DESIGN.md §8, "host cost outside any
-layer"). Two things make that sound and both are pinned here: the
-caller's collector setting always comes back, and a run produces no
-cyclic garbage — reference counting frees everything — so suspending
-the collector cannot grow memory.
+layer"). Three things make that sound and all are pinned here: the
+caller's collector setting always comes back; a run produces no cyclic
+garbage — reference counting frees everything — so suspending the
+collector cannot grow memory *during* a run; and a finished simulation,
+which is one big cycle, is collected when the next one starts, so it
+cannot grow memory *across* runs either.
 """
 
 import gc
+import weakref
 
 import pytest
 
 from repro.bench.harness import ALL_SYSTEMS, run_benchmark
 from repro.faults.chaos import run_chaos
+from repro.sim import core
 from repro.sim.config import ClusterConfig
 from repro.sim.core import Environment
 from repro.workloads.ycsb import YCSBConfig, YCSBWorkload
@@ -124,3 +128,60 @@ class TestRunsLeaveNoCyclicGarbage:
             duration_ms=300.0, bucket_ms=50.0, seed=7, workload=_workload(),
         ))
         assert found < CYCLE_BUDGET
+
+
+class TestFinishedSimulationsAreReclaimed:
+    """Dropping a finished run frees nothing by reference count (the
+    environment, its waiting processes and their frames form one
+    cycle); the kernel owes it a collection and pays when the next
+    simulation starts. Without that, a process running simulation
+    after simulation kept all of them: six perfbench-size TPC-C runs
+    peaked at 481 MB against 190, and ``make scale-smoke`` broke its
+    RSS budgets."""
+
+    @pytest.fixture
+    def explicit_collections_only(self):
+        """Threshold 0: the collector stays *enabled* but never runs on
+        its own, so only the kernel's repayment can free a cycle."""
+        thresholds = gc.get_threshold()
+        gc.collect()
+        gc.set_threshold(0)
+        yield
+        gc.set_threshold(*thresholds)
+
+    def finished_run(self):
+        result = run_benchmark(
+            "dynamast", _workload(), num_clients=4, duration_ms=60.0,
+            warmup_ms=10.0, cluster_config=ClusterConfig(num_sites=2), seed=7,
+        )
+        assert result.events_processed > 1000
+        return weakref.ref(result.system.cluster.env)
+
+    def test_next_environment_collects_a_dropped_run(
+        self, explicit_collections_only, monkeypatch
+    ):
+        monkeypatch.setattr(core, "_SWEEP_AFTER_EVENTS", 1000)
+        dropped = self.finished_run()
+        assert dropped() is not None  # a cycle: refcounting cannot free it
+        Environment()
+        assert dropped() is None
+
+    def test_small_runs_do_not_pay_a_collection_each(
+        self, explicit_collections_only, monkeypatch
+    ):
+        monkeypatch.setattr(core, "_unswept_events", 0)
+        dropped = self.finished_run()  # far below the real threshold
+        Environment()
+        assert dropped() is not None
+
+    def test_a_caller_with_the_collector_off_is_left_alone(
+        self, explicit_collections_only, monkeypatch
+    ):
+        monkeypatch.setattr(core, "_SWEEP_AFTER_EVENTS", 1000)
+        gc.disable()
+        try:
+            dropped = self.finished_run()
+            Environment()
+            assert dropped() is not None
+        finally:
+            gc.enable()
