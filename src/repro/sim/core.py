@@ -71,8 +71,8 @@ def _repay_gc() -> None:
     A *finished* simulation is one big cycle (environment <-> waiting
     processes <-> their frames), so dropping it frees nothing until a
     full collection runs — and the collector, suspended while events
-    were dispatched, never saw the allocations that would have
-    scheduled one. Without this a process that runs simulation after
+    were dispatched, skipped the young collections whose count
+    schedules one. Without this a process that runs simulation after
     simulation keeps every one of them (6 runs: 481 MB against 190).
     """
     global _unswept_events
