@@ -26,8 +26,8 @@ class SchismPartitioner:
     def __init__(self, num_partitions: int, num_sites: int, seed: int = 0):
         if num_sites < 1:
             raise ValueError(f"num_sites must be >= 1, got {num_sites}")
-        # Imported here, not at module scope: networkx costs 120 ms and
-        # 24 MB to import, and ``repro.partitioning`` is on the import
+        # Imported here, not at module scope: networkx costs 110 ms and
+        # 14 MB to import, and ``repro.partitioning`` is on the import
         # path of every run while only this class uses it.
         import networkx
 

@@ -144,7 +144,7 @@ class TestSchism:
 
 
 def test_networkx_is_imported_only_by_the_partitioner():
-    """``import repro`` must not pay networkx's 120 ms / 24 MB: every
+    """``import repro`` must not pay networkx's 110 ms / 14 MB: every
     CLI call, spawn worker and benchmark child imports the package, and
     only :class:`SchismPartitioner` needs the library."""
     code = (
