@@ -31,8 +31,6 @@ class Database:
         self.max_versions = max_versions
         self.tables: Dict[str, Table] = {}
         self.locks = LockTable(env)
-        #: Reads whose snapshot predates every retained version.
-        self.stale_reads = 0
 
     # -- schema / loading ---------------------------------------------------
 
@@ -40,64 +38,52 @@ class Database:
         """Fetch (creating if needed) the table called ``name``."""
         table = self.tables.get(name)
         if table is None:
-            table = Table(name)
-            self.tables[name] = table
+            table = self.tables[name] = Table(name, self.max_versions)
         return table
 
-    def load(self, key: Key, value: Any = None) -> VersionedRecord:
+    def load(self, key: Key, value: Any = None) -> None:
         """Bulk-load a record outside any transaction (initial database)."""
         table_name, primary_key = key
-        return self.table(table_name).insert(primary_key, value)
+        self.table(table_name).insert(primary_key, value)
 
     def record(self, key: Key) -> Optional[VersionedRecord]:
+        """A view of ``key``'s version chain, or None if it has no row."""
         table_name, primary_key = key
         table = self.tables.get(table_name)
         return table.get(primary_key) if table else None
 
-    def ensure(self, key: Key) -> VersionedRecord:
-        """Fetch a record, creating an empty one if absent (inserts)."""
+    # -- transactional access -------------------------------------------------
+
+    def read(self, key: Key, begin: VersionVector) -> Any:
+        """Snapshot read of ``key`` at the ``begin`` vector (its value)."""
         table_name, primary_key = key
         table = self.tables.get(table_name)
         if table is None:
             table = self.table(table_name)
-        record = table._rows.get(primary_key)
-        if record is None:
-            record = table.insert(primary_key)
-        return record
-
-    # -- transactional access -------------------------------------------------
-
-    def read(self, key: Key, begin: VersionVector) -> Any:
-        """Snapshot read of ``key`` at the ``begin`` vector.
-
-        Returns the visible *value* directly: one index-arithmetic scan
-        over the record's seq/origin columns resolves visibility and
-        staleness together (a stale read — snapshot older than every
-        retained version — counts and falls back to the oldest retained
-        value, per the bounded-chain trade documented on
-        :meth:`VersionedRecord.read`).
-        """
-        record = self.ensure(key)
-        i = record.visible_index(begin.counts)
-        if i < 0:
-            self.stale_reads += 1
-            i = record._start
-        return record._values[i]
+        return table.read(primary_key, begin.counts)
 
     def install(self, key: Key, origin: int, seq: int, value: Any) -> None:
         """Install one committed version (local commit or refresh)."""
-        self.ensure(key).install(origin, seq, value, self.max_versions)
+        table_name, primary_key = key
+        self.table(table_name).install(primary_key, origin, seq, value)
 
     def install_many(
         self, writes: Iterable[Tuple[Key, Any]], origin: int, seq: int
     ) -> None:
         """Install a transaction's full write set."""
-        maxv = self.max_versions
-        ensure = self.ensure
-        for key, value in writes:
-            ensure(key).install(origin, seq, value, maxv)
+        tables = self.tables
+        for (table_name, primary_key), value in writes:
+            table = tables.get(table_name)
+            if table is None:
+                table = self.table(table_name)
+            table.install(primary_key, origin, seq, value)
 
     # -- introspection ----------------------------------------------------------
+
+    @property
+    def stale_reads(self) -> int:
+        """Reads whose snapshot predated every retained version."""
+        return sum(table.stale_reads for table in self.tables.values())
 
     def row_count(self) -> int:
         return sum(len(table) for table in self.tables.values())

@@ -1,45 +1,24 @@
-"""Versioned records.
+"""Row-oriented views of one record's version chain.
 
-A version is stamped with ``(origin, seq)``: the site the update
-committed at and that site's commit sequence number (the value the
-commit wrote into position ``origin`` of its transaction version
-vector). A snapshot is a begin version vector; version ``(j, s)`` is
-visible to a snapshot ``b`` iff ``s <= b[j]``.
-
-Versions are appended in local application order. Because every site
-applies updates under the update application rule (Equation 1), the
-application order is consistent with the global dependency order, so
-the newest *visible* version in append order is the correct snapshot
-read.
-
-Storage layout: the chain is column-oriented — parallel ``array('q')``
-origin/seq columns plus a plain values list, with a ``_start`` offset
-marking the logical head. The visibility scan is then pure index
-arithmetic over machine ints (no per-version object is ever built on
-the hot path), and pruning the common one-over overflow is an O(1)
-head-offset bump instead of a list rebuild; the dead prefix is
-compacted away only once it grows past a threshold. :class:`Version`
-survives as the row-oriented *view* type returned by the cold
-inspection API (``versions()``, ``latest``, ``read``).
+The chains themselves live in their table's columns
+(:mod:`repro.storage.table`); no per-record object exists on the hot
+path. :class:`VersionedRecord` and :class:`Version` are the inspection
+API — built on demand from ``(table, row)`` by ``Table.get``,
+``Database.record`` and table iteration, for tests, recovery checks and
+examples.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Tuple
 
 from repro.versioning.vectors import VersionVector
-
-#: Compact the dead prefix of a chain once it grows past this many
-#: slots. Chains are bounded (max_versions, default 4), so the arrays
-#: stay tiny either way; the threshold just amortizes the rebuild.
-_COMPACT_AT = 32
 
 
 @dataclass(frozen=True, slots=True)
 class Version:
-    """One committed value of a record (row-oriented view)."""
+    """One committed value of a record."""
 
     origin: int
     seq: int
@@ -50,101 +29,43 @@ class Version:
         return self.seq <= begin[self.origin]
 
 
+@dataclass(frozen=True, slots=True)
 class VersionedRecord:
-    """A record and its bounded chain of committed versions."""
+    """A live view of one row and its bounded chain of committed versions."""
 
-    __slots__ = ("key", "_origins", "_seqs", "_values", "_start")
+    table: Any
+    primary_key: Any
+    row: int
 
-    def __init__(self, key: Any, initial_value: Any = None):
-        self.key = key
-        # The loader's initial version is stamped (0, 0): visible to
-        # every snapshot, and sequence 0 never collides with a commit
-        # (site commit sequences start at 1).
-        self._origins = array("q", (0,))
-        self._seqs = array("q", (0,))
-        self._values: list = [initial_value]
-        self._start = 0
+    @property
+    def key(self) -> Tuple[str, Any]:
+        return (self.table.name, self.primary_key)
+
+    def versions(self) -> Tuple[Version, ...]:
+        """The retained chain, oldest first."""
+        return tuple(Version(*stamped) for stamped in self.table.chain(self.row))
 
     @property
     def version_count(self) -> int:
-        return len(self._seqs) - self._start
+        return len(self.table.chain(self.row))
 
     @property
     def latest(self) -> Version:
         """The most recently applied version (no snapshot filtering)."""
-        i = len(self._seqs) - 1
-        return Version(self._origins[i], self._seqs[i], self._values[i])
-
-    def versions(self) -> tuple:
-        """Immutable view of the chain, oldest first."""
-        start = self._start
-        return tuple(
-            Version(self._origins[i], self._seqs[i], self._values[i])
-            for i in range(start, len(self._seqs))
-        )
-
-    def install(self, origin: int, seq: int, value: Any, max_versions: int) -> None:
-        """Append a committed version, pruning the chain to ``max_versions``.
-
-        The steady-state overflow (exactly one version over the bound)
-        is an O(1) bump of the logical head offset; the dead prefix is
-        only physically dropped once it reaches ``_COMPACT_AT`` slots.
-        """
-        if seq <= 0:
-            raise ValueError(f"commit sequence must be >= 1, got {seq}")
-        self._origins.append(origin)
-        self._seqs.append(seq)
-        self._values.append(value)
-        start = self._start
-        excess = len(self._seqs) - start - max_versions
-        if excess > 0:
-            start += excess
-            if start >= _COMPACT_AT:
-                del self._origins[:start]
-                del self._seqs[:start]
-                del self._values[:start]
-                start = 0
-            self._start = start
-
-    def visible_index(self, counts) -> int:
-        """Physical index of the newest version visible to a snapshot.
-
-        ``counts`` is the begin vector's raw count list (or any
-        indexable of per-site sequence numbers). Returns -1 when
-        pruning has removed every visible version.
-        """
-        seqs = self._seqs
-        origins = self._origins
-        for i in range(len(seqs) - 1, self._start - 1, -1):
-            if seqs[i] <= counts[origins[i]]:
-                return i
-        return -1
-
-    def read_value(self, counts) -> Any:
-        """Value of the newest version visible to ``counts`` (hot path).
-
-        Falls back to the oldest retained version when the snapshot
-        predates the chain, exactly like :meth:`read`.
-        """
-        i = self.visible_index(counts)
-        return self._values[i if i >= 0 else self._start]
+        return self.versions()[-1]
 
     def read(self, begin: VersionVector) -> Version:
-        """The newest version visible to the snapshot ``begin``.
-
-        If pruning removed every visible version (a snapshot older than
-        the retained chain), the oldest retained version is returned —
-        the engine trades occasional slightly-fresh reads for a bounded
-        chain, as the paper's four-version default does.
-        """
-        i = self.visible_index(begin.counts)
-        if i < 0:
-            i = self._start
-        return Version(self._origins[i], self._seqs[i], self._values[i])
+        """The newest version visible to ``begin``, else the oldest
+        retained one (the fallback ``Table.read`` counts as stale)."""
+        versions = self.versions()
+        for version in reversed(versions):
+            if version.visible_to(begin):
+                return version
+        return versions[0]
 
     def has_visible(self, begin: VersionVector) -> bool:
         """True if some retained version is visible to ``begin``."""
-        return self.visible_index(begin.counts) >= 0
+        return any(version.visible_to(begin) for version in self.versions())
 
     def __repr__(self) -> str:
         return f"<VersionedRecord {self.key!r} x{self.version_count}>"

@@ -1,18 +1,55 @@
-"""Row-oriented in-memory tables indexed by primary key (paper §V-A1)."""
+"""Row-oriented in-memory tables indexed by primary key (paper §V-A1).
+
+A table owns the version chains of all its rows in four columns —
+``array('q')`` origins and seqs, a values list, and one install counter
+per row — laid out as ``max_versions`` slots per row. ``_rows`` maps a
+primary key to its row number; rows are numbered in creation order.
+
+Version ``k`` of row ``r`` (``k`` = 0 for the loader's version) lives in
+slot ``r * stride + k % stride``, so each row is a ring: installing
+over a full chain overwrites its oldest version, which *is* the pruning
+to ``max_versions`` — nothing is appended, shifted or compacted, and no
+row allocates after it exists. A row whose counter reads ``n`` retains
+versions ``max(0, n - stride) .. n - 1``.
+
+A version is stamped ``(origin, seq)``: the site the update committed
+at and that site's commit sequence number. Version ``(j, s)`` is
+visible to a snapshot with begin vector ``b`` iff ``s <= b[j]``.
+Versions are installed in local application order, which the update
+application rule (Equation 1) keeps consistent with the global
+dependency order, so the newest *visible* version in install order is
+the correct snapshot read.
+"""
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, Optional
+from array import array
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.storage.record import VersionedRecord
 
 
 class Table:
-    """A named collection of versioned records, indexed by primary key."""
+    """A named collection of versioned rows, indexed by primary key."""
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, max_versions: int = 4):
+        if max_versions < 1:
+            raise ValueError(f"max_versions must be >= 1, got {max_versions}")
         self.name = name
-        self._rows: Dict[Any, VersionedRecord] = {}
+        self.max_versions = max_versions
+        self._rows: Dict[Any, int] = {}
+        self._origins = array("q")
+        self._seqs = array("q")
+        self._values: list = []
+        #: Versions ever installed per row, the loader's included.
+        self._installs = array("q")
+        #: Reads whose snapshot predates every retained version.
+        self.stale_reads = 0
+        # A new row's slots: the loader's version is stamped (0, 0) —
+        # visible to every snapshot, and sequence 0 never collides with
+        # a commit (site commit sequences start at 1).
+        self._blank_stamps = array("q", bytes(8 * max_versions))
+        self._blank_values = [None] * max_versions
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -21,27 +58,84 @@ class Table:
         return primary_key in self._rows
 
     def __iter__(self) -> Iterator[VersionedRecord]:
-        return iter(self._rows.values())
+        for primary_key, row in self._rows.items():
+            yield VersionedRecord(self, primary_key, row)
 
-    def insert(self, primary_key: Any, value: Any = None) -> VersionedRecord:
-        """Create a record; raises if the primary key already exists."""
-        if primary_key in self._rows:
+    def insert(self, primary_key: Any, value: Any = None) -> int:
+        """Create a row; returns its number, raises on a duplicate key."""
+        rows = self._rows
+        if primary_key in rows:
             raise KeyError(f"duplicate primary key {primary_key!r} in table {self.name!r}")
-        record = VersionedRecord((self.name, primary_key), value)
-        self._rows[primary_key] = record
-        return record
+        row = rows[primary_key] = len(rows)
+        self._origins.extend(self._blank_stamps)
+        self._seqs.extend(self._blank_stamps)
+        self._values.extend(self._blank_values)
+        self._installs.append(1)
+        self._values[row * self.max_versions] = value
+        return row
 
     def get(self, primary_key: Any) -> Optional[VersionedRecord]:
-        """The record for ``primary_key``, or None."""
-        return self._rows.get(primary_key)
+        """A view of the row for ``primary_key``, or None."""
+        row = self._rows.get(primary_key)
+        return None if row is None else VersionedRecord(self, primary_key, row)
 
-    def get_or_insert(self, primary_key: Any, value: Any = None) -> VersionedRecord:
-        """Fetch the record, creating it with ``value`` if absent."""
-        record = self._rows.get(primary_key)
-        if record is None:
-            record = self.insert(primary_key, value)
-        return record
+    def install(self, primary_key: Any, origin: int, seq: int, value: Any) -> None:
+        """Install one committed version, creating the row if absent."""
+        if seq <= 0:
+            raise ValueError(f"commit sequence must be >= 1, got {seq}")
+        row = self._rows.get(primary_key)
+        if row is None:
+            row = self.insert(primary_key)
+        stride = self.max_versions
+        installed = self._installs[row]
+        slot = row * stride + installed % stride
+        self._origins[slot] = origin
+        self._seqs[slot] = seq
+        self._values[slot] = value
+        self._installs[row] = installed + 1
+
+    def read(self, primary_key: Any, counts) -> Any:
+        """Value of the newest version visible to a snapshot.
+
+        ``counts`` is the begin vector's raw count list. A missing row
+        is created empty (an insert's read-before-write). If the ring
+        has overwritten every visible version (a snapshot older than
+        the retained chain), the read is counted stale and returns the
+        oldest retained version — the engine trades occasional
+        slightly-fresh reads for a bounded chain, as the paper's
+        four-version default does.
+        """
+        row = self._rows.get(primary_key)
+        if row is None:
+            self.insert(primary_key)
+            return None
+        stride = self.max_versions
+        base = row * stride
+        installed = self._installs[row]
+        oldest = installed - stride if installed > stride else 0
+        seqs = self._seqs
+        origins = self._origins
+        for version in range(installed - 1, oldest - 1, -1):
+            slot = base + version % stride
+            if seqs[slot] <= counts[origins[slot]]:
+                return self._values[slot]
+        self.stale_reads += 1
+        return self._values[base + oldest % stride]
+
+    def chain(self, row: int) -> List[Tuple[int, int, Any]]:
+        """Row ``row``'s retained ``(origin, seq, value)``, oldest first."""
+        stride = self.max_versions
+        base = row * stride
+        installed = self._installs[row]
+        return [
+            (self._origins[slot], self._seqs[slot], self._values[slot])
+            for slot in (
+                base + version % stride
+                for version in range(max(0, installed - stride), installed)
+            )
+        ]
 
     def version_count(self) -> int:
         """Total retained versions across all rows (memory footprint proxy)."""
-        return sum(record.version_count for record in self._rows.values())
+        stride = self.max_versions
+        return sum(min(installed, stride) for installed in self._installs)

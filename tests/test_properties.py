@@ -9,7 +9,7 @@ from repro.replication.log import UPDATE, DurableLog, LogRecord
 from repro.replication.recovery import merge_logs
 from repro.sim.core import Environment
 from repro.sim.rand import RandomStreams, ZipfGenerator, weighted_choice
-from repro.storage.record import VersionedRecord
+from repro.storage import Table
 from repro.versioning import VersionVector, can_apply_refresh
 
 vectors = st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=6)
@@ -82,17 +82,18 @@ class TestRecordProperties:
     )
     def test_read_returns_newest_visible(self, writes, snapshot_values):
         """The read rule: newest *visible* version in application order."""
-        record = VersionedRecord(("t", 1), initial_value="init")
+        table = Table("t", max_versions=100)
+        table.insert(1, "init")
         applied = []
         # Make per-origin sequences increasing (as real logs are).
         next_seq = {}
         for origin, _ in writes:
             seq = next_seq.get(origin, 0) + 1
             next_seq[origin] = seq
-            record.install(origin, seq, f"v{origin}:{seq}", max_versions=100)
+            table.install(1, origin, seq, f"v{origin}:{seq}")
             applied.append((origin, seq))
         snapshot = VersionVector(snapshot_values)
-        result = record.read(snapshot)
+        result = table.get(1).read(snapshot)
         visible = [
             (origin, seq)
             for origin, seq in applied
@@ -106,9 +107,10 @@ class TestRecordProperties:
 
     @given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=30))
     def test_pruning_bounds_chain_length(self, max_versions, writes):
-        record = VersionedRecord(("t", 1))
+        table = Table("t", max_versions)
         for seq in range(1, writes + 1):
-            record.install(0, seq, seq, max_versions=max_versions)
+            table.install(1, 0, seq, seq)
+        record = table.get(1)
         assert record.version_count <= max_versions
         assert record.latest.seq == writes
 

@@ -5,112 +5,173 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.core import Environment, SimulationError
-from repro.storage import Database, LockTable, Table, VersionedRecord
+from repro.storage import Database, LockTable, Table
 from repro.versioning import VersionVector
+
+
+def one_row(initial_value=None, max_versions=4):
+    """A one-row table and the live view of that row."""
+    table = Table("t", max_versions)
+    table.insert(1, initial_value)
+    return table, table.get(1)
 
 
 class TestVersionedRecord:
     def test_initial_version_visible_to_zero_snapshot(self):
-        record = VersionedRecord(("t", 1), initial_value="init")
+        _, record = one_row("init")
         snapshot = VersionVector.zeros(3)
         assert record.read(snapshot).value == "init"
 
     def test_snapshot_read_sees_only_visible_versions(self):
-        record = VersionedRecord(("t", 1), initial_value=0)
-        record.install(origin=0, seq=1, value=10, max_versions=4)
-        record.install(origin=0, seq=2, value=20, max_versions=4)
+        table, record = one_row(0)
+        table.install(1, origin=0, seq=1, value=10)
+        table.install(1, origin=0, seq=2, value=20)
         old_snapshot = VersionVector([1, 0])
         new_snapshot = VersionVector([2, 0])
         assert record.read(old_snapshot).value == 10
         assert record.read(new_snapshot).value == 20
 
     def test_reads_select_newest_visible_across_origins(self):
-        record = VersionedRecord(("t", 1), initial_value=0)
-        record.install(origin=0, seq=1, value="from-s0", max_versions=4)
-        record.install(origin=1, seq=1, value="from-s1", max_versions=4)
+        table, record = one_row(0)
+        table.install(1, origin=0, seq=1, value="from-s0")
+        table.install(1, origin=1, seq=1, value="from-s1")
         # Snapshot that saw only site 0's update.
         assert record.read(VersionVector([1, 0])).value == "from-s0"
         # Snapshot that saw both; application order makes s1's newest.
         assert record.read(VersionVector([1, 1])).value == "from-s1"
 
     def test_version_chain_pruned_to_max(self):
-        record = VersionedRecord(("t", 1), initial_value=0)
+        table, record = one_row(0)
         for seq in range(1, 10):
-            record.install(origin=0, seq=seq, value=seq, max_versions=4)
+            table.install(1, origin=0, seq=seq, value=seq)
         assert record.version_count == 4
         assert [version.seq for version in record.versions()] == [6, 7, 8, 9]
 
     def test_pruned_snapshot_falls_back_to_oldest_retained(self):
-        record = VersionedRecord(("t", 1), initial_value=0)
+        table, record = one_row(0)
         for seq in range(1, 10):
-            record.install(origin=0, seq=seq, value=seq, max_versions=4)
+            table.install(1, origin=0, seq=seq, value=seq)
         ancient = VersionVector([1, 0])
         assert not record.has_visible(ancient)
         assert record.read(ancient).value == 6
+        assert table.read(1, ancient.counts) == 6
+        assert table.stale_reads == 1
 
     def test_invalid_commit_sequence_rejected(self):
-        record = VersionedRecord(("t", 1))
+        table, record = one_row()
         with pytest.raises(ValueError):
-            record.install(origin=0, seq=0, value=1, max_versions=4)
+            table.install(1, origin=0, seq=0, value=1)
+        assert record.version_count == 1
 
     def test_latest_ignores_snapshots(self):
-        record = VersionedRecord(("t", 1), initial_value=0)
-        record.install(origin=1, seq=5, value="new", max_versions=4)
+        table, record = one_row(0)
+        table.install(1, origin=1, seq=5, value="new")
         assert record.latest.value == "new"
 
+    def test_view_is_live_and_names_its_key(self):
+        table, record = one_row("init")
+        assert record.key == ("t", 1)
+        assert record == table.get(1)
+        table.install(1, origin=0, seq=1, value="later")
+        assert record.latest.value == "later"
 
-#: (origin, value) pairs; the commit sequence is the 1-based install
-#: index, matching how a site's commit counter actually advances.
-_installs = st.lists(
-    st.tuples(st.integers(min_value=0, max_value=3), st.integers()),
-    max_size=120,
+
+#: The store under test against the naive model it replaces: one list
+#: per row, append every version, truncate to the last ``max_versions``.
+_KEYS = [(table, pk) for table in ("a", "b") for pk in range(4)]
+_key = st.sampled_from(_KEYS)
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("load"), _key, st.integers()),
+        st.tuples(st.just("install"), _key, st.integers(0, 2), st.integers()),
+        st.tuples(st.just("read"), _key,
+                  st.lists(st.integers(0, 60), min_size=3, max_size=3)),
+    ),
+    max_size=60,
 )
 
 
-class TestInstallPruningProperties:
-    """The column-store chain must behave exactly like the naive model:
-    append every version, keep the last ``max_versions``.
+class NaiveStore:
+    """Append-then-truncate version lists, one per row."""
 
-    Install sequences long enough to push the logical head offset past
-    the compaction threshold (``_COMPACT_AT`` = 32) exercise both the
-    O(1) head-drop path and the physical compaction rebuild.
-    """
+    def __init__(self, max_versions):
+        self.max_versions = max_versions
+        self.chains = {}
+        self.stale_reads = 0
 
-    @settings(max_examples=60, deadline=None)
-    @given(_installs, st.integers(min_value=1, max_value=6))
-    def test_chain_matches_naive_model(self, installs, max_versions):
-        record = VersionedRecord(("t", 1), initial_value="init")
-        model = [(0, 0, "init")]
-        for seq, (origin, value) in enumerate(installs, start=1):
-            record.install(origin, seq, value, max_versions=max_versions)
-            model.append((origin, seq, value))
-            model = model[-max_versions:]
-        assert record.version_count == len(model) <= max_versions
-        assert [
-            (version.origin, version.seq, version.value)
-            for version in record.versions()
-        ] == model
-        assert (record.latest.origin, record.latest.seq, record.latest.value) == model[-1]
+    def load(self, key, value):
+        if key in self.chains:
+            raise KeyError(key)
+        self.chains[key] = [(0, 0, value)]
 
-    @settings(max_examples=30, deadline=None)
-    @given(_installs, st.integers(min_value=1, max_value=4),
-           st.integers(min_value=0, max_value=130))
-    def test_reads_match_naive_model(self, installs, max_versions, horizon):
-        """Snapshot reads agree with a scan of the naive model: newest
-        visible version, else the oldest retained (pruned-snapshot
-        fallback)."""
-        record = VersionedRecord(("t", 1), initial_value="init")
-        model = [(0, 0, "init")]
-        for seq, (origin, value) in enumerate(installs, start=1):
-            record.install(origin, seq, value, max_versions=max_versions)
-            model.append((origin, seq, value))
-            model = model[-max_versions:]
-        counts = [horizon, horizon, horizon, horizon]
-        expected = next(
-            (row for row in reversed(model) if row[1] <= counts[row[0]]),
-            model[0],
-        )
-        assert record.read_value(counts) == expected[2]
+    def install(self, key, origin, seq, value):
+        chain = self.chains.setdefault(key, [(0, 0, None)])
+        chain.append((origin, seq, value))
+        del chain[:-self.max_versions]
+
+    def read(self, key, counts):
+        chain = self.chains.setdefault(key, [(0, 0, None)])
+        for origin, seq, value in reversed(chain):
+            if seq <= counts[origin]:
+                return value
+        self.stale_reads += 1
+        return chain[0][2]
+
+
+class TestColumnStoreMatchesNaiveModel:
+    """Random interleavings of load / install / read over several keys
+    and tables: the table-level ring must be indistinguishable from the
+    per-row model. Sixty operations over eight keys wrap every ring
+    size tried here several times."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_ops, st.sampled_from([1, 2, 4, 7]))
+    def test_every_observable_agrees(self, ops, max_versions):
+        db = Database(Environment(), max_versions=max_versions)
+        model = NaiveStore(max_versions)
+        for seq, (op, key, *args) in enumerate(ops, start=1):
+            if op == "load":
+                if key in model.chains:
+                    with pytest.raises(KeyError):
+                        db.load(key, *args)
+                else:
+                    db.load(key, *args)
+                    model.load(key, *args)
+            elif op == "install":
+                origin, value = args
+                db.install(key, origin, seq, value)
+                model.install(key, origin, seq, value)
+            else:
+                (counts,) = args
+                assert db.read(key, VersionVector(counts)) == model.read(key, counts)
+            assert db.stale_reads == model.stale_reads
+        assert db.row_count() == len(model.chains)
+        assert db.version_count() == sum(map(len, model.chains.values()))
+        for key, chain in model.chains.items():
+            record = db.record(key)
+            assert record.key == key
+            assert [
+                (version.origin, version.seq, version.value)
+                for version in record.versions()
+            ] == chain
+            assert record.version_count == len(chain) <= max_versions
+            latest = record.latest
+            assert (latest.origin, latest.seq, latest.value) == chain[-1]
+        # Rows are numbered in creation order, per table.
+        for name, table in db.tables.items():
+            created = [pk for table_name, pk in model.chains if table_name == name]
+            assert [record.primary_key for record in table] == created
+            assert [record.row for record in table] == list(range(len(created)))
+
+    @pytest.mark.parametrize("max_versions", [1, 2, 4, 7])
+    def test_never_installed_row_reports_the_loaders_version(self, max_versions):
+        db = Database(Environment(), max_versions=max_versions)
+        db.load(("t", 1), "loaded")
+        assert db.read(("t", 2), VersionVector.zeros(2)) is None  # read creates
+        for pk, value in ((1, "loaded"), (2, None)):
+            versions = db.record(("t", pk)).versions()
+            assert [(v.origin, v.seq, v.value) for v in versions] == [(0, 0, value)]
+        assert db.version_count() == 2
 
 
 class TestTable:
@@ -128,17 +189,21 @@ class TestTable:
         with pytest.raises(KeyError):
             table.insert(1)
 
-    def test_get_or_insert(self):
+    def test_insert_numbers_rows_in_creation_order(self):
         table = Table("accounts")
-        record = table.get_or_insert(7, value="v")
-        assert table.get_or_insert(7) is record
+        assert [table.insert(pk) for pk in ("x", "y", "z")] == [0, 1, 2]
+        assert table.get("y").row == 1
 
     def test_version_count(self):
         table = Table("t")
         table.insert(1)
-        record = table.insert(2)
-        record.install(0, 1, "x", max_versions=4)
+        table.insert(2)
+        table.install(2, 0, 1, "x")
         assert table.version_count() == 3
+
+    def test_invalid_max_versions(self):
+        with pytest.raises(ValueError):
+            Table("t", max_versions=0)
 
 
 class TestLockTable:
