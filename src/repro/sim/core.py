@@ -59,9 +59,17 @@ def _suspend_gc() -> bool:
 
 
 def _resume_gc(events: int) -> None:
-    """Switch the collector back on after ``events`` dispatched without it."""
+    """Switch the collector back on after ``events`` dispatched without it.
+
+    Everything the loop allocated is still in the youngest generation,
+    so the first allocation after ``gc.enable()`` would sweep the whole
+    run (0.05–0.3 s to reclaim nothing, booked to no layer). Freezing
+    moves it out of the collector's sight instead; :func:`_repay_gc`
+    thaws it before the collection that reclaims a dropped simulation.
+    """
     global _unswept_events
     _unswept_events += events
+    gc.freeze()
     gc.enable()
 
 
@@ -78,6 +86,7 @@ def _repay_gc() -> None:
     global _unswept_events
     if _unswept_events >= _SWEEP_AFTER_EVENTS and gc.isenabled():
         _unswept_events = 0
+        gc.unfreeze()
         gc.collect()
 
 

@@ -6,8 +6,9 @@ layer"). Three things make that sound and all are pinned here: the
 caller's collector setting always comes back; a run produces no cyclic
 garbage — reference counting frees everything — so suspending the
 collector cannot grow memory *during* a run; and a finished simulation,
-which is one big cycle, is collected when the next one starts, so it
-cannot grow memory *across* runs either.
+which is one big cycle (left frozen, so that no young collection walks
+it), is thawed and collected when the next one starts, so it cannot
+grow memory *across* runs either.
 """
 
 import gc
@@ -86,6 +87,18 @@ class TestCollectorSettingRestored:
         env.step()
         assert gc.isenabled() is collector
 
+    def test_a_run_freezes_its_heap_only_if_it_suspended_the_collector(
+        self, collector
+    ):
+        gc.unfreeze()
+        env = Environment()
+        env.timeout(1.0)
+        env.run()
+        try:
+            assert (gc.get_freeze_count() > 0) is collector
+        finally:
+            gc.unfreeze()
+
 
 #: Unreachable objects a run may leave for the cyclic collector. The
 #: measured value is 0 for every unfaulted system and 0-60 with a crash
@@ -106,6 +119,7 @@ def _unreachable_after(run):
     gc.disable()  # nothing may collect between the run and the count
     try:
         result = run()
+        gc.unfreeze()  # the run loop froze what it allocated; count it too
         found = gc.collect()
         assert result is not None
         return found
@@ -163,7 +177,9 @@ class TestFinishedSimulationsAreReclaimed:
         monkeypatch.setattr(core, "_SWEEP_AFTER_EVENTS", 1000)
         dropped = self.finished_run()
         assert dropped() is not None  # a cycle: refcounting cannot free it
+        assert gc.get_freeze_count() > 0  # and frozen: no collection sees it
         Environment()
+        assert gc.get_freeze_count() == 0
         assert dropped() is None
 
     def test_small_runs_do_not_pay_a_collection_each(
