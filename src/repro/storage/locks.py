@@ -25,9 +25,6 @@ class LockTable:
         # and an empty deque are falsy, so truth tests treat them the
         # same).
         self._queues: Dict[Any, Optional[Deque[Event]]] = {}
-        #: Memoized ``repr`` sort keys for :meth:`acquire_all`. Keys are
-        #: record keys, so the memo is bounded by the database size.
-        self._sort_keys: Dict[Any, str] = {}
         #: Total number of acquisitions that had to wait (contention stat).
         self.contended_acquires = 0
         self.total_acquires = 0
@@ -107,26 +104,20 @@ class LockTable:
             if self._traced:
                 self._owners.pop(key, None)
 
-    def _sort_key(self, key: Any) -> str:
-        memoized = self._sort_keys.get(key)
-        if memoized is None:
-            memoized = self._sort_keys[key] = repr(key)
-        return memoized
-
     def acquire_all(self, keys: Iterable[Any], owner: Any = None) -> Generator:
         """Acquire every key in sorted order (deadlock-free helper).
 
         Usage: ``yield from lock_table.acquire_all(keys)``. Duplicate
-        keys are acquired once. The global order is the keys' ``repr``
-        (memoized per key) — this exact order is load-bearing for
-        bit-identity, so do not "simplify" it to natural tuple order.
+        keys are acquired once. The global order is the keys' ``repr`` —
+        this exact order is load-bearing for bit-identity, so do not
+        "simplify" it to natural tuple order.
         ``owner`` flows to :meth:`acquire` for wait-for edges.
         """
         unique = set(keys)
         if len(unique) == 1:
             yield self.acquire(unique.pop(), owner)
             return
-        for key in sorted(unique, key=self._sort_key):
+        for key in sorted(unique, key=repr):
             yield self.acquire(key, owner)
 
     def release_all(self, keys: Iterable[Any]) -> None:
@@ -135,5 +126,5 @@ class LockTable:
         if len(unique) == 1:
             self.release(unique.pop())
             return
-        for key in sorted(unique, key=self._sort_key):
+        for key in sorted(unique, key=repr):
             self.release(key)
