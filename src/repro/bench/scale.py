@@ -136,9 +136,10 @@ def _per_system_case(system: str, ladder: Tuple[float, ...]) -> ScaleCase:
         sites=8,
         duration_ms=500.0,
         warmup_ms=125.0,
-        # Measured ~90 MB peak per rung on CPython 3.11; budget leaves
-        # ~2.5x headroom for interpreter variance, not for growth.
-        rss_budget_mb=256,
+        # Measured 96 MB peak over a whole serial matrix of these
+        # ladders on CPython 3.11 (``make scale JOBS=1``, one process);
+        # 1.5x headroom for interpreter variance, not for growth.
+        rss_budget_mb=144,
     )
 
 
@@ -172,8 +173,8 @@ SCALE_MATRIX: Sequence[ScaleCase] = (
         sites=16,
         duration_ms=600.0,
         warmup_ms=150.0,
-        # Measured ~240 MB peak at x3 on CPython 3.11 (~2x headroom).
-        rss_budget_mb=512,
+        # Measured 165 MB peak at x3 on CPython 3.11 (1.5x headroom).
+        rss_budget_mb=256,
     ),
 )
 

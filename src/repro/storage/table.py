@@ -33,8 +33,6 @@ class Table:
     """A named collection of versioned rows, indexed by primary key."""
 
     def __init__(self, name: str, max_versions: int = 4):
-        if max_versions < 1:
-            raise ValueError(f"max_versions must be >= 1, got {max_versions}")
         self.name = name
         self.max_versions = max_versions
         self._rows: Dict[Any, int] = {}
@@ -48,7 +46,7 @@ class Table:
         # A new row's slots: the loader's version is stamped (0, 0) —
         # visible to every snapshot, and sequence 0 never collides with
         # a commit (site commit sequences start at 1).
-        self._blank_stamps = array("q", bytes(8 * max_versions))
+        self._blank_stamps = array("q", [0] * max_versions)
         self._blank_values = [None] * max_versions
 
     def __len__(self) -> int:

@@ -201,10 +201,6 @@ class TestTable:
         table.install(2, 0, 1, "x")
         assert table.version_count() == 3
 
-    def test_invalid_max_versions(self):
-        with pytest.raises(ValueError):
-            Table("t", max_versions=0)
-
 
 class TestLockTable:
     def test_uncontended_acquire_is_immediate(self):
