@@ -66,6 +66,13 @@ def _resume_gc(events: int) -> None:
     run (0.05–0.3 s to reclaim nothing, booked to no layer). Freezing
     moves it out of the collector's sight instead; :func:`_repay_gc`
     thaws it before the collection that reclaims a dropped simulation.
+
+    ``gc.freeze()`` is process-global: the caller's own objects go to
+    the permanent generation too, and stay there until a repayment (a
+    later ``Environment()`` with enough events owed). A process that
+    runs one simulation, drops it and carries on never gets it — or any
+    frozen cycle that turns to garbage later — collected automatically;
+    it can call ``gc.unfreeze(); gc.collect()`` (DESIGN.md §8).
     """
     global _unswept_events
     _unswept_events += events

@@ -32,7 +32,7 @@ from repro.storage.record import VersionedRecord
 class Table:
     """A named collection of versioned rows, indexed by primary key."""
 
-    def __init__(self, name: str, max_versions: int = 4):
+    def __init__(self, name: str, max_versions: int):
         self.name = name
         self.max_versions = max_versions
         self._rows: Dict[Any, int] = {}

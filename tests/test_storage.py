@@ -78,17 +78,38 @@ class TestVersionedRecord:
 
 #: The store under test against the naive model it replaces: one list
 #: per row, append every version, truncate to the last ``max_versions``.
-_KEYS = [(table, pk) for table in ("a", "b") for pk in range(4)]
+_STRIDES = [1, 2, 4, 7]
+_KEYS = [(table, pk) for table in ("a", "b") for pk in range(2)]
 _key = st.sampled_from(_KEYS)
-_ops = st.lists(
-    st.one_of(
-        st.tuples(st.just("load"), _key, st.integers()),
-        st.tuples(st.just("install"), _key, st.integers(0, 2), st.integers()),
-        st.tuples(st.just("read"), _key,
-                  st.lists(st.integers(0, 60), min_size=3, max_size=3)),
-    ),
-    max_size=60,
+
+
+def _install(key):
+    return st.tuples(st.just("install"), key, st.integers(0, 2), st.integers())
+
+
+_op = st.one_of(
+    st.tuples(st.just("load"), _key, st.integers()),
+    _install(_key),
+    st.tuples(st.just("read"), _key,
+              st.lists(st.integers(0, 120), min_size=3, max_size=3)),
 )
+
+
+@st.composite
+def _interleavings(draw):
+    """``(max_versions, ops)`` whose ops lap one row's ring at least twice.
+
+    Hypothesis lists average five elements, so a plain list of ops
+    leaves every ring short of its first overwrite; the hot row's
+    installs are drawn separately and shuffled in among the rest (an
+    op's commit sequence is its position, so any order is valid).
+    """
+    max_versions = draw(st.sampled_from(_STRIDES))
+    hot = draw(st.lists(_install(st.just(draw(_key))),
+                        min_size=2 * max_versions + 1,
+                        max_size=4 * max_versions + 2))
+    rest = draw(st.lists(_op, min_size=10, max_size=60))
+    return max_versions, draw(st.permutations(hot + rest))
 
 
 class NaiveStore:
@@ -97,20 +118,29 @@ class NaiveStore:
     def __init__(self, max_versions):
         self.max_versions = max_versions
         self.chains = {}
+        #: Versions ever installed per row, the loader's included.
+        self.installed = {}
         self.stale_reads = 0
+
+    def _chain(self, key):
+        if key not in self.chains:
+            self.load(key, None)
+        return self.chains[key]
 
     def load(self, key, value):
         if key in self.chains:
             raise KeyError(key)
         self.chains[key] = [(0, 0, value)]
+        self.installed[key] = 1
 
     def install(self, key, origin, seq, value):
-        chain = self.chains.setdefault(key, [(0, 0, None)])
+        chain = self._chain(key)
         chain.append((origin, seq, value))
         del chain[:-self.max_versions]
+        self.installed[key] += 1
 
     def read(self, key, counts):
-        chain = self.chains.setdefault(key, [(0, 0, None)])
+        chain = self._chain(key)
         for origin, seq, value in reversed(chain):
             if seq <= counts[origin]:
                 return value
@@ -118,15 +148,39 @@ class NaiveStore:
         return chain[0][2]
 
 
-class TestColumnStoreMatchesNaiveModel:
-    """Random interleavings of load / install / read over several keys
-    and tables: the table-level ring must be indistinguishable from the
-    per-row model. Sixty operations over eight keys wrap every ring
-    size tried here several times."""
+def assert_same_rows(db, model):
+    """Every cold observable of ``db`` equals the naive model's."""
+    assert db.stale_reads == model.stale_reads
+    assert db.row_count() == len(model.chains)
+    assert db.version_count() == sum(map(len, model.chains.values()))
+    for key, chain in model.chains.items():
+        record = db.record(key)
+        assert record.key == key
+        assert [
+            (version.origin, version.seq, version.value)
+            for version in record.versions()
+        ] == chain
+        assert record.version_count == len(chain) <= model.max_versions
+        latest = record.latest
+        assert (latest.origin, latest.seq, latest.value) == chain[-1]
+    # Rows are numbered in creation order, per table.
+    for name, table in db.tables.items():
+        created = [pk for table_name, pk in model.chains if table_name == name]
+        assert [record.primary_key for record in table] == created
+        assert [record.row for record in table] == list(range(len(created)))
 
-    @settings(max_examples=80, deadline=None)
-    @given(_ops, st.sampled_from([1, 2, 4, 7]))
-    def test_every_observable_agrees(self, ops, max_versions):
+
+class TestColumnStoreMatchesNaiveModel:
+    """The table-level ring must be indistinguishable from the per-row
+    model it replaced, before and after a row's ring wraps."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(_interleavings())
+    def test_every_observable_agrees(self, interleaving):
+        """Random interleavings of load / install / read over several
+        keys and tables, one row installed into often enough to
+        overwrite each of its slots twice or more."""
+        max_versions, ops = interleaving
         db = Database(Environment(), max_versions=max_versions)
         model = NaiveStore(max_versions)
         for seq, (op, key, *args) in enumerate(ops, start=1):
@@ -145,25 +199,32 @@ class TestColumnStoreMatchesNaiveModel:
                 (counts,) = args
                 assert db.read(key, VersionVector(counts)) == model.read(key, counts)
             assert db.stale_reads == model.stale_reads
-        assert db.row_count() == len(model.chains)
-        assert db.version_count() == sum(map(len, model.chains.values()))
-        for key, chain in model.chains.items():
-            record = db.record(key)
-            assert record.key == key
-            assert [
-                (version.origin, version.seq, version.value)
-                for version in record.versions()
-            ] == chain
-            assert record.version_count == len(chain) <= max_versions
-            latest = record.latest
-            assert (latest.origin, latest.seq, latest.value) == chain[-1]
-        # Rows are numbered in creation order, per table.
-        for name, table in db.tables.items():
-            created = [pk for table_name, pk in model.chains if table_name == name]
-            assert [record.primary_key for record in table] == created
-            assert [record.row for record in table] == list(range(len(created)))
+        assert max(model.installed.values()) > 2 * max_versions
+        assert_same_rows(db, model)
 
-    @pytest.mark.parametrize("max_versions", [1, 2, 4, 7])
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(_STRIDES + [3, 5, 6]),
+           st.lists(st.tuples(st.integers(0, 3), st.integers()),
+                    min_size=30, max_size=120),
+           st.integers(0, 130))
+    def test_long_chain_on_one_row(self, max_versions, installs, horizon):
+        """One row, thirty to 120 installs: every ring size laps four
+        times or more; the chain, and a read at every prefix of it,
+        match the model."""
+        db = Database(Environment(), max_versions=max_versions)
+        model = NaiveStore(max_versions)
+        key = ("t", 1)
+        db.load(key, "init")
+        model.load(key, "init")
+        counts = [horizon] * 4
+        for seq, (origin, value) in enumerate(installs, start=1):
+            db.install(key, origin, seq, value)
+            model.install(key, origin, seq, value)
+            assert db.read(key, VersionVector(counts)) == model.read(key, counts)
+        assert model.installed[key] > 4 * max_versions
+        assert_same_rows(db, model)
+
+    @pytest.mark.parametrize("max_versions", _STRIDES)
     def test_never_installed_row_reports_the_loaders_version(self, max_versions):
         db = Database(Environment(), max_versions=max_versions)
         db.load(("t", 1), "loaded")
@@ -176,7 +237,7 @@ class TestColumnStoreMatchesNaiveModel:
 
 class TestTable:
     def test_insert_and_get(self):
-        table = Table("accounts")
+        table = Table("accounts", 4)
         table.insert(1, value=100)
         assert table.get(1).latest.value == 100
         assert table.get(2) is None
@@ -184,18 +245,18 @@ class TestTable:
         assert len(table) == 1
 
     def test_duplicate_insert_rejected(self):
-        table = Table("accounts")
+        table = Table("accounts", 4)
         table.insert(1)
         with pytest.raises(KeyError):
             table.insert(1)
 
     def test_insert_numbers_rows_in_creation_order(self):
-        table = Table("accounts")
+        table = Table("accounts", 4)
         assert [table.insert(pk) for pk in ("x", "y", "z")] == [0, 1, 2]
         assert table.get("y").row == 1
 
     def test_version_count(self):
-        table = Table("t")
+        table = Table("t", 4)
         table.insert(1)
         table.insert(2)
         table.install(2, 0, 1, "x")
