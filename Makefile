@@ -1,6 +1,6 @@
 # Convenience targets for the DynaMast reproduction.
 
-.PHONY: install test test-output lint bench bench-output examples quick chaos chaos-gray explain-smoke masters-smoke slo-smoke perf perf-check perf-sweep scale scale-smoke clean
+.PHONY: install test test-output lint bench bench-output examples quick chaos chaos-gray explain-smoke masters-smoke slo-smoke perf perf-check perf-sweep scale scale-smoke pairs clean
 
 # Worker processes for parallel-capable targets (perf, test with
 # pytest-xdist installed). 1 = classic serial behavior.
@@ -165,6 +165,17 @@ scale:
 # machine-independent) and each rung must fit its peak-RSS budget.
 scale-smoke:
 	python -m repro perf --scale --smoke --check --jobs 2
+
+# Alternated perfbench-child pairs, BASE (a git revision, checked out
+# into a temporary worktree) against the working tree: the measurement
+# a host-cost claim rests on (CONTRIBUTING.md, "Claiming a gain").
+#   make pairs W=ycsb-2pc BASE=HEAD~1 N=10 SEED=11
+W ?= ycsb-2pc
+BASE ?= HEAD
+N ?= 10
+SEED ?= 11
+pairs:
+	python tools/pairs.py --workload $(W) --base $(BASE) --pairs $(N) --seed $(SEED)
 
 clean:
 	rm -rf .pytest_cache build *.egg-info src/*.egg-info

@@ -44,10 +44,7 @@ import hashlib
 import json
 import resource
 import traceback
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from multiprocessing import get_context
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.metrics import LatencySummary, Metrics
@@ -463,6 +460,14 @@ class ParallelExecutor:
         # results cannot depend on parent-process state — the same
         # isolation property the determinism contract relies on — and
         # the engine behaves identically on macOS/Windows.
+        #
+        # Imported here, not at module scope: the pool machinery costs
+        # 20-35 ms of ``import repro.bench``, which every serial run
+        # pays inside its set-up and only this method uses.
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+        from multiprocessing import get_context
+
         context = get_context("spawn")
         workers = min(self.jobs, len(items))
         outcomes: List = []

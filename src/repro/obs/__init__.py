@@ -153,13 +153,12 @@ class Observability:
     def __init__(self, tracer=None, registry=None,
                  sample_interval_ms: float = 10.0):
         self.tracer = tracer if tracer is not None else Tracer()
+        #: True when this run is actually being observed. Fixed here
+        #: (``Tracer.enabled`` is a class constant): the network and
+        #: 2PC read it per message with recorders OFF.
+        self.enabled: bool = self.tracer.enabled
         self.registry = registry if registry is not None else MetricsRegistry()
         self.sampler = TimelineSampler(interval_ms=sample_interval_ms)
-
-    @property
-    def enabled(self) -> bool:
-        """True when this run is actually being observed."""
-        return self.tracer.enabled
 
     @property
     def timelines(self):

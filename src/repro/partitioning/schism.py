@@ -55,13 +55,17 @@ class SchismPartitioner:
         transactions: Iterable[Transaction],
         partition_of,
     ) -> None:
-        """Account a stream of transactions via a key -> partition map."""
+        """Account a stream of transactions via a key -> partition map.
+
+        ``partition_of`` must be constant over a placement unit (pass
+        ``Workload.placement_unit_of``, or ``scheme.partition`` where
+        the two coincide): a scan block is resolved once, by its first
+        key.
+        """
         for txn in transactions:
-            partitions = {
-                partition
-                for partition in (partition_of(key) for key in txn.all_keys())
-                if partition is not None
-            }
+            partitions = {partition_of(key) for key in txn.write_set + txn.read_set}
+            partitions.update(partition_of(block[0]) for block in txn.scan_set)
+            partitions.discard(None)
             if partitions:
                 self.observe(partitions)
 

@@ -243,7 +243,7 @@ class DataSite:
 
             execute_started = env._now
             service = costs.execution_ms(
-                len(txn.read_set), len(txn.write_set), len(txn.scan_set)
+                len(txn.read_set), len(txn.write_set), txn.scan_count
             )
             yield from self.cpu.use(service + txn.extra_cpu_ms, txn=txn, track=track)
             for key in txn.read_set:
@@ -300,10 +300,11 @@ class DataSite:
     ):
         """Execute a read-only transaction at this site's snapshot.
 
-        ``keys``/``scans`` restrict the access to a subset (used by the
-        partition-store's scatter-gather reads); by default the whole
-        read and scan sets run here. Returns the begin vector the
-        reads observed, for session maintenance.
+        ``keys``/``scans`` restrict the access to a subset of the point
+        reads / scan blocks (used by the partition-store's
+        scatter-gather reads); by default the whole read and scan sets
+        run here. Returns the begin vector the reads observed, for
+        session maintenance.
         """
         costs = self.config.costs
         env = self.env
@@ -320,11 +321,11 @@ class DataSite:
             tracer.span("freshness_wait", started, env._now, track=track, txn=txn)
 
         read_keys = txn.read_set if keys is None else keys
-        scan_keys = txn.scan_set if scans is None else scans
+        scanned = txn.scan_count if scans is None else sum(map(len, scans))
         execute_started = env._now
         yield from self.cpu.use(costs.txn_begin_ms, txn=txn, track=track)
         begin_vv = self.svv.copy()
-        service = costs.execution_ms(len(read_keys), 0, len(scan_keys))
+        service = costs.execution_ms(len(read_keys), 0, scanned)
         yield from self.cpu.use(service + txn.extra_cpu_ms, txn=txn, track=track)
         for key in read_keys:
             self.database.read(key, begin_vv)

@@ -33,8 +33,10 @@ class LEAP(System):
         self.scheme = scheme
         self.placement = placement
         cluster.place_partitions(placement)
-        #: Memoized key -> partition lookups (pure per run; scan sets
-        #: revisit the same key blocks on every transaction).
+        #: Memoized key -> partition lookups (pure per run). LEAP ships
+        #: records, so it resolves every scanned key on its own, and
+        #: scans revisit the same keys constantly: replayed over a
+        #: leap-ycsb run the memo saves 7 % of its wall (DESIGN.md §8).
         self._partitions: Dict[Key, object] = {}
         #: Record-granularity ownership; keys start at their partition's site.
         self._owners: Dict[Key, int] = {}

@@ -38,8 +38,6 @@ class MultiMaster(System):
         self.placement = placement
         #: Coordination granule (see Workload.placement_unit_of).
         self.unit_of = unit_of or scheme.partition
-        #: Memoized key -> unit lookups (see PartitionStore._unit_cache).
-        self._unit_cache: Dict = {}
         cluster.place_partitions(placement)
         self._read_rng = cluster.streams.stream("read-routing")
 

@@ -17,7 +17,7 @@ from repro.partitioning.schemes import PartitionScheme
 from repro.sites.messages import RetryPolicy, guarded_call, remote_call
 from repro.systems.base import Cluster, Session, System
 from repro.systems.two_phase_commit import submit_partitioned_write
-from repro.transactions import Key, Outcome, Transaction
+from repro.transactions import Key, Outcome, ScanBlock, Transaction
 
 
 class PartitionStore(System):
@@ -38,11 +38,6 @@ class PartitionStore(System):
         self.placement = placement
         #: Coordination granule (see Workload.placement_unit_of).
         self.unit_of = unit_of or scheme.partition
-        #: Memoized key -> unit lookups. ``unit_of`` is a pure function
-        #: of the key for the lifetime of a run, and scan sets revisit
-        #: the same key blocks constantly, so the read fan-out grouping
-        #: resolves units with one dict probe instead of three frames.
-        self._unit_cache: Dict[Key, object] = {}
         cluster.place_partitions(placement)
         #: Multi-unit read-only transactions executed (straggler stat).
         self.scatter_gather_reads = 0
@@ -60,39 +55,48 @@ class PartitionStore(System):
         )
         return outcome
 
-    def _submit_read(self, txn: Transaction):
-        """Route reads to owning units; fan out if they span units."""
-        # Group point reads and scanned keys by placement unit. Static-
-        # table keys join the first dynamic unit's sub-read.
+    def _group_by_unit(self, txn: Transaction):
+        """``(unit, point reads, scan blocks)`` per placement unit the
+        read touches, in unit order.
+
+        A scan block lies inside one unit, so its first key resolves
+        it. Static-table keys join the first dynamic unit's point
+        reads (unit 0 when there is no dynamic unit).
+        """
         reads: Dict[int, List[Key]] = {}
-        scans: Dict[int, List[Key]] = {}
+        scans: Dict[int, List[ScanBlock]] = {}
         static: List[Key] = []
-        cache = self._unit_cache
         unit_of = self.unit_of
-        for source, bucket in ((txn.read_set, reads), (txn.scan_set, scans)):
-            for key in source:
-                try:
-                    unit = cache[key]
-                except KeyError:
-                    unit = cache[key] = unit_of(key)
-                if unit is None:
-                    static.append(key)
-                else:
-                    keys = bucket.get(unit)
-                    if keys is None:
-                        keys = bucket[unit] = []
-                    keys.append(key)
+        for key in txn.read_set:
+            unit = unit_of(key)
+            if unit is None:
+                static.append(key)
+            else:
+                reads.setdefault(unit, []).append(key)
+        for block in txn.scan_set:
+            unit = unit_of(block[0])
+            if unit is None:
+                static.extend(block)
+            else:
+                scans.setdefault(unit, []).append(block)
         units = sorted(set(reads) | set(scans))
         if units:
             reads.setdefault(units[0], []).extend(static)
         elif static:
             reads[0] = static
             units = [0]
+        return [
+            (unit, tuple(reads.get(unit, ())), tuple(scans.get(unit, ())))
+            for unit in units
+        ]
 
+    def _submit_read(self, txn: Transaction):
+        """Route reads to owning units; fan out if they span units."""
+        groups = self._group_by_unit(txn)
         yield from self.client_hop(txn)  # router -> client
         faults = self.cluster.faults
-        if len(units) <= 1:
-            unit = units[0] if units else 0
+        if len(groups) <= 1:
+            unit = groups[0][0] if groups else 0
             site_index = self.placement.get(unit, 0)
             if faults is None:
                 yield from remote_call(
@@ -110,14 +114,7 @@ class PartitionStore(System):
         # Scatter-gather: one sub-read per unit, wait for the slowest
         # (the straggler effect of §VI-B2).
         self.scatter_gather_reads += 1
-        targets = [
-            (
-                self.placement[unit],
-                tuple(reads.get(unit, ())),
-                tuple(scans.get(unit, ())),
-            )
-            for unit in units
-        ]
+        targets = [(self.placement[unit], keys, blocks) for unit, keys, blocks in groups]
         if faults is None:
             processes = [
                 self.env.process(

@@ -31,13 +31,9 @@ from repro.versioning.vectors import VersionVector
 def group_writes_by_unit(system, txn: Transaction) -> Dict[int, Tuple[Key, ...]]:
     """Split the write set into placement-unit branches."""
     groups: Dict[int, List[Key]] = {}
-    cache = system._unit_cache
     unit_of = system.unit_of
     for key in txn.write_set:
-        try:
-            unit = cache[key]
-        except KeyError:
-            unit = cache[key] = unit_of(key)
+        unit = unit_of(key)
         if unit is None:
             raise ValueError(f"write to static replicated table: {key!r}")
         groups.setdefault(unit, []).append(key)

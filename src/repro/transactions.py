@@ -9,11 +9,14 @@ write set at a single site before execution begins.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import count
+from itertools import chain, count
 from typing import Any, Dict, Tuple
 
 #: A fully-qualified record key: (table name, primary key).
 Key = Tuple[str, Any]
+
+#: The keys one range scan touches inside a single placement unit.
+ScanBlock = Tuple[Key, ...]
 
 _txn_ids = count(1)
 
@@ -22,16 +25,21 @@ _txn_ids = count(1)
 class Transaction:
     """One client request.
 
-    ``write_set`` and ``read_set`` are point accesses; ``scan_set``
-    holds keys touched by range scans (cheaper per record). A
-    transaction is read-only iff its write set is empty.
+    ``write_set`` and ``read_set`` are point accesses. ``scan_set``
+    holds the keys touched by range scans (cheaper per record) as
+    *blocks*: each block is a non-empty immutable key tuple lying
+    inside one placement unit (``Workload.placement_unit_of`` is the
+    same for all its keys), so a router resolves ``block[0]`` and
+    treats the block as a whole. Generators share blocks between
+    transactions instead of copying them. A transaction is read-only
+    iff its write set is empty.
     """
 
     txn_type: str
     client_id: int
     write_set: Tuple[Key, ...] = ()
     read_set: Tuple[Key, ...] = ()
-    scan_set: Tuple[Key, ...] = ()
+    scan_set: Tuple[ScanBlock, ...] = ()
     #: Extra execution CPU beyond per-operation costs (stored-procedure logic).
     extra_cpu_ms: float = 0.0
     txn_id: int = field(default_factory=lambda: next(_txn_ids))
@@ -49,9 +57,15 @@ class Transaction:
         except KeyError:
             self.timings[phase] = duration
 
+    @property
+    def scan_count(self) -> int:
+        """Number of scanned keys (what the cost model charges for)."""
+        return sum(map(len, self.scan_set))
+
     def all_keys(self) -> Tuple[Key, ...]:
-        """Every key the transaction touches (writes, reads, scans)."""
-        return self.write_set + self.read_set + self.scan_set
+        """Every key the transaction touches (writes, reads, then the
+        scan blocks flattened in order)."""
+        return self.write_set + self.read_set + tuple(chain.from_iterable(self.scan_set))
 
 
 @dataclass(slots=True)

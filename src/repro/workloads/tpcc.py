@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.strategy import StrategyWeights
 from repro.partitioning.schemes import PartitionScheme
-from repro.transactions import Key, Transaction
+from repro.transactions import Key, ScanBlock, Transaction
 from repro.workloads.base import ClientTurn, Workload
 
 
@@ -297,14 +297,26 @@ class TPCCWorkload(Workload):
         warehouse = state.home_warehouse
         district = rng.randrange(cfg.districts_per_warehouse)
         recent = self._recent_lines.get((warehouse, district), [])
-        scans: List[Key] = [("district", (warehouse, district))]
+        # Scan blocks are runs of consecutive keys inside one warehouse
+        # (the placement unit). The district and order-line keys are
+        # the home warehouse's; a stock key is its supplier's, and it
+        # always follows a home order line, so remote stock is a block
+        # of one that closes the home run before it.
+        blocks: List[ScanBlock] = []
+        run: List[Key] = [("district", (warehouse, district))]
         seen = set()
         for supplier, item in recent:
-            line_key = ("order_line", (warehouse, district, supplier, item))
-            scans.append(line_key)
+            run.append(("order_line", (warehouse, district, supplier, item)))
             if (supplier, item) not in seen:
                 seen.add((supplier, item))
-                scans.append(("stock", (supplier, item)))
+                if supplier == warehouse:
+                    run.append(("stock", (supplier, item)))
+                else:
+                    blocks.append(tuple(run))
+                    blocks.append((("stock", (supplier, item)),))
+                    run = []
+        if run:
+            blocks.append(tuple(run))
         return Transaction(
-            "stock_level", state.client_id, scan_set=tuple(scans)
+            "stock_level", state.client_id, scan_set=tuple(blocks)
         )

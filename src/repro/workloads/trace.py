@@ -10,7 +10,8 @@ client and replayed against every system.
 
 Transactions are re-instantiated on each replay (fresh txn ids and
 timing buckets); the key sets, types and session boundaries are
-preserved bit-for-bit.
+preserved bit-for-bit, and scan blocks are passed through by reference
+(the replayed transaction shares the recorded block tuples).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.strategy import StrategyWeights
 from repro.partitioning.schemes import PartitionScheme
-from repro.transactions import Key, Transaction
+from repro.transactions import Key, ScanBlock, Transaction
 from repro.workloads.base import ClientTurn, Workload
 
 
@@ -32,7 +33,7 @@ class TraceEntry:
     txn_type: str
     write_set: Tuple[Key, ...]
     read_set: Tuple[Key, ...]
-    scan_set: Tuple[Key, ...]
+    scan_set: Tuple[ScanBlock, ...]
     extra_cpu_ms: float
     reset_session: bool
 

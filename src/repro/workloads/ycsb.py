@@ -10,7 +10,8 @@ Transactions:
 
 * **Scan** — a base partition drawn from the access distribution, then
   all keys of the next ``k`` partitions in order space, ``k`` uniform
-  in [2, 10] (200-1000 keys). Read-only.
+  in [2, 10] (200-1000 keys, carried as ``k`` shared per-partition
+  blocks). Read-only.
 * **RMW** — three keys: one from the base partition and two from
   neighbour partitions selected by offsetting the base with
   ``Binomial(5, 0.5) - 3`` (three successes = the base partition, one
@@ -26,13 +27,12 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import chain
 from typing import Any, Iterable, List, Optional, Tuple
 
 from repro.core.strategy import StrategyWeights
 from repro.partitioning.schemes import PartitionScheme
 from repro.sim.rand import ZipfGenerator
-from repro.transactions import Key, Transaction
+from repro.transactions import Key, ScanBlock, Transaction
 from repro.workloads.base import ClientTurn, Workload
 
 TABLE = "usertable"
@@ -91,11 +91,10 @@ class YCSBWorkload(Workload):
         #: position[p] = where partition p sits in correlation space.
         self.position: List[int] = list(range(cfg.num_partitions))
         self._zipf: Optional[ZipfGenerator] = None
-        #: Lazily built per-partition scan-key tuples. A scan touches
-        #: every key of each scanned partition, and those tuples never
-        #: change — rebuilding them per scan was the single hottest
-        #: allocation site in profiles (~8M key tuples per short run).
-        self._scan_blocks: List[Optional[Tuple[Key, ...]]] = [None] * cfg.num_partitions
+        #: Lazily built per-partition scan blocks. A scan touches every
+        #: key of each scanned partition and those tuples never change,
+        #: so every scan transaction references these same objects.
+        self._scan_blocks: List[Optional[ScanBlock]] = [None] * cfg.num_partitions
 
     @property
     def scheme(self) -> PartitionScheme:
@@ -180,7 +179,7 @@ class YCSBWorkload(Workload):
             "rmw", client_id, write_set=keys, read_set=keys
         )
 
-    def _scan_block(self, partition: int) -> Tuple[Key, ...]:
+    def _scan_block(self, partition: int) -> ScanBlock:
         block = self._scan_blocks[partition]
         if block is None:
             start = partition * self.config.keys_per_partition
@@ -193,18 +192,13 @@ class YCSBWorkload(Workload):
     def _make_scan(self, base: int, client_id: int, rng) -> Transaction:
         cfg = self.config
         length = rng.randint(cfg.scan_min_partitions, cfg.scan_max_partitions)
-        # The per-partition blocks are pre-built tuples; chaining them
-        # into one tuple skips the per-key list appends plus the full
-        # copy of tuple(list) (scan sets are the largest key sets made).
-        neighbour = self._neighbour
-        scan_block = self._scan_block
-        if length == 1:
-            keys = scan_block(neighbour(base, 0))
-        else:
-            keys = tuple(chain.from_iterable(
-                scan_block(neighbour(base, step)) for step in range(length)
-            ))
-        return Transaction("scan", client_id, scan_set=keys)
+        return Transaction(
+            "scan",
+            client_id,
+            scan_set=tuple(
+                self._scan_block(self._neighbour(base, step)) for step in range(length)
+            ),
+        )
 
     def initial_records(self) -> Iterable[Tuple[Key, Any]]:
         total = self.config.num_partitions * self.config.keys_per_partition

@@ -119,6 +119,28 @@ class TestTracedRun:
         traced_run()
         assert plain() == before
 
+    @pytest.mark.parametrize("system", ["dynamast", "partition-store"])
+    def test_observed_run_fingerprint_equals_unobserved(self, system):
+        """``obs.enabled`` gates the network and 2PC recorders; it is a
+        plain attribute fixed at construction, OFF on the shared no-op
+        handle, and switching it ON changes nothing simulated."""
+        from repro.bench.parallel import run_fingerprint
+        from repro.obs import NULL_OBS
+
+        assert vars(NULL_OBS)["enabled"] is False
+        on, obs = traced_run(system=system)
+        assert vars(obs)["enabled"] is True
+        off = run_benchmark(
+            system,
+            small_workload(),
+            num_clients=6,
+            duration_ms=200.0,
+            warmup_ms=50.0,
+            cluster_config=ClusterConfig(num_sites=2),
+            seed=7,
+        )
+        assert run_fingerprint(on) == run_fingerprint(off)
+
     def test_untraced_run_records_nothing(self):
         result = run_benchmark(
             "dynamast",

@@ -11,6 +11,8 @@ the rule CONTRIBUTING.md ("Spawn safety") documents.
 """
 
 import pickle
+import subprocess
+import sys
 
 import pytest
 
@@ -129,6 +131,24 @@ class TestParallelExecutorPool:
         assert "boom at three" in str(error)
         # The worker's traceback rides along for debugging.
         assert "RuntimeError" in error.worker_traceback
+
+    def test_pool_machinery_is_imported_only_by_a_parallel_map(self):
+        """``import repro.bench`` must not pay for multiprocessing and
+        the process-pool module (20-35 ms inside every serial run's
+        set-up); the first ``jobs>1`` map imports them and still works."""
+        code = (
+            "import sys, repro.bench, repro.cli, repro.faults.chaos\n"
+            "from repro.bench.parallel import ParallelExecutor\n"
+            "assert ParallelExecutor(1).map(abs, [-1, -2]) == [1, 2]\n"
+            "for name in ('multiprocessing', 'concurrent.futures.process'):\n"
+            "    assert name not in sys.modules, name + ' imported eagerly'\n"
+            "assert ParallelExecutor(2).map(abs, [-3, -1, -2]) == [3, 1, 2]\n"
+            "assert 'multiprocessing' in sys.modules\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
 
 
 class TestSpecFailurePaths:

@@ -1,0 +1,290 @@
+"""Scans as shared partition blocks (DESIGN.md §8, "Scan representation").
+
+``Transaction.scan_set`` is a tuple of blocks — key tuples that each
+lie inside one placement unit. Three things are pinned here:
+
+* the generators: every block is non-empty and single-unit, and the
+  flattened key stream is the one the flat-tuple generators produced
+  (digests taken at the parent commit, plus the old YCSB scan and TPC-C
+  Stock-Level generators kept below as references);
+* the router: the partition-store's per-block grouping yields the
+  ``(site, point reads, scanned count)`` sub-reads of the old per-key
+  grouping, which lives on below as the oracle;
+* the cost: routing a 1000-key scan hashes O(blocks) keys, not O(keys).
+"""
+
+import hashlib
+import random
+from itertools import chain
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.sim.config import ClusterConfig
+from repro.systems import Cluster, build_system
+from repro.transactions import Transaction
+from repro.workloads import WORKLOAD_REGISTRY, build_workload, record_trace
+from repro.workloads.ycsb import TABLE
+
+#: Small configurations that still produce every shape of scan: YCSB
+#: scans that wrap around the partition order, TPC-C Stock-Levels whose
+#: recent orders drew half their stock from remote warehouses.
+PARAMS = {
+    "ycsb": dict(num_partitions=40, rmw_fraction=0.3, affinity_txns=7),
+    "tpcc": dict(warehouses=3, items=120, customers_per_district=60,
+                 neworder_remote_fraction=0.5, stocklevel_weight=0.3,
+                 neworder_weight=0.4, payment_weight=0.3),
+    "smallbank": dict(),
+}
+
+#: sha256 prefix of ``repr((txn_type, all_keys()))`` over 200 turns of
+#: client 0 (100 for traces), computed at the parent commit, where
+#: ``scan_set`` was still one flat key tuple.
+KEY_STREAM_DIGESTS = {
+    ("smallbank", 0): "d8e6311605645bb3",
+    ("smallbank", 1): "a2e34a2682107a00",
+    ("smallbank", 2): "885a47bab431f284",
+    ("tpcc", 0): "307de9b089b95193",
+    ("tpcc", 1): "9f2af180cde4e1d1",
+    ("tpcc", 2): "b010a6930c3c707b",
+    ("ycsb", 0): "72a6b99b2285c58c",
+    ("ycsb", 1): "ced398c514b9a89a",
+    ("ycsb", 2): "e3edea3f9b4620d1",
+}
+TRACE_SEED = 5
+TRACE_DIGESTS = {
+    "smallbank": "d217a0e2cf954000",
+    "tpcc": "a339339c5bd01104",
+    "ycsb": "e0334b73d7d11593",
+}
+
+
+def make(name):
+    return build_workload(name, **PARAMS[name])
+
+
+def turns_of(workload, seed, turns):
+    rng = random.Random(seed)
+    state = workload.new_client_state(0, rng)
+    return [workload.next_transaction(state, rng, float(step)).txn
+            for step in range(turns)]
+
+
+def key_stream_digest(txns):
+    digest = hashlib.sha256()
+    for txn in txns:
+        digest.update(repr((txn.txn_type, txn.all_keys())).encode())
+    return digest.hexdigest()[:16]
+
+
+# -- the flat-tuple generators, as they were before blocks ----------------------
+
+
+def flat_ycsb_scan(workload, base, rng):
+    cfg = workload.config
+    length = rng.randint(cfg.scan_min_partitions, cfg.scan_max_partitions)
+    keys = []
+    for step in range(length):
+        start = workload._neighbour(base, step) * cfg.keys_per_partition
+        keys.extend((TABLE, start + offset) for offset in range(cfg.keys_per_partition))
+    return tuple(keys)
+
+
+def flat_stocklevel(workload, state, rng):
+    warehouse = state.home_warehouse
+    district = rng.randrange(workload.config.districts_per_warehouse)
+    recent = workload._recent_lines.get((warehouse, district), [])
+    scans = [("district", (warehouse, district))]
+    seen = set()
+    for supplier, item in recent:
+        scans.append(("order_line", (warehouse, district, supplier, item)))
+        if (supplier, item) not in seen:
+            seen.add((supplier, item))
+            scans.append(("stock", (supplier, item)))
+    return tuple(scans)
+
+
+class TestGeneratedBlocks:
+    def test_every_registered_workload_is_covered(self):
+        assert set(PARAMS) == set(WORKLOAD_REGISTRY)
+        assert {name for name, _ in KEY_STREAM_DIGESTS} == set(WORKLOAD_REGISTRY)
+
+    @pytest.mark.parametrize("name,seed", sorted(KEY_STREAM_DIGESTS))
+    def test_blocks_are_nonempty_single_unit_and_flatten_to_the_old_stream(
+        self, name, seed
+    ):
+        workload = make(name)
+        txns = turns_of(workload, seed, 200)
+        multi_block = 0
+        for txn in txns:
+            for block in txn.scan_set:
+                assert isinstance(block, tuple) and block
+                assert len({workload.placement_unit_of(key) for key in block}) == 1
+            assert txn.scan_count == sum(len(block) for block in txn.scan_set)
+            multi_block += len(txn.scan_set) > 1
+        if name != "smallbank":  # SmallBank never scans
+            assert multi_block > 10
+        assert key_stream_digest(txns) == KEY_STREAM_DIGESTS[name, seed]
+
+    @pytest.mark.parametrize("name", sorted(TRACE_DIGESTS))
+    def test_trace_replay_round_trips_the_blocks(self, name):
+        trace = record_trace(make(name), 2, 60, seed=TRACE_SEED)
+        txns = turns_of(trace, TRACE_SEED, 100)  # wraps the 60 recorded steps
+        assert key_stream_digest(txns) == TRACE_DIGESTS[name]
+        entries = trace.entries_for(0)
+        for step, txn in enumerate(txns):
+            # Passed through, not copied or re-grouped.
+            assert txn.scan_set is entries[step % 60].scan_set
+
+    @given(st.integers(0, 39), st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_ycsb_scan_flattens_to_the_old_generator(self, base, seed):
+        workload = make("ycsb")
+        workload.shuffle_correlations(random.Random(seed))
+        txn = workload._make_scan(base, 0, random.Random(seed))
+        assert txn.all_keys() == flat_ycsb_scan(workload, base, random.Random(seed))
+        # Shared, not copied: the blocks are the workload's cached tuples.
+        again = workload._make_scan(base, 1, random.Random(seed))
+        assert all(a is b for a, b in zip(txn.scan_set, again.scan_set))
+
+    @given(st.integers(0, 10_000), st.integers(0, 40))
+    @settings(max_examples=40, deadline=None)
+    def test_stock_level_flattens_to_the_old_generator(self, seed, orders):
+        workload = make("tpcc")
+        rng = random.Random(seed)
+        state = workload.new_client_state(0, rng)
+        for _ in range(orders):
+            workload._make_neworder(state, rng)
+        txn = workload._make_stocklevel(state, random.Random(seed))
+        assert txn.all_keys() == flat_stocklevel(workload, state, random.Random(seed))
+        units = [workload.placement_unit_of(block[0]) for block in txn.scan_set]
+        # Consecutive keys of one warehouse are one block, never split.
+        assert all(a != b for a, b in zip(units, units[1:]))
+
+
+# -- the per-key router, as it was before blocks --------------------------------
+
+
+def targets_per_key(system, txn):
+    """``(site, point reads, scanned count)`` per unit: every point and
+    scanned key is resolved and bucketed on its own."""
+    reads, scans, static = {}, {}, []
+    flat_scan = tuple(chain.from_iterable(txn.scan_set))
+    for source, bucket in ((txn.read_set, reads), (flat_scan, scans)):
+        for key in source:
+            unit = system.unit_of(key)
+            if unit is None:
+                static.append(key)
+            else:
+                bucket.setdefault(unit, []).append(key)
+    units = sorted(set(reads) | set(scans))
+    if units:
+        reads.setdefault(units[0], []).extend(static)
+    elif static:
+        reads[0] = static
+        units = [0]
+    return [
+        (system.placement.get(unit, 0), tuple(reads.get(unit, ())),
+         len(scans.get(unit, ())))
+        for unit in units
+    ]
+
+
+def targets_per_block(system, txn):
+    return [
+        (system.placement.get(unit, 0), keys, sum(len(block) for block in blocks))
+        for unit, keys, blocks in system._group_by_unit(txn)
+    ]
+
+
+def partition_store(workload, num_sites):
+    cluster = Cluster(ClusterConfig(num_sites=num_sites), replicated=False)
+    return build_system(
+        "partition-store", cluster, scheme=workload.scheme,
+        placement=workload.fixed_placement(num_sites),
+        unit_of=workload.placement_unit_of,
+    )
+
+
+#: Static-table material to splice into generated reads: TPC-C's item
+#: table is replicated everywhere (unit ``None``).
+static_keys = st.lists(st.integers(0, 119).map(lambda item: ("item", item)), max_size=4)
+static_blocks = st.lists(
+    st.tuples(st.integers(0, 20), static_keys.filter(bool).map(tuple)), max_size=3
+)
+
+
+def spliced(txn, extra_reads, blocks_at):
+    """``txn`` as a read of the same keys plus static reads and blocks."""
+    scan_set = list(txn.scan_set)
+    for position, block in blocks_at:
+        scan_set.insert(min(position, len(scan_set)), block)
+    return Transaction(
+        txn.txn_type, txn.client_id,
+        read_set=txn.read_set + tuple(extra_reads), scan_set=tuple(scan_set),
+    )
+
+
+class TestBlockRouterMatchesPerKeyRouter:
+    @given(st.integers(0, 10_000), st.integers(2, 5), static_keys, static_blocks)
+    @settings(max_examples=60, deadline=None)
+    def test_tpcc_warehouse_placement(self, seed, num_sites, extra_reads, blocks_at):
+        workload = make("tpcc")
+        system = partition_store(workload, num_sites)
+        multi_unit = 0
+        for txn in turns_of(workload, seed, 60):
+            txn = spliced(txn, extra_reads, blocks_at)
+            expected = targets_per_key(system, txn)
+            assert targets_per_block(system, txn) == expected
+            multi_unit += len(expected) > 1
+        assert multi_unit  # scatter-gather shapes were exercised
+
+    @given(st.integers(0, 10_000), st.integers(2, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_ycsb_range_placement(self, seed, num_sites):
+        workload = make("ycsb")
+        workload.shuffle_correlations(random.Random(seed))
+        system = partition_store(workload, num_sites)
+        for txn in turns_of(workload, seed, 40):
+            txn = spliced(txn, (), ())
+            assert targets_per_block(system, txn) == targets_per_key(system, txn)
+
+    def test_static_only_read_runs_at_unit_zero(self):
+        system = partition_store(make("tpcc"), 3)
+        txn = Transaction(
+            "r", 0, read_set=(("item", 1),), scan_set=((("item", 2), ("item", 3)),)
+        )
+        assert targets_per_block(system, txn) == targets_per_key(system, txn) == [
+            (system.placement[0], (("item", 1), ("item", 2), ("item", 3)), 0)
+        ]
+
+
+class CountedKey(tuple):
+    """A key that counts how often it is hashed (one per dict probe)."""
+
+    hashed = 0
+
+    def __hash__(self):
+        CountedKey.hashed += 1
+        return tuple.__hash__(self)
+
+
+def test_routing_a_scan_hashes_blocks_not_keys():
+    """One 1000-key scan through ``_submit_read``: the per-key router
+    probed its memo and a bucket dict for every key (≥ 1000 hashes);
+    the block router touches each block's first key only."""
+    workload = build_workload("ycsb", num_partitions=40)
+    system = partition_store(workload, 4)
+    blocks = tuple(
+        tuple(CountedKey((TABLE, partition * 100 + offset)) for offset in range(100))
+        for partition in range(5, 15)
+    )
+    txn = Transaction("scan", 0, scan_set=blocks)
+    session = system.new_session(0)
+    CountedKey.hashed = 0
+    env = system.cluster.env
+    outcome = env.run_until_complete(env.process(system.submit(txn, session)))
+    assert outcome.committed and outcome.distributed
+    assert system.scatter_gather_reads == 1
+    assert CountedKey.hashed <= 2 * len(blocks)

@@ -130,8 +130,10 @@ class TestMultiMaster:
 class TestPartitionStore:
     def test_multi_unit_read_scatter_gathers(self):
         cluster, system = make_system("partition-store")
+        # One two-key block per 10-key partition.
         txn = Transaction(
-            "r", 0, scan_set=tuple(("t", k) for k in range(0, 60, 5))
+            "r", 0,
+            scan_set=tuple((("t", k), ("t", k + 5)) for k in range(0, 60, 10)),
         )
         outcomes, _ = run_client(cluster, system, [txn])
         assert outcomes[0].distributed
@@ -176,7 +178,7 @@ class TestLEAP:
 
     def test_read_only_transactions_also_localize(self):
         cluster, system = make_system("leap")
-        txn = Transaction("r", 1, scan_set=tuple(("t", k) for k in range(10)))
+        txn = Transaction("r", 1, scan_set=(tuple(("t", k) for k in range(10)),))
         outcomes, _ = run_client(cluster, system, [txn], client_id=1)
         assert outcomes[0].remastered
         assert system.records_shipped == 10

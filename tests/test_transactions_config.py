@@ -30,9 +30,14 @@ class TestTransaction:
             "w", 0,
             write_set=(("t", 1),),
             read_set=(("t", 2),),
-            scan_set=(("t", 3),),
+            scan_set=((("t", 3), ("t", 4)), (("u", 9),)),
         )
-        assert txn.all_keys() == (("t", 1), ("t", 2), ("t", 3))
+        assert txn.scan_count == 3
+        # Writes, reads, then the scan blocks flattened in order.
+        assert txn.all_keys() == (
+            ("t", 1), ("t", 2), ("t", 3), ("t", 4), ("u", 9),
+        )
+        assert Transaction("w", 0).scan_count == 0
 
     def test_outcome_defaults(self):
         outcome = Outcome(committed=True)

@@ -62,7 +62,8 @@ class TestYCSB:
             txn = turn.txn
             assert txn.txn_type == "scan"
             assert txn.is_read_only
-            assert 200 <= len(txn.scan_set) <= 1000  # 2-10 partitions
+            assert 2 <= len(txn.scan_set) <= 10  # one block per partition
+            assert txn.scan_count == 100 * len(txn.scan_set)
             lengths.add(len(txn.scan_set))
         assert len(lengths) > 3  # varied lengths
 
@@ -70,7 +71,7 @@ class TestYCSB:
         workload = self.make(rmw_fraction=0.0)
         scheme = workload.scheme
         turn = drive(workload, 1)[0]
-        partitions = sorted({scheme.partition(k) for k in turn.txn.scan_set})
+        partitions = sorted({scheme.partition(k) for k in turn.txn.all_keys()})
         span = [(p - partitions[0]) % 50 for p in partitions]
         assert span == list(range(len(partitions)))
 
@@ -185,7 +186,7 @@ class TestTPCC:
         no = workload._make_neworder(state, rng)
         sl = workload._make_stocklevel(state, rng)
         # District row plus order lines and stock entries.
-        tables = Counter(table for table, _ in sl.scan_set)
+        tables = Counter(table for table, _ in sl.all_keys())
         assert tables["district"] == 1
         if tables.get("order_line"):
             assert tables["stock"] >= 1
