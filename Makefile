@@ -2,11 +2,11 @@
 
 .PHONY: install test test-output lint bench bench-output examples quick chaos chaos-gray explain-smoke masters-smoke slo-smoke perf perf-check perf-sweep scale scale-smoke pairs clean
 
-# Worker processes for parallel-capable targets (perf, test with
+# Worker processes for parallel-capable targets (scale, test with
 # pytest-xdist installed). 1 = classic serial behavior.
 JOBS ?= 1
 
-# Top jobs level for the perf-sweep target (sweep runs {1, 2, CORES}).
+# Top jobs level of the perf target's sweep (runs {1, 2, CORES}).
 CORES ?= 2
 
 install:
@@ -133,25 +133,20 @@ slo-smoke:
 	  assert a == b, (a, b); \
 	  print('slo-smoke OK: slo-ON fingerprint == slo-OFF (%s)' % a)"
 
-# Full perf matrix; refreshes BENCH_perf.json (see DESIGN.md §8).
-# JOBS=n fans the cases over worker processes; simulated results are
-# bit-identical to serial, and per-case walls are measured inside each
-# worker so the report stays comparable.
-perf:
-	python -m repro perf --jobs $(JOBS)
-
-# Quick regression gate against the committed BENCH_perf.json: the
-# three-case subset, nonzero exit if any case is >15% slower after
-# calibration-normalizing for host speed.
-perf-check:
-	python -m repro perf --check --quick
-
-# Multi-core sweep: the full matrix at jobs levels {1, 2, CORES} with
-# fingerprint parity enforced between levels; refreshes BENCH_perf.json
-# including the machine.parallel.sweep block (EXPERIMENTS.md, Parallel
-# execution). CORES=n picks the top level.
-perf-sweep:
+# Refresh BENCH_perf.json (DESIGN.md §8): the nine pinned cases'
+# fingerprints / sim_events / commits from the jobs=1 pass, plus the
+# fan-out sweep at jobs levels {1, 2, CORES} with the pins required
+# equal between levels (EXPERIMENTS.md, Parallel execution). Needed
+# only when simulated behaviour or the matrix changed; host cost is
+# claimed with `make pairs`, never from this file.
+perf perf-sweep:
 	python -m repro perf --cores $(CORES)
+
+# Exact gate against the committed BENCH_perf.json: the full matrix's
+# fingerprints, sim_events and commits must be identical; no timing is
+# read. Nonzero exit names each case and field that differs.
+perf-check:
+	python -m repro perf --check
 
 # Full open-loop saturation matrix; refreshes BENCH_scale.json with
 # every system's knee ladder plus the flagship 16-site / 100k-client /

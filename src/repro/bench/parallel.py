@@ -35,13 +35,17 @@ The executor is generic over (picklable) callables; the spec-level
 entry points :func:`execute_spec` (in-process, live result) and
 :func:`execute_specs` (the fan-out used by ``run_suite``,
 ``run_repeated``, ``repro perf --jobs`` and ``repro chaos --jobs``)
-are built on top of it.
+are built on top of it. The committed matrix reports the perf and
+scale harnesses build from those summaries share one envelope
+(:func:`host_stanza`, :func:`load_report`, :func:`write_report`).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import platform
 import resource
 import traceback
 from dataclasses import dataclass, field
@@ -61,8 +65,11 @@ __all__ = [
     "WorkloadSpec",
     "execute_spec",
     "execute_specs",
+    "host_stanza",
+    "load_report",
     "run_fingerprint",
     "summarize",
+    "write_report",
 ]
 
 
@@ -512,3 +519,37 @@ def execute_specs(
     their work to a spec list and call this.
     """
     return ParallelExecutor(jobs).map(_spec_worker, specs, on_error=on_error)
+
+
+# ---------------------------------------------------------------------------
+# Committed matrix reports (BENCH_perf.json, BENCH_scale.json)
+# ---------------------------------------------------------------------------
+
+
+def host_stanza() -> Dict[str, object]:
+    """The host a report's machine-dependent numbers were measured on."""
+    return {
+        "platform": platform.platform(),
+        "python": platform.python_version(),
+        "implementation": platform.python_implementation(),
+        "cpu_count": os.cpu_count(),
+    }
+
+
+def load_report(path: str, schema: str) -> Dict:
+    """Read a matrix report, insisting on exactly ``schema``."""
+    with open(path) as handle:
+        payload = json.load(handle)
+    found = payload.get("schema")
+    if found != schema:
+        raise ValueError(
+            f"{path}: schema {found!r} != {schema!r}; "
+            "regenerate the report with this tree"
+        )
+    return payload
+
+
+def write_report(payload: Dict, path: str) -> None:
+    with open(path, "w") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")

@@ -1,119 +1,91 @@
-"""Wall-clock performance regression harness (``repro perf``).
+"""Determinism-and-parity matrix (``repro perf``).
 
-Runs a pinned matrix of (system x workload x scale) configurations on
-the real benchmark harness, measures *host* cost — wall-clock seconds,
-simulated-events per host second, peak RSS — and writes the results to
-``BENCH_perf.json`` at the repo root in a stable, versioned schema.
-``--check`` compares a fresh run against the committed report and exits
-nonzero when any case regresses past the tolerance band; CI runs this
-on the ``--quick`` subset as the perf-smoke job.
+Runs nine pinned (system x workload x scale) closed-loop cases through
+:func:`repro.bench.parallel.execute_specs` and pins each one's
+*simulated* outcome — run fingerprint, events dispatched, commits — in
+``BENCH_perf.json`` (schema ``repro-perf/4``). ``--check`` re-runs the
+matrix and compares those three fields **exactly** against the
+committed report; ``--cores N`` re-runs it at jobs levels {1, 2, N},
+enforces the same equality between levels and records the measured
+fan-out — the report's only host-specific content.
 
-Two things keep cross-machine comparison honest:
+Nothing here gates on a timing: simulated results are
+machine-independent, and a single wall-clock draw on a shared host
+resolves nothing. Wall, RSS and profiles are claimed with ``python3 -m
+perfbench`` and ``make pairs`` (CONTRIBUTING.md, "Claiming a gain").
+The matrix is part of the schema: editing it means regenerating the
+committed report in the same change.
 
-* a **calibration score** (kops/s of a fixed pure-Python loop) is
-  stored with every report; checks normalize wall-clock by the ratio of
-  calibration scores, so a slower CI runner is not flagged as a
-  regression;
-* the matrix is **pinned** — the cases, seeds, and workload knobs below
-  are part of the schema. Changing them invalidates comparisons, so any
-  edit must also refresh the committed ``BENCH_perf.json`` (see
-  EXPERIMENTS.md, "Performance baseline").
-
-This module (with :mod:`repro.bench.harness`) is a blessed wall-clock
-reader: host time is its subject matter. It never feeds host time back
-into a simulation, so simulated results stay a pure function of the
-seed; the fingerprint tests in ``tests/test_faults_injection.py`` and
-``tests/test_perf_identity.py`` are the proof.
+Still a blessed wall-clock reader (with :mod:`repro.bench.harness`):
+the sweep times each jobs level and :func:`calibrate` scores the host
+for ``perfbench``; neither feeds back into a simulation.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import platform
-import resource
 import time
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from functools import partial
-
-from repro.bench.harness import run_benchmark
-from repro.bench.parallel import ParallelExecutor, run_fingerprint
+from repro.bench.parallel import (
+    RunSpec,
+    WorkloadSpec,
+    execute_specs,
+    host_stanza,
+    load_report,
+    write_report,
+)
 from repro.sim.config import ClusterConfig
-from repro.workloads.smallbank import SmallBankConfig, SmallBankWorkload
-from repro.workloads.tpcc import TPCCConfig, TPCCWorkload
-from repro.workloads.ycsb import YCSBConfig, YCSBWorkload
 
 #: Bump when the report layout or the pinned matrix changes shape.
-#: /2: per-case ``wall_total_s`` (sum over repeats, measured inside the
-#: executing process) and the ``machine.parallel`` block recording the
-#: serial-vs-parallel speedup of the matrix.
-#: /3: ``machine.parallel`` gains ``host_cores``, ``limited_by_host``
-#: and a ``sweep`` list (one row per jobs level of a ``--cores`` run,
-#: with elapsed, worker-concurrency speedup, and the honest cross-level
-#: ``fanout_speedup`` = elapsed@jobs=1 / elapsed@jobs=j).
-SCHEMA = "repro-perf/3"
-
-#: Schemas acceptable as a *baseline* (``--baseline-from`` and the
-#: ``--check`` committed report): the comparison only needs per-case
-#: walls and the calibration score, both present since /2.
-BASELINE_SCHEMAS = ("repro-perf/2", SCHEMA)
+#: /4: case rows are parameters plus the three pins, nothing host-side;
+#: ``machine`` (host stanza + jobs sweep) exists on ``--cores`` reports.
+SCHEMA = "repro-perf/4"
 
 #: Where ``repro perf`` writes (and ``--check`` reads) by default.
 DEFAULT_REPORT = "BENCH_perf.json"
 
-#: Default regression tolerance band for ``--check`` (fraction).
-DEFAULT_TOLERANCE = 0.15
+#: The per-case fields ``--check`` and the sweep compare, exactly.
+PINNED = ("fingerprint", "sim_events", "commits")
 
 
-@dataclass(frozen=True)
-class PerfCase:
-    """One pinned cell of the perf matrix."""
+def _case(name: str, system: str, workload: WorkloadSpec, clients: int = 16,
+          duration_ms: float = 800.0, sites: int = 3) -> RunSpec:
+    return RunSpec(
+        system=system,
+        workload=workload,
+        num_clients=clients,
+        duration_ms=duration_ms,
+        warmup_ms=duration_ms / 4,
+        cluster=ClusterConfig(num_sites=sites),
+        seed=11,
+        label=name,
+    )
 
-    name: str
-    system: str
-    workload: str
-    clients: int
-    duration_ms: float
-    sites: int
-    seed: int = 11
 
-    def build_workload(self):
-        # Workload knobs are pinned here, not taken from the CLI: the
-        # matrix must mean the same thing in every report it is
-        # compared against.
-        if self.workload == "ycsb":
-            return YCSBWorkload(YCSBConfig(
-                num_partitions=200, rmw_fraction=0.5, zipf_theta=0.5,
-            ))
-        if self.workload == "ycsb-skew":
-            return YCSBWorkload(YCSBConfig(
-                num_partitions=200, rmw_fraction=0.5, zipf_theta=0.9,
-            ))
-        if self.workload == "tpcc":
-            return TPCCWorkload(TPCCConfig(warehouses=4, items=1000))
-        if self.workload == "smallbank":
-            return SmallBankWorkload(SmallBankConfig(users=4000))
-        raise ValueError(f"unknown perf workload {self.workload!r}")
-
+# Workload knobs are pinned here, not taken from the CLI: the matrix
+# must mean the same thing in every report it is compared against.
+_YCSB = WorkloadSpec.of("ycsb", num_partitions=200, rmw_fraction=0.5,
+                        zipf_theta=0.5)
+_YCSB_SKEW = WorkloadSpec.of("ycsb", num_partitions=200, rmw_fraction=0.5,
+                             zipf_theta=0.9)
 
 #: The pinned matrix: every system on the shared YCSB scale, plus
 #: skew / multi-workload / larger-scale cells for the primary system.
-PERF_MATRIX: Sequence[PerfCase] = (
-    PerfCase("dynamast-ycsb", "dynamast", "ycsb", 16, 800.0, 3),
-    PerfCase("single-master-ycsb", "single-master", "ycsb", 16, 800.0, 3),
-    PerfCase("multi-master-ycsb", "multi-master", "ycsb", 16, 800.0, 3),
-    PerfCase("partition-store-ycsb", "partition-store", "ycsb", 16, 800.0, 3),
-    PerfCase("leap-ycsb", "leap", "ycsb", 16, 800.0, 3),
-    PerfCase("dynamast-ycsb-skew", "dynamast", "ycsb-skew", 16, 800.0, 3),
-    PerfCase("dynamast-tpcc", "dynamast", "tpcc", 16, 800.0, 3),
-    PerfCase("dynamast-smallbank", "dynamast", "smallbank", 16, 800.0, 3),
-    PerfCase("dynamast-ycsb-large", "dynamast", "ycsb", 32, 1500.0, 4),
+PERF_MATRIX: Tuple[RunSpec, ...] = (
+    _case("dynamast-ycsb", "dynamast", _YCSB),
+    _case("single-master-ycsb", "single-master", _YCSB),
+    _case("multi-master-ycsb", "multi-master", _YCSB),
+    _case("partition-store-ycsb", "partition-store", _YCSB),
+    _case("leap-ycsb", "leap", _YCSB),
+    _case("dynamast-ycsb-skew", "dynamast", _YCSB_SKEW),
+    _case("dynamast-tpcc", "dynamast",
+          WorkloadSpec.of("tpcc", warehouses=4, items=1000)),
+    _case("dynamast-smallbank", "dynamast",
+          WorkloadSpec.of("smallbank", users=4000)),
+    _case("dynamast-ycsb-large", "dynamast", _YCSB, clients=32,
+          duration_ms=1500.0, sites=4),
 )
-
-#: CI subset: one cheap cell per distinct code path family.
-QUICK_CASES = ("dynamast-ycsb", "multi-master-ycsb", "dynamast-tpcc")
 
 
 def calibrate(loops: int = 200_000, rounds: int = 3) -> float:
@@ -121,7 +93,8 @@ def calibrate(loops: int = 200_000, rounds: int = 3) -> float:
 
     Best-of-``rounds`` to shrug off scheduler noise. The loop is
     deliberately interpreter-bound (no allocation, no C fast paths) so
-    the score tracks the same resource the simulator burns.
+    the score tracks the same resource the simulator burns. Not used
+    here; ``perfbench/driver.py`` stamps it on its reports.
     """
     best = 0.0
     for _ in range(rounds):
@@ -135,142 +108,36 @@ def calibrate(loops: int = 200_000, rounds: int = 3) -> float:
     return round(best, 1)
 
 
-def run_case(case: PerfCase, repeats: int = 3) -> Dict:
-    """Run one matrix cell ``repeats`` times; keep the best wall-clock.
-
-    Minimum-of-repeats is the standard for wall benchmarks: noise only
-    ever adds time. Simulated quantities (events, commits) are
-    identical across repeats by the determinism contract.
-
-    Every wall measurement happens *inside the executing process* (it
-    is ``RunResult.wall_clock_s`` from the harness), so under ``--jobs``
-    the per-case numbers stay directly comparable to serial ones and
-    the ``--check`` tolerance band keeps meaning what it always meant.
-    ``wall_total_s`` (all repeats) is what a serial sweep would have
-    spent on this cell — the numerator of the recorded speedup.
-    """
-    best = None
-    total_wall = 0.0
-    for _ in range(repeats):
-        result = run_benchmark(
-            case.system,
-            case.build_workload(),
-            num_clients=case.clients,
-            duration_ms=case.duration_ms,
-            warmup_ms=case.duration_ms / 4,
-            cluster_config=ClusterConfig(num_sites=case.sites),
-            seed=case.seed,
-        )
-        total_wall += result.wall_clock_s
-        if best is None or result.wall_clock_s < best.wall_clock_s:
-            best = result
-    wall = best.wall_clock_s
+def case_params(spec: RunSpec) -> Dict:
+    """The pinned parameters of one matrix row, as the report stores them."""
     return {
-        "system": case.system,
-        "workload": case.workload,
-        "clients": case.clients,
-        "sites": case.sites,
-        "duration_ms": case.duration_ms,
-        "seed": case.seed,
-        "wall_s": round(wall, 4),
-        "wall_total_s": round(total_wall, 4),
-        #: Canonical digest of the simulated outcome; identical across
-        #: repeats, hosts, and serial/parallel execution.
-        "fingerprint": run_fingerprint(best),
-        "sim_events": best.events_processed,
-        "events_per_s": round(best.events_processed / wall) if wall else 0,
-        "commits": best.metrics.commits,
-        #: In a worker process this is that worker's high-water mark,
-        #: aggregated max-across-workers (never summed) by run_matrix.
-        "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+        "system": spec.system,
+        "workload": spec.workload.name,
+        "workload_params": dict(spec.workload.params),
+        "clients": spec.num_clients,
+        "sites": spec.cluster.num_sites,
+        "duration_ms": spec.duration_ms,
+        "seed": spec.seed,
     }
 
 
-def select_cases(quick: bool = False) -> List[PerfCase]:
-    if quick:
-        return [case for case in PERF_MATRIX if case.name in QUICK_CASES]
-    return list(PERF_MATRIX)
-
-
-def run_matrix(
-    cases: Sequence[PerfCase],
-    repeats: int = 3,
-    progress=None,
-    jobs: int = 1,
-) -> Dict:
-    """Run ``cases`` and assemble the report payload.
-
-    ``jobs > 1`` fans the cases over worker processes (spawn context,
-    deterministic case order). Simulated quantities are bit-identical
-    to a serial sweep by the determinism contract; per-case walls are
-    still measured inside each worker, and peak RSS is aggregated as
-    the max across workers, never a sum. The ``machine.parallel`` block
-    records the measured end-to-end speedup: serial-equivalent seconds
-    (the sum of in-worker walls, i.e. what ``--jobs 1`` would have
-    cost) over elapsed seconds.
-
-    Honesty note on that speedup figure: it measures *this host's*
-    concurrency, not the engine's. The committed ``BENCH_perf.json``
-    is generated at ``--jobs 1`` on a **one-core** host (see
-    ``machine.cpu_count``), so its pinned ``parallel.speedup`` is
-    exactly 1.0 — a statement that no parallelism was attempted, not
-    that none is available. On a one-core host ``jobs > 1`` can only
-    timeshare: serial-equivalent inflates while elapsed barely moves,
-    and the ratio reads as time-sharing overhead (see EXPERIMENTS.md,
-    "Parallel execution", for the measured table and why the baseline
-    is therefore always refreshed serially).
-    """
-    calibration = calibrate()
-    results, elapsed = _run_cases(cases, repeats, jobs, progress)
-    serial_equivalent = sum(row["wall_total_s"] for row in results.values())
-    return {
-        "schema": SCHEMA,
-        "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "machine": {
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-            "implementation": platform.python_implementation(),
-            "cpu_count": os.cpu_count(),
-            "calibration_kops": calibration,
-            "parallel": {
-                "jobs": jobs,
-                "elapsed_s": round(elapsed, 4),
-                "serial_equivalent_s": round(serial_equivalent, 4),
-                "speedup": round(serial_equivalent / elapsed, 3) if elapsed else 0.0,
-                "peak_rss_kb_max_worker": max(
-                    (row["peak_rss_kb"] for row in results.values()), default=0
-                ),
-            },
-        },
-        "settings": {"repeats": repeats, "jobs": jobs},
-        "cases": results,
-    }
-
-
-def _run_cases(
-    cases: Sequence[PerfCase],
-    repeats: int,
-    jobs: int,
-    progress=None,
-) -> tuple:
-    """Execute ``cases`` at one jobs level; (results, elapsed seconds)."""
-    results: Dict[str, Dict] = {}
+def run_cases(specs: Sequence[RunSpec],
+              jobs: int = 1) -> Tuple[Dict[str, Dict], float]:
+    """Execute ``specs`` at one jobs level: ``(machine-independent rows
+    by case name, elapsed host seconds)``."""
     started = time.perf_counter()
-    if jobs > 1:
-        measured_rows = ParallelExecutor(jobs).map(
-            partial(run_case, repeats=repeats), list(cases),
+    summaries = execute_specs(specs, jobs=jobs)
+    elapsed = time.perf_counter() - started
+    rows = {
+        spec.label: dict(
+            case_params(spec),
+            fingerprint=summary.fingerprint,
+            sim_events=summary.events_processed,
+            commits=summary.metrics.commits,
         )
-        for case, measured in zip(cases, measured_rows):
-            results[case.name] = measured
-            if progress is not None:
-                progress(case.name, measured)
-    else:
-        for case in cases:
-            measured = run_case(case, repeats=repeats)
-            results[case.name] = measured
-            if progress is not None:
-                progress(case.name, measured)
-    return results, time.perf_counter() - started
+        for spec, summary in zip(specs, summaries)
+    }
+    return rows, elapsed
 
 
 def sweep_levels(cores: int) -> List[int]:
@@ -280,346 +147,113 @@ def sweep_levels(cores: int) -> List[int]:
     return sorted({1, 2, cores} if cores >= 2 else {1})
 
 
-def run_sweep(
-    cases: Sequence[PerfCase],
-    repeats: int = 3,
-    cores: int = 2,
-    progress=None,
-    emit=print,
-    executor=_run_cases,
-) -> Dict:
-    """Run the matrix at each sweep level and assemble a /3 report.
+def run_sweep(specs: Sequence[RunSpec], cores: int = 2, emit=print,
+              executor=run_cases) -> Dict:
+    """Run the matrix at each sweep level and assemble the report.
 
-    The jobs=1 pass supplies the canonical per-case rows (walls measured
-    serially, exactly like a plain run). Higher levels re-run the same
-    cases fanned over worker processes, verify **fingerprint parity**
-    (every simulated outcome bit-identical to the serial pass), and
-    contribute one sweep row each:
-
-    * ``speedup`` — serial-equivalent over elapsed *within* the level,
-      the worker-concurrency measure the /2 ``parallel`` block always
-      recorded. On a host with fewer cores than workers this measures
-      time-sharing, not hardware: in-worker walls inflate while elapsed
-      stays put, so it exceeds 1 even on one core.
-    * ``fanout_speedup`` — elapsed@jobs=1 over elapsed@jobs=j, the
-      honest wall-clock win of fanning out on *this* host. On a
-      one-core host it hovers at or below 1; this is the number the CI
-      parity gate asserts ≥ 1.3 on its multi-core runners.
-    * ``efficiency`` — ``fanout_speedup / jobs``.
-
-    ``limited_by_host`` is set when any level used more workers than
-    the host has cores, so a reader can tell a pinned 1.0 apart from a
-    measured one. ``executor`` is injectable for unit tests.
+    The jobs=1 pass supplies the case rows. Higher levels re-run the
+    same specs over worker processes and must reproduce every pinned
+    field of the serial pass (``RuntimeError`` otherwise). Each level
+    adds a sweep row: ``fanout_speedup`` is elapsed@jobs=1 over
+    elapsed@jobs=j — the wall-clock win of fanning out on *this* host,
+    which CI's parallel-parity job asserts >= 1.3 on multi-core runners
+    — and ``efficiency`` is that per worker. ``limited_by_host`` marks
+    a sweep with more workers than ``machine.cpu_count``, so a
+    host-limited fan-out reads differently from a flat one.
+    ``executor`` is injectable for unit tests.
     """
-    calibration = calibrate()
     levels = sweep_levels(cores)
-    host_cores = os.cpu_count() or 1
     sweep: List[Dict] = []
-    baseline_results: Dict[str, Dict] = {}
-    baseline_elapsed = 0.0
+    serial_rows: Dict[str, Dict] = {}
+    serial_elapsed = 0.0
     for level in levels:
-        results, elapsed = executor(
-            cases, repeats, level, progress if level == 1 else None,
-        )
+        rows, elapsed = executor(specs, level)
         if level == 1:
-            baseline_results = results
-            baseline_elapsed = elapsed
+            serial_rows, serial_elapsed = rows, elapsed
         else:
-            mismatched = [
-                name for name, row in results.items()
-                if row["fingerprint"] != baseline_results[name]["fingerprint"]
-            ]
+            mismatched = sorted(
+                name for name, row in rows.items()
+                if any(row[key] != serial_rows[name][key] for key in PINNED)
+            )
             if mismatched:
                 raise RuntimeError(
-                    "fingerprint parity violated at jobs="
-                    f"{level}: {', '.join(sorted(mismatched))}"
+                    f"parity violated at jobs={level}: {', '.join(mismatched)}"
                 )
-        serial_equivalent = sum(r["wall_total_s"] for r in results.values())
-        fanout = baseline_elapsed / elapsed if elapsed else 0.0
+        fanout = serial_elapsed / elapsed if elapsed else 0.0
         sweep.append({
             "jobs": level,
             "elapsed_s": round(elapsed, 4),
-            "serial_equivalent_s": round(serial_equivalent, 4),
-            "speedup": round(serial_equivalent / elapsed, 3) if elapsed else 0.0,
             "fanout_speedup": round(fanout, 3),
-            "efficiency": round(fanout / level, 3) if level else 0.0,
+            "efficiency": round(fanout / level, 3),
         })
         if emit is not None:
             emit(f"  sweep jobs={level}: {elapsed:.1f}s elapsed, "
-                 f"fan-out x{fanout:.2f}, "
-                 f"worker-concurrency x{sweep[-1]['speedup']:.2f}")
-    best = max(sweep, key=lambda row: row["speedup"])
+                 f"fan-out x{fanout:.2f}")
     return {
         "schema": SCHEMA,
-        "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "machine": {
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-            "implementation": platform.python_implementation(),
-            "cpu_count": os.cpu_count(),
-            "calibration_kops": calibration,
-            "parallel": {
-                "jobs": best["jobs"],
-                "elapsed_s": best["elapsed_s"],
-                "serial_equivalent_s": best["serial_equivalent_s"],
-                "speedup": best["speedup"],
-                "host_cores": host_cores,
-                "limited_by_host": max(levels) > host_cores,
-                "sweep": sweep,
-                "peak_rss_kb_max_worker": max(
-                    (row["peak_rss_kb"] for row in baseline_results.values()),
-                    default=0,
-                ),
-            },
-        },
-        "settings": {"repeats": repeats, "jobs": 1, "cores": cores},
-        "cases": baseline_results,
+        "machine": dict(host_stanza(), parallel={
+            "limited_by_host": max(levels) > (os.cpu_count() or 1),
+            "sweep": sweep,
+        }),
+        "cases": serial_rows,
     }
 
 
-def attach_baseline(payload: Dict, baseline: Dict, label: str) -> None:
-    """Embed ``baseline`` (another report) and the speedup comparison.
+def check_report(current: Dict, committed: Dict) -> List[str]:
+    """Compare a fresh run against the committed report, exactly.
 
-    Used when refreshing ``BENCH_perf.json`` after substrate work: the
-    pre-change report rides along as documentation of the win.
+    Returns failure strings (empty = pass): one per pinned field that
+    differs and one per case present on only one side. Simulated
+    outcomes are machine-independent, so any drift means the simulation
+    changed and the report must be regenerated deliberately.
     """
-    payload["baseline"] = {
-        "label": label,
-        "generated_at": baseline.get("generated_at"),
-        "calibration_kops": baseline["machine"]["calibration_kops"],
-        "cases": {
-            name: {
-                "wall_s": case["wall_s"],
-                "events_per_s": case["events_per_s"],
-                "peak_rss_kb": case.get("peak_rss_kb"),
-            }
-            for name, case in baseline["cases"].items()
-        },
-    }
-    per_case = {}
-    speedups = []
-    for name, current in payload["cases"].items():
-        base = baseline["cases"].get(name)
-        if base is None:
+    failures: List[str] = []
+    for name in sorted(set(current["cases"]) | set(committed["cases"])):
+        fresh = current["cases"].get(name)
+        pinned = committed["cases"].get(name)
+        if fresh is None or pinned is None:
+            side = "fresh run" if pinned is None else "committed report"
+            failures.append(f"{name}: only in the {side}")
             continue
-        normalized = _normalize(
-            current["wall_s"],
-            payload["machine"]["calibration_kops"],
-            baseline["machine"]["calibration_kops"],
-        )
-        speedup = base["wall_s"] / normalized if normalized else 0.0
-        reduction = 1.0 - normalized / base["wall_s"] if base["wall_s"] else 0.0
-        per_case[name] = {
-            "baseline_wall_s": base["wall_s"],
-            "normalized_wall_s": round(normalized, 4),
-            "speedup": round(speedup, 3),
-            "wall_reduction": round(reduction, 4),
-        }
-        speedups.append(reduction)
-    payload["comparison"] = {
-        "vs": label,
-        "per_case": per_case,
-        "mean_wall_reduction": (
-            round(sum(speedups) / len(speedups), 4) if speedups else 0.0
-        ),
-    }
+        failures += [
+            f"{name}: {key} {fresh[key]} != committed {pinned.get(key)}"
+            for key in PINNED if fresh[key] != pinned.get(key)
+        ]
+    return failures
 
 
-def _normalize(wall_s: float, current_kops: float, baseline_kops: float) -> float:
-    """Express ``wall_s`` in baseline-machine seconds.
-
-    A host twice as fast (2x calibration) would finish the same work in
-    half the time; multiplying by the kops ratio undoes that, so the
-    tolerance band measures the *code*, not the machine.
-    """
-    if not current_kops or not baseline_kops:
-        return wall_s
-    return wall_s * (current_kops / baseline_kops)
-
-
-def compare_reports(
-    current: Dict,
-    committed: Dict,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> List[Dict]:
-    """Return one row per shared case; regressed rows flagged."""
-    rows = []
-    for name, fresh in current["cases"].items():
-        base = committed["cases"].get(name)
-        if base is None:
-            continue
-        normalized = _normalize(
-            fresh["wall_s"],
-            current["machine"]["calibration_kops"],
-            committed["machine"]["calibration_kops"],
-        )
-        ratio = normalized / base["wall_s"] if base["wall_s"] else 1.0
-        rows.append({
-            "case": name,
-            "committed_wall_s": base["wall_s"],
-            "normalized_wall_s": round(normalized, 4),
-            "ratio": round(ratio, 3),
-            "regressed": ratio > 1.0 + tolerance,
-        })
-    return rows
-
-
-def load_report(path: str, schemas: Sequence[str] = BASELINE_SCHEMAS) -> Dict:
-    """Read a report, accepting any of ``schemas``.
-
-    Baselines tolerate the previous layout (/2) so a refresh can embed
-    the pre-bump committed report as its before/after comparison.
-    """
-    with open(path) as handle:
-        payload = json.load(handle)
-    schema = payload.get("schema")
-    if schema not in schemas:
-        raise ValueError(
-            f"{path}: schema {schema!r} not in {schemas!r}; "
-            "regenerate the report with this tree's `repro perf`"
-        )
-    return payload
-
-
-def profile_matrix(
-    cases: Sequence[PerfCase],
-    out: str = DEFAULT_REPORT,
-    top: int = 30,
-    emit=print,
-) -> str:
-    """Profile every case once; write top-``top`` dumps next to ``out``.
-
-    Each case runs a single repeat under :mod:`cProfile` and dumps its
-    ``top`` hottest frames twice — by cumulative and by internal time —
-    so a perf hunt starts from measured hot paths instead of guesses.
-    Returns the path written (``BENCH_perf_profile.txt`` in the report's
-    directory).
-    """
-    import cProfile
-    import io
-    import pstats
-
-    path = os.path.join(os.path.dirname(out) or ".", "BENCH_perf_profile.txt")
-    sections = [
-        f"# repro perf --profile ({len(cases)} case(s), top {top} frames)",
-        f"# generated_at: {time.strftime('%Y-%m-%dT%H:%M:%SZ', time.gmtime())}",
-    ]
-    for case in cases:
-        profiler = cProfile.Profile()
-        profiler.enable()
-        row = run_case(case, repeats=1)
-        profiler.disable()
-        buffer = io.StringIO()
-        stats = pstats.Stats(profiler, stream=buffer)
-        stats.sort_stats("cumulative").print_stats(top)
-        stats.sort_stats("tottime").print_stats(top)
-        sections.append(
-            f"\n== {case.name} (wall {row['wall_s']}s, "
-            f"{row['events_per_s']:,} ev/s) =="
-        )
-        sections.append(buffer.getvalue().rstrip())
-        if emit is not None:
-            emit(f"  profiled {case.name:<24} {row['wall_s']:>8.3f}s")
-    with open(path, "w") as handle:
-        handle.write("\n".join(sections) + "\n")
-    return path
-
-
-def write_report(payload: Dict, path: str) -> None:
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def main(
-    *,
-    quick: bool = False,
-    check: bool = False,
-    out: str = DEFAULT_REPORT,
-    baseline_path: str = DEFAULT_REPORT,
-    baseline_from: Optional[str] = None,
-    baseline_label: str = "previous baseline",
-    tolerance: float = DEFAULT_TOLERANCE,
-    repeats: int = 3,
-    jobs: int = 1,
-    cores: Optional[int] = None,
-    smoke: bool = False,
-    profile: bool = False,
-    emit=print,
-) -> int:
+def main(*, check: bool = False, out: str = DEFAULT_REPORT,
+         baseline_path: str = DEFAULT_REPORT, jobs: int = 1,
+         cores: Optional[int] = None, emit=print) -> int:
     """Drive a perf run; returns a process exit code.
 
-    ``check=False``: run the matrix, write ``out`` (optionally embedding
-    ``baseline_from`` as the before/after comparison).
-    ``check=True``: run the matrix and compare against the committed
-    report at ``baseline_path``; never writes; exit 1 on regression.
-    ``jobs``: worker processes for the matrix (1 = classic serial run).
-    ``cores``: run the multi-core sweep (jobs levels {1, 2, cores});
-    the written report carries the ``machine.parallel.sweep`` block.
-    ``smoke``: the CI shape — quick subset at one repeat.
-    ``profile``: profile each selected case instead of reporting; the
-    dump lands next to ``out``.
+    ``check=False``: run the matrix over ``jobs`` workers — or, with
+    ``cores``, the jobs sweep — and write ``out``. ``check=True``: run
+    it and compare the pins against the committed ``baseline_path``;
+    never writes; exit 1 on any mismatch.
     """
-    if smoke:
-        quick = True
-        repeats = 1
-    # Load reports up front so a missing/stale file fails before the
-    # matrix burns minutes of wall-clock.
-    committed = load_report(baseline_path) if check else None
-    baseline = load_report(baseline_from) if baseline_from else None
-
-    cases = select_cases(quick=quick)
-    if profile:
-        emit(f"perf: profiling {len(cases)} case(s)"
-             + (" [quick]" if quick else ""))
-        path = profile_matrix(cases, out=out, emit=emit)
-        emit(f"wrote {path}")
-        return 0
-    emit(f"perf: running {len(cases)} case(s), repeats={repeats}, "
-         + (f"cores sweep {sweep_levels(cores)}" if cores else f"jobs={jobs}")
-         + (" [smoke]" if smoke else " [quick]" if quick else ""))
-    progress = lambda name, row: emit(
-        f"  {name:<24} {row['wall_s']:>8.3f}s  "
-        f"{row['events_per_s']:>10,} ev/s  {row['commits']:>8,} commits"
-    )
+    # Load up front so a missing or stale file fails before the matrix runs.
+    committed = load_report(baseline_path, SCHEMA) if check else None
+    emit(f"perf: running {len(PERF_MATRIX)} case(s), "
+         + (f"cores sweep {sweep_levels(cores)}" if cores else f"jobs={jobs}"))
     if cores:
-        payload = run_sweep(
-            cases, repeats=repeats, cores=cores, progress=progress, emit=emit,
-        )
+        payload = run_sweep(PERF_MATRIX, cores=cores, emit=emit)
     else:
-        payload = run_matrix(cases, repeats=repeats, jobs=jobs, progress=progress)
-    emit(f"calibration: {payload['machine']['calibration_kops']} kops")
-    parallel = payload["machine"]["parallel"]
-    emit(f"matrix wall: {parallel['elapsed_s']:.1f}s elapsed vs "
-         f"{parallel['serial_equivalent_s']:.1f}s serial-equivalent "
-         f"(speedup x{parallel['speedup']:.2f} at jobs={parallel['jobs']})")
-    if parallel.get("limited_by_host"):
-        emit(f"note: sweep ran {max(sweep_levels(cores))} workers on "
-             f"{parallel['host_cores']} host core(s); fan-out numbers are "
-             "host-limited (see EXPERIMENTS.md, Parallel execution)")
+        payload = {"schema": SCHEMA, "cases": run_cases(PERF_MATRIX, jobs)[0]}
+    for name, row in payload["cases"].items():
+        emit(f"  {name:<24} {row['fingerprint']}  "
+             f"{row['sim_events']:>9,} events  {row['commits']:>7,} commits")
 
     if check:
-        rows = compare_reports(payload, committed, tolerance=tolerance)
-        if not rows:
-            emit("perf: no overlapping cases with the committed report")
+        failures = check_report(payload, committed)
+        for failure in failures:
+            emit(f"  FAIL {failure}")
+        if failures:
+            emit(f"perf: {len(failures)} check(s) failed vs {baseline_path}")
             return 1
-        regressions = [row for row in rows if row["regressed"]]
-        for row in rows:
-            flag = "REGRESSED" if row["regressed"] else "ok"
-            emit(f"  {row['case']:<24} committed {row['committed_wall_s']:>8.3f}s"
-                 f"  now {row['normalized_wall_s']:>8.3f}s (normalized)"
-                 f"  x{row['ratio']:.2f}  {flag}")
-        if regressions:
-            emit(f"perf: {len(regressions)} case(s) regressed beyond "
-                 f"{tolerance:.0%} vs {baseline_path}")
-            return 1
-        emit(f"perf: within {tolerance:.0%} of {baseline_path}")
+        emit(f"perf: {', '.join(PINNED)} identical to {baseline_path}")
         return 0
 
-    if baseline is not None:
-        attach_baseline(payload, baseline, baseline_label)
-        mean = payload["comparison"]["mean_wall_reduction"]
-        emit(f"mean wall-clock reduction vs {baseline_label}: {mean:.1%}")
     write_report(payload, out)
     emit(f"wrote {out}")
     return 0

@@ -1,8 +1,8 @@
 """Open-loop scale harness: saturation knees at big topologies
 (``repro perf --scale``).
 
-Where :mod:`repro.bench.perf` pins *host* cost (wall-clock per case),
-this harness pins *capacity*: for each system it walks a ladder of
+Where :mod:`repro.bench.perf` pins closed-loop outcomes per case, this
+harness pins *capacity*: for each system it walks a ladder of
 offered rates under an open-loop arrival curve and locates the
 **saturation knee** — the highest offered rate at which goodput still
 keeps up (goodput/offered >= :data:`KNEE_THRESHOLD`). Past the knee an
@@ -11,14 +11,12 @@ grow, waits explode, and the goodput ratio collapses; the knee is the
 number a capacity plan needs (docs/SCALE.md explains how to read the
 curves).
 
-Results go to ``BENCH_scale.json`` (schema ``repro-scale/1``) —
-deliberately a *separate* report from ``BENCH_perf.json``, because the
-two gate different things: perf compares calibration-normalized walls
-(machine-dependent, tolerance-banded), scale compares simulated
-fingerprints (machine-independent, exact) plus a peak-RSS budget per
-case. The matrix below is pinned the same way the perf matrix is: the
-cases, seeds, curves, and ladders are part of the schema, and editing
-them means regenerating the committed report.
+Results go to ``BENCH_scale.json`` (schema ``repro-scale/1``): like
+``BENCH_perf.json`` it is gated on simulated fingerprints
+(machine-independent, exact), plus a peak-RSS budget per case. The
+matrix below is pinned the same way the perf matrix is: the cases,
+seeds, curves, and ladders are part of the schema, and editing them
+means regenerating the committed report.
 
 Determinism: everything here is a pure function of the pinned
 :class:`~repro.bench.parallel.RunSpec` list. Fan-out over ``--jobs``
@@ -32,13 +30,17 @@ full.
 
 from __future__ import annotations
 
-import json
-import os
-import platform
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.bench.parallel import RunSpec, WorkloadSpec, execute_specs
+from repro.bench.parallel import (
+    RunSpec,
+    WorkloadSpec,
+    execute_specs,
+    host_stanza,
+    load_report,
+    write_report,
+)
 from repro.sim.config import ClusterConfig
 from repro.workloads.openloop import OpenLoopSpec, goodput_ratio
 
@@ -284,12 +286,7 @@ def build_report(cases: Sequence[ScaleCase], jobs: int = 1,
         "schema": SCHEMA,
         # No generated_at: this module reads no host clock (determinism
         # guard); the git history timestamps the committed report.
-        "machine": {
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-            "implementation": platform.python_implementation(),
-            "cpu_count": os.cpu_count(),
-        },
+        "machine": host_stanza(),
         "settings": {"jobs": jobs, "knee_threshold": KNEE_THRESHOLD},
         "cases": run_cases(cases, jobs=jobs, progress=progress),
     }
@@ -448,24 +445,6 @@ def render_tables(report: Dict) -> str:
 _render_tables_text = render_tables
 
 
-def load_report(path: str) -> Dict:
-    with open(path) as handle:
-        payload = json.load(handle)
-    schema = payload.get("schema")
-    if schema != SCHEMA:
-        raise ValueError(
-            f"{path}: schema {schema!r} != {SCHEMA!r}; "
-            "regenerate the report with this tree's `repro perf --scale`"
-        )
-    return payload
-
-
-def write_report(payload: Dict, path: str) -> None:
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
 def main(
     *,
     smoke: bool = False,
@@ -487,9 +466,9 @@ def main(
     running anything.
     """
     if render_tables:
-        emit(_render_tables_text(load_report(baseline_path)).rstrip("\n"))
+        emit(_render_tables_text(load_report(baseline_path, SCHEMA)).rstrip("\n"))
         return 0
-    committed = load_report(baseline_path) if check else None
+    committed = load_report(baseline_path, SCHEMA) if check else None
     cases = select_cases(smoke=smoke)
     points = sum(len(case.ladder) for case in cases)
     emit(f"scale: running {len(cases)} case(s), {points} ladder point(s), "

@@ -24,12 +24,14 @@ Commands:
   objectives, burn-rate incidents, runtime invariant checks, and
   MTTD/MTTR against the injector's ground truth; exports JSONL/CSV/
   Prometheus and a self-contained HTML dashboard (``--html``);
-* ``perf`` — run the pinned wall-clock matrix, write ``BENCH_perf.json``,
-  or (``--check``) gate against the committed baseline; ``--scale``
-  runs the open-loop saturation matrix instead (``BENCH_scale.json``:
-  per-system saturation knees, exact-fingerprint + RSS-budget gates)
-  and ``--scale --render-tables`` re-renders the committed report's
-  knee tables as markdown without running anything;
+* ``perf`` — run the pinned determinism matrix and write its
+  fingerprints to ``BENCH_perf.json``, or (``--check``) compare them
+  exactly against the committed report; ``--cores`` adds the jobs-level
+  parity/fan-out sweep; ``--scale`` runs the open-loop saturation
+  matrix instead (``BENCH_scale.json``: per-system saturation knees,
+  exact-fingerprint + RSS-budget gates) and ``--scale --render-tables``
+  re-renders the committed report's knee tables as markdown without
+  running anything;
 * ``experiments`` — list the per-figure experiment drivers.
 """
 
@@ -670,18 +672,13 @@ def _chaos_matrix(args, systems, scenarios) -> int:
 
 
 def cmd_perf(args) -> int:
-    from repro.bench import perf
+    from repro.bench import perf, scale
 
-    if args.scale:
-        from repro.bench import scale
-        from repro.bench.perf import DEFAULT_REPORT as PERF_REPORT
-
-        # --out/--baseline default to the perf report; when routing to
-        # the scale harness, untouched defaults become the scale report.
-        out = args.out if args.out != PERF_REPORT else scale.DEFAULT_REPORT
-        baseline = (args.baseline if args.baseline != PERF_REPORT
-                    else scale.DEFAULT_REPORT)
-        try:
+    harness = scale if args.scale else perf
+    out = args.out or harness.DEFAULT_REPORT
+    baseline = args.baseline or harness.DEFAULT_REPORT
+    try:
+        if args.scale:
             return scale.main(
                 smoke=args.smoke,
                 check=args.check,
@@ -690,31 +687,19 @@ def cmd_perf(args) -> int:
                 jobs=args.jobs,
                 render_tables=args.render_tables,
             )
-        except (OSError, ValueError) as exc:
-            print(f"repro perf --scale: error: {exc}", file=sys.stderr)
-            return 2
-    if args.render_tables:
-        print("repro perf: error: --render-tables requires --scale",
-              file=sys.stderr)
-        return 2
-
-    try:
+        for flag in ("smoke", "render_tables"):
+            if getattr(args, flag):
+                raise ValueError(f"--{flag.replace('_', '-')} requires --scale")
         return perf.main(
-            quick=args.quick,
             check=args.check,
-            out=args.out,
-            baseline_path=args.baseline,
-            baseline_from=args.baseline_from or None,
-            baseline_label=args.baseline_label,
-            tolerance=args.tolerance,
-            repeats=args.repeats,
+            out=out,
+            baseline_path=baseline,
             jobs=args.jobs,
             cores=args.cores or None,
-            smoke=args.smoke,
-            profile=args.profile,
         )
     except (OSError, ValueError, RuntimeError) as exc:
-        print(f"repro perf: error: {exc}", file=sys.stderr)
+        print(f"repro perf{' --scale' if args.scale else ''}: error: {exc}",
+              file=sys.stderr)
         return 2
 
 
@@ -900,53 +885,36 @@ def main(argv: Optional[List[str]] = None) -> int:
                           "defended stack)")
     slo.set_defaults(fn=cmd_slo)
 
-    from repro.bench.perf import DEFAULT_REPORT, DEFAULT_TOLERANCE
-
     perf = commands.add_parser(
-        "perf", help="run the pinned wall-clock matrix / gate regressions"
+        "perf", help="run the pinned determinism matrix / check its pins"
     )
-    perf.add_argument("--quick", action="store_true",
-                      help="CI subset of the matrix")
     perf.add_argument("--scale", action="store_true",
                       help="run the open-loop saturation matrix instead "
-                           "(BENCH_scale.json: knees + RSS budgets; "
-                           "--check compares fingerprints exactly)")
+                           "(BENCH_scale.json: knees + RSS budgets)")
     perf.add_argument("--smoke", action="store_true",
-                      help="the CI shape: quick subset at one repeat "
-                           "(with --scale: the cheap per-system subset)")
+                      help="with --scale: the cheap per-system subset")
     perf.add_argument("--render-tables", action="store_true",
                       help="with --scale: print the committed report's knee "
                            "tables as markdown and exit (no runs; the "
                            "source for EXPERIMENTS.md / docs/SCALE.md)")
     perf.add_argument("--check", action="store_true",
-                      help="compare against the committed report instead of "
-                           "writing; exit 1 on regression")
-    perf.add_argument("--out", default=DEFAULT_REPORT,
-                      help="report path to write (default: %(default)s)")
-    perf.add_argument("--baseline", default=DEFAULT_REPORT,
-                      help="committed report --check compares against")
-    perf.add_argument("--baseline-from", default="",
-                      help="embed this prior report as the before/after "
-                           "baseline when writing")
-    perf.add_argument("--baseline-label", default="previous baseline",
-                      help="label for --baseline-from in the report")
-    perf.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
-                      help="--check regression band (default: %(default)s)")
-    perf.add_argument("--repeats", type=int, default=3,
-                      help="runs per case; best wall-clock wins")
+                      help="compare fingerprints exactly against the "
+                           "committed report instead of writing; exit 1 on "
+                           "any mismatch")
+    perf.add_argument("--out", default=None,
+                      help="report path to write (default: BENCH_perf.json, "
+                           "or BENCH_scale.json with --scale)")
+    perf.add_argument("--baseline", default=None,
+                      help="committed report --check compares against "
+                           "(same defaults as --out)")
     perf.add_argument("--jobs", type=int, default=1,
-                      help="worker processes for the matrix; per-case walls "
-                           "are still measured inside each worker, so "
-                           "--check bands stay meaningful")
+                      help="worker processes for the matrix (simulated "
+                           "results are bit-identical to serial)")
     perf.add_argument("--cores", type=int, default=0,
                       help="run the multi-core sweep at jobs levels "
                            "{1, 2, N}; records machine.parallel.sweep "
                            "(elapsed / fan-out speedup / efficiency per "
                            "level) with fingerprint parity enforced")
-    perf.add_argument("--profile", action="store_true",
-                      help="cProfile each selected case once and write "
-                           "BENCH_perf_profile.txt next to the report "
-                           "instead of running the matrix")
     perf.set_defaults(fn=cmd_perf)
 
     experiments = commands.add_parser("experiments", help="list figure drivers")

@@ -39,7 +39,7 @@ from repro.faults.errors import (
     TransactionAborted,
 )
 from repro.partitioning.schemes import PartitionScheme
-from repro.replication.log import RELEASE, LogRecord
+from repro.replication.log import GRANT, RELEASE, LogRecord
 from repro.sim.resources import Resource
 from repro.sites.messages import RetryPolicy, guarded_call, remote_call
 from repro.systems.base import Cluster, Session
@@ -518,7 +518,11 @@ class SiteSelector:
         risking two masters. Grant: must land somewhere once the
         release marker exists, or the partitions stay orphaned — so it
         retries persistently, failing over to another live site if the
-        chosen target dies. Returns ``(actual target, grant vector)``.
+        chosen target dies. A target that dies *after* durably logging
+        the grant (its reply was lost) would replay it on restart and
+        master the partitions next to the failover target, so it is
+        fenced like any dead master and the chain continues from that
+        release point. Returns ``(actual target, grant vector)``.
         """
         env = self.env
         faults = self.cluster.faults
@@ -557,6 +561,9 @@ class SiteSelector:
         target = destination
         while True:
             if not sites[target].alive:
+                if self._grant_logged(target, partitions, source, release_vv):
+                    release_vv = self._force_release(target, partitions)
+                    source = target
                 target = self._alive_target()
             try:
                 grant_vv = yield from guarded_call(
@@ -578,9 +585,10 @@ class SiteSelector:
             except SiteDown:
                 continue  # re-picks a live target
             except RpcTimeout:
-                # The grant may or may not have applied; re-granting is
-                # idempotent (a duplicate marker replays harmlessly and
-                # the returned vector still covers the release point).
+                # The grant may or may not have applied; re-granting to
+                # the *same* target is idempotent (a duplicate marker
+                # replays harmlessly and the returned vector still
+                # covers the release point).
                 failures += 1
                 yield env.timeout(policy.backoff_ms(min(failures - 1, 8)))
 
@@ -599,6 +607,24 @@ class SiteSelector:
                 REASON_SITE_CRASH, "no live site to grant mastership to"
             )
         return candidates[0]
+
+    def _grant_logged(self, target: int, partitions: Tuple[int, ...],
+                      source: int, release_vv: VersionVector) -> bool:
+        """Did ``target`` durably log the grant answering this release?
+
+        A grant marker carries the release point at position ``source``
+        of its vector (its own, later, sequence when the failover
+        target *is* the source), and ``source`` releases nothing else
+        for these partitions while this chain is open — so ``>=``
+        matches this chain's grant and no earlier one.
+        """
+        release_point = release_vv[source]
+        return any(
+            record.kind == GRANT
+            and record.partitions == partitions
+            and record.tvv[source] >= release_point
+            for record in reversed(self.cluster.sites[target].log.records)
+        )
 
     def _force_release(self, source: int, partitions: Tuple[int, ...]):
         """Fence a dead master by appending its release marker directly.

@@ -16,13 +16,9 @@ from __future__ import annotations
 import gc
 from collections import deque
 from heapq import heappop, heappush
-from sys import getrefcount
 from typing import Any, Generator, Iterable, Optional
 
 from repro.obs import NULL_OBS
-
-#: Upper bound on recycled Timeout shells kept per environment.
-_FREE_MAX = 1024
 
 #: Sentinel for "this event has not triggered yet".
 _PENDING = object()
@@ -422,8 +418,6 @@ class Environment:
         #: the heap is consulted again — see :meth:`_schedule` for why
         #: this preserves the exact (time, eid) dispatch order.
         self._nowq: deque = deque()
-        #: Recycled Timeout shells (see :meth:`timeout` / :meth:`run`).
-        self._tfree: list = []
         #: Monotonic event id; breaks same-time ties in creation order.
         #: A plain int incremented inline (here and in the Timeout fast
         #: path) produces the same 0, 1, 2, ... sequence that
@@ -476,31 +470,7 @@ class Environment:
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Create an event that triggers after ``delay`` time units.
-
-        Timeouts are the dominant allocation (one per message hop, CPU
-        slice, and client think-time), so processed shells that nobody
-        references anymore are recycled by the run loops; re-arming one
-        here reproduces exactly the state — and consumes exactly the
-        eid — that a fresh ``Timeout.__init__`` would.
-        """
-        free = self._tfree
-        if free and delay >= 0:
-            event = free.pop()
-            event.callbacks = []
-            event._value = value
-            event._ok = True
-            event._defused = False
-            event.delay = delay
-            eid = self._eid
-            self._eid = eid + 1
-            if delay == 0.0:
-                queue = self._queue
-                if not queue or queue[0][0] > self._now:
-                    self._nowq.append(event)
-                    return event
-            heappush(self._queue, (self._now + delay, eid, event))
-            return event
+        """Create an event that triggers after ``delay`` time units."""
         return Timeout(self, delay, value)
 
     def process(self, generator: Generator) -> Process:
@@ -562,8 +532,6 @@ class Environment:
         nowq = self._nowq
         popleft = nowq.popleft
         pop = heappop
-        tfree = self._tfree
-        refs = getrefcount
         events = 0
         collecting = _suspend_gc()
         try:
@@ -587,11 +555,6 @@ class Environment:
                     # An unhandled failure (e.g. a crashed process
                     # nobody waits on) must surface, not pass silently.
                     raise event._value
-                # Recycle the Timeout shell iff nothing outside this
-                # frame still references it (refcount == 2: the local +
-                # getrefcount's argument). Reuse is then unobservable.
-                if type(event) is Timeout and refs(event) == 2 and len(tfree) < _FREE_MAX:
-                    tfree.append(event)
         finally:
             self.events_processed += events
             if collecting:
@@ -605,8 +568,6 @@ class Environment:
         nowq = self._nowq
         popleft = nowq.popleft
         pop = heappop
-        tfree = self._tfree
-        refs = getrefcount
         events = 0
         collecting = _suspend_gc()
         try:
@@ -624,8 +585,6 @@ class Environment:
                     callback(event)
                 if not event._ok and not event._defused:
                     raise event._value
-                if type(event) is Timeout and refs(event) == 2 and len(tfree) < _FREE_MAX:
-                    tfree.append(event)
         finally:
             self.events_processed += events
             if collecting:

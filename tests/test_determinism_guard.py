@@ -18,8 +18,8 @@ Two exemption sets, both intentionally tiny:
 * ``EXEMPT`` removes a module from the scan entirely (only the blessed
   ``random`` wrapper).
 * ``WALL_CLOCK_EXEMPT`` allows *only* the wall-clock rules: the bench
-  harness and the perf regression harness must read
-  ``time.perf_counter`` to measure host seconds. They are still scanned
+  harness and the perf matrix (its jobs sweep and ``calibrate``) must
+  read ``time.perf_counter`` to measure host seconds. They are still scanned
   for global-random violations — measuring the host clock is their job;
   leaking it into simulated behavior is not, and the fingerprint pins
   catch any such leak dynamically.

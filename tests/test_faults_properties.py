@@ -20,7 +20,7 @@ simulation run.
 
 import random
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.faults import FRONTEND, CrashFault, FaultPlan, LinkFault
@@ -32,6 +32,14 @@ from repro.systems import Cluster, build_system
 from repro.transactions import Transaction
 
 NUM_SITES = 3
+
+#: Site 2 durably logs a grant whose reply the link drops, then crashes;
+#: the selector's grant loop fails over while site 2 is still down
+#: (tests/test_regressions.py, TestAmbiguousGrantFailover).
+AMBIGUOUS_GRANT_PLAN = FaultPlan(
+    crashes=(CrashFault(2, at_ms=10.0, restart_at_ms=403.0),),
+    links=(LinkFault(src=2, dst=FRONTEND, start_ms=0.0, end_ms=10.0, drop=True),),
+)
 
 
 @st.composite
@@ -173,6 +181,7 @@ class TestSurvivorInvariants:
     @settings(max_examples=6, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(plan=fault_plans(require_restart=True), seed=st.integers(0, 2**16))
+    @example(plan=AMBIGUOUS_GRANT_PLAN, seed=0)
     def test_restart_convergence(self, plan, seed):
         """With every crash restarted, all replicas converge."""
         cluster, _, injector, _ = run_faulted_workload(plan, seed=seed)

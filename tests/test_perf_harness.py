@@ -1,40 +1,51 @@
-"""Tests for the perf regression harness and host-cost surfaces.
-
-Covers the two halves of the wall-clock contract:
+"""Tests for the perf determinism matrix and host-cost surfaces.
 
 * :class:`repro.bench.harness.RunResult` reports host cost
   (``wall_clock_s``, ``events_processed``) without perturbing simulated
   results — repeated runs agree on every simulated quantity while the
   host measurements ride along outside the fingerprint payload;
-* :mod:`repro.bench.perf` — the pinned matrix, calibration
-  normalization, report comparison, and the committed
-  ``BENCH_perf.json`` staying consistent with the matrix in code.
+* :mod:`repro.bench.perf` — the pinned matrix, the exact ``--check``,
+  the jobs sweep, the committed ``BENCH_perf.json`` staying consistent
+  with the matrix in code *and* reproducing in-process, and the
+  ``repro perf`` command line.
 """
 
+import copy
 import json
+import subprocess
+import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from repro import cli
+from repro.bench import perf, scale
 from repro.bench.harness import run_benchmark
-import repro.bench.perf as perf
+from repro.bench.parallel import load_report
 from repro.bench.perf import (
-    DEFAULT_TOLERANCE,
     PERF_MATRIX,
-    QUICK_CASES,
+    PINNED,
     SCHEMA,
-    _normalize,
-    attach_baseline,
-    compare_reports,
-    load_report,
+    case_params,
+    check_report,
+    run_cases,
     run_sweep,
-    select_cases,
     sweep_levels,
 )
 from repro.sim.config import ClusterConfig
 from repro.workloads.ycsb import YCSBConfig, YCSBWorkload
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+COMMITTED = str(REPO_ROOT / "BENCH_perf.json")
+
+#: Two cheap cells (block-routed DynaMast, per-key LEAP) for driving the
+#: harness end to end; ``tests/test_parallel_parity.py`` fans them out.
+TINY_MATRIX = tuple(
+    replace(spec, num_clients=4, duration_ms=150.0, warmup_ms=37.5,
+            cluster=ClusterConfig(num_sites=2), seed=5, label=f"tiny-{spec.system}")
+    for spec in PERF_MATRIX if spec.label in ("dynamast-ycsb", "leap-ycsb")
+)
 
 
 def _small_run():
@@ -74,110 +85,66 @@ class TestRunResultHostMetrics:
 
 class TestPerfMatrix:
     def test_case_names_unique(self):
-        names = [case.name for case in PERF_MATRIX]
-        assert len(names) == len(set(names))
-
-    def test_quick_subset_is_drawn_from_the_matrix(self):
-        names = {case.name for case in PERF_MATRIX}
-        assert set(QUICK_CASES) <= names
-        quick = select_cases(quick=True)
-        assert [case.name for case in quick] == [
-            case.name for case in PERF_MATRIX if case.name in QUICK_CASES
-        ]
+        names = [spec.label for spec in PERF_MATRIX]
+        assert len(names) == len(set(names)) == 9
 
     def test_every_case_builds_its_workload(self):
-        for case in PERF_MATRIX:
-            workload = case.build_workload()
-            assert workload.scheme is not None
+        for spec in PERF_MATRIX:
+            assert spec.workload.build().scheme is not None
 
 
-class TestNormalize:
-    def test_faster_host_is_scaled_up(self):
-        # Twice the calibration score -> the same wall seconds count
-        # double when expressed in baseline-machine time.
-        assert _normalize(1.0, 2000.0, 1000.0) == pytest.approx(2.0)
-
-    def test_slower_host_is_scaled_down(self):
-        assert _normalize(2.0, 500.0, 1000.0) == pytest.approx(1.0)
-
-    def test_missing_calibration_is_a_passthrough(self):
-        assert _normalize(1.5, 0.0, 1000.0) == 1.5
-        assert _normalize(1.5, 1000.0, 0.0) == 1.5
-
-
-def _report(cases, kops=1000.0):
+def _report(**cases):
+    """A report of ``name=(fingerprint, sim_events, commits)`` cases."""
     return {
         "schema": SCHEMA,
-        "machine": {"calibration_kops": kops},
-        "cases": {
-            name: {"wall_s": wall, "events_per_s": 1, "peak_rss_kb": 1}
-            for name, wall in cases.items()
-        },
+        "cases": {name: dict(zip(PINNED, pins)) for name, pins in cases.items()},
     }
 
 
-class TestCompareReports:
-    def test_within_tolerance_is_not_flagged(self):
-        committed = _report({"a": 1.0})
-        current = _report({"a": 1.0 + DEFAULT_TOLERANCE - 0.01})
-        rows = compare_reports(current, committed)
-        assert [row["regressed"] for row in rows] == [False]
+class TestCheckReport:
+    def test_equal_reports_pass(self):
+        report = _report(a=("f00d", 10, 3), b=("beef", 20, 5))
+        assert check_report(report, copy.deepcopy(report)) == []
 
-    def test_beyond_tolerance_is_flagged(self):
-        committed = _report({"a": 1.0, "b": 2.0})
-        current = _report({"a": 1.5, "b": 2.0})
-        rows = {row["case"]: row for row in compare_reports(current, committed)}
-        assert rows["a"]["regressed"] is True
-        assert rows["b"]["regressed"] is False
+    @pytest.mark.parametrize("key", PINNED)
+    def test_each_pinned_field_is_compared_exactly(self, key):
+        """Tampering one field of one case yields exactly one failure,
+        naming that case and field; the untouched case stays silent."""
+        committed = _report(a=("f00d", 10, 3), b=("beef", 20, 5))
+        current = copy.deepcopy(committed)
+        current["cases"]["b"][key] = (
+            "dead" if key == "fingerprint" else current["cases"]["b"][key] + 1
+        )
+        failures = check_report(current, committed)
+        assert len(failures) == 1
+        assert failures[0].startswith(f"b: {key} ")
 
-    def test_calibration_normalization_excuses_a_slow_host(self):
-        committed = _report({"a": 1.0}, kops=1000.0)
-        # Host is half as fast and the run took twice as long: the code
-        # did not regress, and normalization must agree.
-        current = _report({"a": 2.0}, kops=500.0)
-        rows = compare_reports(current, committed)
-        assert rows[0]["regressed"] is False
-        assert rows[0]["normalized_wall_s"] == pytest.approx(1.0)
-
-    def test_unshared_cases_are_skipped(self):
-        committed = _report({"a": 1.0})
-        current = _report({"b": 1.0})
-        assert compare_reports(current, committed) == []
+    def test_case_missing_from_either_side_fails(self):
+        both = ("f00d", 10, 3)
+        failures = check_report(_report(a=both, fresh=both),
+                                _report(a=both, stale=both))
+        assert failures == ["fresh: only in the fresh run",
+                            "stale: only in the committed report"]
 
 
-class TestAttachBaseline:
-    def test_embeds_baseline_and_mean_reduction(self):
-        payload = _report({"a": 0.5, "b": 1.0})
-        baseline = _report({"a": 1.0, "b": 2.0})
-        attach_baseline(payload, baseline, "before")
-        assert payload["baseline"]["label"] == "before"
-        assert set(payload["baseline"]["cases"]) == {"a", "b"}
-        comparison = payload["comparison"]
-        assert comparison["vs"] == "before"
-        assert comparison["per_case"]["a"]["speedup"] == pytest.approx(2.0)
-        assert comparison["mean_wall_reduction"] == pytest.approx(0.5)
-
-
-def _fake_executor(elapsed_by_level, fingerprints=None, wall=1.0):
-    """Stand-in for ``_run_cases``: fabricated timings, no simulation.
+def _fake_executor(elapsed_by_level, fingerprints=None):
+    """Stand-in for ``run_cases``: fabricated timings, no simulation.
 
     ``fingerprints`` maps ``(case_name, jobs)`` to a fingerprint for
     parity-violation tests; unmapped cases fingerprint identically at
     every level.
     """
 
-    def execute(cases, repeats, jobs, progress):
-        results = {}
-        for name in cases:
-            row = {
+    def execute(specs, jobs):
+        rows = {
+            name: {
                 "fingerprint": (fingerprints or {}).get((name, jobs), f"fp-{name}"),
-                "wall_total_s": wall,
-                "peak_rss_kb": 100,
+                "sim_events": 7,
+                "commits": 3,
             }
-            results[name] = row
-            if progress is not None:
-                progress(name, row)
-        return results, elapsed_by_level[jobs]
+            for name in specs
+        }
+        return rows, elapsed_by_level[jobs]
 
     return execute
 
@@ -197,36 +164,26 @@ class TestSweepLevels:
 
 
 class TestRunSweep:
-    def _sweep(self, monkeypatch, **kwargs):
-        monkeypatch.setattr(perf, "calibrate", lambda: 1000.0)
-        kwargs.setdefault("emit", None)
-        return run_sweep(["a", "b"], repeats=1, **kwargs)
-
-    def test_sweep_rows_and_arithmetic(self, monkeypatch):
-        payload = self._sweep(
-            monkeypatch,
-            cores=4,
+    def test_sweep_rows_and_arithmetic(self):
+        payload = run_sweep(
+            ["a", "b"], cores=4, emit=None,
             executor=_fake_executor({1: 8.0, 2: 5.0, 4: 2.0}),
         )
         rows = {row["jobs"]: row for row in payload["machine"]["parallel"]["sweep"]}
         assert set(rows) == {1, 2, 4}
-        # serial_equivalent = sum of in-worker walls = 2 cases x 1.0s.
         assert rows[1]["fanout_speedup"] == pytest.approx(1.0)
         assert rows[2]["fanout_speedup"] == pytest.approx(8.0 / 5.0)
         assert rows[4]["fanout_speedup"] == pytest.approx(4.0)
-        assert rows[4]["speedup"] == pytest.approx(2.0 / 2.0)
         assert rows[4]["efficiency"] == pytest.approx(1.0)
-        # The headline block is the best level by worker-concurrency.
-        assert payload["machine"]["parallel"]["jobs"] == 4
-        assert payload["settings"] == {"repeats": 1, "jobs": 1, "cores": 4}
-        # The canonical per-case rows come from the serial pass.
+        assert rows[4]["elapsed_s"] == pytest.approx(2.0)
+        assert payload["schema"] == SCHEMA
+        # The case rows come from the serial pass.
         assert set(payload["cases"]) == {"a", "b"}
 
-    def test_fingerprint_parity_violation_raises(self, monkeypatch):
+    def test_fingerprint_parity_violation_raises(self):
         with pytest.raises(RuntimeError, match="parity violated at jobs=2: b"):
-            self._sweep(
-                monkeypatch,
-                cores=2,
+            run_sweep(
+                ["a", "b"], cores=2, emit=None,
                 executor=_fake_executor(
                     {1: 4.0, 2: 3.0}, fingerprints={("b", 2): "divergent"}
                 ),
@@ -235,52 +192,130 @@ class TestRunSweep:
     def test_limited_by_host_flag(self, monkeypatch):
         executor = _fake_executor({1: 4.0, 2: 3.0})
         monkeypatch.setattr(perf.os, "cpu_count", lambda: 1)
-        limited = self._sweep(monkeypatch, cores=2, executor=executor)
+        limited = run_sweep(["a"], cores=2, emit=None, executor=executor)
         assert limited["machine"]["parallel"]["limited_by_host"] is True
         monkeypatch.setattr(perf.os, "cpu_count", lambda: 8)
-        roomy = self._sweep(monkeypatch, cores=2, executor=executor)
+        roomy = run_sweep(["a"], cores=2, emit=None, executor=executor)
         assert roomy["machine"]["parallel"]["limited_by_host"] is False
 
 
 class TestReportFile:
     def test_schema_mismatch_is_rejected(self, tmp_path):
-        bad = tmp_path / "report.json"
-        bad.write_text(json.dumps({"schema": "repro-perf/0", "cases": {}}))
+        """A /3 report (walls, calibration, baseline) is not a /4 one:
+        ``--check`` refuses it before running anything."""
+        stale = tmp_path / "report.json"
+        stale.write_text(json.dumps({"schema": "repro-perf/3", "cases": {}}))
         with pytest.raises(ValueError, match="schema"):
-            load_report(str(bad))
+            load_report(str(stale), SCHEMA)
+        with pytest.raises(ValueError, match="schema"):
+            perf.main(check=True, baseline_path=str(stale), emit=None)
 
     def test_committed_report_matches_the_pinned_matrix(self):
-        """BENCH_perf.json must describe exactly the matrix in code.
+        """BENCH_perf.json must describe exactly the matrix in code:
+        same case set, same parameters, nothing but the pins besides.
 
-        If a case is added, removed, or renamed, the committed report
-        has to be refreshed in the same change (EXPERIMENTS.md,
-        "Performance baseline").
+        If a case is added, removed, renamed or re-parameterised, the
+        committed report has to be refreshed in the same change.
         """
-        payload = load_report(str(REPO_ROOT / "BENCH_perf.json"))
-        assert set(payload["cases"]) == {case.name for case in PERF_MATRIX}
-        for case in payload["cases"].values():
-            assert case["wall_s"] > 0
-            assert case["sim_events"] > 0
-            assert case["commits"] > 0
-        if "comparison" in payload:
-            assert set(payload["comparison"]["per_case"]) <= set(payload["cases"])
+        cases = load_report(COMMITTED, SCHEMA)["cases"]
+        assert set(cases) == {spec.label for spec in PERF_MATRIX}
+        for spec in PERF_MATRIX:
+            row = dict(cases[spec.label])
+            pins = [row.pop(key) for key in PINNED]
+            assert row == case_params(spec)
+            assert all(pins)
 
-    def test_previous_schema_still_loads(self, tmp_path):
-        """/2 reports stay loadable so ``--baseline-from`` can compare a
-        refreshed /3 report against the pre-change baseline."""
-        old = tmp_path / "report.json"
-        old.write_text(json.dumps({"schema": "repro-perf/2", "cases": {}}))
-        assert load_report(str(old))["schema"] == "repro-perf/2"
+    def test_committed_pins_reproduce_in_process(self):
+        """One cell per code-path family (DynaMast, 2PC, multi-workload)
+        re-run here must equal the committed pins exactly — tier-1's
+        share of ``make perf-check``."""
+        subset = [spec for spec in PERF_MATRIX if spec.label in
+                  ("dynamast-ycsb", "multi-master-ycsb", "dynamast-tpcc")]
+        rows, _elapsed = run_cases(subset)
+        committed = load_report(COMMITTED, SCHEMA)["cases"]
+        pinned = {name: committed[name] for name in rows}
+        assert len(rows) == 3
+        assert check_report({"cases": rows}, {"cases": pinned}) == []
 
     def test_committed_report_carries_the_parallel_sweep(self):
         """The committed report must include the measured jobs sweep
-        (EXPERIMENTS.md, "Parallel execution") with worker-concurrency
-        speedup above 1 at jobs=2."""
-        payload = load_report(str(REPO_ROOT / "BENCH_perf.json"))
-        parallel = payload["machine"]["parallel"]
-        rows = {row["jobs"]: row for row in parallel["sweep"]}
+        (EXPERIMENTS.md, "Parallel execution")."""
+        machine = load_report(COMMITTED, SCHEMA)["machine"]
+        rows = {row["jobs"]: row for row in machine["parallel"]["sweep"]}
         assert {1, 2} <= set(rows)
-        assert rows[2]["speedup"] > 1.0
-        assert rows[2]["elapsed_s"] > 0
-        assert "limited_by_host" in parallel
-        assert parallel["host_cores"] >= 1
+        assert rows[1]["fanout_speedup"] == 1.0
+        assert rows[2]["fanout_speedup"] > 0 and rows[2]["elapsed_s"] > 0
+        assert "limited_by_host" in machine["parallel"]
+        assert machine["cpu_count"] >= 1
+
+
+class TestMain:
+    def test_write_then_check_then_tamper(self, tmp_path, monkeypatch):
+        """End to end on a tiny matrix: a written report checks clean
+        (exit 0); one altered pin exits 1 naming the case and field."""
+        monkeypatch.setattr(perf, "PERF_MATRIX", TINY_MATRIX)
+        path = tmp_path / "report.json"
+        assert perf.main(out=str(path), emit=lambda line: None) == 0
+        payload = json.loads(path.read_text())
+        assert set(payload) == {"schema", "cases"}  # nothing host-side
+        assert perf.main(check=True, baseline_path=str(path),
+                         emit=lambda line: None) == 0
+
+        payload["cases"]["tiny-dynamast"]["sim_events"] += 1
+        path.write_text(json.dumps(payload))
+        lines = []
+        assert perf.main(check=True, baseline_path=str(path),
+                         emit=lines.append) == 1
+        failures = [line for line in lines if "FAIL" in line]
+        assert len(failures) == 1
+        assert "tiny-dynamast: sim_events" in failures[0]
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize("flag", [
+        ["--quick"], ["--repeats", "1"], ["--baseline-from", "x.json"],
+        ["--baseline-label", "x"], ["--tolerance", "0.1"], ["--profile"],
+    ])
+    def test_removed_flags_are_rejected_by_argparse(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["perf", *flag])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--smoke", "--render-tables"])
+    def test_scale_only_flags_require_scale(self, flag, capsys):
+        assert cli.main(["perf", flag]) == 2
+        assert f"{flag} requires --scale" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, harness, expected", [
+        ([], "perf", "BENCH_perf.json"),
+        (["--scale"], "scale", "BENCH_scale.json"),
+        # An explicit path is honoured even when it is the *other*
+        # harness's default name.
+        (["--scale", "--out", "BENCH_perf.json", "--baseline", "BENCH_perf.json"],
+         "scale", "BENCH_perf.json"),
+        (["--out", "BENCH_scale.json", "--baseline", "BENCH_scale.json"],
+         "perf", "BENCH_scale.json"),
+    ])
+    def test_report_paths_default_per_harness(self, monkeypatch, argv,
+                                              harness, expected):
+        calls = []
+        for name, module in (("perf", perf), ("scale", scale)):
+            monkeypatch.setattr(
+                module, "main",
+                lambda _name=name, **kwargs: calls.append((_name, kwargs)) or 0,
+            )
+        assert cli.main(["perf", *argv]) == 0
+        (called, kwargs), = calls
+        assert called == harness
+        assert kwargs["out"] == kwargs["baseline_path"] == expected
+
+    def test_calibrate_stays_importable_for_perfbench(self):
+        """``perfbench/driver.py`` (frozen) scores the host this way."""
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "from repro.bench.perf import calibrate; print(calibrate())"],
+            cwd=REPO_ROOT, capture_output=True, text=True, check=True,
+            env={"PYTHONPATH": str(REPO_ROOT / "src")},
+        )
+        assert float(done.stdout.strip()) > 0

@@ -7,6 +7,7 @@ from repro.sim.config import ClusterConfig
 from repro.systems import Cluster, build_system
 from repro.transactions import Transaction
 from repro.workloads import YCSBConfig, YCSBWorkload
+from tests.test_faults_properties import AMBIGUOUS_GRANT_PLAN, run_faulted_workload
 
 
 class TestZipfCaching:
@@ -137,3 +138,19 @@ class TestSelectorDowngrade:
         cluster.env.process(hot_partition_client())
         cluster.env.run()
         assert finish["hot"] < finish["remaster"] + 5.0
+
+
+class TestAmbiguousGrantFailover:
+    def test_one_master_per_partition_after_a_lost_grant_reply(self):
+        """A grant that failed over from a dead target which had
+        already logged it must fence that target: before the fix site 2
+        replayed its own grant on restart and mastered {3, 6} next to
+        site 0 (split mastership; the selector's table said site 0)."""
+        cluster, system, _, _ = run_faulted_workload(AMBIGUOUS_GRANT_PLAN, seed=0)
+        mastered = sorted(p for site in cluster.sites for p in site.mastered)
+        assert mastered == list(range(8)), mastered
+        table = system.selector.table
+        for site in cluster.sites:
+            assert site.mastered == {
+                p for p in range(8) if table.master_of(p) == site.index
+            }, f"site {site.index} disagrees with the selector's table"

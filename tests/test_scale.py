@@ -13,6 +13,7 @@ import pytest
 from repro.bench.scale import (
     KNEE_THRESHOLD,
     SCALE_MATRIX,
+    SCHEMA,
     SMOKE_CASES,
     _first_collapsed,
     check_report,
@@ -141,7 +142,7 @@ class TestRenderTables:
     @pytest.fixture(scope="class")
     def tables(self):
         root = Path(__file__).resolve().parent.parent
-        return knee_tables(load_report(str(root / "BENCH_scale.json")))
+        return knee_tables(load_report(str(root / "BENCH_scale.json"), SCHEMA))
 
     def test_experiments_md_embeds_the_summary_table(self, tables):
         root = Path(__file__).resolve().parent.parent
@@ -162,7 +163,7 @@ class TestRenderTables:
 
     def test_render_tables_emits_one_document(self):
         root = Path(__file__).resolve().parent.parent
-        report = load_report(str(root / "BENCH_scale.json"))
+        report = load_report(str(root / "BENCH_scale.json"), SCHEMA)
         document = render_tables(report)
         assert document.startswith("<!-- generated by `repro perf --scale")
         for fragment in knee_tables(report).values():

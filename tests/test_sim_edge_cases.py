@@ -243,36 +243,6 @@ class TestBatchedDispatch:
         assert step_env.events_processed == run_env.events_processed
         assert step_env.now == run_env.now
 
-    def test_recycled_timeout_shells_change_nothing(self):
-        """The Timeout free list must be unobservable: a run that holds
-        references to every timeout (defeating recycling) produces the
-        same trace and consumes the same eid sequence."""
-
-        def scenario(hold):
-            env = Environment()
-            trace = []
-
-            def worker(label):
-                for i in range(6):
-                    timeout = env.timeout(0.5 * (i % 3))
-                    if hold is not None:
-                        hold.append(timeout)
-                    yield timeout
-                    trace.append((label, env.now))
-
-            env.process(worker("x"))
-            env.process(worker("y"))
-            env.run()
-            return env, trace
-
-        recycled_env, recycled_trace = scenario(None)
-        held_env, held_trace = scenario([])
-        assert recycled_env._tfree, "free list never engaged"
-        assert not held_env._tfree, "held shells must not be recycled"
-        assert recycled_trace == held_trace
-        assert recycled_env._eid == held_env._eid
-        assert recycled_env.events_processed == held_env.events_processed
-
 
 class TestInterruptEdges:
     def test_interrupt_before_initialize_fires(self):
