@@ -165,12 +165,16 @@ scale-smoke:
 # into a temporary worktree) against the working tree: the measurement
 # a host-cost claim rests on (CONTRIBUTING.md, "Claiming a gain").
 #   make pairs W=ycsb-2pc BASE=HEAD~1 N=10 SEED=11
+# A recorder's ON cost in the two trees (R is one of perfbench's
+# recorders: tracer, ledger, slo, streaming_metrics):
+#   make pairs W=recorder-cost R=tracer BASE=HEAD~1
 W ?= ycsb-2pc
 BASE ?= HEAD
 N ?= 10
 SEED ?= 11
+R ?= off
 pairs:
-	python tools/pairs.py --workload $(W) --base $(BASE) --pairs $(N) --seed $(SEED)
+	python tools/pairs.py --workload $(W) --base $(BASE) --pairs $(N) --seed $(SEED) --recorder $(R)
 
 clean:
 	rm -rf .pytest_cache build *.egg-info src/*.egg-info

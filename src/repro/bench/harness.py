@@ -306,6 +306,7 @@ def _client_loop(system, workload, client_id, rng, metrics, warmup_ms, obs):
     """One closed-loop client issuing transactions back to back."""
     env = system.env
     tracer = obs.tracer
+    traced = tracer.enabled
     state = workload.new_client_state(client_id, rng)
     session = system.new_session(client_id)
     while True:
@@ -313,7 +314,8 @@ def _client_loop(system, workload, client_id, rng, metrics, warmup_ms, obs):
         if turn.reset_session:
             session = system.new_session(client_id)
         started = env._now
-        tracer.txn_begin(turn.txn, started)
+        if traced:
+            tracer.txn_begin(turn.txn, started)
         outcome = yield from system.submit(turn.txn, session)
         recorded = started >= warmup_ms
         if recorded:
@@ -322,7 +324,8 @@ def _client_loop(system, workload, client_id, rng, metrics, warmup_ms, obs):
                 obs.registry.histogram(
                     f"latency.{turn.txn.txn_type}"
                 ).record(env._now - started)
-        tracer.txn_end(turn.txn, outcome, env._now, recorded=recorded)
+        if traced:
+            tracer.txn_end(turn.txn, outcome, env._now, recorded=recorded)
 
 
 def _fire_event(env, when, fn, system, workload):

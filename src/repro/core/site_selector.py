@@ -291,7 +291,7 @@ class SiteSelector:
         )
         if traced:
             tracer.span("release", release_started, self.env._now,
-                        track=f"site{source}", txn=txn,
+                        track=sites[source].trace_track, txn=txn,
                         partitions=len(partitions))
         grant_started = self.env._now
         grant_vv = yield from remote_call(
@@ -301,7 +301,7 @@ class SiteSelector:
         )
         if traced:
             tracer.span("grant", grant_started, self.env._now,
-                        track=f"site{destination}", txn=txn,
+                        track=sites[destination].trace_track, txn=txn,
                         partitions=len(partitions), source=source)
             tracer.edge("remaster", release_started, txn=txn,
                         track="selector", source=source,

@@ -12,10 +12,17 @@ the protocol code.
 The default tracer everywhere is :data:`NULL_TRACER`, whose methods are
 all no-ops and which never touches the simulation environment, so an
 untraced run is bit-identical to a run before this module existed.
+
+Records are *stored* as parallel columns, one set per record kind
+(DESIGN.md §6, "Trace store"): :class:`SpanRecord`,
+:class:`InstantRecord` and :class:`EdgeRecord` are what a reader gets,
+built on access by ``tracer.spans`` / ``.instants`` / ``.edges``.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -136,9 +143,9 @@ class SpanNode:
 class NullTracer:
     """The do-nothing tracer; the default everywhere.
 
-    Every hook is a no-op so the instrumented protocol code costs a
-    single attribute lookup and call per hook and the simulation's
-    event stream is untouched.
+    Every hook is a no-op and the simulation's event stream is
+    untouched. Instrumented code tests ``enabled`` and skips the call,
+    so an untraced transaction costs attribute tests, not hook calls.
     """
 
     enabled: bool = False
@@ -165,6 +172,95 @@ class NullTracer:
 #: Shared no-op tracer instance (stateless, safe to share globally).
 NULL_TRACER = NullTracer()
 
+#: Stands for ``None`` in an id column; no transaction id reaches it.
+_NO_ID = -(1 << 63)
+
+
+class _Columns(Sequence):
+    """One record kind, stored as parallel columns; row ``i`` is record ``i``.
+
+    A read-only sequence of records to everyone outside this module:
+    ``len()`` reads a column's length, indexing, slicing and iteration
+    build the records they hand out and nothing else. Only the
+    :class:`Tracer` hooks append, one entry (or one fixed-size group)
+    per column per record (DESIGN.md §6, "Trace store").
+    """
+
+    __slots__ = ("_shapes", "_shape", "_times", "_ids", "_voff", "_vals")
+
+    def __init__(self, shapes: List[tuple]):
+        #: ``code -> (name, track, *arg names)``, shared by the three
+        #: kinds: what a call site passes identically on every call.
+        self._shapes = shapes
+        self._shape = array("I")
+        #: Timestamps: ``(start, end)`` per span row, ``ts`` otherwise.
+        self._times = array("d")
+        #: Transaction ids, :data:`_NO_ID` for None: ``txn_id`` per span
+        #: and instant row, ``(txn_id, src_txn_id)`` per edge row.
+        self._ids = array("q")
+        #: Where each row's arg values start in ``_vals``; how many
+        #: there are is the number of arg names in its shape.
+        self._voff = array("I")
+        self._vals: List[Any] = []
+
+    def __len__(self) -> int:
+        return len(self._shape)
+
+    def __getitem__(self, index):
+        rows = range(len(self._shape))[index]
+        if isinstance(rows, range):
+            return [self._record(row) for row in rows]
+        return self._record(rows)
+
+    def __iter__(self):
+        return map(self._record, range(len(self._shape)))
+
+    def _head(self, row: int):
+        """``(name, track, args)`` of one row.
+
+        Args are stored in call order and sorted here, once per read,
+        so that a record (and every export of it) comes out the same
+        whichever way a call site ordered its keywords.
+        """
+        name, track, *keys = self._shapes[self._shape[row]]
+        start = self._voff[row]
+        values = self._vals[start:start + len(keys)]
+        return name, track, tuple(sorted(zip(keys, values)))
+
+    def _record(self, row: int):
+        raise NotImplementedError
+
+
+def _id(stored: int) -> Optional[int]:
+    return None if stored == _NO_ID else stored
+
+
+class _Spans(_Columns):
+    __slots__ = ()
+
+    def _record(self, row: int) -> SpanRecord:
+        name, track, args = self._head(row)
+        return SpanRecord(name, self._times[2 * row], self._times[2 * row + 1],
+                          track, _id(self._ids[row]), args)
+
+
+class _Instants(_Columns):
+    __slots__ = ()
+
+    def _record(self, row: int) -> InstantRecord:
+        name, track, args = self._head(row)
+        return InstantRecord(name, self._times[row], track,
+                             _id(self._ids[row]), args)
+
+
+class _Edges(_Columns):
+    __slots__ = ()
+
+    def _record(self, row: int) -> EdgeRecord:
+        kind, track, args = self._head(row)
+        return EdgeRecord(kind, self._times[row], _id(self._ids[2 * row]),
+                          _id(self._ids[2 * row + 1]), track, args)
+
 
 class Tracer(NullTracer):
     """Records spans, instants and transaction envelopes."""
@@ -172,13 +268,19 @@ class Tracer(NullTracer):
     enabled = True
 
     def __init__(self):
-        self.spans: List[SpanRecord] = []
-        self.instants: List[InstantRecord] = []
-        self.edges: List[EdgeRecord] = []
+        self._shapes: List[tuple] = []
+        #: ``shape -> code``, the inverse of ``_shapes``.
+        self._codes: Dict[tuple, int] = {}
+        #: The recorded spans, instants and edges: read-only sequences
+        #: of :class:`SpanRecord` / :class:`InstantRecord` /
+        #: :class:`EdgeRecord`, in recording order.
+        self.spans = _Spans(self._shapes)
+        self.instants = _Instants(self._shapes)
+        self.edges = _Edges(self._shapes)
         self.txns: Dict[int, TxnRecord] = {}
-        #: ``txn_id -> spans`` in (start, -end) order, covering the
-        #: first ``_indexed`` entries of ``spans`` (see :meth:`spans_of`).
-        self._spans_by_txn: Dict[Optional[int], List[SpanRecord]] = {}
+        #: ``txn_id -> rows of spans`` in (start, -end) order, covering
+        #: the first ``_indexed`` spans (see :meth:`spans_of`).
+        self._rows_by_txn: Dict[Optional[int], List[int]] = {}
         self._indexed = 0
 
     # -- hooks (called from instrumented protocol code) ---------------------
@@ -205,35 +307,65 @@ class Tracer(NullTracer):
             self.instant("abort", now, track="client", txn=txn,
                          txn_type=txn.txn_type)
 
+    def _new_shape(self, shape: tuple) -> int:
+        code = self._codes[shape] = len(self._shapes)
+        self._shapes.append(shape)
+        return code
+
+    # The three recording hooks run once per record of a traced run
+    # (166 k times on perfbench's chaos-observed); each appends to its
+    # columns inline rather than through a shared helper's extra frame.
+
     def span(self, name: str, start: float, end: float, *,
              track: str = "", txn=None, **args) -> None:
-        self.spans.append(SpanRecord(
-            name, start, end, track,
-            txn.txn_id if txn is not None else None,
-            tuple(sorted(args.items())),
-        ))
+        shape = (name, track, *args)
+        code = self._codes.get(shape)
+        if code is None:
+            code = self._new_shape(shape)
+        spans = self.spans
+        spans._shape.append(code)
+        spans._times.append(start)
+        spans._times.append(end)
+        spans._ids.append(_NO_ID if txn is None else txn.txn_id)
+        spans._voff.append(len(spans._vals))
+        if args:
+            spans._vals.extend(args.values())
 
     def instant(self, name: str, ts: float, *,
                 track: str = "", txn=None, **args) -> None:
-        self.instants.append(InstantRecord(
-            name, ts, track,
-            txn.txn_id if txn is not None else None,
-            tuple(sorted(args.items())),
-        ))
+        shape = (name, track, *args)
+        code = self._codes.get(shape)
+        if code is None:
+            code = self._new_shape(shape)
+        instants = self.instants
+        instants._shape.append(code)
+        instants._times.append(ts)
+        instants._ids.append(_NO_ID if txn is None else txn.txn_id)
+        instants._voff.append(len(instants._vals))
+        if args:
+            instants._vals.extend(args.values())
 
     def edge(self, kind: str, ts: float, *,
              txn=None, src_txn=None, track: str = "", **args) -> None:
-        self.edges.append(EdgeRecord(
-            kind, ts,
-            txn.txn_id if txn is not None else None,
-            src_txn.txn_id if src_txn is not None else None,
-            track,
-            tuple(sorted(args.items())),
-        ))
+        shape = (kind, track, *args)
+        code = self._codes.get(shape)
+        if code is None:
+            code = self._new_shape(shape)
+        edges = self.edges
+        edges._shape.append(code)
+        edges._times.append(ts)
+        edges._ids.append(_NO_ID if txn is None else txn.txn_id)
+        edges._ids.append(_NO_ID if src_txn is None else src_txn.txn_id)
+        edges._voff.append(len(edges._vals))
+        if args:
+            edges._vals.extend(args.values())
 
     def edges_of(self, txn_id: int) -> List[EdgeRecord]:
         """All causal edges of one transaction, in timestamp order."""
-        mine = [e for e in self.edges if e.txn_id == txn_id]
+        edges = self.edges
+        wanted = _NO_ID if txn_id is None else txn_id
+        mine = [edges[row] for row, txn in enumerate(edges._ids[0::2])
+                if txn == wanted]
         mine.sort(key=lambda e: (e.ts, e.kind))
         return mine
 
@@ -242,20 +374,22 @@ class Tracer(NullTracer):
     def spans_of(self, txn_id: int) -> List[SpanRecord]:
         """All spans of one transaction, in start order.
 
-        Served from an index built in one pass over ``spans`` and
-        rebuilt only when spans were recorded since, so folding a whole
-        trace (one call per transaction) is linear in the trace, not
-        quadratic.
+        Served from a row index built in one pass over the txn-id
+        column and rebuilt only when spans were recorded since, so
+        folding a whole trace (one call per transaction) is linear in
+        the trace, not quadratic.
         """
-        if self._indexed != len(self.spans):
-            index: Dict[Optional[int], List[SpanRecord]] = {}
-            for span in self.spans:
-                index.setdefault(span.txn_id, []).append(span)
-            for mine in index.values():
-                mine.sort(key=lambda s: (s.start, -s.end))
-            self._spans_by_txn = index
-            self._indexed = len(self.spans)
-        return list(self._spans_by_txn.get(txn_id, ()))
+        spans = self.spans
+        if self._indexed != len(spans):
+            index: Dict[Optional[int], List[int]] = {}
+            for row, txn in enumerate(spans._ids):
+                index.setdefault(_id(txn), []).append(row)
+            times = spans._times
+            for rows in index.values():
+                rows.sort(key=lambda row: (times[2 * row], -times[2 * row + 1]))
+            self._rows_by_txn = index
+            self._indexed = len(spans)
+        return [spans[row] for row in self._rows_by_txn.get(txn_id, ())]
 
     def span_tree(self, txn_id: int) -> List[SpanNode]:
         """Reconstruct the span tree of one transaction by containment.

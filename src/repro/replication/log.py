@@ -62,6 +62,9 @@ class DurableLog:
     ):
         self.env = env
         self.origin = origin
+        #: The origin's track in a trace, formatted once (a traced
+        #: append records 1 + subscribers instants).
+        self.trace_track = f"site{origin}"
         self.delivery_delay_ms = delivery_delay_ms
         self.network = network
         #: Callable mapping a LogRecord to its wire size in bytes.
@@ -113,7 +116,7 @@ class DurableLog:
         tracer = self.env.obs.tracer
         if tracer.enabled:
             tracer.instant(
-                "log_append", self.env.now, track=f"site{self.origin}",
+                "log_append", self.env.now, track=self.trace_track,
                 kind=record.kind, seq=record.seq,
             )
         if not self._subscribers:
@@ -123,7 +126,7 @@ class DurableLog:
                 queue.put(record)
                 if tracer.enabled:
                     tracer.instant(
-                        "log_deliver", self.env.now, track=f"site{self.origin}",
+                        "log_deliver", self.env.now, track=self.trace_track,
                         seq=record.seq,
                     )
             return
@@ -145,7 +148,7 @@ class DurableLog:
                 if tracer.enabled:
                     tracer.instant(
                         "log_deliver", self.env.now,
-                        track=f"site{self.origin}", seq=r.seq,
+                        track=self.trace_track, seq=r.seq,
                     )
 
         timeout.callbacks.append(deliver)

@@ -166,7 +166,7 @@ class ReplicationManager:
                 if tracer.enabled and self.applied > applied_before:
                     tracer.span(
                         "refresh_apply", apply_started, site.env.now,
-                        track=f"site{site.index}",
+                        track=site.trace_track,
                         origin=head_origin,
                         records=self.applied - applied_before,
                     )

@@ -56,6 +56,9 @@ class DataSite:
     ):
         self.env = env
         self.index = index
+        #: This site's track in a trace, formatted once: the tracer
+        #: hooks below run per span.
+        self.trace_track = f"site{index}"
         self.num_sites = num_sites
         self.config = config
         self.network = network
@@ -213,7 +216,7 @@ class DataSite:
         env = self.env
         tracer = env.obs.tracer
         traced = tracer.enabled
-        track = f"site{self.index}" if traced else ""
+        track = self.trace_track if traced else ""
         if verify_mastership and any(p not in self.mastered for p in partitions):
             self.activity.finish(self.index, partitions, token)
             if traced:
@@ -310,7 +313,7 @@ class DataSite:
         env = self.env
         tracer = env.obs.tracer
         traced = tracer.enabled
-        track = f"site{self.index}" if traced else ""
+        track = self.trace_track if traced else ""
         started = env._now
         if min_begin is not None and not self.svv.dominates(min_begin):
             if traced:
@@ -371,7 +374,7 @@ class DataSite:
         if tracer.enabled:
             tracer.span(
                 "release_quiesce", quiesce_started, self.env._now,
-                track=f"site{self.index}", partitions=len(partitions),
+                track=self.trace_track, partitions=len(partitions),
             )
         seq = self.svv.increment(self.index)
         # The marker is a no-op: it depends only on this site's own
@@ -417,7 +420,7 @@ class DataSite:
         tracer = self.env.obs.tracer
         if tracer.enabled:
             tracer.instant(
-                "mastership_grant", self.env._now, track=f"site{self.index}",
+                "mastership_grant", self.env._now, track=self.trace_track,
                 partitions=len(partitions), source=source,
             )
         seq = self.svv.increment(self.index)
@@ -463,7 +466,7 @@ class DataSite:
         costs = self.config.costs
         tracer = self.env.obs.tracer
         traced = tracer.enabled
-        track = f"site{self.index}" if traced else ""
+        track = self.trace_track if traced else ""
         started = self.env._now
         if min_begin is not None and not self.svv.dominates(min_begin):
             if traced:
@@ -503,7 +506,7 @@ class DataSite:
         """Round 2 of a distributed write: force-log the prepare record
         and vote yes. Locks remain held."""
         tracer = self.env.obs.tracer
-        track = f"site{self.index}" if tracer.enabled else ""
+        track = self.trace_track if tracer.enabled else ""
         started = self.env._now
         yield from self.cpu.use(self.config.costs.prepare_ms, txn=txn, track=track)
         if tracer.enabled:
@@ -526,7 +529,7 @@ class DataSite:
             if (txn.txn_id, keys) not in self._branch_locked:
                 return None
         tracer = self.env.obs.tracer
-        track = f"site{self.index}" if tracer.enabled else ""
+        track = self.trace_track if tracer.enabled else ""
         branch_started = self.env._now
         yield from self.cpu.use(
             self.config.costs.decide_ms + self.config.costs.txn_commit_ms,

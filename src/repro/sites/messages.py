@@ -89,6 +89,22 @@ def _run_boxed(handler: Generator, box: _Box):
         box.exc = exc
 
 
+def _unhook(race, crash) -> None:
+    """Take a race's callback off the crash event once its waiter is done.
+
+    ``site.crash_event`` lives until the site crashes — the whole run
+    for most sites — so a callback left on it keeps the race, the
+    handler process and its frames, the deadline and the box reachable
+    that long (DESIGN.md §7). Nothing observes the removal: a resolved
+    ``AnyOf`` ignores its remaining children, and one whose waiter was
+    interrupted has nobody left to wake (the handler or the deadline
+    still triggers it). Their callbacks stay: they are what defuses an
+    abandoned handler's late failure.
+    """
+    if crash.callbacks is not None:  # None: the crash was dispatched
+        crash.callbacks.remove(race._check)
+
+
 def site_process(site, handler: Generator):
     """Run ``handler`` as a tracked process on ``site``, crash-raced.
 
@@ -104,7 +120,11 @@ def site_process(site, handler: Generator):
     proc = env.process(_run_boxed(handler, box))
     site.track(proc)
     crash = site.crash_event
-    yield env.any_of([proc, crash])
+    race = env.any_of([proc, crash])
+    try:
+        yield race
+    finally:
+        _unhook(race, crash)
     if proc.triggered:
         if box.exc is not None:
             raise box.exc
@@ -211,7 +231,11 @@ def guarded_call(
     site.track(proc)
     crash = site.crash_event
     deadline = env.timeout(max(0.0, budget - (env.now - started)))
-    yield env.any_of([proc, deadline, crash])
+    race = env.any_of([proc, deadline, crash])
+    try:
+        yield race
+    finally:
+        _unhook(race, crash)
     if proc.triggered and box.exc is not None:
         faults.detector.report_down(dst)
         if traced:

@@ -62,7 +62,7 @@ def two_phase_commit(
     items = sorted(branches.items(), key=lambda item: (-len(item[1]), item[0]))
     placement = system.placement
     coordinator = placement[items[0][0]]
-    coordinator_track = f"site{coordinator}"
+    coordinator_track = sites[coordinator].trace_track
     if obs.enabled:
         obs.registry.gauge("2pc_inflight").inc()
         obs.registry.counter("2pc_started").inc()
@@ -186,8 +186,8 @@ def _two_phase_commit_faulted(
     items = sorted(branches.items(), key=lambda item: (-len(item[1]), item[0]))
     placement = system.placement
     coordinator = placement[items[0][0]]
-    coordinator_track = f"site{coordinator}" if traced else ""
     coord_site = sites[coordinator]
+    coordinator_track = coord_site.trace_track if traced else ""
     policy = RetryPolicy(faults.rpc, faults.rng)
 
     def _round(name, started):

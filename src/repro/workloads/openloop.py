@@ -284,6 +284,7 @@ class OpenLoopEngine:
         system = self.system
         metrics = self.metrics
         tracer = self.obs.tracer
+        traced = tracer.enabled
         queue = self.queues[site]
         warmup = self.warmup_ms
         session = None
@@ -297,7 +298,8 @@ class OpenLoopEngine:
             if recorded:
                 metrics.record_admission_wait(env.now - arrived)
             self.in_flight += 1
-            tracer.txn_begin(turn.txn, env.now)
+            if traced:
+                tracer.txn_begin(turn.txn, env.now)
             outcome = yield from system.submit(turn.txn, session)
             self.in_flight -= 1
             self.completed += 1
@@ -310,7 +312,8 @@ class OpenLoopEngine:
                     self.obs.registry.histogram(
                         f"latency.{turn.txn.txn_type}"
                     ).record(env.now - arrived)
-            tracer.txn_end(turn.txn, outcome, env.now, recorded=recorded)
+            if traced:
+                tracer.txn_end(turn.txn, outcome, env.now, recorded=recorded)
 
     def counters(self) -> Dict[str, float]:
         """Fold every open-loop observable into one flat dict.

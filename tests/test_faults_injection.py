@@ -11,6 +11,8 @@ protocol — and still terminates.
 import hashlib
 import json
 
+import pytest
+
 from repro.bench.harness import run_benchmark
 from repro.faults import CrashFault, FaultPlan, build_scenario
 from repro.faults.chaos import run_chaos
@@ -222,6 +224,42 @@ class TestCrashRestart:
                 f"{system}: fixed mastership must lose txns to the crash"
             )
             assert result.metrics.commits > 0
+
+
+class TestCrashEventHoldsOnlyLiveRaces:
+    """Regression: every finished ``guarded_call`` / ``site_process``
+    race left its callback on ``site.crash_event`` — and with it the
+    handler process, its frames, the deadline and the result box —
+    until the site crashed: thousands per site, growing with the run."""
+
+    @pytest.mark.parametrize("system", ["dynamast", "partition-store"])
+    def test_callbacks_never_exceed_races_in_flight(self, system):
+        probes = []
+
+        def probe(running, _workload):
+            probes.append([
+                # A dispatched crash event (site down) has no callbacks.
+                (len(site.crash_event.callbacks or ()), len(site._inflight))
+                for site in running.cluster.sites
+            ])
+
+        plan = build_scenario("crash-restart", num_sites=3, duration_ms=900.0)
+        result = run_benchmark(
+            system, _workload(), num_clients=8, duration_ms=900.0,
+            warmup_ms=100.0, cluster_config=ClusterConfig(num_sites=3),
+            seed=7, fault_plan=plan,
+            events=[(36.7 * step, probe) for step in range(1, 25)],
+        )
+        kinds = [event.kind for event in result.fault_events]
+        assert "crash" in kinds and "restart" in kinds
+        assert len(probes) == 24
+        assert result.metrics.commits > 500
+        for sites in probes:
+            for hooked, in_flight in sites:
+                # A race's handler is tracked until it finishes; a race
+                # decided by its deadline unhooks while it still runs.
+                assert hooked <= in_flight
+        assert any(hooked for sites in probes for hooked, _ in sites)
 
 
 class TestAvailabilityTimeline:

@@ -1,6 +1,24 @@
 """Tests for the span tracer: recording, nesting, aggregation."""
 
-from repro.obs import NULL_TRACER, NullTracer, Tracer
+import hashlib
+import itertools
+import json
+import tracemalloc
+from types import SimpleNamespace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.obs import (
+    NULL_TRACER,
+    EdgeRecord,
+    InstantRecord,
+    NullTracer,
+    SpanRecord,
+    Tracer,
+)
+from repro.obs import tracer as tracer_module
 from repro.transactions import Outcome, Transaction
 
 
@@ -243,15 +261,17 @@ class TestAggregation:
         assert dict(span.args) == {"site": 2, "reason": "affinity"}
 
 
-class _CountingSpans(list):
-    """A span list that counts every element handed out by iteration."""
+@pytest.fixture
+def built(monkeypatch):
+    """Count the records the store builds, per record type name."""
+    counts = {"SpanRecord": 0, "InstantRecord": 0, "EdgeRecord": 0}
+    for name in counts:
+        def counting(*fields, _name=name, _make=getattr(tracer_module, name)):
+            counts[_name] += 1
+            return _make(*fields)
 
-    touched = 0
-
-    def __iter__(self):
-        for span in super().__iter__():
-            self.touched += 1
-            yield span
+        monkeypatch.setattr(tracer_module, name, counting)
+    return counts
 
 
 class TestFoldIsLinear:
@@ -259,11 +279,10 @@ class TestFoldIsLinear:
     the attribution fold of an 8.5 s run took 138 s when it did."""
 
     @staticmethod
-    def fold_touches(num_txns):
+    def fold(num_txns):
         from repro.obs.attribution import AttributionReport
 
         tracer = Tracer()
-        tracer.spans = _CountingSpans()
         for index in range(num_txns):
             txn = make_txn()
             begin = 10.0 * index
@@ -276,11 +295,13 @@ class TestFoldIsLinear:
         assert len(report.txns) == num_txns
         for txn_id in tracer.txns:
             assert len(tracer.span_tree(txn_id)) == 1
-        return tracer.spans.touched
 
-    def test_twice_the_transactions_touch_twice_the_spans(self):
-        small, large = self.fold_touches(200), self.fold_touches(400)
-        assert small > 0
+    def test_twice_the_transactions_touch_twice_the_spans(self, built):
+        self.fold(200)
+        small = built["SpanRecord"]
+        self.fold(400)
+        large = built["SpanRecord"] - small
+        assert small >= 3 * 200
         assert large <= 2.2 * small
 
     def test_index_follows_spans_recorded_after_a_query(self):
@@ -294,3 +315,194 @@ class TestFoldIsLinear:
             "txn", "route", "execute"
         ]
         assert tracer.spans_of(-1) == []
+
+
+# -- the column store ----------------------------------------------------------
+
+
+class ListTracer:
+    """The store the columns replaced, kept as the model: one frozen
+    record per call, args sorted at record time, appended to a list."""
+
+    def __init__(self):
+        self.spans, self.instants, self.edges = [], [], []
+
+    def span(self, name, start, end, *, track="", txn=None, **args):
+        self.spans.append(SpanRecord(
+            name, start, end, track,
+            txn.txn_id if txn is not None else None,
+            tuple(sorted(args.items())),
+        ))
+
+    def instant(self, name, ts, *, track="", txn=None, **args):
+        self.instants.append(InstantRecord(
+            name, ts, track,
+            txn.txn_id if txn is not None else None,
+            tuple(sorted(args.items())),
+        ))
+
+    def edge(self, kind, ts, *, txn=None, src_txn=None, track="", **args):
+        self.edges.append(EdgeRecord(
+            kind, ts,
+            txn.txn_id if txn is not None else None,
+            src_txn.txn_id if src_txn is not None else None,
+            track,
+            tuple(sorted(args.items())),
+        ))
+
+
+# A few repeated instants, so that spans of one transaction tie on start.
+_times = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.5]),
+                   st.floats(min_value=0.0, max_value=1e6, allow_nan=False))
+_txns = st.one_of(
+    st.none(),
+    st.integers(-2, 40).map(lambda txn_id: SimpleNamespace(txn_id=txn_id)),
+)
+# Repeated tracks as one shared object, as equal-but-distinct objects
+# (a call site formatting per record), and fresh ones.
+_tracks = st.one_of(
+    st.sampled_from(["", "client", "selector", "net"]),
+    st.integers(0, 3).map(lambda index: f"site{index}"),
+    st.text("abc", min_size=1, max_size=6),
+)
+# 0-4 keywords in *call* order, which is rarely sorted order.
+_args = st.lists(
+    st.sampled_from(["site", "seq", "outcome", "depth", "waited", "origin"]),
+    unique=True, max_size=4,
+).flatmap(lambda keys: st.fixed_dictionaries({
+    key: st.one_of(st.integers(-5, 5), _times, st.sampled_from(["ok", "down"]),
+                   st.tuples(st.integers(0, 3), st.integers(0, 9)))
+    for key in keys
+}))
+_names = st.sampled_from(["execute", "route", "network", "rpc", "lock_wait"])
+_calls = st.lists(st.one_of(
+    st.tuples(st.just("span"), _names, _times, _times, _tracks, _txns, _args),
+    st.tuples(st.just("instant"), _names, _times, _tracks, _txns, _args),
+    st.tuples(st.just("edge"), _names, _times, _tracks, _txns, _txns, _args),
+), max_size=40)
+
+
+def _replay(calls, tracer):
+    for call in calls:
+        if call[0] == "span":
+            _, name, start, end, track, txn, args = call
+            tracer.span(name, start, end, track=track, txn=txn, **args)
+        elif call[0] == "instant":
+            _, name, ts, track, txn, args = call
+            tracer.instant(name, ts, track=track, txn=txn, **args)
+        else:
+            _, kind, ts, track, txn, src_txn, args = call
+            tracer.edge(kind, ts, txn=txn, src_txn=src_txn, track=track, **args)
+    return tracer
+
+
+class TestColumnStoreMatchesListModel:
+    @given(_calls, st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_every_read_equals_the_list_of_records(self, calls, data):
+        tracer, model = _replay(calls, Tracer()), _replay(calls, ListTracer())
+        for kind in ("spans", "instants", "edges"):
+            view, records = getattr(tracer, kind), getattr(model, kind)
+            assert len(view) == len(records)
+            assert list(view) == records
+            assert list(reversed(view)) == records[::-1]
+            for index in range(-len(records), len(records)):
+                assert view[index] == records[index]
+            for bad in (len(records), -len(records) - 1):
+                with pytest.raises(IndexError):
+                    view[bad]
+            bounds = st.one_of(st.none(), st.integers(-45, 45))
+            cut = slice(data.draw(bounds), data.draw(bounds),
+                        data.draw(st.sampled_from([None, 1, 2, -1, -3])))
+            assert view[cut] == records[cut]
+        for txn_id in {None, *(span.txn_id for span in model.spans)}:
+            mine = [span for span in model.spans if span.txn_id == txn_id]
+            mine.sort(key=lambda span: (span.start, -span.end))
+            assert tracer.spans_of(txn_id) == mine
+        for txn_id in {None, *(edge.txn_id for edge in model.edges)}:
+            mine = [edge for edge in model.edges if edge.txn_id == txn_id]
+            mine.sort(key=lambda edge: (edge.ts, edge.kind))
+            assert tracer.edges_of(txn_id) == mine
+
+    def test_records_are_built_on_access_only(self, built):
+        tracer = Tracer()
+        for index in range(50):
+            tracer.span("execute", float(index), index + 0.5, track="site0",
+                        txn=make_txn(), depth=index)
+            tracer.instant("log_append", float(index), track="site0", seq=index)
+            tracer.edge("rpc", float(index), txn=make_txn(), track="net")
+        assert (len(tracer.spans), len(tracer.instants), len(tracer.edges)) == (
+            50, 50, 50)
+        assert sum(built.values()) == 0
+        last = tracer.spans[-1]
+        assert (last.start, last.end, last.args) == (49.0, 49.5, (("depth", 49),))
+        assert built == {"SpanRecord": 1, "InstantRecord": 0, "EdgeRecord": 0}
+        assert len(tracer.instants[10:13]) == 3
+        assert built["InstantRecord"] == 3
+
+    def test_strings_formatted_per_record_are_kept_once_per_shape(self):
+        tracer = Tracer()
+        for index in range(100):
+            tracer.span(f"2pc_{'prepare'}", 0.0, 1.0, track=f"site{index % 2}",
+                        txn=make_txn(), branches=index)
+        kept = {(id(span.name), id(span.track)) for span in tracer.spans}
+        assert len(kept) == 2  # (name, site0), (name, site1): not 100
+
+    def test_bytes_per_span(self):
+        """90 k spans with 0 / 1 / 2 args on shared tracks. The list of
+        frozen records cost 179 B per span (plus the floats it kept
+        alive); the columns cost about 45."""
+        count = 90_000
+        times = [0.25 * index for index in range(count + 1)]
+        txns = [SimpleNamespace(txn_id=index) for index in range(count)]
+        tracer = Tracer()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for index in range(0, count, 3):
+                tracer.span("begin", times[index], times[index + 1],
+                            track="site0", txn=txns[index])
+                tracer.span("network", times[index + 1], times[index + 2],
+                            track="net", txn=txns[index + 1], category="client")
+                tracer.span("refresh_apply", times[index + 2], times[index + 3],
+                            track="site1", origin=2, records=7)
+            used = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(tracer.spans) == count
+        assert used / count <= 64.0
+
+
+class TestExportsArePinned:
+    """Digests of both exports of one fixed observed run, taken with
+    the list store at 71d5397: the columns hand every reader the same
+    records, so not one byte of either file may move."""
+
+    JSONL = "5eec22618c9689f38852d04fea9dc71cd4c55a4c15597d202fe7369e8360f045"
+    CHROME = "04b3b0e76be40c2d8b9c24e50b5d40029a847b90fb1b1edf2d55185e5aa544fd"
+
+    def test_jsonl_and_chrome_trace_digests(self, monkeypatch):
+        from repro import transactions
+        from repro.bench import run_benchmark
+        from repro.obs import Observability, to_chrome_trace, to_jsonl
+        from repro.sim.config import ClusterConfig
+        from repro.workloads import build_workload
+
+        # Transaction ids come from a process-wide counter.
+        monkeypatch.setattr(transactions, "_txn_ids", itertools.count(1))
+        obs = Observability()
+        run_benchmark(
+            "dynamast",
+            build_workload("ycsb", num_partitions=40, rmw_fraction=0.5,
+                           affinity_txns=50),
+            num_clients=6, duration_ms=200.0, warmup_ms=50.0,
+            cluster_config=ClusterConfig(num_sites=2), seed=7, obs=obs,
+        )
+        tracer = obs.tracer
+        assert (len(tracer.spans), len(tracer.instants), len(tracer.edges)) == (
+            7016, 948, 770)
+        jsonl = "\n".join(to_jsonl(tracer)).encode()
+        chrome = json.dumps(to_chrome_trace(tracer, obs.timelines),
+                            sort_keys=True).encode()
+        assert hashlib.sha256(jsonl).hexdigest() == self.JSONL
+        assert hashlib.sha256(chrome).hexdigest() == self.CHROME

@@ -34,3 +34,26 @@ def test_report_marks_a_difference_inside_the_parents_spread():
 def test_fewer_than_two_pairs_is_refused():
     with pytest.raises(SystemExit):
         pairs.main(["--workload", "ycsb-2pc", "--base", "HEAD", "--pairs", "1"])
+
+
+def test_recorder_is_passed_through_to_the_child(monkeypatch, tmp_path):
+    commands = []
+
+    def fake_run(command, **kwargs):
+        commands.append(command)
+        return pairs.subprocess.CompletedProcess(command, 0, stdout='{"ok": 1}\n')
+
+    monkeypatch.setattr(pairs.subprocess, "run", fake_run)
+    assert pairs.child(tmp_path, "recorder-cost", 11, "tracer") == {"ok": 1}
+    assert pairs.child(tmp_path, "ycsb-2pc", 5) == {"ok": 1}
+    tracer_on, default = commands
+    assert tracer_on[tracer_on.index("--recorder") + 1] == "tracer"
+    assert tracer_on[tracer_on.index("--workload") + 1] == "recorder-cost"
+    assert default[default.index("--recorder") + 1] == "off"
+
+
+def test_recorder_on_a_workload_that_ignores_it_is_refused(capsys):
+    with pytest.raises(SystemExit):
+        pairs.main(["--workload", "ycsb-2pc", "--base", "HEAD",
+                    "--recorder", "tracer"])
+    assert "recorder-cost only" in capsys.readouterr().err

@@ -9,6 +9,8 @@ seed, and prints for each host-side metric both sides' median and
 quartiles, how many pairs the working tree won, and whether the
 medians differ by more than the base's own Q3 − Q1. Simulated results
 must be equal on both sides; the script says so or exits 1.
+``W=recorder-cost R=<recorder>`` runs the pairs with that recorder ON,
+which compares what recording costs in the two trees.
 """
 
 from __future__ import annotations
@@ -28,11 +30,12 @@ ROOT = Path(__file__).resolve().parent.parent
 METRICS = ("wall_s", "setup_s", "peak_rss_mb")
 
 
-def child(tree: Path, workload: str, seed: int) -> dict:
+def child(tree: Path, workload: str, seed: int, recorder: str = "off") -> dict:
     """One fresh-interpreter repeat of ``workload`` on ``tree``."""
     done = subprocess.run(
         [sys.executable, "-m", "perfbench.child", "--workload", workload,
-         "--seed", str(seed), "--spawned-at", repr(time.time())],
+         "--seed", str(seed), "--recorder", recorder,
+         "--spawned-at", repr(time.time())],
         cwd=tree, capture_output=True, text=True, check=True,
         env=dict(os.environ, PYTHONPATH=f"{tree / 'src'}{os.pathsep}{tree}"),
     )
@@ -63,9 +66,14 @@ def main(argv=None) -> int:
     parser.add_argument("--base", required=True, help="git revision to compare against")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=11)
+    parser.add_argument("--recorder", default="off",
+                        help="recorder switched ON (recorder-cost only)")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2 (quartiles need two runs)")
+    if args.recorder != "off" and args.workload != "recorder-cost":
+        parser.error("--recorder applies to --workload recorder-cost only "
+                     "(every other workload fixes its recorders)")
 
     base_tree = Path(tempfile.mkdtemp(prefix="pairs-base-"))
     subprocess.run(
@@ -78,7 +86,8 @@ def main(argv=None) -> int:
             order = ("base", "change") if pair % 2 == 0 else ("change", "base")
             for side in order:
                 tree = base_tree if side == "base" else ROOT
-                rows[side].append(child(tree, args.workload, args.seed))
+                rows[side].append(
+                    child(tree, args.workload, args.seed, args.recorder))
             print(
                 f"pair {pair + 1:2d} ({order[0]} first): " + "  ".join(
                     f"{side} {rows[side][-1]['end_to_end']['wall_s']:.3f} s"
@@ -92,8 +101,9 @@ def main(argv=None) -> int:
             cwd=ROOT, check=True, capture_output=True,
         )
 
-    print(f"\n{args.workload}, seed {args.seed}, {args.pairs} alternated pairs "
-          f"against {args.base}")
+    recorder = "" if args.recorder == "off" else f" ({args.recorder} ON)"
+    print(f"\n{args.workload}{recorder}, seed {args.seed}, {args.pairs} "
+          f"alternated pairs against {args.base}")
     for metric in METRICS:
         print(report(metric, *(
             [row["end_to_end"][metric] for row in rows[side]]
