@@ -11,7 +11,7 @@ client and replayed against every system.
 Transactions are re-instantiated on each replay (fresh txn ids and
 timing buckets); the key sets, types and session boundaries are
 preserved bit-for-bit, and scan blocks are passed through by reference
-(the replayed transaction shares the recorded block tuples).
+(the replayed transaction shares the recorded block objects).
 """
 
 from __future__ import annotations

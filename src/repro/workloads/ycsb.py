@@ -32,7 +32,7 @@ from typing import Any, Iterable, List, Optional, Tuple
 from repro.core.strategy import StrategyWeights
 from repro.partitioning.schemes import PartitionScheme
 from repro.sim.rand import ZipfGenerator
-from repro.transactions import Key, ScanBlock, Transaction
+from repro.transactions import Key, KeyRange, Transaction
 from repro.workloads.base import ClientTurn, Workload
 
 TABLE = "usertable"
@@ -92,9 +92,11 @@ class YCSBWorkload(Workload):
         self.position: List[int] = list(range(cfg.num_partitions))
         self._zipf: Optional[ZipfGenerator] = None
         #: Lazily built per-partition scan blocks. A scan touches every
-        #: key of each scanned partition and those tuples never change,
-        #: so every scan transaction references these same objects.
-        self._scan_blocks: List[Optional[ScanBlock]] = [None] * cfg.num_partitions
+        #: key of each scanned partition and a partition's keys never
+        #: change, so every scan transaction references these same
+        #: objects (and LEAP, the one per-key consumer, shares the key
+        #: tuple a block builds on its first iteration).
+        self._scan_blocks: List[Optional[KeyRange]] = [None] * cfg.num_partitions
 
     @property
     def scheme(self) -> PartitionScheme:
@@ -179,13 +181,12 @@ class YCSBWorkload(Workload):
             "rmw", client_id, write_set=keys, read_set=keys
         )
 
-    def _scan_block(self, partition: int) -> ScanBlock:
+    def _scan_block(self, partition: int) -> KeyRange:
         block = self._scan_blocks[partition]
         if block is None:
-            start = partition * self.config.keys_per_partition
-            block = self._scan_blocks[partition] = tuple(
-                (TABLE, start + offset)
-                for offset in range(self.config.keys_per_partition)
+            size = self.config.keys_per_partition
+            block = self._scan_blocks[partition] = KeyRange(
+                TABLE, range(partition * size, (partition + 1) * size)
             )
         return block
 

@@ -1,4 +1,5 @@
-"""Shared test configuration: a per-test hang watchdog.
+"""Shared test configuration: a per-test hang watchdog, and the
+``retained_bytes`` fixture the bytes-budget tests measure with.
 
 The chaos/property suites drive fault schedules against the protocol
 stack, where the characteristic failure mode is non-termination (a
@@ -11,8 +12,10 @@ the budget with ``@pytest.mark.timeout(seconds)``.
 
 from __future__ import annotations
 
+import gc
 import importlib.util
 import signal
+import tracemalloc
 
 import pytest
 
@@ -20,6 +23,24 @@ DEFAULT_TIMEOUT_S = 300
 
 _HAVE_PYTEST_TIMEOUT = importlib.util.find_spec("pytest_timeout") is not None
 _HAVE_SIGALRM = hasattr(signal, "SIGALRM")
+
+
+@pytest.fixture
+def retained_bytes():
+    """``retained_bytes(build)`` runs ``build()`` under tracemalloc and
+    returns ``(what it built, the bytes still allocated for it)``."""
+
+    def measure(build):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            built = build()
+            return built, tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+
+    return measure
 
 
 def pytest_configure(config):

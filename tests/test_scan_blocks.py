@@ -1,20 +1,25 @@
 """Scans as shared partition blocks (DESIGN.md §8, "Scan representation").
 
-``Transaction.scan_set`` is a tuple of blocks — key tuples that each
-lie inside one placement unit. Three things are pinned here:
+``Transaction.scan_set`` is a tuple of blocks — immutable key sequences
+that each lie inside one placement unit. Four things are pinned here:
 
 * the generators: every block is non-empty and single-unit, and the
   flattened key stream is the one the flat-tuple generators produced
   (digests taken at the parent commit, plus the old YCSB scan and TPC-C
   Stock-Level generators kept below as references);
+* ``KeyRange``: the range-backed block YCSB hands out behaves as the
+  key tuple it stands for, and builds that tuple only when iterated;
 * the router: the partition-store's per-block grouping yields the
   ``(site, point reads, scanned count)`` sub-reads of the old per-key
   grouping, which lives on below as the oracle;
-* the cost: routing a 1000-key scan hashes O(blocks) keys, not O(keys).
+* the cost: routing a 1000-key scan hashes O(blocks) keys, not O(keys),
+  builds no key tuple, and a cached block retains O(1) bytes.
 """
 
 import hashlib
+import pickle
 import random
+from collections.abc import MutableSequence, Sequence
 from itertools import chain
 
 import pytest
@@ -23,7 +28,7 @@ from hypothesis import strategies as st
 
 from repro.sim.config import ClusterConfig
 from repro.systems import Cluster, build_system
-from repro.transactions import Transaction
+from repro.transactions import KeyRange, Transaction
 from repro.workloads import WORKLOAD_REGISTRY, build_workload, record_trace
 from repro.workloads.ycsb import TABLE
 
@@ -69,6 +74,12 @@ def turns_of(workload, seed, turns):
     state = workload.new_client_state(0, rng)
     return [workload.next_transaction(state, rng, float(step)).txn
             for step in range(turns)]
+
+
+def assert_is_a_block(block):
+    """The ``ScanBlock`` contract: a non-empty immutable key sequence."""
+    assert isinstance(block, Sequence) and not isinstance(block, MutableSequence)
+    assert len(block) >= 1 and block[0] == next(iter(block))
 
 
 def key_stream_digest(txns):
@@ -119,7 +130,7 @@ class TestGeneratedBlocks:
         multi_block = 0
         for txn in txns:
             for block in txn.scan_set:
-                assert isinstance(block, tuple) and block
+                assert_is_a_block(block)
                 assert len({workload.placement_unit_of(key) for key in block}) == 1
             assert txn.scan_count == sum(len(block) for block in txn.scan_set)
             multi_block += len(txn.scan_set) > 1
@@ -144,7 +155,7 @@ class TestGeneratedBlocks:
         workload.shuffle_correlations(random.Random(seed))
         txn = workload._make_scan(base, 0, random.Random(seed))
         assert txn.all_keys() == flat_ycsb_scan(workload, base, random.Random(seed))
-        # Shared, not copied: the blocks are the workload's cached tuples.
+        # Shared, not copied: the blocks are the workload's cached ranges.
         again = workload._make_scan(base, 1, random.Random(seed))
         assert all(a is b for a, b in zip(txn.scan_set, again.scan_set))
 
@@ -161,6 +172,78 @@ class TestGeneratedBlocks:
         units = [workload.placement_unit_of(block[0]) for block in txn.scan_set]
         # Consecutive keys of one warehouse are one block, never split.
         assert all(a != b for a, b in zip(units, units[1:]))
+
+
+# -- the range-backed block against the tuple the parent built ------------------
+
+
+def parent_scan_block(table, start, length):
+    """What ``YCSBWorkload._scan_block`` built at the parent commit."""
+    return tuple((table, start + offset) for offset in range(length))
+
+
+class TestKeyRange:
+    @given(st.sampled_from([TABLE, "t"]), st.integers(0, 10**6),
+           st.integers(1, 300), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_behaves_as_the_key_tuple_it_stands_for(self, table, start, length, data):
+        block = KeyRange(table, range(start, start + length))
+        keys = parent_scan_block(table, start, length)
+        index = data.draw(st.integers(-length, length - 1))
+        probes = [keys[index], (table, start - 1), (table, start + length),
+                  ("other", start), (table,), start]
+
+        def answers(sequence):
+            return (
+                len(sequence),
+                [sequence[i] for i in (0, -1, index)],
+                [probe in sequence for probe in probes],
+                list(reversed(sequence)),
+            )
+
+        assert answers(block) == answers(keys)
+        for beyond in (length, -length - 1):
+            with pytest.raises(IndexError):
+                block[beyond]
+        assert block._keys is None  # none of the above built the tuple
+        assert tuple(block) == keys and list(block) == list(keys)
+        # Materialised now: the same questions, answered off the kept tuple.
+        assert answers(block) == answers(keys)
+        assert block[1:3] == keys[1:3]
+        assert block.index(keys[index]) == keys.index(keys[index])
+        assert_is_a_block(block)
+
+        twin = KeyRange(table, range(start, start + length))
+        assert twin == block and hash(twin) == hash(block)
+        assert len({twin, block}) == 1
+        assert twin != KeyRange(table, range(start, start + length + 1))
+        assert twin != KeyRange(table + "2", range(start, start + length))
+
+        clone = pickle.loads(pickle.dumps(block))
+        assert clone == block and tuple(clone) == keys
+        assert len(pickle.dumps(block)) < 120  # the range, not the kept tuple
+
+    def test_iterating_twice_yields_the_same_key_objects(self):
+        block = KeyRange(TABLE, range(500, 600))
+        assert (len(block), block[0], block[-1]) == (100, (TABLE, 500), (TABLE, 599))
+        assert block._keys is None  # len() and [i] leave it unmaterialised
+        first, second = list(block), list(block)
+        assert all(a is b for a, b in zip(first, second))
+        assert block[7] is first[7]
+
+    def test_an_empty_range_is_not_a_block(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            KeyRange(TABLE, range(5, 5))
+
+    def test_a_cached_block_costs_bytes_per_partition_not_per_key(self, retained_bytes):
+        """One ``_scan_block`` per partition of a 2 000-partition YCSB:
+        9.6 KB per block as a tuple of 100 boxed keys, 168 B as a range."""
+        workload = build_workload("ycsb", num_partitions=2000)
+        blocks, used = retained_bytes(
+            lambda: [workload._scan_block(partition) for partition in range(2000)]
+        )
+        assert blocks == workload._scan_blocks
+        assert used / 2000 <= 300
 
 
 # -- the per-key router, as it was before blocks --------------------------------
@@ -288,3 +371,29 @@ def test_routing_a_scan_hashes_blocks_not_keys():
     assert outcome.committed and outcome.distributed
     assert system.scatter_gather_reads == 1
     assert CountedKey.hashed <= 2 * len(blocks)
+
+
+@pytest.mark.parametrize(
+    "name", ["partition-store", "dynamast", "single-master", "multi-master"]
+)
+def test_submitting_a_scan_builds_no_key_tuple(name):
+    """A 1000-key YCSB scan end to end: routers and sites ask a block
+    for its length and first key only, so no ``KeyRange`` materialises
+    (LEAP, which ships per record, is the one system that iterates)."""
+    workload = build_workload("ycsb", num_partitions=40)
+    cluster = Cluster(
+        ClusterConfig(num_sites=4),
+        replicated=name != "partition-store",
+    )
+    kwargs = {"scheme": workload.scheme}
+    if name in ("partition-store", "multi-master"):
+        kwargs["placement"] = workload.fixed_placement(4)
+    system = build_system(name, cluster, **kwargs)
+    blocks = tuple(workload._scan_block(partition) for partition in range(5, 15))
+    txn = Transaction("scan", 0, scan_set=blocks)
+    env = cluster.env
+    outcome = env.run_until_complete(
+        env.process(system.submit(txn, system.new_session(0)))
+    )
+    assert outcome.committed and txn.scan_count == 1000
+    assert all(block._keys is None for block in blocks)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.config import ClusterConfig, CostModel, SizeModel
-from repro.transactions import Outcome, Transaction
+from repro.transactions import KeyRange, Outcome, Transaction
 
 
 class TestTransaction:
@@ -38,6 +38,14 @@ class TestTransaction:
             ("t", 1), ("t", 2), ("t", 3), ("t", 4), ("u", 9),
         )
         assert Transaction("w", 0).scan_count == 0
+
+    def test_all_keys_does_not_care_what_kind_of_block_it_flattens(self):
+        blocks = ((("t", 3), ("t", 4)), KeyRange("t", range(7, 10)), (("u", 9),))
+        txn = Transaction("r", 0, scan_set=blocks)
+        assert txn.scan_count == 6
+        assert txn.all_keys() == (
+            ("t", 3), ("t", 4), ("t", 7), ("t", 8), ("t", 9), ("u", 9),
+        )
 
     def test_outcome_defaults(self):
         outcome = Outcome(committed=True)
