@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.partitions import PartitionTable
+from repro.core.partitions import PartitionInfo, PartitionTable
 from repro.replication.log import UPDATE, DurableLog, LogRecord
 from repro.sim.config import ClusterConfig, SizeModel
 from repro.sim.core import Environment, SimulationError
@@ -45,6 +45,16 @@ class TestPartitionTable:
 
     def test_len(self):
         assert len(self.make()) == 3
+
+    def test_an_idle_partition_costs_no_waiter_buffer(self, retained_bytes):
+        """1 000 partitions nobody routes to, lock included: an empty
+        ``deque`` of waiters alone was 760 B of each one's 955."""
+        env = Environment()
+        infos, used = retained_bytes(
+            lambda: [PartitionInfo(partition, 0, env) for partition in range(1000)]
+        )
+        assert not any(info.lock.read_locked or info.lock.write_locked for info in infos)
+        assert used / 1000 <= 250
 
 
 class TestRWLockDowngrade:
