@@ -174,6 +174,14 @@ class ClusterConfig:
     rpc: RpcConfig = field(default_factory=RpcConfig)
     seed: int = 0
 
+    def __post_init__(self):
+        # A version's origin is stored as an unsigned 16-bit site index
+        # (storage/table.py); refuse here what would overflow mid-run.
+        if not 1 <= self.num_sites <= 65_535:
+            raise ValueError(
+                f"num_sites must be between 1 and 65535, got {self.num_sites}"
+            )
+
     def scaled(self, **changes) -> "ClusterConfig":
         """Return a copy with the given fields replaced."""
         return replace(self, **changes)

@@ -1,8 +1,9 @@
 """Row-oriented in-memory tables indexed by primary key (paper §V-A1).
 
 A table owns the version chains of all its rows in four columns —
-``array('q')`` origins and seqs, a values list, and one install counter
-per row — laid out as ``max_versions`` slots per row. ``_rows`` maps a
+``array('H')`` origins (a site index; ``ClusterConfig`` caps
+``num_sites`` at 65 535), ``array('q')`` seqs, a values list, and one
+install counter per row — laid out as ``max_versions`` slots per row. ``_rows`` maps a
 primary key to its row number; rows are numbered in creation order.
 
 Version ``k`` of row ``r`` (``k`` = 0 for the loader's version) lives in
@@ -36,7 +37,7 @@ class Table:
         self.name = name
         self.max_versions = max_versions
         self._rows: Dict[Any, int] = {}
-        self._origins = array("q")
+        self._origins = array("H")
         self._seqs = array("q")
         self._values: list = []
         #: Versions ever installed per row, the loader's included.
@@ -46,7 +47,8 @@ class Table:
         # A new row's slots: the loader's version is stamped (0, 0) —
         # visible to every snapshot, and sequence 0 never collides with
         # a commit (site commit sequences start at 1).
-        self._blank_stamps = array("q", [0] * max_versions)
+        self._blank_origins = array("H", [0] * max_versions)
+        self._blank_seqs = array("q", [0] * max_versions)
         self._blank_values = [None] * max_versions
 
     def __len__(self) -> int:
@@ -65,8 +67,8 @@ class Table:
         if primary_key in rows:
             raise KeyError(f"duplicate primary key {primary_key!r} in table {self.name!r}")
         row = rows[primary_key] = len(rows)
-        self._origins.extend(self._blank_stamps)
-        self._seqs.extend(self._blank_stamps)
+        self._origins.extend(self._blank_origins)
+        self._seqs.extend(self._blank_seqs)
         self._values.extend(self._blank_values)
         self._installs.append(1)
         self._values[row * self.max_versions] = value

@@ -92,6 +92,17 @@ class TestClusterConfig:
         assert bigger.seed == 3
         assert config.num_sites == 4  # original untouched
 
+    @pytest.mark.parametrize("num_sites", [0, -1, 65_536])
+    def test_site_count_must_fit_the_origin_column(self, num_sites):
+        """A version's origin is an unsigned 16-bit site index
+        (``Table._origins``): out-of-range counts fail here, by name,
+        not as an ``OverflowError`` from the first remote install."""
+        with pytest.raises(ValueError, match="num_sites"):
+            ClusterConfig(num_sites=num_sites)
+        with pytest.raises(ValueError, match="num_sites"):
+            ClusterConfig().scaled(num_sites=num_sites)
+        assert ClusterConfig(num_sites=65_535).num_sites == 65_535
+
     def test_log_delivery_below_client_round_trip(self):
         """Replicas must usually be session-fresh by the time a writing
         client's next transaction arrives (paper §VI-B2): delivery
