@@ -113,7 +113,7 @@ class ReplicationManager:
             if not pending:
                 pending.append((yield queue.get()))
             while len(queue):
-                pending.append(queue.get().value)
+                pending.append(queue.take())
             # Records carry their tvv as a plain tuple; can_apply_refresh
             # consumes it directly, so no VersionVector is allocated per
             # delivered record.
@@ -159,7 +159,7 @@ class ReplicationManager:
                     notify()
                     pending.popleft()
                     while len(queue):
-                        pending.append(queue.get().value)
+                        pending.append(queue.take())
             finally:
                 site.cpu.release(request)
                 tracer = site.env.obs.tracer

@@ -199,6 +199,23 @@ class Store:
             self._getters.append(event)
         return event
 
+    def take(self) -> Any:
+        """Pop the next item now, without an event; the store must hold one.
+
+        For a consumer that has already tested ``len(store)`` and is
+        not going to wait: ``get().value`` hands back the same item but
+        builds and schedules an :class:`Event` nobody yields on.
+        Dropping that event is order-exact. It never had a callback, so
+        dispatching it ran no code; every other event is still created
+        in the same order, so the survivors keep their relative
+        ``(time, eid)`` order and eids are only renumbered
+        monotonically. No run's simulated result can move — the
+        ``events_processed`` count falls, and nothing else.
+        """
+        if not self._items:
+            raise SimulationError("take() from an empty store")
+        return self._items.popleft()
+
 
 class AdmissionQueue:
     """A bounded FIFO admission queue with load-shedding accounting.

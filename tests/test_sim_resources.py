@@ -137,6 +137,18 @@ class TestStore:
         store.put("b")
         assert len(store) == 2
 
+    def test_take_pops_in_fifo_order_without_scheduling_an_event(self):
+        env = Environment()
+        store = Store(env)
+        store.put("a")
+        store.put("b")
+        assert (store.take(), store.take()) == ("a", "b")
+        assert len(store) == 0
+        env.run()
+        assert env.events_processed == 0  # get().value would have left two
+        with pytest.raises(SimulationError):
+            store.take()
+
 
 class TestRWLock:
     def test_concurrent_readers(self):
