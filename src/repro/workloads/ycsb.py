@@ -55,7 +55,10 @@ class YCSBConfig:
     #: Bernoulli neighbour-selection trials and success probability.
     neighbour_trials: int = 5
     neighbour_p: float = 0.5
-    #: Scan length bounds, in partitions.
+    #: Scan length bounds, in partitions. ``scan_max_partitions`` may
+    #: exceed ``num_partitions``: the scan then wraps around the
+    #: partition order and revisits partitions (the 3- and 5-partition
+    #: workloads of the test suite rely on it), so that is not rejected.
     scan_min_partitions: int = 2
     scan_max_partitions: int = 10
     #: Transactions a client issues against its affinity region before
@@ -66,6 +69,27 @@ class YCSBConfig:
     #: Offset range for a client's per-transaction base partition
     #: around its affinity base (keeps locality without pinning).
     affinity_spread: int = 2
+
+    def __post_init__(self):
+        # The config arrives from CLI flags and WorkloadSpec params
+        # (build_workload): refuse here what would otherwise surface
+        # mid-run as an empty scan block or a stdlib randrange error.
+        for name, ok, rule in (
+            ("keys_per_partition", self.keys_per_partition >= 1, ">= 1"),
+            ("scan_min_partitions", self.scan_min_partitions >= 1, ">= 1"),
+            ("scan_min_partitions",
+             self.scan_min_partitions <= self.scan_max_partitions,
+             f"<= scan_max_partitions ({self.scan_max_partitions})"),
+            ("rmw_fraction", 0.0 <= self.rmw_fraction <= 1.0, "in [0, 1]"),
+            ("neighbour_p", 0.0 <= self.neighbour_p <= 1.0, "in [0, 1]"),
+            ("neighbour_trials", self.neighbour_trials >= 0, ">= 0"),
+            ("affinity_txns", self.affinity_txns >= 1, ">= 1"),
+            ("zipf_theta", self.zipf_theta >= 0.0, ">= 0"),
+        ):
+            if not ok:
+                raise ValueError(
+                    f"YCSBConfig.{name} must be {rule}, got {getattr(self, name)!r}"
+                )
 
 
 @dataclass

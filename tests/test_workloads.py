@@ -11,6 +11,7 @@ from repro.workloads import (
     TPCCWorkload,
     YCSBConfig,
     YCSBWorkload,
+    build_workload,
 )
 from repro.workloads.smallbank import SmallBankConfig
 
@@ -54,6 +55,29 @@ class TestYCSB:
             for partition in partitions[1:]:
                 offset = (partition - base) % 50
                 assert offset <= 2 or offset >= 47
+
+    @pytest.mark.parametrize("field,overrides", [
+        ("keys_per_partition", dict(keys_per_partition=0)),  # empty scan blocks
+        ("scan_min_partitions", dict(scan_min_partitions=0)),
+        ("scan_min_partitions",  # randrange's "empty range", mid-run
+         dict(scan_min_partitions=5, scan_max_partitions=2)),
+        ("rmw_fraction", dict(rmw_fraction=1.5)),
+        ("neighbour_p", dict(neighbour_p=-0.1)),
+        ("neighbour_trials", dict(neighbour_trials=-1)),
+        ("affinity_txns", dict(affinity_txns=0)),
+        ("zipf_theta", dict(zipf_theta=-0.5)),
+    ])
+    def test_bad_config_is_refused_at_construction_by_field(self, field, overrides):
+        with pytest.raises(ValueError, match=rf"YCSBConfig\.{field} must be"):
+            YCSBConfig(**overrides)
+        with pytest.raises(ValueError, match=field):
+            build_workload("ycsb", **overrides)  # the CLI / WorkloadSpec route
+
+    def test_a_scan_longer_than_the_key_space_wraps_and_is_accepted(self):
+        workload = self.make(num_partitions=3, rmw_fraction=0.0)
+        for turn in drive(workload, 20):
+            assert 2 <= len(turn.txn.scan_set) <= 10
+            assert {key[1] // 100 for key in turn.txn.all_keys()} <= {0, 1, 2}
 
     def test_scan_length_in_paper_range(self):
         workload = self.make(rmw_fraction=0.0)
