@@ -161,20 +161,24 @@ scale:
 scale-smoke:
 	python -m repro perf --scale --smoke --check --jobs 2
 
-# Alternated perfbench-child pairs, BASE (a git revision, checked out
-# into a temporary worktree) against the working tree: the measurement
+# Alternated perfbench-child pairs, BASE (a git revision, unpacked
+# into a temporary directory) against the working tree: the measurement
 # a host-cost claim rests on (CONTRIBUTING.md, "Claiming a gain").
 #   make pairs W=ycsb-2pc BASE=HEAD~1 N=10 SEED=11
 # A recorder's ON cost in the two trees (R is one of perfbench's
 # recorders: tracer, ledger, slo, streaming_metrics):
 #   make pairs W=recorder-cost R=tracer BASE=HEAD~1
+# A row of the `repro perf` matrix, for the systems perfbench does not
+# run (LEAP, single-master, multi-master):
+#   make pairs CASE=leap-ycsb BASE=HEAD~1
 W ?= ycsb-2pc
+CASE ?=
 BASE ?= HEAD
 N ?= 10
 SEED ?= 11
 R ?= off
 pairs:
-	python tools/pairs.py --workload $(W) --base $(BASE) --pairs $(N) --seed $(SEED) --recorder $(R)
+	python tools/pairs.py $(if $(CASE),--case $(CASE),--workload $(W)) --base $(BASE) --pairs $(N) --seed $(SEED) --recorder $(R)
 
 clean:
 	rm -rf .pytest_cache build *.egg-info src/*.egg-info

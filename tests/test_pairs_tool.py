@@ -57,3 +57,77 @@ def test_recorder_on_a_workload_that_ignores_it_is_refused(capsys):
         pairs.main(["--workload", "ycsb-2pc", "--base", "HEAD",
                     "--recorder", "tracer"])
     assert "recorder-cost only" in capsys.readouterr().err
+
+
+# -- --case: a row of the repro perf matrix instead of a perfbench workload ------
+
+
+def test_case_and_workload_are_exclusive_and_one_is_required(capsys):
+    with pytest.raises(SystemExit):
+        pairs.main(["--case", "leap-ycsb", "--workload", "ycsb-2pc", "--base", "HEAD"])
+    assert "not allowed with" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        pairs.main(["--base", "HEAD"])
+    assert "one of the arguments --workload --case is required" in capsys.readouterr().err
+
+
+def test_case_child_runs_the_matrix_row_and_reports_like_a_perfbench_child():
+    """One real child of the cheapest row on this tree: the fingerprint
+    is the one ``BENCH_perf.json`` pins for it."""
+    import json
+
+    row = pairs.case_child(pairs.ROOT, "partition-store-ycsb", 11)
+    assert set(row["end_to_end"]) == set(pairs.CASE_METRICS)
+    assert all(value > 0 for value in row["end_to_end"].values())
+    pinned = json.loads((pairs.ROOT / "BENCH_perf.json").read_text())
+    assert [run["fingerprint"] for run in row["runs"]] == [
+        pinned["cases"]["partition-store-ycsb"]["fingerprint"]
+    ]
+
+
+def test_an_unknown_case_names_the_matrix_rows():
+    with pytest.raises(SystemExit) as refused:
+        pairs.case_child(pairs.ROOT, "leap-tpcc", 11)
+    assert "unknown case 'leap-tpcc'" in str(refused.value)
+    assert "leap-ycsb" in str(refused.value)
+
+
+def _fake_rows(monkeypatch, tmp_path, fingerprint_of):
+    """Pairs of canned ``--case`` children; returns the trees they ran on."""
+    import contextlib
+
+    trees = []
+
+    @contextlib.contextmanager
+    def checkout(base):
+        yield tmp_path
+
+    def case_child(tree, case, seed):
+        trees.append(tree)
+        slower = 0.5 if tree == tmp_path else 0.0
+        return {
+            "end_to_end": {"wall_clock_s": 1.0 + slower, "ru_maxrss_mb": 25.0 + slower},
+            "runs": [{"fingerprint": fingerprint_of(tree)}],
+        }
+
+    monkeypatch.setattr(pairs, "checkout", checkout)
+    monkeypatch.setattr(pairs, "case_child", case_child)
+    return trees
+
+
+def test_case_pairs_alternate_and_report_both_metrics(monkeypatch, tmp_path, capsys):
+    trees = _fake_rows(monkeypatch, tmp_path, lambda tree: "abc")
+    assert pairs.main(["--case", "leap-ycsb", "--base", "HEAD", "--pairs", "4"]) == 0
+    base, change = tmp_path, pairs.ROOT
+    assert trees == [base, change, change, base, base, change, change, base]
+    out = capsys.readouterr().out
+    assert "leap-ycsb, seed 11, 4 alternated pairs against HEAD" in out
+    assert "wall_clock_s" in out and "ru_maxrss_mb" in out and "peak_rss_mb" not in out
+    assert out.count("change ahead 4/4") == 2
+    assert "simulated results identical on both sides (fingerprints abc)" in out
+
+
+def test_differing_fingerprints_exit_1(monkeypatch, tmp_path, capsys):
+    _fake_rows(monkeypatch, tmp_path, lambda tree: "abc" if tree == tmp_path else "xyz")
+    assert pairs.main(["--case", "leap-ycsb", "--base", "HEAD", "--pairs", "2"]) == 1
+    assert "simulated results DIFFER" in capsys.readouterr().out
