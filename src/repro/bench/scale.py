@@ -138,10 +138,11 @@ def _per_system_case(system: str, ladder: Tuple[float, ...]) -> ScaleCase:
         sites=8,
         duration_ms=500.0,
         warmup_ms=125.0,
-        # Measured 96 MB peak over a whole serial matrix of these
+        # Measured 60 MB peak over a whole serial matrix of these
         # ladders on CPython 3.11 (``make scale JOBS=1``, one process);
-        # 1.5x headroom for interpreter variance, not for growth.
-        rss_budget_mb=144,
+        # 1.5x headroom (rounded up to a multiple of 16) for
+        # interpreter variance, not for growth.
+        rss_budget_mb=96,
     )
 
 
@@ -175,8 +176,8 @@ SCALE_MATRIX: Sequence[ScaleCase] = (
         sites=16,
         duration_ms=600.0,
         warmup_ms=150.0,
-        # Measured 165 MB peak at x3 on CPython 3.11 (1.5x headroom).
-        rss_budget_mb=256,
+        # Measured 135 MB peak at x3 on CPython 3.11 (1.5x headroom).
+        rss_budget_mb=208,
     ),
 )
 

@@ -321,9 +321,9 @@ class RWLock:
 
     There is one lock per partition and almost all of them idle (148 of
     27 108 acquires ever queue on ``openloop-dynamast``), so an idle
-    lock owns no buffer: slots, and the waiters in a plain list —
-    ``pop(0)`` on a queue of one or two costs less than the 760 bytes an
-    empty ``deque`` preallocates.
+    lock owns no buffer: ``__slots__``, and a plain list of waiters —
+    ``pop(0)`` on a queue of one or two is cheaper than the 760 bytes
+    every empty ``deque`` preallocates.
     """
 
     __slots__ = ("env", "_readers", "_writer", "_waiters")

@@ -3,8 +3,9 @@
 A table owns the version chains of all its rows in four columns —
 ``array('H')`` origins (a site index; ``ClusterConfig`` caps
 ``num_sites`` at 65 535), ``array('q')`` seqs, a values list, and one
-install counter per row — laid out as ``max_versions`` slots per row. ``_rows`` maps a
-primary key to its row number; rows are numbered in creation order.
+install counter per row — laid out as ``max_versions`` slots per row.
+``_rows`` maps a primary key to its row number; rows are numbered in
+creation order.
 
 Version ``k`` of row ``r`` (``k`` = 0 for the loader's version) lives in
 slot ``r * stride + k % stride``, so each row is a ring: installing

@@ -1,6 +1,8 @@
 """``tools/pairs.py``: the arithmetic a host-cost claim is read from."""
 
+import contextlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -74,8 +76,6 @@ def test_case_and_workload_are_exclusive_and_one_is_required(capsys):
 def test_case_child_runs_the_matrix_row_and_reports_like_a_perfbench_child():
     """One real child of the cheapest row on this tree: the fingerprint
     is the one ``BENCH_perf.json`` pins for it."""
-    import json
-
     row = pairs.case_child(pairs.ROOT, "partition-store-ycsb", 11)
     assert set(row["end_to_end"]) == set(pairs.CASE_METRICS)
     assert all(value > 0 for value in row["end_to_end"].values())
@@ -94,8 +94,6 @@ def test_an_unknown_case_names_the_matrix_rows():
 
 def _fake_rows(monkeypatch, tmp_path, fingerprint_of):
     """Pairs of canned ``--case`` children; returns the trees they ran on."""
-    import contextlib
-
     trees = []
 
     @contextlib.contextmanager

@@ -45,7 +45,7 @@ CASE_METRICS = ("wall_clock_s", "ru_maxrss_mb")
 #: through ``execute_spec``, reported in the shape of a perfbench child.
 CASE_CHILD = """
 import dataclasses, json, resource, sys
-from repro.bench.parallel import execute_spec
+from repro.bench.parallel import execute_spec, run_fingerprint
 from repro.bench.perf import PERF_MATRIX
 rows = {spec.label: spec for spec in PERF_MATRIX}
 if sys.argv[1] not in rows:
@@ -56,7 +56,7 @@ print(json.dumps({
         "wall_clock_s": result.wall_clock_s,
         "ru_maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     },
-    "runs": [{"fingerprint": result.portable().fingerprint}],
+    "runs": [{"fingerprint": run_fingerprint(result)}],
 }))
 """
 
