@@ -1,24 +1,26 @@
 """Experiment drivers: one per table/figure of the paper's evaluation.
 
-Each driver assembles the workload and cluster configuration for one
-experiment, runs the relevant systems, and returns plain data that the
+Each driver describes its experiment as :class:`RunSpec` rows — a
+:class:`WorkloadSpec`, a cluster configuration and the systems to run —
+hands them to :func:`~repro.bench.parallel.execute_specs`, and returns
+the portable :class:`RunSummary` of each run as plain data that the
 ``benchmarks/`` tree formats as paper-vs-measured tables and asserts
-shape criteria on. The default scales are reduced relative to the
-paper's 5-minute cluster runs (see DESIGN.md §1) but preserve the
-contention structure each experiment depends on.
+shape criteria on. Only ``fig5b_adaptivity`` calls ``run_benchmark``
+itself: its mid-run sampling callback is a live object no spec can
+carry. The default scales are reduced relative to the paper's 5-minute
+cluster runs (see DESIGN.md §1) but preserve the contention structure
+each experiment depends on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.bench.harness import ALL_SYSTEMS, RunResult, run_benchmark
-from repro.bench.parallel import RunSpec, WorkloadSpec, execute_specs
+from repro.bench.harness import ALL_SYSTEMS, run_benchmark
+from repro.bench.parallel import RunSpec, RunSummary, WorkloadSpec, execute_specs
 from repro.core.strategy import StrategyWeights
 from repro.sim.config import ClusterConfig
-from repro.workloads.smallbank import SmallBankConfig, SmallBankWorkload
-from repro.workloads.tpcc import TPCCConfig, TPCCWorkload
 from repro.workloads.ycsb import YCSBConfig, YCSBWorkload
 
 #: Default scales for the YCSB experiments (4 sites as in the paper).
@@ -33,42 +35,8 @@ DURATION_MS = 1200.0
 WARMUP_MS = 400.0
 
 
-#: ``run_suite``/``run_repeated`` kwargs a :class:`RunSpec` can carry
-#: across a process boundary. Anything else (live ``obs`` handles,
-#: ``events`` callbacks) forces the serial path.
-_SPEC_SAFE_KWARGS = {
-    "weights", "placement", "load_data", "streaming_metrics",
-    "fault_plan", "fault_scenario", "observed", "mastery",
-}
-
-
-def _suite_spec(system, workload, *, cluster, num_clients, duration_ms,
-                warmup_ms, seed, **kwargs) -> RunSpec:
-    """Build the RunSpec for one suite cell (parallel path only)."""
-    unsafe = set(kwargs) - _SPEC_SAFE_KWARGS
-    if unsafe:
-        raise ValueError(
-            f"jobs > 1 cannot transport {sorted(unsafe)} to a worker "
-            "process; these options hold live objects — run with jobs=1"
-        )
-    placement = kwargs.pop("placement", None)
-    if placement is not None:
-        placement = tuple(sorted(placement.items()))
-    return RunSpec(
-        system=system,
-        workload=workload,
-        num_clients=num_clients,
-        duration_ms=duration_ms,
-        warmup_ms=warmup_ms,
-        cluster=cluster,
-        seed=seed,
-        placement=placement,
-        **kwargs,
-    )
-
-
 def run_suite(
-    workload_factory: Callable,
+    workload: WorkloadSpec,
     systems: Sequence[str] = ALL_SYSTEMS,
     cluster: Optional[dict] = None,
     num_clients: int = YCSB_CLIENTS,
@@ -77,89 +45,47 @@ def run_suite(
     seed: int = 0,
     jobs: int = 1,
     **kwargs,
-) -> Dict[str, RunResult]:
+) -> Dict[str, RunSummary]:
     """Run one workload against several systems (fresh workload each).
 
-    ``workload_factory`` is either a zero-argument callable returning a
-    fresh workload, or a :class:`~repro.bench.parallel.WorkloadSpec`
-    (required for ``jobs > 1``, where the workload must be rebuilt
-    inside worker processes from pure data). With ``jobs=1`` (the
-    default) runs execute serially in-process on the exact pre-parallel
-    code path and return live :class:`RunResult` objects; with
-    ``jobs > 1`` the systems fan out across worker processes and the
-    returned values are portable :class:`~repro.bench.parallel.
-    RunSummary` objects with bit-identical simulated results (pinned by
-    ``tests/test_parallel_parity.py``).
+    One :class:`RunSpec` row per system, executed by
+    :func:`~repro.bench.parallel.execute_specs` — in-process at
+    ``jobs=1``, fanned over worker processes above it, with
+    bit-identical simulated results either way (pinned by
+    ``tests/test_parallel_parity.py``). Remaining kwargs are
+    :class:`RunSpec` fields (``weights``, ``placement``, ``observed``,
+    ``mastery``, ``slo``, ``fault_scenario``, ``open_loop``, ...).
     """
-    spec = workload_factory if isinstance(workload_factory, WorkloadSpec) else None
-    if jobs > 1:
-        if spec is None:
-            raise ValueError(
-                "run_suite(jobs > 1) needs a WorkloadSpec (a picklable "
-                "name + params description), not a workload factory "
-                "callable — see CONTRIBUTING.md, 'Spawn safety'"
-            )
-        specs = [
-            _suite_spec(
-                system, spec,
-                cluster=ClusterConfig(**(cluster or YCSB_CLUSTER)),
-                num_clients=num_clients, duration_ms=duration_ms,
-                warmup_ms=warmup_ms, seed=seed, **kwargs,
-            )
-            for system in systems
-        ]
-        return dict(zip(systems, execute_specs(specs, jobs=jobs)))
-    factory = spec.build if spec is not None else workload_factory
-    kwargs = _resolve_serial_kwargs(kwargs, cluster, duration_ms)
-    observed = kwargs.pop("observed", False)
-    mastery = kwargs.pop("mastery", False)
-    results = {}
-    for system in systems:
-        config = ClusterConfig(**(cluster or YCSB_CLUSTER))
-        if observed:
-            # Fresh handle per run, exactly as each worker builds its
-            # own in the parallel path.
-            from repro.obs import Observability
-
-            kwargs["obs"] = Observability()
-        if mastery:
-            from repro.obs.mastery import DecisionLedger
-
-            kwargs["ledger"] = DecisionLedger()
-        results[system] = run_benchmark(
-            system,
-            factory(),
-            num_clients=num_clients,
-            duration_ms=duration_ms,
-            warmup_ms=warmup_ms,
-            cluster_config=config,
-            seed=seed,
-            **kwargs,
+    config = ClusterConfig(**(cluster or YCSB_CLUSTER))
+    specs = [
+        RunSpec(
+            system=system, workload=workload, num_clients=num_clients,
+            duration_ms=duration_ms, warmup_ms=warmup_ms, cluster=config,
+            seed=seed, **kwargs,
         )
-    return results
+        for system in systems
+    ]
+    return dict(zip(systems, execute_specs(specs, jobs=jobs)))
 
 
-def _resolve_serial_kwargs(kwargs: Dict, cluster: Optional[dict],
-                           duration_ms: float) -> Dict:
-    """Resolve spec-level conveniences for the serial path.
-
-    The parallel path resolves ``fault_scenario`` and ``observed``
-    worker-side (the RunSpec carries them as data); the serial path
-    performs the same resolution here so the two paths stay
-    bit-identical. Plain ``run_benchmark`` kwargs pass through.
-    """
-    resolved = dict(kwargs)
-    scenario = resolved.pop("fault_scenario", None)
-    if scenario is not None:
-        if resolved.get("fault_plan") is not None:
-            raise ValueError("pass either fault_plan or fault_scenario, not both")
-        from repro.faults.plan import build_scenario
-
-        config = ClusterConfig(**(cluster or YCSB_CLUSTER))
-        resolved["fault_plan"] = build_scenario(
-            scenario, num_sites=config.num_sites, duration_ms=duration_ms,
-        )
-    return resolved
+def _dynamast_ycsb(
+    ycsb: dict,
+    *,
+    num_clients: int = YCSB_CLIENTS,
+    duration_ms: float = DURATION_MS,
+    cluster: Optional[ClusterConfig] = None,
+    **fields,
+) -> RunSpec:
+    """One DynaMast-on-YCSB row at the default YCSB scales."""
+    return RunSpec(
+        system="dynamast",
+        workload=WorkloadSpec.of("ycsb", **ycsb),
+        num_clients=num_clients,
+        duration_ms=duration_ms,
+        warmup_ms=WARMUP_MS,
+        cluster=cluster or ClusterConfig(**YCSB_CLUSTER),
+        **fields,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -170,12 +96,12 @@ def _resolve_serial_kwargs(kwargs: Dict, cluster: Optional[dict],
 def fig4a_ycsb_uniform(
     client_counts: Sequence[int] = (12, 24, 48),
     systems: Sequence[str] = ALL_SYSTEMS,
-) -> Dict[str, Dict[int, RunResult]]:
+) -> Dict[str, Dict[int, RunSummary]]:
     """Figure 4a: uniform YCSB, 50/50 RMW/scan, throughput vs clients."""
-    results: Dict[str, Dict[int, RunResult]] = {s: {} for s in systems}
+    results: Dict[str, Dict[int, RunSummary]] = {s: {} for s in systems}
     for clients in client_counts:
         suite = run_suite(
-            lambda: YCSBWorkload(YCSBConfig(rmw_fraction=0.5)),
+            WorkloadSpec.of("ycsb", rmw_fraction=0.5),
             systems=systems,
             num_clients=clients,
         )
@@ -186,11 +112,9 @@ def fig4a_ycsb_uniform(
 
 def fig4b_ycsb_write_heavy(
     systems: Sequence[str] = ALL_SYSTEMS,
-) -> Dict[str, RunResult]:
+) -> Dict[str, RunSummary]:
     """Figure 4b: uniform YCSB, 90/10 RMW/scan."""
-    return run_suite(
-        lambda: YCSBWorkload(YCSBConfig(rmw_fraction=0.9)), systems=systems
-    )
+    return run_suite(WorkloadSpec.of("ycsb", rmw_fraction=0.9), systems=systems)
 
 
 # ---------------------------------------------------------------------------
@@ -204,14 +128,13 @@ def tpcc_default_suite(
     payment_remote: float = 0.15,
     num_clients: int = TPCC_CLIENTS,
     duration_ms: float = DURATION_MS,
-) -> Dict[str, RunResult]:
+) -> Dict[str, RunSummary]:
     """The default-mix TPC-C run shared by figures 4c, 4d and 8e-8g."""
     return run_suite(
-        lambda: TPCCWorkload(
-            TPCCConfig(
-                neworder_remote_fraction=neworder_remote,
-                payment_remote_fraction=payment_remote,
-            )
+        WorkloadSpec.of(
+            "tpcc",
+            neworder_remote_fraction=neworder_remote,
+            payment_remote_fraction=payment_remote,
         ),
         systems=systems,
         cluster=TPCC_CLUSTER,
@@ -228,18 +151,17 @@ def tpcc_default_suite(
 def fig4e_neworder_mix(
     neworder_fractions: Sequence[float] = (0.45, 0.90),
     systems: Sequence[str] = ALL_SYSTEMS,
-) -> Dict[str, Dict[float, RunResult]]:
+) -> Dict[str, Dict[float, RunSummary]]:
     """Figure 4e: shift the mix toward New-Order transactions."""
-    results: Dict[str, Dict[float, RunResult]] = {s: {} for s in systems}
+    results: Dict[str, Dict[float, RunSummary]] = {s: {} for s in systems}
     for fraction in neworder_fractions:
         remainder = 1.0 - fraction
         suite = run_suite(
-            lambda f=fraction, r=remainder: TPCCWorkload(
-                TPCCConfig(
-                    neworder_weight=f,
-                    payment_weight=r / 2,
-                    stocklevel_weight=r / 2,
-                )
+            WorkloadSpec.of(
+                "tpcc",
+                neworder_weight=fraction,
+                payment_weight=remainder / 2,
+                stocklevel_weight=remainder / 2,
             ),
             systems=systems,
             cluster=TPCC_CLUSTER,
@@ -260,16 +182,16 @@ def cross_warehouse_sweep(
     remote_fractions: Sequence[float] = (0.0, 0.10, 0.33),
     systems: Sequence[str] = ("dynamast", "single-master", "multi-master", "partition-store"),
     transaction: str = "new_order",
-) -> Dict[str, Dict[float, RunResult]]:
+) -> Dict[str, Dict[float, RunSummary]]:
     """New-Order (or Payment, figure 8g) latency as remote rate grows."""
-    results: Dict[str, Dict[float, RunResult]] = {s: {} for s in systems}
+    results: Dict[str, Dict[float, RunSummary]] = {s: {} for s in systems}
     for fraction in remote_fractions:
         if transaction == "new_order":
-            config = TPCCConfig(neworder_remote_fraction=fraction)
+            workload = WorkloadSpec.of("tpcc", neworder_remote_fraction=fraction)
         else:
-            config = TPCCConfig(payment_remote_fraction=fraction)
+            workload = WorkloadSpec.of("tpcc", payment_remote_fraction=fraction)
         suite = run_suite(
-            lambda c=config: TPCCWorkload(c),
+            workload,
             systems=systems,
             cluster=TPCC_CLUSTER,
             num_clients=TPCC_CLIENTS,
@@ -285,10 +207,10 @@ def cross_warehouse_sweep(
 # ---------------------------------------------------------------------------
 
 
-def skew_suite(systems: Sequence[str] = ALL_SYSTEMS) -> Dict[str, RunResult]:
+def skew_suite(systems: Sequence[str] = ALL_SYSTEMS) -> Dict[str, RunSummary]:
     """Zipfian (theta = 0.75) 90/10 RMW/scan YCSB."""
     return run_suite(
-        lambda: YCSBWorkload(YCSBConfig(rmw_fraction=0.9, zipf_theta=0.75)),
+        WorkloadSpec.of("ycsb", rmw_fraction=0.9, zipf_theta=0.75),
         systems=systems,
     )
 
@@ -399,27 +321,24 @@ def fig5a_sensitivity(
     The paper varies each hyperparameter by two orders of magnitude in
     both directions and to zero, on a skewed workload.
     """
-    throughput: Dict[str, float] = {}
-    fractions: Dict[str, List[float]] = {}
-    remaster: Dict[str, float] = {}
     base = StrategyWeights.for_ycsb()
-    for name in weight_names:
-        for scale in scales:
-            weights = base.scaled(**{name: scale})
-            label = f"{name} x{scale:g}"
-            result = run_benchmark(
-                "dynamast",
-                YCSBWorkload(YCSBConfig(rmw_fraction=0.9, zipf_theta=0.75)),
-                num_clients=num_clients,
-                duration_ms=duration_ms,
-                warmup_ms=WARMUP_MS,
-                cluster_config=ClusterConfig(**YCSB_CLUSTER),
-                weights=weights,
-            )
-            throughput[label] = result.throughput
-            fractions[label] = result.route_fractions
-            remaster[label] = result.remaster_rate
-    return SensitivityResult(throughput, fractions, remaster)
+    specs = [
+        _dynamast_ycsb(
+            dict(rmw_fraction=0.9, zipf_theta=0.75),
+            num_clients=num_clients,
+            duration_ms=duration_ms,
+            weights=base.scaled(**{name: scale}),
+            label=f"{name} x{scale:g}",
+        )
+        for name in weight_names
+        for scale in scales
+    ]
+    runs = dict(zip((spec.label for spec in specs), execute_specs(specs)))
+    return SensitivityResult(
+        throughput={label: run.throughput for label, run in runs.items()},
+        route_fractions={label: run.route_fractions for label, run in runs.items()},
+        remaster_rate={label: run.remaster_rate for label, run in runs.items()},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -441,14 +360,10 @@ def fig7_breakdown(
     num_clients: int = YCSB_CLIENTS, duration_ms: float = 2000.0
 ) -> BreakdownResult:
     """Uniform 50/50 YCSB breakdown of DynaMast transaction time."""
-    result = run_benchmark(
-        "dynamast",
-        YCSBWorkload(YCSBConfig(rmw_fraction=0.5)),
-        num_clients=num_clients,
-        duration_ms=duration_ms,
-        warmup_ms=WARMUP_MS,
-        cluster_config=ClusterConfig(**YCSB_CLUSTER),
-    )
+    (result,) = execute_specs([
+        _dynamast_ycsb(dict(rmw_fraction=0.5), num_clients=num_clients,
+                       duration_ms=duration_ms),
+    ])
     return BreakdownResult(
         breakdown=result.metrics.breakdown(),
         remaster_txn_fraction=result.metrics.remaster_fraction(),
@@ -469,27 +384,21 @@ def fig6b_database_size(
         ("90-10U", 0.9, 0.0),
         ("90-10S", 0.9, 0.75),
     ),
-) -> Dict[str, Dict[int, RunResult]]:
+) -> Dict[str, Dict[int, RunSummary]]:
     """DynaMast throughput for small vs large (6x) databases."""
-    results: Dict[str, Dict[int, RunResult]] = {}
-    for label, rmw, theta in mixes:
-        results[label] = {}
-        for partitions in partition_counts:
-            result = run_benchmark(
-                "dynamast",
-                YCSBWorkload(
-                    YCSBConfig(
-                        num_partitions=partitions,
-                        rmw_fraction=rmw,
-                        zipf_theta=theta,
-                    )
-                ),
-                num_clients=YCSB_CLIENTS,
-                duration_ms=DURATION_MS,
-                warmup_ms=WARMUP_MS,
-                cluster_config=ClusterConfig(**YCSB_CLUSTER),
-            )
-            results[label][partitions] = result
+    cells = [
+        (label, partitions, rmw, theta)
+        for label, rmw, theta in mixes
+        for partitions in partition_counts
+    ]
+    specs = [
+        _dynamast_ycsb(dict(num_partitions=partitions, rmw_fraction=rmw,
+                            zipf_theta=theta))
+        for _, partitions, rmw, theta in cells
+    ]
+    results: Dict[str, Dict[int, RunSummary]] = {label: {} for label, _, _ in mixes}
+    for (label, partitions, _, _), run in zip(cells, execute_specs(specs)):
+        results[label][partitions] = run
     return results
 
 
@@ -502,21 +411,20 @@ def fig6c_site_scaling(
     site_counts: Sequence[int] = (4, 8, 12, 16),
     clients_per_site: int = 12,
     duration_ms: float = 1000.0,
-) -> Dict[int, RunResult]:
+) -> Dict[int, RunSummary]:
     """DynaMast 50/50 uniform YCSB throughput as sites scale 4 -> 16."""
-    results = {}
-    for sites in site_counts:
-        results[sites] = run_benchmark(
-            "dynamast",
-            YCSBWorkload(YCSBConfig(rmw_fraction=0.5)),
+    specs = [
+        _dynamast_ycsb(
+            dict(rmw_fraction=0.5),
             num_clients=clients_per_site * sites,
             duration_ms=duration_ms,
-            warmup_ms=WARMUP_MS,
-            cluster_config=ClusterConfig(
+            cluster=ClusterConfig(
                 num_sites=sites, cores_per_site=YCSB_CLUSTER["cores_per_site"]
             ),
         )
-    return results
+        for sites in site_counts
+    ]
+    return dict(zip(site_counts, execute_specs(specs)))
 
 
 # ---------------------------------------------------------------------------
@@ -527,12 +435,10 @@ def fig6c_site_scaling(
 def smallbank_suite(
     systems: Sequence[str] = ALL_SYSTEMS,
     hotspot_fraction: float = 0.0,
-) -> Dict[str, RunResult]:
+) -> Dict[str, RunSummary]:
     """SmallBank throughput and tail latencies."""
     return run_suite(
-        lambda: SmallBankWorkload(
-            SmallBankConfig(hotspot_fraction=hotspot_fraction)
-        ),
+        WorkloadSpec.of("smallbank", hotspot_fraction=hotspot_fraction),
         systems=systems,
         num_clients=YCSB_CLIENTS,
         duration_ms=1500.0,

@@ -1,9 +1,10 @@
 """Export benchmark results as JSON/CSV for downstream analysis.
 
-The figure benchmarks print human tables; this module serializes
-:class:`~repro.bench.harness.RunResult` objects (and dictionaries of
-them, as the experiment drivers return) into plain data suitable for
-plotting pipelines.
+The figure benchmarks print human tables; this module serializes runs
+— live :class:`~repro.bench.harness.RunResult` or portable
+:class:`~repro.bench.parallel.RunSummary`, and dictionaries of them, as
+the experiment drivers return — into plain data suitable for plotting
+pipelines.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ import io
 import json
 from typing import Dict, List, Mapping
 
-from repro.bench.harness import RunResult
-from repro.bench.parallel import RunSummary
+from repro.bench.harness import RunMeasurements
 
 #: Columns exported for each run.
 FIELDS = (
@@ -48,7 +48,7 @@ FIELDS = (
 )
 
 
-def run_to_row(result: RunResult) -> Dict[str, object]:
+def run_to_row(result: RunMeasurements) -> Dict[str, object]:
     """Flatten one run into an export row."""
     latency = result.latency()
     metrics = result.metrics
@@ -90,28 +90,18 @@ def run_to_row(result: RunResult) -> Dict[str, object]:
     }
 
 
-def attach_attribution(row: Dict[str, object], result: RunResult) -> None:
+def attach_attribution(row: Dict[str, object], result: RunMeasurements) -> None:
     """Add ``attrib_<category>_share`` columns for an observed run.
 
     No-op for unobserved runs, so plain bench exports keep their exact
     schema; observed exports gain one share column per attribution
-    category (summing to ~1.0). Portable :class:`RunSummary` objects
-    carry their shares pre-folded (the live tracer stayed in the worker
-    process), so those are exported directly.
+    category (summing to ~1.0).
     """
-    shares = getattr(result, "attribution_shares", None)
-    if shares is None:
-        if result.obs is None or not result.obs.enabled:
-            return
-        from repro.obs.attribution import AttributionReport
-
-        report = AttributionReport.from_result(result, keep_segments=False)
-        shares = report.shares()
-    for category, share in shares.items():
+    for category, share in result.attribution_shares.items():
         row[f"attrib_{category}_share"] = round(share, 5)
 
 
-def attach_open_loop(row: Dict[str, object], result: RunResult) -> None:
+def attach_open_loop(row: Dict[str, object], result: RunMeasurements) -> None:
     """Add ``openloop_*`` columns for an open-loop run.
 
     No-op for closed-loop runs, preserving their exact export schema.
@@ -120,7 +110,7 @@ def attach_open_loop(row: Dict[str, object], result: RunResult) -> None:
     signal), shed arrivals, admission-wait p50/p99, and queue depths.
     """
     metrics = result.metrics
-    counters = getattr(metrics, "open_loop_counters", None)
+    counters = metrics.open_loop_counters
     if not counters:
         return
     from repro.workloads.openloop import goodput_ratio
@@ -141,50 +131,34 @@ def attach_open_loop(row: Dict[str, object], result: RunResult) -> None:
     row["openloop_modeled_clients"] = int(counters.get("modeled_clients", 0))
 
 
-def attach_mastery(row: Dict[str, object], result: RunResult) -> None:
+def attach_mastery(row: Dict[str, object], result: RunMeasurements) -> None:
     """Add ``mastery_<metric>`` columns for a ledger-observed run.
 
     No-op when no decision ledger was attached, keeping plain exports'
-    exact schema. Live results summarize their ledger here; portable
-    :class:`RunSummary` objects carry the scalars pre-folded (the
-    ledger stayed in the worker process).
+    exact schema.
     """
-    summary = getattr(result, "mastery", None)
+    summary = result.mastery
     if not summary:
-        ledger = getattr(result, "ledger", None)
-        if ledger is None or not ledger.enabled:
-            return
-        summary = ledger.summary()
+        return
     for name in ("locality_share", "entropy", "churn_partitions",
                  "ping_pong_partitions", "ping_pong_bounces",
                  "convergence_ms"):
         row[f"mastery_{name}"] = summary[name]
 
 
-def attach_slo(row: Dict[str, object], result: RunResult) -> None:
+def attach_slo(row: Dict[str, object], result: RunMeasurements) -> None:
     """Add ``slo_<metric>`` columns for an SLO-monitored run.
 
     No-op when no SLO engine watched the run, keeping plain exports'
-    exact schema. Live results summarize their engine here; portable
-    :class:`RunSummary` objects carry the verdict scalars pre-folded
-    (the engine stayed in the worker process).
+    exact schema.
     """
-    slo = getattr(result, "slo", None)
-    if slo is None:
-        return
-    if getattr(slo, "enabled", False):
-        summary = slo.summary()
-    elif isinstance(slo, Mapping) and slo:
-        summary = slo
-    else:
-        return
-    for name, value in sorted(summary.items()):
+    for name, value in sorted(result.slo_verdict.items()):
         row[f"slo_{name}"] = value
 
 
 def rows_from(results) -> List[Dict[str, object]]:
     """Flatten a RunResult/RunSummary, a mapping of them, or nested mappings."""
-    if isinstance(results, (RunResult, RunSummary)):
+    if isinstance(results, RunMeasurements):
         row = run_to_row(results)
         attach_attribution(row, results)
         attach_open_loop(row, results)

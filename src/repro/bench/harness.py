@@ -19,6 +19,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.metrics import LatencySummary, Metrics
 from repro.core.strategy import StrategyWeights
+from repro.faults.plan import SCENARIOS
 from repro.obs import NULL_OBS, Observability
 from repro.obs.sampler import Timeline
 from repro.sim.config import ClusterConfig
@@ -32,8 +33,9 @@ ALL_SYSTEMS = ("dynamast", "single-master", "multi-master", "partition-store", "
 
 
 @dataclass
-class RunResult:
-    """Everything measured during one benchmark run."""
+class RunMeasurements:
+    """What one run measured: the fields a live :class:`RunResult` and
+    its portable :class:`~repro.bench.parallel.RunSummary` share."""
 
     system_name: str
     workload_name: str
@@ -61,19 +63,8 @@ class RunResult:
     aborts_by_reason: Dict[str, int] = field(default_factory=dict)
     #: Fault transitions observed during the run (fault-injected runs).
     fault_events: List = field(default_factory=list)
-    #: The installed fault injector (None for unfaulted runs).
-    injector: Optional[object] = field(repr=False, default=None)
     #: Sampled per-site timelines (populated only for observed runs).
     timelines: Dict[str, Timeline] = field(default_factory=dict)
-    #: The observability handle of an observed run (None otherwise).
-    obs: Optional[Observability] = field(repr=False, default=None)
-    #: The decision ledger of a mastering-observed run (None otherwise).
-    ledger: Optional[object] = field(repr=False, default=None)
-    #: The SLO engine of an SLO-monitored run (None otherwise) —
-    #: finalized, with incidents/violations/correlation populated.
-    slo: Optional[object] = field(repr=False, default=None)
-    #: The live system object, for deeper inspection in tests/benches.
-    system: Optional[System] = field(repr=False, default=None)
     #: Recorded offered arrival rate (arrivals/s over the post-warmup
     #: window) for open-loop runs; 0.0 for closed-loop runs, where
     #: offered load is whatever the clients manage (the coordinated-
@@ -88,8 +79,59 @@ class RunResult:
     #: excluded from fingerprints).
     events_processed: int = 0
 
+    # A live run's recorders; always None on a portable summary. Both
+    # shapes answer ``mastery`` / ``slo_verdict`` / ``attribution_shares``,
+    # so consumers test these only for what a recorder alone can say.
+    obs = None
+    ledger = None
+    slo = None
+
     def latency(self, txn_type: Optional[str] = None) -> LatencySummary:
         return self.metrics.latency(txn_type)
+
+
+@dataclass
+class RunResult(RunMeasurements):
+    """A finished run with its live handles still attached."""
+
+    #: The installed fault injector (None for unfaulted runs).
+    injector: Optional[object] = field(repr=False, default=None)
+    #: The observability handle of an observed run (None otherwise).
+    obs: Optional[Observability] = field(repr=False, default=None)
+    #: The decision ledger of a mastering-observed run (None otherwise).
+    ledger: Optional[object] = field(repr=False, default=None)
+    #: The SLO engine of an SLO-monitored run (None otherwise) —
+    #: finalized, with incidents/violations/correlation populated.
+    slo: Optional[object] = field(repr=False, default=None)
+    #: The live system object, for deeper inspection in tests/benches.
+    system: Optional[System] = field(repr=False, default=None)
+
+    @property
+    def mastery(self) -> Dict[str, float]:
+        """Folded ledger scalars (``DecisionLedger.summary()``)."""
+        return self.ledger.summary() if self.ledger is not None else {}
+
+    @property
+    def slo_verdict(self) -> Dict[str, float]:
+        """Folded SLO verdict (``SloEngine.summary()``)."""
+        return self.slo.summary() if self.slo is not None else {}
+
+    @property
+    def attribution_shares(self) -> Dict[str, float]:
+        """Share of commit latency per causal category.
+
+        Folds the whole trace on every read (one scan of the spans per
+        transaction); empty unless the run is observed.
+        """
+        if self.obs is None or not self.metrics.commits:
+            return {}
+        from repro.obs.attribution import AttributionReport
+
+        report = AttributionReport.from_result(self, keep_segments=False)
+        return {
+            category: round(share, 9)
+            for category, share in report.shares().items()
+        }
 
     def portable(self):
         """The picklable :class:`~repro.bench.parallel.RunSummary`.
@@ -98,12 +140,47 @@ class RunResult:
         each of which transitively pins an entire simulated cluster —
         while keeping every folded measurement, so long suite loops can
         retain results without retaining clusters, and results can
-        cross a process boundary. Observed runs fold their attribution
-        budget into ``attribution_shares`` first.
+        cross a process boundary.
         """
         from repro.bench.parallel import summarize
 
         return summarize(self)
+
+
+def check_run_params(
+    system: str,
+    *,
+    num_clients: int,
+    duration_ms: float,
+    warmup_ms: float,
+    open_loop=None,
+    fault_plan=None,
+    fault_scenario: Optional[str] = None,
+) -> None:
+    """Reject a run that could only report ``commits 0, tput 0.0``.
+
+    Called by :func:`run_benchmark` and by ``RunSpec.__post_init__``, so
+    a bad row fails in the parent before any worker is spawned. Raises
+    ``ValueError`` naming the field.
+    """
+    if system not in ALL_SYSTEMS:
+        raise ValueError(f"unknown system {system!r}; expected one of {ALL_SYSTEMS}")
+    if not duration_ms > 0:
+        raise ValueError(f"duration_ms must be > 0, got {duration_ms}")
+    if not 0 <= warmup_ms < duration_ms:
+        raise ValueError(
+            f"warmup_ms must be in [0, duration_ms={duration_ms:g}), got {warmup_ms}"
+        )
+    if open_loop is None and num_clients < 1:
+        raise ValueError(
+            f"num_clients must be >= 1 for a closed-loop run, got {num_clients}"
+        )
+    if fault_scenario is not None and fault_plan is not None:
+        raise ValueError("pass either fault_plan or fault_scenario, not both")
+    if fault_scenario is not None and fault_scenario not in SCENARIOS:
+        raise ValueError(
+            f"unknown fault_scenario {fault_scenario!r}; expected one of {SCENARIOS}"
+        )
 
 
 def run_benchmark(
@@ -165,8 +242,10 @@ def run_benchmark(
     open-loop code paths, so their results are bit-identical to builds
     without this subsystem.
     """
-    if system_name not in ALL_SYSTEMS:
-        raise ValueError(f"unknown system {system_name!r}; expected one of {ALL_SYSTEMS}")
+    check_run_params(
+        system_name, num_clients=num_clients, duration_ms=duration_ms,
+        warmup_ms=warmup_ms, open_loop=open_loop,
+    )
     wall_start = time.perf_counter()
     observability = obs if obs is not None else NULL_OBS
     config = cluster_config or ClusterConfig()

@@ -15,28 +15,29 @@ Three pieces:
 * :class:`RunSpec` — a declarative, picklable description of one run
   (system, :class:`WorkloadSpec` naming a registered workload plus its
   config params, seed, durations, cluster config, fault plan or named
-  scenario, obs/streaming flags). Everything a spec references must be
-  module-level and picklable — no lambdas, no closures, no live
-  handles (CONTRIBUTING.md, "Spawn safety").
-* :class:`RunSummary` — the portable transport form of a
-  :class:`~repro.bench.harness.RunResult`: all folded measurements plus
-  a canonical :func:`run_fingerprint`, per-worker wall clock and peak
-  RSS, with the live ``system`` / ``obs`` / ``injector`` handles
-  deliberately dropped so results can cross a process boundary (and so
-  long suite loops stop pinning entire clusters in memory).
+  scenario, recorder flags), checked at construction. Everything a
+  spec references must be module-level and picklable — no lambdas, no
+  closures, no live handles (CONTRIBUTING.md, "Spawn safety").
+* :class:`RunSummary` — the portable form of a live
+  :class:`~repro.bench.harness.RunResult`: the measurement fields both
+  share (declared once, on ``RunMeasurements``), what the recorders
+  folded, a canonical :func:`run_fingerprint`, per-worker wall clock
+  and peak RSS, with the live ``system`` / ``obs`` / ``injector``
+  handles dropped so results can cross a process boundary and a sweep
+  keeps one cluster alive at a time.
 * :class:`ParallelExecutor` — fans callables over a spawn-context
   ``ProcessPoolExecutor``, returns results in deterministic submission
   order regardless of completion order, surfaces worker crashes as
   :class:`SpecExecutionError` with the offending item attached (never a
-  bare ``BrokenProcessPool``), and degrades to an identical in-process
-  serial path at ``jobs=1``.
+  bare ``BrokenProcessPool``), and runs the same callable in-process
+  at ``jobs=1``.
 
-The executor is generic over (picklable) callables; the spec-level
-entry points :func:`execute_spec` (in-process, live result) and
-:func:`execute_specs` (the fan-out used by ``run_suite``,
-``run_repeated``, ``repro perf --jobs`` and ``repro chaos --jobs``)
-are built on top of it. The committed matrix reports the perf and
-scale harnesses build from those summaries share one envelope
+:func:`execute_specs` is the one way to run a list of rows: every
+driver (``run_suite``, ``run_repeated``, the figure drivers, ``repro
+bench|compare|perf|chaos --jobs``) builds ``RunSpec`` rows and calls
+it, at every ``jobs``. :func:`execute_spec` is its single in-process
+step and returns the live result. The committed matrix reports the
+perf and scale harnesses build from those summaries share one envelope
 (:func:`host_stanza`, :func:`load_report`, :func:`write_report`).
 """
 
@@ -48,12 +49,18 @@ import os
 import platform
 import resource
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.bench.metrics import LatencySummary, Metrics
+from repro.bench.harness import (
+    RunMeasurements,
+    RunResult,
+    check_run_params,
+    run_benchmark,
+)
 from repro.core.strategy import StrategyWeights
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import FaultPlan, build_scenario
+from repro.obs import DecisionLedger, Observability, SloEngine
 from repro.sim.config import ClusterConfig
 from repro.workloads.openloop import OpenLoopSpec
 
@@ -170,6 +177,8 @@ class RunSpec:
     warmup_ms: float = 500.0
     cluster: Optional[ClusterConfig] = None
     weights: Optional[StrategyWeights] = None
+    #: partition -> site, as sorted pairs (a dict is accepted and stored
+    #: that way, so the spec stays hashable).
     placement: Optional[Tuple[Tuple[int, int], ...]] = None
     seed: int = 0
     load_data: bool = False
@@ -181,13 +190,13 @@ class RunSpec:
     #: come back folded on ``RunSummary.mastery``; the ledger does not).
     mastery: bool = False
     #: Attach a fresh SloEngine in the worker (the scalar verdict comes
-    #: back folded on ``RunSummary.slo``; the engine does not).
+    #: back folded on ``RunSummary.slo_verdict``; the engine does not).
     slo: bool = False
     #: Named fault scenario, instantiated in the worker via
     #: :func:`repro.faults.plan.build_scenario` against this spec's
     #: cluster size and duration.
     fault_scenario: Optional[str] = None
-    #: Explicit fault schedule; overrides ``fault_scenario``.
+    #: Explicit fault schedule (instead of ``fault_scenario``, never both).
     fault_plan: Optional[FaultPlan] = None
     #: Open-loop traffic description; when set, the worker drives the
     #: run with an OpenLoopEngine instead of ``num_clients`` closed-loop
@@ -196,6 +205,18 @@ class RunSpec:
     open_loop: Optional[OpenLoopSpec] = None
     #: Display / bookkeeping label (defaults to system + workload).
     label: Optional[str] = None
+
+    def __post_init__(self):
+        check_run_params(
+            self.system, num_clients=self.num_clients,
+            duration_ms=self.duration_ms, warmup_ms=self.warmup_ms,
+            open_loop=self.open_loop, fault_plan=self.fault_plan,
+            fault_scenario=self.fault_scenario,
+        )
+        if isinstance(self.placement, dict):
+            object.__setattr__(
+                self, "placement", tuple(sorted(self.placement.items()))
+            )
 
     def describe(self) -> str:
         base = self.label or f"{self.system}/{self.workload.name}"
@@ -207,41 +228,23 @@ class RunSpec:
         return dict(self.placement)
 
 
-def execute_spec(spec: RunSpec):
+def execute_spec(spec: RunSpec) -> RunResult:
     """Run one spec in-process and return the live ``RunResult``.
 
     This is the single execution path shared by the ``jobs=1`` serial
     mode and the worker processes: both funnel through the same
     :func:`~repro.bench.harness.run_benchmark` call, which is what
-    makes serial/parallel bit-identity hold by construction.
+    makes serial/parallel bit-identity hold by construction. It is also
+    the one place in ``bench/`` that builds recorders from flags.
     """
-    from repro.bench.harness import run_benchmark
-
     plan = spec.fault_plan
-    if plan is None and spec.fault_scenario is not None:
-        from repro.faults.plan import build_scenario
-
+    if spec.fault_scenario is not None:
         cluster = spec.cluster or ClusterConfig()
         plan = build_scenario(
             spec.fault_scenario,
             num_sites=cluster.num_sites,
             duration_ms=spec.duration_ms,
         )
-    obs = None
-    if spec.observed:
-        from repro.obs import Observability
-
-        obs = Observability()
-    ledger = None
-    if spec.mastery:
-        from repro.obs.mastery import DecisionLedger
-
-        ledger = DecisionLedger()
-    slo_engine = None
-    if spec.slo:
-        from repro.obs.slo import SloEngine
-
-        slo_engine = SloEngine()
     return run_benchmark(
         spec.system,
         spec.workload.build(),
@@ -253,12 +256,12 @@ def execute_spec(spec: RunSpec):
         placement=spec.placement_dict(),
         seed=spec.seed,
         load_data=spec.load_data,
-        obs=obs,
+        obs=Observability() if spec.observed else None,
         streaming_metrics=spec.streaming_metrics,
         fault_plan=plan,
-        ledger=ledger,
+        ledger=DecisionLedger() if spec.mastery else None,
         open_loop=spec.open_loop,
-        slo=slo_engine,
+        slo=SloEngine() if spec.slo else None,
     )
 
 
@@ -268,33 +271,16 @@ def execute_spec(spec: RunSpec):
 
 
 @dataclass
-class RunSummary:
+class RunSummary(RunMeasurements):
     """The portable form of a :class:`~repro.bench.harness.RunResult`.
 
     Carries every folded measurement across a process boundary; the
     live ``system`` / ``obs`` / ``injector`` handles are deliberately
-    dropped (the class attributes below are always ``None``), so a
-    summary pickles cheaply and keeps no cluster alive. Observed runs
-    fold their attribution budget into ``attribution_shares`` before
-    the tracer is discarded.
+    dropped, so a summary pickles cheaply and keeps no cluster alive.
+    What the recorders knew comes along folded, under the names a live
+    result answers to as well.
     """
 
-    system_name: str
-    workload_name: str
-    num_clients: int
-    duration_ms: float
-    warmup_ms: float
-    metrics: Metrics
-    throughput: float
-    remaster_rate: float
-    route_fractions: List[float]
-    traffic_bytes: Dict[str, int]
-    site_utilization: List[float]
-    abort_rate: float = 0.0
-    aborts_by_type: Dict[str, int] = field(default_factory=dict)
-    aborts_by_reason: Dict[str, int] = field(default_factory=dict)
-    fault_events: List = field(default_factory=list)
-    timelines: Dict = field(default_factory=dict)
     #: Share of commit latency per causal category (observed runs only).
     attribution_shares: Dict[str, float] = field(default_factory=dict)
     #: Folded ledger scalars (mastery runs only): locality share,
@@ -303,82 +289,25 @@ class RunSummary:
     #: Folded SLO verdict (SLO-monitored runs only): incident /
     #: violation / true-positive counts, MTTD/MTTR — see
     #: SloEngine.summary().
-    slo: Dict[str, float] = field(default_factory=dict)
-    #: Recorded offered arrival rate (open-loop runs; 0.0 closed-loop).
-    offered_rate: float = 0.0
+    slo_verdict: Dict[str, float] = field(default_factory=dict)
     #: Canonical digest of the simulated outcome (:func:`run_fingerprint`).
     fingerprint: str = ""
-    #: Host seconds the producing process spent inside ``run_benchmark``.
-    wall_clock_s: float = 0.0
-    events_processed: int = 0
     #: ``ru_maxrss`` of the producing process, in KB (0 if unknown).
     peak_rss_kb: int = 0
-
-    # The live handles never survive transport; keeping the attribute
-    # names (always None) preserves duck-typing with RunResult for
-    # report/export/chaos consumers.
-    system = None
-    obs = None
-    injector = None
-    ledger = None
-
-    def latency(self, txn_type: Optional[str] = None) -> LatencySummary:
-        return self.metrics.latency(txn_type)
 
     def portable(self) -> "RunSummary":
         """Already portable; returns self (mirrors RunResult.portable)."""
         return self
 
 
-def summarize(result) -> RunSummary:
+def summarize(result: RunResult) -> RunSummary:
     """Build the portable :class:`RunSummary` of a live run."""
-    shares: Dict[str, float] = {}
-    obs = getattr(result, "obs", None)
-    if obs is not None and obs.enabled and result.metrics.commits:
-        from repro.obs.attribution import AttributionReport
-
-        report = AttributionReport.from_result(result, keep_segments=False)
-        shares = {
-            category: round(share, 9)
-            for category, share in report.shares().items()
-        }
-    mastery: Dict[str, float] = {}
-    ledger = getattr(result, "ledger", None)
-    if ledger is not None and ledger.enabled:
-        mastery = ledger.summary()
-    elif getattr(result, "mastery", None):
-        mastery = dict(result.mastery)  # re-summarizing a RunSummary
-    slo_verdict: Dict[str, float] = {}
-    slo = getattr(result, "slo", None)
-    if slo is not None:
-        if getattr(slo, "enabled", False):
-            slo_verdict = slo.summary()
-        elif isinstance(slo, dict):
-            slo_verdict = dict(slo)  # re-summarizing a RunSummary
     return RunSummary(
-        system_name=result.system_name,
-        workload_name=result.workload_name,
-        num_clients=result.num_clients,
-        duration_ms=result.duration_ms,
-        warmup_ms=result.warmup_ms,
-        metrics=result.metrics,
-        throughput=result.throughput,
-        remaster_rate=result.remaster_rate,
-        route_fractions=list(result.route_fractions),
-        traffic_bytes=dict(result.traffic_bytes),
-        site_utilization=list(result.site_utilization),
-        abort_rate=result.abort_rate,
-        aborts_by_type=dict(result.aborts_by_type),
-        aborts_by_reason=dict(result.aborts_by_reason),
-        fault_events=list(result.fault_events),
-        timelines=dict(result.timelines),
-        attribution_shares=shares,
-        mastery=mastery,
-        slo=slo_verdict,
-        offered_rate=getattr(result, "offered_rate", 0.0),
+        **{f.name: getattr(result, f.name) for f in fields(RunMeasurements)},
+        attribution_shares=result.attribution_shares,
+        mastery=result.mastery,
+        slo_verdict=result.slo_verdict,
         fingerprint=run_fingerprint(result),
-        wall_clock_s=result.wall_clock_s,
-        events_processed=result.events_processed,
         peak_rss_kb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
     )
 
@@ -419,11 +348,10 @@ class ParallelExecutor:
     """Deterministic fan-out of picklable callables over processes.
 
     ``jobs=1`` never touches multiprocessing: items run in-process, in
-    order, on exactly the code path the pre-parallel drivers used. With
-    ``jobs>1`` a spawn-context pool executes items concurrently, and
-    results are returned **in submission order** regardless of
-    completion order — determinism of the output list is part of the
-    contract, not a scheduling accident.
+    order. With ``jobs>1`` a spawn-context pool executes items
+    concurrently, and results are returned **in submission order**
+    regardless of completion order — determinism of the output list is
+    part of the contract, not a scheduling accident.
 
     ``on_error="raise"`` (default) raises :class:`SpecExecutionError`
     for the first failing item *after* letting every other item finish,
@@ -514,9 +442,8 @@ def execute_specs(
 ) -> List[RunSummary]:
     """Execute ``specs`` and return portable summaries in spec order.
 
-    The workhorse behind every ``--jobs`` flag: ``run_suite``,
-    ``run_repeated``, the perf matrix, and chaos fan-out all reduce
-    their work to a spec list and call this.
+    The one run path of every driver: in-process at ``jobs=1`` (one
+    cluster alive at a time), over worker processes above it.
     """
     return ParallelExecutor(jobs).map(_spec_worker, specs, on_error=on_error)
 

@@ -50,7 +50,7 @@ def ratio(numerator: float, denominator: float) -> float:
 
 
 def print_run_report(result) -> None:
-    """Print the standard per-run report for one ``RunResult``.
+    """Print the standard per-run report for one run, live or portable.
 
     Latency table per txn type, protocol activity (including the abort
     rate and per-type abort counts), and — for observed runs — a
@@ -110,15 +110,10 @@ def print_run_report(result) -> None:
     for reason, count in sorted(result.aborts_by_reason.items()):
         activity.append([f"aborts [{reason}]", f"{count:,}"])
     print_table("protocol activity", ["metric", "value"], activity)
-    if getattr(metrics, "open_loop_counters", None):
+    if metrics.open_loop_counters:
         print_open_loop(result)
-    mastery = getattr(result, "mastery", None)
-    ledger = getattr(result, "ledger", None)
-    if mastery or (ledger is not None and ledger.enabled):
-        print_mastering(result)
-    slo = getattr(result, "slo", None)
-    if slo is not None and (getattr(slo, "enabled", False) or slo):
-        print_slo(result)
+    print_mastering(result)
+    print_slo(result)
     if result.timelines:
         print_table(
             "sampled timelines (mean / max over run)",
@@ -128,7 +123,7 @@ def print_run_report(result) -> None:
                 for name, timeline in sorted(result.timelines.items())
             ],
         )
-    if result.obs is not None and result.obs.enabled:
+    if result.obs is not None:
         print_attribution(result)
 
 
@@ -170,17 +165,13 @@ def print_open_loop(result) -> None:
 def print_mastering(result) -> None:
     """Print the mastering summary of a ledger-observed run.
 
-    Works on a live :class:`~repro.bench.harness.RunResult` (summarizes
-    its ledger, and adds the top-mover timeline the live event stream
-    affords) and on a portable ``RunSummary`` whose ``mastery`` scalars
-    were folded worker-side.
+    The folded ``mastery`` scalars of either result shape; a live
+    result adds the top-mover timeline only its ledger's event stream
+    affords. Prints nothing for a run without a ledger.
     """
-    summary = getattr(result, "mastery", None) or None
-    ledger = getattr(result, "ledger", None)
-    if summary is None:
-        if ledger is None or not ledger.enabled:
-            return
-        summary = ledger.summary()
+    summary = result.mastery
+    if not summary:
+        return
     convergence = summary["convergence_ms"]
     rows = [
         ["decisions", f"{int(summary['decisions']):,}"],
@@ -198,8 +189,8 @@ def print_mastering(result) -> None:
          f"{summary['convergence_window_ms']:g} ms window)"],
     ]
     print_table("mastering (decision ledger)", ["metric", "value"], rows)
-    if ledger is not None and ledger.enabled:
-        timeline = ledger.timeline()
+    if result.ledger is not None:
+        timeline = result.ledger.timeline()
         movers = timeline.top_movers(top=5)
         if movers:
             print_table(
@@ -214,21 +205,20 @@ def print_mastering(result) -> None:
 def print_slo(result) -> None:
     """Print the SLO/incident verdict of an SLO-monitored run.
 
-    Works on a live :class:`~repro.bench.harness.RunResult` carrying a
-    :class:`~repro.obs.slo.SloEngine` (full objective, incident, and
-    fault-correlation tables) and on a portable ``RunSummary`` whose
-    ``slo`` verdict scalars were folded worker-side (summary table
-    only — the window series stayed in the worker).
+    A live result carrying its :class:`~repro.obs.slo.SloEngine` gets
+    the full objective, incident, and fault-correlation tables; a
+    portable one gets its folded ``slo_verdict`` scalars only (the
+    window series stayed in the worker). Prints nothing for an
+    unmonitored run.
     """
-    slo = getattr(result, "slo", None)
-    if slo is None:
+    summary = result.slo_verdict
+    if not summary:
         return
-    if not getattr(slo, "enabled", False):
-        if not slo:
-            return
+    slo = result.slo
+    if slo is None:
         print_table(
             "SLO verdict (folded)", ["metric", "value"],
-            [[name, f"{value:g}"] for name, value in sorted(slo.items())],
+            [[name, f"{value:g}"] for name, value in sorted(summary.items())],
         )
         return
 
@@ -276,7 +266,6 @@ def print_slo(result) -> None:
                 for span in slo.correlation
             ],
         )
-    summary = slo.summary()
     verdict = [
         ["incidents (SLO)", f"{int(summary['incidents']):,}"],
         ["violations (invariant)", f"{int(summary['violations']):,}"],

@@ -43,29 +43,22 @@ from typing import List, Optional
 
 from repro.bench import print_table, run_benchmark
 from repro.bench.harness import ALL_SYSTEMS
+from repro.bench.experiments import run_suite
+from repro.bench.parallel import SpecExecutionError, WorkloadSpec
 from repro.bench.report import print_run_report
 from repro.sim.config import ClusterConfig
-from repro.workloads import (
-    SmallBankWorkload,
-    TPCCConfig,
-    TPCCWorkload,
-    YCSBConfig,
-    YCSBWorkload,
-)
-from repro.workloads.smallbank import SmallBankConfig
 
 WORKLOADS = ("ycsb", "tpcc", "smallbank")
 
 
-def make_workload_spec(name: str, args):
+def make_workload_spec(name: str, args) -> WorkloadSpec:
     """Describe a workload from CLI arguments as picklable pure data.
 
-    The spec form is what ``--jobs`` fan-out ships to worker processes;
-    :func:`make_workload` builds the same workload in-process from it,
-    so serial and parallel runs construct identical generators.
+    The spec form is what ``bench`` / ``compare`` rows carry (and ship
+    to worker processes under ``--jobs``); :func:`make_workload` builds
+    the same workload in-process from it for the live-recorder
+    commands, so both construct identical generators.
     """
-    from repro.bench.parallel import WorkloadSpec
-
     if name == "ycsb":
         return WorkloadSpec.of("ycsb", rmw_fraction=args.rmw, zipf_theta=args.skew)
     if name == "tpcc":
@@ -96,11 +89,26 @@ def add_common_arguments(parser: argparse.ArgumentParser) -> None:
                         help="[tpcc] cross-warehouse New-Order fraction")
 
 
-def run_one(system: str, args, obs=None, ledger=None):
-    workload = make_workload(args.workload, args)
+def run_rows(systems, args, jobs: int = 1):
+    """Run one ``RunSpec`` row per system (``bench`` and ``compare``)."""
+    return run_suite(
+        make_workload_spec(args.workload, args),
+        systems=systems,
+        cluster=dict(num_sites=args.sites, cores_per_site=args.cores),
+        num_clients=args.clients,
+        duration_ms=args.duration,
+        warmup_ms=args.duration / 4,
+        seed=args.seed,
+        jobs=jobs,
+    )
+
+
+def run_live(system: str, args, obs=None, ledger=None):
+    """Run one system with a live recorder the command reads afterwards
+    (``trace`` / ``explain`` / ``masters``); everything else is a row."""
     return run_benchmark(
         system,
-        workload,
+        make_workload(args.workload, args),
         num_clients=args.clients,
         duration_ms=args.duration,
         warmup_ms=args.duration / 4,
@@ -114,8 +122,7 @@ def run_one(system: str, args, obs=None, ledger=None):
 
 
 def cmd_bench(args) -> int:
-    result = run_one(args.system, args)
-    print_run_report(result)
+    print_run_report(run_rows([args.system], args)[args.system])
     return 0
 
 
@@ -133,7 +140,7 @@ def cmd_trace(args) -> int:
               f"got {args.sample_interval}", file=sys.stderr)
         return 2
     obs = Observability(sample_interval_ms=args.sample_interval)
-    result = run_one(args.system, args, obs=obs)
+    result = run_live(args.system, args, obs=obs)
     print_run_report(result)
 
     trace_path = f"{args.out}.trace.json"
@@ -164,7 +171,7 @@ def _explain_report(system: str, args):
     from repro.obs.attribution import AttributionReport
 
     obs = Observability()
-    result = run_one(system, args, obs=obs)
+    result = run_live(system, args, obs=obs)
     report = AttributionReport.from_result(result, seed=args.seed)
     report.meta["sites"] = args.sites
     return report
@@ -282,7 +289,7 @@ def cmd_masters(args) -> int:
               f"got {args.window}", file=sys.stderr)
         return 2
     ledger = DecisionLedger()
-    result = run_one(args.system, args, ledger=ledger)
+    result = run_live(args.system, args, ledger=ledger)
 
     if args.why is not None:
         if not 0 <= args.why < len(ledger.decisions):
@@ -356,36 +363,9 @@ def cmd_masters(args) -> int:
 
 def cmd_compare(args) -> int:
     systems = args.systems.split(",") if args.systems else list(ALL_SYSTEMS)
+    results = run_rows(systems, args, jobs=args.jobs)
+    print(f"ran {len(results)} systems (jobs={args.jobs})", file=sys.stderr)
     rows = []
-    results = {}
-    if args.jobs > 1:
-        from repro.bench.parallel import RunSpec, SpecExecutionError, execute_specs
-
-        specs = [
-            RunSpec(
-                system=system,
-                workload=make_workload_spec(args.workload, args),
-                num_clients=args.clients,
-                duration_ms=args.duration,
-                warmup_ms=args.duration / 4,
-                cluster=ClusterConfig(
-                    num_sites=args.sites, cores_per_site=args.cores
-                ),
-                seed=args.seed,
-            )
-            for system in systems
-        ]
-        try:
-            results = dict(zip(systems, execute_specs(specs, jobs=args.jobs)))
-        except SpecExecutionError as exc:
-            print(f"repro compare: error: {exc}", file=sys.stderr)
-            return 2
-        print(f"ran {len(results)} systems across {args.jobs} workers",
-              file=sys.stderr)
-    else:
-        for system in systems:
-            results[system] = run_one(system, args)
-            print(f"ran {system}", file=sys.stderr)
     for system, result in results.items():
         combined = result.latency()
         rows.append([
@@ -582,7 +562,6 @@ def cmd_chaos(args) -> int:
 
 def _chaos_matrix(args, systems, scenarios) -> int:
     """Fan a (system x scenario) matrix over worker processes."""
-    from repro.bench.parallel import SpecExecutionError
     from repro.faults.chaos import run_chaos_matrix
 
     if args.explain:
@@ -590,23 +569,19 @@ def _chaos_matrix(args, systems, scenarios) -> int:
               "only available for single serial runs (drop --jobs/"
               "--systems/--scenarios)", file=sys.stderr)
         return 2
-    try:
-        reports = run_chaos_matrix(
-            systems,
-            scenarios,
-            jobs=args.jobs,
-            num_sites=args.sites,
-            num_clients=args.clients,
-            duration_ms=args.duration,
-            bucket_ms=args.bucket,
-            seed=args.seed,
-            mastery=args.masters,
-            slo=args.slo,
-            defenses=args.defenses,
-        )
-    except (SpecExecutionError, ValueError) as exc:
-        print(f"repro chaos: error: {exc}", file=sys.stderr)
-        return 2
+    reports = run_chaos_matrix(
+        systems,
+        scenarios,
+        jobs=args.jobs,
+        num_sites=args.sites,
+        num_clients=args.clients,
+        duration_ms=args.duration,
+        bucket_ms=args.bucket,
+        seed=args.seed,
+        mastery=args.masters,
+        slo=args.slo,
+        defenses=args.defenses,
+    )
     rows = []
     headers = ["system", "scenario", "commits", "aborts", "steady/s",
                "min/s", "final/s", "p99 ms", "detect ms", "quarant ms",
@@ -641,7 +616,7 @@ def _chaos_matrix(args, systems, scenarios) -> int:
                     "never" if converged < 0 else f"{converged:,.0f} ms",
                 ]
         if args.slo:
-            verdict = getattr(report.result, "slo", None) or {}
+            verdict = report.result.slo_verdict
             if verdict:
                 mttd = verdict["mttd_mean_ms"]
                 row += [
@@ -921,7 +896,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     experiments.set_defaults(fn=cmd_experiments)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ValueError, SpecExecutionError) as exc:
+        # Bad run parameters and configs (check_run_params, the workload
+        # configs' __post_init__), in this process or a worker.
+        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -17,11 +17,10 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.bench.harness import RunResult, run_benchmark
+from repro.bench.harness import RunMeasurements, run_benchmark
 from repro.bench.parallel import RunSpec, WorkloadSpec, execute_specs
 from repro.faults.plan import FaultPlan, build_scenario
 from repro.sim.config import ClusterConfig, RpcConfig
-from repro.workloads.ycsb import YCSBConfig, YCSBWorkload
 
 __all__ = [
     "AvailabilityBucket",
@@ -43,9 +42,8 @@ DEFENSES = ("fixed", "adaptive")
 ADAPTIVE_HEALTH_WEIGHT = 1000.0
 
 #: The default chaos workload as pure data — contended YCSB (50% RMW,
-#: moderate skew), identical to the workload ``run_chaos`` builds
-#: inline, expressed as a spec so scenario matrices can fan out across
-#: worker processes.
+#: moderate skew) — so scenario matrices can fan out across worker
+#: processes.
 DEFAULT_CHAOS_WORKLOAD = dict(num_partitions=40, rmw_fraction=0.5, zipf_theta=0.5)
 
 
@@ -103,7 +101,9 @@ class ChaosReport:
     buckets: List[AvailabilityBucket]
     #: (at_ms, kind, site) fault transitions, in order.
     fault_events: List[Tuple[float, str, int]]
-    result: Optional[RunResult] = field(repr=False, default=None)
+    #: The run behind the report, live (``run_chaos``) or portable
+    #: (``run_chaos_matrix``).
+    result: Optional[RunMeasurements] = field(repr=False, default=None)
 
     # -- latency attribution (observed chaos runs only) ----------------------
 
@@ -112,8 +112,7 @@ class ChaosReport:
 
         None unless the chaos run was observed (``run_chaos(..., obs=...)``).
         """
-        if self.result is None or self.result.obs is None \
-                or not self.result.obs.enabled:
+        if self.result is None or self.result.obs is None:
             return None
         from repro.obs.attribution import AttributionReport
 
@@ -137,25 +136,27 @@ class ChaosReport:
         ``reconvergence`` list (the event-level series stayed in the
         worker). None when the run carried no ledger at all.
         """
-        ledger = getattr(self.result, "ledger", None) if self.result else None
-        if ledger is not None and ledger.enabled:
-            summary = ledger.summary(threshold=threshold, window_ms=window_ms)
-            reconvergence = [
-                {
-                    "at_ms": at_ms,
-                    "kind": kind,
-                    "site": site,
-                    "reconvergence_ms": ledger.convergence_time(
-                        after=at_ms, threshold=threshold, window_ms=window_ms
-                    ),
-                }
-                for at_ms, kind, site in self.fault_events
-            ]
-            return {"summary": summary, "reconvergence": reconvergence}
-        folded = getattr(self.result, "mastery", None) if self.result else None
-        if folded:
-            return {"summary": dict(folded), "reconvergence": []}
-        return None
+        if self.result is None:
+            return None
+        ledger = self.result.ledger
+        if ledger is None:
+            folded = self.result.mastery
+            return {"summary": dict(folded), "reconvergence": []} if folded else None
+        reconvergence = [
+            {
+                "at_ms": at_ms,
+                "kind": kind,
+                "site": site,
+                "reconvergence_ms": ledger.convergence_time(
+                    after=at_ms, threshold=threshold, window_ms=window_ms
+                ),
+            }
+            for at_ms, kind, site in self.fault_events
+        ]
+        return {
+            "summary": ledger.summary(threshold=threshold, window_ms=window_ms),
+            "reconvergence": reconvergence,
+        }
 
     def degraded_windows(self) -> List[Tuple[float, float]]:
         """``[crash, restart)`` windows during which any site was down."""
@@ -284,9 +285,7 @@ def run_chaos(
     if plan is None:
         plan = build_scenario(scenario, num_sites=num_sites, duration_ms=duration_ms)
     if workload is None:
-        workload = YCSBWorkload(
-            YCSBConfig(num_partitions=40, rmw_fraction=0.5, zipf_theta=0.5)
-        )
+        workload = chaos_workload_spec().build()
     rpc, weights = defense_setup(defenses, workload)
     result = run_benchmark(
         system_name,

@@ -179,8 +179,8 @@ def _incident_spans(incidents, run_end: float,
 
 def render_dashboard(result, *, title: Optional[str] = None) -> str:
     """Render ``result`` (an SLO-monitored run) as a standalone HTML page."""
-    slo = getattr(result, "slo", None)
-    if slo is None or not getattr(slo, "enabled", False):
+    slo = result.slo
+    if slo is None:
         raise ValueError(
             "render_dashboard needs a RunResult with a live SloEngine "
             "(run with slo=SloEngine())"

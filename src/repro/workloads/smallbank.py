@@ -23,7 +23,7 @@ from typing import Any, Iterable, Optional, Tuple
 from repro.core.strategy import StrategyWeights
 from repro.partitioning.schemes import PartitionScheme
 from repro.transactions import Key, Transaction
-from repro.workloads.base import ClientTurn, Workload
+from repro.workloads.base import ClientTurn, Workload, check_config
 
 
 @dataclass
@@ -45,6 +45,16 @@ class SmallBankConfig:
     hotspot_fraction: float = 0.0
     #: Number of hot accounts (the first accounts of the key space).
     hotspot_accounts: int = 100
+
+    def __post_init__(self):
+        check_config(self, (
+            ("users", self.users >= 1, ">= 1"),
+            ("users_per_partition", self.users_per_partition >= 1, ">= 1"),
+            ("hotspot_accounts", self.hotspot_accounts >= 1, ">= 1"),
+            ("neighbour_trials", self.neighbour_trials >= 0, ">= 0"),
+            ("neighbour_p", 0.0 <= self.neighbour_p <= 1.0, "in [0, 1]"),
+            ("hotspot_fraction", 0.0 <= self.hotspot_fraction <= 1.0, "in [0, 1]"),
+        ), mix=("single_update_weight", "two_row_update_weight", "balance_weight"))
 
     @property
     def num_partitions(self) -> int:

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.strategy import StrategyWeights
 from repro.partitioning.schemes import PartitionScheme
 from repro.transactions import Key, ScanBlock, Transaction
-from repro.workloads.base import ClientTurn, Workload
+from repro.workloads.base import ClientTurn, Workload, check_config
 
 
 @dataclass
@@ -61,6 +61,19 @@ class TPCCConfig:
     stocklevel_weight: float = 0.10
     #: Recent orders examined by Stock-Level.
     stocklevel_orders: int = 20
+
+    def __post_init__(self):
+        counts = ("warehouses", "districts_per_warehouse",
+                  "customers_per_district", "customer_chunk", "items",
+                  "stock_chunk", "min_order_lines", "stocklevel_orders")
+        fractions = ("neworder_remote_fraction", "payment_remote_fraction")
+        check_config(self, (
+            *((name, getattr(self, name) >= 1, ">= 1") for name in counts),
+            ("min_order_lines", self.min_order_lines <= self.max_order_lines,
+             f"<= max_order_lines ({self.max_order_lines})"),
+            *((name, 0.0 <= getattr(self, name) <= 1.0, "in [0, 1]")
+              for name in fractions),
+        ), mix=("neworder_weight", "payment_weight", "stocklevel_weight"))
 
     @property
     def stock_chunks_per_warehouse(self) -> int:

@@ -33,7 +33,7 @@ from repro.core.strategy import StrategyWeights
 from repro.partitioning.schemes import PartitionScheme
 from repro.sim.rand import ZipfGenerator
 from repro.transactions import Key, KeyRange, Transaction
-from repro.workloads.base import ClientTurn, Workload
+from repro.workloads.base import ClientTurn, Workload, check_config
 
 TABLE = "usertable"
 
@@ -71,10 +71,7 @@ class YCSBConfig:
     affinity_spread: int = 2
 
     def __post_init__(self):
-        # The config arrives from CLI flags and WorkloadSpec params
-        # (build_workload): refuse here what would otherwise surface
-        # mid-run as an empty scan block or a stdlib randrange error.
-        for name, ok, rule in (
+        check_config(self, (
             ("keys_per_partition", self.keys_per_partition >= 1, ">= 1"),
             ("scan_min_partitions", self.scan_min_partitions >= 1, ">= 1"),
             ("scan_min_partitions",
@@ -85,11 +82,7 @@ class YCSBConfig:
             ("neighbour_trials", self.neighbour_trials >= 0, ">= 0"),
             ("affinity_txns", self.affinity_txns >= 1, ">= 1"),
             ("zipf_theta", self.zipf_theta >= 0.0, ">= 0"),
-        ):
-            if not ok:
-                raise ValueError(
-                    f"YCSBConfig.{name} must be {rule}, got {getattr(self, name)!r}"
-                )
+        ))
 
 
 @dataclass

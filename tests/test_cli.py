@@ -61,6 +61,35 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(["bench", "bogus"])
 
+    @pytest.mark.parametrize("command", [
+        ["bench", "dynamast"],
+        ["compare", "--systems", "dynamast"],
+        ["compare", "--systems", "dynamast,single-master", "--jobs", "2"],
+        ["trace", "--out", "unwritten"],
+        ["explain"],
+        ["masters"],
+    ])
+    @pytest.mark.parametrize("flags,field", [
+        (["--duration", "0", "--clients", "0"], "duration_ms"),
+        (["--clients", "0"], "num_clients"),
+        (["--rmw", "1.5"], "rmw_fraction"),
+    ])
+    def test_bad_run_parameters_exit_2_without_a_report(
+            self, command, flags, field, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(command + ["--duration", "100"] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"repro {command[0]}: error:" in captured.err
+        assert field in captured.err
+        assert "Traceback" not in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_compare_rejects_unknown_system(self, capsys):
+        assert main(["compare", "--systems", "dynamast,bogus"]) == 2
+        assert "repro compare: error: unknown system 'bogus'" in \
+            capsys.readouterr().err
+
     def test_tpcc_via_cli(self, capsys):
         code = main([
             "bench", "multi-master", "--workload", "tpcc",

@@ -40,13 +40,14 @@ def _workload():
     )
 
 
-def _run(system, fault_plan, rpc=None, seed=7, duration_ms=900.0, weights=None):
+def _run(system, fault_plan, rpc=None, seed=7, duration_ms=900.0, weights=None,
+         warmup_ms=100.0):
     return run_benchmark(
         system,
         _workload(),
         num_clients=8,
         duration_ms=duration_ms,
-        warmup_ms=100.0,
+        warmup_ms=warmup_ms,
         cluster_config=ClusterConfig(num_sites=3, rpc=rpc or RpcConfig()),
         weights=weights,
         seed=seed,
@@ -106,7 +107,7 @@ class TestSlowHook:
             SlowFault(1, 0.0, 100.0, factor=2.0),
             SlowFault(1, 50.0, 100.0, factor=3.0),
         ))
-        result = _run("dynamast", plan, duration_ms=60.0)
+        result = _run("dynamast", plan, duration_ms=60.0, warmup_ms=0.0)
         # env.now is 60.0 at run end — inside both windows.
         assert result.injector.cpu_multiplier(1) == 6.0
 

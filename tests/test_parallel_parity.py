@@ -4,20 +4,30 @@ The non-negotiable contract of :mod:`repro.bench.parallel`: a parallel
 sweep produces fingerprints bit-identical to the serial sweep — for
 ``run_suite``, ``run_repeated``, the perf matrix, and the chaos
 fan-out — and the ``jobs=1`` path is itself bit-identical to calling
-:func:`~repro.bench.harness.run_benchmark` directly (the pre-engine
-code path). Scales are tiny; what matters is that every driver's
-parallel plumbing funnels through the same simulation.
+:func:`~repro.bench.harness.run_benchmark` directly (the reference).
+Every driver runs the same :class:`RunSpec` rows at every ``jobs``, so
+what is pinned here is that a worker process changes nothing, that
+every flag a row can carry works at both, and that no recorder a flag
+attaches perturbs the simulation. Scales are tiny.
 """
 
 import pytest
 
-from repro.bench.harness import run_benchmark
-from repro.bench.parallel import RunSummary, WorkloadSpec, run_fingerprint
+from repro.bench.harness import ALL_SYSTEMS, run_benchmark
+from repro.bench.parallel import (
+    RunSpec,
+    RunSummary,
+    WorkloadSpec,
+    execute_spec,
+    execute_specs,
+    run_fingerprint,
+)
 from repro.bench.perf import run_cases
 from repro.bench.repeat import run_repeated
 from repro.bench.experiments import run_suite
 from repro.faults.chaos import run_chaos, run_chaos_matrix
 from repro.sim.config import ClusterConfig
+from repro.workloads.openloop import OpenLoopSpec
 from tests.test_perf_harness import TINY_MATRIX
 
 SYSTEMS = ("dynamast", "single-master")
@@ -29,6 +39,13 @@ def tiny_workload_spec():
     return WorkloadSpec.of("ycsb", num_partitions=16, rmw_fraction=0.5)
 
 
+def assert_same_runs(serial, parallel):
+    for left, right in zip(serial, parallel):
+        assert isinstance(left, RunSummary) and isinstance(right, RunSummary)
+        assert left.fingerprint == right.fingerprint
+        assert left.metrics.commits > 0
+
+
 class TestRunSuiteParity:
     def test_parallel_matches_serial(self):
         spec = tiny_workload_spec()
@@ -36,13 +53,11 @@ class TestRunSuiteParity:
                            seed=3, jobs=1, **TINY)
         parallel = run_suite(spec, systems=SYSTEMS, cluster=CLUSTER,
                              seed=3, jobs=2, **TINY)
-        assert list(parallel) == list(SYSTEMS)  # deterministic order
-        for system in SYSTEMS:
-            assert isinstance(parallel[system], RunSummary)
-            assert parallel[system].fingerprint == run_fingerprint(serial[system])
+        assert list(parallel) == list(serial) == list(SYSTEMS)  # deterministic order
+        assert_same_runs(serial.values(), parallel.values())
 
     def test_jobs1_matches_direct_run_benchmark(self):
-        """The serial path is the pre-engine path, bit for bit."""
+        """The spec path is the plain ``run_benchmark`` call, bit for bit."""
         spec = tiny_workload_spec()
         suite = run_suite(spec, systems=("dynamast",), cluster=CLUSTER,
                           seed=3, jobs=1, **TINY)
@@ -50,35 +65,27 @@ class TestRunSuiteParity:
             "dynamast", spec.build(),
             cluster_config=ClusterConfig(**CLUSTER), seed=3, **TINY,
         )
-        assert run_fingerprint(suite["dynamast"]) == run_fingerprint(direct)
+        assert suite["dynamast"].fingerprint == run_fingerprint(direct)
 
     def test_observed_runs_fold_identical_attribution(self):
-        spec = tiny_workload_spec()
-        serial = run_suite(spec, systems=("dynamast",), cluster=CLUSTER,
-                           seed=3, jobs=1, observed=True, **TINY)
-        parallel = run_suite(spec, systems=("dynamast",), cluster=CLUSTER,
-                             seed=3, jobs=2, observed=True, **TINY)
-        live, summary = serial["dynamast"], parallel["dynamast"]
-        assert summary.fingerprint == run_fingerprint(live)
-        assert summary.attribution_shares  # folded worker-side
-        assert summary.attribution_shares == live.portable().attribution_shares
+        kwargs = dict(systems=("dynamast",), cluster=CLUSTER, seed=3,
+                      observed=True, **TINY)
+        serial = run_suite(tiny_workload_spec(), jobs=1, **kwargs)["dynamast"]
+        parallel = run_suite(tiny_workload_spec(), jobs=2, **kwargs)["dynamast"]
+        assert_same_runs([serial], [parallel])
+        assert parallel.attribution_shares  # folded worker-side
+        assert parallel.attribution_shares == serial.attribution_shares
+        assert parallel.timelines.keys() == serial.timelines.keys()
 
     def test_mastery_runs_fold_identical_summaries(self):
-        """--jobs N mastering runs carry the same scalars as serial,
-        and attaching the ledger never perturbs the simulation."""
-        spec = tiny_workload_spec()
-        kwargs = dict(systems=SYSTEMS, cluster=CLUSTER, seed=3, **TINY)
-        plain = run_suite(spec, jobs=1, **kwargs)
-        serial = run_suite(spec, jobs=1, mastery=True, **kwargs)
-        parallel = run_suite(spec, jobs=2, mastery=True, **kwargs)
+        kwargs = dict(systems=SYSTEMS, cluster=CLUSTER, seed=3,
+                      mastery=True, **TINY)
+        serial = run_suite(tiny_workload_spec(), jobs=1, **kwargs)
+        parallel = run_suite(tiny_workload_spec(), jobs=2, **kwargs)
+        assert_same_runs(serial.values(), parallel.values())
         for system in SYSTEMS:
-            live, summary = serial[system], parallel[system]
-            # Passive recorder: mastering-observed == unobserved.
-            assert summary.fingerprint == run_fingerprint(plain[system])
-            assert summary.fingerprint == run_fingerprint(live)
-            # The folded scalars match the live ledger's summary.
-            assert summary.mastery == live.ledger.summary()
-            assert summary.mastery["updates_routed"] > 0
+            assert parallel[system].mastery == serial[system].mastery
+            assert serial[system].mastery["updates_routed"] > 0
 
     def test_faulted_suite_parity(self):
         spec = tiny_workload_spec()
@@ -86,13 +93,25 @@ class TestRunSuiteParity:
                       fault_scenario="crash", **TINY)
         serial = run_suite(spec, jobs=1, **kwargs)
         parallel = run_suite(spec, jobs=2, **kwargs)
-        assert parallel["dynamast"].fingerprint == \
-            run_fingerprint(serial["dynamast"])
+        assert_same_runs(serial.values(), parallel.values())
         assert parallel["dynamast"].fault_events  # the crash happened
 
-    def test_factory_callable_requires_serial(self):
-        with pytest.raises(ValueError, match="Spawn safety"):
-            run_suite(lambda: None, systems=("dynamast",), jobs=2)
+    @pytest.mark.parametrize("flag,folded", [
+        (dict(slo=True), "slo_verdict"),
+        (dict(open_loop=OpenLoopSpec.of("constant", rate_tps=2000.0)),
+         "offered_rate"),
+    ])
+    def test_every_run_spec_flag_works_at_both_jobs(self, flag, folded):
+        """``slo`` died at jobs=1 and both were refused at jobs=2 while
+        the drivers kept their own allow-list of RunSpec fields."""
+        kwargs = dict(systems=SYSTEMS, cluster=CLUSTER, seed=3, **TINY, **flag)
+        serial = run_suite(tiny_workload_spec(), jobs=1, **kwargs)
+        parallel = run_suite(tiny_workload_spec(), jobs=2, **kwargs)
+        assert_same_runs(serial.values(), parallel.values())
+        for system in SYSTEMS:
+            assert getattr(serial[system], folded)
+            assert getattr(parallel[system], folded) == \
+                getattr(serial[system], folded)
 
 
 class TestRunRepeatedParity:
@@ -102,15 +121,81 @@ class TestRunRepeatedParity:
                       **TINY)
         serial = run_repeated("dynamast", spec, jobs=1, **kwargs)
         parallel = run_repeated("dynamast", spec, jobs=2, **kwargs)
-        for live, summary in zip(serial.runs, parallel.runs):
-            assert summary.fingerprint == run_fingerprint(live)
+        assert_same_runs(serial.runs, parallel.runs)
+        assert serial.runs[0].fingerprint != serial.runs[1].fingerprint
         assert parallel.throughput == serial.throughput
         assert parallel.mean_latency == serial.mean_latency
         assert parallel.p99_latency == serial.p99_latency
 
-    def test_factory_callable_requires_serial(self):
-        with pytest.raises(ValueError, match="Spawn safety"):
-            run_repeated("dynamast", lambda: None, jobs=2)
+    def test_placement_is_honoured_at_both_jobs(self):
+        """Accepted at jobs=1 and refused at jobs=2 before."""
+        spec = tiny_workload_spec()
+        kwargs = dict(seeds=(1, 2), cluster_config=ClusterConfig(**CLUSTER),
+                      **TINY)
+        default = run_repeated("dynamast", spec, **kwargs)
+        one_site = {partition: 0 for partition in range(16)}
+        serial = run_repeated("dynamast", spec, jobs=1, placement=one_site,
+                              **kwargs)
+        parallel = run_repeated("dynamast", spec, jobs=2, placement=one_site,
+                                **kwargs)
+        assert_same_runs(serial.runs, parallel.runs)
+        assert serial.runs[0].fingerprint != default.runs[0].fingerprint
+
+
+def recorder_spec(system, **flags):
+    return RunSpec(system=system, workload=tiny_workload_spec(),
+                   cluster=ClusterConfig(**CLUSTER), seed=3, **TINY, **flags)
+
+
+RECORDER_FLAGS = {
+    "observed": "attribution_shares",
+    "mastery": "mastery",
+    "slo": "slo_verdict",
+}
+
+
+class TestPassiveRecorders:
+    """Every recorder a RunSpec flag attaches records and changes
+    nothing simulated — on every system."""
+
+    @pytest.fixture(scope="class")
+    def plain(self):
+        specs = [recorder_spec(system) for system in ALL_SYSTEMS]
+        return dict(zip(ALL_SYSTEMS, execute_specs(specs)))
+
+    @pytest.mark.parametrize("system", ALL_SYSTEMS)
+    @pytest.mark.parametrize("flag", RECORDER_FLAGS)
+    def test_on_equals_off(self, plain, flag, system):
+        (recorded,) = execute_specs([recorder_spec(system, **{flag: True})])
+        assert recorded.fingerprint == plain[system].fingerprint
+        assert recorded.metrics.commits > 0
+        assert getattr(recorded, RECORDER_FLAGS[flag])  # it did record
+        assert not getattr(plain[system], RECORDER_FLAGS[flag])
+        if flag == "mastery" and system == "dynamast":
+            assert recorded.mastery["decisions"] > 0
+
+
+class TestOneResultShape:
+    def test_live_result_and_its_portable_form_agree(self):
+        """``mastery``, ``slo_verdict`` and ``attribution_shares`` read
+        the same off a live result as off the summary folded from it."""
+        live = execute_spec(recorder_spec(
+            "dynamast", observed=True, mastery=True, slo=True))
+        summary = live.portable()
+        for name in RECORDER_FLAGS.values():
+            folded = getattr(summary, name)
+            assert folded and isinstance(folded, dict)
+            assert getattr(live, name) == folded
+        assert live.obs is not None and summary.obs is None
+
+    def test_detached_recorder_is_not_folded(self):
+        """perfbench detaches ``obs`` so ``portable()`` skips the
+        attribution fold; the attribute stays assignable."""
+        live = execute_spec(recorder_spec("dynamast", observed=True))
+        obs, live.obs = live.obs, None
+        assert live.portable().attribution_shares == {}
+        live.obs = obs
+        assert live.portable().attribution_shares
 
 
 class TestPerfMatrixParity:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench.parallel import WorkloadSpec
 from repro.bench.repeat import Estimate, RepeatedResult, run_repeated, t_critical_95
 from repro.sim.config import ClusterConfig
 from repro.workloads import YCSBConfig, YCSBWorkload
@@ -49,7 +50,7 @@ class TestRunRepeated:
     def test_collects_across_seeds(self):
         result = run_repeated(
             "dynamast",
-            lambda: YCSBWorkload(YCSBConfig(num_partitions=40, affinity_txns=50)),
+            WorkloadSpec.of("ycsb", num_partitions=40, affinity_txns=50),
             seeds=(1, 2, 3),
             num_clients=4,
             duration_ms=200.0,

@@ -758,9 +758,10 @@ class TestParallelFolding:
         parallel = execute_specs(specs, jobs=2)
         for left, right in zip(serial, parallel):
             assert left.fingerprint == right.fingerprint
-            assert left.slo == right.slo
-            assert left.slo  # the verdict folded through the worker
-            assert "incidents" in left.slo and "mttd_mean_ms" in left.slo
+            assert left.slo_verdict == right.slo_verdict
+            assert left.slo_verdict  # the verdict folded through the worker
+            assert "incidents" in left.slo_verdict
+            assert "mttd_mean_ms" in left.slo_verdict
 
 
 # ---------------------------------------------------------------------------
@@ -842,7 +843,7 @@ class TestBenchExportColumns:
 
     def test_attach_slo_accepts_a_folded_verdict(self):
         class Folded:
-            slo = {"incidents": 2.0, "violations": 0.0}
+            slo_verdict = {"incidents": 2.0, "violations": 0.0}
 
         row = {}
         attach_slo(row, Folded())
@@ -850,7 +851,7 @@ class TestBenchExportColumns:
 
     def test_attach_slo_is_a_noop_without_an_engine(self):
         class Bare:
-            slo = None
+            slo_verdict = {}
 
         row = {}
         attach_slo(row, Bare())

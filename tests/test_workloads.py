@@ -153,6 +153,28 @@ class TestTPCC:
         assert 0.37 < kinds["payment"] / 800 < 0.53
         assert 0.04 < kinds["stock_level"] / 800 < 0.17
 
+    @pytest.mark.parametrize("field,overrides", [
+        ("warehouses", dict(warehouses=0)),
+        ("stock_chunk", dict(stock_chunk=0)),  # a count / chunk below 1
+        ("min_order_lines",  # randrange's "empty range", mid-run
+         dict(min_order_lines=10, max_order_lines=5)),
+        ("neworder_remote_fraction", dict(neworder_remote_fraction=1.5)),
+        ("payment_weight", dict(payment_weight=-0.1, neworder_weight=1.0)),
+        ("stocklevel_weight",  # Stock-Level silently never ran
+         dict(neworder_weight=0.9, payment_weight=0.9, stocklevel_weight=0.9)),
+    ])
+    def test_bad_config_is_refused_at_construction_by_field(self, field, overrides):
+        with pytest.raises(ValueError, match=rf"TPCCConfig.*{field}.* must "):
+            TPCCConfig(**overrides)
+        with pytest.raises(ValueError, match=field):
+            build_workload("tpcc", **overrides)  # the CLI / WorkloadSpec route
+
+    def test_fig4e_mix_is_accepted(self):
+        for fraction in (0.45, 0.90, 0.1, 0.3, 0.7):
+            rest = 1.0 - fraction
+            TPCCConfig(neworder_weight=fraction, payment_weight=rest / 2,
+                       stocklevel_weight=rest / 2)
+
     def test_neworder_write_set_structure(self):
         workload = self.make(neworder_remote_fraction=0.0)
         cfg = workload.config
@@ -264,6 +286,21 @@ class TestSmallBank:
         assert 0.37 < kinds["single_update"] / 800 < 0.53
         assert 0.32 < kinds["two_row_update"] / 800 < 0.48
         assert 0.09 < kinds["balance"] / 800 < 0.22
+
+    @pytest.mark.parametrize("field,overrides", [
+        ("users", dict(users=0)),
+        ("hotspot_accounts", dict(hotspot_accounts=0)),
+        ("neighbour_trials", dict(neighbour_trials=-1)),
+        ("neighbour_p", dict(neighbour_p=1.5)),
+        ("hotspot_fraction", dict(hotspot_fraction=-0.1)),
+        ("single_update_weight", dict(single_update_weight=-1.0)),  # all `balance`
+        ("balance_weight", dict(balance_weight=0.5)),  # mix sums to 1.35
+    ])
+    def test_bad_config_is_refused_at_construction_by_field(self, field, overrides):
+        with pytest.raises(ValueError, match=rf"SmallBankConfig.*{field}.* must "):
+            SmallBankConfig(**overrides)
+        with pytest.raises(ValueError, match=field):
+            build_workload("smallbank", **overrides)
 
     def test_single_update_touches_one_account(self):
         workload = self.make()
