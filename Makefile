@@ -84,13 +84,28 @@ explain-smoke:
 	  assert abs(total - r['total_latency_ms']) < 1e-6, (total, r['total_latency_ms']); \
 	  print('explain-smoke OK:', r['txn_count'], 'txns, coverage %.6f' % r['coverage'])"
 
+# Prometheus exposition gate of the recorder smokes (arguments: the
+# file, a family it must contain): one `# TYPE` line per family, and
+# every sample line parses as `name{labels} value`.
+PROM_CHECK = python -c "import re, sys; \
+  lines = open(sys.argv[1]).read().splitlines(); \
+  types = [line.split()[2] for line in lines if line.startswith('\# TYPE ')]; \
+  assert len(types) == len(set(types)), 'a family has more than one TYPE line'; \
+  samples = [line for line in lines if not line.startswith('\#')]; \
+  bad = [line for line in samples if not re.fullmatch(r'[a-zA-Z_:][a-zA-Z0-9_:]*(\{.*\})? \S+', line)]; \
+  assert not bad, bad[:3]; \
+  [float(line.rsplit(' ', 1)[1]) for line in samples]; \
+  assert sys.argv[2] in {re.split(r'[{ ]', line)[0] for line in samples}, sys.argv[2]; \
+  print('prometheus OK:', sys.argv[1], len(types), 'families,', len(samples), 'samples')"
+
 # Ledger round-trip gate: a short skewed run must record decisions,
 # export them (repro-masters/1 JSONL), and the export must reconstruct
 # the run — loadable header, offline-recomputable decisions, and a
 # final placement consistent with the recorded ownership changes
 # (DESIGN.md §6.6). Leaves masters_ledger.jsonl for CI to upload.
 masters-smoke:
-	python -m repro masters --system dynamast --skew 0.9 --clients 8 --duration 400 --seed 7 --export-jsonl masters_ledger.jsonl --export-csv masters_rate.csv
+	python -m repro masters --system dynamast --skew 0.9 --clients 8 --duration 400 --seed 7 --export-jsonl masters_ledger.jsonl --export-csv masters_rate.csv --prometheus masters.prom
+	$(PROM_CHECK) masters.prom repro_masters_decisions_total
 	python -c "from repro.obs.mastery import load_jsonl, recompute_decision; \
 	  data = load_jsonl('masters_ledger.jsonl'); \
 	  header, decisions = data['header'], data['decisions']; \
@@ -113,7 +128,9 @@ masters-smoke:
 slo-smoke:
 	python -m repro slo --system dynamast --scenario fail_slow_master \
 		--duration 6000 --clients 8 --quick \
-		--html slo_dashboard.html --export-jsonl slo_incidents.jsonl
+		--html slo_dashboard.html --export-jsonl slo_incidents.jsonl \
+		--prometheus slo.prom
+	$(PROM_CHECK) slo.prom repro_slo_true_positives
 	python -c "from repro.obs.slo import load_jsonl; import os; \
 	  data = load_jsonl('slo_incidents.jsonl'); header = data['header']; \
 	  assert header['true_positives'] >= 1, header; \

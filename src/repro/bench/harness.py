@@ -308,7 +308,7 @@ def run_benchmark(
                 _client_loop(system, workload, client_id, rng, metrics, warmup_ms,
                              observability)
             )
-    if slo is not None and slo.enabled:
+    if slo is not None:
         slo.install(
             system,
             injector=injector,
@@ -321,7 +321,7 @@ def run_benchmark(
         cluster.env.process(_fire_event(cluster.env, when, fn, system, workload))
 
     cluster.env.run(until=duration_ms)
-    if slo is not None and slo.enabled:
+    if slo is not None:
         slo.finalize(duration_ms)
         # Detach before the metrics object travels (RunSummary pickles
         # Metrics; the engine holds live cluster references).
@@ -399,10 +399,6 @@ def _client_loop(system, workload, client_id, rng, metrics, warmup_ms, obs):
         recorded = started >= warmup_ms
         if recorded:
             metrics.record(turn.txn, outcome, env._now - started, env._now)
-            if obs.enabled and outcome.committed:
-                obs.registry.histogram(
-                    f"latency.{turn.txn.txn_type}"
-                ).record(env._now - started)
         if traced:
             tracer.txn_end(turn.txn, outcome, env._now, recorded=recorded)
 

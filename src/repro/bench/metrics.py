@@ -64,6 +64,32 @@ def _percentile(ordered: Sequence[float], fraction: float) -> float:
     return ordered[index]
 
 
+#: (family prefix, Metrics attribute, counter names, gauge names) of the
+#: harness-folded counter dicts :meth:`Metrics.to_registry` exports.
+_FOLDED = (
+    ("selector", "selector_counters",
+     ("updates_routed", "updates_remastered", "remaster_operations",
+      "partitions_moved"), ()),
+    ("detector", "detector_counters",
+     ("suspicion_episodes", "false_suspicions", "hedges_launched", "hedge_wins"),
+     ("suspected_sites", "detection_latency_ms", "quarantine_ms")),
+    ("openloop", "open_loop_counters",
+     ("offered", "admitted", "shed", "taken", "completed"),
+     ("in_flight", "queued_end", "peak_depth", "mean_depth", "modeled_clients")),
+)
+
+
+def _fold_samples(histogram: StreamingHistogram,
+                  samples: Union[List[float], StreamingHistogram]) -> None:
+    """Stream an exact sample list, or merge a streaming histogram, into
+    ``histogram``."""
+    if isinstance(samples, StreamingHistogram):
+        histogram.merge(samples)
+    else:
+        for sample in samples:
+            histogram.record(sample)
+
+
 class Metrics:
     """Collects per-transaction measurements during a run.
 
@@ -258,164 +284,47 @@ class Metrics:
             return 0.0
         return self.remastered_txns / self.commits
 
-    def to_prometheus(self, labels: Optional[Dict[str, str]] = None) -> str:
-        """Render these metrics in Prometheus text exposition format.
+    def to_registry(self, registry) -> None:
+        """Fold these metrics into a MetricsRegistry for Prometheus.
 
         Commit/abort/retry counts become counters (aborts labelled by
         transaction type and reason), phase totals a counter labelled
-        by phase, and per-type latencies ``repro_latency_ms``
-        histograms (exact sample lists are streamed into the standard
-        log-bucketed geometry first, so both collection modes expose
-        the same shape). ``labels`` are attached to every sample.
+        by phase, the selector / detector / open-loop folds counters and
+        gauges (queue state labelled by site), and per-type latencies
+        ``repro_latency_ms`` histograms (exact sample lists are streamed
+        into the standard log-bucketed geometry first, so both
+        collection modes expose the same shape).
         """
-        from repro.obs.registry import (
-            _format_labels,
-            _format_value,
-            _merge_labels,
-        )
-
-        lines: List[str] = []
-
-        def counter(name: str, samples: List[Tuple[Dict[str, str], float]]) -> None:
-            lines.append(f"# TYPE {name} counter")
-            for extra, value in samples:
-                merged = _merge_labels(labels, extra)
-                lines.append(f"{name}{_format_labels(merged)} {_format_value(value)}")
-
-        counter("repro_commits_total", [({}, self.commits)])
-        counter("repro_remastered_txns_total", [({}, self.remastered_txns)])
-        counter("repro_distributed_txns_total", [({}, self.distributed_txns)])
-        counter("repro_retries_total", [({}, self.retries)])
-        for name in ("updates_routed", "updates_remastered",
-                     "remaster_operations", "partitions_moved"):
-            if name in self.selector_counters:
-                counter(f"repro_selector_{name}_total",
-                        [({}, self.selector_counters[name])])
-        for name in ("suspicion_episodes", "false_suspicions",
-                     "hedges_launched", "hedge_wins"):
-            if name in self.detector_counters:
-                counter(f"repro_detector_{name}_total",
-                        [({}, self.detector_counters[name])])
-        for name in ("suspected_sites", "detection_latency_ms", "quarantine_ms"):
-            if name in self.detector_counters:
-                lines.append(f"# TYPE repro_detector_{name} gauge")
-                merged = _merge_labels(labels, {})
-                lines.append(
-                    f"repro_detector_{name}{_format_labels(merged)} "
-                    f"{_format_value(self.detector_counters[name])}"
-                )
-        if self.open_loop_counters:
-            for name in ("offered", "admitted", "shed", "taken", "completed"):
-                if name in self.open_loop_counters:
-                    counter(f"repro_openloop_{name}_total",
-                            [({}, self.open_loop_counters[name])])
-            for name in ("in_flight", "queued_end", "peak_depth",
-                         "mean_depth", "modeled_clients"):
-                if name in self.open_loop_counters:
-                    lines.append(f"# TYPE repro_openloop_{name} gauge")
-                    merged = _merge_labels(labels, {})
-                    lines.append(
-                        f"repro_openloop_{name}{_format_labels(merged)} "
-                        f"{_format_value(self.open_loop_counters[name])}"
-                    )
-        if self.open_loop_sites:
-            lines.append("# TYPE repro_openloop_queue_depth gauge")
-            for entry in self.open_loop_sites:
-                merged = _merge_labels(labels, {"site": str(entry["site"])})
-                lines.append(
-                    f"repro_openloop_queue_depth{_format_labels(merged)} "
-                    f"{_format_value(entry['depth'])}"
-                )
-            counter("repro_openloop_queue_shed_total", [
-                ({"site": str(entry["site"])}, entry["shed"])
-                for entry in self.open_loop_sites
-            ])
-        wait_count = (
-            self.admission_waits.count
-            if isinstance(self.admission_waits, StreamingHistogram)
-            else len(self.admission_waits)
-        )
-        if wait_count:
-            if isinstance(self.admission_waits, StreamingHistogram):
-                waits = self.admission_waits
-            else:
-                waits = StreamingHistogram("admission_wait")
-                for sample in self.admission_waits:
-                    waits.record(sample)
-            lines.append("# TYPE repro_admission_wait_ms histogram")
-            series = _merge_labels(labels, {})
-            cumulative = 0
-            for lower, count in waits.bucket_counts():
-                cumulative += count
-                upper = waits.base if lower == 0.0 else lower * waits.growth
-                bucket = _merge_labels(series, {"le": _format_value(upper)})
-                lines.append(
-                    f"repro_admission_wait_ms_bucket{_format_labels(bucket)} "
-                    f"{cumulative}"
-                )
-            inf_bucket = _merge_labels(series, {"le": "+Inf"})
-            lines.append(
-                f"repro_admission_wait_ms_bucket{_format_labels(inf_bucket)} "
-                f"{waits.count}"
+        counter, gauge = registry.counter, registry.gauge
+        for name in ("commits", "remastered_txns", "distributed_txns", "retries"):
+            counter(f"repro_{name}_total").inc(getattr(self, name))
+        for prefix, values, counters, gauges in _FOLDED:
+            values = getattr(self, values)
+            for name in counters:
+                if name in values:
+                    counter(f"repro_{prefix}_{name}_total").inc(values[name])
+            for name in gauges:
+                if name in values:
+                    gauge(f"repro_{prefix}_{name}").set(values[name])
+        for entry in self.open_loop_sites:
+            site = {"site": entry["site"]}
+            gauge("repro_openloop_queue_depth", site).set(entry["depth"])
+            counter("repro_openloop_queue_shed_total", site).inc(entry["shed"])
+        for family, label, values in (
+            ("repro_aborts_total", "txn_type", self.aborts),
+            ("repro_aborts_by_reason_total", "reason", self.aborts_by_reason),
+            ("repro_phase_ms_total", "phase", self.phase_totals),
+        ):
+            for key, value in values.items():
+                counter(family, {label: key}).inc(value)
+        if self.admission_wait().count:
+            _fold_samples(registry.histogram("repro_admission_wait_ms"),
+                          self.admission_waits)
+        for txn_type, samples in self.latencies.items():
+            _fold_samples(
+                registry.histogram("repro_latency_ms", {"txn_type": txn_type}),
+                samples,
             )
-            lines.append(
-                f"repro_admission_wait_ms_sum{_format_labels(series)} "
-                f"{_format_value(waits.total)}"
-            )
-            lines.append(
-                f"repro_admission_wait_ms_count{_format_labels(series)} "
-                f"{waits.count}"
-            )
-        if self.aborts:
-            counter("repro_aborts_total", [
-                ({"txn_type": txn_type}, count)
-                for txn_type, count in sorted(self.aborts.items())
-            ])
-        if self.aborts_by_reason:
-            counter("repro_aborts_by_reason_total", [
-                ({"reason": reason}, count)
-                for reason, count in sorted(self.aborts_by_reason.items())
-            ])
-        if self.phase_totals:
-            counter("repro_phase_ms_total", [
-                ({"phase": phase}, total)
-                for phase, total in sorted(self.phase_totals.items())
-            ])
-        if self.latencies:
-            lines.append("# TYPE repro_latency_ms histogram")
-        for txn_type in self.txn_types():
-            samples = self.latencies[txn_type]
-            if isinstance(samples, StreamingHistogram):
-                histogram = samples
-            else:
-                histogram = StreamingHistogram(f"latency.{txn_type}")
-                for sample in samples:
-                    histogram.record(sample)
-            series = _merge_labels(labels, {"txn_type": txn_type})
-            cumulative = 0
-            for lower, count in histogram.bucket_counts():
-                cumulative += count
-                upper = (
-                    histogram.base if lower == 0.0
-                    else lower * histogram.growth
-                )
-                bucket = _merge_labels(series, {"le": _format_value(upper)})
-                lines.append(
-                    f"repro_latency_ms_bucket{_format_labels(bucket)} {cumulative}"
-                )
-            inf_bucket = _merge_labels(series, {"le": "+Inf"})
-            lines.append(
-                f"repro_latency_ms_bucket{_format_labels(inf_bucket)} "
-                f"{histogram.count}"
-            )
-            lines.append(
-                f"repro_latency_ms_sum{_format_labels(series)} "
-                f"{_format_value(histogram.total)}"
-            )
-            lines.append(
-                f"repro_latency_ms_count{_format_labels(series)} {histogram.count}"
-            )
-        return "\n".join(lines) + "\n" if lines else ""
 
     # -- aborts ---------------------------------------------------------------
 

@@ -437,8 +437,12 @@ def cmd_slo(args) -> int:
         engine.write_csv(args.export_csv)
         print(f"wrote {args.export_csv}", file=sys.stderr)
     if args.prometheus:
+        from repro.obs.registry import MetricsRegistry
+
+        registry = MetricsRegistry()
+        engine.to_registry(registry)
         with open(args.prometheus, "w") as handle:
-            handle.write(engine.to_prometheus(labels={
+            handle.write(registry.to_prometheus(labels={
                 "system": args.system, "scenario": args.scenario,
             }))
         print(f"wrote {args.prometheus}", file=sys.stderr)

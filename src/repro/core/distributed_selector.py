@@ -73,8 +73,9 @@ class ReplicaSelector:
         self.local_routes += 1
         # Replica-local routes bypass the master selector; record them
         # in its ledger so locality share covers every routed update.
-        if self.master.ledger.enabled:
-            self.master.ledger.route(self.env.now, site, 0)
+        ledger = self.master.ledger
+        if ledger is not None:
+            ledger.route(self.env.now, site, 0)
         return RouteResult(site, None, tuple(partitions), False)
 
     def submit_update(self, txn: Transaction, session: Session):

@@ -29,7 +29,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.partitions import PartitionTable
 from repro.core.statistics import AccessStatistics, StatisticsConfig
 from repro.core.strategy import RemasterStrategy, StrategyWeights
-from repro.obs.mastery import NULL_LEDGER
 from repro.faults.errors import (
     REASON_SITE_CRASH,
     REASON_TIMEOUT,
@@ -106,10 +105,10 @@ class SiteSelector:
         #: Monotonic counter making activity tokens unique per routing.
         self._route_seq = 0
         #: Decision ledger (mastering observatory, DESIGN.md §6.6).
-        #: NULL_LEDGER by default; every hook below sits behind an
-        #: ``enabled`` check, like the tracer, so unobserved runs pay
-        #: one attribute load per routing.
-        self.ledger = NULL_LEDGER
+        #: None by default; every hook below sits behind one
+        #: ``is not None`` test, so unobserved runs pay one attribute
+        #: load per routing.
+        self.ledger = None
 
     def attach_ledger(self, ledger) -> None:
         """Install a :class:`~repro.obs.mastery.DecisionLedger`.
@@ -121,8 +120,7 @@ class SiteSelector:
         outcome is bit-identical to an unobserved one.
         """
         self.ledger = ledger
-        if ledger.enabled:
-            ledger.record_placement(self.table.snapshot(), self.env._now)
+        ledger.record_placement(self.table.snapshot(), self.env._now)
 
     # -- write routing (Algorithm 1 driver) ------------------------------------
 
@@ -159,8 +157,6 @@ class SiteSelector:
             if traced:
                 tracer.span("route", route_started, env._now,
                             track="selector", txn=txn, site=site)
-            if self.ledger.enabled:
-                self.ledger.route(env._now, site, 0)
             return RouteResult(site, None, tuple(partitions), False)
 
         # Distributed masters: upgrade to exclusive partition locks.
@@ -179,12 +175,10 @@ class SiteSelector:
             if traced:
                 tracer.span("routing", decision_started, env._now,
                             track="selector", txn=txn)
-            self._register(site, partitions, shared=False)
+            self._register(site, partitions)
             if traced:
                 tracer.span("route", route_started, env._now,
                             track="selector", txn=txn, site=site)
-            if self.ledger.enabled:
-                self.ledger.route(env._now, site, 0)
             return RouteResult(site, None, tuple(partitions), False)
 
         yield from self.cpu.use(self.config.costs.remaster_decision_ms,
@@ -199,7 +193,7 @@ class SiteSelector:
             if source != destination
         ]
         decision_seq = None
-        if self.ledger.enabled:
+        if self.ledger is not None:
             decision_seq = self.ledger.decision(
                 env._now, txn, partitions, decision, self.strategy.weights, moves
             )
@@ -222,7 +216,7 @@ class SiteSelector:
         for source, group in moves:
             for partition in group:
                 self.table.set_master(partition, destination)
-                if self.ledger.enabled:
+                if self.ledger is not None:
                     self.ledger.ownership(env._now, partition, source,
                                           destination, decision_seq)
         moved = sum(len(group) for group in (group for _, group in moves))
@@ -238,18 +232,17 @@ class SiteSelector:
                 destination=destination, partitions_moved=moved,
                 operations=len(moves),
             )
-        self._register(destination, partitions, exclusive=moving)
+        self._register(destination, partitions, moved, exclusive=moving)
         if traced:
             tracer.span("route", route_started, env._now,
                         track="selector", txn=txn, site=destination)
-        if self.ledger.enabled:
-            self.ledger.route(env._now, destination, moved)
         return RouteResult(destination, min_vv, tuple(partitions), True, moved)
 
     def _register(
         self,
         site: int,
         partitions: Sequence[int],
+        moved: int = 0,
         shared: bool = False,
         exclusive: Optional[set] = None,
         token: Optional[tuple] = None,
@@ -259,7 +252,8 @@ class SiteSelector:
         ``shared=True`` releases read holds on everything; otherwise
         partitions in ``exclusive`` release write holds and the rest
         release read holds (the downgraded stationary partitions of a
-        remastering).
+        remastering). Counts the route, and records it in the ledger
+        with the ``moved`` partitions it took.
         """
         self.cluster.activity.begin(site, partitions, token)
         for partition in partitions:
@@ -272,6 +266,8 @@ class SiteSelector:
                 info.lock.release_read()
         self.updates_routed += 1
         self.route_counts[site] += 1
+        if self.ledger is not None:
+            self.ledger.route(self.env._now, site, moved)
 
     def _move(self, source: int, partitions: Tuple[int, ...], destination: int,
               txn: Optional[Transaction] = None):
@@ -346,8 +342,6 @@ class SiteSelector:
             site = masters.pop() if masters else 0
             if self._healthy(site):
                 self._register(site, partitions, shared=True, token=token)
-                if self.ledger.enabled:
-                    self.ledger.route(env._now, site, 0)
                 return RouteResult(site, None, tuple(partitions), False, token=token)
         # Unhealthy master or distributed write set: exclusive locks on
         # everything, then remaster onto a live destination.
@@ -362,8 +356,6 @@ class SiteSelector:
                 if self._healthy(only):
                     # A concurrent routing already healed this write set.
                     self._register(only, partitions, token=token)
-                    if self.ledger.enabled:
-                        self.ledger.route(env._now, only, 0)
                     return RouteResult(
                         only, None, tuple(partitions), False, token=token
                     )
@@ -380,9 +372,7 @@ class SiteSelector:
             self.remaster_operations += operations
             self.partitions_moved += moved
             self.updates_remastered += 1
-        self._register(destination, partitions, token=token)
-        if self.ledger.enabled:
-            self.ledger.route(env._now, destination, moved)
+        self._register(destination, partitions, moved, token=token)
         return RouteResult(
             destination,
             min_vv if operations else None,
@@ -430,7 +420,7 @@ class SiteSelector:
             if not moves:
                 return destination, min_vv, moved, operations
             decision_seq = None
-            if self.ledger.enabled:
+            if self.ledger is not None:
                 decision_seq = self.ledger.decision(
                     self.env._now, txn, partitions, decision,
                     self.strategy.weights, moves, excluded=excluded,
@@ -446,7 +436,7 @@ class SiteSelector:
                     # The grant can fail over to a live site other than
                     # the decision's choice; the timeline records where
                     # mastership actually landed.
-                    if self.ledger.enabled:
+                    if self.ledger is not None:
                         self.ledger.ownership(self.env._now, partition,
                                               source, target, decision_seq)
                 operations += 1

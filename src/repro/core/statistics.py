@@ -42,6 +42,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, Iterable, List, Mapping, Optional, Tuple
 
+from repro.sim.config import check_config
+
 
 @dataclass
 class StatisticsConfig:
@@ -57,6 +59,15 @@ class StatisticsConfig:
     max_samples: int = 20000
     #: Cap on inter-transaction pairs contributed by one sample.
     max_inter_pairs: int = 64
+
+    def __post_init__(self):
+        check_config(self, (
+            ("sample_rate", 0 <= self.sample_rate <= 1, "in [0, 1]"),
+            ("inter_txn_window_ms", self.inter_txn_window_ms > 0, "> 0"),
+            ("expiry_ms", self.expiry_ms > 0, "> 0"),
+            ("max_samples", self.max_samples >= 1, ">= 1"),
+            ("max_inter_pairs", self.max_inter_pairs >= 1, ">= 1"),
+        ))
 
 
 @dataclass(slots=True)

@@ -32,6 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.partitions import PartitionTable
 from repro.core.statistics import AccessStatistics
+from repro.sim.config import check_config, finite_nonnegative
 from repro.versioning.vectors import VersionVector
 
 
@@ -51,6 +52,9 @@ class StrategyWeights:
     #: mastership away from sick-but-alive sites before suspicion
     #: trips; 0.0 disables the feature (and its computation) entirely.
     health: float = 0.0
+
+    def __post_init__(self):
+        check_config(self, finite_nonnegative(self))
 
     @classmethod
     def for_ycsb(cls) -> "StrategyWeights":

@@ -41,9 +41,9 @@ class DeadlineTracker:
         floor_ms: float = 5.0,
         hedge_quantile: float = 0.95,
     ):
-        if not 0 < quantile < 1 or not 0 < hedge_quantile < 1:
+        if not 0 < quantile <= 1 or not 0 < hedge_quantile <= 1:
             raise ValueError(
-                f"quantiles must be in (0, 1), got {quantile}/{hedge_quantile}"
+                f"quantiles must be in (0, 1], got {quantile}/{hedge_quantile}"
             )
         if multiplier < 1.0:
             raise ValueError(f"deadline multiplier must be >= 1, got {multiplier}")

@@ -62,16 +62,11 @@ class FaultInjector:
                 ground_truth=self.site_faulted,
                 quarantine_ms=self.rpc.suspicion_quarantine_ms,
             )
-        elif self.rpc.detector_policy == "threshold":
+        else:  # "threshold" (RpcConfig refuses any other policy)
             self.detector = FailureDetector(
                 self.rpc.suspicion_threshold,
                 ground_truth=self.site_faulted,
                 clock=lambda: cluster.env.now,
-            )
-        else:
-            raise ValueError(
-                f"unknown detector policy {self.rpc.detector_policy!r}; "
-                "expected 'adaptive' or 'threshold'"
             )
         self.deadlines = DeadlineTracker(
             timeout_ms=self.rpc.timeout_ms,

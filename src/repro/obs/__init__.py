@@ -1,21 +1,25 @@
-"""Simulation-native observability: tracing, metrics, timelines, export.
+"""Simulation-native observability: tracing, timelines, recorders, export.
 
-One :class:`Observability` object bundles the three instruments of an
+One :class:`Observability` object bundles the two instruments of an
 observed run:
 
 * :class:`~repro.obs.tracer.Tracer` — per-transaction span trees and
   instant events over the simulated clock;
-* :class:`~repro.obs.registry.MetricsRegistry` — counters, gauges, and
-  streaming log-bucketed histograms;
 * :class:`~repro.obs.sampler.TimelineSampler` — periodic per-site
   timelines (CPU, lock depth, replication lag, 2PC in flight).
 
-A fourth, separately attached instrument —
-:class:`~repro.obs.slo.SloEngine` — watches the same transaction
-stream through windowed SLO monitors and runtime invariant checks,
-turning sustained breaches into an :class:`~repro.obs.slo.Incident`
-ledger correlated against injected fault windows. Its no-op default is
-:data:`~repro.obs.slo.NULL_SLO`.
+Two separately attached recorders watch the same run:
+:class:`~repro.obs.mastery.DecisionLedger` records every remaster
+decision, and :class:`~repro.obs.slo.SloEngine` streams the
+transactions through windowed SLO monitors and runtime invariant
+checks, turning sustained breaches into an
+:class:`~repro.obs.slo.Incident` ledger correlated against injected
+fault windows. Either is off when its argument is None.
+
+End-of-run totals reach Prometheus text one way: ``Metrics``,
+``SloEngine`` and ``DecisionLedger`` each fold into a fresh
+:class:`~repro.obs.registry.MetricsRegistry` (``to_registry``), whose
+``to_prometheus`` is the only formatter.
 
 The default everywhere is :data:`NULL_OBS`, whose tracer is a no-op and
 whose sampler never starts: an unobserved run schedules no extra
@@ -56,12 +60,10 @@ from repro.obs.export import (
     write_jsonl,
 )
 from repro.obs.mastery import (
-    NULL_LEDGER,
     CandidateScore,
     DecisionLedger,
     DecisionRecord,
     MastershipTimeline,
-    NullLedger,
     OwnershipChange,
     OwnershipInterval,
     RateWindow,
@@ -72,9 +74,7 @@ from repro.obs.registry import Counter, Gauge, MetricsRegistry, StreamingHistogr
 from repro.obs.sampler import Timeline, TimelineSampler, attach_cluster_probes
 from repro.obs.slo import (
     DEFAULT_SLOS,
-    NULL_SLO,
     Incident,
-    NullSloEngine,
     SloEngine,
     SloSpec,
     quick_slos,
@@ -94,9 +94,7 @@ __all__ = [
     "CATEGORIES",
     "DEFAULT_SLOS",
     "EDGE_KINDS",
-    "NULL_LEDGER",
     "NULL_OBS",
-    "NULL_SLO",
     "NULL_TRACER",
     "AttributionError",
     "AttributionReport",
@@ -110,8 +108,6 @@ __all__ = [
     "InstantRecord",
     "MastershipTimeline",
     "MetricsRegistry",
-    "NullLedger",
-    "NullSloEngine",
     "NullTracer",
     "Observability",
     "OwnershipChange",
@@ -148,16 +144,18 @@ __all__ = [
 
 
 class Observability:
-    """Tracer + metrics registry + timeline sampler for one run."""
+    """Tracer + timeline sampler for one run."""
 
-    def __init__(self, tracer=None, registry=None,
-                 sample_interval_ms: float = 10.0):
+    def __init__(self, tracer=None, sample_interval_ms: float = 10.0):
         self.tracer = tracer if tracer is not None else Tracer()
         #: True when this run is actually being observed. Fixed here
-        #: (``Tracer.enabled`` is a class constant): the network and
-        #: 2PC read it per message with recorders OFF.
+        #: (``Tracer.enabled`` is a class constant): 2PC reads it per
+        #: transaction with recorders OFF.
         self.enabled: bool = self.tracer.enabled
-        self.registry = registry if registry is not None else MetricsRegistry()
+        #: Distributed 2PC transactions currently in flight (bumped by
+        #: the coordinators of an observed run; the ``2pc_inflight``
+        #: timeline).
+        self.inflight_2pc = 0
         self.sampler = TimelineSampler(interval_ms=sample_interval_ms)
 
     @property
@@ -168,10 +166,10 @@ class Observability:
         """Install the standard probes and start sampling (if enabled)."""
         if not self.enabled:
             return
-        attach_cluster_probes(self.sampler, cluster, registry=self.registry)
+        attach_cluster_probes(self.sampler, cluster)
+        self.sampler.add_probe("2pc_inflight", lambda: self.inflight_2pc)
         self.sampler.start(cluster.env)
 
 
-#: Shared no-op handle: tracing disabled, sampler never started. Its
-#: registry is real but unused by guarded call sites, so it stays empty.
+#: Shared no-op handle: tracing disabled, sampler never started.
 NULL_OBS = Observability(tracer=NULL_TRACER)

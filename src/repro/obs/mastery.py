@@ -29,10 +29,10 @@ mastership evolved. The :class:`DecisionLedger` closes that gap:
 The ledger is an inert recorder: it never touches the simulation
 environment, schedules no events, and draws no randomness, so a
 ledger-observed run is bit-identical in simulated outcome to an
-unobserved one (pinned in ``tests/test_mastery.py``). The default
-everywhere is :data:`NULL_LEDGER`, whose hooks are no-ops behind a
-single ``ledger.enabled`` check, mirroring ``tracer.enabled``
-(DESIGN.md §6.6). Exports use schema :data:`SCHEMA`.
+unobserved one (pinned in ``tests/test_mastery.py``). Without one the
+selector's ``ledger`` is None and every hook sits behind a single
+``ledger is not None`` test (DESIGN.md §6.6). Exports use schema
+:data:`SCHEMA`.
 """
 
 from __future__ import annotations
@@ -43,13 +43,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
-    "NULL_LEDGER",
     "SCHEMA",
     "CandidateScore",
     "DecisionLedger",
     "DecisionRecord",
     "MastershipTimeline",
-    "NullLedger",
     "OwnershipChange",
     "OwnershipInterval",
     "RateWindow",
@@ -213,36 +211,7 @@ class RateWindow:
         return self.remastered / self.routed
 
 
-class NullLedger:
-    """The do-nothing ledger; the default everywhere.
-
-    Mirrors :class:`~repro.obs.tracer.NullTracer`: every hook is a
-    no-op, and instrumented selector code guards any non-trivial
-    argument construction behind ``ledger.enabled``.
-    """
-
-    enabled: bool = False
-
-    def record_placement(self, placement: Dict[int, int], now: float) -> None:
-        pass
-
-    def route(self, now: float, site: int, moved: int) -> None:
-        pass
-
-    def decision(self, now, txn, partitions, decision, weights,
-                 moves, excluded=(), health=()) -> Optional[int]:
-        return None
-
-    def ownership(self, now: float, partition: int, source: int,
-                  destination: int, seq: Optional[int] = None) -> None:
-        pass
-
-
-#: Shared no-op ledger instance (stateless, safe to share globally).
-NULL_LEDGER = NullLedger()
-
-
-class DecisionLedger(NullLedger):
+class DecisionLedger:
     """Records remaster decisions, ownership changes, and route events.
 
     Attach to a selector with
@@ -252,8 +221,6 @@ class DecisionLedger(NullLedger):
     mastership transfer. All recording is plain list appends over
     already-computed values — no simulation interaction.
     """
-
-    enabled = True
 
     def __init__(self):
         self.initial_placement: Dict[int, int] = {}

@@ -1,11 +1,11 @@
 """Counters, gauges, and streaming log-bucketed histograms.
 
-The registry is the numeric half of the observability layer: protocol
-code bumps counters and gauges; latency samples stream into
-:class:`StreamingHistogram`, which keeps O(buckets) state instead of
-every sample — a long simulated run no longer accumulates unbounded
-Python lists. Buckets grow geometrically, so any quantile estimate is
-within one bucket's relative width of the exact sample quantile.
+:class:`StreamingHistogram` keeps O(buckets) state instead of every
+sample — streaming-mode latencies and per-site RTTs use it, so a long
+simulated run no longer accumulates unbounded Python lists. Buckets
+grow geometrically, so any quantile estimate is within one bucket's
+relative width of the exact sample quantile. :class:`MetricsRegistry`
+is the Prometheus text renderer that end-of-run folds write into.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ class Counter:
 
 
 class Gauge:
-    """An instantaneous level (e.g. 2PC transactions in flight)."""
+    """An instantaneous level (e.g. a mastering run's locality share)."""
 
     __slots__ = ("name", "value")
 
@@ -199,103 +199,94 @@ class StreamingHistogram:
         return pairs
 
 
+#: One series of a family: (family name, sorted (label, value) pairs).
+Series = Tuple[str, Tuple[Tuple[str, str], ...]]
+
+
+def _series(store: Dict[Series, object], name: str,
+            labels: Optional[Mapping[str, object]], make):
+    key = (name, tuple(sorted((k, str(v)) for k, v in labels.items()))
+           if labels else ())
+    instrument = store.get(key)
+    if instrument is None:
+        instrument = store[key] = make(name)
+    return instrument
+
+
+def _histogram_lines(metric: str, labels: Dict[str, str],
+                     histogram: StreamingHistogram) -> List[str]:
+    """Cumulative ``le`` buckets (each bucket's ``lower * growth``; the
+    underflow bucket at ``base``), ``+Inf``, ``_sum`` and ``_count``."""
+    lines = []
+    cumulative = 0
+    for lower, count in histogram.bucket_counts():
+        cumulative += count
+        upper = histogram.base if lower == 0.0 else lower * histogram.growth
+        bucket = _merge_labels(labels, {"le": _format_value(upper)})
+        lines.append(f"{metric}_bucket{_format_labels(bucket)} {cumulative}")
+    inf_bucket = _merge_labels(labels, {"le": "+Inf"})
+    lines.append(f"{metric}_bucket{_format_labels(inf_bucket)} {histogram.count}")
+    lines.append(f"{metric}_sum{_format_labels(labels)} "
+                 f"{_format_value(histogram.total)}")
+    lines.append(f"{metric}_count{_format_labels(labels)} {histogram.count}")
+    return lines
+
+
 class MetricsRegistry:
-    """Named counters, gauges, and histograms for one run."""
+    """Counters, gauges, and histograms rendered as Prometheus text.
+
+    The one Prometheus builder: recorders fold their end-of-run totals
+    into a fresh registry (``Metrics.to_registry``,
+    ``SloEngine.to_registry``, ``DecisionLedger.to_registry``) and
+    :meth:`to_prometheus` formats them. An instrument is one series —
+    a family name plus optional labels (``{"txn_type": "rmw"}``);
+    series of one family share a single ``# TYPE`` line.
+    """
 
     def __init__(self):
-        self.counters: Dict[str, Counter] = {}
-        self.gauges: Dict[str, Gauge] = {}
-        self.histograms: Dict[str, StreamingHistogram] = {}
+        self.counters: Dict[Series, Counter] = {}
+        self.gauges: Dict[Series, Gauge] = {}
+        self.histograms: Dict[Series, StreamingHistogram] = {}
 
-    def counter(self, name: str) -> Counter:
-        counter = self.counters.get(name)
-        if counter is None:
-            counter = self.counters[name] = Counter(name)
-        return counter
+    def counter(self, name: str,
+                labels: Optional[Mapping[str, object]] = None) -> Counter:
+        return _series(self.counters, name, labels, Counter)
 
-    def gauge(self, name: str) -> Gauge:
-        gauge = self.gauges.get(name)
-        if gauge is None:
-            gauge = self.gauges[name] = Gauge(name)
-        return gauge
+    def gauge(self, name: str,
+              labels: Optional[Mapping[str, object]] = None) -> Gauge:
+        return _series(self.gauges, name, labels, Gauge)
 
-    def histogram(self, name: str, base: float = 1e-3,
-                  growth: float = 1.05) -> StreamingHistogram:
-        histogram = self.histograms.get(name)
-        if histogram is None:
-            histogram = self.histograms[name] = StreamingHistogram(
-                name, base=base, growth=growth
-            )
-        return histogram
+    def histogram(self, name: str,
+                  labels: Optional[Mapping[str, object]] = None,
+                  base: float = 1e-3, growth: float = 1.05) -> StreamingHistogram:
+        return _series(
+            self.histograms, name, labels,
+            lambda family: StreamingHistogram(family, base=base, growth=growth),
+        )
 
     def to_prometheus(self, labels: Optional[Mapping[str, str]] = None) -> str:
-        """Render every instrument in Prometheus text exposition format.
+        """Render every series in Prometheus text exposition format.
 
-        Counters become ``counter`` samples, gauges ``gauge`` samples,
-        and each streaming histogram a Prometheus histogram: cumulative
-        ``_bucket{le="..."}`` samples over the log-bucket upper bounds
-        (underflow under ``le="<base>"``), a ``+Inf`` bucket, and
+        Families are sorted by name within each kind (counters, gauges,
+        histograms); a histogram renders cumulative ``_bucket{le=...}``
+        samples over its log-bucket upper bounds, a ``+Inf`` bucket, and
         ``_sum`` / ``_count``. ``labels`` (e.g. ``{"system":
         "dynamast", "seed": "3"}``) are attached to every sample, with
         values escaped per the format (backslash, quote, newline).
         """
         lines: List[str] = []
-        for name, counter in sorted(self.counters.items()):
-            metric = _prometheus_name(name)
-            lines.append(f"# TYPE {metric} counter")
-            lines.append(
-                f"{metric}{_format_labels(labels)} {_format_value(counter.value)}"
-            )
-        for name, gauge in sorted(self.gauges.items()):
-            metric = _prometheus_name(name)
-            lines.append(f"# TYPE {metric} gauge")
-            lines.append(
-                f"{metric}{_format_labels(labels)} {_format_value(gauge.value)}"
-            )
-        for name, histogram in sorted(self.histograms.items()):
-            metric = _prometheus_name(name)
-            lines.append(f"# TYPE {metric} histogram")
-            cumulative = 0
-            if histogram._underflow:
-                cumulative += histogram._underflow
-                bucket_labels = _merge_labels(
-                    labels, {"le": _format_value(histogram.base)}
-                )
-                lines.append(
-                    f"{metric}_bucket{_format_labels(bucket_labels)} {cumulative}"
-                )
-            for index in sorted(histogram._buckets):
-                cumulative += histogram._buckets[index]
-                upper = histogram.base * histogram.growth ** (index + 1)
-                bucket_labels = _merge_labels(labels, {"le": _format_value(upper)})
-                lines.append(
-                    f"{metric}_bucket{_format_labels(bucket_labels)} {cumulative}"
-                )
-            inf_labels = _merge_labels(labels, {"le": "+Inf"})
-            lines.append(
-                f"{metric}_bucket{_format_labels(inf_labels)} {histogram.count}"
-            )
-            lines.append(
-                f"{metric}_sum{_format_labels(labels)} "
-                f"{_format_value(histogram.total)}"
-            )
-            lines.append(f"{metric}_count{_format_labels(labels)} {histogram.count}")
+        for kind, store in (("counter", self.counters), ("gauge", self.gauges),
+                            ("histogram", self.histograms)):
+            family = None
+            for (name, series), instrument in sorted(store.items()):
+                metric = _prometheus_name(name)
+                if metric != family:
+                    family = metric
+                    lines.append(f"# TYPE {metric} {kind}")
+                merged = _merge_labels(labels, dict(series))
+                if kind == "histogram":
+                    lines.extend(_histogram_lines(metric, merged, instrument))
+                else:
+                    lines.append(f"{metric}{_format_labels(merged)} "
+                                 f"{_format_value(instrument.value)}")
         return "\n".join(lines) + "\n" if lines else ""
-
-    def snapshot(self) -> Dict[str, object]:
-        """Plain-data dump of every instrument (for JSON export)."""
-        return {
-            "counters": {name: c.value for name, c in sorted(self.counters.items())},
-            "gauges": {name: g.value for name, g in sorted(self.gauges.items())},
-            "histograms": {
-                name: {
-                    "count": h.count,
-                    "mean": h.mean,
-                    "min": 0.0 if h.count == 0 else h.minimum,
-                    "max": h.maximum,
-                    "p50": h.quantile(0.50),
-                    "p99": h.quantile(0.99),
-                }
-                for name, h in sorted(self.histograms.items())
-            },
-        }

@@ -82,15 +82,13 @@ class TimelineSampler:
             self.sample_once(env.now)
 
 
-def attach_cluster_probes(sampler: TimelineSampler, cluster,
-                          registry=None) -> None:
+def attach_cluster_probes(sampler: TimelineSampler, cluster) -> None:
     """Wire the standard per-site probes of one cluster.
 
     Installs, per site: windowed CPU utilization, lock-table depth,
     replication inbox depth; per ordered site pair: replication lag
     (how many of the origin's commits the follower has not applied —
-    version-vector staleness); and, when ``registry`` is given, the
-    cluster-wide 2PC in-flight gauge.
+    version-vector staleness).
     """
     interval = sampler.interval_ms
     for site in cluster.sites:
@@ -120,10 +118,6 @@ def attach_cluster_probes(sampler: TimelineSampler, cluster,
                     0, o.svv[o.index] - f.svv[o.index]
                 ),
             )
-    if registry is not None:
-        sampler.add_probe(
-            "2pc_inflight", lambda gauge=registry.gauge("2pc_inflight"): gauge.value
-        )
 
 
 def _cpu_probe(site, interval_ms: float) -> Callable[[], float]:

@@ -380,55 +380,8 @@ def _coalesce(
     return spans
 
 
-class NullSloEngine:
-    """No-op stand-in so call sites never branch.
-
-    Mirrors :class:`~repro.obs.mastery.NullLedger`: the harness guards
-    attachment behind a single ``slo.enabled`` check, and the hot-path
-    hook in :meth:`~repro.bench.metrics.Metrics.record` costs one
-    ``is None`` test when no engine is attached.
-    """
-
-    enabled: bool = False
-    window_ms: float = 0.0
-    specs: Tuple[SloSpec, ...] = ()
-    run_end_ms: Optional[float] = None
-    correlation: List[Dict[str, object]] = []
-
-    def install(self, system, *, injector=None, queues=(),
-                duration_ms: float = 0.0, warmup_ms: float = 0.0) -> None:
-        return None
-
-    def observe_txn(self, txn, outcome, latency_ms: float, now: float) -> None:
-        return None
-
-    def finalize(self, duration_ms: float) -> None:
-        return None
-
-    @property
-    def incidents(self) -> List[Incident]:
-        return []
-
-    @property
-    def violations(self) -> List[Incident]:
-        return []
-
-    @property
-    def false_positives(self) -> List[Incident]:
-        return []
-
-    def summary(self) -> Dict[str, float]:
-        return {}
-
-
-#: Shared no-op engine (stateless, so one instance serves every run).
-NULL_SLO = NullSloEngine()
-
-
-class SloEngine(NullSloEngine):
+class SloEngine:
     """The live streaming SLO/invariant engine for one run."""
-
-    enabled = True
 
     def __init__(
         self,
@@ -877,56 +830,26 @@ class SloEngine(NullSloEngine):
         with open(path, "w") as handle:
             handle.write(self.to_csv())
 
-    def to_prometheus(self, labels: Optional[Dict[str, str]] = None) -> str:
-        """Prometheus text exposition of the verdict counters."""
-        from repro.obs.registry import (
-            _format_labels,
-            _format_value,
-            _merge_labels,
-        )
+    def to_registry(self, registry) -> None:
+        """Fold the verdict into a MetricsRegistry for Prometheus.
 
-        lines: List[str] = []
-        per_objective: Dict[str, int] = {}
-        for incident in self._incidents:
-            per_objective[incident.objective] = (
-                per_objective.get(incident.objective, 0) + 1
-            )
-        lines.append("# TYPE repro_slo_incidents_total counter")
-        for objective in sorted(per_objective):
-            merged = _merge_labels(labels, {"objective": objective})
-            lines.append(
-                f"repro_slo_incidents_total{_format_labels(merged)} "
-                f"{per_objective[objective]}"
-            )
-        if not per_objective:
-            merged = _merge_labels(labels, {})
-            lines.append(f"repro_slo_incidents_total{_format_labels(merged)} 0")
-        per_invariant: Dict[str, int] = {}
-        for violation in self._violations:
-            per_invariant[violation.objective] = (
-                per_invariant.get(violation.objective, 0) + 1
-            )
-        lines.append("# TYPE repro_slo_violations_total counter")
-        for objective in sorted(per_invariant):
-            merged = _merge_labels(labels, {"invariant": objective})
-            lines.append(
-                f"repro_slo_violations_total{_format_labels(merged)} "
-                f"{per_invariant[objective]}"
-            )
-        if not per_invariant:
-            merged = _merge_labels(labels, {})
-            lines.append(f"repro_slo_violations_total{_format_labels(merged)} 0")
+        Incident counts labelled by objective and violation counts by
+        invariant (one unlabelled zero sample when there are none), plus
+        the :meth:`summary` gauges.
+        """
+        for family, label, incidents in (
+            ("repro_slo_incidents_total", "objective", self._incidents),
+            ("repro_slo_violations_total", "invariant", self._violations),
+        ):
+            if not incidents:
+                registry.counter(family)
+            for incident in incidents:
+                registry.counter(family, {label: incident.objective}).inc()
         summary = self.summary()
         for key in ("true_positives", "false_positives", "fault_spans",
                     "detected_spans", "missed_faults", "mttd_mean_ms",
                     "mttr_mean_ms", "windows_evaluated"):
-            lines.append(f"# TYPE repro_slo_{key} gauge")
-            merged = _merge_labels(labels, {})
-            lines.append(
-                f"repro_slo_{key}{_format_labels(merged)} "
-                f"{_format_value(summary[key])}"
-            )
-        return "\n".join(lines) + "\n"
+            registry.gauge(f"repro_slo_{key}").set(summary[key])
 
 
 def load_jsonl(path: str) -> Dict[str, object]:
@@ -980,6 +903,6 @@ def quick_slos(window_ms: float = 250.0, **overrides) -> "SloEngine":
 
 __all__ = [
     "SCHEMA", "METRICS", "DEFAULT_SLOS", "DEFAULT_GRACE_MS",
-    "DEFAULT_MERGE_GAP_MS", "SloSpec", "Incident", "NullSloEngine",
-    "NULL_SLO", "SloEngine", "load_jsonl", "quick_slos",
+    "DEFAULT_MERGE_GAP_MS", "SloSpec", "Incident", "SloEngine",
+    "load_jsonl", "quick_slos",
 ]

@@ -15,9 +15,64 @@ the paper's *shapes* is the cost structure:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields, replace
+from typing import Iterable, Sequence, Tuple
 
-from repro.sim.network import NetworkConfig
+
+def check_config(
+    config,
+    rules: Iterable[Tuple[str, bool, str]],
+    mix: Sequence[str] = (),
+) -> None:
+    """Refuse a config at construction, naming the field.
+
+    Configs arrive from CLI flags and ``RunSpec`` / ``WorkloadSpec``
+    params; what is not refused here surfaces mid-run as a stdlib
+    ``randrange`` error, a ``ZeroDivisionError``, a negative timeout,
+    or a value silently treated as another. ``rules`` are ``(field,
+    holds, "what it must be")`` triples; the ``mix`` fields are
+    weights, each ``>= 0`` and summing to 1.
+    """
+    rules = [*rules, *((name, getattr(config, name) >= 0, ">= 0") for name in mix)]
+    for name, ok, rule in rules:
+        if not ok:
+            raise ValueError(
+                f"{type(config).__name__}.{name} must be {rule}, "
+                f"got {getattr(config, name)!r}"
+            )
+    total = sum(getattr(config, name) for name in mix)
+    if mix and abs(total - 1.0) > 1e-9:
+        raise ValueError(
+            f"{type(config).__name__}: {' + '.join(mix)} must sum to 1, got {total!r}"
+        )
+
+
+def finite_nonnegative(config) -> Iterable[Tuple[str, bool, str]]:
+    """One ``finite and >= 0`` rule per dataclass field of ``config``."""
+    for spec in fields(config):
+        value = getattr(config, spec.name)
+        yield spec.name, 0 <= value < math.inf, "finite and >= 0"
+
+
+@dataclass
+class NetworkConfig:
+    """Knobs for the message cost model (times in ms, sizes in bytes)."""
+
+    #: One-way per-message latency: propagation + RPC framing overhead.
+    one_way_latency_ms: float = 0.25
+    #: Usable bandwidth for the size-dependent term, bytes per ms.
+    #: 1e6 bytes/ms = 1 GB/s, roughly the goodput of a 10 Gbit link.
+    bandwidth_bytes_per_ms: float = 1.0e6
+    #: Uniform jitter amplitude as a fraction of the base latency.
+    jitter: float = 0.0
+
+    def __post_init__(self):
+        check_config(self, (
+            ("one_way_latency_ms", self.one_way_latency_ms >= 0, ">= 0"),
+            ("bandwidth_bytes_per_ms", self.bandwidth_bytes_per_ms > 0, "> 0"),
+            ("jitter", 0 <= self.jitter <= 1, "in [0, 1]"),
+        ))
 
 
 @dataclass
@@ -62,6 +117,9 @@ class CostModel:
     #: shipping): index removal + packing at the source, unpacking +
     #: index insertion at the destination.
     marshal_op_ms: float = 0.025
+
+    def __post_init__(self):
+        check_config(self, finite_nonnegative(self))
 
     def execution_ms(self, reads: int, writes: int, scanned: int) -> float:
         """CPU time for the execution phase of a transaction."""
@@ -151,6 +209,25 @@ class RpcConfig:
     #: RTT quantile after which a read hedges.
     hedge_quantile: float = 0.95
 
+    def __post_init__(self):
+        check_config(self, (
+            ("timeout_ms", self.timeout_ms > 0, "> 0"),
+            ("remaster_timeout_ms", self.remaster_timeout_ms > 0, "> 0"),
+            ("max_retries", self.max_retries >= 0, ">= 0"),
+            ("backoff_base_ms", self.backoff_base_ms >= 0, ">= 0"),
+            ("backoff_cap_ms", self.backoff_cap_ms > 0, "> 0"),
+            ("suspicion_threshold", self.suspicion_threshold >= 1, ">= 1"),
+            ("detector_policy", self.detector_policy in ("adaptive", "threshold"),
+             "a known detector policy ('adaptive' or 'threshold')"),
+            ("phi_threshold", self.phi_threshold > 0, "> 0"),
+            ("suspicion_quarantine_ms", self.suspicion_quarantine_ms >= 0, ">= 0"),
+            ("deadline_quantile", 0 < self.deadline_quantile <= 1, "in (0, 1]"),
+            ("deadline_multiplier", self.deadline_multiplier >= 1, ">= 1"),
+            ("deadline_min_samples", self.deadline_min_samples >= 1, ">= 1"),
+            ("deadline_floor_ms", self.deadline_floor_ms >= 0, ">= 0"),
+            ("hedge_quantile", 0 < self.hedge_quantile <= 1, "in (0, 1]"),
+        ))
+
 
 @dataclass
 class ClusterConfig:
@@ -177,10 +254,11 @@ class ClusterConfig:
     def __post_init__(self):
         # A version's origin is stored as an unsigned 16-bit site index
         # (storage/table.py); refuse here what would overflow mid-run.
-        if not 1 <= self.num_sites <= 65_535:
-            raise ValueError(
-                f"num_sites must be between 1 and 65535, got {self.num_sites}"
-            )
+        check_config(self, (
+            ("num_sites", 1 <= self.num_sites <= 65_535, "in [1, 65535]"),
+            ("log_delivery_ms", self.log_delivery_ms >= 0, ">= 0"),
+            ("max_versions", self.max_versions >= 1, ">= 1"),
+        ))
 
     def scaled(self, **changes) -> "ClusterConfig":
         """Return a copy with the given fields replaced."""

@@ -13,20 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
+from repro.sim.config import NetworkConfig
 from repro.sim.core import Environment, Timeout
-
-
-@dataclass
-class NetworkConfig:
-    """Knobs for the message cost model (times in ms, sizes in bytes)."""
-
-    #: One-way per-message latency: propagation + RPC framing overhead.
-    one_way_latency_ms: float = 0.25
-    #: Usable bandwidth for the size-dependent term, bytes per ms.
-    #: 1e6 bytes/ms = 1 GB/s, roughly the goodput of a 10 Gbit link.
-    bandwidth_bytes_per_ms: float = 1.0e6
-    #: Uniform jitter amplitude as a fraction of the base latency.
-    jitter: float = 0.0
 
 
 @dataclass
@@ -117,18 +105,8 @@ class Network:
         return delay
 
     def account(self, category: str, size: int) -> None:
-        """Record one message against ``category``.
-
-        Besides the run-total traffic counters, an observed run also
-        streams per-category byte/message counters into the metrics
-        registry so traffic breakdowns (Appendix D) can be read over
-        time, not just at the end.
-        """
+        """Record one message against ``category``."""
         self.traffic.record(category, size)
-        obs = self.env.obs
-        if obs.enabled:
-            obs.registry.counter(f"net.{category}.bytes").inc(size)
-            obs.registry.counter(f"net.{category}.messages").inc()
 
     def account_many(self, category: str, size: int, count: int) -> None:
         """Record ``count`` same-sized messages against ``category``.
@@ -139,10 +117,6 @@ class Network:
         if count <= 0:
             return
         self.traffic.record_many(category, size, count)
-        obs = self.env.obs
-        if obs.enabled:
-            obs.registry.counter(f"net.{category}.bytes").inc(size * count)
-            obs.registry.counter(f"net.{category}.messages").inc(count)
 
     def transfer(self, size: int = 0, category: str = "rpc") -> Timeout:
         """Event that triggers after the message has traversed the wire."""

@@ -64,8 +64,7 @@ def two_phase_commit(
     coordinator = placement[items[0][0]]
     coordinator_track = sites[coordinator].trace_track
     if obs.enabled:
-        obs.registry.gauge("2pc_inflight").inc()
-        obs.registry.counter("2pc_started").inc()
+        obs.inflight_2pc += 1
 
     # Router -> coordinator dispatch.
     yield from system.client_hop(txn)
@@ -149,7 +148,7 @@ def two_phase_commit(
     # Coordinator -> client reply.
     yield from system.client_hop(txn)
     if obs.enabled:
-        obs.registry.gauge("2pc_inflight").dec()
+        obs.inflight_2pc -= 1
     return merged
 
 
@@ -199,8 +198,7 @@ def _two_phase_commit_faulted(
                     track=coordinator_track, round=name, branches=len(items))
 
     if obs.enabled:
-        obs.registry.gauge("2pc_inflight").inc()
-        obs.registry.counter("2pc_started").inc()
+        obs.inflight_2pc += 1
 
     yield from system.client_hop(txn)
     coordinate = system.config.costs.coordinate_ms * len(items)
@@ -272,7 +270,7 @@ def _two_phase_commit_faulted(
         yield from _abort_branches(system, txn, touched, coordinator)
         yield from system.client_hop(txn)
         if obs.enabled:
-            obs.registry.gauge("2pc_inflight").dec()
+            obs.inflight_2pc -= 1
         raise TransactionAborted(exc.reason, f"2pc presumed abort: {exc}")
 
     # Commit point: every vote is in and the decision is (modeled as)
@@ -314,7 +312,7 @@ def _two_phase_commit_faulted(
 
     yield from system.client_hop(txn)
     if obs.enabled:
-        obs.registry.gauge("2pc_inflight").dec()
+        obs.inflight_2pc -= 1
     return merged
 
 

@@ -4,39 +4,11 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Optional, Tuple
 
 from repro.core.strategy import StrategyWeights
 from repro.partitioning.schemes import PartitionScheme
 from repro.transactions import Key, Transaction
-
-
-def check_config(
-    config,
-    rules: Iterable[Tuple[str, bool, str]],
-    mix: Sequence[str] = (),
-) -> None:
-    """Refuse a workload config at construction, naming the field.
-
-    Configs arrive from CLI flags and ``WorkloadSpec`` params
-    (``build_workload``); what is not refused here surfaces mid-run as
-    a stdlib ``randrange`` error or as a transaction type that silently
-    never runs. ``rules`` are ``(field, holds, "what it must be")``
-    triples; the ``mix`` fields are weights, each ``>= 0`` and summing
-    to 1.
-    """
-    rules = [*rules, *((name, getattr(config, name) >= 0, ">= 0") for name in mix)]
-    for name, ok, rule in rules:
-        if not ok:
-            raise ValueError(
-                f"{type(config).__name__}.{name} must be {rule}, "
-                f"got {getattr(config, name)!r}"
-            )
-    total = sum(getattr(config, name) for name in mix)
-    if mix and abs(total - 1.0) > 1e-9:
-        raise ValueError(
-            f"{type(config).__name__}: {' + '.join(mix)} must sum to 1, got {total!r}"
-        )
 
 
 @dataclass(slots=True)

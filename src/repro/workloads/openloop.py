@@ -308,10 +308,6 @@ class OpenLoopEngine:
                 # Latency from *arrival*, queue wait included — the
                 # coordinated-omission-free measurement (docs/SCALE.md).
                 metrics.record(turn.txn, outcome, env.now - arrived, env.now)
-                if self.obs.enabled and outcome.committed:
-                    self.obs.registry.histogram(
-                        f"latency.{turn.txn.txn_type}"
-                    ).record(env.now - arrived)
             if traced:
                 tracer.txn_end(turn.txn, outcome, env.now, recorded=recorded)
 

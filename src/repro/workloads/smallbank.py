@@ -22,8 +22,9 @@ from typing import Any, Iterable, Optional, Tuple
 
 from repro.core.strategy import StrategyWeights
 from repro.partitioning.schemes import PartitionScheme
+from repro.sim.config import check_config
 from repro.transactions import Key, Transaction
-from repro.workloads.base import ClientTurn, Workload, check_config
+from repro.workloads.base import ClientTurn, Workload
 
 
 @dataclass

@@ -26,8 +26,9 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.strategy import StrategyWeights
 from repro.partitioning.schemes import PartitionScheme
+from repro.sim.config import check_config
 from repro.transactions import Key, ScanBlock, Transaction
-from repro.workloads.base import ClientTurn, Workload, check_config
+from repro.workloads.base import ClientTurn, Workload
 
 
 @dataclass

@@ -31,9 +31,10 @@ from typing import Any, Iterable, List, Optional, Tuple
 
 from repro.core.strategy import StrategyWeights
 from repro.partitioning.schemes import PartitionScheme
+from repro.sim.config import check_config
 from repro.sim.rand import ZipfGenerator
 from repro.transactions import Key, KeyRange, Transaction
-from repro.workloads.base import ClientTurn, Workload, check_config
+from repro.workloads.base import ClientTurn, Workload
 
 TABLE = "usertable"
 

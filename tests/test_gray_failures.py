@@ -32,6 +32,7 @@ from repro.sim.core import Environment
 from repro.sim.resources import Resource
 from repro.versioning import VersionVector
 from repro.workloads.ycsb import YCSBConfig, YCSBWorkload
+from tests.test_obs_registry import exposition, sorted_digest
 
 
 def _workload():
@@ -453,11 +454,14 @@ class TestDetectorObservability:
         assert row["suspicion_episodes"] >= 1
 
     def test_counters_reach_prometheus(self, adaptive_chaos):
-        text = adaptive_chaos.result.metrics.to_prometheus()
+        text = exposition(adaptive_chaos.result.metrics)
         assert "repro_detector_suspicion_episodes_total" in text
         assert "repro_detector_false_suspicions_total" in text
         assert "repro_detector_hedges_launched_total" in text
         assert "# TYPE repro_detector_suspected_sites gauge" in text
+        # Sorted-line digest of the deleted Metrics.to_prometheus.
+        assert sorted_digest(text) == (
+            "aaa825dcb8f14a3f7f97bb3a5591dde80ac77b0de39f569b9857f7fef7621eb2")
 
     def test_unfaulted_runs_export_zero_counters(self):
         result = run_benchmark(
@@ -471,7 +475,7 @@ class TestDetectorObservability:
         row = run_to_row(result)
         assert row["suspicion_episodes"] == 0
         assert row["hedges_launched"] == 0
-        assert "repro_detector" not in result.metrics.to_prometheus()
+        assert "repro_detector" not in exposition(result.metrics)
 
 
 # -- defense presets --------------------------------------------------------

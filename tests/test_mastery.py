@@ -25,18 +25,16 @@ from repro.bench.harness import run_benchmark
 from repro.faults.chaos import run_chaos, run_chaos_matrix
 from repro.obs.mastery import (
     DEFAULT_THRESHOLD,
-    NULL_LEDGER,
     SCHEMA,
     DecisionLedger,
     MastershipTimeline,
-    NullLedger,
     load_jsonl,
     recompute_decision,
     render_decision,
 )
-from repro.obs.registry import MetricsRegistry
 from repro.sim.config import ClusterConfig
 from repro.workloads.ycsb import YCSBConfig, YCSBWorkload
+from tests.test_obs_registry import exposition, sorted_digest
 
 CLUSTER = ClusterConfig(num_sites=3)
 
@@ -130,20 +128,12 @@ class TestLedgerRecording:
 
 
 class TestPassiveRecorder:
-    def test_null_ledger_is_disabled_and_inert(self):
-        assert not NULL_LEDGER.enabled
-        assert NULL_LEDGER.decision(0.0, None, [], None, None, []) is None
-        NULL_LEDGER.route(0.0, 0, 0)
-        NULL_LEDGER.ownership(0.0, 0, 0, 1)
-        NULL_LEDGER.record_placement({}, 0.0)
-        assert isinstance(NULL_LEDGER, NullLedger)
-
     def test_selector_defaults_to_null_ledger(self):
         result = run_benchmark(
             "dynamast", contended_workload(), num_clients=2,
             duration_ms=100.0, warmup_ms=0.0, cluster_config=CLUSTER, seed=1,
         )
-        assert result.system.selector.ledger is NULL_LEDGER
+        assert result.system.selector.ledger is None
         assert result.ledger is None
 
     def test_selectorless_system_ignores_ledger(self):
@@ -386,12 +376,14 @@ class TestExport:
 
     def test_prometheus_exposition(self, observed_run):
         _, ledger = observed_run
-        registry = MetricsRegistry()
-        ledger.to_registry(registry)
-        text = registry.to_prometheus()
+        text = exposition(ledger)
         assert "repro_masters_decisions_total" in text
         assert "repro_masters_locality_share" in text
         assert "repro_masters_convergence_ms" in text
+        # Sorted-line digest taken before the registry learned labelled
+        # series and the Metrics/SLO writers folded into it.
+        assert sorted_digest(text) == (
+            "9f85e543426300603fe297e7db8d4ea2109682f33f0d1b46f61d3fdebf6cab28")
 
     def test_render_decision_waterfall(self, observed_run):
         _, ledger = observed_run

@@ -1,5 +1,6 @@
 """End-to-end observability: traced benchmark runs and abort metrics."""
 
+import hashlib
 import json
 
 import pytest
@@ -161,7 +162,17 @@ class TestTracedRun:
                              "branch_execute", "branch_prepare",
                              "branch_commit"):
                 assert expected in names, f"missing span {expected!r}"
-            assert obs.registry.counter("2pc_started").value > 0
+            assert obs.timelines["2pc_inflight"].maximum() > 0
+
+    def test_two_phase_commit_inflight_timeline_is_pinned(self):
+        """The ``2pc_inflight`` samples of one observed partition-store
+        run, as taken when a registry gauge still carried the count."""
+        _, obs = traced_run(system="partition-store")
+        samples = obs.timelines["2pc_inflight"].samples
+        assert (len(samples), max(v for _, v in samples),
+                sum(v for _, v in samples)) == (20, 5.0, 59.0)
+        assert hashlib.sha256(json.dumps(samples).encode()).hexdigest() == (
+            "457fe0ad6193a3cc449a0717bade7e73b479abc155be17dbb3049c6fc2973ede")
 
     def test_streaming_metrics_run(self):
         result, _ = traced_run(streaming_metrics=True)

@@ -1,5 +1,7 @@
-"""Tests for counters, gauges, and streaming histograms."""
+"""Tests for counters, gauges, streaming histograms, and the one
+Prometheus renderer every recorder folds into."""
 
+import hashlib
 import math
 import random
 
@@ -163,6 +165,19 @@ class TestHistogramQuantileProperty:
         assert histogram.minimum <= approx <= histogram.maximum
 
 
+def exposition(recorder, labels=None, **fold):
+    """Prometheus text of ``recorder`` through its registry fold."""
+    registry = MetricsRegistry()
+    recorder.to_registry(registry, **fold)
+    return registry.to_prometheus(labels)
+
+
+def sorted_digest(text):
+    """Digest of the exposition's sorted lines: sample values pinned,
+    family order free."""
+    return hashlib.sha256("\n".join(sorted(text.splitlines())).encode()).hexdigest()
+
+
 def parse_exposition(text):
     """(name, labels-string, value) triples for non-comment lines."""
     rows = []
@@ -324,8 +339,61 @@ class TestPrometheusEdgeCases:
         pairs = bucket_series(registry.to_prometheus(), "lat")
         assert pairs == [(10.0, 1), (math.inf, 1)]
 
+    def test_bucket_bounds_are_each_lower_bound_times_growth(self):
+        # ``lower * growth`` and ``base * growth ** (index + 1)`` are
+        # different floats for many indices; the renderer uses the
+        # former, the formula every pinned exposition was taken with.
+        histogram = StreamingHistogram("lat")
+        for index in range(600):
+            histogram.record(1e-3 * 1.05 ** index * 1.01)
+        registry = MetricsRegistry()
+        registry.histogram("lat").merge(histogram)
+        les = [le for le, _ in bucket_series(registry.to_prometheus(), "lat")]
+        assert les[:-1] == [lower * 1.05 for lower, _ in histogram.bucket_counts()]
+
+
+class TestLabelledSeries:
+    def test_series_of_one_family_share_one_type_line(self):
+        registry = MetricsRegistry()
+        registry.counter("aborts", {"txn_type": "rmw"}).inc(2)
+        registry.counter("aborts", {"txn_type": "scan"}).inc(1)
+        registry.counter("commits").inc(5)
+        text = registry.to_prometheus({"system": "dynamast"})
+        assert text.count("# TYPE aborts counter") == 1
+        assert 'aborts{system="dynamast",txn_type="rmw"} 2' in text
+        assert 'aborts{system="dynamast",txn_type="scan"} 1' in text
+        assert text.index("# TYPE aborts") < text.index("# TYPE commits")
+
+    def test_labels_identify_the_series(self):
+        registry = MetricsRegistry()
+        assert registry.gauge("depth", {"site": 0}) is registry.gauge(
+            "depth", {"site": "0"})
+        assert registry.gauge("depth", {"site": 0}) is not registry.gauge("depth")
+        assert registry.histogram("lat", {"a": "1", "b": "2"}) is registry.histogram(
+            "lat", {"b": "2", "a": "1"})
+
+    def test_a_series_label_overrides_a_caller_label(self):
+        registry = MetricsRegistry()
+        registry.counter("c", {"site": "3"}).inc()
+        assert registry.to_prometheus({"site": "all"}) == (
+            '# TYPE c counter\nc{site="3"} 1\n')
+
+    def test_labelled_histograms_render_per_series(self):
+        registry = MetricsRegistry()
+        registry.histogram("lat", {"txn_type": "a"}).record(2.0)
+        registry.histogram("lat", {"txn_type": "b"}).record(3.0)
+        rows = parse_exposition(registry.to_prometheus())
+        counts = {labels: value for name, labels, value in rows
+                  if name == "lat_count"}
+        assert counts == {'{txn_type="a"}': "1", '{txn_type="b"}': "1"}
+
 
 class TestMetricsToPrometheus:
+    #: Sorted-line digest of ``filled()`` under ``{"system": "dynamast"}``
+    #: as the deleted ``Metrics.to_prometheus`` rendered it (exact and
+    #: streaming modes alike).
+    FILLED = "922d9d7b753e99913b2d00124e503b4b8cf86fca1a5ceaa4f7b9650ea7a6179a"
+
     def make_txn(self, kind="rmw"):
         return Transaction(kind, 0, write_set=(("t", 1),))
 
@@ -340,7 +408,7 @@ class TestMetricsToPrometheus:
         return metrics
 
     def test_counters_and_labels(self):
-        text = self.filled().to_prometheus({"system": "dynamast"})
+        text = exposition(self.filled(), {"system": "dynamast"})
         rows = parse_exposition(text)
         values = {(name, labels): value for name, labels, value in rows}
         assert values[("repro_commits_total", '{system="dynamast"}')] == "2"
@@ -350,14 +418,14 @@ class TestMetricsToPrometheus:
         )] == "1"
 
     def test_one_type_line_per_metric(self):
-        text = self.filled().to_prometheus()
+        text = exposition(self.filled())
         type_lines = [line for line in text.splitlines()
                       if line.startswith("# TYPE")]
         assert len(type_lines) == len(set(type_lines))
         assert "# TYPE repro_latency_ms histogram" in type_lines
 
     def test_latency_histogram_cumulative_per_type(self):
-        text = self.filled().to_prometheus()
+        text = exposition(self.filled())
         for txn_type in ("rmw", "read"):
             rows = [
                 (name, labels, value)
@@ -372,14 +440,19 @@ class TestMetricsToPrometheus:
             assert counts[-1] == int(final[0]) == 1
 
     def test_streaming_and_exact_modes_agree(self):
-        exact = self.filled(streaming=False).to_prometheus({"seed": "3"})
-        streaming = self.filled(streaming=True).to_prometheus({"seed": "3"})
+        exact = exposition(self.filled(streaming=False), {"seed": "3"})
+        streaming = exposition(self.filled(streaming=True), {"seed": "3"})
         assert exact == streaming
 
     def test_empty_metrics(self):
-        text = Metrics().to_prometheus()
+        text = exposition(Metrics())
         assert "repro_commits_total 0" in text
         assert "repro_latency_ms" not in text
+
+    @pytest.mark.parametrize("streaming", [False, True])
+    def test_exposition_is_pinned(self, streaming):
+        text = exposition(self.filled(streaming), {"system": "dynamast"})
+        assert sorted_digest(text) == self.FILLED
 
 
 class TestMetricsRegistry:
@@ -388,14 +461,3 @@ class TestMetricsRegistry:
         assert registry.counter("a") is registry.counter("a")
         assert registry.gauge("g") is registry.gauge("g")
         assert registry.histogram("h") is registry.histogram("h")
-
-    def test_snapshot_shape(self):
-        registry = MetricsRegistry()
-        registry.counter("c").inc(3)
-        registry.gauge("g").set(1.5)
-        registry.histogram("h").record(2.0)
-        snapshot = registry.snapshot()
-        assert snapshot["counters"] == {"c": 3}
-        assert snapshot["gauges"] == {"g": 1.5}
-        assert snapshot["histograms"]["h"]["count"] == 1
-        assert snapshot["histograms"]["h"]["max"] == 2.0

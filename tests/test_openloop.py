@@ -39,6 +39,7 @@ from repro.workloads.openloop import (
 )
 from repro.workloads.smallbank import SmallBankConfig
 from repro.workloads.ycsb import YCSBClientPool
+from tests.test_obs_registry import exposition, parse_exposition, sorted_digest
 
 
 def txn_signature(turn):
@@ -277,6 +278,20 @@ class TestHarnessIntegration:
         wait = result.metrics.admission_wait()
         assert wait.count > 0
         assert wait.p99 >= wait.p50 >= 0.0
+
+    def test_queue_state_reaches_prometheus(self):
+        result = tiny_run(open_loop=open_loop_spec(
+            rate_tps=4000.0, admission_concurrency=1, queue_capacity=4))
+        text = exposition(result.metrics)
+        shed = {labels: float(value) for name, labels, value in parse_exposition(text)
+                if name == "repro_openloop_queue_shed_total"}
+        assert shed == {f'{{site="{entry["site"]}"}}': entry["shed"]
+                        for entry in result.metrics.open_loop_sites}
+        assert text.count("# TYPE repro_openloop_queue_depth gauge") == 1
+        assert "repro_admission_wait_ms_count" in text
+        # Sorted-line digest of the deleted Metrics.to_prometheus.
+        assert sorted_digest(text) == (
+            "b3115eb59dcbe89e785e99c6cbe4686f12df91ac8e451e4346a66198ae9a3f2a")
 
     def test_closed_loop_runs_have_no_open_loop_counters(self):
         workload = YCSBWorkload(YCSBConfig(num_partitions=16))

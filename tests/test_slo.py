@@ -25,7 +25,6 @@ from repro.faults import FaultPlan, build_scenario
 from repro.faults.chaos import defense_setup, run_chaos
 from repro.obs import (
     DEFAULT_SLOS,
-    NULL_SLO,
     Incident,
     SloEngine,
     SloSpec,
@@ -36,6 +35,7 @@ from repro.obs import (
 from repro.obs.slo import SCHEMA, _coalesce, _evaluate, _SloState, _Window, load_jsonl
 from repro.sim.config import ClusterConfig
 from repro.workloads.ycsb import YCSBConfig, YCSBWorkload
+from tests.test_obs_registry import exposition, parse_exposition, sorted_digest
 
 ALL_SYSTEMS = ("dynamast", "single-master", "multi-master", "partition-store", "leap")
 
@@ -386,23 +386,6 @@ class TestCoalesce:
             gap_ms=10.0,
         )
         assert len(spans) == 2
-
-
-# ---------------------------------------------------------------------------
-# Null engine
-# ---------------------------------------------------------------------------
-
-
-class TestNullEngine:
-    def test_null_is_inert(self):
-        assert NULL_SLO.enabled is False
-        assert NULL_SLO.install(StubSystem([])) is None
-        assert NULL_SLO.observe_txn(None, StubOutcome(), 1.0, 0.0) is None
-        assert NULL_SLO.finalize(100.0) is None
-        assert NULL_SLO.incidents == []
-        assert NULL_SLO.violations == []
-        assert NULL_SLO.false_positives == []
-        assert NULL_SLO.summary() == {}
 
 
 # ---------------------------------------------------------------------------
@@ -812,16 +795,23 @@ class TestCsvAndPrometheus:
 
     def test_prometheus_exposition(self, fail_slow):
         _, engine = fail_slow
-        text = engine.to_prometheus({"system": "dynamast"})
+        text = exposition(engine, {"system": "dynamast"})
         assert "# TYPE repro_slo_incidents_total counter" in text
         assert 'system="dynamast"' in text
         assert "# TYPE repro_slo_mttd_mean_ms gauge" in text
         assert text.endswith("\n")
+        incidents = [row for row in parse_exposition(text)
+                     if row[0] == "repro_slo_incidents_total"]
+        assert sum(int(value) for _, _, value in incidents) == len(engine.incidents)
+        assert all('objective="' in labels for _, labels, _ in incidents)
+        # Sorted-line digest of the deleted SloEngine.to_prometheus.
+        assert sorted_digest(text) == (
+            "ba15f7a96b9c5851bc56000c0398e130889d1894f7dc5b8da83c7593e832e85c")
 
     def test_prometheus_zero_state_without_labels(self):
         engine = SloEngine()
         engine.finalize(0.0)
-        text = engine.to_prometheus()
+        text = exposition(engine)
         assert "repro_slo_incidents_total 0" in text
         assert "repro_slo_violations_total 0" in text
 

@@ -1,9 +1,21 @@
-"""Tests for the transaction type and the cluster cost model."""
+"""Tests for the transaction type, the cluster cost model, and the
+construction-time validation of every cluster and strategy config."""
+
+import dataclasses
+import math
 
 import pytest
 
-from repro.sim.config import ClusterConfig, CostModel, SizeModel
+from repro.core.statistics import StatisticsConfig
+from repro.core.strategy import StrategyWeights
+from repro.sim.config import ClusterConfig, CostModel, NetworkConfig, RpcConfig, SizeModel
 from repro.transactions import KeyRange, Outcome, Transaction
+
+
+def refused(cls, field, **overrides):
+    """``cls(**overrides)`` must fail at construction, naming ``field``."""
+    with pytest.raises(ValueError, match=rf"{cls.__name__}\.{field} must be"):
+        cls(**overrides)
 
 
 class TestTransaction:
@@ -63,6 +75,15 @@ class TestCostModel:
         costs = CostModel(refresh_base_ms=0.5, refresh_op_ms=0.1)
         assert costs.refresh_ms(writes=5) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("field,value", [
+        *((spec.name, -1.0) for spec in dataclasses.fields(CostModel)),
+        ("read_op_ms", math.nan),
+        ("write_op_ms", math.inf),
+    ])
+    def test_every_cost_is_finite_and_nonnegative(self, field, value):
+        refused(CostModel, field, **{field: value})
+        assert CostModel(**{field: 0.0}).execution_ms(1, 1, 1) >= 0.0
+
     def test_refresh_cheaper_than_execution(self):
         """The default model applies refreshes far cheaper than
         original writes — the premise of lazy replication's economy."""
@@ -103,6 +124,15 @@ class TestClusterConfig:
             ClusterConfig().scaled(num_sites=num_sites)
         assert ClusterConfig(num_sites=65_535).num_sites == 65_535
 
+    @pytest.mark.parametrize("field,overrides", [
+        ("log_delivery_ms", dict(log_delivery_ms=-5.0)),  # was silently 0
+        ("max_versions", dict(max_versions=0)),
+    ])
+    def test_bad_config_is_refused_at_construction_by_field(self, field, overrides):
+        refused(ClusterConfig, field, **overrides)
+        with pytest.raises(ValueError, match=field):
+            ClusterConfig().scaled(**overrides)
+
     def test_log_delivery_below_client_round_trip(self):
         """Replicas must usually be session-fresh by the time a writing
         client's next transaction arrives (paper §VI-B2): delivery
@@ -110,3 +140,67 @@ class TestClusterConfig:
         config = ClusterConfig()
         client_hops = 2 * config.network.one_way_latency_ms
         assert config.log_delivery_ms <= client_hops * 1.2
+
+
+class TestNetworkConfig:
+    @pytest.mark.parametrize("field,overrides", [
+        ("one_way_latency_ms", dict(one_way_latency_ms=-1.0)),  # negative delay
+        ("bandwidth_bytes_per_ms", dict(bandwidth_bytes_per_ms=0.0)),  # / 0
+        ("jitter", dict(jitter=-0.1)),
+        ("jitter", dict(jitter=1.5)),  # could push a delay below zero
+    ])
+    def test_bad_config_is_refused_at_construction_by_field(self, field, overrides):
+        refused(NetworkConfig, field, **overrides)
+
+
+class TestRpcConfig:
+    @pytest.mark.parametrize("field,overrides", [
+        ("timeout_ms", dict(timeout_ms=0.0)),
+        ("remaster_timeout_ms", dict(remaster_timeout_ms=-1.0)),
+        ("max_retries", dict(max_retries=-1)),
+        ("backoff_base_ms", dict(backoff_base_ms=-1.0)),
+        ("backoff_cap_ms", dict(backoff_cap_ms=0.0)),
+        ("suspicion_threshold", dict(suspicion_threshold=0)),
+        # Used to pass every unfaulted run and fail at injector install.
+        ("detector_policy", dict(detector_policy="adaptiv")),
+        ("phi_threshold", dict(phi_threshold=0.0)),
+        ("suspicion_quarantine_ms", dict(suspicion_quarantine_ms=-1.0)),
+        ("deadline_quantile", dict(deadline_quantile=0.0)),
+        ("deadline_quantile", dict(deadline_quantile=1.5)),
+        ("deadline_multiplier", dict(deadline_multiplier=0.5)),
+        ("deadline_min_samples", dict(deadline_min_samples=0)),
+        ("deadline_floor_ms", dict(deadline_floor_ms=-1.0)),
+        ("hedge_quantile", dict(hedge_quantile=math.nan)),
+    ])
+    def test_bad_config_is_refused_at_construction_by_field(self, field, overrides):
+        refused(RpcConfig, field, **overrides)
+
+    def test_top_quantile_is_accepted(self):
+        rpc = RpcConfig(deadline_quantile=1.0, hedge_quantile=1.0)
+        assert rpc.deadline_quantile == rpc.hedge_quantile == 1.0
+
+
+class TestStatisticsConfig:
+    @pytest.mark.parametrize("field,overrides", [
+        ("sample_rate", dict(sample_rate=-0.1)),
+        ("sample_rate", dict(sample_rate=1.1)),
+        ("inter_txn_window_ms", dict(inter_txn_window_ms=0.0)),
+        ("expiry_ms", dict(expiry_ms=-1.0)),
+        ("max_samples", dict(max_samples=0)),
+        ("max_inter_pairs", dict(max_inter_pairs=0)),
+    ])
+    def test_bad_config_is_refused_at_construction_by_field(self, field, overrides):
+        refused(StatisticsConfig, field, **overrides)
+
+
+class TestStrategyWeights:
+    @pytest.mark.parametrize("field,value", [
+        *((spec.name, -1.0) for spec in dataclasses.fields(StrategyWeights)),
+        ("balance", math.nan),  # used to die mid-run with an IndexError
+        ("delay", math.inf),
+    ])
+    def test_every_weight_is_finite_and_nonnegative(self, field, value):
+        refused(StrategyWeights, field, **{field: value})
+        ones = StrategyWeights(*(1.0,) * len(dataclasses.fields(StrategyWeights)))
+        with pytest.raises(ValueError, match=field):
+            ones.scaled(**{field: value})  # scaled() goes through the constructor
