@@ -42,5 +42,7 @@ def test_fig5b_adaptivity(once):
         "the remastering rate must decay as placements converge "
         f"({early_rate:.1%} -> {late_rate:.1%})"
     )
+    # 4000 ms in 500 ms buckets: eight whole buckets, none partial.
+    assert [when for when, _ in result.timeline] == [500.0 * i for i in range(8)]
     # Throughput must trend upward: the last bucket beats the first.
     assert result.timeline[-1][1] > result.timeline[0][1]

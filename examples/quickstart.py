@@ -59,8 +59,8 @@ def main():
         outcome = yield from dynamast.submit(txn, session)
         log.append(("audit", cluster.env.now, outcome.remastered))
 
-    process = cluster.env.process(client())
-    cluster.env.run_until_complete(process)
+    cluster.env.process(client())
+    cluster.env.run()  # until the client finishes and the queue drains
 
     print()
     for name, when, remastered in log:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.harness import ALL_SYSTEMS, run_benchmark
+from repro.bench.metrics import rate_series
 from repro.bench.parallel import RunSpec, RunSummary, WorkloadSpec, execute_specs
 from repro.core.strategy import StrategyWeights
 from repro.sim.config import ClusterConfig
@@ -274,9 +275,7 @@ def fig5b_adaptivity(
         placement=placement,
         events=events,
     )
-    timeline = result.metrics.timeline(bucket_ms, 0.0, duration_ms)
-    # Drop the final (partial) bucket.
-    timeline = timeline[:-1]
+    timeline = rate_series(result.metrics.commit_times, bucket_ms, 0.0, duration_ms)
     remaster_timeline = []
     previous = (0.0, 0, 0)
     for when, routed, remastered in samples:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -88,6 +89,32 @@ def _fold_samples(histogram: StreamingHistogram,
     else:
         for sample in samples:
             histogram.record(sample)
+
+
+def rate_series(times, bucket_ms: float, start: float, end: float) -> List[Tuple[float, float]]:
+    """(bucket start, events per second) over ``[start, end)``.
+
+    Buckets are ``bucket_ms`` wide; when the window is not a whole
+    number of them, the last one ends at ``end`` and is divided by its
+    own width. A window that is whole up to float rounding gets whole
+    buckets only. Empty for an empty window or a non-positive width.
+    """
+    if bucket_ms <= 0 or end <= start:
+        return []
+    span = (end - start) / bucket_ms
+    whole = math.isclose(span, round(span))
+    counts = [0] * (round(span) if whole else math.ceil(span))
+    last = len(counts) - 1
+    for time in times:
+        if start <= time < end:
+            counts[min(int((time - start) // bucket_ms), last)] += 1
+    widths = [bucket_ms] * len(counts)
+    if not whole:
+        widths[last] = end - (start + last * bucket_ms)
+    return [
+        (start + index * bucket_ms, count / (width / 1000.0))
+        for index, (count, width) in enumerate(zip(counts, widths))
+    ]
 
 
 class Metrics:
@@ -253,20 +280,6 @@ class Metrics:
         if window_ms <= 0:
             return 0.0
         return self.commits / (window_ms / 1000.0)
-
-    def timeline(self, bucket_ms: float, start: float, end: float) -> List[tuple]:
-        """(bucket start, txn/s) series — the adaptivity figure."""
-        if bucket_ms <= 0 or end <= start:
-            return []
-        buckets = int((end - start) // bucket_ms) + 1
-        counts = [0] * buckets
-        for time in self.commit_times:
-            if start <= time < end:
-                counts[int((time - start) // bucket_ms)] += 1
-        return [
-            (start + index * bucket_ms, count / (bucket_ms / 1000.0))
-            for index, count in enumerate(counts)
-        ]
 
     def breakdown(self) -> Dict[str, float]:
         """Phase -> fraction of total accounted latency (Figure 7)."""

@@ -218,10 +218,6 @@ class RunSpec:
                 self, "placement", tuple(sorted(self.placement.items()))
             )
 
-    def describe(self) -> str:
-        base = self.label or f"{self.system}/{self.workload.name}"
-        return f"{base} seed={self.seed}"
-
     def placement_dict(self) -> Optional[Dict[int, int]]:
         if self.placement is None:
             return None

@@ -80,10 +80,3 @@ class PartitionTable:
     def snapshot(self) -> Dict[int, int]:
         """Current partition -> master map (for recovery tests/tools)."""
         return {partition: info.master for partition, info in self._infos.items()}
-
-    def masters_per_site(self, num_sites: int) -> List[int]:
-        """How many partitions each site currently masters."""
-        counts = [0] * num_sites
-        for info in self._infos.values():
-            counts[info.master] += 1
-        return counts

@@ -392,15 +392,3 @@ class RemasterStrategy:
             tied=tuple(score.site for score in tied) if len(tied) > 1 else (),
             tie_break=tie_break,
         )
-
-    def choose_site(
-        self,
-        write_partitions: Sequence[int],
-        site_vvs: Sequence[VersionVector],
-        session_vv: Optional[VersionVector] = None,
-        exclude: Optional[set] = None,
-        health: Optional[Sequence[float]] = None,
-    ) -> Tuple[int, List[SiteScore]]:
-        """Legacy wrapper: the winning site and all candidate scores."""
-        decision = self.decide(write_partitions, site_vvs, session_vv, exclude, health)
-        return decision.site, decision.scores

@@ -37,7 +37,6 @@ from repro.faults.plan import (
     LinkFault,
     SlowFault,
     build_scenario,
-    degrade_site,
     flapping_site,
     partition_site,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "REASON_SITE_CRASH",
     "REASON_TIMEOUT",
     "build_scenario",
-    "degrade_site",
     "flapping_site",
     "partition_site",
 ]

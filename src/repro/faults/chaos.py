@@ -13,11 +13,11 @@ the dead site.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.harness import RunMeasurements, run_benchmark
+from repro.bench.metrics import rate_series
 from repro.bench.parallel import RunSpec, WorkloadSpec, execute_specs
 from repro.faults.plan import FaultPlan, build_scenario
 from repro.sim.config import ClusterConfig, RpcConfig
@@ -238,16 +238,6 @@ class ChaosReport:
             handle.write(self.to_csv())
 
 
-def _rate_series(times, bucket_ms: float, start: float, end: float) -> List[float]:
-    """Events-per-second per bucket over ``[start, end)``."""
-    buckets = max(1, math.ceil((end - start) / bucket_ms))
-    counts = [0] * buckets
-    for time in times:
-        if start <= time < end:
-            counts[int((time - start) // bucket_ms)] += 1
-    return [count / (bucket_ms / 1000.0) for count in counts]
-
-
 def run_chaos(
     system_name: str,
     scenario: str,
@@ -325,17 +315,16 @@ def report_from_result(
     matrices can be bucketed in the parent after worker processes ran
     the simulations.
     """
-    commit_rates = _rate_series(
+    commit_rates = rate_series(
         result.metrics.commit_times, bucket_ms, warmup_ms, duration_ms
     )
-    abort_rates = _rate_series(
+    abort_rates = rate_series(
         result.metrics.abort_times, bucket_ms, warmup_ms, duration_ms
     )
     events = [(event.at_ms, event.kind, event.site) for event in result.fault_events]
 
     buckets = []
-    for index, (commit_rate, abort_rate) in enumerate(zip(commit_rates, abort_rates)):
-        start = warmup_ms + index * bucket_ms
+    for (start, commit_rate), (_, abort_rate) in zip(commit_rates, abort_rates):
         up = num_sites
         for at_ms, kind, _site in events:
             if at_ms >= start + bucket_ms:

@@ -217,13 +217,6 @@ class FaultInjector:
 
     # -- link state (consulted by Network.leg_lost / leg_delay) -----------
 
-    def link_cut(self, src: int, dst: int) -> bool:
-        now = self.cluster.env.now
-        return any(
-            link.drop and link.active_at(now)
-            for link in self._links_by_pair.get((src, dst), ())
-        )
-
     def link_extra_delay(self, src: int, dst: int) -> float:
         """Injected one-way delay on ``src -> dst`` for one message.
 

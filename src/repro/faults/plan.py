@@ -115,31 +115,6 @@ def partition_site(
     return faults
 
 
-def degrade_site(
-    site: int,
-    start_ms: float,
-    end_ms: float,
-    num_sites: int,
-    extra_delay_ms: float = 4.0,
-    jitter_ms: float = 8.0,
-    include_frontend: bool = True,
-) -> List[LinkFault]:
-    """Sugar: inflate (latency + seeded jitter) every link touching
-    ``site`` — degraded-but-connected, the gray twin of
-    :func:`partition_site`."""
-    peers = [index for index in range(num_sites) if index != site]
-    if include_frontend:
-        peers.append(FRONTEND)
-    faults = []
-    for peer in peers:
-        for src, dst in ((site, peer), (peer, site)):
-            faults.append(LinkFault(
-                src, dst, start_ms, end_ms,
-                extra_delay_ms=extra_delay_ms, jitter_ms=jitter_ms,
-            ))
-    return faults
-
-
 def flapping_site(
     site: int,
     start_ms: float,

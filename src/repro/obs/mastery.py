@@ -39,8 +39,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 __all__ = [
     "SCHEMA",
@@ -596,18 +596,6 @@ class MastershipTimeline:
 
     def intervals(self, partition: int) -> List[OwnershipInterval]:
         return list(self._intervals.get(partition, []))
-
-    def owner_at(self, partition: int, at_ms: float) -> Optional[int]:
-        """The site mastering ``partition`` at simulated time ``at_ms``."""
-        owner = None
-        for interval in self._intervals.get(partition, []):
-            if interval.start <= at_ms and (
-                interval.end is None or at_ms < interval.end
-            ):
-                return interval.site
-            if interval.start <= at_ms:
-                owner = interval.site
-        return owner
 
     def final_placement(self) -> Dict[int, int]:
         """Partition -> last recorded master."""

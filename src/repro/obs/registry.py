@@ -100,9 +100,6 @@ class Gauge:
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
 
 class StreamingHistogram:
     """A log-bucketed histogram of non-negative samples.

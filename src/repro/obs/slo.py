@@ -182,18 +182,6 @@ class Incident:
             "detail": self.detail,
         }
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "Incident":
-        return cls(
-            objective=data["objective"], kind=data.get("kind", "slo"),
-            onset_ms=data["onset_ms"], clear_ms=data.get("clear_ms"),
-            threshold=data.get("threshold", 0.0),
-            peak_value=data.get("peak_value", 0.0),
-            peak_severity=data.get("peak_severity", 0.0),
-            blamed_sites=tuple(data.get("blamed_sites", ())),
-            detail=data.get("detail", ""),
-        )
-
 
 class _Window:
     """Accumulator for one event-time tumbling window."""

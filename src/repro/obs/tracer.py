@@ -360,15 +360,6 @@ class Tracer(NullTracer):
         if args:
             edges._vals.extend(args.values())
 
-    def edges_of(self, txn_id: int) -> List[EdgeRecord]:
-        """All causal edges of one transaction, in timestamp order."""
-        edges = self.edges
-        wanted = _NO_ID if txn_id is None else txn_id
-        mine = [edges[row] for row, txn in enumerate(edges._ids[0::2])
-                if txn == wanted]
-        mine.sort(key=lambda e: (e.ts, e.kind))
-        return mine
-
     # -- reconstruction ------------------------------------------------------
 
     def spans_of(self, txn_id: int) -> List[SpanRecord]:

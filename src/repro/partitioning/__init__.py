@@ -1,18 +1,14 @@
-"""Partition mapping and offline partitioning.
+"""Partition mapping.
 
-* :class:`~repro.partitioning.schemes.PartitionScheme` — maps record
-  keys to partition ids and provides the initial partition -> site
-  placements used by the fixed-mastership comparators (range, hash,
-  warehouse, round-robin).
-* :mod:`repro.partitioning.schism` — a Schism-style offline
-  partitioner (Curino et al., VLDB 2010): build the co-access graph
-  from a workload sample and compute a balanced min-cut placement. The
-  paper uses Schism only to confirm that range partitioning (YCSB) and
-  warehouse partitioning (TPC-C) minimize distributed transactions; we
-  use it the same way.
+:class:`~repro.partitioning.schemes.PartitionScheme` maps record keys
+to partition ids and provides the initial partition -> site placements
+used by the fixed-mastership comparators (range, warehouse,
+round-robin). The paper runs Schism (Curino et al., VLDB 2010) only to
+confirm that range partitioning (YCSB) and warehouse partitioning
+(TPC-C) minimize distributed transactions; the repo ships those
+confirmed schemes, not the graph partitioner.
 """
 
 from repro.partitioning.schemes import PartitionScheme
-from repro.partitioning.schism import SchismPartitioner
 
-__all__ = ["PartitionScheme", "SchismPartitioner"]
+__all__ = ["PartitionScheme"]

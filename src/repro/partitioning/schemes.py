@@ -68,14 +68,6 @@ class PartitionScheme:
             for partition in range(self.num_partitions)
         }
 
-    def hash_placement(self, num_sites: int) -> Dict[int, int]:
-        """Pseudo-random but deterministic placement by partition hash."""
-        self._check_sites(num_sites)
-        return {
-            partition: hash(("placement", partition)) % num_sites
-            for partition in range(self.num_partitions)
-        }
-
     def single_site_placement(self, site: int = 0) -> Dict[int, int]:
         """Everything mastered at one site (the single-master system)."""
         return {partition: site for partition in range(self.num_partitions)}

@@ -12,11 +12,7 @@ rebuilds a site's database and the mastership map by replay.
 
 from repro.replication.log import DurableLog, LogRecord
 from repro.replication.manager import ReplicationManager
-from repro.replication.recovery import (
-    recover_database,
-    recover_mastership,
-    recover_site,
-)
+from repro.replication.recovery import recover_database, recover_mastership
 
 __all__ = [
     "DurableLog",
@@ -24,5 +20,4 @@ __all__ = [
     "ReplicationManager",
     "recover_database",
     "recover_mastership",
-    "recover_site",
 ]

@@ -108,60 +108,14 @@ def recover_database(
     return database, svv
 
 
-def recover_site(cluster, index: int, initial_mastership: Dict[int, int]):
-    """Rebuild data site ``index`` in place after a crash (paper §V-C).
-
-    The replacement site reconstructs its database and site version
-    vector by replaying every durable log (including its own — the logs
-    live on the Kafka substitute, not on the failed machine), restores
-    its mastership set from the grant/release markers, reuses its
-    existing durable log (appends continue from the old position), and
-    re-subscribes to its peers' logs so new updates flow again.
-
-    Returns the new :class:`~repro.sites.data_site.DataSite`, already
-    installed in ``cluster.sites``.
-    """
-    from repro.sites.data_site import DataSite
-
-    old = cluster.sites[index]
-    logs = [site.log for site in cluster.sites]
-    database, svv = recover_database(
-        cluster.env, logs, max_versions=cluster.config.max_versions
-    )
-    mastership = recover_mastership(logs, initial_mastership)
-
-    replacement = DataSite(
-        cluster.env,
-        index,
-        cluster.config.num_sites,
-        cluster.config,
-        cluster.network,
-        cluster.activity,
-        replicated=old.replicated,
-    )
-    replacement.database = database
-    replacement.svv = svv
-    replacement.watch.vector = svv
-    replacement.log = old.log  # durable: survives the site
-    replacement.mastered = {
-        partition for partition, site in mastership.items() if site == index
-    }
-    replacement.commits = sum(
-        1 for record in old.log.records if record.kind == UPDATE
-    )
-    cluster.sites[index] = replacement
-    replacement.connect(cluster.sites)
-    return replacement
-
-
 def rejoin_site(cluster, index: int, initial_mastership: Dict[int, int]):
     """Bring a crashed site back online *during* a run (live restart).
 
     A generator meant to run inside a simulated process (the fault
-    injector's). Unlike :func:`recover_site`, which rebuilds a site
-    offline between runs, this restarts the existing
-    :class:`~repro.sites.data_site.DataSite` object in place — every
-    reference held by probes, selectors, and peers stays valid.
+    injector's) after :meth:`~repro.sites.data_site.DataSite.crash`. It
+    restarts the existing :class:`~repro.sites.data_site.DataSite`
+    object in place, so every reference held by probes, selectors, and
+    peers stays valid.
 
     Replicated sites replay all durable logs (charged as refresh CPU
     on the recovering machine — the paper's ~0.4s/site replay, §V-C),

@@ -227,21 +227,3 @@ def arrival_times(curve, duration_ms: float, rng) -> Iterator[float]:
             return
         if rng.random() * peak <= curve.rate(t):
             yield t
-
-
-def mean_rate(curve, duration_ms: float, steps: int = 512) -> float:
-    """Trapezoidal mean of ``curve.rate`` over ``[0, duration_ms]``.
-
-    The *expected* offered rate of a run — what the realized arrival
-    count converges to. Used for reporting, never for simulation.
-    """
-    _require_positive("duration_ms", duration_ms)
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    width = duration_ms / steps
-    total = 0.0
-    for index in range(steps):
-        left = curve.rate(index * width)
-        right = curve.rate((index + 1) * width)
-        total += (left + right) / 2.0
-    return total / steps

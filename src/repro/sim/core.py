@@ -40,8 +40,8 @@ _SWEEP_AFTER_EVENTS = 1 << 18
 def _suspend_gc() -> bool:
     """Switch the cyclic collector off; return whether it was on.
 
-    The dispatch loops run with the collector suspended and hand the
-    caller's setting back through :func:`_resume_gc` in their
+    :meth:`Environment.run` dispatches with the collector suspended and
+    hands the caller's setting back through :func:`_resume_gc` in its
     ``finally``. A run frees everything by reference count — what it
     discards forms no cycles, pinned by ``tests/test_gc_quiet.py`` — so
     every collection the allocation counters trigger walks the
@@ -491,7 +491,7 @@ class Environment:
         """Process the next scheduled event.
 
         Dispatches from the current-timestamp run first, then the heap —
-        the same order the batched ``run`` loops use, so stepping a
+        the same order the batched ``run`` loop uses, so stepping a
         simulation manually is event-for-event identical to running it.
         """
         nowq = self._nowq
@@ -510,12 +510,6 @@ class Environment:
             # An unhandled failure (e.g. a crashed process nobody waits
             # on) must surface instead of passing silently.
             raise event._value
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        if self._nowq:
-            return self._now
-        return self._queue[0][0] if self._queue else float("inf")
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue drains or simulated time reaches ``until``.
@@ -561,35 +555,3 @@ class Environment:
                 _resume_gc(events)
         if until is not None:
             self._now = max(self._now, until)
-
-    def run_until_complete(self, process: Process) -> Any:
-        """Run until ``process`` finishes and return its value."""
-        queue = self._queue
-        nowq = self._nowq
-        popleft = nowq.popleft
-        pop = heappop
-        events = 0
-        collecting = _suspend_gc()
-        try:
-            while process._value is _PENDING:
-                if nowq:
-                    event = popleft()
-                elif queue:
-                    when, _, event = pop(queue)
-                    self._now = when
-                else:
-                    raise SimulationError("deadlock: event queue drained before process finished")
-                events += 1
-                callbacks, event.callbacks = event.callbacks, None
-                for callback in callbacks:
-                    callback(event)
-                if not event._ok and not event._defused:
-                    raise event._value
-        finally:
-            self.events_processed += events
-            if collecting:
-                _resume_gc(events)
-        if not process._ok:
-            process.defuse()
-            raise process._value
-        return process._value

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict
 
 from repro.sim.config import NetworkConfig
-from repro.sim.core import Environment, Timeout
+from repro.sim.core import Environment
 
 
 @dataclass
@@ -62,9 +62,9 @@ class Network:
     delay. When a fault injector is installed (``self.faults``), the
     network exposes a per-link view — :meth:`leg_lost` and
     :meth:`leg_delay` consult the injector's link-state matrix for
-    partitions, probabilistic loss, and extra per-link delay. The
-    legacy single-delay path (:meth:`transfer`, :meth:`delay_for`) is
-    untouched, so runs without a fault plan are bit-identical.
+    partitions, probabilistic loss, and extra per-link delay. Without
+    an injector they reduce to :meth:`delay_for`, so runs without a
+    fault plan are bit-identical.
     """
 
     def __init__(self, env: Environment, config: NetworkConfig | None = None, rng=None):
@@ -117,8 +117,3 @@ class Network:
         if count <= 0:
             return
         self.traffic.record_many(category, size, count)
-
-    def transfer(self, size: int = 0, category: str = "rpc") -> Timeout:
-        """Event that triggers after the message has traversed the wire."""
-        self.account(category, size)
-        return self.env.timeout(self.delay_for(size))

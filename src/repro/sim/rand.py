@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import random
 from bisect import bisect_right
-from typing import Dict, Sequence
+from typing import Dict
 
 #: Well-known stream names. Streams are derived independently from the
 #: seed (SHA-256 of ``seed:name``), so adding or removing a *consumer*
@@ -80,17 +80,3 @@ class ZipfGenerator:
         """Draw one value; 0 is the most popular rank."""
         point = self._rng.random() * self._total
         return bisect_right(self._cumulative, point)
-
-
-def weighted_choice(rng: random.Random, choices: Sequence, weights: Sequence[float]):
-    """Pick one element of ``choices`` with the given relative weights."""
-    if len(choices) != len(weights):
-        raise ValueError("choices and weights must have the same length")
-    total = sum(weights)
-    point = rng.random() * total
-    acc = 0.0
-    for choice, weight in zip(choices, weights):
-        acc += weight
-        if point < acc:
-            return choice
-    return choices[-1]

@@ -111,17 +111,6 @@ class VersionVector:
             index += 1
         return True
 
-    def strictly_less(self, other: "VersionVector") -> bool:
-        """Paper footnote ordering: ``self[k] < other[k]`` everywhere."""
-        self._check_dimension(other)
-        theirs = other.counts
-        index = 0
-        for mine in self.counts:
-            if mine >= theirs[index]:
-                return False
-            index += 1
-        return True
-
     def element_max(self, other: "VersionVector") -> "VersionVector":
         """New vector holding the per-position maximum.
 

@@ -21,7 +21,6 @@ from repro.workloads.openloop import (
     StatelessClientPool,
 )
 from repro.workloads.smallbank import SmallBankConfig, SmallBankWorkload
-from repro.workloads.trace import WorkloadTrace, record_trace
 from repro.workloads.tpcc import TPCCConfig, TPCCWorkload
 from repro.workloads.ycsb import YCSBClientPool, YCSBConfig, YCSBWorkload
 
@@ -66,8 +65,6 @@ __all__ = [
     "SmallBankConfig",
     "SmallBankWorkload",
     "StatelessClientPool",
-    "WorkloadTrace",
-    "record_trace",
     "TPCCConfig",
     "TPCCWorkload",
     "Workload",

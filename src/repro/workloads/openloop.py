@@ -123,14 +123,6 @@ class OpenLoopSpec:
             self, curve_params=scale_curve_params(self.curve_params, multiplier)
         )
 
-    def describe(self) -> str:
-        params = ", ".join(f"{k}={v}" for k, v in self.curve_params)
-        return (
-            f"{self.curve}({params}) x {self.modeled_clients} clients, "
-            f"{self.admission_concurrency} slots/site"
-            + (f", queue<={self.queue_capacity}" if self.queue_capacity else "")
-        )
-
 
 class ClientPool:
     """Aggregated per-client generator state for ``num_clients`` users.

@@ -18,13 +18,19 @@ from repro.sim.arrivals import (
     RampCurve,
     arrival_times,
     build_curve,
-    mean_rate,
     scale_curve_params,
 )
 
 
 def stream(curve, duration_ms, seed):
     return list(arrival_times(curve, duration_ms, random.Random(seed)))
+
+
+def mean_rate(curve, duration_ms, steps=512):
+    """Trapezoidal mean of ``curve.rate`` over ``[0, duration_ms]``."""
+    width = duration_ms / steps
+    rates = [curve.rate(index * width) for index in range(steps + 1)]
+    return sum((left + right) / 2.0 for left, right in zip(rates, rates[1:])) / steps
 
 
 class TestDeterminism:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.bench import LatencySummary, Metrics, run_benchmark
+from repro.bench.metrics import rate_series
 from repro.bench.report import format_row, print_table, ratio
 from repro.sim.config import ClusterConfig
 from repro.transactions import Outcome, Transaction
@@ -63,9 +64,23 @@ class TestMetrics:
         metrics = Metrics()
         for when in (10.0, 20.0, 110.0):
             metrics.record(self.make_txn(), Outcome(True), 1.0, when)
-        timeline = metrics.timeline(bucket_ms=100.0, start=0.0, end=200.0)
+        timeline = rate_series(metrics.commit_times, bucket_ms=100.0, start=0.0, end=200.0)
         assert timeline[0] == (0.0, 20.0)  # 2 commits / 0.1 s
         assert timeline[1] == (100.0, 10.0)
+
+    def test_partial_last_bucket_divided_by_its_own_width(self):
+        # One commit per ms over [0, 100): 30 ms buckets leave a 10 ms tail.
+        series = rate_series([float(t) for t in range(100)], 30.0, 0.0, 100.0)
+        assert [start for start, _ in series] == [0.0, 30.0, 60.0, 90.0]
+        assert [rate for _, rate in series] == pytest.approx([1000.0] * 4)
+
+    def test_whole_window_has_no_trailing_bucket(self):
+        # (0.1 - 0.025) / (0.1 / 12) rounds to 9.000000000000002: still
+        # nine full buckets, not a tenth of near-zero width.
+        bucket_ms = 0.1 / 12
+        series = rate_series([0.099], bucket_ms, 0.1 / 4, 0.1)
+        assert len(series) == 9
+        assert series[-1][1] == 1 / (bucket_ms / 1000.0)
 
     def test_breakdown_normalized(self):
         metrics = Metrics()

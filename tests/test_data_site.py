@@ -7,6 +7,7 @@ from repro.sites.data_site import MastershipError
 from repro.systems.base import Cluster
 from repro.transactions import Transaction
 from repro.versioning import VersionVector
+from tests.helpers import run_process
 
 
 def make_cluster(num_sites=2, **overrides):
@@ -23,7 +24,7 @@ class TestExecuteUpdate:
             return (yield from site.execute_update(txn))
 
         process = cluster.env.process(run())
-        tvv = cluster.env.run_until_complete(process)
+        tvv = run_process(cluster.env, process)
         assert tvv.to_tuple() == (1, 0)
         assert site.commits == 1
         assert site.svv.to_tuple() == (1, 0)
@@ -124,7 +125,7 @@ class TestExecuteUpdate:
             ))
 
         process = cluster.env.process(run())
-        result = cluster.env.run_until_complete(process)
+        result = run_process(cluster.env, process)
         assert result is None
         assert cluster.activity.active(0, 3) == 0
         assert site.commits == 0
@@ -140,7 +141,7 @@ class TestExecuteRead:
             return (yield from site.execute_read(txn))
 
         process = cluster.env.process(run())
-        begin = cluster.env.run_until_complete(process)
+        begin = run_process(cluster.env, process)
         assert begin.to_tuple() == (0, 0)
         assert site.read_txns == 1
 
@@ -201,7 +202,7 @@ class TestRemasteringHandlers:
             return release_vv, grant_vv
 
         process = cluster.env.process(run())
-        release_vv, grant_vv = cluster.env.run_until_complete(process)
+        release_vv, grant_vv = run_process(cluster.env, process)
         assert 5 not in site0.mastered
         assert 5 in site1.mastered
         # Release bumped site 0's vector; grant waited to observe it.
@@ -217,7 +218,7 @@ class TestRemasteringHandlers:
 
         process = cluster.env.process(run())
         with pytest.raises(MastershipError):
-            cluster.env.run_until_complete(process)
+            run_process(cluster.env, process)
 
     def test_release_waits_for_inflight_writer(self):
         cluster = make_cluster()
@@ -277,7 +278,7 @@ class TestRemasteringHandlers:
             return first, tvv1, second, tvv2
 
         process = cluster.env.process(run())
-        first, tvv1, second, tvv2 = cluster.env.run_until_complete(process)
+        first, tvv1, second, tvv2 = run_process(cluster.env, process)
         # T2's begin dominates T1's commit: no overlapping write conflict.
         assert tvv2.dominates(tvv1)
         # Both versions exist in order at the new master.
@@ -351,7 +352,7 @@ class TestDataShipping:
             return payload
 
         process = cluster.env.process(run())
-        payload = cluster.env.run_until_complete(process)
+        payload = run_process(cluster.env, process)
         assert payload == 3 * cluster.config.sizes.record_bytes
 
     def test_unreplicated_sites_do_not_propagate(self):

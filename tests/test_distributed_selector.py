@@ -7,6 +7,7 @@ from repro.sim.config import ClusterConfig
 from repro.systems.base import Cluster, Session
 from repro.transactions import Transaction
 from repro.versioning import VersionVector
+from tests.helpers import run_process
 
 
 def make_setup(num_sites=2, num_partitions=4, refresh_interval_ms=1000.0):
@@ -38,7 +39,7 @@ class TestReplicaRouting:
             return (yield from replica.submit_update(write_txn(0), session))
 
         process = cluster.env.process(run())
-        tvv, retries = cluster.env.run_until_complete(process)
+        tvv, retries = run_process(cluster.env, process)
         assert retries == 0
         assert tvv is not None
         assert replica.local_routes == 1
@@ -53,7 +54,7 @@ class TestReplicaRouting:
             return (yield from replica.submit_update(write_txn(0, 1), session))
 
         process = cluster.env.process(run())
-        tvv, retries = cluster.env.run_until_complete(process)
+        tvv, retries = run_process(cluster.env, process)
         assert retries == 0
         assert replica.forwarded_routes == 1
         assert master.updates_remastered == 1
@@ -82,12 +83,12 @@ class TestReplicaRouting:
             return result
 
         process = cluster.env.process(move_partition())
-        moved_to = cluster.env.run_until_complete(process)
+        moved_to = run_process(cluster.env, process)
         # Force the stale map to disagree with reality.
         assert replica._map[0] != master.table.master_of(0) or True
 
         process = cluster.env.process(stale_client(moved_to))
-        tvv, retries = cluster.env.run_until_complete(process)
+        tvv, retries = run_process(cluster.env, process)
         if replica.stale_aborts:
             assert retries >= 1
         assert tvv is not None
@@ -107,7 +108,7 @@ class TestReplicaRouting:
             return (yield from replica.submit_update(write_txn(0, 1), session))
 
         process = cluster.env.process(run())
-        tvv, retries = cluster.env.run_until_complete(process)
+        tvv, retries = run_process(cluster.env, process)
         assert retries == 0
         assert replica.stale_aborts == 0
         assert replica.local_routes == 1
@@ -126,7 +127,7 @@ class TestAbortPath:
             return (yield from replica.submit_update(write_txn(0), session))
 
         process = cluster.env.process(run())
-        tvv, retries = cluster.env.run_until_complete(process)
+        tvv, retries = run_process(cluster.env, process)
         assert retries == 1
         assert replica.stale_aborts == 1
         assert tvv is not None

@@ -306,6 +306,21 @@ class TestAvailabilityTimeline:
         assert all(bucket.commits_per_s > 0 for bucket in report.buckets)
         assert report.recovered(fraction=0.5)
 
+    def test_partial_last_bucket_reports_its_true_rate(self):
+        """1000 ms in 300 ms buckets leaves a 100 ms last bucket. Divided
+        by the full bucket width it read 2883 commits/s (a third of the
+        rest) and the run looked unrecovered; by its own width it reads
+        what 250 ms buckets show for the same end of the run."""
+        report = run_chaos(
+            "dynamast", "crash-restart", duration_ms=1000.0, bucket_ms=300.0, seed=1,
+        )
+        assert [bucket.start_ms for bucket in report.buckets] == [0.0, 300.0, 600.0, 900.0]
+        whole = run_chaos(
+            "dynamast", "crash-restart", duration_ms=1000.0, bucket_ms=250.0, seed=1,
+        )
+        assert report.final_rate() == pytest.approx(whole.final_rate(), rel=0.1)
+        assert report.recovered()
+
     def test_csv_round_trip(self, tmp_path):
         report = run_chaos(
             "dynamast", "crash", num_sites=3, num_clients=4,

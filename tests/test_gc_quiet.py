@@ -1,11 +1,11 @@
 """The GC-quiet run loop: the switch is restored, and it is safe.
 
-``Environment.run`` / ``run_until_complete`` suspend the cyclic garbage
-collector for the dispatch loop (DESIGN.md §8, "host cost outside any
-layer"). Three things make that sound and all are pinned here: the
-caller's collector setting always comes back; a run produces no cyclic
-garbage — reference counting frees everything — so suspending the
-collector cannot grow memory *during* a run; and a finished simulation,
+``Environment.run`` suspends the cyclic garbage collector for the
+dispatch loop (DESIGN.md §8, "host cost outside any layer"). Three
+things make that sound and all are pinned here: the caller's collector
+setting always comes back; a run produces no cyclic garbage — reference
+counting frees everything — so suspending the collector cannot grow
+memory *during* a run; and a finished simulation,
 which is one big cycle (left frozen, so that no young collection walks
 it), is thawed and collected when the next one starts, so it cannot
 grow memory *across* runs either.
@@ -49,13 +49,16 @@ class TestCollectorSettingRestored:
         assert gc.isenabled() is collector
 
     def test_after_run_until_complete(self, collector):
+        """``run()`` without ``until`` leaves through the drained queue."""
         env = Environment()
 
         def worker():
             yield env.timeout(1.0)
             return gc.isenabled()
 
-        assert env.run_until_complete(env.process(worker())) is False
+        process = env.process(worker())
+        env.run()
+        assert process.value is False
         assert gc.isenabled() is collector
 
     def test_after_unhandled_failure_propagates_out_of_run(self, collector):
@@ -68,17 +71,6 @@ class TestCollectorSettingRestored:
         env.process(crasher())
         with pytest.raises(RuntimeError, match="boom"):
             env.run()
-        assert gc.isenabled() is collector
-
-    def test_after_failed_process_in_run_until_complete(self, collector):
-        env = Environment()
-
-        def crasher():
-            yield env.timeout(1.0)
-            raise RuntimeError("boom")
-
-        with pytest.raises(RuntimeError, match="boom"):
-            env.run_until_complete(env.process(crasher()))
         assert gc.isenabled() is collector
 
     def test_step_leaves_the_collector_alone(self, collector):

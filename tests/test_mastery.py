@@ -296,10 +296,10 @@ class TestTimeline:
         result, ledger = observed_run
         timeline = ledger.timeline()
         for partition, master in ledger.initial_placement.items():
-            assert timeline.owner_at(partition, 0.0) == master
+            assert timeline.intervals(partition)[0].site == master
         snapshot = result.system.selector.table.snapshot()
         for partition, master in snapshot.items():
-            assert timeline.owner_at(partition, 600.0) == master
+            assert timeline.intervals(partition)[-1].site == master
 
     def test_top_movers_sorted_by_moves(self, observed_run):
         _, ledger = observed_run

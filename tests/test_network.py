@@ -8,6 +8,7 @@ from repro.sim.core import Environment
 from repro.sim.network import Network, NetworkConfig
 from repro.sites.messages import remote_call
 from repro.transactions import Transaction
+from tests.helpers import run_process
 
 
 class TestNetwork:
@@ -25,7 +26,8 @@ class TestNetwork:
         done = []
 
         def proc():
-            yield network.transfer(100, category="test")
+            network.account("test", 100)
+            yield env.timeout(network.leg_delay(0, 1, 100))
             done.append(env.now)
 
         env.process(proc())
@@ -90,7 +92,7 @@ class TestRemoteCall:
             yield from remote_call(network, handler(), txn=txn)
 
         process = env.process(caller())
-        env.run_until_complete(process)
+        run_process(env, process)
         assert txn.timings["network"] == pytest.approx(2.0, abs=0.01)
 
     def test_traffic_category(self):
@@ -108,5 +110,5 @@ class TestRemoteCall:
             )
 
         process = env.process(caller())
-        env.run_until_complete(process)
+        run_process(env, process)
         assert network.traffic.bytes_by_category["remaster"] == 150

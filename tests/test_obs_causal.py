@@ -181,12 +181,6 @@ class TestEdgesEndToEnd:
             if edge.src_txn_id is not None:
                 assert edge.src_txn_id in obs.tracer.txns
 
-    def test_edges_of_sorted_by_timestamp(self):
-        _, obs = observed_run("dynamast")
-        for record in obs.tracer.txns.values():
-            edges = obs.tracer.edges_of(record.txn_id)
-            assert edges == sorted(edges, key=lambda e: (e.ts, e.kind))
-
     def test_unobserved_run_has_no_edge_hooks_cost(self):
         """An unobserved run records nothing — the NullTracer edge hook
         is a no-op and keeps no state."""

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.bench import Metrics, run_benchmark
+from repro.bench.metrics import rate_series
 from repro.bench.export import run_to_row
 from repro.bench.report import print_run_report
 from repro.obs import Observability, reconcile_with_metrics, to_chrome_trace, to_jsonl
@@ -220,7 +221,7 @@ class TestMetricsTimelineEdges:
         return Transaction("w", 0, write_set=(("t", 1),))
 
     def test_empty_run(self):
-        series = Metrics().timeline(10.0, 0.0, 100.0)
+        series = rate_series(Metrics().commit_times, 10.0, 0.0, 100.0)
         assert series
         assert all(rate == 0.0 for _, rate in series)
         assert series[0][0] == 0.0
@@ -228,15 +229,15 @@ class TestMetricsTimelineEdges:
     def test_degenerate_windows(self):
         metrics = Metrics()
         metrics.record(self.make_txn(), Outcome(True), 1.0, 5.0)
-        assert metrics.timeline(0.0, 0.0, 100.0) == []
-        assert metrics.timeline(-1.0, 0.0, 100.0) == []
-        assert metrics.timeline(10.0, 100.0, 100.0) == []
-        assert metrics.timeline(10.0, 100.0, 50.0) == []
+        assert rate_series(metrics.commit_times, 0.0, 0.0, 100.0) == []
+        assert rate_series(metrics.commit_times, -1.0, 0.0, 100.0) == []
+        assert rate_series(metrics.commit_times, 10.0, 100.0, 100.0) == []
+        assert rate_series(metrics.commit_times, 10.0, 100.0, 50.0) == []
 
     def test_boundary_commit_lands_in_next_bucket(self):
         metrics = Metrics()
         metrics.record(self.make_txn(), Outcome(True), 1.0, 10.0)
-        series = metrics.timeline(10.0, 0.0, 20.0)
+        series = rate_series(metrics.commit_times, 10.0, 0.0, 20.0)
         assert series[0][1] == 0.0
         assert series[1][1] == pytest.approx(100.0)  # 1 commit / 0.01 s
 
@@ -244,7 +245,7 @@ class TestMetricsTimelineEdges:
         metrics = Metrics()
         metrics.record(self.make_txn(), Outcome(True), 1.0, 5.0)
         metrics.record(self.make_txn(), Outcome(True), 1.0, 250.0)
-        series = metrics.timeline(100.0, 0.0, 200.0)
+        series = rate_series(metrics.commit_times, 100.0, 0.0, 200.0)
         assert sum(rate for _, rate in series) == pytest.approx(10.0)
 
 

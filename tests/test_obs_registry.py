@@ -27,7 +27,7 @@ class TestCounterGauge:
         gauge = Gauge("inflight")
         gauge.inc()
         gauge.inc()
-        gauge.dec()
+        gauge.inc(-1)
         assert gauge.value == 1.0
         gauge.set(7.5)
         assert gauge.value == 7.5

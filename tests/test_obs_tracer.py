@@ -419,10 +419,6 @@ class TestColumnStoreMatchesListModel:
             mine = [span for span in model.spans if span.txn_id == txn_id]
             mine.sort(key=lambda span: (span.start, -span.end))
             assert tracer.spans_of(txn_id) == mine
-        for txn_id in {None, *(edge.txn_id for edge in model.edges)}:
-            mine = [edge for edge in model.edges if edge.txn_id == txn_id]
-            mine.sort(key=lambda edge: (edge.ts, edge.kind))
-            assert tracer.edges_of(txn_id) == mine
 
     def test_records_are_built_on_access_only(self, built):
         tracer = Tracer()

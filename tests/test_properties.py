@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.replication.log import UPDATE, DurableLog, LogRecord
 from repro.replication.recovery import merge_logs
 from repro.sim.core import Environment
-from repro.sim.rand import RandomStreams, ZipfGenerator, weighted_choice
+from repro.sim.rand import RandomStreams, ZipfGenerator
 from repro.storage import Table
 from repro.versioning import VersionVector, can_apply_refresh
 
@@ -188,12 +188,6 @@ class TestRandomStreams:
         for _ in range(20000):
             counts[generator.sample()] += 1
         assert counts[0] > counts[10] > counts[40]
-
-    @given(st.integers(min_value=0, max_value=100))
-    def test_weighted_choice_respects_zero_weight(self, seed):
-        rng = random.Random(seed)
-        for _ in range(20):
-            assert weighted_choice(rng, ["a", "b"], [1.0, 0.0]) == "a"
 
 
 class TestStatisticsProperties:

@@ -8,6 +8,7 @@ from repro.systems import Cluster, build_system
 from repro.transactions import Transaction
 from repro.workloads import YCSBConfig, YCSBWorkload
 from tests.test_faults_properties import AMBIGUOUS_GRANT_PLAN, run_faulted_workload
+from tests.helpers import run_process
 
 
 class TestZipfCaching:
@@ -71,7 +72,7 @@ class TestReleaseMarkerDependencies:
             yield from site1.grant_mastership([3], release_vv, source=0)
 
         process = cluster.env.process(run())
-        cluster.env.run_until_complete(process)
+        run_process(cluster.env, process)
         release_record = site0.log.records[-1]
         grant_record = site1.log.records[-1]
         assert grant_record.kind == "grant"
@@ -96,7 +97,7 @@ class TestRefreshBatching:
                 yield from site0.execute_update(txn)
 
         process = cluster.env.process(writer())
-        cluster.env.run_until_complete(process)
+        run_process(cluster.env, process)
         drained_at = cluster.env.now + 60.0
         cluster.env.run(until=drained_at)
         assert site1.svv[0] == 30

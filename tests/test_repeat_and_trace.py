@@ -1,12 +1,10 @@
-"""Tests for repeated-run estimation and workload trace replay."""
+"""Tests for repeated-run estimation (confidence intervals over seeds)."""
 
 import pytest
 
 from repro.bench.parallel import WorkloadSpec
 from repro.bench.repeat import Estimate, RepeatedResult, run_repeated, t_critical_95
 from repro.sim.config import ClusterConfig
-from repro.workloads import YCSBConfig, YCSBWorkload
-from repro.workloads.trace import WorkloadTrace, record_trace
 
 
 class TestEstimate:
@@ -64,81 +62,3 @@ class TestRunRepeated:
         # Different seeds produce genuinely different runs.
         throughputs = {run.throughput for run in result.runs}
         assert len(throughputs) > 1
-
-
-class TestTrace:
-    def small_workload(self):
-        return YCSBWorkload(
-            YCSBConfig(num_partitions=30, affinity_txns=8, rmw_fraction=0.5)
-        )
-
-    def test_record_shapes(self):
-        trace = record_trace(self.small_workload(), num_clients=3, txns_per_client=20)
-        assert trace.num_clients == 3
-        assert len(trace.entries_for(0)) == 20
-        assert trace.name == "trace(ycsb)"
-
-    def test_recording_is_deterministic(self):
-        first = record_trace(self.small_workload(), 2, 15, seed=9)
-        second = record_trace(self.small_workload(), 2, 15, seed=9)
-        assert first.entries_for(0) == second.entries_for(0)
-        assert first.entries_for(1) == second.entries_for(1)
-
-    def test_different_seeds_differ(self):
-        first = record_trace(self.small_workload(), 1, 15, seed=1)
-        second = record_trace(self.small_workload(), 1, 15, seed=2)
-        assert first.entries_for(0) != second.entries_for(0)
-
-    def test_replay_reproduces_sequence(self):
-        trace = record_trace(self.small_workload(), 1, 10)
-        state = trace.new_client_state(0, rng=None)
-        replayed = [
-            trace.next_transaction(state, None, float(i)) for i in range(10)
-        ]
-        for entry, turn in zip(trace.entries_for(0), replayed):
-            assert turn.txn.txn_type == entry.txn_type
-            assert turn.txn.write_set == entry.write_set
-            assert turn.txn.scan_set == entry.scan_set
-
-    def test_replay_wraps_with_session_reset(self):
-        trace = record_trace(self.small_workload(), 1, 5)
-        state = trace.new_client_state(0, rng=None)
-        turns = [trace.next_transaction(state, None, float(i)) for i in range(7)]
-        assert turns[5].reset_session  # wrap point
-        assert turns[5].txn.write_set == turns[0].txn.write_set
-
-    def test_session_resets_preserved(self):
-        trace = record_trace(self.small_workload(), 1, 20)
-        resets = [entry.reset_session for entry in trace.entries_for(0)]
-        assert resets[8]  # affinity period of 8 in the source workload
-
-    def test_delegates_scheme_and_placement(self):
-        source = self.small_workload()
-        trace = record_trace(source, 1, 5)
-        assert trace.scheme is source.scheme
-        assert trace.fixed_placement(2) == source.fixed_placement(2)
-        assert trace.recommended_weights() == source.recommended_weights()
-
-    def test_identical_input_across_systems(self):
-        """The headline property: two systems consume the same trace."""
-        from repro.bench import run_benchmark
-
-        trace = record_trace(self.small_workload(), 4, 50)
-        consumed = {}
-        for system in ("dynamast", "partition-store"):
-            result = run_benchmark(
-                system,
-                record_trace(self.small_workload(), 4, 50),
-                num_clients=4,
-                duration_ms=150.0,
-                warmup_ms=0.0,
-                cluster_config=ClusterConfig(num_sites=2),
-            )
-            consumed[system] = result.metrics.commits
-        # Both systems processed transactions from identical sequences;
-        # commit counts differ only because speed differs.
-        assert all(count > 0 for count in consumed.values())
-
-    def test_empty_trace_rejected(self):
-        with pytest.raises(ValueError):
-            WorkloadTrace(self.small_workload(), [[]])

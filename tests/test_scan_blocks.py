@@ -29,8 +29,9 @@ from hypothesis import strategies as st
 from repro.sim.config import ClusterConfig
 from repro.systems import Cluster, build_system
 from repro.transactions import KeyRange, Transaction
-from repro.workloads import WORKLOAD_REGISTRY, build_workload, record_trace
+from repro.workloads import WORKLOAD_REGISTRY, build_workload
 from repro.workloads.ycsb import TABLE
+from tests.helpers import run_process
 
 #: Small configurations that still produce every shape of scan: YCSB
 #: scans that wrap around the partition order, TPC-C Stock-Levels whose
@@ -44,8 +45,7 @@ PARAMS = {
 }
 
 #: sha256 prefix of ``repr((txn_type, all_keys()))`` over 200 turns of
-#: client 0 (100 for traces), computed at the parent commit, where
-#: ``scan_set`` was still one flat key tuple.
+#: client 0, computed when ``scan_set`` was still one flat key tuple.
 KEY_STREAM_DIGESTS = {
     ("smallbank", 0): "d8e6311605645bb3",
     ("smallbank", 1): "a2e34a2682107a00",
@@ -56,12 +56,6 @@ KEY_STREAM_DIGESTS = {
     ("ycsb", 0): "72a6b99b2285c58c",
     ("ycsb", 1): "ced398c514b9a89a",
     ("ycsb", 2): "e3edea3f9b4620d1",
-}
-TRACE_SEED = 5
-TRACE_DIGESTS = {
-    "smallbank": "d217a0e2cf954000",
-    "tpcc": "a339339c5bd01104",
-    "ycsb": "e0334b73d7d11593",
 }
 
 
@@ -137,16 +131,6 @@ class TestGeneratedBlocks:
         if name != "smallbank":  # SmallBank never scans
             assert multi_block > 10
         assert key_stream_digest(txns) == KEY_STREAM_DIGESTS[name, seed]
-
-    @pytest.mark.parametrize("name", sorted(TRACE_DIGESTS))
-    def test_trace_replay_round_trips_the_blocks(self, name):
-        trace = record_trace(make(name), 2, 60, seed=TRACE_SEED)
-        txns = turns_of(trace, TRACE_SEED, 100)  # wraps the 60 recorded steps
-        assert key_stream_digest(txns) == TRACE_DIGESTS[name]
-        entries = trace.entries_for(0)
-        for step, txn in enumerate(txns):
-            # Passed through, not copied or re-grouped.
-            assert txn.scan_set is entries[step % 60].scan_set
 
     @given(st.integers(0, 39), st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
@@ -367,7 +351,7 @@ def test_routing_a_scan_hashes_blocks_not_keys():
     session = system.new_session(0)
     CountedKey.hashed = 0
     env = system.cluster.env
-    outcome = env.run_until_complete(env.process(system.submit(txn, session)))
+    outcome = run_process(env, env.process(system.submit(txn, session)))
     assert outcome.committed and outcome.distributed
     assert system.scatter_gather_reads == 1
     assert CountedKey.hashed <= 2 * len(blocks)
@@ -392,8 +376,8 @@ def test_submitting_a_scan_builds_no_key_tuple(name):
     blocks = tuple(workload._scan_block(partition) for partition in range(5, 15))
     txn = Transaction("scan", 0, scan_set=blocks)
     env = cluster.env
-    outcome = env.run_until_complete(
-        env.process(system.submit(txn, system.new_session(0)))
+    outcome = run_process(
+        env, env.process(system.submit(txn, system.new_session(0)))
     )
     assert outcome.committed and txn.scan_count == 1000
     assert all(block._keys is None for block in blocks)

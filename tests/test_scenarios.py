@@ -6,6 +6,7 @@ from repro.partitioning.schemes import PartitionScheme
 from repro.sim.config import ClusterConfig
 from repro.systems import Cluster, build_system
 from repro.transactions import Transaction
+from tests.helpers import run_process
 
 
 def make_dynamast(num_sites=2, num_partitions=6, **config_overrides):
@@ -144,7 +145,7 @@ class TestWriteSetSpanningThreeSites:
             return (yield from system.submit(txn, session))
 
         process = cluster.env.process(run())
-        outcome = cluster.env.run_until_complete(process)
+        outcome = run_process(cluster.env, process)
         assert outcome.committed and outcome.remastered
         masters = system.selector.table.masters_of([0, 1, 2])
         assert len(masters) == 1
@@ -171,7 +172,7 @@ class TestSessionAcrossSites:
             checked.append(True)
 
         process = cluster.env.process(client())
-        cluster.env.run_until_complete(process)
+        run_process(cluster.env, process)
         assert checked
 
 
@@ -186,7 +187,7 @@ class TestUtilizationAccounting:
                 yield from system.submit(txn, session)
 
         process = cluster.env.process(client())
-        cluster.env.run_until_complete(process)
+        run_process(cluster.env, process)
         utilizations = [site.utilization() for site in cluster.sites]
         assert all(0.0 <= value <= 1.0 for value in utilizations)
         assert max(utilizations) > 0.0

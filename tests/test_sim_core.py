@@ -98,7 +98,8 @@ def test_process_return_value():
         return 42
 
     process = env.process(proc())
-    assert env.run_until_complete(process) == 42
+    env.run()
+    assert process.value == 42
 
 
 def test_process_waits_on_another_process():
@@ -275,14 +276,6 @@ def test_process_is_alive():
     assert process.is_alive
     env.run()
     assert not process.is_alive
-
-
-def test_peek_reports_next_event_time():
-    env = Environment()
-    env.timeout(4.0)
-    assert env.peek() == 4.0
-    env.run()
-    assert env.peek() == float("inf")
 
 
 def test_deterministic_interleaving_is_repeatable():

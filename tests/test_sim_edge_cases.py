@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim.core import Environment, SimulationError
+from tests.helpers import run_process
 
 
 class TestKernelErrors:
@@ -18,8 +19,8 @@ class TestKernelErrors:
             yield gate
 
         process = env.process(stuck())
-        with pytest.raises(SimulationError, match="deadlock"):
-            env.run_until_complete(process)
+        with pytest.raises(SimulationError, match="empty event queue"):
+            run_process(env, process)
 
     def test_run_until_complete_propagates_failure(self):
         env = Environment()
@@ -30,7 +31,7 @@ class TestKernelErrors:
 
         process = env.process(failing())
         with pytest.raises(KeyError):
-            env.run_until_complete(process)
+            run_process(env, process)
 
     def test_process_requires_generator(self):
         env = Environment()
@@ -237,8 +238,9 @@ class TestBatchedDispatch:
         scenario(run_env, run_trace)
         scenario(step_env, step_trace)
         run_env.run()
-        while step_env.peek() != float("inf"):
-            step_env.step()
+        with pytest.raises(SimulationError, match="empty event queue"):
+            while True:
+                step_env.step()
         assert step_trace == run_trace
         assert step_env.events_processed == run_env.events_processed
         assert step_env.now == run_env.now

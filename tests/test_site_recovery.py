@@ -3,14 +3,17 @@
 Paper §V-C: any data site recovers independently by initializing state
 from an existing replica / the redo logs and replaying from the
 positions indicated by the site version vector; mastership state is
-reconstructed from the sequence of release and grant operations.
+reconstructed from the sequence of release and grant operations. The
+tests drive the live restart the fault injector runs: ``site.crash()``
+followed by :func:`~repro.replication.recovery.rejoin_site`.
 """
 
 from repro.partitioning.schemes import PartitionScheme
-from repro.replication import recover_site
+from repro.replication.recovery import rejoin_site
 from repro.sim.config import ClusterConfig
 from repro.systems import Cluster, build_system
 from repro.transactions import Transaction
+from tests.helpers import run_process
 
 
 def make_dynamast(num_sites=3):
@@ -31,8 +34,15 @@ def run_writes(cluster, system, specs, client_id=0):
             yield from system.submit(txn, session)
 
     process = cluster.env.process(client())
-    cluster.env.run_until_complete(process)
+    run_process(cluster.env, process)
     return session
+
+
+def crash_and_rejoin(cluster, index, initial_mastership):
+    """Fail-stop site ``index``, then restart it by live log replay."""
+    cluster.sites[index].crash()
+    process = cluster.env.process(rejoin_site(cluster, index, initial_mastership))
+    return run_process(cluster.env, process)
 
 
 class TestSiteRecovery:
@@ -45,13 +55,14 @@ class TestSiteRecovery:
         crashed = cluster.sites[1]
         expected_svv = crashed.svv.to_tuple()
         expected_mastered = set(crashed.mastered)
+        crashed_database = crashed.database  # volatile: crash() drops it
 
-        replacement = recover_site(cluster, 1, initial)
+        replacement = crash_and_rejoin(cluster, 1, initial)
         assert replacement is cluster.sites[1]
         assert replacement.svv.to_tuple() == expected_svv
         assert replacement.mastered == expected_mastered
         # Every record's latest value matches the crashed state.
-        for table in crashed.database.tables.values():
+        for table in crashed_database.tables.values():
             for record in table:
                 recovered = replacement.database.record(record.key)
                 assert recovered is not None
@@ -63,7 +74,7 @@ class TestSiteRecovery:
         run_writes(cluster, system, [(5, 15), (25, 35)])
         cluster.run(until=cluster.env.now + 20.0)
 
-        replacement = recover_site(cluster, 1, initial)
+        replacement = crash_and_rejoin(cluster, 1, initial)
         before = replacement.svv.to_tuple()
 
         # New work flows through the recovered cluster.
@@ -81,7 +92,7 @@ class TestSiteRecovery:
         run_writes(cluster, system, [(5, 15)])
         cluster.run(until=cluster.env.now + 20.0)
 
-        replacement = recover_site(cluster, 1, initial)
+        replacement = crash_and_rejoin(cluster, 1, initial)
         if not replacement.mastered:
             # Give it something to master via the normal protocol.
             session = system.new_session(9)
@@ -99,7 +110,7 @@ class TestSiteRecovery:
             return (yield from replacement.execute_update(txn))
 
         process = cluster.env.process(direct_write())
-        tvv = cluster.env.run_until_complete(process)
+        tvv = run_process(cluster.env, process)
         if tvv is not None:
             assert replacement.commits == commits_before + 1
             # The new commit's sequence continues the old log densely.

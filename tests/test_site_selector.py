@@ -9,6 +9,7 @@ from repro.sim.config import ClusterConfig
 from repro.systems.base import Cluster, Session
 from repro.transactions import Transaction
 from repro.versioning import VersionVector
+from tests.helpers import run_process
 
 
 def make_selector(num_sites=2, num_partitions=4, placement=None, weights=None):
@@ -36,7 +37,7 @@ class TestRouteUpdate:
             return (yield from selector.route_update(txn))
 
         process = cluster.env.process(run())
-        route = cluster.env.run_until_complete(process)
+        route = run_process(cluster.env, process)
         assert route.site == 0
         assert not route.remastered
         assert route.min_vv is None
@@ -53,7 +54,7 @@ class TestRouteUpdate:
             return (yield from selector.route_update(txn))
 
         process = cluster.env.process(run())
-        route = cluster.env.run_until_complete(process)
+        route = run_process(cluster.env, process)
         assert route.remastered
         assert route.min_vv is not None
         # Both partitions now mastered at the chosen site.
@@ -74,7 +75,7 @@ class TestRouteUpdate:
             return first, second
 
         process = cluster.env.process(run())
-        first, second = cluster.env.run_until_complete(process)
+        first, second = run_process(cluster.env, process)
         assert first.remastered
         assert not second.remastered
         assert second.site == first.site
@@ -93,7 +94,7 @@ class TestRouteUpdate:
             return route, tvv
 
         process = cluster.env.process(run())
-        route, tvv = cluster.env.run_until_complete(process)
+        route, tvv = run_process(cluster.env, process)
         assert tvv[route.site] >= 1
 
     def test_concurrent_same_write_set_share_remastering(self):
@@ -173,7 +174,7 @@ class TestRouteRead:
             return (yield from selector.route_read(txn, session))
 
         process = cluster.env.process(run())
-        site = cluster.env.run_until_complete(process)
+        site = run_process(cluster.env, process)
         assert site in (0, 1)
         assert selector.reads_routed == 1
 
@@ -191,7 +192,7 @@ class TestRouteRead:
             return sites
 
         process = cluster.env.process(run())
-        sites = cluster.env.run_until_complete(process)
+        sites = run_process(cluster.env, process)
         assert set(sites) == {0}
 
     def test_read_spreads_over_fresh_sites(self):
@@ -206,7 +207,7 @@ class TestRouteRead:
             return sites
 
         process = cluster.env.process(run())
-        sites = cluster.env.run_until_complete(process)
+        sites = run_process(cluster.env, process)
         assert set(sites) == {0, 1, 2, 3}
 
     def test_no_fresh_site_picks_least_lagging(self):
@@ -219,7 +220,7 @@ class TestRouteRead:
             return (yield from selector.route_read(txn, session))
 
         process = cluster.env.process(run())
-        assert cluster.env.run_until_complete(process) == 0
+        assert run_process(cluster.env, process) == 0
 
 
 class TestStatisticsFollowTheWeights:
@@ -233,7 +234,7 @@ class TestStatisticsFollowTheWeights:
                 route = yield from selector.route_update(txn)
                 cluster.activity.finish(route.site, route.partitions)
 
-        cluster.env.run_until_complete(cluster.env.process(run()))
+        run_process(cluster.env, cluster.env.process(run()))
         return selector.statistics
 
     def test_zero_inter_weight_keeps_no_inter_rows(self):
@@ -254,6 +255,6 @@ class TestStatisticsFollowTheWeights:
             cluster.activity.finish(route.site, route.partitions)
             return route
 
-        route = cluster.env.run_until_complete(cluster.env.process(run()))
+        route = run_process(cluster.env, cluster.env.process(run()))
         loads = selector.statistics.site_write_loads()
         assert loads[route.site] == 1.0 and sum(loads) == 1.0

@@ -592,7 +592,9 @@ class TestIncident:
             threshold=0.25, peak_value=0.8, peak_severity=3.2,
             blamed_sites=(1, 2), detail="abort_rate=0.8 > 0.25",
         )
-        assert Incident.from_dict(incident.to_dict()).to_dict() == incident.to_dict()
+        data = json.loads(json.dumps(incident.to_dict()))
+        data["blamed_sites"] = tuple(data["blamed_sites"])
+        assert Incident(**data) == incident
 
     def test_open_incident_duration_runs_to_end(self):
         incident = Incident(objective="x", onset_ms=400.0, clear_ms=None)

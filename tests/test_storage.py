@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.sim.core import Environment, SimulationError
 from repro.storage import Database, LockTable, Table
 from repro.versioning import VersionVector
+from tests.helpers import run_process
 
 
 def one_row(initial_value=None, max_versions=4):
@@ -345,7 +346,7 @@ class TestLockTable:
             locks.release_all(["a", "a"])
 
         process = env.process(worker())
-        env.run_until_complete(process)
+        run_process(env, process)
         assert not locks.is_locked("a")
 
 

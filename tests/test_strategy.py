@@ -204,7 +204,8 @@ class TestBalanceFeature:
             stats.observe(float(time), 1, [0])
         stats.observe(8.0, 1, [1])
         stats.observe(9.0, 1, [2])
-        site, scores = strategy.choose_site([1, 2], fresh_vvs(2))
+        decision = strategy.decide([1, 2], fresh_vvs(2))
+        site, scores = decision.site, decision.scores
         assert site == 1
         assert scores[1].benefit > scores[0].benefit
 
@@ -253,7 +254,8 @@ class TestLocalizationFeatures:
         )
         for time in range(5):
             stats.observe(float(time), 1, [0, 1])
-        site, scores = strategy.choose_site([0], fresh_vvs(2))
+        decision = strategy.decide([0], fresh_vvs(2))
+        site, scores = decision.site, decision.scores
         assert site == 1
         assert scores[1].intra_txn > 0.0
         assert scores[0].intra_txn == 0.0  # leaves the pair split: no change
@@ -269,7 +271,8 @@ class TestLocalizationFeatures:
         for time in range(5):
             stats.observe(time * 2.0, 7, [0])
             stats.observe(time * 2.0 + 1.0, 7, [1])
-        site, scores = strategy.choose_site([0], fresh_vvs(2))
+        decision = strategy.decide([0], fresh_vvs(2))
+        site, scores = decision.site, decision.scores
         assert site == 1
         assert scores[1].inter_txn > 0.0
 
@@ -302,7 +305,7 @@ class TestWeights:
             ),
         )
         stats.observe(0.0, 1, [0, 1])
-        _, scores = strategy.choose_site([0], fresh_vvs(2))
+        scores = strategy.decide([0], fresh_vvs(2)).scores
         assert all(score.benefit == 0.0 for score in scores)
         assert all(score.intra_txn == 0.0 for score in scores)
 
@@ -381,13 +384,6 @@ class TestTieBreaking:
         assert decision.tied == (0, 1)
         assert decision.site == 0  # lowest of the tied pair
         assert decision.tie_break == "lowest-site"
-
-    def test_choose_site_wrapper_matches_decide(self):
-        strategy = self.tied_strategy(rng=None)
-        site, scores = strategy.choose_site([1], fresh_vvs(3))
-        decision = strategy.decide([1], fresh_vvs(3))
-        assert site == decision.site
-        assert [s.site for s in scores] == [s.site for s in decision.scores]
 
 
 class TestEquation8:

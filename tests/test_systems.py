@@ -6,6 +6,7 @@ from repro.partitioning.schemes import PartitionScheme
 from repro.sim.config import ClusterConfig
 from repro.systems import Cluster, build_system
 from repro.transactions import Transaction
+from tests.helpers import run_process
 
 
 def make_system(name, num_sites=2, num_partitions=6, keys_per_partition=10):
@@ -31,7 +32,7 @@ def run_client(cluster, system, txns, client_id=0):
             outcomes.append(outcome)
 
     process = cluster.env.process(client())
-    cluster.env.run_until_complete(process)
+    run_process(cluster.env, process)
     return outcomes, session
 
 
@@ -202,7 +203,7 @@ class TestLEAP:
                 shipped.append(out.remastered)
 
         process = cluster.env.process(alternating())
-        cluster.env.run_until_complete(process)
+        run_process(cluster.env, process)
         # After the first touch, every alternation ships the record back.
         assert shipped[1:] == [True] * 5
 
@@ -225,7 +226,7 @@ class TestSessionGuarantees:
                 history.append(session.cvv.copy())
 
         process = cluster.env.process(client())
-        cluster.env.run_until_complete(process)
+        run_process(cluster.env, process)
         for previous, current in zip(history, history[1:]):
             assert current.dominates(previous)
 
@@ -246,6 +247,6 @@ class TestSessionGuarantees:
             observed.append(write_id)
 
         process = cluster.env.process(client())
-        cluster.env.run_until_complete(process)
+        run_process(cluster.env, process)
         # The session vector reflects the write at some site.
         assert session.cvv.total() >= 1

@@ -8,6 +8,7 @@ from repro.systems import Cluster, build_system
 from repro.systems.two_phase_commit import group_writes_by_unit, two_phase_commit
 from repro.transactions import Transaction
 from repro.versioning import VersionVector
+from tests.helpers import run_process
 
 
 def make_multi_master(num_sites=3, num_partitions=6, keys_per_partition=10):
@@ -48,7 +49,7 @@ class TestTwoPhaseCommit:
             return (yield from two_phase_commit(system, txn, branches))
 
         process = cluster.env.process(run())
-        merged = cluster.env.run_until_complete(process)
+        merged = run_process(cluster.env, process)
         # Every participant committed its branch and the merged vector
         # reflects all three commits.
         assert [site.commits for site in cluster.sites] == [1, 1, 1]
@@ -111,7 +112,7 @@ class TestTwoPhaseCommit:
             yield cluster.env.process(distributed())
 
         process = cluster.env.process(sequence())
-        cluster.env.run_until_complete(process)
+        run_process(cluster.env, process)
         assert done and done[0].dominates(VersionVector([1, 0, 0]))
 
     def test_network_traffic_categorized(self):
@@ -123,7 +124,7 @@ class TestTwoPhaseCommit:
             yield from two_phase_commit(system, txn, branches)
 
         process = cluster.env.process(run())
-        cluster.env.run_until_complete(process)
+        run_process(cluster.env, process)
         assert cluster.network.traffic.bytes_by_category.get("2pc", 0) > 0
         # Three rounds to one remote participant = 3 round trips.
         assert cluster.network.traffic.messages_by_category["2pc"] == 6

