@@ -72,13 +72,16 @@ class StatisticsConfig:
 
 @dataclass(slots=True)
 class _Sample:
-    """One sampled write set and the exact counts it contributed."""
+    """One sampled write set and what it takes to undo its counts."""
 
     time: float
     client_id: int
     partitions: Tuple[int, ...]
-    #: Inter-transaction pairs, flat: ``(earlier, later, earlier, ...)``.
-    inter_pairs: Tuple[int, ...]
+    #: The client's earlier write sets inside Δt when this one was
+    #: ingested — shared references, not copies. Its inter-transaction
+    #: pairs are :meth:`AccessStatistics._pairs` of these and
+    #: ``partitions``, derived again when the sample is removed.
+    earlier: Tuple[Tuple[int, ...], ...]
 
 
 class AccessStatistics:
@@ -206,17 +209,37 @@ class AccessStatistics:
                 else:
                     row[left] = 1.0
 
-        inter_pairs = (
+        earlier = (
             self._record_inter(now, client_id, partitions) if self.track_inter else ()
         )
-        self._retained.append(_Sample(now, client_id, partitions, inter_pairs))
+        self._retained.append(_Sample(now, client_id, partitions, earlier))
         if len(self._retained) > self.config.max_samples:
             self._remove(self._retained.popleft())
 
+    def _pairs(self, earlier: Tuple[Tuple[int, ...], ...], partitions: Tuple[int, ...]):
+        """The inter-transaction pairs one sample contributes, in order.
+
+        Every ``(first, later)`` with ``first`` in an earlier write set,
+        ``later`` in ``partitions`` and ``first != later``, stopping at
+        ``max_inter_pairs``. Recording and removal both walk this, so a
+        sample takes away exactly the pairs it added.
+        """
+        cap = self.config.max_inter_pairs
+        count = 0
+        for previous in earlier:
+            for first in previous:
+                for later in partitions:
+                    if first != later:
+                        yield first, later
+                        count += 1
+                        if count >= cap:
+                            return
+
     def _record_inter(
         self, now: float, client_id: int, partitions: Tuple[int, ...]
-    ) -> Tuple[int, ...]:
-        """Pair this write set with the client's recent ones within Δt."""
+    ) -> Tuple[Tuple[int, ...], ...]:
+        """Pair this write set with the client's recent ones within Δt;
+        returns those earlier write sets."""
         window = self.config.inter_txn_window_ms
         recent = self._recent.get(client_id)
         if recent is None:
@@ -224,39 +247,20 @@ class AccessStatistics:
         horizon = now - window
         while recent and recent[0][0] < horizon:
             recent.popleft()
-        pairs: List[int] = []
-        append = pairs.append
-        cap = self.config.max_inter_pairs
+        earlier = tuple([previous for _, previous in recent])
+        # A row is only created when a pair is actually added, so the
+        # table never holds an empty row.
         inter = self._inter
-        count = 0
-        # Break out of the whole pairing once the cap is reached. A row
-        # is only created when a pair is actually added, so the table
-        # never holds an empty row.
-        full = cap <= 0
-        for _, previous in recent:
-            if full:
-                break
-            for earlier in previous:
-                if full:
-                    break
-                row = inter.get(earlier)
-                for later in partitions:
-                    if earlier == later:
-                        continue
-                    if row is None:
-                        row = inter[earlier] = {}
-                    if later in row:
-                        row[later] += 1.0
-                    else:
-                        row[later] = 1.0
-                    append(earlier)
-                    append(later)
-                    count += 1
-                    if count >= cap:
-                        full = True
-                        break
+        for first, later in self._pairs(earlier, partitions):
+            row = inter.get(first)
+            if row is None:
+                row = inter[first] = {}
+            if later in row:
+                row[later] += 1.0
+            else:
+                row[later] = 1.0
         recent.append((now, partitions))
-        return tuple(pairs)
+        return earlier
 
     # -- expiry -----------------------------------------------------------------
 
@@ -282,9 +286,8 @@ class AccessStatistics:
             for right in sample.partitions[index + 1:]:
                 self._decay(self._intra, left, right)
                 self._decay(self._intra, right, left)
-        pairs = iter(sample.inter_pairs)
-        for earlier, later in zip(pairs, pairs):
-            self._decay(self._inter, earlier, later)
+        for first, later in self._pairs(sample.earlier, sample.partitions):
+            self._decay(self._inter, first, later)
 
     @staticmethod
     def _decay(table: Dict[int, Dict[int, float]], left: int, right: int) -> None:

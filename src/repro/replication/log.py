@@ -30,16 +30,19 @@ class LogRecord:
 
     ``tvv`` is the committing transaction's version vector as a tuple;
     ``tvv[origin]`` is the record's position in the origin site's
-    commit order. ``writes`` holds ``(key, value)`` pairs for update
-    records and is empty for release/grant markers. ``partitions``
-    names the remastered partitions for release/grant records, and
-    ``target`` the receiving site for grants (used in recovery).
+    commit order. An update record's ``keys`` is the committed write
+    set itself — the transaction's tuple, not a copy — and ``value``
+    the one value all of them were written with (the transaction id);
+    both are empty for release/grant markers. ``partitions`` names the
+    remastered partitions for release/grant records, and ``target``
+    the receiving site for grants (used in recovery).
     """
 
     kind: str
     origin: int
     tvv: Tuple[int, ...]
-    writes: Tuple[Tuple[Any, Any], ...] = ()
+    keys: Tuple[Any, ...] = ()
+    value: Any = None
     partitions: Tuple[int, ...] = ()
     target: Optional[int] = None
 

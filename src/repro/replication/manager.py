@@ -146,10 +146,10 @@ class ReplicationManager:
                     origin = record.origin
                     if not can_apply_refresh(svv, record.tvv, origin):
                         break
-                    writes = record.writes
-                    yield timeout(refresh_ms(len(writes)))
-                    if writes:
-                        install_many(writes, origin, record.seq)
+                    keys = record.keys
+                    yield timeout(refresh_ms(len(keys)))
+                    if keys:
+                        install_many(keys, record.value, origin, record.seq)
                     svv_counts[origin] = record.seq
                     self.applied += 1
                     try:

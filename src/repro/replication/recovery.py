@@ -103,8 +103,8 @@ def recover_database(
         svv[record.origin] = record.seq
         if record.seq <= skip[record.origin]:
             continue
-        if record.kind == UPDATE and record.writes:
-            database.install_many(record.writes, record.origin, record.seq)
+        if record.kind == UPDATE and record.keys:
+            database.install_many(record.keys, record.value, record.origin, record.seq)
     return database, svv
 
 
@@ -131,7 +131,7 @@ def rejoin_site(cluster, index: int, initial_mastership: Dict[int, int]):
     if site.replicated:
         logs = [peer.log for peer in cluster.sites]
         replay_ms = sum(
-            costs.refresh_ms(len(record.writes)) for record in merge_logs(logs)
+            costs.refresh_ms(len(record.keys)) for record in merge_logs(logs)
         )
         yield from site.cpu.use(replay_ms)
         database, svv = recover_database(
@@ -148,7 +148,7 @@ def rejoin_site(cluster, index: int, initial_mastership: Dict[int, int]):
         site.replication.resubscribe(cluster.sites, svv)
     else:
         replay_ms = sum(
-            costs.refresh_ms(len(record.writes)) for record in site.log.records
+            costs.refresh_ms(len(record.keys)) for record in site.log.records
         )
         yield from site.cpu.use(replay_ms)
         site.complete_restart(site.database, site.svv, site.mastered)

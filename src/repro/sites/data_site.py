@@ -78,7 +78,7 @@ class DataSite:
             delivery_delay_ms=config.log_delivery_ms,
             network=network if replicated else None,
             record_size=lambda record: sizes.update_record_bytes(
-                len(record.writes), num_sites
+                len(record.keys), num_sites
             ),
         )
         self.replication = ReplicationManager(self)
@@ -287,9 +287,9 @@ class DataSite:
         seq = self.svv.increment(self.index)
         tvv = begin_vv  # the begin vector with this site's slot bumped
         tvv[self.index] = seq
-        writes = tuple((key, txn.txn_id) for key in txn.write_set)
-        self.database.install_many(writes, self.index, seq)
-        self.log.append(LogRecord(UPDATE, self.index, tvv.to_tuple(), writes))
+        keys = txn.write_set
+        self.database.install_many(keys, txn.txn_id, self.index, seq)
+        self.log.append(LogRecord(UPDATE, self.index, tvv.to_tuple(), keys, txn.txn_id))
         self.commits += 1
         self.watch.notify()
         return tvv
@@ -538,9 +538,8 @@ class DataSite:
         seq = self.svv.increment(self.index)
         tvv = begin_vv.copy()
         tvv[self.index] = seq
-        writes = tuple((key, txn.txn_id) for key in keys)
-        self.database.install_many(writes, self.index, seq)
-        self.log.append(LogRecord(UPDATE, self.index, tvv.to_tuple(), writes))
+        self.database.install_many(keys, txn.txn_id, self.index, seq)
+        self.log.append(LogRecord(UPDATE, self.index, tvv.to_tuple(), keys, txn.txn_id))
         self.commits += 1
         self.watch.notify()
         self._branch_locked.discard((txn.txn_id, keys))

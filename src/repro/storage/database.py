@@ -68,11 +68,11 @@ class Database:
         self.table(table_name).install(primary_key, origin, seq, value)
 
     def install_many(
-        self, writes: Iterable[Tuple[Key, Any]], origin: int, seq: int
+        self, keys: Iterable[Key], value: Any, origin: int, seq: int
     ) -> None:
-        """Install a transaction's full write set."""
+        """Install a transaction's full write set, every key at ``value``."""
         tables = self.tables
-        for (table_name, primary_key), value in writes:
+        for table_name, primary_key in keys:
             table = tables.get(table_name)
             if table is None:
                 table = self.table(table_name)

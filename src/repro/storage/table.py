@@ -2,7 +2,8 @@
 
 A table owns the version chains of all its rows in four columns —
 ``array('H')`` origins (a site index; ``ClusterConfig`` caps
-``num_sites`` at 65 535), ``array('q')`` seqs, a values list, and one
+``num_sites`` at 65 535), 4-byte ``array('I')`` seqs (:meth:`Table.install`
+refuses a seq outside 1 … 2³²−1), a values list, and one 4-byte
 install counter per row — laid out as ``max_versions`` slots per row.
 ``_rows`` maps a primary key to its row number; rows are numbered in
 creation order.
@@ -30,6 +31,9 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.storage.record import VersionedRecord
 
+#: The largest commit sequence a 4-byte seq column holds.
+MAX_SEQ = 2**32 - 1
+
 
 class Table:
     """A named collection of versioned rows, indexed by primary key."""
@@ -39,17 +43,17 @@ class Table:
         self.max_versions = max_versions
         self._rows: Dict[Any, int] = {}
         self._origins = array("H")
-        self._seqs = array("q")
+        self._seqs = array("I")
         self._values: list = []
         #: Versions ever installed per row, the loader's included.
-        self._installs = array("q")
+        self._installs = array("I")
         #: Reads whose snapshot predates every retained version.
         self.stale_reads = 0
         # A new row's slots: the loader's version is stamped (0, 0) —
         # visible to every snapshot, and sequence 0 never collides with
         # a commit (site commit sequences start at 1).
         self._blank_origins = array("H", [0] * max_versions)
-        self._blank_seqs = array("q", [0] * max_versions)
+        self._blank_seqs = array("I", [0] * max_versions)
         self._blank_values = [None] * max_versions
 
     def __len__(self) -> int:
@@ -82,8 +86,8 @@ class Table:
 
     def install(self, primary_key: Any, origin: int, seq: int, value: Any) -> None:
         """Install one committed version, creating the row if absent."""
-        if seq <= 0:
-            raise ValueError(f"commit sequence must be >= 1, got {seq}")
+        if not 0 < seq <= MAX_SEQ:
+            raise ValueError(f"commit sequence must be in 1 .. {MAX_SEQ}, got {seq}")
         row = self._rows.get(primary_key)
         if row is None:
             row = self.insert(primary_key)

@@ -119,6 +119,16 @@ class TPCCWorkload(Workload):
         #: Recent order line counts for Stock-Level, per district.
         self._recent_lines: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
         self._history_ids = count()
+        #: One key object per warehouse, district, customer and stock
+        #: record, shared by every transaction that revisits the record
+        #: and by the logs, locks and tables behind it. Keys new in each
+        #: transaction (orders, order lines, history) and Stock-Level's
+        #: scan keys, which nothing keeps, are not shared.
+        self._keys: Dict[Key, Key] = {}
+
+    def _shared(self, key: Key) -> Key:
+        """The one shared object equal to ``key``."""
+        return self._keys.setdefault(key, key)
 
     # -- partition mapping ----------------------------------------------------------
 
@@ -237,13 +247,15 @@ class TPCCWorkload(Workload):
 
         order = self._order_id(warehouse, district)
         items = rng.sample(range(cfg.items), min(lines, cfg.items))
+        shared = self._shared
+        district_key = shared(("district", (warehouse, district)))
         reads: List[Key] = [
-            ("warehouse", warehouse),
-            ("district", (warehouse, district)),
-            ("customer", (warehouse, district, customer)),
+            shared(("warehouse", warehouse)),
+            district_key,
+            shared(("customer", (warehouse, district, customer))),
         ]
         writes: List[Key] = [
-            ("district", (warehouse, district)),
+            district_key,
             ("orders", (warehouse, district, order)),
             ("new_orders", (warehouse, district, order)),
         ]
@@ -254,8 +266,9 @@ class TPCCWorkload(Workload):
             if remote_warehouse is not None and index == 0:
                 supplier = remote_warehouse
             supply_warehouses.append(supplier)
-            reads.append(("stock", (supplier, item)))
-            writes.append(("stock", (supplier, item)))
+            stock_key = shared(("stock", (supplier, item)))
+            reads.append(stock_key)
+            writes.append(stock_key)
             writes.append(("order_line", (warehouse, district, order, index)))
         self._remember_lines(warehouse, district, items, supply_warehouses)
         return Transaction(
@@ -295,10 +308,11 @@ class TPCCWorkload(Workload):
         customer = rng.randrange(cfg.customers_per_district)
         # The history insert lands in the home customer's chunk (pk[2]).
         history = ("history", (warehouse, district, customer, next(self._history_ids)))
+        shared = self._shared
         writes = (
-            ("warehouse", warehouse),
-            ("district", (warehouse, district)),
-            ("customer", (customer_warehouse, customer_district, customer)),
+            shared(("warehouse", warehouse)),
+            shared(("district", (warehouse, district))),
+            shared(("customer", (customer_warehouse, customer_district, customer))),
             history,
         )
         reads = writes[:3]

@@ -106,11 +106,11 @@ class TestDurableLogTraffic:
         sizes = SizeModel()
         log = DurableLog(
             env, 0, network=network,
-            record_size=lambda r: sizes.update_record_bytes(len(r.writes), 2),
+            record_size=lambda r: sizes.update_record_bytes(len(r.keys), 2),
         )
         log.subscribe()
         log.subscribe()
-        log.append(LogRecord(UPDATE, 0, (1, 0), writes=((("t", 1), 9),)))
+        log.append(LogRecord(UPDATE, 0, (1, 0), keys=(("t", 1),), value=9))
         expected = sizes.update_record_bytes(1, 2) * 3  # producer + 2 subs
         assert network.traffic.bytes_by_category["replication"] == expected
 

@@ -134,7 +134,7 @@ class TestUpdateApplicationRule:
             seq = svv.increment(origin)
             begin[origin] = seq
             logs[origin].append(
-                LogRecord(UPDATE, origin, tuple(begin), writes=((("t", 1), seq),))
+                LogRecord(UPDATE, origin, tuple(begin), keys=(("t", 1),), value=seq)
             )
         merged = merge_logs(logs)
         assert len(merged) == txns

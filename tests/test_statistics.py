@@ -1,6 +1,10 @@
 """Unit tests for the site selector's access statistics."""
 
 import random
+from collections import deque
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.partitions import PartitionTable
 from repro.core.statistics import AccessStatistics, StatisticsConfig
@@ -136,3 +140,174 @@ class TestSampling:
         stats = AccessStatistics(StatisticsConfig(sample_rate=1.0))
         stats.observe(0.0, 1, [1])
         assert stats.sampled == 1
+
+
+def _bump(table, left, right):
+    row = table.get(left)
+    if row is None:
+        row = table[left] = {}
+    row[right] = row.get(right, 0.0) + 1.0
+
+
+def _decay(table, left, right):
+    row = table.get(left)
+    if row is None:
+        return
+    count = row.get(right, 0.0) - 1.0
+    if count <= 0:
+        row.pop(right, None)
+        if not row:
+            table.pop(left, None)
+    else:
+        row[right] = count
+
+
+class FlatPairStatistics:
+    """The reference: eager ingestion, each sample keeping the exact
+    inter-transaction pairs it added, flat — ``(earlier, later,
+    earlier, later, ...)`` — and decaying exactly those on removal.
+    Per-site loads are a rescan of the counts against the live masters.
+    """
+
+    def __init__(self, config, masters):
+        self.config = config
+        self.masters = masters
+        self.writes = {}
+        self.intra = {}
+        self.inter = {}
+        self.samples = deque()
+        self.recent = {}
+        #: Pairs left out because their sample reached ``max_inter_pairs``.
+        self.capped = 0
+
+    def observe(self, now, client_id, partitions):
+        partitions = tuple(sorted(set(partitions)))
+        horizon = now - self.config.expiry_ms
+        while self.samples and self.samples[0][0] < horizon:
+            self._remove(self.samples.popleft())
+        for partition in partitions:
+            self.writes[partition] = self.writes.get(partition, 0.0) + 1.0
+        for index, left in enumerate(partitions):
+            for right in partitions[index + 1:]:
+                _bump(self.intra, left, right)
+                _bump(self.intra, right, left)
+        recent = self.recent.setdefault(client_id, deque())
+        while recent and recent[0][0] < now - self.config.inter_txn_window_ms:
+            recent.popleft()
+        pairs = []
+        for _, previous in recent:
+            for earlier in previous:
+                for later in partitions:
+                    if earlier != later and len(pairs) < 2 * self.config.max_inter_pairs:
+                        _bump(self.inter, earlier, later)
+                        pairs += [earlier, later]
+                    elif earlier != later:
+                        self.capped += 1
+        recent.append((now, partitions))
+        self.samples.append((now, partitions, tuple(pairs)))
+        if len(self.samples) > self.config.max_samples:
+            self._remove(self.samples.popleft())
+
+    def _remove(self, sample):
+        _, partitions, pairs = sample
+        for partition in partitions:
+            count = self.writes[partition] - 1.0
+            if count <= 0:
+                del self.writes[partition]
+            else:
+                self.writes[partition] = count
+        for index, left in enumerate(partitions):
+            for right in partitions[index + 1:]:
+                _decay(self.intra, left, right)
+                _decay(self.intra, right, left)
+        for index in range(0, len(pairs), 2):
+            _decay(self.inter, pairs[index], pairs[index + 1])
+
+    def site_write_loads(self, num_sites):
+        totals = [0.0] * num_sites
+        for partition, count in self.writes.items():
+            totals[self.masters[partition]] += count
+        mass = sum(self.writes.values())
+        return [total / mass if mass > 0 else 0.0 for total in totals]
+
+
+def _rows(table):
+    """A co-access table with its iteration order, rows included."""
+    return [(key, list(row.items())) for key, row in table.items()]
+
+
+_PARTITIONS = range(6)
+_SITES = 3
+
+_observe = st.tuples(
+    st.just("observe"),
+    st.integers(0, 8),  # ms since the previous step
+    st.integers(0, 2),  # client
+    st.lists(st.sampled_from(_PARTITIONS), min_size=1, max_size=4),
+)
+_remaster = st.tuples(
+    st.just("remaster"), st.sampled_from(_PARTITIONS), st.integers(0, _SITES - 1)
+)
+_configs = st.builds(
+    StatisticsConfig,
+    inter_txn_window_ms=st.sampled_from([5.0, 12.0]),
+    expiry_ms=st.sampled_from([10.0, 30.0, 1e9]),
+    max_samples=st.integers(1, 8),
+    max_inter_pairs=st.integers(1, 4),
+)
+
+
+class TestDerivedInterPairsMatchFlatPairs:
+    """A sample keeps the earlier write sets it was paired with and
+    derives its pairs again on removal; every count must equal the
+    flat-pair reference after every step — through Δt pruning, expiry,
+    eviction at ``max_samples``, the pair cap and remastering."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_configs, st.lists(st.one_of(_observe, _observe, _remaster), max_size=60))
+    @example(  # the cap binds on the second sample, which then expires
+        StatisticsConfig(inter_txn_window_ms=12.0, expiry_ms=10.0,
+                         max_samples=8, max_inter_pairs=2),
+        [("observe", 0, 0, [0, 1]), ("observe", 1, 0, [2, 3]),
+         ("observe", 11, 1, [4]), ("observe", 11, 1, [5])],
+    )
+    def test_every_count_equals_the_reference(self, config, ops):
+        placement = {partition: partition % _SITES for partition in _PARTITIONS}
+        eager_table = PartitionTable(Environment(), placement)
+        lazy_table = PartitionTable(Environment(), placement)
+        eager = AccessStatistics(config)
+        eager.follow_masters(eager_table, _SITES)
+        # Folds everything at the end: many pending samples at once.
+        lazy = AccessStatistics(config)
+        lazy.follow_masters(lazy_table, _SITES)
+        reference = FlatPairStatistics(config, eager_table.masters)
+        now = 0.0
+        for op, *args in ops:
+            if op == "observe":
+                step, client, partitions = args
+                now += step
+                for stats in (eager, lazy, reference):
+                    stats.observe(now, client, partitions)
+            else:
+                eager_table.set_master(*args)
+                lazy_table.set_master(*args)
+            self.assert_equal(eager, reference)
+        self.assert_equal(lazy, reference)
+
+    @staticmethod
+    def assert_equal(stats, reference):
+        assert _rows(stats.co_inter) == _rows(reference.inter)
+        assert _rows(stats.co_intra) == _rows(reference.intra)
+        assert list(stats.partition_writes.items()) == list(reference.writes.items())
+        assert stats.site_write_loads() == reference.site_write_loads(_SITES)
+        assert len(stats._samples) == len(reference.samples)
+
+    def test_the_example_binds_the_cap(self):
+        """The pinned example does reach the cap (the property's
+        reference counts it, so a run without it would be vacuous)."""
+        reference = FlatPairStatistics(
+            StatisticsConfig(inter_txn_window_ms=12.0, max_inter_pairs=2), {}
+        )
+        reference.observe(0.0, 0, [0, 1])
+        reference.observe(1.0, 0, [2, 3])
+        assert reference.capped == 2

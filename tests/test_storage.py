@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.sim.core import Environment, SimulationError
 from repro.storage import Database, LockTable, Table
+from repro.storage.table import MAX_SEQ
 from repro.versioning import VersionVector
 from tests.helpers import run_process
 
@@ -270,11 +271,29 @@ class TestTable:
         with pytest.raises(OverflowError):
             table.install(1, 65_536, 2, "y")
 
+    def test_seqs_are_four_bytes_and_checked_at_install(self):
+        """A seq outside 1 … 2³²−1 is refused by name before it can
+        reach the 4-byte column, where it would raise ``OverflowError``
+        mid-run; the largest one fits."""
+        table = Table("t", 4)
+        assert table._seqs.itemsize == table._installs.itemsize == 4
+        table.install(1, 0, MAX_SEQ, "x")
+        assert MAX_SEQ == 2**32 - 1
+        assert table.chain(0) == [(0, 0, None), (0, MAX_SEQ, "x")]
+        for seq in (0, -1, 2**32, 2**63):
+            with pytest.raises(ValueError) as raised:
+                table.install(1, 0, seq, "y")
+            assert str(raised.value) == (
+                f"commit sequence must be in 1 .. 4294967295, got {seq}"
+            )
+        assert table.get(1).version_count == 2
+
     def test_bytes_per_row(self, retained_bytes):
         """50 000 int-keyed rows at the paper's four versions: the key
-        and its dict slot, four 8-byte seqs, four value slots, one
-        install counter — and four 2-byte origins, not four 8-byte
-        ones (218 B a row before, 194 B now)."""
+        and its dict slot, four 4-byte seqs, four value slots, one
+        4-byte install counter and four 2-byte origins (218 B a row
+        with 8-byte origins, 194 B with 8-byte seqs and counter, 173 B
+        now)."""
         table = Table("t", 4)
 
         def load():
@@ -283,7 +302,7 @@ class TestTable:
 
         _, used = retained_bytes(load)
         assert len(table) == 50_000
-        assert used / 50_000 <= 200
+        assert used / 50_000 <= 180
 
 
 class TestLockTable:
@@ -361,10 +380,11 @@ class TestDatabase:
 
     def test_install_many(self):
         db = self.make_db()
-        db.install_many([(("t", 1), "a"), (("t", 2), "b")], origin=1, seq=3)
+        db.install_many([("t", 1), ("u", 2)], "txn-7", origin=1, seq=3)
         snapshot = VersionVector([0, 3])
-        assert db.read(("t", 1), snapshot) == "a"
-        assert db.read(("t", 2), snapshot) == "b"
+        assert db.read(("t", 1), snapshot) == "txn-7"
+        assert db.read(("u", 2), snapshot) == "txn-7"
+        assert db.read(("t", 1), VersionVector([0, 2])) is None
 
     def test_read_of_missing_key_creates_empty_record(self):
         db = self.make_db()
