@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import insort
 from typing import Dict, List, Mapping, Optional, Tuple
 
 __all__ = [
@@ -112,7 +113,8 @@ class StreamingHistogram:
     """
 
     __slots__ = ("name", "base", "growth", "_log_growth", "_buckets",
-                 "_underflow", "count", "total", "minimum", "maximum")
+                 "_indices", "_underflow", "count", "total", "minimum",
+                 "maximum")
 
     def __init__(self, name: str, base: float = 1e-3, growth: float = 1.05):
         if base <= 0 or growth <= 1.0:
@@ -122,6 +124,8 @@ class StreamingHistogram:
         self.growth = growth
         self._log_growth = math.log(growth)
         self._buckets: Dict[int, int] = {}
+        #: The keys of ``_buckets``, kept sorted as new ones appear.
+        self._indices: List[int] = []
         self._underflow = 0
         self.count = 0
         self.total = 0.0
@@ -142,10 +146,22 @@ class StreamingHistogram:
             self._underflow += 1
             return
         index = int(math.log(value / self.base) / self._log_growth)
-        # Guard against float edge cases at bucket boundaries.
+        # The log may round across a bucket boundary either way; the
+        # bounds themselves decide.
         if value < self.base * self.growth ** index:
             index -= 1
-        self._buckets[index] = self._buckets.get(index, 0) + 1
+        elif value >= self.base * self.growth ** (index + 1):
+            index += 1
+        self._count_bucket(index, 1)
+
+    def _count_bucket(self, index: int, count: int) -> None:
+        buckets = self._buckets
+        held = buckets.get(index)
+        if held is None:
+            insort(self._indices, index)
+            buckets[index] = count
+        else:
+            buckets[index] = held + count
 
     @property
     def mean(self) -> float:
@@ -162,8 +178,9 @@ class StreamingHistogram:
         seen = self._underflow
         if rank < seen:
             return min(self.minimum, self.base)
-        for index in sorted(self._buckets):
-            seen += self._buckets[index]
+        buckets = self._buckets
+        for index in self._indices:
+            seen += buckets[index]
             if rank < seen:
                 low = self.base * self.growth ** index
                 high = low * self.growth
@@ -181,7 +198,7 @@ class StreamingHistogram:
             self.minimum = min(self.minimum, other.minimum)
             self.maximum = max(self.maximum, other.maximum)
         for index, count in other._buckets.items():
-            self._buckets[index] = self._buckets.get(index, 0) + count
+            self._count_bucket(index, count)
 
     def percentiles(self, fractions=(0.50, 0.90, 0.95, 0.99)) -> Dict[float, float]:
         return {fraction: self.quantile(fraction) for fraction in fractions}
@@ -191,7 +208,7 @@ class StreamingHistogram:
         pairs = []
         if self._underflow:
             pairs.append((0.0, self._underflow))
-        for index in sorted(self._buckets):
+        for index in self._indices:
             pairs.append((self.base * self.growth ** index, self._buckets[index]))
         return pairs
 

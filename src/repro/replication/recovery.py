@@ -83,6 +83,7 @@ def recover_database(
     initial_data: Optional[Iterable] = None,
     max_versions: int = 4,
     from_vector: Optional[VersionVector] = None,
+    row_index: Optional[Dict] = None,
 ) -> tuple:
     """Rebuild a database and site version vector from the redo logs.
 
@@ -90,10 +91,12 @@ def recover_database(
     that predates the logs — in the paper this comes from an existing
     replica's checkpoint. ``from_vector`` skips records the checkpoint
     already reflects (the site version vector stored with it).
+    ``row_index`` is the replica group's row numbering to rebuild into
+    (see :class:`~repro.storage.database.Database`).
 
     Returns ``(database, svv)``.
     """
-    database = Database(env, max_versions=max_versions)
+    database = Database(env, max_versions=max_versions, row_index=row_index)
     if initial_data:
         for key, value in initial_data:
             database.load(key, value)
@@ -135,7 +138,10 @@ def rejoin_site(cluster, index: int, initial_mastership: Dict[int, int]):
         )
         yield from site.cpu.use(replay_ms)
         database, svv = recover_database(
-            cluster.env, logs, max_versions=cluster.config.max_versions
+            cluster.env,
+            logs,
+            max_versions=cluster.config.max_versions,
+            row_index=site.database.row_index,
         )
         mastership = recover_mastership(logs, initial_mastership)
         mastered = {

@@ -53,6 +53,7 @@ class DataSite:
         network: Network,
         activity: PartitionActivity,
         replicated: bool = True,
+        row_index: Optional[dict] = None,
     ):
         self.env = env
         self.index = index
@@ -70,7 +71,11 @@ class DataSite:
         self.svv = VersionVector.zeros(num_sites)
         self.watch = VersionWatch(env, self.svv)
         self.cpu = Resource(env, config.cores_per_site)
-        self.database = Database(env, max_versions=config.max_versions)
+        # ``row_index``: the replica group's key -> row-number maps, or
+        # None for maps of this site's own (a partitioned cluster).
+        self.database = Database(
+            env, max_versions=config.max_versions, row_index=row_index
+        )
         sizes = config.sizes
         self.log = DurableLog(
             env,
@@ -161,7 +166,12 @@ class DataSite:
         if self.replicated:
             # In-memory MVCC store: rebuilt from the durable logs on
             # restart (paper §V-C).
-            self.database = Database(self.env, max_versions=self.config.max_versions)
+            # The group's row numbers outlive the replica.
+            self.database = Database(
+                self.env,
+                max_versions=self.config.max_versions,
+                row_index=self.database.row_index,
+            )
             self.svv = VersionVector.zeros(self.num_sites)
             self.watch = VersionWatch(self.env, self.svv)
             self.mastered = set()

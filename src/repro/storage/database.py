@@ -24,11 +24,17 @@ Key = Tuple[str, Any]
 class Database:
     """An in-memory multi-version store for one data site."""
 
-    def __init__(self, env: Environment, max_versions: int = 4):
+    def __init__(self, env: Environment, max_versions: int = 4,
+                 row_index: Optional[Dict[str, Dict[Any, int]]] = None):
         if max_versions < 1:
             raise ValueError(f"max_versions must be >= 1, got {max_versions}")
         self.env = env
         self.max_versions = max_versions
+        #: Table name -> primary key -> row number. The sites of a
+        #: replicated cluster share one, so each row is numbered once.
+        self.row_index: Dict[str, Dict[Any, int]] = (
+            {} if row_index is None else row_index
+        )
         self.tables: Dict[str, Table] = {}
         self.locks = LockTable(env)
 
@@ -38,7 +44,9 @@ class Database:
         """Fetch (creating if needed) the table called ``name``."""
         table = self.tables.get(name)
         if table is None:
-            table = self.tables[name] = Table(name, self.max_versions)
+            table = self.tables[name] = Table(
+                name, self.max_versions, self.row_index.setdefault(name, {})
+            )
         return table
 
     def load(self, key: Key, value: Any = None) -> None:

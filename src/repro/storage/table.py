@@ -5,8 +5,16 @@ A table owns the version chains of all its rows in four columns —
 ``num_sites`` at 65 535), 4-byte ``array('I')`` seqs (:meth:`Table.install`
 refuses a seq outside 1 … 2³²−1), a values list, and one 4-byte
 install counter per row — laid out as ``max_versions`` slots per row.
-``_rows`` maps a primary key to its row number; rows are numbered in
-creation order.
+
+``_rows`` maps a primary key to its row number. The replicas of a
+replicated cluster share one such map per table, so the replica group
+numbers each row once, in first-touch order (a standalone table: in
+creation order), and a site keeps only its columns. A row is present at
+a site iff its install counter is non-zero: a site's columns reach the
+highest row number it holds, with blank slots (counter 0) for rows only
+other replicas hold so far. A partitioned cluster gives each site its
+own map, since its sites hold disjoint rows and blank slots would cost
+each one columns for rows it never holds.
 
 Version ``k`` of row ``r`` (``k`` = 0 for the loader's version) lives in
 slot ``r * stride + k % stride``, so each row is a ring: installing
@@ -38,10 +46,12 @@ MAX_SEQ = 2**32 - 1
 class Table:
     """A named collection of versioned rows, indexed by primary key."""
 
-    def __init__(self, name: str, max_versions: int):
+    def __init__(self, name: str, max_versions: int,
+                 rows: Optional[Dict[Any, int]] = None):
         self.name = name
         self.max_versions = max_versions
-        self._rows: Dict[Any, int] = {}
+        #: Primary key -> row number, possibly shared with other replicas.
+        self._rows: Dict[Any, int] = {} if rows is None else rows
         self._origins = array("H")
         self._seqs = array("I")
         self._values: list = []
@@ -57,31 +67,45 @@ class Table:
         self._blank_values = [None] * max_versions
 
     def __len__(self) -> int:
-        return len(self._rows)
+        installs = self._installs
+        return len(installs) - installs.count(0)
 
     def __contains__(self, primary_key: Any) -> bool:
-        return primary_key in self._rows
+        return self._held(primary_key) is not None
 
     def __iter__(self) -> Iterator[VersionedRecord]:
+        installs = self._installs
         for primary_key, row in self._rows.items():
-            yield VersionedRecord(self, primary_key, row)
+            if row < len(installs) and installs[row]:
+                yield VersionedRecord(self, primary_key, row)
+
+    def _held(self, primary_key: Any) -> Optional[int]:
+        """The row number of ``primary_key`` if this table holds it."""
+        row = self._rows.get(primary_key)
+        installs = self._installs
+        return row if row is not None and row < len(installs) and installs[row] else None
 
     def insert(self, primary_key: Any, value: Any = None) -> int:
         """Create a row; returns its number, raises on a duplicate key."""
         rows = self._rows
-        if primary_key in rows:
+        row = rows.get(primary_key)
+        if row is None:
+            row = rows[primary_key] = len(rows)
+        installs = self._installs
+        if row < len(installs) and installs[row]:
             raise KeyError(f"duplicate primary key {primary_key!r} in table {self.name!r}")
-        row = rows[primary_key] = len(rows)
-        self._origins.extend(self._blank_origins)
-        self._seqs.extend(self._blank_seqs)
-        self._values.extend(self._blank_values)
-        self._installs.append(1)
+        while len(installs) <= row:
+            self._origins.extend(self._blank_origins)
+            self._seqs.extend(self._blank_seqs)
+            self._values.extend(self._blank_values)
+            installs.append(0)
+        installs[row] = 1
         self._values[row * self.max_versions] = value
         return row
 
     def get(self, primary_key: Any) -> Optional[VersionedRecord]:
         """A view of the row for ``primary_key``, or None."""
-        row = self._rows.get(primary_key)
+        row = self._held(primary_key)
         return None if row is None else VersionedRecord(self, primary_key, row)
 
     def install(self, primary_key: Any, origin: int, seq: int, value: Any) -> None:
@@ -89,15 +113,17 @@ class Table:
         if not 0 < seq <= MAX_SEQ:
             raise ValueError(f"commit sequence must be in 1 .. {MAX_SEQ}, got {seq}")
         row = self._rows.get(primary_key)
-        if row is None:
+        installs = self._installs
+        installed = installs[row] if row is not None and row < len(installs) else 0
+        if not installed:
             row = self.insert(primary_key)
+            installed = 1
         stride = self.max_versions
-        installed = self._installs[row]
         slot = row * stride + installed % stride
         self._origins[slot] = origin
         self._seqs[slot] = seq
         self._values[slot] = value
-        self._installs[row] = installed + 1
+        installs[row] = installed + 1
 
     def read(self, primary_key: Any, counts) -> Any:
         """Value of the newest version visible to a snapshot.
@@ -111,12 +137,13 @@ class Table:
         four-version default does.
         """
         row = self._rows.get(primary_key)
-        if row is None:
+        installs = self._installs
+        installed = installs[row] if row is not None and row < len(installs) else 0
+        if not installed:
             self.insert(primary_key)
             return None
         stride = self.max_versions
         base = row * stride
-        installed = self._installs[row]
         oldest = installed - stride if installed > stride else 0
         seqs = self._seqs
         origins = self._origins

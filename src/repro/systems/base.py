@@ -23,7 +23,10 @@ class Cluster:
     With ``replicated=True`` (default) every site lazily maintains a
     full replica via the durable logs; with ``replicated=False`` the
     sites are partition stores holding only their own master copies
-    (used by the partition-store and LEAP comparators).
+    (used by the partition-store and LEAP comparators). Replicas hold
+    the same rows, so a replicated cluster's sites share one key ->
+    row-number map per table; a partitioned cluster's sites keep their
+    own (:mod:`repro.storage.table`).
     """
 
     def __init__(self, config: Optional[ClusterConfig] = None, replicated: bool = True,
@@ -41,6 +44,7 @@ class Cluster:
         #: The installed fault injector, or None. Routers consult this
         #: for suspicion state; None means the legacy (infallible) path.
         self.faults = None
+        row_index = {} if replicated else None
         self.sites: List[DataSite] = [
             DataSite(
                 self.env,
@@ -50,6 +54,7 @@ class Cluster:
                 self.network,
                 self.activity,
                 replicated=replicated,
+                row_index=row_index,
             )
             for index in range(self.config.num_sites)
         ]

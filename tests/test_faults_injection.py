@@ -192,7 +192,8 @@ class TestCrashRestart:
         """Log replay into a fresh store, then live refreshes on top:
         once the rebuilt site has applied exactly what a survivor has,
         every key's retained chain — wrapped rings included — is equal,
-        version for version and in order."""
+        version for version and in order. The rebuilt store reuses the
+        replica group's row maps, so each key keeps its row number."""
         plan = FaultPlan(crashes=(
             CrashFault(1, at_ms=500.0, restart_at_ms=1000.0),
         ))
@@ -207,10 +208,13 @@ class TestCrashRestart:
             cluster.env.step()
         assert restarted.svv.to_tuple() == survivor.svv.to_tuple()
         assert restarted.database.row_count() == survivor.database.row_count()
+        assert restarted.database.row_index is survivor.database.row_index
         wrapped = 0
-        for table in survivor.database.tables.values():
+        for name, table in survivor.database.tables.items():
+            assert restarted.database.tables[name]._rows is table._rows
             for record in table:
                 rebuilt = restarted.database.record(record.key)
+                assert rebuilt.row == record.row, record.key
                 assert rebuilt.versions() == record.versions(), record.key
                 wrapped += record.versions()[0].seq > 0  # loader's version overwritten
         assert wrapped > 100

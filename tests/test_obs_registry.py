@@ -33,6 +33,23 @@ class TestCounterGauge:
         assert gauge.value == 7.5
 
 
+def _sorted_walk_quantile(histogram, walk, q):
+    """``StreamingHistogram.quantile`` over the bucket indices ``walk``."""
+    if histogram.count == 0:
+        return 0.0
+    rank = min(histogram.count - 1, max(0, round(q * (histogram.count - 1))))
+    seen = histogram._underflow
+    if rank < seen:
+        return min(histogram.minimum, histogram.base)
+    for index in walk:
+        seen += histogram._buckets[index]
+        if rank < seen:
+            low = histogram.base * histogram.growth ** index
+            high = low * histogram.growth
+            return min(histogram.maximum, max(histogram.minimum, (low + high) / 2.0))
+    return histogram.maximum
+
+
 class TestStreamingHistogram:
     def test_rejects_bad_geometry_and_samples(self):
         with pytest.raises(ValueError):
@@ -102,6 +119,51 @@ class TestStreamingHistogram:
         assert sum(count for _, count in histogram.bucket_counts()) == 3
         lows = [low for low, _ in histogram.bucket_counts()]
         assert lows == [1.0, 2.0, 4.0]
+
+    def test_every_default_boundary_opens_its_own_bucket(self):
+        """``base · 1.05^k`` for k < 600 lands in bucket k; before the
+        upward guard, 245 of them landed in bucket k − 1."""
+        for k in range(600):
+            histogram = StreamingHistogram("h")
+            value = histogram.base * histogram.growth ** k
+            histogram.record(value)
+            assert histogram.bucket_counts() == [(value, 1)], k
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([(1e-3, 1.05), (1.0, 2.0), (0.5, 1.1), (3e-2, 1.01)]),
+           st.data())
+    def test_every_sample_lies_inside_its_bucket(self, geometry, data):
+        base, growth = geometry
+        value = data.draw(st.one_of(
+            st.floats(min_value=base, max_value=1e9, allow_nan=False),
+            st.integers(0, 600).map(lambda k: base * growth ** k),
+        ))
+        histogram = StreamingHistogram("h", base=base, growth=growth)
+        histogram.record(value)
+        (index,) = histogram._buckets
+        assert base * growth ** index <= value < base * growth ** (index + 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.floats(0.0, 1e4, allow_nan=False), max_size=40),
+                    min_size=1, max_size=4),
+           st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+    def test_quantile_and_buckets_equal_a_sorted_walk(self, streams, fractions):
+        """Indices kept sorted on arrival (merges included) read the
+        same as sorting every bucket index at each call."""
+        histogram = StreamingHistogram("h")
+        for stream in streams:
+            part = StreamingHistogram("part")
+            for value in stream:
+                part.record(value)
+                histogram.record(value)
+            histogram.merge(part)
+        walk = sorted(histogram._buckets)
+        assert histogram.bucket_counts() == (
+            [(0.0, histogram._underflow)] if histogram._underflow else []
+        ) + [(histogram.base * histogram.growth ** i, histogram._buckets[i])
+             for i in walk]
+        for q in fractions:
+            assert histogram.quantile(q) == _sorted_walk_quantile(histogram, walk, q)
 
     def test_merge(self):
         left = StreamingHistogram("l")

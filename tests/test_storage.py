@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sim.config import ClusterConfig
 from repro.sim.core import Environment, SimulationError
 from repro.storage import Database, LockTable, Table
 from repro.storage.table import MAX_SEQ
+from repro.systems.base import Cluster
 from repro.versioning import VersionVector
 from tests.helpers import run_process
 
@@ -150,11 +152,37 @@ class NaiveStore:
         return chain[0][2]
 
 
-def assert_same_rows(db, model):
-    """Every cold observable of ``db`` equals the naive model's."""
+def replay(ops, dbs, models, route):
+    """Apply ``ops`` to ``dbs[site]`` and ``models[site]``, ``site``
+    drawn from ``route``; every read value and stale count agrees."""
+    for seq, ((op, key, *args), site) in enumerate(zip(ops, route), start=1):
+        db, model = dbs[site], models[site]
+        if op == "load":
+            if key in model.chains:
+                with pytest.raises(KeyError):
+                    db.load(key, *args)
+            else:
+                db.load(key, *args)
+                model.load(key, *args)
+        elif op == "install":
+            origin, value = args
+            db.install(key, origin, seq, value)
+            model.install(key, origin, seq, value)
+        else:
+            (counts,) = args
+            assert db.read(key, VersionVector(counts)) == model.read(key, counts)
+        assert db.stale_reads == model.stale_reads
+
+
+def assert_same_chains(db, model):
+    """Every cold observable of ``db`` but its row numbers equals the
+    naive model's; keys the model never created are absent."""
     assert db.stale_reads == model.stale_reads
     assert db.row_count() == len(model.chains)
     assert db.version_count() == sum(map(len, model.chains.values()))
+    for key in _KEYS:
+        if key not in model.chains:
+            assert db.record(key) is None
     for key, chain in model.chains.items():
         record = db.record(key)
         assert record.key == key
@@ -165,6 +193,11 @@ def assert_same_rows(db, model):
         assert record.version_count == len(chain) <= model.max_versions
         latest = record.latest
         assert (latest.origin, latest.seq, latest.value) == chain[-1]
+
+
+def assert_same_rows(db, model):
+    """Every cold observable of ``db`` equals the naive model's."""
+    assert_same_chains(db, model)
     # Rows are numbered in creation order, per table.
     for name, table in db.tables.items():
         created = [pk for table_name, pk in model.chains if table_name == name]
@@ -185,24 +218,38 @@ class TestColumnStoreMatchesNaiveModel:
         max_versions, ops = interleaving
         db = Database(Environment(), max_versions=max_versions)
         model = NaiveStore(max_versions)
-        for seq, (op, key, *args) in enumerate(ops, start=1):
-            if op == "load":
-                if key in model.chains:
-                    with pytest.raises(KeyError):
-                        db.load(key, *args)
-                else:
-                    db.load(key, *args)
-                    model.load(key, *args)
-            elif op == "install":
-                origin, value = args
-                db.install(key, origin, seq, value)
-                model.install(key, origin, seq, value)
-            else:
-                (counts,) = args
-                assert db.read(key, VersionVector(counts)) == model.read(key, counts)
-            assert db.stale_reads == model.stale_reads
+        replay(ops, [db], [model], [0] * len(ops))
         assert max(model.installed.values()) > 2 * max_versions
         assert_same_rows(db, model)
+
+    @settings(max_examples=120, deadline=None)
+    @given(_interleavings(), st.data())
+    def test_two_replicas_sharing_one_map_each_agree(self, interleaving, data):
+        """The same interleavings split between two databases sharing
+        one row index: each agrees with its own model, holds only the
+        rows it created, and iterates them in the group's numbering,
+        which follows first touch at either database."""
+        max_versions, ops = interleaving
+        route = data.draw(st.lists(st.integers(0, 1), min_size=len(ops),
+                                   max_size=len(ops)))
+        env, row_index = Environment(), {}
+        dbs = [Database(env, max_versions, row_index=row_index) for _ in range(2)]
+        models = [NaiveStore(max_versions), NaiveStore(max_versions)]
+        replay(ops, dbs, models, route)
+        for name, rows in row_index.items():
+            assert list(rows) == list(dict.fromkeys(
+                pk for _, (table_name, pk), *_ in ops if table_name == name
+            ))
+            assert list(rows.values()) == list(range(len(rows)))
+        for db, model in zip(dbs, models):
+            assert_same_chains(db, model)
+            assert db.row_index is row_index
+            for name, table in db.tables.items():
+                rows = row_index[name]
+                assert table._rows is rows
+                held = [pk for pk in rows if (name, pk) in model.chains]
+                assert [record.primary_key for record in table] == held
+                assert [record.row for record in table] == [rows[pk] for pk in held]
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(_STRIDES + [3, 5, 6]),
@@ -303,6 +350,92 @@ class TestTable:
         _, used = retained_bytes(load)
         assert len(table) == 50_000
         assert used / 50_000 <= 180
+
+    def test_bytes_per_row_at_an_extra_replica(self, retained_bytes):
+        """A second table sharing the first one's row map keeps only
+        its columns: ``(2 + 4 + 8) × 4 + 4`` = 60 B a row, plus the
+        arrays' and list's growth slack."""
+        first = Table("t", 4)
+        for key in range(50_000):
+            first.insert(key, 0)
+        replica = Table("t", 4, first._rows)
+
+        def load():
+            for key in range(50_000):
+                replica.insert(key, 0)
+
+        _, used = retained_bytes(load)
+        assert len(replica) == 50_000
+        assert used / 50_000 <= 70
+
+
+class TestSharedRowIndex:
+    """Replicas sharing one key -> row map keep presence per site."""
+
+    def replicas(self, count=2):
+        env, row_index = Environment(), {}
+        return [Database(env, max_versions=4, row_index=row_index)
+                for _ in range(count)]
+
+    def test_row_created_by_a_read_is_absent_at_the_other_replica(self):
+        here, there = self.replicas()
+        here.load(("t", 1), "loaded")
+        there.load(("t", 1), "loaded")
+        assert here.read(("t", 2), VersionVector.zeros(1)) is None  # creates
+        table = there.table("t")
+        assert ("t", 2) not in {record.key for record in table}
+        assert 2 not in table and table.get(2) is None
+        assert there.record(("t", 2)) is None
+        assert len(table) == there.row_count() == 1
+        assert there.version_count() == 1
+        assert 2 in here.table("t") and here.row_count() == 2
+        # Installing it later at the other replica reuses the number.
+        there.install(("t", 2), origin=0, seq=1, value="x")
+        assert there.record(("t", 2)).row == here.record(("t", 2)).row == 1
+        assert there.version_count() == 3
+
+    def test_columns_grow_past_rows_only_other_replicas_hold(self):
+        here, there = self.replicas()
+        for pk in range(5):
+            here.load(("t", pk))
+        there.install(("t", 4), origin=0, seq=1, value="x")
+        table = there.table("t")
+        assert len(table._installs) == 5 and len(table) == 1
+        assert [record.row for record in table] == [4]
+        assert [record.primary_key for record in table] == [4]
+        assert table.get(4).versions()[-1].value == "x"
+        assert there.version_count() == 2
+
+    def test_duplicate_insert_raises_per_site(self):
+        here, there = self.replicas()
+        here.load(("t", 1))
+        there.load(("t", 1))  # the other replica does not hold it yet
+        for db in (here, there):
+            with pytest.raises(KeyError):
+                db.load(("t", 1))
+        assert here.row_count() == there.row_count() == 1
+
+    def test_replicated_sites_share_one_map_per_table(self):
+        first, second = (Cluster(ClusterConfig(num_sites=3)) for _ in range(2))
+        for cluster in (first, second):
+            cluster.load([(("t", pk), pk) for pk in range(4)])
+            cluster.load([(("u", pk), pk) for pk in range(2)])
+        for cluster in (first, second):
+            databases = [site.database for site in cluster.sites]
+            for name in ("t", "u"):
+                rows = databases[0].tables[name]._rows
+                assert all(db.tables[name]._rows is rows for db in databases)
+            assert databases[0].tables["t"]._rows is not databases[0].tables["u"]._rows
+        assert (first.sites[0].database.tables["t"]._rows
+                is not second.sites[0].database.tables["t"]._rows)
+
+    def test_partitioned_sites_keep_their_own_maps(self):
+        cluster = Cluster(ClusterConfig(num_sites=3), replicated=False)
+        cluster.load([(("t", pk), pk) for pk in range(6)],
+                     owner_of=lambda key: key[1] % 3)
+        maps = [site.database.tables["t"]._rows for site in cluster.sites]
+        assert len({id(rows) for rows in maps}) == 3
+        assert [sorted(rows.values()) for rows in maps] == [[0, 1]] * 3
 
 
 class TestLockTable:
