@@ -194,7 +194,6 @@ def run_benchmark(
     weights: Optional[StrategyWeights] = None,
     placement: Optional[Dict[int, int]] = None,
     seed: int = 0,
-    load_data: bool = False,
     events: Sequence[Tuple[float, Callable]] = (),
     obs: Optional[Observability] = None,
     streaming_metrics: bool = False,
@@ -268,13 +267,6 @@ def run_benchmark(
         if system_name in ("multi-master", "partition-store"):
             kwargs["unit_of"] = workload.placement_unit_of
     system = build_system(system_name, cluster, **kwargs)
-
-    if load_data:
-        fixed = placement or workload.fixed_placement(config.num_sites)
-        cluster.load(
-            workload.initial_records(),
-            owner_of=scheme.owner_lookup(fixed),
-        )
 
     if ledger is not None:
         routing = getattr(system, "selector", None)

@@ -181,7 +181,6 @@ class RunSpec:
     #: that way, so the spec stays hashable).
     placement: Optional[Tuple[Tuple[int, int], ...]] = None
     seed: int = 0
-    load_data: bool = False
     streaming_metrics: bool = False
     #: Attach a fresh Observability in the worker (timelines and
     #: attribution shares come back on the summary; the handle does not).
@@ -251,7 +250,6 @@ def execute_spec(spec: RunSpec) -> RunResult:
         weights=spec.weights,
         placement=spec.placement_dict(),
         seed=spec.seed,
-        load_data=spec.load_data,
         obs=Observability() if spec.observed else None,
         streaming_metrics=spec.streaming_metrics,
         fault_plan=plan,

@@ -147,20 +147,20 @@ def _per_system_case(system: str, ladder: Tuple[float, ...],
 #: modeled clients / 200k keys, plus the flagship diurnal case at
 #: 16 sites / 100k modeled clients / 1M keys. Multipliers are pinned
 #: per system so every ladder straddles that system's knee. Each
-#: budget is 1.5x the case's highest rung over four serial
+#: budget is 1.5x the case's highest rung over two serial
 #: regenerations on CPython 3.11 (``make scale JOBS=1``: one process
 #: runs the matrix in this order, so a rung reports the process's
-#: high-water mark so far), rounded up to a multiple of 16 — headroom
+#: high-water mark so far), rounded up to a multiple of 8 — headroom
 #: for interpreter variance, not for growth.
 SCALE_MATRIX: Sequence[ScaleCase] = (
-    # Measured 41-42 MB.
+    # Measured 38 MB (37.6-38.1).
     _per_system_case("dynamast", (0.5, 1.0, 2.0, 4.0, 8.0), rss_budget_mb=64),
-    # Measured 47-48 MB each.
-    _per_system_case("single-master", (0.5, 1.0, 2.0, 4.0, 8.0), rss_budget_mb=80),
-    _per_system_case("multi-master", (0.5, 1.0, 2.0, 4.0, 8.0), rss_budget_mb=80),
-    _per_system_case("partition-store", (0.5, 1.0, 2.0, 4.0, 8.0), rss_budget_mb=80),
-    # Measured 59 MB, as before: partitioned sites keep their own row maps.
-    _per_system_case("leap", (0.5, 1.0, 2.0, 4.0, 8.0), rss_budget_mb=96),
+    # Measured 42-43 MB each.
+    _per_system_case("single-master", (0.5, 1.0, 2.0, 4.0, 8.0), rss_budget_mb=72),
+    _per_system_case("multi-master", (0.5, 1.0, 2.0, 4.0, 8.0), rss_budget_mb=72),
+    _per_system_case("partition-store", (0.5, 1.0, 2.0, 4.0, 8.0), rss_budget_mb=72),
+    # Measured 57-58 MB.
+    _per_system_case("leap", (0.5, 1.0, 2.0, 4.0, 8.0), rss_budget_mb=88),
     ScaleCase(
         name="dynamast-diurnal-16x100k",
         system="dynamast",
@@ -181,8 +181,8 @@ SCALE_MATRIX: Sequence[ScaleCase] = (
         sites=16,
         duration_ms=600.0,
         warmup_ms=150.0,
-        # Measured 87-89 MB at x3.
-        rss_budget_mb=144,
+        # Measured 70 MB at x3.
+        rss_budget_mb=112,
     ),
 )
 

@@ -76,20 +76,3 @@ class PartitionScheme:
     def _check_sites(num_sites: int) -> None:
         if num_sites < 1:
             raise ValueError(f"num_sites must be >= 1, got {num_sites}")
-
-    def owner_lookup(
-        self, placement: Dict[int, int], default: int = 0
-    ) -> Callable[[Key], int]:
-        """A ``key -> owning site`` function for loading partitioned clusters.
-
-        Static-table keys (partition None) are assigned ``default`` for
-        loading purposes; at run time they are replicated everywhere.
-        """
-
-        def owner_of(key: Key) -> int:
-            partition = self.partition(key)
-            if partition is None:
-                return default
-            return placement[partition]
-
-        return owner_of

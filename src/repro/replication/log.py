@@ -28,12 +28,15 @@ GRANT = "grant"
 class LogRecord:
     """One durable log entry.
 
-    ``tvv`` is the committing transaction's version vector as a tuple;
+    An update record is its stamp, its keys and its tvv. ``tvv`` is
+    the committing transaction's version vector as a tuple;
     ``tvv[origin]`` is the record's position in the origin site's
-    commit order. An update record's ``keys`` is the committed write
-    set itself — the transaction's tuple, not a copy — and ``value``
-    the one value all of them were written with (the transaction id);
-    both are empty for release/grant markers. ``partitions`` names the
+    commit order, so ``(origin, seq)`` stamps every version the record
+    installs. ``keys`` is the committed write set itself — the
+    transaction's tuple, not a copy — and is empty for release/grant
+    markers. No written value is stored: the stamp identifies the
+    writer, and the wire size (``SizeModel.update_record_bytes``) still
+    charges each key's modelled payload. ``partitions`` names the
     remastered partitions for release/grant records, and ``target``
     the receiving site for grants (used in recovery).
     """
@@ -42,7 +45,6 @@ class LogRecord:
     origin: int
     tvv: Tuple[int, ...]
     keys: Tuple[Any, ...] = ()
-    value: Any = None
     partitions: Tuple[int, ...] = ()
     target: Optional[int] = None
 

@@ -149,7 +149,7 @@ class ReplicationManager:
                     keys = record.keys
                     yield timeout(refresh_ms(len(keys)))
                     if keys:
-                        install_many(keys, record.value, origin, record.seq)
+                        install_many(keys, origin, record.seq)
                     svv_counts[origin] = record.seq
                     self.applied += 1
                     try:

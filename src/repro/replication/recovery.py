@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.replication.log import GRANT, RELEASE, UPDATE, DurableLog
 from repro.sim.core import Environment
@@ -80,26 +80,22 @@ def merge_logs(logs: Sequence[DurableLog]) -> list:
 def recover_database(
     env: Environment,
     logs: Sequence[DurableLog],
-    initial_data: Optional[Iterable] = None,
     max_versions: int = 4,
     from_vector: Optional[VersionVector] = None,
     row_index: Optional[Dict] = None,
 ) -> tuple:
     """Rebuild a database and site version vector from the redo logs.
 
-    ``initial_data`` is the bulk-loaded state (``(key, value)`` pairs)
-    that predates the logs — in the paper this comes from an existing
-    replica's checkpoint. ``from_vector`` skips records the checkpoint
-    already reflects (the site version vector stored with it).
+    Rows no record touched start at version (0, 0) on first access,
+    as at every other replica. ``from_vector`` skips records a
+    checkpoint already reflects (the site version vector stored with
+    it; in the paper the checkpoint comes from an existing replica).
     ``row_index`` is the replica group's row numbering to rebuild into
     (see :class:`~repro.storage.database.Database`).
 
     Returns ``(database, svv)``.
     """
     database = Database(env, max_versions=max_versions, row_index=row_index)
-    if initial_data:
-        for key, value in initial_data:
-            database.load(key, value)
     svv = VersionVector.zeros(len(logs))
     skip = from_vector or VersionVector.zeros(len(logs))
     for record in merge_logs(logs):
@@ -107,7 +103,7 @@ def recover_database(
         if record.seq <= skip[record.origin]:
             continue
         if record.kind == UPDATE and record.keys:
-            database.install_many(record.keys, record.value, record.origin, record.seq)
+            database.install_many(record.keys, record.origin, record.seq)
     return database, svv
 
 

@@ -298,8 +298,8 @@ class DataSite:
         tvv = begin_vv  # the begin vector with this site's slot bumped
         tvv[self.index] = seq
         keys = txn.write_set
-        self.database.install_many(keys, txn.txn_id, self.index, seq)
-        self.log.append(LogRecord(UPDATE, self.index, tvv.to_tuple(), keys, txn.txn_id))
+        self.database.install_many(keys, self.index, seq)
+        self.log.append(LogRecord(UPDATE, self.index, tvv.to_tuple(), keys))
         self.commits += 1
         self.watch.notify()
         return tvv
@@ -548,8 +548,8 @@ class DataSite:
         seq = self.svv.increment(self.index)
         tvv = begin_vv.copy()
         tvv[self.index] = seq
-        self.database.install_many(keys, txn.txn_id, self.index, seq)
-        self.log.append(LogRecord(UPDATE, self.index, tvv.to_tuple(), keys, txn.txn_id))
+        self.database.install_many(keys, self.index, seq)
+        self.log.append(LogRecord(UPDATE, self.index, tvv.to_tuple(), keys))
         self.commits += 1
         self.watch.notify()
         self._branch_locked.discard((txn.txn_id, keys))

@@ -38,7 +38,7 @@ class Database:
         self.tables: Dict[str, Table] = {}
         self.locks = LockTable(env)
 
-    # -- schema / loading ---------------------------------------------------
+    # -- schema -------------------------------------------------------------
 
     def table(self, name: str) -> Table:
         """Fetch (creating if needed) the table called ``name``."""
@@ -49,11 +49,6 @@ class Database:
             )
         return table
 
-    def load(self, key: Key, value: Any = None) -> None:
-        """Bulk-load a record outside any transaction (initial database)."""
-        table_name, primary_key = key
-        self.table(table_name).insert(primary_key, value)
-
     def record(self, key: Key) -> Optional[VersionedRecord]:
         """A view of ``key``'s version chain, or None if it has no row."""
         table_name, primary_key = key
@@ -62,29 +57,24 @@ class Database:
 
     # -- transactional access -------------------------------------------------
 
-    def read(self, key: Key, begin: VersionVector) -> Any:
-        """Snapshot read of ``key`` at the ``begin`` vector (its value)."""
+    def read(self, key: Key, begin: VersionVector) -> Tuple[int, int]:
+        """Snapshot read of ``key`` at the ``begin`` vector: the visible
+        version's ``(origin, seq)`` stamp."""
         table_name, primary_key = key
         table = self.tables.get(table_name)
         if table is None:
             table = self.table(table_name)
         return table.read(primary_key, begin.counts)
 
-    def install(self, key: Key, origin: int, seq: int, value: Any) -> None:
-        """Install one committed version (local commit or refresh)."""
-        table_name, primary_key = key
-        self.table(table_name).install(primary_key, origin, seq, value)
-
-    def install_many(
-        self, keys: Iterable[Key], value: Any, origin: int, seq: int
-    ) -> None:
-        """Install a transaction's full write set, every key at ``value``."""
+    def install_many(self, keys: Iterable[Key], origin: int, seq: int) -> None:
+        """Install a transaction's full write set (local commit or
+        refresh), every key stamped ``(origin, seq)``."""
         tables = self.tables
         for table_name, primary_key in keys:
             table = tables.get(table_name)
             if table is None:
                 table = self.table(table_name)
-            table.install(primary_key, origin, seq, value)
+            table.install(primary_key, origin, seq)
 
     # -- introspection ----------------------------------------------------------
 

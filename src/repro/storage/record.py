@@ -5,7 +5,8 @@ The chains themselves live in their table's columns
 path. :class:`VersionedRecord` and :class:`Version` are the inspection
 API — built on demand from ``(table, row)`` by ``Table.get``,
 ``Database.record`` and table iteration, for tests, recovery checks and
-examples.
+examples. A :class:`Version` is its stamp ``(origin, seq)``: two
+replicas hold the same version iff they hold the same stamp.
 """
 
 from __future__ import annotations
@@ -18,11 +19,10 @@ from repro.versioning.vectors import VersionVector
 
 @dataclass(frozen=True, slots=True)
 class Version:
-    """One committed value of a record."""
+    """One committed version of a record, identified by its stamp."""
 
     origin: int
     seq: int
-    value: Any
 
     def visible_to(self, begin: VersionVector) -> bool:
         """True if a snapshot with begin vector ``begin`` sees this version."""

@@ -1,10 +1,17 @@
 """Row-oriented in-memory tables indexed by primary key (paper §V-A1).
 
-A table owns the version chains of all its rows in four columns —
+A table owns the version chains of all its rows in three columns —
 ``array('H')`` origins (a site index; ``ClusterConfig`` caps
 ``num_sites`` at 65 535), 4-byte ``array('I')`` seqs (:meth:`Table.install`
-refuses a seq outside 1 … 2³²−1), a values list, and one 4-byte
-install counter per row — laid out as ``max_versions`` slots per row.
+refuses a seq outside 1 … 2³²−1), and one 4-byte install counter per
+row — laid out as ``max_versions`` slots per row.
+
+A version *is* its stamp ``(origin, seq)``: the site the update
+committed at and that site's commit sequence number. Version ``(j, s)``
+is visible to a snapshot with begin vector ``b`` iff ``s <= b[j]``, and
+the stamp names the writer, so the table stores no value beside it
+(the cost model still charges each written key's payload on the wire;
+the simulator does not materialise it).
 
 ``_rows`` maps a primary key to its row number. The replicas of a
 replicated cluster share one such map per table, so the replica group
@@ -16,16 +23,14 @@ other replicas hold so far. A partitioned cluster gives each site its
 own map, since its sites hold disjoint rows and blank slots would cost
 each one columns for rows it never holds.
 
-Version ``k`` of row ``r`` (``k`` = 0 for the loader's version) lives in
-slot ``r * stride + k % stride``, so each row is a ring: installing
-over a full chain overwrites its oldest version, which *is* the pruning
-to ``max_versions`` — nothing is appended, shifted or compacted, and no
-row allocates after it exists. A row whose counter reads ``n`` retains
-versions ``max(0, n - stride) .. n - 1``.
+Version ``k`` of row ``r`` (``k`` = 0 for the row's first version,
+stamped ``(0, 0)``) lives in slot ``r * stride + k % stride``, so each
+row is a ring: installing over a full chain overwrites its oldest
+version, which *is* the pruning to ``max_versions`` — nothing is
+appended, shifted or compacted, and no row allocates after it exists. A
+row whose counter reads ``n`` retains versions ``max(0, n - stride) ..
+n - 1``.
 
-A version is stamped ``(origin, seq)``: the site the update committed
-at and that site's commit sequence number. Version ``(j, s)`` is
-visible to a snapshot with begin vector ``b`` iff ``s <= b[j]``.
 Versions are installed in local application order, which the update
 application rule (Equation 1) keeps consistent with the global
 dependency order, so the newest *visible* version in install order is
@@ -54,17 +59,15 @@ class Table:
         self._rows: Dict[Any, int] = {} if rows is None else rows
         self._origins = array("H")
         self._seqs = array("I")
-        self._values: list = []
-        #: Versions ever installed per row, the loader's included.
+        #: Versions ever installed per row, the first (0, 0) included.
         self._installs = array("I")
         #: Reads whose snapshot predates every retained version.
         self.stale_reads = 0
-        # A new row's slots: the loader's version is stamped (0, 0) —
+        # A new row's slots: its first version is stamped (0, 0) —
         # visible to every snapshot, and sequence 0 never collides with
         # a commit (site commit sequences start at 1).
         self._blank_origins = array("H", [0] * max_versions)
         self._blank_seqs = array("I", [0] * max_versions)
-        self._blank_values = [None] * max_versions
 
     def __len__(self) -> int:
         installs = self._installs
@@ -85,8 +88,9 @@ class Table:
         installs = self._installs
         return row if row is not None and row < len(installs) and installs[row] else None
 
-    def insert(self, primary_key: Any, value: Any = None) -> int:
-        """Create a row; returns its number, raises on a duplicate key."""
+    def insert(self, primary_key: Any) -> int:
+        """Create a row at version (0, 0); returns its number, raises on
+        a duplicate key."""
         rows = self._rows
         row = rows.get(primary_key)
         if row is None:
@@ -97,10 +101,8 @@ class Table:
         while len(installs) <= row:
             self._origins.extend(self._blank_origins)
             self._seqs.extend(self._blank_seqs)
-            self._values.extend(self._blank_values)
             installs.append(0)
         installs[row] = 1
-        self._values[row * self.max_versions] = value
         return row
 
     def get(self, primary_key: Any) -> Optional[VersionedRecord]:
@@ -108,7 +110,7 @@ class Table:
         row = self._held(primary_key)
         return None if row is None else VersionedRecord(self, primary_key, row)
 
-    def install(self, primary_key: Any, origin: int, seq: int, value: Any) -> None:
+    def install(self, primary_key: Any, origin: int, seq: int) -> None:
         """Install one committed version, creating the row if absent."""
         if not 0 < seq <= MAX_SEQ:
             raise ValueError(f"commit sequence must be in 1 .. {MAX_SEQ}, got {seq}")
@@ -122,17 +124,17 @@ class Table:
         slot = row * stride + installed % stride
         self._origins[slot] = origin
         self._seqs[slot] = seq
-        self._values[slot] = value
         installs[row] = installed + 1
 
-    def read(self, primary_key: Any, counts) -> Any:
-        """Value of the newest version visible to a snapshot.
+    def read(self, primary_key: Any, counts) -> Tuple[int, int]:
+        """Stamp ``(origin, seq)`` of the newest version visible to a
+        snapshot.
 
         ``counts`` is the begin vector's raw count list. A missing row
-        is created empty (an insert's read-before-write). If the ring
-        has overwritten every visible version (a snapshot older than
-        the retained chain), the read is counted stale and returns the
-        oldest retained version — the engine trades occasional
+        is created at (0, 0) (an insert's read-before-write). If the
+        ring has overwritten every visible version (a snapshot older
+        than the retained chain), the read is counted stale and returns
+        the oldest retained stamp — the engine trades occasional
         slightly-fresh reads for a bounded chain, as the paper's
         four-version default does.
         """
@@ -141,7 +143,7 @@ class Table:
         installed = installs[row] if row is not None and row < len(installs) else 0
         if not installed:
             self.insert(primary_key)
-            return None
+            return 0, 0
         stride = self.max_versions
         base = row * stride
         oldest = installed - stride if installed > stride else 0
@@ -149,18 +151,21 @@ class Table:
         origins = self._origins
         for version in range(installed - 1, oldest - 1, -1):
             slot = base + version % stride
-            if seqs[slot] <= counts[origins[slot]]:
-                return self._values[slot]
+            seq = seqs[slot]
+            origin = origins[slot]
+            if seq <= counts[origin]:
+                return origin, seq
         self.stale_reads += 1
-        return self._values[base + oldest % stride]
+        slot = base + oldest % stride
+        return origins[slot], seqs[slot]
 
-    def chain(self, row: int) -> List[Tuple[int, int, Any]]:
-        """Row ``row``'s retained ``(origin, seq, value)``, oldest first."""
+    def chain(self, row: int) -> List[Tuple[int, int]]:
+        """Row ``row``'s retained ``(origin, seq)`` stamps, oldest first."""
         stride = self.max_versions
         base = row * stride
         installed = self._installs[row]
         return [
-            (self._origins[slot], self._seqs[slot], self._values[slot])
+            (self._origins[slot], self._seqs[slot])
             for slot in (
                 base + version % stride
                 for version in range(max(0, installed - stride), installed)

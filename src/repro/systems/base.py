@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Dict, Generator, Iterable, List, Optional, Tuple
+from typing import Dict, Generator, List, Optional
 
 from repro.sim.config import ClusterConfig
 from repro.sim.core import Environment
@@ -13,7 +13,7 @@ from repro.sim.rand import RandomStreams
 from repro.sim.resources import Resource
 from repro.sites.activity import PartitionActivity
 from repro.sites.data_site import DataSite
-from repro.transactions import Key, Transaction
+from repro.transactions import Transaction
 from repro.versioning.vectors import VersionVector
 
 
@@ -71,27 +71,6 @@ class Cluster:
             site.mastered.clear()
         for partition, site_index in placement.items():
             self.sites[site_index].mastered.add(partition)
-
-    def load(
-        self,
-        records: Iterable[Tuple[Key, object]],
-        owner_of: Optional[Callable[[Key], int]] = None,
-    ) -> None:
-        """Bulk-load initial data.
-
-        In a replicated cluster every site receives every record; in a
-        partitioned cluster each record is loaded only at its owner
-        (``owner_of`` maps a key to a site index and is then required).
-        """
-        if self.replicated:
-            for key, value in records:
-                for site in self.sites:
-                    site.database.load(key, value)
-            return
-        if owner_of is None:
-            raise ValueError("owner_of is required when loading a partitioned cluster")
-        for key, value in records:
-            self.sites[owner_of(key)].database.load(key, value)
 
     def run(self, until: float) -> None:
         """Advance the simulation to time ``until`` (milliseconds)."""

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro.core.strategy import StrategyWeights
 from repro.partitioning.schemes import PartitionScheme
@@ -47,12 +47,6 @@ class Workload(ABC):
     @abstractmethod
     def next_transaction(self, state: Any, rng, now: float) -> ClientTurn:
         """Produce the client's next transaction."""
-
-    def initial_records(self) -> Iterable[Tuple[Key, Any]]:
-        """Records to bulk-load before the run (may be empty: the
-        storage engine creates records lazily on first access, which
-        keeps large simulated databases cheap)."""
-        return ()
 
     def fixed_placement(self, num_sites: int) -> Dict[int, int]:
         """The offline placement used by the fixed-mastership systems.

@@ -18,12 +18,12 @@ learnable co-access correlations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional, Tuple
+from typing import Optional
 
 from repro.core.strategy import StrategyWeights
 from repro.partitioning.schemes import PartitionScheme
 from repro.sim.config import check_config
-from repro.transactions import Key, Transaction
+from repro.transactions import Transaction
 from repro.workloads.base import ClientTurn, Workload
 
 
@@ -147,11 +147,6 @@ class SmallBankWorkload(Workload):
             keys = (("checking", user), ("savings", user))
             txn = Transaction("balance", state.client_id, read_set=keys)
         return ClientTurn(txn)
-
-    def initial_records(self) -> Iterable[Tuple[Key, Any]]:
-        for user in range(self.config.users):
-            yield ("checking", user), 1000
-            yield ("savings", user), 1000
 
     def client_pool(self, num_clients: int):
         """SmallBank clients carry no generator state beyond their id

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Any, Iterable, List, Optional, Tuple
+from typing import List, Optional
 
 from repro.core.strategy import StrategyWeights
 from repro.partitioning.schemes import PartitionScheme
@@ -218,10 +218,6 @@ class YCSBWorkload(Workload):
                 self._scan_block(self._neighbour(base, step)) for step in range(length)
             ),
         )
-
-    def initial_records(self) -> Iterable[Tuple[Key, Any]]:
-        total = self.config.num_partitions * self.config.keys_per_partition
-        return (((TABLE, key), 0) for key in range(total))
 
     def client_pool(self, num_clients: int) -> "YCSBClientPool":
         return YCSBClientPool(self, num_clients)

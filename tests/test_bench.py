@@ -214,17 +214,3 @@ class TestHarness:
             cluster_config=ClusterConfig(num_sites=2),
         )
         assert warm.metrics.commits < full.metrics.commits
-
-    def test_load_data_populates_sites(self):
-        workload = YCSBWorkload(YCSBConfig(num_partitions=5, affinity_txns=10))
-        result = run_benchmark(
-            "dynamast",
-            workload,
-            num_clients=1,
-            duration_ms=50.0,
-            warmup_ms=0.0,
-            cluster_config=ClusterConfig(num_sites=2),
-            load_data=True,
-        )
-        sites = result.system.sites
-        assert all(site.database.row_count() >= 500 for site in sites)

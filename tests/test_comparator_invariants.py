@@ -12,6 +12,7 @@ from repro.partitioning.schemes import PartitionScheme
 from repro.sim.config import ClusterConfig
 from repro.systems import Cluster, build_system
 from repro.transactions import Transaction
+from tests.helpers import assert_converged
 
 
 def run_random(system_name, seed=0, num_sites=3, num_clients=6, txns=20):
@@ -45,13 +46,7 @@ class TestMultiMasterConvergence:
         cluster, _ = run_random("multi-master", seed=3)
         svvs = {site.svv.to_tuple() for site in cluster.sites}
         assert len(svvs) == 1, f"multi-master replicas diverged: {svvs}"
-        baseline = cluster.sites[0]
-        for site in cluster.sites[1:]:
-            for table in baseline.database.tables.values():
-                for record in table:
-                    other = site.database.record(record.key)
-                    assert other is not None
-                    assert other.latest.value == record.latest.value
+        assert_converged([site.database for site in cluster.sites])
 
     def test_branch_updates_logged_at_each_participant(self):
         cluster, system = run_random("multi-master", seed=4)

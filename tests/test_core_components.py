@@ -110,7 +110,7 @@ class TestDurableLogTraffic:
         )
         log.subscribe()
         log.subscribe()
-        log.append(LogRecord(UPDATE, 0, (1, 0), keys=(("t", 1),), value=9))
+        log.append(LogRecord(UPDATE, 0, (1, 0), keys=(("t", 1),)))
         expected = sizes.update_record_bytes(1, 2) * 3  # producer + 2 subs
         assert network.traffic.bytes_by_category["replication"] == expected
 

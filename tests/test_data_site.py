@@ -283,8 +283,8 @@ class TestRemasteringHandlers:
         assert tvv2.dominates(tvv1)
         # Both versions exist in order at the new master.
         record = site1.database.record(("t", 1))
-        values = [version.value for version in record.versions()]
-        assert values[-2:] == [first.txn_id, second.txn_id]
+        stamps = [(version.origin, version.seq) for version in record.versions()]
+        assert stamps[-2:] == [(0, tvv1[0]), (1, tvv2[1])]
 
 
 class TestTwoPhaseCommitBranches:

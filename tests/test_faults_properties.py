@@ -30,6 +30,7 @@ from repro.replication.recovery import merge_logs
 from repro.sim.config import ClusterConfig
 from repro.systems import Cluster, build_system
 from repro.transactions import Transaction
+from tests.helpers import assert_converged
 
 NUM_SITES = 3
 
@@ -188,20 +189,7 @@ class TestSurvivorInvariants:
         assert all(site.alive for site in cluster.sites)
         svvs = {site.svv.to_tuple() for site in cluster.sites}
         assert len(svvs) == 1, f"replicas did not converge: {svvs}"
-        baseline = cluster.sites[0]
-        for site in cluster.sites[1:]:
-            for table in baseline.database.tables.values():
-                for record in table:
-                    if record.latest.seq == 0:
-                        # Read-only placeholder: materialized by a
-                        # snapshot read at one site, never committed,
-                        # never replicated.
-                        continue
-                    other = site.database.record(record.key)
-                    assert other is not None, f"missing {record.key}"
-                    assert other.latest.value == record.latest.value, (
-                        f"divergence on {record.key}"
-                    )
+        assert_converged([site.database for site in cluster.sites])
         # Mastership stayed a partition of the partition space.
         mastered = [p for site in cluster.sites for p in site.mastered]
         assert len(mastered) == len(set(mastered)) == 8

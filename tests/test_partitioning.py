@@ -52,13 +52,6 @@ class TestPartitionScheme:
         scheme = simple_scheme(num_partitions=4)
         assert set(scheme.single_site_placement(2).values()) == {2}
 
-    def test_owner_lookup(self):
-        scheme = simple_scheme(num_partitions=4)
-        placement = scheme.range_placement(2)
-        owner_of = scheme.owner_lookup(placement)
-        assert owner_of(("t", 5)) == 0
-        assert owner_of(("t", 35)) == 1
-
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             PartitionScheme(lambda key: 0, 0)

@@ -83,14 +83,14 @@ class TestRecordProperties:
     def test_read_returns_newest_visible(self, writes, snapshot_values):
         """The read rule: newest *visible* version in application order."""
         table = Table("t", max_versions=100)
-        table.insert(1, "init")
+        table.insert(1)
         applied = []
         # Make per-origin sequences increasing (as real logs are).
         next_seq = {}
         for origin, _ in writes:
             seq = next_seq.get(origin, 0) + 1
             next_seq[origin] = seq
-            table.install(1, origin, seq, f"v{origin}:{seq}")
+            table.install(1, origin, seq)
             applied.append((origin, seq))
         snapshot = VersionVector(snapshot_values)
         result = table.get(1).read(snapshot)
@@ -99,17 +99,13 @@ class TestRecordProperties:
             for origin, seq in applied
             if seq <= snapshot[origin]
         ]
-        if visible:
-            origin, seq = visible[-1]
-            assert result.value == f"v{origin}:{seq}"
-        else:
-            assert result.value == "init"
+        assert (result.origin, result.seq) == (visible[-1] if visible else (0, 0))
 
     @given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=30))
     def test_pruning_bounds_chain_length(self, max_versions, writes):
         table = Table("t", max_versions)
         for seq in range(1, writes + 1):
-            table.install(1, 0, seq, seq)
+            table.install(1, 0, seq)
         record = table.get(1)
         assert record.version_count <= max_versions
         assert record.latest.seq == writes
@@ -134,7 +130,7 @@ class TestUpdateApplicationRule:
             seq = svv.increment(origin)
             begin[origin] = seq
             logs[origin].append(
-                LogRecord(UPDATE, origin, tuple(begin), keys=(("t", 1),), value=seq)
+                LogRecord(UPDATE, origin, tuple(begin), keys=(("t", 1),))
             )
         merged = merge_logs(logs)
         assert len(merged) == txns

@@ -8,6 +8,7 @@ for any seed.
 import pytest
 
 from repro.replication import recover_database, recover_mastership
+from tests.helpers import assert_converged
 from tests.test_si_invariants import run_random_workload
 
 
@@ -34,11 +35,7 @@ def test_database_recovered_for_any_history(seed):
     database, svv = recover_database(cluster.env, logs)
     live = cluster.sites[0]
     assert svv.to_tuple() == live.svv.to_tuple()
-    for table in live.database.tables.values():
-        for record in table:
-            recovered = database.record(record.key)
-            assert recovered is not None
-            assert recovered.latest.value == record.latest.value
+    assert_converged([live.database, database])
 
 
 @pytest.mark.parametrize("seed", [41])

@@ -15,6 +15,7 @@ from repro.sim.core import Environment
 from repro.systems.base import Cluster
 from repro.transactions import Transaction
 from repro.versioning import VersionVector
+from tests.helpers import assert_converged
 
 
 def make_cluster(num_sites=2, **overrides):
@@ -86,8 +87,7 @@ class TestRefreshApplication:
         assert site0.svv.to_tuple() == (1, 0)
         assert site1.svv.to_tuple() == (1, 0)
         # The replica can now read the new version.
-        value = site1.database.read(("t", 1), VersionVector([1, 0]))
-        assert value == txn.txn_id
+        assert site1.database.read(("t", 1), VersionVector([1, 0])) == (0, 1)
         assert site1.replication.applied == 1
 
     def test_refresh_blocks_on_dependency(self):
@@ -170,27 +170,31 @@ class TestRecovery:
         assert kinds == [UPDATE, RELEASE, GRANT, UPDATE]
 
     def test_recover_database_matches_live_replica(self):
-        cluster, txn1, txn2 = self.build_history()
+        """txn1 commits at site 0 (seq 1), the release is seq 2 there,
+        the grant seq 1 at site 1 and txn2 seq 2 at site 1."""
+        cluster, _, _ = self.build_history()
         logs = [site.log for site in cluster.sites]
         database, svv = recover_database(cluster.env, logs)
         live = cluster.sites[0]
         assert svv.to_tuple() == live.svv.to_tuple()
         snapshot = svv
-        assert database.read(("t", 1), snapshot) == txn1.txn_id
-        assert database.read(("t", 2), snapshot) == txn2.txn_id
+        assert database.read(("t", 1), snapshot) == (0, 1)
+        assert database.read(("t", 2), snapshot) == (1, 2)
+        assert_converged([live.database, database])
 
     def test_recover_database_from_checkpoint_vector(self):
-        cluster, txn1, txn2 = self.build_history()
+        cluster, _, _ = self.build_history()
         logs = [site.log for site in cluster.sites]
         # Checkpoint that already includes txn1 (seq 1 at site 0).
         checkpoint = VersionVector([1, 0])
-        database, svv = recover_database(
-            cluster.env,
-            logs,
-            initial_data=[(("t", 1), txn1.txn_id), (("t", 2), txn1.txn_id)],
-            from_vector=checkpoint,
-        )
-        assert database.read(("t", 2), svv) == txn2.txn_id
+        database, svv = recover_database(cluster.env, logs, from_vector=checkpoint)
+        assert svv.to_tuple() == (2, 2)
+        assert database.read(("t", 2), svv) == (1, 2)
+        # txn1's versions are the checkpoint's: the replay skips them.
+        assert database.record(("t", 1)) is None
+        assert [(v.origin, v.seq) for v in database.record(("t", 2)).versions()] == [
+            (0, 0), (1, 2)
+        ]
 
     def test_recover_mastership(self):
         cluster, _, _ = self.build_history()

@@ -11,17 +11,20 @@ proofs establish:
 * **Theorem 2 (strong-session SI)** — a session's transactions observe
   monotonically non-decreasing versions;
 * **replica convergence** — once update propagation drains, every
-  replica holds identical latest values (the lazily maintained copies
-  are consistent).
+  replica retains identical version chains (the lazily maintained
+  copies are consistent).
 """
 
 import random
+
+import pytest
 
 from repro.partitioning.schemes import PartitionScheme
 from repro.sim.config import ClusterConfig
 from repro.systems import Cluster, build_system
 from repro.transactions import Transaction
 from repro.versioning import VersionVector
+from tests.helpers import assert_converged, written_chains
 
 
 def run_random_workload(seed=0, num_sites=3, num_clients=8, txns_per_client=25):
@@ -90,15 +93,20 @@ class TestSnapshotIsolation:
         cluster, _, _ = run_random_workload(seed=2)
         svvs = {site.svv.to_tuple() for site in cluster.sites}
         assert len(svvs) == 1, f"replicas did not converge: {svvs}"
-        baseline = cluster.sites[0]
-        for site in cluster.sites[1:]:
-            for table_name, table in baseline.database.tables.items():
-                for record in table:
-                    other = site.database.record(record.key)
-                    assert other is not None
-                    assert other.latest.value == record.latest.value, (
-                        f"replica divergence on {record.key}"
-                    )
+        assert_converged([site.database for site in cluster.sites])
+
+    @pytest.mark.parametrize("row", ["written", "new"])
+    def test_convergence_check_catches_one_extra_install(self, row):
+        """The check has teeth: one install more at a single replica —
+        over a written row, or creating a row no one else holds — makes
+        it fail."""
+        cluster, _, _ = run_random_workload(seed=2)
+        databases = [site.database for site in cluster.sites]
+        assert_converged(databases)
+        key = next(iter(written_chains(databases[1]))) if row == "written" else ("t", 999)
+        databases[1].install_many((key,), 1, cluster.sites[1].svv[1] + 1)
+        with pytest.raises(AssertionError, match="divergence|disagree"):
+            assert_converged(databases)
 
     def test_sessions_monotone_theorem_2(self):
         _, _, sessions = run_random_workload(seed=3)

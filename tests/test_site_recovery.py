@@ -13,7 +13,7 @@ from repro.replication.recovery import rejoin_site
 from repro.sim.config import ClusterConfig
 from repro.systems import Cluster, build_system
 from repro.transactions import Transaction
-from tests.helpers import run_process
+from tests.helpers import assert_converged, run_process
 
 
 def make_dynamast(num_sites=3):
@@ -61,12 +61,8 @@ class TestSiteRecovery:
         assert replacement is cluster.sites[1]
         assert replacement.svv.to_tuple() == expected_svv
         assert replacement.mastered == expected_mastered
-        # Every record's latest value matches the crashed state.
-        for table in crashed_database.tables.values():
-            for record in table:
-                recovered = replacement.database.record(record.key)
-                assert recovered is not None
-                assert recovered.latest.value == record.latest.value
+        # Every written row retains the crashed state's versions.
+        assert_converged([crashed_database, replacement.database])
 
     def test_recovered_site_continues_processing(self):
         cluster, system = make_dynamast()

@@ -132,12 +132,6 @@ class TestYCSB:
         top_share = sum(count for p, count in bases.items() if p < 10) / 2000
         assert top_share > 0.25  # popular partitions dominate
 
-    def test_initial_records_cover_keyspace(self):
-        workload = self.make(num_partitions=3)
-        records = list(workload.initial_records())
-        assert len(records) == 300
-        assert records[0][0] == ("usertable", 0)
-
     def test_recommended_weights(self):
         assert self.make().recommended_weights().intra_txn == 3.0
 
@@ -343,9 +337,3 @@ class TestSmallBank:
         draws = [workload._draw_user(rng) for _ in range(1000)]
         hot = sum(1 for d in draws if d < 10)
         assert 0.4 < hot / 1000 < 0.6
-
-    def test_initial_records(self):
-        workload = self.make(users=10)
-        records = list(workload.initial_records())
-        assert len(records) == 20
-        assert (("checking", 0), 1000) in records
