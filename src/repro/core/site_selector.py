@@ -9,16 +9,16 @@ The transaction's minimum begin version is the element-wise max of the
 grant vectors.
 
 Read routing (§IV-B): a uniformly random site satisfying the client's
-session freshness.
+session freshness — one routine, with or without a fault injector.
 
-Under fault injection the selector switches to a survivable variant of
-the same protocol: masters are health-checked before routing, release
-RPCs to a *crashed* master are replaced by fencing the dead producer's
-durable log directly (a forced release marker), grants persistently
-retry and fail over to a live site, and a suspected-but-alive master
-aborts the transaction with a timeout rather than risking a split
-mastership. Without an installed injector every code path below is the
-legacy one, event-for-event.
+Write routing keeps one fork, because the two remastering schedules
+differ. Under fault injection masters are health-checked before
+routing, remastering runs sequential failover rounds with exclusive
+locks on the whole write set, release RPCs to a *crashed* master are
+replaced by fencing the dead producer's durable log directly (a forced
+release marker), grants persistently retry and fail over to a live
+site, and a suspected-but-alive master aborts the transaction with a
+timeout rather than risking a split mastership.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from repro.partitioning.schemes import PartitionScheme
 from repro.replication.log import GRANT, RELEASE, LogRecord
 from repro.sim.resources import Resource
 from repro.sites.messages import RetryPolicy, guarded_call, remote_call
-from repro.systems.base import Cluster, Session
+from repro.systems.base import Cluster, Session, choose_fresh_site
 from repro.transactions import Transaction
 from repro.versioning.vectors import VersionVector
 
@@ -131,6 +131,8 @@ class SiteSelector:
         transaction is registered as in-flight on its partitions at the
         chosen site, so a subsequent release will wait for it.
         """
+        # Fork: parallel grants with lock downgrade here, sequential
+        # failover rounds under faults (different schedules).
         if self.cluster.faults is not None:
             result = yield from self._route_update_faulted(txn, session)
             return result
@@ -318,12 +320,13 @@ class SiteSelector:
         """Survivable :meth:`route_update`: health-checked masters,
         failover remastering away from crashed sites.
 
-        A healthy single master routes exactly like the legacy path. An
-        unhealthy master — or a genuinely distributed write set — takes
-        exclusive locks on the whole write set (no downgrade
-        optimization: under faults a move can cascade if the chosen
-        destination dies mid-protocol, and the simpler lock discipline
-        keeps that re-entrant) and remasters onto a live site. Raises
+        A healthy single master routes as without faults (recording no
+        ``selector_lock`` phase or route span). An unhealthy master — or
+        a genuinely distributed write set — takes exclusive locks on the
+        whole write set (no downgrade optimization: under faults a move
+        can cascade if the chosen destination dies mid-protocol, and the
+        simpler lock discipline keeps that re-entrant) and remasters
+        onto a live site. Raises
         :class:`TransactionAborted` when failure handling cannot route
         the transaction; partition locks are always released.
         """
@@ -641,40 +644,12 @@ class SiteSelector:
     # -- read routing (§IV-B) --------------------------------------------------------
 
     def route_read(self, txn: Transaction, session: Session):
-        """Pick a session-fresh site for a read-only transaction.
-
-        Under fault injection, crashed and suspected sites are filtered
-        out first (falling back to any live site when suspicion covers
-        everything).
-        """
+        """Pick a session-fresh site for a read-only transaction
+        (:func:`~repro.systems.base.choose_fresh_site`)."""
         route_started = self.env._now
         yield from self.cpu.use(self.config.costs.route_lookup_ms,
                                 txn=txn, track="selector")
-        faults = self.cluster.faults
-        if faults is None:
-            candidates = self.cluster.sites
-        else:
-            detector = faults.detector
-            candidates = [
-                site for site in self.cluster.sites
-                if site.alive and not detector.is_suspected(site.index)
-            ]
-            if not candidates:
-                candidates = [site for site in self.cluster.sites if site.alive]
-            if not candidates:
-                candidates = self.cluster.sites
-        fresh = [
-            site.index
-            for site in candidates
-            if site.svv.dominates(session.cvv)
-        ]
-        if fresh:
-            choice = fresh[self._read_rng.randrange(len(fresh))]
-        else:
-            choice = min(
-                candidates,
-                key=lambda site: site.svv.lag_behind(session.cvv),
-            ).index
+        choice = choose_fresh_site(self.cluster, session, self._read_rng)
         self.reads_routed += 1
         tracer = self.env.obs.tracer
         if tracer.enabled:

@@ -3,8 +3,11 @@ failures) and the failure-handling vocabulary the protocol stack
 shares.
 
 The package is inert unless a :class:`FaultInjector` is installed on a
-cluster: every hook in the simulator is gated on ``faults is None``, so
-runs without a plan are bit-identical to the pre-fault codebase.
+cluster. Each protocol step is written once: without an injector
+``guarded_call`` is ``remote_call`` and ``with_retries`` makes a single
+try, so runs without a plan are bit-identical to the pre-fault
+codebase. The few forks whose faulted schedule differs test
+``faults is None`` and are listed in ``tests/test_fault_gates.py``.
 
 The fault model — crash/restart semantics, the hardened RPC layer
 (timeouts, seeded-jitter retries, suspicion), gray failures (fail-slow

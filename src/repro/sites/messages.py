@@ -7,19 +7,21 @@ version watch), and the reply traverses the network back. The handler
 executes inside the caller's simulated process, which is semantically
 equivalent for timing purposes and keeps the call structure direct.
 
-:func:`guarded_call` is the fault-aware variant: the handler runs in
-its own tracked process on the destination (so a crash can interrupt
-it), the caller races it against an RPC timeout and the destination's
-crash, and per-link loss/partition/delay from the installed fault
-injector applies to both legs. Without an injector it delegates to
-:func:`remote_call`, byte- and event-identical to the legacy path.
+:func:`guarded_call` is the call every client-facing protocol step
+makes. With a fault injector installed the handler runs in its own
+tracked process on the destination (so a crash can interrupt it), the
+caller races it against an RPC timeout and the destination's crash,
+and per-link loss/partition/delay from the injector applies to both
+legs. Without an injector it *is* :func:`remote_call`: the same
+generator, with no extra frame. :func:`with_retries` is the one
+bounded-retry loop around such steps.
 """
 
 from __future__ import annotations
 
 from typing import Generator, Optional
 
-from repro.faults.errors import FaultError, RpcTimeout, SiteDown
+from repro.faults.errors import FaultError, RpcTimeout, SiteDown, TransactionAborted
 from repro.faults.plan import FRONTEND
 from repro.sim.network import Network
 from repro.transactions import Transaction
@@ -143,7 +145,7 @@ def guarded_call(
     txn: Optional[Transaction] = None,
     timeout_ms: Optional[float] = None,
 ) -> Generator:
-    """Fault-aware remote call to ``site``.
+    """Remote call to ``site`` that survives injected faults.
 
     Semantics when a fault injector is installed:
 
@@ -164,16 +166,23 @@ def guarded_call(
       caller's.
 
     Every outcome is reported to the injector's failure detector.
-    Without an injector this is exactly :func:`remote_call`.
+    Without an injector this returns :func:`remote_call`'s generator
+    itself. Usage: ``x = yield from guarded_call(net, site, gen)``.
     """
-    faults = network.faults
-    if faults is None:
-        result = yield from remote_call(
+    if network.faults is None:
+        return remote_call(
             network, handler,
             request_size=request_size, response_size=response_size,
             category=category, txn=txn,
         )
-        return result
+    return _guarded(network, site, handler, src, request_size, response_size,
+                    category, txn, timeout_ms)
+
+
+def _guarded(network, site, handler, src, request_size, response_size,
+             category, txn, timeout_ms):
+    """:func:`guarded_call` with an injector installed."""
+    faults = network.faults
     env = network.env
     dst = site.index
     # Explicit per-call budgets (remastering's longer leash) win;
@@ -285,3 +294,34 @@ class RetryPolicy:
         """Backoff before retry number ``attempt`` (0-based), jittered ±50%."""
         base = min(self.rpc.backoff_cap_ms, self.rpc.backoff_base_ms * (2.0 ** attempt))
         return base * (0.5 + self._rng.random())
+
+
+def with_retries(network: Network, attempt) -> Generator:
+    """Run the step ``attempt()`` (a generator factory) with bounded retries.
+
+    Generator returning ``(result, retries, error)``: ``error`` is the
+    fault that ended the tries (None on success) and ``retries`` counts
+    the tries after the first. Each failed try except the last is
+    followed by one backoff drawn from the injector's RNG. A
+    :class:`TransactionAborted` is a protocol layer's final word and
+    ends the tries at once. Cleanup a failed try owes (an activity
+    registration, say) belongs inside ``attempt``. Without an injector
+    nothing can fail: one try, no draw.
+    """
+    faults = network.faults
+    if faults is None:
+        result = yield from attempt()
+        return result, 0, None
+    policy = RetryPolicy(faults.rpc, faults.rng)
+    last = policy.attempts - 1
+    for tries in range(policy.attempts):
+        try:
+            result = yield from attempt()
+        except TransactionAborted as exc:
+            return None, tries, exc
+        except FaultError as exc:
+            if tries == last:
+                return None, tries, exc
+            yield network.env.timeout(policy.backoff_ms(tries))
+        else:
+            return result, tries, None

@@ -41,8 +41,9 @@ class Cluster:
             self.env, self.config.network, rng=self.streams.stream("network")
         )
         self.activity = PartitionActivity(self.env)
-        #: The installed fault injector, or None. Routers consult this
-        #: for suspicion state; None means the legacy (infallible) path.
+        #: The installed fault injector, or None (nothing can fail).
+        #: Routers consult it for suspicion state; the few protocol
+        #: forks that remain test it (DESIGN.md §7).
         self.faults = None
         row_index = {} if replicated else None
         self.sites: List[DataSite] = [
@@ -135,37 +136,31 @@ class System(ABC):
             tracer.span("network", started, env._now,
                         track="net", txn=txn, category="client")
 
-    def choose_fresh_site(self, session: Session, rng) -> int:
-        """Read routing (paper §IV-B): a random session-fresh site.
 
-        Among sites whose version vector dominates the client's session
-        vector, pick uniformly at random — minimizing blocking while
-        spreading read load. If no site is fresh enough yet, pick the
-        site with the smallest lag; the read then blocks briefly at
-        that site.
+def choose_fresh_site(cluster: Cluster, session: Session, rng) -> int:
+    """Read routing (paper §IV-B): a random session-fresh site.
 
-        Under fault injection, crashed and suspected sites are routed
-        around (falling back to merely-alive sites if suspicion covers
-        everything).
-        """
-        faults = self.cluster.faults
-        if faults is None:
-            candidates = self.sites
-        else:
-            detector = faults.detector
-            candidates = [
-                site for site in self.sites
-                if site.alive and not detector.is_suspected(site.index)
-            ]
-            if not candidates:
-                candidates = [site for site in self.sites if site.alive]
-            if not candidates:
-                candidates = self.sites
-        fresh = [
-            site.index for site in candidates if site.svv.dominates(session.cvv)
-        ]
-        if fresh:
-            return fresh[rng.randrange(len(fresh))]
-        return min(
-            candidates, key=lambda site: site.svv.lag_behind(session.cvv)
-        ).index
+    Among sites whose version vector dominates the client's session
+    vector, pick uniformly at random — minimizing blocking while
+    spreading read load. If no site is fresh enough yet, pick the site
+    with the smallest lag; the read then blocks briefly at that site.
+
+    Under fault injection, crashed and suspected sites are routed
+    around (falling back to merely-alive sites if suspicion covers
+    everything). Each live site is asked ``is_suspected`` once, in
+    index order: asking updates the phi-accrual detector's state.
+    """
+    candidates = cluster.sites
+    faults = cluster.faults
+    if faults is not None:
+        detector = faults.detector
+        candidates = (
+            [site for site in candidates
+             if site.alive and not detector.is_suspected(site.index)]
+            or [site for site in candidates if site.alive]
+            or candidates
+        )
+    fresh = [site.index for site in candidates if site.svv.dominates(session.cvv)]
+    if fresh:
+        return fresh[rng.randrange(len(fresh))]
+    return min(candidates, key=lambda site: site.svv.lag_behind(session.cvv)).index

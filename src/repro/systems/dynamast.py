@@ -9,7 +9,7 @@ from repro.core.statistics import StatisticsConfig
 from repro.core.strategy import StrategyWeights
 from repro.faults.errors import FaultError, RpcTimeout, TransactionAborted
 from repro.partitioning.schemes import PartitionScheme
-from repro.sites.messages import RetryPolicy, guarded_call, remote_call
+from repro.sites.messages import guarded_call, with_retries
 from repro.systems.base import Cluster, Session, System
 from repro.transactions import Outcome, Transaction
 
@@ -44,85 +44,47 @@ class DynaMast(System):
         self.selector = SiteSelector(cluster, scheme, placement, weights, stats_config)
 
     def submit(self, txn: Transaction, session: Session):
-        if self.cluster.faults is not None:
-            outcome = yield from self._submit_faulted(txn, session)
-            return outcome
-        yield from self.client_hop(txn)  # client -> site selector
+        """Route, then run at one site; a retry re-routes from scratch.
 
-        if txn.is_read_only:
-            site_index = yield from self.selector.route_read(txn, session)
-            yield from self.client_hop(txn)  # selector -> client
-            begin = yield from remote_call(
-                self.network,
-                self.sites[site_index].execute_read(txn, min_begin=session.cvv),
-                category="client",
-                txn=txn,
-            )
-            session.observe(begin)
-            return Outcome(committed=True)
-
-        route = yield from self.selector.route_update(txn, session)
-        yield from self.client_hop(txn)  # selector -> client (site + version)
-        min_vv = session.cvv if route.min_vv is None else route.min_vv.element_max(session.cvv)
-        tvv = yield from remote_call(
-            self.network,
-            self.sites[route.site].execute_update(
-                txn, min_vv, partitions=route.partitions
-            ),
-            category="client",
-            txn=txn,
-        )
-        session.observe(tvv)
-        return Outcome(committed=True, remastered=route.remastered)
-
-    def _submit_faulted(self, txn: Transaction, session: Session):
-        """Fault-aware submission: guarded RPCs, bounded retries.
-
-        Each attempt re-routes from scratch, so a retry naturally lands
-        on a surviving (or newly restarted) site. A lost-reply timeout
-        after dispatch re-executes the transaction — at-least-once
-        semantics; every execution is replicated consistently, so
-        replicas still converge (see DESIGN.md, Fault model).
+        Under fault injection a retry therefore lands on a surviving
+        (or newly restarted) site. A lost-reply timeout after dispatch
+        re-executes the transaction — at-least-once semantics; every
+        execution is replicated consistently, so replicas still
+        converge (see DESIGN.md, Fault model).
         """
-        faults = self.cluster.faults
-        policy = RetryPolicy(faults.rpc, faults.rng)
         yield from self.client_hop(txn)  # client -> site selector
 
         if txn.is_read_only:
-            hedged = faults.rpc.hedged_reads
-            for attempt in range(policy.attempts):
+            faults = self.cluster.faults
+            hedged = faults is not None and faults.rpc.hedged_reads
+
+            def read():
                 site_index = yield from self.selector.route_read(txn, session)
                 yield from self.client_hop(txn)  # selector -> client
                 site = self.sites[site_index]
-                try:
-                    if hedged:
-                        begin = yield from self._hedged_read(txn, session, site)
-                    else:
-                        begin = yield from guarded_call(
-                            self.network,
-                            site,
-                            site.execute_read(txn, min_begin=session.cvv),
-                            category="client",
-                            txn=txn,
-                        )
-                except FaultError as exc:
-                    if attempt + 1 >= policy.attempts:
-                        return Outcome(
-                            committed=False, retries=attempt, abort_reason=exc.reason
-                        )
-                    yield self.env.timeout(policy.backoff_ms(attempt))
-                    continue
-                session.observe(begin)
-                return Outcome(committed=True, retries=attempt)
+                if hedged:
+                    return (yield from self._hedged_read(txn, session, site))
+                return (yield from guarded_call(
+                    self.network,
+                    site,
+                    site.execute_read(txn, min_begin=session.cvv),
+                    category="client",
+                    txn=txn,
+                ))
+
+            begin, retries, error = yield from with_retries(self.network, read)
+            if error is not None:
+                return Outcome(
+                    committed=False, retries=retries, abort_reason=error.reason
+                )
+            session.observe(begin)
+            return Outcome(committed=True, retries=retries)
 
         remastered = False
-        for attempt in range(policy.attempts):
-            try:
-                route = yield from self.selector.route_update(txn, session)
-            except TransactionAborted as exc:
-                return Outcome(
-                    committed=False, retries=attempt, abort_reason=exc.reason
-                )
+
+        def update():
+            nonlocal remastered
+            route = yield from self.selector.route_update(txn, session)
             remastered = remastered or route.remastered
             yield from self.client_hop(txn)  # selector -> client (site + version)
             min_vv = (
@@ -132,7 +94,7 @@ class DynaMast(System):
             )
             site = self.sites[route.site]
             try:
-                tvv = yield from guarded_call(
+                return (yield from guarded_call(
                     self.network,
                     site,
                     site.execute_update(
@@ -140,7 +102,7 @@ class DynaMast(System):
                     ),
                     category="client",
                     txn=txn,
-                )
+                ))
             except FaultError as exc:
                 if not (isinstance(exc, RpcTimeout) and exc.dispatched):
                     # The handler never started (lost request, refused
@@ -150,18 +112,19 @@ class DynaMast(System):
                     self.cluster.activity.finish(
                         route.site, route.partitions, route.token
                     )
-                if attempt + 1 >= policy.attempts:
-                    return Outcome(
-                        committed=False,
-                        retries=attempt,
-                        remastered=remastered,
-                        abort_reason=exc.reason,
-                    )
-                yield self.env.timeout(policy.backoff_ms(attempt))
-                continue
-            session.observe(tvv)
-            return Outcome(committed=True, remastered=remastered, retries=attempt)
-        raise AssertionError("unreachable: retry loop always returns")
+                raise
+
+        tvv, retries, error = yield from with_retries(self.network, update)
+        if error is not None:
+            return Outcome(
+                committed=False,
+                retries=retries,
+                # An abort in routing reports no remastering.
+                remastered=remastered and not isinstance(error, TransactionAborted),
+                abort_reason=error.reason,
+            )
+        session.observe(tvv)
+        return Outcome(committed=True, remastered=remastered, retries=retries)
 
     # -- hedged reads (gray-failure defense) -------------------------------
 

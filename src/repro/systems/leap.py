@@ -14,9 +14,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.faults.errors import FaultError
 from repro.partitioning.schemes import PartitionScheme
-from repro.sites.messages import RetryPolicy, guarded_call, remote_call
+from repro.sites.messages import guarded_call, remote_call, with_retries
 from repro.storage.locks import LockTable
 from repro.systems.base import Cluster, Session, System
 from repro.transactions import Key, Outcome, Transaction
@@ -56,9 +55,14 @@ class LEAP(System):
         return self.placement[partition]
 
     def submit(self, txn: Transaction, session: Session):
-        if self.cluster.faults is not None:
-            outcome = yield from self._submit_faulted(txn, session)
-            return outcome
+        """Localize every record at the client's site, then run there.
+
+        Under faults there is no failover: the execution site is fixed
+        by the client and every record must ship from its single owner,
+        so a crash of either aborts the transaction after bounded
+        retries (LEAP's lack of replicas is precisely what the paper's
+        availability comparison punishes).
+        """
         yield from self.client_hop(txn)  # client -> router
         yield from self.router_cpu.use(self.config.costs.route_lookup_ms,
                                        txn=txn, track="router")
@@ -81,6 +85,7 @@ class LEAP(System):
         execution_site = txn.client_id % self.cluster.num_sites
 
         shipped = False
+        retries = 0
         # Inlined owner_of: every key here is non-static, so the owner
         # is the migrated owner if any, else its partition's home site.
         owners = self._owners
@@ -106,31 +111,68 @@ class LEAP(System):
                 if transfers:
                     shipped = True
                     self.localizations += 1
-                    processes = [
-                        self.env.process(
-                            self._localize(source, tuple(group), execution_site, txn)
-                        )
-                        for source, group in sorted(transfers.items())
-                    ]
-                    yield self.env.all_of(processes)
-                    for group in transfers.values():
-                        for key in group:
-                            self._owners[key] = execution_site
-                            self.records_shipped += 1
+                    # Fork: parallel ship + direct install here; under
+                    # faults one group at a time over guarded calls,
+                    # owned by the execution site as it lands, so an
+                    # abort leaves no half-moved group.
+                    if self.cluster.faults is None:
+                        processes = [
+                            self.env.process(
+                                self._localize(source, tuple(group), execution_site, txn)
+                            )
+                            for source, group in sorted(transfers.items())
+                        ]
+                        yield self.env.all_of(processes)
+                        for group in transfers.values():
+                            self._take(group, execution_site)
+                    else:
+                        for source, group in sorted(transfers.items()):
+                            group = tuple(group)
+                            _, tries, error = yield from with_retries(
+                                self.network,
+                                lambda: self._localize_faulted(
+                                    source, group, execution_site, txn
+                                ),
+                            )
+                            retries += tries
+                            if error is not None:
+                                return Outcome(
+                                    committed=False,
+                                    remastered=True,
+                                    retries=retries,
+                                    abort_reason=error.reason,
+                                )
+                            self._take(group, execution_site)
             finally:
                 self._migration_locks.release_all(remote_keys)
 
         yield from self.client_hop(txn)  # router -> client
         site = self.sites[execution_site]
-        if txn.is_read_only:
-            yield from remote_call(
-                self.network, site.execute_read(txn), category="client", txn=txn
+        _, tries, error = yield from with_retries(
+            self.network,
+            lambda: guarded_call(
+                self.network,
+                site,
+                site.execute_read(txn) if txn.is_read_only else site.execute_update(txn),
+                category="client",
+                txn=txn,
+            ),
+        )
+        retries += tries
+        if error is not None:
+            return Outcome(
+                committed=False,
+                remastered=shipped,
+                retries=retries,
+                abort_reason=error.reason,
             )
-        else:
-            yield from remote_call(
-                self.network, site.execute_update(txn), category="client", txn=txn
-            )
-        return Outcome(committed=True, remastered=shipped)
+        return Outcome(committed=True, remastered=shipped, retries=retries)
+
+    def _take(self, group, site: int) -> None:
+        """Record ``site`` as the owner of the shipped ``group``."""
+        for key in group:
+            self._owners[key] = site
+            self.records_shipped += 1
 
     def _localize(self, source: int, group: Tuple[Key, ...], destination: int, txn: Transaction):
         """Ship ``group`` from ``source`` to ``destination``."""
@@ -146,95 +188,6 @@ class LEAP(System):
         yield self.env.timeout(delay)
         txn.add_timing("network", delay)
         yield from self.sites[destination].install_shipment(group)
-
-    # -- fault-aware path ------------------------------------------------------
-
-    def _submit_faulted(self, txn: Transaction, session: Session):
-        """LEAP under faults: no routing freedom, so no failover.
-
-        The execution site is fixed by the client and every record must
-        ship from its single owner; a crash of either aborts the
-        transaction after bounded retries (LEAP's lack of replicas is
-        precisely what the paper's availability comparison punishes).
-        Localizations run sequentially and ownership updates per group
-        as it lands, so an abort mid-localization leaves no half-moved
-        group: shipped groups are owned by the execution site, unshipped
-        groups stay put.
-        """
-        faults = self.cluster.faults
-        policy = RetryPolicy(faults.rpc, faults.rng)
-        yield from self.client_hop(txn)  # client -> router
-        yield from self.router_cpu.use(self.config.costs.route_lookup_ms,
-                                       txn=txn, track="router")
-
-        keys = [key for key in txn.all_keys() if self.scheme.partition(key) is not None]
-        execution_site = txn.client_id % self.cluster.num_sites
-
-        shipped = False
-        retries = 0
-        remote_keys = [key for key in keys if self.owner_of(key) != execution_site]
-        if remote_keys:
-            yield from self._migration_locks.acquire_all(remote_keys)
-            try:
-                transfers: Dict[int, List[Key]] = {}
-                for key in remote_keys:
-                    owner = self.owner_of(key)
-                    if owner != execution_site:
-                        transfers.setdefault(owner, []).append(key)
-                if transfers:
-                    shipped = True
-                    self.localizations += 1
-                    for source, group in sorted(transfers.items()):
-                        group = tuple(group)
-                        for attempt in range(policy.attempts):
-                            try:
-                                yield from self._localize_faulted(
-                                    source, group, execution_site, txn
-                                )
-                                break
-                            except FaultError as exc:
-                                retries += 1
-                                if attempt + 1 >= policy.attempts:
-                                    return Outcome(
-                                        committed=False,
-                                        remastered=shipped,
-                                        retries=retries,
-                                        abort_reason=exc.reason,
-                                    )
-                                yield self.env.timeout(policy.backoff_ms(attempt))
-                        for key in group:
-                            self._owners[key] = execution_site
-                            self.records_shipped += 1
-            finally:
-                self._migration_locks.release_all(remote_keys)
-
-        yield from self.client_hop(txn)  # router -> client
-        site = self.sites[execution_site]
-        handler = (
-            site.execute_read(txn) if txn.is_read_only else site.execute_update(txn)
-        )
-        for attempt in range(policy.attempts):
-            try:
-                yield from guarded_call(
-                    self.network, site, handler, category="client", txn=txn
-                )
-                break
-            except FaultError as exc:
-                retries += 1
-                if attempt + 1 >= policy.attempts:
-                    return Outcome(
-                        committed=False,
-                        remastered=shipped,
-                        retries=retries,
-                        abort_reason=exc.reason,
-                    )
-                handler = (
-                    site.execute_read(txn)
-                    if txn.is_read_only
-                    else site.execute_update(txn)
-                )
-                yield self.env.timeout(policy.backoff_ms(attempt))
-        return Outcome(committed=True, remastered=shipped, retries=retries)
 
     def _localize_faulted(self, source: int, group: Tuple[Key, ...], destination: int, txn: Transaction):
         """One guarded ship-out + transfer + install chain."""

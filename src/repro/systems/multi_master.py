@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.faults.errors import FaultError
 from repro.partitioning.schemes import PartitionScheme
-from repro.sites.messages import RetryPolicy, guarded_call, remote_call
-from repro.systems.base import Cluster, Session, System
+from repro.sites.messages import guarded_call, with_retries
+from repro.systems.base import Cluster, Session, System, choose_fresh_site
 from repro.systems.two_phase_commit import submit_partitioned_write
 from repro.transactions import Outcome, Transaction
 
@@ -47,41 +46,28 @@ class MultiMaster(System):
                                        txn=txn, track="router")
 
         if txn.is_read_only:
-            faults = self.cluster.faults
-            if faults is None:
-                site_index = self.choose_fresh_site(session, self._read_rng)
+
+            def read():
+                # Re-choose a (healthy) replica on every retry.
+                site = self.sites[
+                    choose_fresh_site(self.cluster, session, self._read_rng)
+                ]
                 yield from self.client_hop(txn)  # router -> client
-                begin = yield from remote_call(
+                return (yield from guarded_call(
                     self.network,
-                    self.sites[site_index].execute_read(txn, min_begin=session.cvv),
+                    site,
+                    site.execute_read(txn, min_begin=session.cvv),
                     category="client",
                     txn=txn,
+                ))
+
+            begin, retries, error = yield from with_retries(self.network, read)
+            if error is not None:
+                return Outcome(
+                    committed=False, retries=retries, abort_reason=error.reason
                 )
-                session.observe(begin)
-                return Outcome(committed=True)
-            # Re-choose a (healthy) replica on every retry.
-            policy = RetryPolicy(faults.rpc, faults.rng)
-            for attempt in range(policy.attempts):
-                site_index = self.choose_fresh_site(session, self._read_rng)
-                yield from self.client_hop(txn)  # router -> client
-                site = self.sites[site_index]
-                try:
-                    begin = yield from guarded_call(
-                        self.network,
-                        site,
-                        site.execute_read(txn, min_begin=session.cvv),
-                        category="client",
-                        txn=txn,
-                    )
-                except FaultError as exc:
-                    if attempt + 1 >= policy.attempts:
-                        return Outcome(
-                            committed=False, retries=attempt, abort_reason=exc.reason
-                        )
-                    yield self.env.timeout(policy.backoff_ms(attempt))
-                    continue
-                session.observe(begin)
-                return Outcome(committed=True, retries=attempt)
+            session.observe(begin)
+            return Outcome(committed=True, retries=retries)
 
         outcome = yield from submit_partitioned_write(
             self, txn, session, min_begin=session.cvv

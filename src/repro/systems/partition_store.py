@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.faults.errors import FaultError
 from repro.partitioning.schemes import PartitionScheme
-from repro.sites.messages import RetryPolicy, guarded_call, remote_call
+from repro.sites.messages import guarded_call, remote_call, with_retries
 from repro.systems.base import Cluster, Session, System
 from repro.systems.two_phase_commit import submit_partitioned_write
 from repro.transactions import Key, Outcome, ScanBlock, Transaction
@@ -94,20 +93,10 @@ class PartitionStore(System):
         """Route reads to owning units; fan out if they span units."""
         groups = self._group_by_unit(txn)
         yield from self.client_hop(txn)  # router -> client
-        faults = self.cluster.faults
         if len(groups) <= 1:
             unit = groups[0][0] if groups else 0
-            site_index = self.placement.get(unit, 0)
-            if faults is None:
-                yield from remote_call(
-                    self.network,
-                    self.sites[site_index].execute_read(txn),
-                    category="client",
-                    txn=txn,
-                )
-                return Outcome(committed=True)
             outcome = yield from self._guarded_read(
-                txn, [(site_index, None, None)], distributed=False
+                txn, [(self.placement.get(unit, 0), None, None)], distributed=False
             )
             return outcome
 
@@ -115,7 +104,9 @@ class PartitionStore(System):
         # (the straggler effect of §VI-B2).
         self.scatter_gather_reads += 1
         targets = [(self.placement[unit], keys, blocks) for unit, keys, blocks in groups]
-        if faults is None:
+        # Fork: a parallel fan-out here; under faults the sub-reads run
+        # one after another, so a failed one stops the rest.
+        if self.cluster.faults is None:
             processes = [
                 self.env.process(
                     remote_call(
@@ -133,40 +124,31 @@ class PartitionStore(System):
         return outcome
 
     def _guarded_read(self, txn: Transaction, targets, distributed: bool):
-        """Fault-aware sub-reads, sequential with bounded retries.
+        """Sub-reads ``(site, keys, scans)`` in turn, each with bounded
+        retries; ``keys=None`` reads the whole transaction at ``site``.
 
         There is no owner to fail over to — each sub-read must succeed
-        at its unit's only copy. Sequential dispatch (instead of the
-        legacy parallel fan-out) keeps per-sub-read failure handling
-        exact; only faulted runs pay the latency.
+        at its unit's only copy. Every single-unit read comes through
+        here; a multi-unit one only under faults, where sequential
+        dispatch keeps per-sub-read failure handling exact.
         """
-        faults = self.cluster.faults
-        policy = RetryPolicy(faults.rpc, faults.rng)
         retries = 0
         for site_index, keys, scans in targets:
             site = self.sites[site_index]
-            for attempt in range(policy.attempts):
-                try:
-                    if keys is None:
-                        yield from guarded_call(
-                            self.network, site, site.execute_read(txn),
-                            category="client", txn=txn,
-                        )
-                    else:
-                        yield from guarded_call(
-                            self.network, site,
-                            site.execute_read(txn, keys=keys, scans=scans),
-                            category="client", txn=txn,
-                        )
-                    break
-                except FaultError as exc:
-                    retries += 1
-                    if attempt + 1 >= policy.attempts:
-                        return Outcome(
-                            committed=False,
-                            distributed=distributed,
-                            retries=retries,
-                            abort_reason=exc.reason,
-                        )
-                    yield self.env.timeout(policy.backoff_ms(attempt))
+            _, tries, error = yield from with_retries(
+                self.network,
+                lambda: guarded_call(
+                    self.network, site,
+                    site.execute_read(txn, keys=keys, scans=scans),
+                    category="client", txn=txn,
+                ),
+            )
+            retries += tries
+            if error is not None:
+                return Outcome(
+                    committed=False,
+                    distributed=distributed,
+                    retries=retries,
+                    abort_reason=error.reason,
+                )
         return Outcome(committed=True, distributed=distributed, retries=retries)

@@ -23,7 +23,13 @@ from repro.faults.errors import (
     SiteDown,
     TransactionAborted,
 )
-from repro.sites.messages import RetryPolicy, guarded_call, remote_call, site_process
+from repro.sites.messages import (
+    RetryPolicy,
+    guarded_call,
+    remote_call,
+    site_process,
+    with_retries,
+)
 from repro.transactions import Key, Outcome, Transaction
 from repro.versioning.vectors import VersionVector
 
@@ -51,6 +57,8 @@ def two_phase_commit(
     Generator returning the element-wise max of the branch commit
     vectors (the version a session must observe).
     """
+    # Fork: parallel prepare and commit rounds here; under faults the
+    # presumed-abort rounds run branch by branch (different schedules).
     if system.cluster.faults is not None:
         merged = yield from _two_phase_commit_faulted(system, txn, branches, min_begin)
         return merged
@@ -361,43 +369,26 @@ def submit_partitioned_write(system, txn: Transaction, session, min_begin):
     returning an :class:`Outcome`.
     """
     branches = group_writes_by_unit(system, txn)
-    faults = system.cluster.faults
 
     if len(branches) == 1:
-        unit = next(iter(branches))
-        site_index = system.placement[unit]
+        site = system.sites[system.placement[next(iter(branches))]]
         yield from system.client_hop(txn)  # router -> client (site choice)
-        if faults is None:
-            tvv = yield from remote_call(
-                system.network,
-                system.sites[site_index].execute_update(txn, min_begin),
-                category="client",
-                txn=txn,
-            )
-            session.observe(tvv)
-            return Outcome(committed=True)
         # Fixed mastership has no failover: retry the unit's master a
         # bounded number of times, then abort.
-        policy = RetryPolicy(faults.rpc, faults.rng)
-        site = system.sites[site_index]
-        for attempt in range(policy.attempts):
-            try:
-                tvv = yield from guarded_call(
-                    system.network,
-                    site,
-                    site.execute_update(txn, min_begin),
-                    category="client",
-                    txn=txn,
-                )
-            except FaultError as exc:
-                if attempt + 1 >= policy.attempts:
-                    return Outcome(
-                        committed=False, retries=attempt, abort_reason=exc.reason
-                    )
-                yield system.env.timeout(policy.backoff_ms(attempt))
-                continue
-            session.observe(tvv)
-            return Outcome(committed=True, retries=attempt)
+        tvv, retries, error = yield from with_retries(
+            system.network,
+            lambda: guarded_call(
+                system.network,
+                site,
+                site.execute_update(txn, min_begin),
+                category="client",
+                txn=txn,
+            ),
+        )
+        if error is not None:
+            return Outcome(committed=False, retries=retries, abort_reason=error.reason)
+        session.observe(tvv)
+        return Outcome(committed=True, retries=retries)
 
     try:
         tvv = yield from two_phase_commit(system, txn, branches, min_begin)

@@ -16,9 +16,13 @@ import pytest
 from repro.bench.harness import run_benchmark
 from repro.faults import CrashFault, FaultPlan, build_scenario
 from repro.faults.chaos import run_chaos
+from repro.faults.injector import FaultInjector
+from repro.partitioning.schemes import PartitionScheme
 from repro.sim.config import ClusterConfig
+from repro.systems import Cluster, build_system
+from repro.transactions import Transaction
 from repro.workloads.ycsb import YCSBConfig, YCSBWorkload
-from tests.helpers import assert_converged
+from tests.helpers import assert_converged, run_process
 
 #: Digests of the canonical no-faults run, one per system. These pin
 #: the *entire* observable outcome (commit count, every commit time,
@@ -122,7 +126,7 @@ class TestUnfaultedBitIdentity:
         2PC) — the timing differs from the unhardened paths — but
         nothing fails: no fault events, no fault aborts, and the run
         stays deterministic."""
-        for system in ("dynamast", "multi-master"):
+        for system in UNFAULTED_FINGERPRINTS:
             first = _run(system, fault_plan=FaultPlan())
             second = _run(system, fault_plan=FaultPlan())
             assert first.fault_events == []
@@ -130,6 +134,49 @@ class TestUnfaultedBitIdentity:
             for reason in ("timeout", "site_crash"):
                 assert first.metrics.aborts_by_reason.get(reason, 0) == 0
             assert _fingerprint(first) == _fingerprint(second)
+
+
+class TestRetryCount:
+    """``Outcome.retries`` counts the tries after the first, in every
+    system: a transaction whose every try fails reports ``max_retries``.
+    Partition-store reads and LEAP used to count the last failed try
+    too, and reported ``max_retries + 1``."""
+
+    @pytest.mark.parametrize("system_name,client_id,kind", [
+        ("partition-store", 1, "read"),
+        ("partition-store", 1, "scatter-read"),
+        ("partition-store", 1, "write"),
+        ("multi-master", 1, "write"),
+        ("leap", 1, "read"),  # executes at the crashed site
+        ("leap", 0, "write"),  # ships from the crashed site
+    ])
+    def test_exhausted_transaction_reports_max_retries(
+        self, system_name, client_id, kind
+    ):
+        cluster = Cluster(
+            ClusterConfig(num_sites=3), replicated=system_name == "multi-master"
+        )
+        system = build_system(
+            system_name, cluster,
+            scheme=PartitionScheme(lambda key: key[1] // 5, num_partitions=6),
+            placement={partition: partition % 3 for partition in range(6)},
+        )
+        plan = FaultPlan(crashes=(CrashFault(1, at_ms=0.0),))
+        FaultInjector(cluster, plan, cluster.streams.faults()).install()
+        crashed_key = ("t", 5)  # partition 1, mastered by site 1
+        if kind == "read":
+            txn = Transaction("r", client_id, read_set=(crashed_key,))
+        elif kind == "scatter-read":
+            txn = Transaction("r", client_id, read_set=(("t", 0), crashed_key))
+        else:
+            txn = Transaction("w", client_id, write_set=(crashed_key,))
+        env = cluster.env
+        outcome = run_process(
+            env, env.process(system.submit(txn, system.new_session(client_id)))
+        )
+        assert not outcome.committed
+        assert outcome.abort_reason == "site_crash"
+        assert outcome.retries == cluster.config.rpc.max_retries
 
 
 class TestDeterminism:
