@@ -33,11 +33,14 @@ bench:
 bench-output:
 	python -m pytest benchmarks/ --benchmark-only -s 2>&1 | tee bench_output.txt
 
+# Every script under examples/ (the last three take 10-30 s each).
 examples:
 	python examples/quickstart.py
 	python examples/protocol_walkthrough.py
 	python examples/recovery_demo.py
 	python examples/adaptivity_demo.py
+	python examples/tpcc_latency.py
+	python examples/ycsb_comparison.py
 
 quick:
 	python -m repro compare --clients 16 --duration 500

@@ -14,7 +14,7 @@ from repro.bench.experiments import fig5b_adaptivity
 
 
 def main():
-    result = fig5b_adaptivity(num_clients=30, duration_ms=4000.0)
+    result = fig5b_adaptivity()
 
     print("time (ms)   txn/s      remaster rate")
     rates = dict(result.remaster_timeline)

@@ -11,7 +11,7 @@ Run: ``python examples/recovery_demo.py``
 """
 
 from repro.partitioning.schemes import PartitionScheme
-from repro.replication import recover_database, recover_mastership
+from repro.replication import merge_logs, recover_database, recover_mastership
 from repro.sim.config import ClusterConfig
 from repro.systems import Cluster, build_system
 from repro.transactions import Transaction
@@ -41,8 +41,9 @@ def main():
 
     # --- crash! recover from the logs alone -------------------------------
     logs = [site.log for site in cluster.sites]
-    database, svv = recover_database(cluster.env, logs)
-    mastership = recover_mastership(logs, initial_placement)
+    records = merge_logs(logs)  # one Equation-1 order serves both rebuilds
+    database, svv = recover_database(cluster.env, records, len(logs))
+    mastership = recover_mastership(records, initial_placement)
 
     print()
     print("recovered svv:         ", svv.to_tuple())

@@ -45,7 +45,6 @@ def run_suite(
     warmup_ms: float = WARMUP_MS,
     seed: int = 0,
     jobs: int = 1,
-    **kwargs,
 ) -> Dict[str, RunSummary]:
     """Run one workload against several systems (fresh workload each).
 
@@ -53,16 +52,14 @@ def run_suite(
     :func:`~repro.bench.parallel.execute_specs` — in-process at
     ``jobs=1``, fanned over worker processes above it, with
     bit-identical simulated results either way (pinned by
-    ``tests/test_parallel_parity.py``). Remaining kwargs are
-    :class:`RunSpec` fields (``weights``, ``placement``, ``observed``,
-    ``mastery``, ``slo``, ``fault_scenario``, ``open_loop``, ...).
+    ``tests/test_parallel_parity.py``).
     """
     config = ClusterConfig(**(cluster or YCSB_CLUSTER))
     specs = [
         RunSpec(
             system=system, workload=workload, num_clients=num_clients,
             duration_ms=duration_ms, warmup_ms=warmup_ms, cluster=config,
-            seed=seed, **kwargs,
+            seed=seed,
         )
         for system in systems
     ]
@@ -75,7 +72,8 @@ def _dynamast_ycsb(
     num_clients: int = YCSB_CLIENTS,
     duration_ms: float = DURATION_MS,
     cluster: Optional[ClusterConfig] = None,
-    **fields,
+    weights: Optional[StrategyWeights] = None,
+    label: Optional[str] = None,
 ) -> RunSpec:
     """One DynaMast-on-YCSB row at the default YCSB scales."""
     return RunSpec(
@@ -85,7 +83,8 @@ def _dynamast_ycsb(
         duration_ms=duration_ms,
         warmup_ms=WARMUP_MS,
         cluster=cluster or ClusterConfig(**YCSB_CLUSTER),
-        **fields,
+        weights=weights,
+        label=label,
     )
 
 
@@ -96,26 +95,21 @@ def _dynamast_ycsb(
 
 def fig4a_ycsb_uniform(
     client_counts: Sequence[int] = (12, 24, 48),
-    systems: Sequence[str] = ALL_SYSTEMS,
 ) -> Dict[str, Dict[int, RunSummary]]:
     """Figure 4a: uniform YCSB, 50/50 RMW/scan, throughput vs clients."""
-    results: Dict[str, Dict[int, RunSummary]] = {s: {} for s in systems}
+    results: Dict[str, Dict[int, RunSummary]] = {s: {} for s in ALL_SYSTEMS}
     for clients in client_counts:
         suite = run_suite(
-            WorkloadSpec.of("ycsb", rmw_fraction=0.5),
-            systems=systems,
-            num_clients=clients,
+            WorkloadSpec.of("ycsb", rmw_fraction=0.5), num_clients=clients
         )
         for system, result in suite.items():
             results[system][clients] = result
     return results
 
 
-def fig4b_ycsb_write_heavy(
-    systems: Sequence[str] = ALL_SYSTEMS,
-) -> Dict[str, RunSummary]:
+def fig4b_ycsb_write_heavy() -> Dict[str, RunSummary]:
     """Figure 4b: uniform YCSB, 90/10 RMW/scan."""
-    return run_suite(WorkloadSpec.of("ycsb", rmw_fraction=0.9), systems=systems)
+    return run_suite(WorkloadSpec.of("ycsb", rmw_fraction=0.9))
 
 
 # ---------------------------------------------------------------------------
@@ -123,24 +117,14 @@ def fig4b_ycsb_write_heavy(
 # ---------------------------------------------------------------------------
 
 
-def tpcc_default_suite(
-    systems: Sequence[str] = ALL_SYSTEMS,
-    neworder_remote: float = 0.10,
-    payment_remote: float = 0.15,
-    num_clients: int = TPCC_CLIENTS,
-    duration_ms: float = DURATION_MS,
-) -> Dict[str, RunSummary]:
+def tpcc_default_suite() -> Dict[str, RunSummary]:
     """The default-mix TPC-C run shared by figures 4c, 4d and 8e-8g."""
     return run_suite(
         WorkloadSpec.of(
-            "tpcc",
-            neworder_remote_fraction=neworder_remote,
-            payment_remote_fraction=payment_remote,
+            "tpcc", neworder_remote_fraction=0.10, payment_remote_fraction=0.15
         ),
-        systems=systems,
         cluster=TPCC_CLUSTER,
-        num_clients=num_clients,
-        duration_ms=duration_ms,
+        num_clients=TPCC_CLIENTS,
     )
 
 
@@ -149,13 +133,10 @@ def tpcc_default_suite(
 # ---------------------------------------------------------------------------
 
 
-def fig4e_neworder_mix(
-    neworder_fractions: Sequence[float] = (0.45, 0.90),
-    systems: Sequence[str] = ALL_SYSTEMS,
-) -> Dict[str, Dict[float, RunSummary]]:
+def fig4e_neworder_mix() -> Dict[str, Dict[float, RunSummary]]:
     """Figure 4e: shift the mix toward New-Order transactions."""
-    results: Dict[str, Dict[float, RunSummary]] = {s: {} for s in systems}
-    for fraction in neworder_fractions:
+    results: Dict[str, Dict[float, RunSummary]] = {s: {} for s in ALL_SYSTEMS}
+    for fraction in (0.45, 0.90):
         remainder = 1.0 - fraction
         suite = run_suite(
             WorkloadSpec.of(
@@ -164,7 +145,6 @@ def fig4e_neworder_mix(
                 payment_weight=remainder / 2,
                 stocklevel_weight=remainder / 2,
             ),
-            systems=systems,
             cluster=TPCC_CLUSTER,
             num_clients=TPCC_CLIENTS,
             duration_ms=1000.0,
@@ -208,12 +188,9 @@ def cross_warehouse_sweep(
 # ---------------------------------------------------------------------------
 
 
-def skew_suite(systems: Sequence[str] = ALL_SYSTEMS) -> Dict[str, RunSummary]:
+def skew_suite() -> Dict[str, RunSummary]:
     """Zipfian (theta = 0.75) 90/10 RMW/scan YCSB."""
-    return run_suite(
-        WorkloadSpec.of("ycsb", rmw_fraction=0.9, zipf_theta=0.75),
-        systems=systems,
-    )
+    return run_suite(WorkloadSpec.of("ycsb", rmw_fraction=0.9, zipf_theta=0.75))
 
 
 # ---------------------------------------------------------------------------
@@ -232,12 +209,7 @@ class AdaptivityResult:
     remaster_timeline: List[Tuple[float, float]]
 
 
-def fig5b_adaptivity(
-    num_clients: int = 30,
-    duration_ms: float = 4000.0,
-    bucket_ms: float = 500.0,
-    seed: int = 7,
-) -> AdaptivityResult:
+def fig5b_adaptivity() -> AdaptivityResult:
     """Shuffled correlations against a manual range placement.
 
     The paper deploys 100 clients of 100% skewed RMWs whose partition
@@ -248,10 +220,11 @@ def fig5b_adaptivity(
     """
     import random
 
+    duration_ms, bucket_ms = 4000.0, 500.0
     workload = YCSBWorkload(
         YCSBConfig(rmw_fraction=1.0, zipf_theta=0.75, affinity_txns=25)
     )
-    workload.shuffle_correlations(random.Random(seed))
+    workload.shuffle_correlations(random.Random(7))
     placement = workload.scheme.range_placement(YCSB_CLUSTER["num_sites"])
 
     samples: List[Tuple[float, int, int]] = []
@@ -268,7 +241,7 @@ def fig5b_adaptivity(
     result = run_benchmark(
         "dynamast",
         workload,
-        num_clients=num_clients,
+        num_clients=30,
         duration_ms=duration_ms,
         warmup_ms=0.0,
         cluster_config=ClusterConfig(**YCSB_CLUSTER),
@@ -309,12 +282,7 @@ class SensitivityResult:
     remaster_rate: Dict[str, float]
 
 
-def fig5a_sensitivity(
-    scales: Sequence[float] = (0.0, 0.01, 1.0, 100.0),
-    weight_names: Sequence[str] = ("balance", "intra_txn"),
-    num_clients: int = 36,
-    duration_ms: float = 1500.0,
-) -> SensitivityResult:
+def fig5a_sensitivity() -> SensitivityResult:
     """Scale each strategy weight up/down/off on skewed YCSB.
 
     The paper varies each hyperparameter by two orders of magnitude in
@@ -324,13 +292,13 @@ def fig5a_sensitivity(
     specs = [
         _dynamast_ycsb(
             dict(rmw_fraction=0.9, zipf_theta=0.75),
-            num_clients=num_clients,
-            duration_ms=duration_ms,
+            num_clients=36,
+            duration_ms=1500.0,
             weights=base.scaled(**{name: scale}),
             label=f"{name} x{scale:g}",
         )
-        for name in weight_names
-        for scale in scales
+        for name in ("balance", "intra_txn")
+        for scale in (0.0, 0.01, 1.0, 100.0)
     ]
     runs = dict(zip((spec.label for spec in specs), execute_specs(specs)))
     return SensitivityResult(
@@ -355,14 +323,9 @@ class BreakdownResult:
     traffic_bytes: Dict[str, int]
 
 
-def fig7_breakdown(
-    num_clients: int = YCSB_CLIENTS, duration_ms: float = 2000.0
-) -> BreakdownResult:
+def fig7_breakdown() -> BreakdownResult:
     """Uniform 50/50 YCSB breakdown of DynaMast transaction time."""
-    (result,) = execute_specs([
-        _dynamast_ycsb(dict(rmw_fraction=0.5), num_clients=num_clients,
-                       duration_ms=duration_ms),
-    ])
+    (result,) = execute_specs([_dynamast_ycsb(dict(rmw_fraction=0.5), duration_ms=2000.0)])
     return BreakdownResult(
         breakdown=result.metrics.breakdown(),
         remaster_txn_fraction=result.metrics.remaster_fraction(),
@@ -376,19 +339,13 @@ def fig7_breakdown(
 # ---------------------------------------------------------------------------
 
 
-def fig6b_database_size(
-    partition_counts: Sequence[int] = (2000, 12000),
-    mixes: Sequence[Tuple[str, float, float]] = (
-        ("50-50U", 0.5, 0.0),
-        ("90-10U", 0.9, 0.0),
-        ("90-10S", 0.9, 0.75),
-    ),
-) -> Dict[str, Dict[int, RunSummary]]:
+def fig6b_database_size() -> Dict[str, Dict[int, RunSummary]]:
     """DynaMast throughput for small vs large (6x) databases."""
+    mixes = (("50-50U", 0.5, 0.0), ("90-10U", 0.9, 0.0), ("90-10S", 0.9, 0.75))
     cells = [
         (label, partitions, rmw, theta)
         for label, rmw, theta in mixes
-        for partitions in partition_counts
+        for partitions in (2000, 12000)
     ]
     specs = [
         _dynamast_ycsb(dict(num_partitions=partitions, rmw_fraction=rmw,
@@ -406,17 +363,14 @@ def fig6b_database_size(
 # ---------------------------------------------------------------------------
 
 
-def fig6c_site_scaling(
-    site_counts: Sequence[int] = (4, 8, 12, 16),
-    clients_per_site: int = 12,
-    duration_ms: float = 1000.0,
-) -> Dict[int, RunSummary]:
+def fig6c_site_scaling() -> Dict[int, RunSummary]:
     """DynaMast 50/50 uniform YCSB throughput as sites scale 4 -> 16."""
+    site_counts = (4, 8, 12, 16)
     specs = [
         _dynamast_ycsb(
             dict(rmw_fraction=0.5),
-            num_clients=clients_per_site * sites,
-            duration_ms=duration_ms,
+            num_clients=12 * sites,
+            duration_ms=1000.0,
             cluster=ClusterConfig(
                 num_sites=sites, cores_per_site=YCSB_CLUSTER["cores_per_site"]
             ),

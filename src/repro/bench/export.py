@@ -90,17 +90,6 @@ def run_to_row(result: RunMeasurements) -> Dict[str, object]:
     }
 
 
-def attach_attribution(row: Dict[str, object], result: RunMeasurements) -> None:
-    """Add ``attrib_<category>_share`` columns for an observed run.
-
-    No-op for unobserved runs, so plain bench exports keep their exact
-    schema; observed exports gain one share column per attribution
-    category (summing to ~1.0).
-    """
-    for category, share in result.attribution_shares.items():
-        row[f"attrib_{category}_share"] = round(share, 5)
-
-
 def attach_open_loop(row: Dict[str, object], result: RunMeasurements) -> None:
     """Add ``openloop_*`` columns for an open-loop run.
 
@@ -160,7 +149,6 @@ def rows_from(results) -> List[Dict[str, object]]:
     """Flatten a RunResult/RunSummary, a mapping of them, or nested mappings."""
     if isinstance(results, RunMeasurements):
         row = run_to_row(results)
-        attach_attribution(row, results)
         attach_open_loop(row, results)
         attach_mastery(row, results)
         attach_slo(row, results)
@@ -175,9 +163,9 @@ def rows_from(results) -> List[Dict[str, object]]:
     raise TypeError(f"cannot export {type(results).__name__}")
 
 
-def to_json(results, indent: int = 2) -> str:
+def to_json(results) -> str:
     """Serialize results to a JSON string."""
-    return json.dumps(rows_from(results), indent=indent, sort_keys=True)
+    return json.dumps(rows_from(results), indent=2, sort_keys=True)
 
 
 def to_csv(results) -> str:
@@ -186,12 +174,8 @@ def to_csv(results) -> str:
     fields = list(FIELDS)
     if any("label" in row for row in rows):
         fields = ["label"] + fields
-    # Observed runs carry attribution share and mastering columns; keep
-    # the column set stable across rows by taking the union in order.
-    attrib = sorted({
-        key for row in rows for key in row if key.startswith("attrib_")
-    })
-    fields += attrib
+    # Open-loop, ledger and SLO runs carry extra columns; keep the
+    # column set stable across rows by taking the union in order.
     fields += sorted({
         key for row in rows for key in row if key.startswith("openloop_")
     })

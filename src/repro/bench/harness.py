@@ -80,8 +80,8 @@ class RunMeasurements:
     events_processed: int = 0
 
     # A live run's recorders; always None on a portable summary. Both
-    # shapes answer ``mastery`` / ``slo_verdict`` / ``attribution_shares``,
-    # so consumers test these only for what a recorder alone can say.
+    # shapes answer ``mastery`` / ``slo_verdict``, so consumers test
+    # these only for what a recorder alone can say.
     obs = None
     ledger = None
     slo = None
@@ -116,23 +116,6 @@ class RunResult(RunMeasurements):
         """Folded SLO verdict (``SloEngine.summary()``)."""
         return self.slo.summary() if self.slo is not None else {}
 
-    @property
-    def attribution_shares(self) -> Dict[str, float]:
-        """Share of commit latency per causal category.
-
-        Folds the whole trace on every read (one scan of the spans per
-        transaction); empty unless the run is observed.
-        """
-        if self.obs is None or not self.metrics.commits:
-            return {}
-        from repro.obs.attribution import AttributionReport
-
-        report = AttributionReport.from_result(self, keep_segments=False)
-        return {
-            category: round(share, 9)
-            for category, share in report.shares().items()
-        }
-
     def portable(self):
         """The picklable :class:`~repro.bench.parallel.RunSummary`.
 
@@ -154,7 +137,6 @@ def check_run_params(
     duration_ms: float,
     warmup_ms: float,
     open_loop=None,
-    fault_plan=None,
     fault_scenario: Optional[str] = None,
 ) -> None:
     """Reject a run that could only report ``commits 0, tput 0.0``.
@@ -175,8 +157,6 @@ def check_run_params(
         raise ValueError(
             f"num_clients must be >= 1 for a closed-loop run, got {num_clients}"
         )
-    if fault_scenario is not None and fault_plan is not None:
-        raise ValueError("pass either fault_plan or fault_scenario, not both")
     if fault_scenario is not None and fault_scenario not in SCENARIOS:
         raise ValueError(
             f"unknown fault_scenario {fault_scenario!r}; expected one of {SCENARIOS}"

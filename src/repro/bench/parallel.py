@@ -14,7 +14,7 @@ Three pieces:
 
 * :class:`RunSpec` — a declarative, picklable description of one run
   (system, :class:`WorkloadSpec` naming a registered workload plus its
-  config params, seed, durations, cluster config, fault plan or named
+  config params, seed, durations, cluster config, named fault
   scenario, recorder flags), checked at construction. Everything a
   spec references must be module-level and picklable — no lambdas, no
   closures, no live handles (CONTRIBUTING.md, "Spawn safety").
@@ -59,8 +59,8 @@ from repro.bench.harness import (
     run_benchmark,
 )
 from repro.core.strategy import StrategyWeights
-from repro.faults.plan import FaultPlan, build_scenario
-from repro.obs import DecisionLedger, Observability, SloEngine
+from repro.faults.plan import build_scenario
+from repro.obs import DecisionLedger, SloEngine
 from repro.sim.config import ClusterConfig
 from repro.workloads.openloop import OpenLoopSpec
 
@@ -165,9 +165,9 @@ class RunSpec:
     Spawn-safety contract: every field must pickle, and anything it
     references (workload names, fault scenarios) must resolve through
     module-level registries in the worker process. Live objects —
-    ``Observability`` handles, workload instances, lambdas — are
-    excluded by construction; observation is requested with the
-    ``observed`` flag and rebuilt worker-side.
+    recorders, workload instances, lambdas — are excluded by
+    construction; a recorder is requested with its flag and rebuilt
+    worker-side.
     """
 
     system: str
@@ -177,14 +177,8 @@ class RunSpec:
     warmup_ms: float = 500.0
     cluster: Optional[ClusterConfig] = None
     weights: Optional[StrategyWeights] = None
-    #: partition -> site, as sorted pairs (a dict is accepted and stored
-    #: that way, so the spec stays hashable).
-    placement: Optional[Tuple[Tuple[int, int], ...]] = None
     seed: int = 0
     streaming_metrics: bool = False
-    #: Attach a fresh Observability in the worker (timelines and
-    #: attribution shares come back on the summary; the handle does not).
-    observed: bool = False
     #: Attach a fresh DecisionLedger in the worker (mastering metrics
     #: come back folded on ``RunSummary.mastery``; the ledger does not).
     mastery: bool = False
@@ -195,8 +189,6 @@ class RunSpec:
     #: :func:`repro.faults.plan.build_scenario` against this spec's
     #: cluster size and duration.
     fault_scenario: Optional[str] = None
-    #: Explicit fault schedule (instead of ``fault_scenario``, never both).
-    fault_plan: Optional[FaultPlan] = None
     #: Open-loop traffic description; when set, the worker drives the
     #: run with an OpenLoopEngine instead of ``num_clients`` closed-loop
     #: clients (``num_clients`` is then ignored). Pure data like every
@@ -209,18 +201,8 @@ class RunSpec:
         check_run_params(
             self.system, num_clients=self.num_clients,
             duration_ms=self.duration_ms, warmup_ms=self.warmup_ms,
-            open_loop=self.open_loop, fault_plan=self.fault_plan,
-            fault_scenario=self.fault_scenario,
+            open_loop=self.open_loop, fault_scenario=self.fault_scenario,
         )
-        if isinstance(self.placement, dict):
-            object.__setattr__(
-                self, "placement", tuple(sorted(self.placement.items()))
-            )
-
-    def placement_dict(self) -> Optional[Dict[int, int]]:
-        if self.placement is None:
-            return None
-        return dict(self.placement)
 
 
 def execute_spec(spec: RunSpec) -> RunResult:
@@ -232,7 +214,7 @@ def execute_spec(spec: RunSpec) -> RunResult:
     makes serial/parallel bit-identity hold by construction. It is also
     the one place in ``bench/`` that builds recorders from flags.
     """
-    plan = spec.fault_plan
+    plan = None
     if spec.fault_scenario is not None:
         cluster = spec.cluster or ClusterConfig()
         plan = build_scenario(
@@ -248,9 +230,7 @@ def execute_spec(spec: RunSpec) -> RunResult:
         warmup_ms=spec.warmup_ms,
         cluster_config=spec.cluster,
         weights=spec.weights,
-        placement=spec.placement_dict(),
         seed=spec.seed,
-        obs=Observability() if spec.observed else None,
         streaming_metrics=spec.streaming_metrics,
         fault_plan=plan,
         ledger=DecisionLedger() if spec.mastery else None,
@@ -275,8 +255,6 @@ class RunSummary(RunMeasurements):
     result answers to as well.
     """
 
-    #: Share of commit latency per causal category (observed runs only).
-    attribution_shares: Dict[str, float] = field(default_factory=dict)
     #: Folded ledger scalars (mastery runs only): locality share,
     #: entropy, churn, convergence — see DecisionLedger.summary().
     mastery: Dict[str, float] = field(default_factory=dict)
@@ -298,7 +276,6 @@ def summarize(result: RunResult) -> RunSummary:
     """Build the portable :class:`RunSummary` of a live run."""
     return RunSummary(
         **{f.name: getattr(result, f.name) for f in fields(RunMeasurements)},
-        attribution_shares=result.attribution_shares,
         mastery=result.mastery,
         slo_verdict=result.slo_verdict,
         fingerprint=run_fingerprint(result),
@@ -347,11 +324,9 @@ class ParallelExecutor:
     regardless of completion order — determinism of the output list is
     part of the contract, not a scheduling accident.
 
-    ``on_error="raise"`` (default) raises :class:`SpecExecutionError`
-    for the first failing item *after* letting every other item finish,
-    so one bad spec cannot poison the rest of a matrix mid-flight;
-    ``on_error="collect"`` returns the error objects in the failing
-    items' slots instead of raising.
+    A failing item raises :class:`SpecExecutionError` for the first
+    failure *after* letting every other item finish, so one bad spec
+    cannot poison the rest of a matrix mid-flight.
     """
 
     def __init__(self, jobs: int = 1):
@@ -359,22 +334,14 @@ class ParallelExecutor:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
 
-    def map(
-        self,
-        fn: Callable,
-        items: Sequence,
-        on_error: str = "raise",
-    ) -> List:
-        if on_error not in ("raise", "collect"):
-            raise ValueError(f"on_error must be 'raise' or 'collect', got {on_error!r}")
+    def map(self, fn: Callable, items: Sequence) -> List:
         if self.jobs == 1 or len(items) <= 1:
             outcomes = [self._run_serial(fn, item) for item in items]
         else:
             outcomes = self._run_pool(fn, items)
-        if on_error == "raise":
-            for outcome in outcomes:
-                if isinstance(outcome, SpecExecutionError):
-                    raise outcome
+        for outcome in outcomes:
+            if isinstance(outcome, SpecExecutionError):
+                raise outcome
         return outcomes
 
     def _run_serial(self, fn, item):
@@ -429,17 +396,13 @@ def _spec_worker(spec: RunSpec) -> RunSummary:
     return summarize(execute_spec(spec))
 
 
-def execute_specs(
-    specs: Sequence[RunSpec],
-    jobs: int = 1,
-    on_error: str = "raise",
-) -> List[RunSummary]:
+def execute_specs(specs: Sequence[RunSpec], jobs: int = 1) -> List[RunSummary]:
     """Execute ``specs`` and return portable summaries in spec order.
 
     The one run path of every driver: in-process at ``jobs=1`` (one
     cluster alive at a time), over worker processes above it.
     """
-    return ParallelExecutor(jobs).map(_spec_worker, specs, on_error=on_error)
+    return ParallelExecutor(jobs).map(_spec_worker, specs)
 
 
 # ---------------------------------------------------------------------------

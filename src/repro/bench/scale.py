@@ -229,8 +229,7 @@ def point_row(case: ScaleCase, multiplier: float, summary) -> Dict:
     }
 
 
-def find_knee(points: Sequence[Dict], threshold: float = KNEE_THRESHOLD
-              ) -> Optional[Dict]:
+def find_knee(points: Sequence[Dict]) -> Optional[Dict]:
     """The highest-offered ladder point that still keeps up.
 
     ``None`` when even the lowest rung collapses (the ladder starts
@@ -239,7 +238,7 @@ def find_knee(points: Sequence[Dict], threshold: float = KNEE_THRESHOLD
     knee = None
     for point in points:
         ratio = point.get("goodput_ratio")
-        if ratio is None or ratio < threshold:
+        if ratio is None or ratio < KNEE_THRESHOLD:
             continue
         if knee is None or point["offered_tps"] > knee["offered_tps"]:
             knee = point

@@ -658,6 +658,8 @@ def cmd_perf(args) -> int:
     baseline = args.baseline or harness.DEFAULT_REPORT
     try:
         if args.scale:
+            if args.cores:
+                raise ValueError("--cores applies to the perf matrix, not --scale")
             return scale.main(
                 smoke=args.smoke,
                 check=args.check,

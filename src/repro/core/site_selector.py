@@ -72,7 +72,6 @@ class SiteSelector:
         scheme: PartitionScheme,
         placement: Dict[int, int],
         weights: Optional[StrategyWeights] = None,
-        stats_config: Optional[StatisticsConfig] = None,
     ):
         self.cluster = cluster
         self.env = cluster.env
@@ -83,7 +82,7 @@ class SiteSelector:
         self.table = PartitionTable(self.env, placement)
         weights = weights or StrategyWeights()
         self.statistics = AccessStatistics(
-            stats_config,
+            StatisticsConfig(),
             rng=cluster.streams.stream("selector-sampling"),
             track_inter=weights.inter_txn != 0,
         )

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Deque, Dict, Iterable, List, Mapping, Tuple
 
 from repro.sim.config import check_config
 
@@ -89,11 +89,11 @@ class AccessStatistics:
 
     def __init__(
         self,
-        config: Optional[StatisticsConfig] = None,
+        config: StatisticsConfig,
         rng=None,
         track_inter: bool = True,
     ):
-        self.config = config or StatisticsConfig()
+        self.config = config
         self._rng = rng
         #: Whether inter-transaction pairs are recorded; the selector
         #: derives it from its weights (a zero ``inter_txn`` weight

@@ -120,9 +120,7 @@ class ChaosReport:
 
     # -- mastering re-convergence (ledger-observed chaos runs) ---------------
 
-    def mastering_summary(
-        self, threshold: float = 0.05, window_ms: float = 250.0
-    ) -> Optional[Dict]:
+    def mastering_summary(self, window_ms: float = 250.0) -> Optional[Dict]:
         """Mastering metrics with per-disruption re-convergence.
 
         For a chaos run with a decision ledger attached
@@ -130,7 +128,7 @@ class ChaosReport:
         ``repro chaos --masters``), returns the ledger's scalar summary
         plus a ``reconvergence`` list with one entry per fault
         transition: how many milliseconds after the event the windowed
-        remaster rate settled back at or below ``threshold`` (None when
+        remaster rate settled back at or below 5 % (None when
         it never did — e.g. the run ended mid-storm). A portable
         summary that only carries folded scalars gets an empty
         ``reconvergence`` list (the event-level series stayed in the
@@ -148,13 +146,13 @@ class ChaosReport:
                 "kind": kind,
                 "site": site,
                 "reconvergence_ms": ledger.convergence_time(
-                    after=at_ms, threshold=threshold, window_ms=window_ms
+                    after=at_ms, window_ms=window_ms
                 ),
             }
             for at_ms, kind, site in self.fault_events
         ]
         return {
-            "summary": ledger.summary(threshold=threshold, window_ms=window_ms),
+            "summary": ledger.summary(window_ms=window_ms),
             "reconvergence": reconvergence,
         }
 
@@ -218,9 +216,9 @@ class ChaosReport:
     def final_rate(self) -> float:
         return self.buckets[-1].commits_per_s if self.buckets else 0.0
 
-    def recovered(self, fraction: float = 0.5) -> bool:
-        """Whether the run's last bucket got back to ``fraction`` of steady."""
-        return self.final_rate() >= fraction * self.steady_rate()
+    def recovered(self) -> bool:
+        """Whether the run's last bucket got back to half the steady rate."""
+        return self.final_rate() >= 0.5 * self.steady_rate()
 
     # -- export --------------------------------------------------------------
 
@@ -272,6 +270,7 @@ def run_chaos(
     scenario's injected fault windows. ``defenses`` selects the
     gray-failure defense preset (see :func:`defense_setup`).
     """
+    _check_bucket(bucket_ms)
     if plan is None:
         plan = build_scenario(scenario, num_sites=num_sites, duration_ms=duration_ms)
     if workload is None:
@@ -296,6 +295,13 @@ def run_chaos(
         num_sites=num_sites, duration_ms=duration_ms,
         warmup_ms=warmup_ms, bucket_ms=bucket_ms,
     )
+
+
+def _check_bucket(bucket_ms: float) -> None:
+    # A bucket that is not positive would yield an empty timeline, which
+    # reads as a dead run that "recovered".
+    if not bucket_ms > 0:
+        raise ValueError(f"bucket_ms must be > 0, got {bucket_ms}")
 
 
 def report_from_result(
@@ -353,10 +359,8 @@ def run_chaos_matrix(
     num_sites: int = 3,
     num_clients: int = 16,
     duration_ms: float = 10_000.0,
-    warmup_ms: float = 0.0,
     bucket_ms: float = 250.0,
     seed: int = 0,
-    workload: Optional[WorkloadSpec] = None,
     mastery: bool = False,
     slo: bool = False,
     defenses: str = "fixed",
@@ -375,7 +379,8 @@ def run_chaos_matrix(
     evaluates the default SLO and invariant monitors in every cell;
     the folded verdict rides back on each summary's ``slo`` dict.
     """
-    workload = workload or chaos_workload_spec()
+    _check_bucket(bucket_ms)
+    workload = chaos_workload_spec()
     rpc, weights = defense_setup(defenses, workload.build())
     combos = [(system, scenario) for system in systems for scenario in scenarios]
     specs = [
@@ -384,7 +389,7 @@ def run_chaos_matrix(
             workload=workload,
             num_clients=num_clients,
             duration_ms=duration_ms,
-            warmup_ms=warmup_ms,
+            warmup_ms=0.0,
             cluster=ClusterConfig(num_sites=num_sites, rpc=rpc),
             weights=weights,
             seed=seed,
@@ -399,8 +404,7 @@ def run_chaos_matrix(
     return {
         combo: report_from_result(
             summary, combo[1],
-            num_sites=num_sites, duration_ms=duration_ms,
-            warmup_ms=warmup_ms, bucket_ms=bucket_ms,
+            num_sites=num_sites, duration_ms=duration_ms, bucket_ms=bucket_ms,
         )
         for combo, summary in zip(combos, summaries)
     }

@@ -150,6 +150,12 @@ class FailureDetector(_SuspicionCounters):
         return max(0.0, 1.0 - strikes / self.threshold)
 
 
+#: EWMA weight of a new inter-success interval, and the floor on the
+#: modelled interval's standard deviation, of :class:`AdaptiveDetector`.
+_ALPHA = 0.1
+_MIN_STD_MS = 0.5
+
+
 class AdaptiveDetector(_SuspicionCounters):
     """Phi-accrual-style adaptive failure detector.
 
@@ -180,24 +186,18 @@ class AdaptiveDetector(_SuspicionCounters):
         phi_threshold: float = 8.0,
         threshold: int = 2,
         ground_truth: GroundTruth = None,
-        alpha: float = 0.1,
-        min_std_ms: float = 0.5,
         quarantine_ms: float = 250.0,
     ):
         if phi_threshold <= 0:
             raise ValueError(f"phi threshold must be positive, got {phi_threshold}")
         if threshold < 1:
             raise ValueError(f"suspicion threshold must be >= 1, got {threshold}")
-        if not 0 < alpha <= 1:
-            raise ValueError(f"EWMA alpha must be in (0, 1], got {alpha}")
         if quarantine_ms < 0:
             raise ValueError(f"quarantine must be >= 0 ms, got {quarantine_ms}")
         super().__init__(ground_truth, clock)
         self.clock = clock
         self.phi_threshold = phi_threshold
         self.threshold = threshold
-        self.alpha = alpha
-        self.min_std_ms = min_std_ms
         #: Suspicion hysteresis. A fail-slow site keeps *succeeding*
         #: (slowly), and under concurrent traffic some success always
         #: lands shortly after suspicion trips — without a latch the
@@ -226,9 +226,9 @@ class AdaptiveDetector(_SuspicionCounters):
                 self._var[site] = 0.0
             else:
                 delta = interval - mean
-                self._mean[site] = mean + self.alpha * delta
-                self._var[site] = (1.0 - self.alpha) * (
-                    self._var[site] + self.alpha * delta * delta
+                self._mean[site] = mean + _ALPHA * delta
+                self._var[site] = (1.0 - _ALPHA) * (
+                    self._var[site] + _ALPHA * delta * delta
                 )
         self._last_ok[site] = now
         self._timeouts_since_ok[site] = 0
@@ -280,7 +280,7 @@ class AdaptiveDetector(_SuspicionCounters):
             # onto the phi scale so one threshold governs both regimes.
             return self.phi_threshold * (timeouts / self.threshold)
         elapsed = self.clock() - last
-        std = max(self.min_std_ms, math.sqrt(self._var.get(site, 0.0)), 0.1 * mean)
+        std = max(_MIN_STD_MS, math.sqrt(self._var.get(site, 0.0)), 0.1 * mean)
         tail = 0.5 * math.erfc((elapsed - mean) / (std * math.sqrt(2.0)))
         if tail <= 0.0:
             return math.inf

@@ -102,12 +102,11 @@ def partition_site(
     start_ms: float,
     end_ms: float,
     num_sites: int,
-    include_frontend: bool = True,
 ) -> List[LinkFault]:
-    """Sugar: cut both directions of every link touching ``site``."""
+    """Sugar: cut both directions of every link touching ``site``,
+    the front end's included."""
     peers = [index for index in range(num_sites) if index != site]
-    if include_frontend:
-        peers.append(FRONTEND)
+    peers.append(FRONTEND)
     faults = []
     for peer in peers:
         faults.append(LinkFault(site, peer, start_ms, end_ms, drop=True))
@@ -122,7 +121,6 @@ def flapping_site(
     num_sites: int,
     period_ms: float,
     downtime_ms: Optional[float] = None,
-    include_frontend: bool = True,
 ) -> List[LinkFault]:
     """Sugar: repeatedly isolate ``site`` — down for ``downtime_ms``
     (default: half the period) at the start of every ``period_ms``
@@ -145,10 +143,7 @@ def flapping_site(
     window_start = start_ms
     while window_start < end_ms:
         window_end = min(window_start + down, end_ms)
-        faults.extend(partition_site(
-            site, window_start, window_end, num_sites,
-            include_frontend=include_frontend,
-        ))
+        faults.extend(partition_site(site, window_start, window_end, num_sites))
         window_start += period_ms
     return faults
 
@@ -297,13 +292,12 @@ def build_scenario(
     name: str,
     num_sites: int,
     duration_ms: float,
-    outage_ms: Optional[float] = None,
 ) -> FaultPlan:
     """Instantiate a named scenario scaled to the run duration.
 
     ``crash-restart`` (the paper-style availability experiment) crashes
-    one site a third of the way in and restarts it ``outage_ms`` later
-    (default: 20 simulated seconds, capped to a third of the run). The
+    one site a third of the way in and restarts it a third of the run
+    (at most 20 simulated seconds) later. The
     gray scenarios degrade over the same window: ``fail_slow_master``
     slows the victim's CPU 10x, ``degraded_wan_link`` inflates the
     0<->1 link with seeded jitter, ``flapping_site`` cuts the victim's
@@ -313,7 +307,7 @@ def build_scenario(
     if num_sites < 2:
         raise ValueError("fault scenarios need at least two sites")
     third = duration_ms / 3.0
-    outage = outage_ms if outage_ms is not None else min(20_000.0, third)
+    outage = min(20_000.0, third)
     victim = 1
     if name == "crash-restart":
         return FaultPlan(crashes=(

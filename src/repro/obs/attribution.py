@@ -86,8 +86,7 @@ class AttributionReport:
 
     @classmethod
     def from_tracer(cls, tracer: Tracer,
-                    meta: Optional[Mapping[str, object]] = None,
-                    keep_segments: bool = True) -> "AttributionReport":
+                    meta: Optional[Mapping[str, object]] = None) -> "AttributionReport":
         """Attribute every committed, recorded transaction of a trace."""
         txns: List[TxnAttribution] = []
         for txn_id in sorted(tracer.txns):
@@ -101,7 +100,7 @@ class AttributionReport:
                 begin=record.begin,
                 latency=record.latency,
                 categories=path_categories(segments),
-                segments=segments if keep_segments else [],
+                segments=segments,
             ))
         return cls(
             meta=dict(meta or {}),
@@ -110,8 +109,7 @@ class AttributionReport:
         )
 
     @classmethod
-    def from_result(cls, result, seed: Optional[int] = None,
-                    keep_segments: bool = True) -> "AttributionReport":
+    def from_result(cls, result, seed: Optional[int] = None) -> "AttributionReport":
         """Attribute a :class:`~repro.bench.harness.RunResult`.
 
         The run must have been observed (``result.obs`` attached and
@@ -131,7 +129,7 @@ class AttributionReport:
         }
         if seed is not None:
             meta["seed"] = seed
-        return cls.from_tracer(obs.tracer, meta=meta, keep_segments=keep_segments)
+        return cls.from_tracer(obs.tracer, meta=meta)
 
     # -- aggregates ----------------------------------------------------------
 
@@ -204,12 +202,12 @@ class AttributionReport:
 
     # -- blame and exemplars -------------------------------------------------
 
-    def blame(self, tail_q: float = 0.95, top: int = 8) -> List[Dict[str, object]]:
-        """Rank (category, track) pairs by share of the latency tail."""
+    def blame(self, top: int = 8) -> List[Dict[str, object]]:
+        """Rank (category, track) pairs by share of the p95 latency tail."""
         ordered = self._by_latency()
         if not ordered:
             return []
-        threshold = ordered[_nearest_rank(len(ordered), tail_q)].latency
+        threshold = ordered[_nearest_rank(len(ordered), 0.95)].latency
         tail = [txn for txn in ordered if txn.latency >= threshold]
         totals: Dict[Tuple[str, str], float] = {}
         tail_latency = 0.0

@@ -156,18 +156,17 @@ def write_jsonl(tracer: Tracer, path: str) -> None:
             handle.write(line + "\n")
 
 
-def flame_summary(tracer: Tracer, top: int = 20,
-                  recorded_only: bool = True) -> str:
+def flame_summary(tracer: Tracer, top: int = 20) -> str:
     """Top-N span-tree paths by total time — a text flamegraph.
 
     Paths are rooted at the transaction type (``rmw/route/routing``),
-    aggregated across transactions.
+    aggregated across the recorded transactions.
     """
     totals: Dict[str, Tuple[float, int]] = {}
     txn_time = 0.0
     txn_count = 0
     for record in tracer.txns.values():
-        if recorded_only and not record.recorded:
+        if not record.recorded:
             continue
         latency = record.latency
         if latency is None:
@@ -204,7 +203,7 @@ def reconcile_with_metrics(tracer: Tracer, metrics) -> List[dict]:
     the trace side the same way Metrics derives it: end-to-end latency
     minus accounted phase time.
     """
-    trace_totals = tracer.phase_totals(recorded_only=True)
+    trace_totals = tracer.phase_totals()
     phase_names = [name for name in metrics.phase_totals if name != "other"]
     accounted = sum(trace_totals.get(name, 0.0) for name in phase_names)
     derived_other = max(0.0, tracer.recorded_latency_total() - accounted)

@@ -384,14 +384,13 @@ class DecisionLedger:
         after: float = 0.0,
         threshold: float = DEFAULT_THRESHOLD,
         window_ms: float = 100.0,
-        end: Optional[float] = None,
     ) -> Optional[float]:
         """Milliseconds from ``after`` until remastering goes quiet.
 
         Convergence is reached at the start of the first window at or
         after ``after`` whose remastered fraction of routed updates is
         <= ``threshold`` **and stays** <= for every later window
-        through ``end`` (steady state, not a lull). Returns the delay
+        through the end of the run (steady state, not a lull). Returns the delay
         from ``after`` to that window start — 0.0 when the very first
         window is already steady — or None if the rate never settles.
 
@@ -400,7 +399,7 @@ class DecisionLedger:
         ``after`` therefore converges immediately.
         """
         windows = [
-            window for window in self.rate_series(window_ms, end=end)
+            window for window in self.rate_series(window_ms)
             if window.start_ms + window_ms > after
         ]
         if not windows:
@@ -418,16 +417,10 @@ class DecisionLedger:
 
     # -- churn / entropy -----------------------------------------------------
 
-    def churn(self, window_ms: Optional[float] = None) -> Dict[int, int]:
-        """Ownership changes per partition (optionally only the last
-        ``window_ms`` of recorded history)."""
+    def churn(self) -> Dict[int, int]:
+        """Ownership changes per partition."""
         counts: Dict[int, int] = {}
-        cutoff = None
-        if window_ms is not None and self.changes:
-            cutoff = self.changes[-1].at_ms - window_ms
         for change in self.changes:
-            if cutoff is not None and change.at_ms < cutoff:
-                continue
             counts[change.partition] = counts.get(change.partition, 0) + 1
         return counts
 
@@ -449,13 +442,13 @@ class DecisionLedger:
             owners.append(change.destination)
         return bounces
 
-    def entropy(self, placement: Optional[Dict[int, int]] = None) -> float:
-        """Normalized Shannon entropy of the mastership distribution.
+    def entropy(self) -> float:
+        """Normalized Shannon entropy of the final mastership distribution.
 
         0.0 when one site masters everything, 1.0 when partitions are
-        spread evenly over all sites. Defaults to the final placement.
+        spread evenly over all sites.
         """
-        placement = placement if placement is not None else self.final_placement()
+        placement = self.final_placement()
         if not placement or self.num_sites <= 1:
             return 0.0
         counts: Dict[int, int] = {}
@@ -471,10 +464,7 @@ class DecisionLedger:
     # -- summary -------------------------------------------------------------
 
     def summary(
-        self,
-        threshold: float = DEFAULT_THRESHOLD,
-        window_ms: float = 100.0,
-        end: Optional[float] = None,
+        self, threshold: float = DEFAULT_THRESHOLD, window_ms: float = 100.0
     ) -> Dict[str, float]:
         """Scalar mastering metrics, portable across process boundaries.
 
@@ -482,9 +472,7 @@ class DecisionLedger:
         :class:`~repro.bench.parallel.RunSummary` for ``--jobs N``
         runs; keep values plain floats.
         """
-        convergence = self.convergence_time(
-            threshold=threshold, window_ms=window_ms, end=end
-        )
+        convergence = self.convergence_time(threshold=threshold, window_ms=window_ms)
         ping_pongs = self.ping_pongs()
         return {
             "decisions": float(len(self.decisions)),
@@ -533,25 +521,22 @@ class DecisionLedger:
         with open(path, "w") as handle:
             handle.write(self.to_jsonl())
 
-    def to_csv(self, window_ms: float = 100.0,
-               end: Optional[float] = None) -> str:
+    def to_csv(self, window_ms: float = 100.0) -> str:
         """The windowed remaster-rate series as CSV."""
         lines = ["start_ms,routed,remastered,partitions_moved,remaster_fraction"]
-        for window in self.rate_series(window_ms, end=end):
+        for window in self.rate_series(window_ms):
             lines.append(
                 f"{window.start_ms:g},{window.routed},{window.remastered},"
                 f"{window.partitions_moved},{window.remaster_fraction:.6f}"
             )
         return "\n".join(lines) + "\n"
 
-    def write_csv(self, path: str, window_ms: float = 100.0,
-                  end: Optional[float] = None) -> None:
+    def write_csv(self, path: str, window_ms: float = 100.0) -> None:
         with open(path, "w") as handle:
-            handle.write(self.to_csv(window_ms, end=end))
+            handle.write(self.to_csv(window_ms))
 
     def to_registry(self, registry, threshold: float = DEFAULT_THRESHOLD,
-                    window_ms: float = 100.0,
-                    end: Optional[float] = None) -> None:
+                    window_ms: float = 100.0) -> None:
         """Fold mastering metrics into a MetricsRegistry for Prometheus.
 
         Counters for decision/route/move volume, gauges for locality
@@ -559,7 +544,7 @@ class DecisionLedger:
         never settled), exposed through the registry's standard
         ``to_prometheus``.
         """
-        summary = self.summary(threshold=threshold, window_ms=window_ms, end=end)
+        summary = self.summary(threshold=threshold, window_ms=window_ms)
         for name in ("decisions", "updates_routed", "updates_remastered",
                      "partitions_moved"):
             registry.counter(f"repro_masters_{name}_total").inc(int(summary[name]))

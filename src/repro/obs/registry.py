@@ -200,8 +200,8 @@ class StreamingHistogram:
         for index, count in other._buckets.items():
             self._count_bucket(index, count)
 
-    def percentiles(self, fractions=(0.50, 0.90, 0.95, 0.99)) -> Dict[float, float]:
-        return {fraction: self.quantile(fraction) for fraction in fractions}
+    def percentiles(self) -> Dict[float, float]:
+        return {fraction: self.quantile(fraction) for fraction in (0.50, 0.90, 0.95, 0.99)}
 
     def bucket_counts(self) -> List[Tuple[float, int]]:
         """(bucket lower bound, count) pairs, for export."""
@@ -271,12 +271,8 @@ class MetricsRegistry:
         return _series(self.gauges, name, labels, Gauge)
 
     def histogram(self, name: str,
-                  labels: Optional[Mapping[str, object]] = None,
-                  base: float = 1e-3, growth: float = 1.05) -> StreamingHistogram:
-        return _series(
-            self.histograms, name, labels,
-            lambda family: StreamingHistogram(family, base=base, growth=growth),
-        )
+                  labels: Optional[Mapping[str, object]] = None) -> StreamingHistogram:
+        return _series(self.histograms, name, labels, StreamingHistogram)
 
     def to_prometheus(self, labels: Optional[Mapping[str, str]] = None) -> str:
         """Render every series in Prometheus text exposition format.

@@ -58,11 +58,11 @@ METRICS = (
 
 #: Incidents with onset within this long after a fault span ends are
 #: still attributed to it (recovery tail), not counted false positive.
-DEFAULT_GRACE_MS = 2000.0
+GRACE_MS = 2000.0
 
 #: Ground-truth fault windows closer together than this merge into one
 #: span — a flapping site is one outage, not eight.
-DEFAULT_MERGE_GAP_MS = 1000.0
+MERGE_GAP_MS = 1000.0
 
 
 @dataclass(frozen=True)
@@ -375,15 +375,11 @@ class SloEngine:
         self,
         specs: Sequence[SloSpec] = DEFAULT_SLOS,
         window_ms: float = 250.0,
-        merge_gap_ms: float = DEFAULT_MERGE_GAP_MS,
-        grace_ms: float = DEFAULT_GRACE_MS,
     ):
         if window_ms <= 0:
             raise ValueError(f"window_ms must be positive, got {window_ms}")
         self.specs = tuple(specs)
         self.window_ms = float(window_ms)
-        self.merge_gap_ms = float(merge_gap_ms)
-        self.grace_ms = float(grace_ms)
         self._states = [_SloState(spec) for spec in self.specs]
         self._incidents: List[Incident] = []
         self._violations: List[Incident] = []
@@ -648,9 +644,7 @@ class SloEngine:
         plan = self.injector.plan if self.injector is not None else None
         spans: List[Dict[str, object]] = []
         if plan is not None and not plan.empty:
-            spans = _coalesce(
-                fault_windows(plan, duration_ms), self.merge_gap_ms
-            )
+            spans = _coalesce(fault_windows(plan, duration_ms), MERGE_GAP_MS)
         self.correlation = []
         matched: Set[int] = set()
         for span in spans:
@@ -660,7 +654,7 @@ class SloEngine:
                     incident.clear_ms if incident.clear_ms is not None
                     else duration_ms
                 )
-                if (incident.onset_ms <= span["end_ms"] + self.grace_ms
+                if (incident.onset_ms <= span["end_ms"] + GRACE_MS
                         and incident_end >= span["start_ms"]):
                     hits.append(index)
             detection = None
@@ -877,7 +871,7 @@ def load_jsonl(path: str) -> Dict[str, object]:
             "violations": violations, "spans": spans, "windows": windows}
 
 
-def quick_slos(window_ms: float = 250.0, **overrides) -> "SloEngine":
+def quick_slos(window_ms: float = 250.0) -> "SloEngine":
     """An engine tuned for short smoke runs: 2-window baselines so the
     relative thresholds arm before a scenario fault lands a third of
     the way into a 2-4 s run."""
@@ -886,11 +880,11 @@ def quick_slos(window_ms: float = 250.0, **overrides) -> "SloEngine":
         if spec.baseline_factor is not None else spec
         for spec in DEFAULT_SLOS
     )
-    return SloEngine(specs=specs, window_ms=window_ms, **overrides)
+    return SloEngine(specs=specs, window_ms=window_ms)
 
 
 __all__ = [
-    "SCHEMA", "METRICS", "DEFAULT_SLOS", "DEFAULT_GRACE_MS",
-    "DEFAULT_MERGE_GAP_MS", "SloSpec", "Incident", "SloEngine",
+    "SCHEMA", "METRICS", "DEFAULT_SLOS", "GRACE_MS",
+    "MERGE_GAP_MS", "SloSpec", "Incident", "SloEngine",
     "load_jsonl", "quick_slos",
 ]

@@ -429,22 +429,20 @@ class Tracer(NullTracer):
 
     # -- aggregation ---------------------------------------------------------
 
-    def phase_totals(self, recorded_only: bool = True) -> Dict[str, float]:
+    def phase_totals(self) -> Dict[str, float]:
         """Total span milliseconds by span name.
 
-        With ``recorded_only`` (the default), only spans of transactions
-        the benchmark harness recorded in its Metrics are summed — the
-        population whose ``Metrics.breakdown()`` these totals reconcile
-        against.
+        Only spans of transactions the benchmark harness recorded in its
+        Metrics are summed — the population whose ``Metrics.breakdown()``
+        these totals reconcile against.
         """
         totals: Dict[str, float] = {}
         for span in self.spans:
-            if recorded_only:
-                if span.txn_id is None:
-                    continue
-                record = self.txns.get(span.txn_id)
-                if record is None or not record.recorded:
-                    continue
+            if span.txn_id is None:
+                continue
+            record = self.txns.get(span.txn_id)
+            if record is None or not record.recorded:
+                continue
             totals[span.name] = totals.get(span.name, 0.0) + span.duration
         return totals
 

@@ -12,12 +12,13 @@ rebuilds a site's database and the mastership map by replay.
 
 from repro.replication.log import DurableLog, LogRecord
 from repro.replication.manager import ReplicationManager
-from repro.replication.recovery import recover_database, recover_mastership
+from repro.replication.recovery import merge_logs, recover_database, recover_mastership
 
 __all__ = [
     "DurableLog",
     "LogRecord",
     "ReplicationManager",
+    "merge_logs",
     "recover_database",
     "recover_mastership",
 ]

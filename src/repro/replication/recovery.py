@@ -13,7 +13,7 @@ import heapq
 from collections import deque
 from typing import Dict, Optional, Sequence
 
-from repro.replication.log import GRANT, RELEASE, UPDATE, DurableLog
+from repro.replication.log import GRANT, RELEASE, UPDATE, DurableLog, LogRecord
 from repro.sim.core import Environment
 from repro.storage.database import Database
 from repro.versioning.vectors import VersionVector
@@ -79,29 +79,25 @@ def merge_logs(logs: Sequence[DurableLog]) -> list:
 
 def recover_database(
     env: Environment,
-    logs: Sequence[DurableLog],
+    records: Sequence[LogRecord],
+    num_sites: int,
     max_versions: int = 4,
-    from_vector: Optional[VersionVector] = None,
     row_index: Optional[Dict] = None,
 ) -> tuple:
-    """Rebuild a database and site version vector from the redo logs.
+    """Rebuild a database and site version vector from merged redo logs.
 
+    ``records`` is :func:`merge_logs` of all ``num_sites`` sites' logs.
     Rows no record touched start at version (0, 0) on first access,
-    as at every other replica. ``from_vector`` skips records a
-    checkpoint already reflects (the site version vector stored with
-    it; in the paper the checkpoint comes from an existing replica).
-    ``row_index`` is the replica group's row numbering to rebuild into
-    (see :class:`~repro.storage.database.Database`).
+    as at every other replica. ``row_index`` is the replica group's row
+    numbering to rebuild into (see
+    :class:`~repro.storage.database.Database`).
 
     Returns ``(database, svv)``.
     """
     database = Database(env, max_versions=max_versions, row_index=row_index)
-    svv = VersionVector.zeros(len(logs))
-    skip = from_vector or VersionVector.zeros(len(logs))
-    for record in merge_logs(logs):
+    svv = VersionVector.zeros(num_sites)
+    for record in records:
         svv[record.origin] = record.seq
-        if record.seq <= skip[record.origin]:
-            continue
         if record.kind == UPDATE and record.keys:
             database.install_many(record.keys, record.origin, record.seq)
     return database, svv
@@ -133,13 +129,17 @@ def rejoin_site(cluster, index: int, initial_mastership: Dict[int, int]):
             costs.refresh_ms(len(record.keys)) for record in merge_logs(logs)
         )
         yield from site.cpu.use(replay_ms)
+        # Survivors kept appending while the replay was charged: merge
+        # again, once, for the state rebuilt at this instant.
+        records = merge_logs(logs)
         database, svv = recover_database(
             cluster.env,
-            logs,
+            records,
+            len(logs),
             max_versions=cluster.config.max_versions,
             row_index=site.database.row_index,
         )
-        mastership = recover_mastership(logs, initial_mastership)
+        mastership = recover_mastership(records, initial_mastership)
         mastered = {
             partition for partition, owner in mastership.items() if owner == index
         }
@@ -158,11 +158,12 @@ def rejoin_site(cluster, index: int, initial_mastership: Dict[int, int]):
 
 
 def recover_mastership(
-    logs: Sequence[DurableLog],
+    records: Sequence[LogRecord],
     initial_mastership: Dict[int, int],
 ) -> Dict[int, int]:
     """Reconstruct the partition -> master-site map from grant/release.
 
+    ``records`` is :func:`merge_logs` of every site's log;
     ``initial_mastership`` is the placement at load time. A release
     marker leaves the partition unowned until the matching grant names
     the new master; replay applies them in the Equation-1 order, so the
@@ -170,7 +171,7 @@ def recover_mastership(
     crash.
     """
     mastership = dict(initial_mastership)
-    for record in merge_logs(list(logs)):
+    for record in records:
         if record.kind == RELEASE:
             for partition in record.partitions:
                 mastership.pop(partition, None)

@@ -409,9 +409,9 @@ class AnyOf(_Condition):
 class Environment:
     """The simulation environment: virtual clock plus event queue."""
 
-    def __init__(self, initial_time: float = 0.0, obs=None):
+    def __init__(self, obs=None):
         _repay_gc()
-        self._now = float(initial_time)
+        self._now = 0.0
         self._queue: list = []
         #: The current-timestamp run: events scheduled at `now` while no
         #: heap entry is due at or before `now`. Dispatched FIFO before

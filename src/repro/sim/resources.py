@@ -163,10 +163,10 @@ class Resource:
         self._account()
         return self.busy_time
 
-    def utilization(self, elapsed: Optional[float] = None) -> float:
+    def utilization(self) -> float:
         """Fraction of total slot-time used since creation."""
         self._account()
-        window = elapsed if elapsed is not None else self.env.now
+        window = self.env.now
         if window <= 0:
             return 0.0
         return self.busy_time / (window * self.capacity)

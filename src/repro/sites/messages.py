@@ -26,12 +26,13 @@ from repro.faults.plan import FRONTEND
 from repro.sim.network import Network
 from repro.transactions import Transaction
 
+#: Wire bytes of an RPC request and of its reply.
+RPC_BYTES = 64
+
 
 def remote_call(
     network: Network,
     handler: Generator,
-    request_size: int = 64,
-    response_size: int = 64,
     category: str = "rpc",
     txn: Optional[Transaction] = None,
 ) -> Generator:
@@ -43,8 +44,8 @@ def remote_call(
     """
     env = network.env
     tracer = env.obs.tracer
-    request_delay = network.delay_for(request_size)
-    network.account(category, request_size)
+    request_delay = network.delay_for(RPC_BYTES)
+    network.account(category, RPC_BYTES)
     request_started = env._now
     traced = tracer.enabled
     yield env.timeout(request_delay)
@@ -52,8 +53,8 @@ def remote_call(
         tracer.span("network", request_started, env.now,
                     track="net", txn=txn, category=category)
     result = yield from handler
-    response_delay = network.delay_for(response_size)
-    network.account(category, response_size)
+    response_delay = network.delay_for(RPC_BYTES)
+    network.account(category, RPC_BYTES)
     response_started = env.now
     yield env.timeout(response_delay)
     if txn is not None:
@@ -139,8 +140,6 @@ def guarded_call(
     site,
     handler: Generator,
     src: int = FRONTEND,
-    request_size: int = 64,
-    response_size: int = 64,
     category: str = "rpc",
     txn: Optional[Transaction] = None,
     timeout_ms: Optional[float] = None,
@@ -170,17 +169,11 @@ def guarded_call(
     itself. Usage: ``x = yield from guarded_call(net, site, gen)``.
     """
     if network.faults is None:
-        return remote_call(
-            network, handler,
-            request_size=request_size, response_size=response_size,
-            category=category, txn=txn,
-        )
-    return _guarded(network, site, handler, src, request_size, response_size,
-                    category, txn, timeout_ms)
+        return remote_call(network, handler, category=category, txn=txn)
+    return _guarded(network, site, handler, src, category, txn, timeout_ms)
 
 
-def _guarded(network, site, handler, src, request_size, response_size,
-             category, txn, timeout_ms):
+def _guarded(network, site, handler, src, category, txn, timeout_ms):
     """:func:`guarded_call` with an injector installed."""
     faults = network.faults
     env = network.env
@@ -210,14 +203,14 @@ def _guarded(network, site, handler, src, request_size, response_size,
         ), max(0.0, remaining)
 
     # Request leg.
-    network.account(category, request_size)
+    network.account(category, RPC_BYTES)
     if network.leg_lost(src, dst):
         exc, remaining = _timed_out(dispatched=False)
         yield env.timeout(remaining)
         if traced:
             _edge("timeout")
         raise exc
-    yield env.timeout(network.leg_delay(src, dst, request_size))
+    yield env.timeout(network.leg_delay(src, dst, RPC_BYTES))
     if not site.alive:
         # Connection refused: the reset travels the reverse leg (and
         # can itself be lost, which then looks like a timeout).
@@ -252,14 +245,14 @@ def _guarded(network, site, handler, src, request_size, response_size,
         raise box.exc
     if proc.triggered:
         # Response leg.
-        network.account(category, response_size)
+        network.account(category, RPC_BYTES)
         if network.leg_lost(dst, src):
             exc, remaining = _timed_out(dispatched=True)
             yield env.timeout(remaining)
             if traced:
                 _edge("timeout")
             raise exc
-        yield env.timeout(network.leg_delay(dst, src, response_size))
+        yield env.timeout(network.leg_delay(dst, src, RPC_BYTES))
         faults.detector.report_success(dst)
         # Passive RTT observation feeding the adaptive deadline /
         # hedge-delay quantiles (recording only — no events, no draws).

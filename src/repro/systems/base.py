@@ -123,11 +123,12 @@ class System(ABC):
 
     # -- shared helpers ------------------------------------------------------
 
-    def client_hop(self, txn: Transaction, size: int = 128) -> Generator:
-        """One client-to-system network traversal, accounted to the txn."""
+    def client_hop(self, txn: Transaction) -> Generator:
+        """One client-to-system network traversal (a 128-byte message),
+        accounted to the txn."""
         env = self.env
-        delay = self.network.delay_for(size)
-        self.network.account("client", size)
+        delay = self.network.delay_for(128)
+        self.network.account("client", 128)
         started = env._now
         yield env.timeout(delay)
         txn.add_timing("network", delay)

@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.core.site_selector import SiteSelector
-from repro.core.statistics import StatisticsConfig
 from repro.core.strategy import StrategyWeights
 from repro.faults.errors import FaultError, RpcTimeout, TransactionAborted
 from repro.partitioning.schemes import PartitionScheme
@@ -31,7 +30,6 @@ class DynaMast(System):
         scheme: PartitionScheme,
         placement: Optional[Dict[int, int]] = None,
         weights: Optional[StrategyWeights] = None,
-        stats_config: Optional[StatisticsConfig] = None,
     ):
         super().__init__(cluster)
         self.scheme = scheme
@@ -41,7 +39,7 @@ class DynaMast(System):
             placement = scheme.round_robin_placement(cluster.num_sites)
         self.placement = placement
         cluster.place_partitions(placement)
-        self.selector = SiteSelector(cluster, scheme, placement, weights, stats_config)
+        self.selector = SiteSelector(cluster, scheme, placement, weights)
 
     def submit(self, txn: Transaction, session: Session):
         """Route, then run at one site; a retry re-routes from scratch.

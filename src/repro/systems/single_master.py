@@ -10,34 +10,15 @@ bottlenecked on the master's CPU as the update load grows.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.core.statistics import StatisticsConfig
-from repro.core.strategy import StrategyWeights
 from repro.partitioning.schemes import PartitionScheme
 from repro.systems.base import Cluster
 from repro.systems.dynamast import DynaMast
 
 
 class SingleMaster(DynaMast):
-    """All master copies pinned to one site; replicas serve reads."""
+    """All master copies pinned to site 0; replicas serve reads."""
 
     name = "single-master"
 
-    def __init__(
-        self,
-        cluster: Cluster,
-        scheme: PartitionScheme,
-        master_site: int = 0,
-        weights: Optional[StrategyWeights] = None,
-        stats_config: Optional[StatisticsConfig] = None,
-    ):
-        placement = scheme.single_site_placement(master_site)
-        super().__init__(
-            cluster,
-            scheme,
-            placement=placement,
-            weights=weights,
-            stats_config=stats_config,
-        )
-        self.master_site = master_site
+    def __init__(self, cluster: Cluster, scheme: PartitionScheme):
+        super().__init__(cluster, scheme, placement=scheme.single_site_placement(0))

@@ -83,13 +83,6 @@ class TestReportConstruction:
         with pytest.raises(AttributionError):
             AttributionReport.from_result(Unobserved())
 
-    def test_keep_segments_false_drops_waterfall_detail(self):
-        tracer, _ = synthetic_tracer()
-        report = AttributionReport.from_tracer(tracer, keep_segments=False)
-        assert all(txn.segments == [] for txn in report.txns)
-        # Budgets still work from the folded categories.
-        assert report.total_latency == pytest.approx(34.0)
-
     def test_empty_tracer_empty_report(self):
         report = AttributionReport.from_tracer(Tracer())
         assert report.txns == []
@@ -120,7 +113,7 @@ class TestBudgetsAndBlame:
 
     def test_blame_ranks_tail_by_category_track(self):
         tracer, _ = synthetic_tracer()
-        blame = AttributionReport.from_tracer(tracer).blame(tail_q=0.9, top=3)
+        blame = AttributionReport.from_tracer(tracer).blame(top=3)
         assert blame
         # The worst txn spends 15 ms in refresh wait at site2.
         assert blame[0]["category"] == "refresh_wait"

@@ -186,6 +186,20 @@ class TestExplainCommand:
 
 
 class TestChaosCommand:
+    @pytest.mark.parametrize("cells", [
+        ["--system", "dynamast", "--scenario", "crash-restart"],
+        ["--systems", "dynamast", "--scenarios", "crash,crash-restart"],
+    ])
+    def test_chaos_rejects_a_bucket_that_is_not_positive(self, cells, capsys):
+        """``--bucket 0`` printed an empty timeline and a "recovered"
+        run with 0 commit/s, and exited 0."""
+        code = main(["chaos", *cells, "--bucket", "0", "--duration", "400",
+                     "--clients", "2"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "bucket_ms must be > 0" in captured.err
+        assert "commit/s" not in captured.out
+
     def test_chaos_command(self, capsys, tmp_path):
         out = tmp_path / "timeline.csv"
         code = main([

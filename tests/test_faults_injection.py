@@ -338,7 +338,7 @@ class TestAvailabilityTimeline:
             "a fixed-placement store must dip while a site is down"
         )
         assert all(b.sites_up == 2 for b in outage)
-        assert report.recovered(fraction=0.5), (
+        assert report.recovered(), (
             f"rate never recovered: steady={steady}, final={report.final_rate()}"
         )
 
@@ -355,7 +355,7 @@ class TestAvailabilityTimeline:
         assert report.aborts_by_reason == {}
         # Remastering + replicas keep every bucket productive.
         assert all(bucket.commits_per_s > 0 for bucket in report.buckets)
-        assert report.recovered(fraction=0.5)
+        assert report.recovered()
 
     def test_partial_last_bucket_reports_its_true_rate(self):
         """1000 ms in 300 ms buckets leaves a 100 ms last bucket. Divided

@@ -147,10 +147,6 @@ class TestPartitionSugar:
         assert all(link.drop for link in links)
         assert all(link.start_ms == 100.0 and link.end_ms == 200.0 for link in links)
 
-    def test_partition_site_without_frontend(self):
-        links = partition_site(0, 0.0, 10.0, num_sites=2, include_frontend=False)
-        assert {(link.src, link.dst) for link in links} == {(0, 1), (1, 0)}
-
     def test_link_fault_active_window(self):
         link = LinkFault(0, 1, 100.0, 200.0, drop=True)
         assert not link.active_at(99.9)

@@ -241,7 +241,7 @@ class TestAdaptiveDetector:
         with pytest.raises(ValueError):
             AdaptiveDetector(clock=lambda: 0.0, phi_threshold=0.0)
         with pytest.raises(ValueError):
-            AdaptiveDetector(clock=lambda: 0.0, alpha=0.0)
+            AdaptiveDetector(clock=lambda: 0.0, quarantine_ms=-1.0)
 
 
 # -- adaptive deadlines -----------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 from repro.sim.core import Environment
 from repro.sim.network import Network, NetworkConfig
-from repro.sites.messages import remote_call
+from repro.sites.messages import RPC_BYTES, remote_call
 from repro.transactions import Transaction
 from tests.helpers import run_process
 
@@ -104,11 +104,8 @@ class TestRemoteCall:
             yield  # pragma: no cover
 
         def caller():
-            yield from remote_call(
-                network, handler(), request_size=100, response_size=50,
-                category="remaster",
-            )
+            yield from remote_call(network, handler(), category="remaster")
 
         process = env.process(caller())
         run_process(env, process)
-        assert network.traffic.bytes_by_category["remaster"] == 150
+        assert network.traffic.bytes_by_category["remaster"] == 2 * RPC_BYTES

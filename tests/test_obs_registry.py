@@ -303,8 +303,8 @@ class TestPrometheusExposition:
 
     def test_histogram_buckets_cumulative(self):
         registry = MetricsRegistry()
-        histogram = registry.histogram("lat", base=1.0, growth=2.0)
-        for value in (0.5, 1.5, 1.6, 3.0, 100.0):
+        histogram = registry.histogram("lat")
+        for value in (0.0005, 1.5, 1.6, 3.0, 100.0):
             histogram.record(value)
         text = registry.to_prometheus()
         pairs = bucket_series(text, "lat")
@@ -313,13 +313,13 @@ class TestPrometheusExposition:
         assert les == sorted(les)
         assert les[-1] == math.inf
         assert counts == sorted(counts)  # non-decreasing: cumulative
-        assert counts[0] == 1  # the 0.5 underflow sample, under le=base
+        assert counts[0] == 1  # the 0.0005 underflow sample, under le=base
         assert counts[-1] == 5
         rows = dict(
             (name, value) for name, _, value in parse_exposition(text)
         )
         assert rows["lat_count"] == "5"
-        assert float(rows["lat_sum"]) == pytest.approx(106.6)
+        assert float(rows["lat_sum"]) == pytest.approx(106.1005)
 
     def test_bucket_upper_bounds_cover_samples(self):
         registry = MetricsRegistry()
@@ -378,8 +378,8 @@ class TestPrometheusEdgeCases:
 
     def test_le_merges_and_sorts_with_caller_labels(self):
         registry = MetricsRegistry()
-        histogram = registry.histogram("lat", base=1.0, growth=2.0)
-        histogram.record(0.5)   # underflow bucket at le=base
+        histogram = registry.histogram("lat")
+        histogram.record(0.0005)   # underflow bucket at le=base
         histogram.record(3.0)
         text = registry.to_prometheus({"zz_site": "0", "aa_run": 'q"x'})
         for name, labels, _ in parse_exposition(text):
@@ -389,7 +389,7 @@ class TestPrometheusEdgeCases:
             assert labels.startswith('{aa_run="q\\"x",le="')
             assert labels.endswith('zz_site="0"}')
         pairs = bucket_series(text, "lat")
-        assert pairs[0][0] == 1.0  # underflow rendered at le=base
+        assert pairs[0][0] == 1e-3  # underflow rendered at le=base
         assert [count for _, count in pairs] == sorted(
             count for _, count in pairs
         )
@@ -397,9 +397,9 @@ class TestPrometheusEdgeCases:
 
     def test_underflow_only_histogram_keeps_cumulative_consistent(self):
         registry = MetricsRegistry()
-        registry.histogram("lat", base=10.0, growth=2.0).record(0.25)
+        registry.histogram("lat").record(0.00025)
         pairs = bucket_series(registry.to_prometheus(), "lat")
-        assert pairs == [(10.0, 1), (math.inf, 1)]
+        assert pairs == [(1e-3, 1), (math.inf, 1)]
 
     def test_bucket_bounds_are_each_lower_bound_times_growth(self):
         # ``lower * growth`` and ``base * growth ** (index + 1)`` are

@@ -23,6 +23,7 @@ from repro.bench.parallel import (
     RunSummary,
     SpecExecutionError,
     WorkloadSpec,
+    _spec_worker,
     execute_specs,
     run_fingerprint,
     summarize,
@@ -96,20 +97,8 @@ class TestParallelExecutorSerial:
         with pytest.raises(ValueError, match="jobs"):
             ParallelExecutor(0)
 
-    def test_invalid_on_error_rejected(self):
-        with pytest.raises(ValueError, match="on_error"):
-            ParallelExecutor(1).map(_square, [1], on_error="ignore")
-
     def test_serial_maps_in_order(self):
         assert ParallelExecutor(1).map(_square, [3, 1, 2]) == [9, 1, 4]
-
-    def test_serial_failure_collect_keeps_other_slots(self):
-        outcomes = ParallelExecutor(1).map(
-            _explode_on_three, [1, 3, 5], on_error="collect"
-        )
-        assert outcomes[0] == 10 and outcomes[2] == 50
-        assert isinstance(outcomes[1], SpecExecutionError)
-        assert "boom at three" in str(outcomes[1])
 
     def test_serial_failure_raise_names_the_item(self):
         with pytest.raises(SpecExecutionError, match="boom at three"):
@@ -121,12 +110,10 @@ class TestParallelExecutorPool:
         assert ParallelExecutor(2).map(_square, [3, 1, 2, 4]) == [9, 1, 4, 16]
 
     def test_pool_failure_is_attributed_not_broken_pool(self):
-        outcomes = ParallelExecutor(2).map(
-            _explode_on_three, [1, 3, 5], on_error="collect"
-        )
-        assert outcomes[0] == 10 and outcomes[2] == 50
-        error = outcomes[1]
-        assert isinstance(error, SpecExecutionError)
+        with pytest.raises(SpecExecutionError) as raised:
+            ParallelExecutor(2).map(_explode_on_three, [1, 3, 5])
+        error = raised.value
+        assert error.item == 3
         assert "BrokenProcessPool" not in str(error)
         assert "boom at three" in str(error)
         # The worker's traceback rides along for debugging.
@@ -163,10 +150,9 @@ class TestSpecFailurePaths:
         bad_config = tiny_spec(
             workload=WorkloadSpec.of("ycsb", rmw_fraction=1.5), label="bad-config"
         )
-        outcomes = execute_specs(
-            [good, unknown_workload, bad_config],
-            jobs=2,
-            on_error="collect",
+        # The pool's per-slot outcomes, before map raises the first error.
+        outcomes = ParallelExecutor(2)._run_pool(
+            _spec_worker, [good, unknown_workload, bad_config]
         )
         assert isinstance(outcomes[0], RunSummary)
         assert outcomes[0].metrics.commits > 0
@@ -186,9 +172,6 @@ class TestSpecFailurePaths:
         ("num_clients", dict(num_clients=0)),
         ("num_clients", dict(num_clients=-3)),
         ("fault_scenario", dict(fault_scenario="meteor-strike")),
-        ("fault_scenario", dict(  # used to run the plan silently
-            fault_scenario="crash",
-            fault_plan=build_scenario("crash", num_sites=2, duration_ms=150.0))),
     ])
     def test_bad_run_parameters_fail_in_the_parent_by_field(self, field, overrides):
         """A row that could only report ``commits 0`` is refused at
@@ -221,8 +204,8 @@ class TestSpecFailurePaths:
 
     def test_unknown_workload_error_names_known_workloads(self):
         bad = tiny_spec(workload=WorkloadSpec.of("nope"))
-        outcomes = execute_specs([bad], jobs=1, on_error="collect")
-        assert "ycsb" in str(outcomes[0])
+        with pytest.raises(SpecExecutionError, match="ycsb"):
+            execute_specs([bad], jobs=1)
 
 
 class TestPortableResults:
@@ -312,11 +295,7 @@ class TestPickleRoundTrips:
 
     def test_run_spec(self):
         spec = tiny_spec(
-            weights=StrategyWeights.for_ycsb(),
-            fault_plan=build_scenario("crash", num_sites=2, duration_ms=150.0),
-            placement=((0, 0), (1, 1)),
+            weights=StrategyWeights.for_ycsb(), fault_scenario="crash", mastery=True
         )
         clone = pickle.loads(pickle.dumps(spec))
         assert clone == spec
-        assert clone.placement_dict() == {0: 0, 1: 1}
-        assert tiny_spec(placement={1: 1, 0: 0}).placement == ((0, 0), (1, 1))

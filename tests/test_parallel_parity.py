@@ -26,6 +26,7 @@ from repro.bench.perf import run_cases
 from repro.bench.repeat import run_repeated
 from repro.bench.experiments import run_suite
 from repro.faults.chaos import run_chaos, run_chaos_matrix
+from repro.obs import Observability
 from repro.sim.config import ClusterConfig
 from repro.workloads.openloop import OpenLoopSpec
 from tests.test_perf_harness import TINY_MATRIX
@@ -37,6 +38,18 @@ CLUSTER = dict(num_sites=2, cores_per_site=2)
 
 def tiny_workload_spec():
     return WorkloadSpec.of("ycsb", num_partitions=16, rmw_fraction=0.5)
+
+
+def recorder_spec(system, **flags):
+    return RunSpec(system=system, workload=tiny_workload_spec(),
+                   cluster=ClusterConfig(**CLUSTER), seed=3, **TINY, **flags)
+
+
+def at_both_jobs(systems, **flags):
+    """The rows ``run_suite`` builds, plus ``flags``, at jobs 1 and 2."""
+    specs = [recorder_spec(system, **flags) for system in systems]
+    return (dict(zip(systems, execute_specs(specs, jobs=1))),
+            dict(zip(systems, execute_specs(specs, jobs=2))))
 
 
 def assert_same_runs(serial, parallel):
@@ -67,32 +80,15 @@ class TestRunSuiteParity:
         )
         assert suite["dynamast"].fingerprint == run_fingerprint(direct)
 
-    def test_observed_runs_fold_identical_attribution(self):
-        kwargs = dict(systems=("dynamast",), cluster=CLUSTER, seed=3,
-                      observed=True, **TINY)
-        serial = run_suite(tiny_workload_spec(), jobs=1, **kwargs)["dynamast"]
-        parallel = run_suite(tiny_workload_spec(), jobs=2, **kwargs)["dynamast"]
-        assert_same_runs([serial], [parallel])
-        assert parallel.attribution_shares  # folded worker-side
-        assert parallel.attribution_shares == serial.attribution_shares
-        assert parallel.timelines.keys() == serial.timelines.keys()
-
     def test_mastery_runs_fold_identical_summaries(self):
-        kwargs = dict(systems=SYSTEMS, cluster=CLUSTER, seed=3,
-                      mastery=True, **TINY)
-        serial = run_suite(tiny_workload_spec(), jobs=1, **kwargs)
-        parallel = run_suite(tiny_workload_spec(), jobs=2, **kwargs)
+        serial, parallel = at_both_jobs(SYSTEMS, mastery=True)
         assert_same_runs(serial.values(), parallel.values())
         for system in SYSTEMS:
             assert parallel[system].mastery == serial[system].mastery
             assert serial[system].mastery["updates_routed"] > 0
 
     def test_faulted_suite_parity(self):
-        spec = tiny_workload_spec()
-        kwargs = dict(systems=("dynamast",), cluster=CLUSTER, seed=3,
-                      fault_scenario="crash", **TINY)
-        serial = run_suite(spec, jobs=1, **kwargs)
-        parallel = run_suite(spec, jobs=2, **kwargs)
+        serial, parallel = at_both_jobs(("dynamast",), fault_scenario="crash")
         assert_same_runs(serial.values(), parallel.values())
         assert parallel["dynamast"].fault_events  # the crash happened
 
@@ -104,9 +100,7 @@ class TestRunSuiteParity:
     def test_every_run_spec_flag_works_at_both_jobs(self, flag, folded):
         """``slo`` died at jobs=1 and both were refused at jobs=2 while
         the drivers kept their own allow-list of RunSpec fields."""
-        kwargs = dict(systems=SYSTEMS, cluster=CLUSTER, seed=3, **TINY, **flag)
-        serial = run_suite(tiny_workload_spec(), jobs=1, **kwargs)
-        parallel = run_suite(tiny_workload_spec(), jobs=2, **kwargs)
+        serial, parallel = at_both_jobs(SYSTEMS, **flag)
         assert_same_runs(serial.values(), parallel.values())
         for system in SYSTEMS:
             assert getattr(serial[system], folded)
@@ -127,36 +121,30 @@ class TestRunRepeatedParity:
         assert parallel.mean_latency == serial.mean_latency
         assert parallel.p99_latency == serial.p99_latency
 
-    def test_placement_is_honoured_at_both_jobs(self):
-        """Accepted at jobs=1 and refused at jobs=2 before."""
-        spec = tiny_workload_spec()
-        kwargs = dict(seeds=(1, 2), cluster_config=ClusterConfig(**CLUSTER),
-                      **TINY)
-        default = run_repeated("dynamast", spec, **kwargs)
-        one_site = {partition: 0 for partition in range(16)}
-        serial = run_repeated("dynamast", spec, jobs=1, placement=one_site,
-                              **kwargs)
-        parallel = run_repeated("dynamast", spec, jobs=2, placement=one_site,
-                                **kwargs)
-        assert_same_runs(serial.runs, parallel.runs)
-        assert serial.runs[0].fingerprint != default.runs[0].fingerprint
+
+def recorded_run(system, recorder):
+    """One tiny run with ``recorder`` switched on."""
+    if recorder == "observed":  # a live tracer, which no RunSpec carries
+        return run_benchmark(
+            system, tiny_workload_spec().build(),
+            cluster_config=ClusterConfig(**CLUSTER), seed=3,
+            obs=Observability(), **TINY,
+        )
+    (summary,) = execute_specs([recorder_spec(system, **{recorder: True})])
+    return summary
 
 
-def recorder_spec(system, **flags):
-    return RunSpec(system=system, workload=tiny_workload_spec(),
-                   cluster=ClusterConfig(**CLUSTER), seed=3, **TINY, **flags)
-
-
-RECORDER_FLAGS = {
-    "observed": "attribution_shares",
-    "mastery": "mastery",
-    "slo": "slo_verdict",
+#: Recorder -> what it recorded on a run.
+RECORDERS = {
+    "observed": lambda run: len(run.obs.tracer.spans),
+    "mastery": lambda run: run.mastery,
+    "slo": lambda run: run.slo_verdict,
 }
 
 
 class TestPassiveRecorders:
-    """Every recorder a RunSpec flag attaches records and changes
-    nothing simulated — on every system."""
+    """Every recorder records and changes nothing simulated — on every
+    system."""
 
     @pytest.fixture(scope="class")
     def plain(self):
@@ -164,38 +152,37 @@ class TestPassiveRecorders:
         return dict(zip(ALL_SYSTEMS, execute_specs(specs)))
 
     @pytest.mark.parametrize("system", ALL_SYSTEMS)
-    @pytest.mark.parametrize("flag", RECORDER_FLAGS)
+    @pytest.mark.parametrize("flag", RECORDERS)
     def test_on_equals_off(self, plain, flag, system):
-        (recorded,) = execute_specs([recorder_spec(system, **{flag: True})])
-        assert recorded.fingerprint == plain[system].fingerprint
+        recorded = recorded_run(system, flag)
+        assert run_fingerprint(recorded) == plain[system].fingerprint
         assert recorded.metrics.commits > 0
-        assert getattr(recorded, RECORDER_FLAGS[flag])  # it did record
-        assert not getattr(plain[system], RECORDER_FLAGS[flag])
+        assert RECORDERS[flag](recorded)  # it did record
+        assert not plain[system].mastery and not plain[system].slo_verdict
         if flag == "mastery" and system == "dynamast":
             assert recorded.mastery["decisions"] > 0
 
 
 class TestOneResultShape:
     def test_live_result_and_its_portable_form_agree(self):
-        """``mastery``, ``slo_verdict`` and ``attribution_shares`` read
-        the same off a live result as off the summary folded from it."""
-        live = execute_spec(recorder_spec(
-            "dynamast", observed=True, mastery=True, slo=True))
+        """``mastery`` and ``slo_verdict`` read the same off a live
+        result as off the summary folded from it."""
+        live = execute_spec(recorder_spec("dynamast", mastery=True, slo=True))
         summary = live.portable()
-        for name in RECORDER_FLAGS.values():
+        for name in ("mastery", "slo_verdict"):
             folded = getattr(summary, name)
             assert folded and isinstance(folded, dict)
             assert getattr(live, name) == folded
-        assert live.obs is not None and summary.obs is None
+        assert live.ledger is not None and summary.ledger is None
 
     def test_detached_recorder_is_not_folded(self):
-        """perfbench detaches ``obs`` so ``portable()`` skips the
-        attribution fold; the attribute stays assignable."""
-        live = execute_spec(recorder_spec("dynamast", observed=True))
-        obs, live.obs = live.obs, None
-        assert live.portable().attribution_shares == {}
-        live.obs = obs
-        assert live.portable().attribution_shares
+        """A recorder taken off a live result before ``portable()`` is
+        not folded; the attribute stays assignable."""
+        live = execute_spec(recorder_spec("dynamast", mastery=True))
+        ledger, live.ledger = live.ledger, None
+        assert live.portable().mastery == {}
+        live.ledger = ledger
+        assert live.portable().mastery
 
 
 class TestPerfMatrixParity:

@@ -287,6 +287,13 @@ class TestCommandLine:
         assert cli.main(["perf", flag]) == 2
         assert f"{flag} requires --scale" in capsys.readouterr().err
 
+    def test_cores_is_refused_with_scale(self, monkeypatch, capsys):
+        """The scale harness runs no jobs sweep: ``--cores`` was dropped
+        silently."""
+        monkeypatch.setattr(scale, "main", lambda **kwargs: 0)
+        assert cli.main(["perf", "--scale", "--cores", "4"]) == 2
+        assert "--cores" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv, harness, expected", [
         ([], "perf", "BENCH_perf.json"),
         (["--scale"], "scale", "BENCH_scale.json"),

@@ -17,6 +17,32 @@ Two kinds of name need no caller:
 
 Anything else that only tests call is deleted, not kept "just in case":
 the tests then exercise the code paths that actually run.
+
+The same holds for *options*. An option is a defaulted parameter (or
+the ``**kwargs``) of a public function, method or constructor
+(``__init__`` of a public class), or a field of a dataclass in
+:data:`OPTION_DATACLASSES`. It counts as *set* when a call in the same
+callers (and the Makefile's ``python -c`` programs), outside the
+option's own definition, calls it by name and
+
+* passes it by keyword, or by position;
+* forwards ``*args`` (every positional option) or ``**kwargs`` (every
+  option) to it — out of a public function's own ``**kwargs`` only
+  once something sets those; or
+* passes the callable itself next to the keyword, as in
+  ``once(fn, kw=...)``.
+
+``super().__init__(...)`` calls the enclosing class's bases, ``cls(...)``
+the enclosing class, and a callable stored in a dict (a registry such
+as ``WORKLOAD_REGISTRY``) counts as called with every option. An option
+nothing sets is a second configuration no figure, benchmark or command
+runs: it is deleted, and its default becomes the code. The exceptions
+are the at most 10 entries of :data:`ALLOW_OPTIONS`, each with a reason.
+
+Out of scope: the config dataclasses (``ClusterConfig``, ``CostModel``,
+``RpcConfig``, ``StatisticsConfig``, the workload configs,
+``OpenLoopSpec``) — the calibration surface, built through
+``**params``, which a syntax scan cannot follow — and CLI flags.
 """
 
 from __future__ import annotations
@@ -156,3 +182,202 @@ def test_allow_list_has_no_stale_entries():
 def test_allow_list_stays_short():
     assert len(ALLOW) <= 15
     assert all(reason.strip() for reason in ALLOW.values())
+
+
+# ---------------------------------------------------------------------------
+# Options (see the module docstring)
+# ---------------------------------------------------------------------------
+
+#: Dataclasses whose fields count as options.
+OPTION_DATACLASSES = ("bench.parallel:RunSpec",)
+
+#: Options kept without a non-test setter, ``module:Qualified.name(option)``
+#: (or ``module:Qualified.name`` for all of a name's options) -> the reason.
+ALLOW_OPTIONS = {
+    "bench.perf:run_sweep(executor)": "test fake: tests swap the process pool for a stub",
+    "bench.perf:main(emit)": "test fake: tests capture or silence the printed report",
+    "bench.scale:main(emit)": "test fake: tests capture or silence the printed report",
+    "cli:main(argv)": "the entry point: the console script reads sys.argv, tests pass a list",
+    "sim.core:Environment.timeout(value)":
+        "AllOf/AnyOf carry values in the kernel golden trace (test_perf_identity)",
+    "core.distributed_selector:ReplicaSelector(refresh_interval_ms)":
+        "ReplicaSelector is in ALLOW: the appendix evidence sweeps it",
+    "bench.repeat:run_repeated": "run_repeated is in ALLOW: ROADMAP item 4(b) error bars",
+    "bench.perf:calibrate": "perfbench/driver.py calls it through a `python -c` string",
+}
+
+INFINITE = float("inf")
+
+
+def _makefile_trees() -> list:
+    """The Makefile's ``python -c "..."`` programs, parsed."""
+    text = (REPO / "Makefile").read_text().replace("\\\n", " ")
+    return [
+        ast.parse(source.replace("$$", "$").replace("\\#", "#").replace('\\"', '"'))
+        for source in re.findall(r'python -c "((?:[^"\\]|\\.)*)"', text)
+    ]
+
+
+def options(trees: dict) -> dict:
+    """``module:Qualified.name(option)`` -> (callee, definition, index, names).
+
+    *callee* is the name a call uses; *index* is the option's position
+    among a call's positional arguments (``self`` not counted), or None;
+    *names* are the keywords that set it (for ``**kwargs``, any keyword
+    that is not a named parameter).
+    """
+    found = {}
+
+    def add(prefix, callee, node, skip):
+        args = node.args
+        positional = args.posonlyargs + args.args
+        named = {arg.arg for arg in positional + args.kwonlyargs}
+        first = len(positional) - len(args.defaults)
+        for index, param in enumerate(positional[first:], first - skip):
+            found[f"{prefix}({param.arg})"] = (callee, node, index, {param.arg})
+        for param, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                found[f"{prefix}({param.arg})"] = (callee, node, None, {param.arg})
+        if args.kwarg is not None:
+            found[f"{prefix}(**{args.kwarg.arg})"] = (callee, node, None, named)
+
+    for path, tree in trees.items():
+        if PACKAGE not in path.parents:
+            continue
+        module = _module_name(path)
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name[0] == "_":
+                continue
+            prefix = f"{module}:{node.name}"
+            if isinstance(node, ast.FunctionDef):
+                add(prefix, node.name, node, 0)
+                continue
+            if prefix in OPTION_DATACLASSES:
+                fields = [m for m in node.body if isinstance(m, ast.AnnAssign)]
+                for index, member in enumerate(fields):
+                    if member.value is not None:
+                        name = member.target.id
+                        found[f"{prefix}({name})"] = (node.name, node, index, {name})
+            for member in node.body:
+                if not isinstance(member, ast.FunctionDef):
+                    continue
+                static = any(getattr(d, "id", "") == "staticmethod"
+                             for d in member.decorator_list)
+                if member.name == "__init__":
+                    add(prefix, node.name, member, 1)
+                elif member.name[0] != "_":
+                    add(f"{prefix}.{member.name}", member.name, member, 0 if static else 1)
+    return found
+
+
+def _callees(call: ast.Call, classes: tuple) -> list:
+    """The names a call calls, resolving ``super().__init__`` and ``cls``."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        return [classes[-1].name] if func.id == "cls" and classes else [func.id]
+    if not isinstance(func, ast.Attribute):
+        return []
+    owner = func.value
+    if (
+        func.attr == "__init__" and classes and isinstance(owner, ast.Call)
+        and getattr(owner.func, "id", "") == "super"
+    ):
+        return [getattr(base, "id", getattr(base, "attr", "")) for base in classes[-1].bases]
+    return [func.attr]
+
+
+def setters(trees) -> dict:
+    """Callee name -> ``(enclosing, keywords, positions)`` per setting call.
+
+    *enclosing* holds the ids of the definitions around the call,
+    *keywords* the keywords it passes (``"**"`` for a ``**`` forward),
+    and *positions* the number of positional arguments (infinite for a
+    ``*`` forward).
+    """
+    calls = {}
+    for tree in trees:
+        stack = [(tree, (), ())]
+        while stack:
+            node, enclosing, classes = stack.pop()
+            if isinstance(node, ast.Call):
+                keywords = {kw.arg or "**" for kw in node.keywords}
+                starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+                positions = INFINITE if starred else len(node.args)
+                for name in _callees(node, classes):
+                    calls.setdefault(name, []).append((enclosing, keywords, positions))
+                for arg in node.args:
+                    name = getattr(arg, "id", getattr(arg, "attr", None))
+                    if name and keywords:
+                        calls.setdefault(name, []).append((enclosing, keywords, 0))
+            elif isinstance(node, ast.Dict):
+                for value in node.values:
+                    for item in getattr(value, "elts", [value]):
+                        if isinstance(item, ast.Name):
+                            calls.setdefault(item.id, []).append(
+                                (enclosing, {"**"}, INFINITE))
+            elif isinstance(node, ast.ClassDef):
+                enclosing, classes = enclosing + (id(node),), classes + (node,)
+            elif isinstance(node, ast.FunctionDef):
+                enclosing = enclosing + (id(node),)
+            stack.extend((child, enclosing, classes) for child in ast.iter_child_nodes(node))
+    return calls
+
+
+def unset_options() -> list:
+    """Options no call outside ``tests/`` sets.
+
+    A ``**`` forward out of a public function's own ``**kwargs`` sets
+    the callee's options only once something sets that ``**kwargs``:
+    ``run_repeated(**kwargs)`` forwarding into ``RunSpec`` must not set
+    every ``RunSpec`` field on the strength of test calls alone.
+    """
+    trees = _caller_trees()
+    calls = setters(list(trees.values()) + _makefile_trees())
+    found = options(trees)
+    forwarders = {id(node): key for key, (_, node, _, _) in found.items() if "(**" in key}
+    unset = set(found)
+
+    def sets(key, call) -> bool:
+        _, node, index, names = found[key]
+        enclosing, keywords, positions = call
+        if id(node) in enclosing:
+            return False
+        if "**" in keywords:
+            if (forwarders.get(enclosing[-1]) if enclosing else None) not in unset:
+                return True
+            keywords = keywords - {"**"}
+        if "(**" in key:
+            return bool(keywords - names)
+        return bool(keywords & names) or (index is not None and index < positions)
+
+    while True:
+        settled = {
+            key for key in unset
+            if any(sets(key, call) for call in calls.get(found[key][0], ()))
+        }
+        if not settled:
+            return sorted(unset)
+        unset -= settled
+
+
+def _allowed(key: str) -> bool:
+    return key in ALLOW_OPTIONS or key[:key.index("(")] in ALLOW_OPTIONS
+
+
+def test_every_option_has_a_non_test_setter():
+    unexplained = [key for key in unset_options() if not _allowed(key)]
+    assert not unexplained, (
+        "options only tests set — delete them (the default becomes the "
+        f"code), or add an ALLOW_OPTIONS line with a reason: {unexplained}"
+    )
+
+
+def test_option_allow_list_is_short_and_current():
+    assert len(ALLOW_OPTIONS) <= 10
+    assert all(reason.strip() for reason in ALLOW_OPTIONS.values())
+    unset = unset_options()
+    stale = sorted(
+        entry for entry in ALLOW_OPTIONS
+        if not any(key == entry or key.startswith(entry + "(") for key in unset)
+    )
+    assert not stale, f"ALLOW_OPTIONS entries that are gone or now set: {stale}"

@@ -7,7 +7,7 @@ for any seed.
 
 import pytest
 
-from repro.replication import recover_database, recover_mastership
+from repro.replication import merge_logs, recover_database, recover_mastership
 from tests.helpers import assert_converged
 from tests.test_si_invariants import run_random_workload
 
@@ -19,8 +19,7 @@ def test_mastership_recovered_for_any_history(seed):
         partition: partition % cluster.num_sites
         for partition in range(system.scheme.num_partitions)
     }
-    logs = [site.log for site in cluster.sites]
-    recovered = recover_mastership(logs, initial)
+    recovered = recover_mastership(merge_logs([site.log for site in cluster.sites]), initial)
     assert recovered == system.selector.table.snapshot()
     # The recovered map agrees with each site's own mastered set.
     for site in cluster.sites:
@@ -32,7 +31,7 @@ def test_mastership_recovered_for_any_history(seed):
 def test_database_recovered_for_any_history(seed):
     cluster, _, _ = run_random_workload(seed=seed)
     logs = [site.log for site in cluster.sites]
-    database, svv = recover_database(cluster.env, logs)
+    database, svv = recover_database(cluster.env, merge_logs(logs), len(logs))
     live = cluster.sites[0]
     assert svv.to_tuple() == live.svv.to_tuple()
     assert_converged([live.database, database])
@@ -46,6 +45,6 @@ def test_recovery_is_idempotent(seed):
         for partition in range(system.scheme.num_partitions)
     }
     logs = [site.log for site in cluster.sites]
-    first = recover_mastership(logs, initial)
-    second = recover_mastership(logs, initial)
+    first = recover_mastership(merge_logs(logs), initial)
+    second = recover_mastership(merge_logs(logs), initial)
     assert first == second

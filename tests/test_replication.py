@@ -174,7 +174,7 @@ class TestRecovery:
         the grant seq 1 at site 1 and txn2 seq 2 at site 1."""
         cluster, _, _ = self.build_history()
         logs = [site.log for site in cluster.sites]
-        database, svv = recover_database(cluster.env, logs)
+        database, svv = recover_database(cluster.env, merge_logs(logs), len(logs))
         live = cluster.sites[0]
         assert svv.to_tuple() == live.svv.to_tuple()
         snapshot = svv
@@ -182,24 +182,10 @@ class TestRecovery:
         assert database.read(("t", 2), snapshot) == (1, 2)
         assert_converged([live.database, database])
 
-    def test_recover_database_from_checkpoint_vector(self):
-        cluster, _, _ = self.build_history()
-        logs = [site.log for site in cluster.sites]
-        # Checkpoint that already includes txn1 (seq 1 at site 0).
-        checkpoint = VersionVector([1, 0])
-        database, svv = recover_database(cluster.env, logs, from_vector=checkpoint)
-        assert svv.to_tuple() == (2, 2)
-        assert database.read(("t", 2), svv) == (1, 2)
-        # txn1's versions are the checkpoint's: the replay skips them.
-        assert database.record(("t", 1)) is None
-        assert [(v.origin, v.seq) for v in database.record(("t", 2)).versions()] == [
-            (0, 0), (1, 2)
-        ]
-
     def test_recover_mastership(self):
         cluster, _, _ = self.build_history()
         logs = [site.log for site in cluster.sites]
-        mastership = recover_mastership(logs, initial_mastership={0: 0, 1: 0})
+        mastership = recover_mastership(merge_logs(logs), initial_mastership={0: 0, 1: 0})
         assert mastership == {0: 0, 1: 1}
 
     def test_merge_logs_detects_inconsistency(self):
@@ -215,4 +201,4 @@ class TestRecovery:
         log = DurableLog(env, origin=0)
         log.append(LogRecord(GRANT, origin=0, tvv=(1,), partitions=(3,)))
         with pytest.raises(ValueError):
-            recover_mastership([log], initial_mastership={})
+            recover_mastership(merge_logs([log]), initial_mastership={})
