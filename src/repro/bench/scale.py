@@ -153,13 +153,13 @@ def _per_system_case(system: str, ladder: Tuple[float, ...],
 #: high-water mark so far), rounded up to a multiple of 8 — headroom
 #: for interpreter variance, not for growth.
 SCALE_MATRIX: Sequence[ScaleCase] = (
-    # Measured 38 MB (37.6-38.1).
-    _per_system_case("dynamast", (0.5, 1.0, 2.0, 4.0, 8.0), rss_budget_mb=64),
-    # Measured 42-43 MB each.
-    _per_system_case("single-master", (0.5, 1.0, 2.0, 4.0, 8.0), rss_budget_mb=72),
-    _per_system_case("multi-master", (0.5, 1.0, 2.0, 4.0, 8.0), rss_budget_mb=72),
-    _per_system_case("partition-store", (0.5, 1.0, 2.0, 4.0, 8.0), rss_budget_mb=72),
-    # Measured 57-58 MB.
+    # Measured 36 MB (35.5-35.7).
+    _per_system_case("dynamast", (0.5, 1.0, 2.0, 4.0, 8.0), rss_budget_mb=56),
+    # Measured 40 MB each.
+    _per_system_case("single-master", (0.5, 1.0, 2.0, 4.0, 8.0), rss_budget_mb=64),
+    _per_system_case("multi-master", (0.5, 1.0, 2.0, 4.0, 8.0), rss_budget_mb=64),
+    _per_system_case("partition-store", (0.5, 1.0, 2.0, 4.0, 8.0), rss_budget_mb=64),
+    # Measured 55 MB (54.7-54.8).
     _per_system_case("leap", (0.5, 1.0, 2.0, 4.0, 8.0), rss_budget_mb=88),
     ScaleCase(
         name="dynamast-diurnal-16x100k",
@@ -181,7 +181,7 @@ SCALE_MATRIX: Sequence[ScaleCase] = (
         sites=16,
         duration_ms=600.0,
         warmup_ms=150.0,
-        # Measured 70 MB at x3.
+        # Measured 67-70 MB at x3.
         rss_budget_mb=112,
     ),
 )

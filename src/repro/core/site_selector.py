@@ -611,12 +611,23 @@ class SiteSelector:
         matches this chain's grant and no earlier one.
         """
         release_point = release_vv[source]
-        return any(
-            record.kind == GRANT
-            and record.partitions == partitions
-            and record.tvv[source] >= release_point
-            for record in reversed(self.cluster.sites[target].log.records)
-        )
+
+        def answers(record) -> bool:
+            return (
+                record.kind == GRANT
+                and record.partitions == partitions
+                and record.tvv[source] >= release_point
+            )
+
+        if any(answers(record)
+               for record in reversed(self.cluster.sites[target].log.records)):
+            return True
+        # Every live replica may have applied the grant before the
+        # target died, and the checkpoint folded it: it keeps each
+        # partition's last marker, and none but this chain's moves
+        # these partitions while it is open.
+        folded = self.cluster.checkpoint.markers.get(partitions[0])
+        return folded is not None and folded.target == target and answers(folded)
 
     def _force_release(self, source: int, partitions: Tuple[int, ...]):
         """Fence a dead master by appending its release marker directly.
@@ -629,7 +640,7 @@ class SiteSelector:
         Atomic (no yields), so no competing routing can interleave.
         """
         log = self.cluster.sites[source].log
-        seq = len(log.records) + 1
+        seq = len(log) + 1
         marker_tvv = tuple(
             seq if index == source else 0 for index in range(self.cluster.num_sites)
         )

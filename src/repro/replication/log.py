@@ -5,14 +5,17 @@ provides exactly two guarantees the correctness proof leans on
 (Appendix A, condition 3): records are delivered to every subscriber
 *reliably* and *in append order*. :class:`DurableLog` provides both: a
 record appended at simulated time ``t`` reaches every subscriber's
-queue at ``t + delivery_delay``, and the full record sequence is
-retained for replay (the redo log of §V-C).
+queue at ``t + delivery_delay``. It is also the redo log of §V-C: a
+record stays until every live replica has applied it, when the replica
+group's :class:`~repro.replication.recovery.Checkpoint` folds it away,
+so a restarting site recovers from that checkpoint plus the retained
+suffix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.sim.core import Environment
 from repro.sim.network import Network
@@ -74,28 +77,45 @@ class DurableLog:
         self.network = network
         #: Callable mapping a LogRecord to its wire size in bytes.
         self.record_size = record_size
+        #: The retained suffix, oldest first. Seqs are dense from 1, so
+        #: ``records[i].seq == len(self) - len(records) + i + 1``.
         self.records: List[LogRecord] = []
+        #: Whole-run counters: update records, and keys written by all
+        #: records (the replay price of ``rejoin_site``).
+        self.update_count = 0
+        self.key_count = 0
+        self._appended = 0
+        #: Host-side hook run after every append: the replica group's
+        #: fold trigger, or a partitioned site's ``records.clear`` (its
+        #: surviving store is its checkpoint). None keeps every record.
+        self.on_append: Optional[Callable[[], None]] = None
         self._subscribers: List[Store] = []
 
     def __len__(self) -> int:
-        return len(self.records)
+        """Records ever appended (the newest seq), folded ones included."""
+        return self._appended
 
     def subscribe(self, from_seq: Optional[int] = None) -> Store:
         """Register a new subscriber; returns its delivery queue.
 
         By default only records appended after subscription are
-        delivered (a recovering site first replays :attr:`records`,
-        then subscribes). Passing ``from_seq`` resumes a stream from a
-        known position instead: every retained record with
-        ``seq > from_seq`` is pre-loaded into the queue immediately —
-        the log is durable, so a restarted subscriber can always
-        continue from its version vector without a full replay.
+        delivered (a recovering site first rebuilds from the checkpoint
+        and the retained suffix, then subscribes). Passing ``from_seq``
+        resumes a stream from a known position instead: every record
+        with ``seq > from_seq`` is pre-loaded into the queue
+        immediately. Those must still be retained: a restarted
+        subscriber resumes from its recovered vector, which is at or
+        above every folded record.
         """
         queue = Store(self.env)
         if from_seq is not None:
-            for record in self.records:
-                if record.seq > from_seq:
-                    queue.put(record)
+            start = from_seq - (self._appended - len(self.records))
+            if start < 0:
+                raise ValueError(
+                    f"site {self.origin}'s log has folded records after seq {from_seq}"
+                )
+            for record in self.records[start:]:
+                queue.put(record)
         self._subscribers.append(queue)
         return queue
 
@@ -112,7 +132,13 @@ class DurableLog:
             raise ValueError(
                 f"record from site {record.origin} appended to site {self.origin}'s log"
             )
+        self._appended += 1
+        self.key_count += len(record.keys)
+        if record.kind == UPDATE:
+            self.update_count += 1
         self.records.append(record)
+        if self.on_append is not None:
+            self.on_append()
         if self.network is not None and self.record_size is not None:
             size = self.record_size(record)
             category = "replication" if record.kind == UPDATE else "remaster"
@@ -157,7 +183,3 @@ class DurableLog:
                     )
 
         timeout.callbacks.append(deliver)
-
-    def replay(self) -> Tuple[LogRecord, ...]:
-        """All records appended so far, in order (for recovery)."""
-        return tuple(self.records)

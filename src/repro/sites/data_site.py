@@ -193,7 +193,7 @@ class DataSite:
         self.svv = svv
         self.watch = VersionWatch(self.env, svv)
         self.mastered = set(mastered)
-        self.commits = sum(1 for record in self.log.records if record.kind == UPDATE)
+        self.commits = self.log.update_count
         self.crash_event = Event(self.env)
         self.alive = True
 

@@ -9,6 +9,7 @@ manager, database system and replication manager into one component
 
 from __future__ import annotations
 
+from copy import copy
 from typing import Any, Dict, Iterable, Optional, Tuple
 
 from repro.sim.core import Environment
@@ -37,6 +38,13 @@ class Database:
         )
         self.tables: Dict[str, Table] = {}
         self.locks = LockTable(env)
+
+    def __copy__(self) -> "Database":
+        """Another replica of this database (recovery from a checkpoint):
+        copies of the tables' columns, the same row index, no locks."""
+        replica = Database(self.env, self.max_versions, self.row_index)
+        replica.tables = {name: copy(table) for name, table in self.tables.items()}
+        return replica
 
     # -- schema -------------------------------------------------------------
 

@@ -69,6 +69,15 @@ class Table:
         self._blank_origins = array("H", [0] * max_versions)
         self._blank_seqs = array("I", [0] * max_versions)
 
+    def __copy__(self) -> "Table":
+        """Another replica of this table: copies of its columns, the
+        same row index."""
+        replica = Table(self.name, self.max_versions, self._rows)
+        replica._origins = array("H", self._origins)
+        replica._seqs = array("I", self._seqs)
+        replica._installs = array("I", self._installs)
+        return replica
+
     def __len__(self) -> int:
         installs = self._installs
         return len(installs) - installs.count(0)

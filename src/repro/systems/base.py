@@ -6,6 +6,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional
 
+from repro.replication.recovery import Checkpoint
 from repro.sim.config import ClusterConfig
 from repro.sim.core import Environment
 from repro.sim.network import Network
@@ -26,7 +27,8 @@ class Cluster:
     (used by the partition-store and LEAP comparators). Replicas hold
     the same rows, so a replicated cluster's sites share one key ->
     row-number map per table; a partitioned cluster's sites keep their
-    own (:mod:`repro.storage.table`).
+    own (:mod:`repro.storage.table`). The replica group's logs keep only
+    the suffix after its :class:`~repro.replication.recovery.Checkpoint`.
     """
 
     def __init__(self, config: Optional[ClusterConfig] = None, replicated: bool = True,
@@ -59,8 +61,15 @@ class Cluster:
             )
             for index in range(self.config.num_sites)
         ]
+        #: The replica group's folded log prefix (None when partitioned).
+        self.checkpoint = Checkpoint(self.sites) if replicated else None
         for site in self.sites:
             site.connect(self.sites)
+            # A partitioned site's store survives its crash, so it is its
+            # own checkpoint (§V-C) and its log keeps counters only.
+            site.log.on_append = (
+                self.checkpoint.note_append if replicated else site.log.records.clear
+            )
 
     @property
     def num_sites(self) -> int:

@@ -2,7 +2,10 @@
 
 import random
 
+from repro.core.site_selector import SiteSelector
 from repro.partitioning.schemes import PartitionScheme
+from repro.replication import recovery
+from repro.replication.log import GRANT
 from repro.sim.config import ClusterConfig
 from repro.systems import Cluster, build_system
 from repro.transactions import Transaction
@@ -148,6 +151,39 @@ class TestAmbiguousGrantFailover:
         replayed its own grant on restart and mastered {3, 6} next to
         site 0 (split mastership; the selector's table said site 0)."""
         cluster, system, _, _ = run_faulted_workload(AMBIGUOUS_GRANT_PLAN, seed=0)
+        mastered = sorted(p for site in cluster.sites for p in site.mastered)
+        assert mastered == list(range(8)), mastered
+        table = system.selector.table
+        for site in cluster.sites:
+            assert site.mastered == {
+                p for p in range(8) if table.master_of(p) == site.index
+            }, f"site {site.index} disagrees with the selector's table"
+
+
+class TestFoldedGrantFailover:
+    def test_a_folded_grant_still_fences_its_dead_target(self, monkeypatch):
+        """The lost-grant-reply run above, folding at every append: both
+        survivors applied site 2's grant of {3, 6} before site 2 died, so
+        the checkpoint holds the grant and site 2's log no longer does.
+        The failover must still see it and fence site 2, or site 2
+        recovers the grant from the checkpoint on restart and masters
+        {3, 6} next to the failover target."""
+        monkeypatch.setattr(recovery, "FOLD_EVERY", 1)
+        checks = []
+        grant_logged = SiteSelector._grant_logged
+
+        def spy(self, target, partitions, source, release_vv):
+            retained = [
+                record for record in self.cluster.sites[target].log.records
+                if record.kind == GRANT and record.partitions == partitions
+            ]
+            found = grant_logged(self, target, partitions, source, release_vv)
+            checks.append((target, partitions, found, retained))
+            return found
+
+        monkeypatch.setattr(SiteSelector, "_grant_logged", spy)
+        cluster, system, _, _ = run_faulted_workload(AMBIGUOUS_GRANT_PLAN, seed=0)
+        assert checks == [(2, (3, 6), True, [])]
         mastered = sorted(p for site in cluster.sites for p in site.mastered)
         assert mastered == list(range(8)), mastered
         table = system.selector.table

@@ -63,13 +63,14 @@ class TestDurableLog:
         assert seen[0] == [1, 2, 3]
         assert seen[1] == [1, 2, 3]
 
-    def test_replay_returns_all_records(self):
+    def test_a_bare_log_keeps_every_record_and_counts_them(self):
         env = Environment()
         log = DurableLog(env, origin=0)
         for seq in range(1, 4):
-            log.append(LogRecord(UPDATE, origin=0, tvv=(seq,)))
-        assert [record.seq for record in log.replay()] == [1, 2, 3]
-        assert len(log) == 3
+            log.append(LogRecord(UPDATE, origin=0, tvv=(seq,), keys=(("t", seq),)))
+        log.append(LogRecord(RELEASE, origin=0, tvv=(4,), partitions=(1,)))
+        assert [record.seq for record in log.records] == [1, 2, 3, 4]
+        assert (len(log), log.update_count, log.key_count) == (4, 3, 3)
 
 
 class TestRefreshApplication:
@@ -174,7 +175,7 @@ class TestRecovery:
         the grant seq 1 at site 1 and txn2 seq 2 at site 1."""
         cluster, _, _ = self.build_history()
         logs = [site.log for site in cluster.sites]
-        database, svv = recover_database(cluster.env, merge_logs(logs), len(logs))
+        database, svv = recover_database(cluster.checkpoint, merge_logs(logs))
         live = cluster.sites[0]
         assert svv.to_tuple() == live.svv.to_tuple()
         snapshot = svv
@@ -185,7 +186,9 @@ class TestRecovery:
     def test_recover_mastership(self):
         cluster, _, _ = self.build_history()
         logs = [site.log for site in cluster.sites]
-        mastership = recover_mastership(merge_logs(logs), initial_mastership={0: 0, 1: 0})
+        mastership = recover_mastership(
+            cluster.checkpoint, merge_logs(logs), initial_mastership={0: 0, 1: 0}
+        )
         assert mastership == {0: 0, 1: 1}
 
     def test_merge_logs_detects_inconsistency(self):
@@ -197,8 +200,8 @@ class TestRecovery:
             merge_logs([log])
 
     def test_grant_without_target_rejected(self):
-        env = Environment()
-        log = DurableLog(env, origin=0)
+        cluster = make_cluster(num_sites=1)
+        log = cluster.sites[0].log
         log.append(LogRecord(GRANT, origin=0, tvv=(1,), partitions=(3,)))
         with pytest.raises(ValueError):
-            recover_mastership(merge_logs([log]), initial_mastership={})
+            recover_mastership(cluster.checkpoint, merge_logs([log]), initial_mastership={})
