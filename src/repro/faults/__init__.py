@@ -4,10 +4,13 @@ shares.
 
 The package is inert unless a :class:`FaultInjector` is installed on a
 cluster. Each protocol step is written once: without an injector
-``guarded_call`` is ``remote_call`` and ``with_retries`` makes a single
-try, so runs without a plan are bit-identical to the pre-fault
-codebase. The few forks whose faulted schedule differs test
-``faults is None`` and are listed in ``tests/test_fault_gates.py``.
+``guarded_call`` is ``remote_call``, ``site_process`` is the handler
+itself and ``with_retries`` makes a single try, so runs without a plan
+are bit-identical to the pre-fault codebase, and the comparators' 2PC,
+scatter-gather reads and record shipping run one schedule with or
+without faults. The few remaining ``faults is None`` tests (DynaMast's
+remastering fork and two reads of injector state) are listed in
+``tests/test_fault_gates.py``.
 
 The fault model — crash/restart semantics, the hardened RPC layer
 (timeouts, seeded-jitter retries, suspicion), gray failures (fail-slow

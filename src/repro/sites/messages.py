@@ -13,8 +13,9 @@ tracked process on the destination (so a crash can interrupt it), the
 caller races it against an RPC timeout and the destination's crash,
 and per-link loss/partition/delay from the injector applies to both
 legs. Without an injector it *is* :func:`remote_call`: the same
-generator, with no extra frame. :func:`with_retries` is the one
-bounded-retry loop around such steps.
+generator, with no extra frame; :func:`site_process`, its local
+counterpart, is then the handler itself. :func:`with_retries` is the
+one bounded-retry loop around such steps.
 """
 
 from __future__ import annotations
@@ -108,14 +109,23 @@ def _unhook(race, crash) -> None:
         crash.callbacks.remove(race._check)
 
 
-def site_process(site, handler: Generator):
+def site_process(site, handler: Generator) -> Generator:
     """Run ``handler`` as a tracked process on ``site``, crash-raced.
 
     For work a protocol executes *at* a site outside any RPC (a 2PC
-    coordinator's own branch and decision logic): if the site crashes
-    mid-way the handler is interrupted and the caller sees
-    :class:`SiteDown`. Usage: ``x = yield from site_process(site, gen)``.
+    coordinator's own branch and decision logic, a LEAP install): if
+    the site crashes mid-way the handler is interrupted and the caller
+    sees :class:`SiteDown`. Without an injector nothing can crash, and
+    this returns ``handler`` itself, as :func:`guarded_call` does.
+    Usage: ``x = yield from site_process(site, gen)``.
     """
+    if site.network.faults is None:
+        return handler
+    return _site_process(site, handler)
+
+
+def _site_process(site, handler):
+    """:func:`site_process` with an injector installed."""
     if not site.alive:
         raise SiteDown(site.index)
     env = site.env

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.partitioning.schemes import PartitionScheme
-from repro.sites.messages import guarded_call, remote_call, with_retries
+from repro.sites.messages import guarded_call, site_process, with_retries
 from repro.storage.locks import LockTable
 from repro.systems.base import Cluster, Session, System
 from repro.transactions import Key, Outcome, Transaction
@@ -111,38 +111,36 @@ class LEAP(System):
                 if transfers:
                     shipped = True
                     self.localizations += 1
-                    # Fork: parallel ship + direct install here; under
-                    # faults one group at a time over guarded calls,
-                    # owned by the execution site as it lands, so an
-                    # abort leaves no half-moved group.
-                    if self.cluster.faults is None:
-                        processes = [
-                            self.env.process(
-                                self._localize(source, tuple(group), execution_site, txn)
-                            )
-                            for source, group in sorted(transfers.items())
-                        ]
-                        yield self.env.all_of(processes)
-                        for group in transfers.values():
+                    groups = [
+                        (source, tuple(group))
+                        for source, group in sorted(transfers.items())
+                    ]
+                    # Every group ships in parallel. A group changes
+                    # owner only once its whole chain succeeded, so an
+                    # abort leaves no group half-moved.
+                    results = yield self.env.all_of([
+                        self.env.process(with_retries(
+                            self.network,
+                            lambda s=source, g=group: self._localize(
+                                s, g, execution_site, txn
+                            ),
+                        ))
+                        for source, group in groups
+                    ])
+                    error = None
+                    for (_, group), (_, tries, failure) in zip(groups, results):
+                        retries += tries
+                        if failure is None:
                             self._take(group, execution_site)
-                    else:
-                        for source, group in sorted(transfers.items()):
-                            group = tuple(group)
-                            _, tries, error = yield from with_retries(
-                                self.network,
-                                lambda: self._localize_faulted(
-                                    source, group, execution_site, txn
-                                ),
-                            )
-                            retries += tries
-                            if error is not None:
-                                return Outcome(
-                                    committed=False,
-                                    remastered=True,
-                                    retries=retries,
-                                    abort_reason=error.reason,
-                                )
-                            self._take(group, execution_site)
+                        elif error is None:
+                            error = failure
+                    if error is not None:
+                        return Outcome(
+                            committed=False,
+                            remastered=True,
+                            retries=retries,
+                            abort_reason=error.reason,
+                        )
             finally:
                 self._migration_locks.release_all(remote_keys)
 
@@ -175,22 +173,9 @@ class LEAP(System):
             self.records_shipped += 1
 
     def _localize(self, source: int, group: Tuple[Key, ...], destination: int, txn: Transaction):
-        """Ship ``group`` from ``source`` to ``destination``."""
-        payload = yield from remote_call(
-            self.network,
-            self.sites[source].ship_out(group),
-            category="ship",
-            txn=txn,
-        )
-        # The data transfer to the execution site, then installation.
-        delay = self.network.delay_for(payload)
-        self.network.traffic.record("ship", payload)
-        yield self.env.timeout(delay)
-        txn.add_timing("network", delay)
-        yield from self.sites[destination].install_shipment(group)
-
-    def _localize_faulted(self, source: int, group: Tuple[Key, ...], destination: int, txn: Transaction):
-        """One guarded ship-out + transfer + install chain."""
+        """Ship ``group`` from ``source`` to ``destination``: a guarded
+        ship-out, the data transfer, then installation at the
+        destination (crash-raced there)."""
         payload = yield from guarded_call(
             self.network,
             self.sites[source],
@@ -202,10 +187,5 @@ class LEAP(System):
         self.network.traffic.record("ship", payload)
         yield self.env.timeout(delay)
         txn.add_timing("network", delay)
-        yield from guarded_call(
-            self.network,
-            self.sites[destination],
-            self.sites[destination].install_shipment(group),
-            category="ship",
-            txn=txn,
-        )
+        site = self.sites[destination]
+        yield from site_process(site, site.install_shipment(group))

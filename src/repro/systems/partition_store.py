@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.partitioning.schemes import PartitionScheme
-from repro.sites.messages import guarded_call, remote_call, with_retries
+from repro.sites.messages import guarded_call, with_retries
 from repro.systems.base import Cluster, Session, System
 from repro.systems.two_phase_commit import submit_partitioned_write
 from repro.transactions import Key, Outcome, ScanBlock, Transaction
@@ -95,60 +95,46 @@ class PartitionStore(System):
         yield from self.client_hop(txn)  # router -> client
         if len(groups) <= 1:
             unit = groups[0][0] if groups else 0
-            outcome = yield from self._guarded_read(
-                txn, [(self.placement.get(unit, 0), None, None)], distributed=False
+            _, tries, error = yield from self._guarded_read(
+                txn, self.placement.get(unit, 0), None, None
             )
-            return outcome
+            return _read_outcome(False, tries, error)
 
         # Scatter-gather: one sub-read per unit, wait for the slowest
         # (the straggler effect of §VI-B2).
         self.scatter_gather_reads += 1
-        targets = [(self.placement[unit], keys, blocks) for unit, keys, blocks in groups]
-        # Fork: a parallel fan-out here; under faults the sub-reads run
-        # one after another, so a failed one stops the rest.
-        if self.cluster.faults is None:
-            processes = [
-                self.env.process(
-                    remote_call(
-                        self.network,
-                        self.sites[site_index].execute_read(txn, keys=keys, scans=scan),
-                        category="client",
-                        txn=txn,
-                    )
-                )
-                for site_index, keys, scan in targets
-            ]
-            yield self.env.all_of(processes)
-            return Outcome(committed=True, distributed=True)
-        outcome = yield from self._guarded_read(txn, targets, distributed=True)
-        return outcome
-
-    def _guarded_read(self, txn: Transaction, targets, distributed: bool):
-        """Sub-reads ``(site, keys, scans)`` in turn, each with bounded
-        retries; ``keys=None`` reads the whole transaction at ``site``.
-
-        There is no owner to fail over to — each sub-read must succeed
-        at its unit's only copy. Every single-unit read comes through
-        here; a multi-unit one only under faults, where sequential
-        dispatch keeps per-sub-read failure handling exact.
-        """
-        retries = 0
-        for site_index, keys, scans in targets:
-            site = self.sites[site_index]
-            _, tries, error = yield from with_retries(
-                self.network,
-                lambda: guarded_call(
-                    self.network, site,
-                    site.execute_read(txn, keys=keys, scans=scans),
-                    category="client", txn=txn,
-                ),
+        results = yield self.env.all_of([
+            self.env.process(
+                self._guarded_read(txn, self.placement[unit], keys, blocks)
             )
-            retries += tries
-            if error is not None:
-                return Outcome(
-                    committed=False,
-                    distributed=distributed,
-                    retries=retries,
-                    abort_reason=error.reason,
-                )
-        return Outcome(committed=True, distributed=distributed, retries=retries)
+            for unit, keys, blocks in groups
+        ])
+        error = next((error for _, _, error in results if error is not None), None)
+        return _read_outcome(True, sum(tries for _, tries, _ in results), error)
+
+    def _guarded_read(self, txn: Transaction, site_index: int, keys, scans):
+        """One sub-read ``(keys, scans)`` at ``site_index`` with bounded
+        retries; ``keys=None`` reads the whole transaction there.
+
+        There is no owner to fail over to: the sub-read must succeed at
+        its unit's only copy. Returns :func:`with_retries`' generator.
+        """
+        site = self.sites[site_index]
+        return with_retries(
+            self.network,
+            lambda: guarded_call(
+                self.network, site,
+                site.execute_read(txn, keys=keys, scans=scans),
+                category="client", txn=txn,
+            ),
+        )
+
+
+def _read_outcome(distributed: bool, retries: int, error) -> Outcome:
+    """A read's outcome; ``error`` is the fault that ended a sub-read."""
+    return Outcome(
+        committed=error is None,
+        distributed=distributed,
+        retries=retries,
+        abort_reason="" if error is None else error.reason,
+    )

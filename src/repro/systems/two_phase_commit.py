@@ -11,6 +11,15 @@ sites pay network round trips; every branch pays per-branch dispatch
 and prepare CPU, and holds its write locks across the uncertainty
 window — blocking conflicting transactions, the effect Figure 1b
 illustrates.
+
+The schedule is the same with or without a fault injector: round 1 in
+ascending unit order, prepare and commit fanned out in parallel. Branch
+calls are guarded RPCs sourced at the coordinator, and its own work is
+crash-raced on its machine. Any failure before the commit decision
+terminates by *presumed abort*: every branch that may hold locks is
+aborted, persistently until the abort lands or the branch's site is
+dead. After the decision, commits are delivered persistently; a branch
+whose participant crashed in the uncertainty window is lost.
 """
 
 from __future__ import annotations
@@ -26,7 +35,6 @@ from repro.faults.errors import (
 from repro.sites.messages import (
     RetryPolicy,
     guarded_call,
-    remote_call,
     site_process,
     with_retries,
 )
@@ -55,13 +63,10 @@ def two_phase_commit(
     """Run ``txn`` as a distributed write across unit ``branches``.
 
     Generator returning the element-wise max of the branch commit
-    vectors (the version a session must observe).
+    vectors (the version a session must observe). Raises
+    :class:`TransactionAborted` when a fault ends the transaction
+    before the commit decision (presumed abort).
     """
-    # Fork: parallel prepare and commit rounds here; under faults the
-    # presumed-abort rounds run branch by branch (different schedules).
-    if system.cluster.faults is not None:
-        merged = yield from _two_phase_commit_faulted(system, txn, branches, min_begin)
-        return merged
     env = system.env
     obs = env.obs
     tracer = obs.tracer
@@ -70,175 +75,81 @@ def two_phase_commit(
     items = sorted(branches.items(), key=lambda item: (-len(item[1]), item[0]))
     placement = system.placement
     coordinator = placement[items[0][0]]
-    coordinator_track = sites[coordinator].trace_track
+    coord_site = sites[coordinator]
+    coordinator_track = coord_site.trace_track
     if obs.enabled:
         obs.inflight_2pc += 1
 
     # Router -> coordinator dispatch.
     yield from system.client_hop(txn)
 
-    def fan_out(make_branch, payload=None):
-        """One protocol round: coordinator work + parallel branches."""
-        processes = []
-        for index, (unit, keys) in enumerate(items):
-            site_index = placement[unit]
-            args = (payload[index],) if payload is not None else ()
-            branch = make_branch(sites[site_index], keys, *args)
-            if site_index != coordinator:
-                branch = remote_call(system.network, branch, category="2pc", txn=txn)
-            processes.append(env.process(branch))
-        return env.all_of(processes)
+    def fan_out(branch):
+        """One parallel round: ``branch(index, site, keys)`` per branch."""
+        return env.all_of([
+            env.process(branch(index, placement[unit], keys))
+            for index, (unit, keys) in enumerate(items)
+        ])
 
     # The coordinator pays per-branch marshalling / vote-collection /
     # decision-logging work on every round.
     coordinate = system.config.costs.coordinate_ms * len(items)
 
-    # Round 1: dispatch branch work (locks acquired, operations run).
-    # Branches are dispatched in global unit order, each waiting for
-    # the previous branch's locks: ordered resource acquisition, the
-    # classic discipline that makes distributed deadlock impossible
-    # when two multi-unit transactions overlap in opposite directions.
-    round_started = env.now
-    yield from sites[coordinator].cpu.use(coordinate, txn=txn,
-                                          track=coordinator_track)
-    begin_vvs = []
-    for unit, keys in sorted(items):
-        site_index = placement[unit]
-        branch = sites[site_index].execute_branch(txn, keys, min_begin)
-        if site_index != coordinator:
-            branch = remote_call(system.network, branch, category="2pc", txn=txn)
-        begin_vv = yield from branch
-        begin_vvs.append(begin_vv)
-    # Re-align begin vectors with the (size-sorted) items order used by
-    # the later rounds.
-    by_unit = {unit: vv for (unit, _), vv in zip(sorted(items), begin_vvs)}
-    begin_vvs = [by_unit[unit] for unit, _ in items]
-    if traced:
-        tracer.span("2pc_execute", round_started, env.now,
-                    track=coordinator_track, txn=txn, branches=len(items))
-        tracer.edge("2pc_round", round_started, txn=txn,
-                    track=coordinator_track, round="execute",
-                    branches=len(items))
+    def coordinate_round():
+        return site_process(
+            coord_site,
+            coord_site.cpu.use(coordinate, txn=txn, track=coordinator_track),
+        )
 
-    # Round 2: prepare — participants force-log and vote. Locks held.
-    round_started = env.now
-    yield from sites[coordinator].cpu.use(coordinate, txn=txn,
-                                          track=coordinator_track)
-    yield fan_out(lambda site, keys: site.prepare_branch(txn, keys))
-    if traced:
-        tracer.span("2pc_prepare", round_started, env.now,
-                    track=coordinator_track, txn=txn, branches=len(items))
-        tracer.edge("2pc_round", round_started, txn=txn,
-                    track=coordinator_track, round="prepare",
-                    branches=len(items))
-
-    # Round 3: all voted yes -> commit decision fan-out. The window
-    # between the prepare votes and this decision reaching a branch is
-    # the 2PC uncertainty window the paper's Figure 1b illustrates.
-    round_started = env.now
-    yield from sites[coordinator].cpu.use(coordinate, txn=txn,
-                                          track=coordinator_track)
-    commit_vvs = yield fan_out(
-        lambda site, keys, begin_vv: site.commit_branch(txn, keys, begin_vv),
-        payload=begin_vvs,
-    )
-    if traced:
-        tracer.span("2pc_decide", round_started, env.now,
-                    track=coordinator_track, txn=txn, branches=len(items))
-        tracer.edge("2pc_round", round_started, txn=txn,
-                    track=coordinator_track, round="decide",
-                    branches=len(items))
-
-    merged = VersionVector.zeros(len(sites[0].svv))
-    for commit_vv in commit_vvs:
-        merged.merge(commit_vv)
-
-    # Coordinator -> client reply.
-    yield from system.client_hop(txn)
-    if obs.enabled:
-        obs.inflight_2pc -= 1
-    return merged
-
-
-def _two_phase_commit_faulted(
-    system,
-    txn: Transaction,
-    branches: Dict[int, Tuple[Key, ...]],
-    min_begin: Optional[VersionVector],
-):
-    """Presumed-abort 2PC: the termination protocol under faults.
-
-    The coordinator's own work runs as a crash-raced process on the
-    coordinator machine; remote branches go over guarded RPCs sourced
-    at the coordinator. Any failure before the commit decision is
-    durably taken (end of round 2) terminates by *presumed abort*:
-    every branch that may hold locks is aborted, persistently until
-    the abort lands or the branch's site is dead (whose lock table died
-    with it). After the decision, commits are delivered persistently;
-    a branch whose participant crashed in the uncertainty window is
-    lost — never redone — which is the documented price of presumed
-    abort without a coordinator redo log (DESIGN.md, Fault model).
-
-    Rounds run sequentially per branch (no parallel fan-out): a failed
-    branch must stop dispatching later rounds, and sequential guarded
-    calls keep the failure handling exact. Faulted runs trade a little
-    latency for that; unfaulted runs never come through here.
-    """
-    env = system.env
-    obs = env.obs
-    tracer = obs.tracer
-    traced = tracer.enabled
-    faults = system.cluster.faults
-    sites = system.sites
-    items = sorted(branches.items(), key=lambda item: (-len(item[1]), item[0]))
-    placement = system.placement
-    coordinator = placement[items[0][0]]
-    coord_site = sites[coordinator]
-    coordinator_track = coord_site.trace_track if traced else ""
-    policy = RetryPolicy(faults.rpc, faults.rng)
-
-    def _round(name, started):
-        # Traced runs only: the round span + ordering edge, mirroring
-        # the unfaulted path so chaos attribution sees commit_protocol.
+    def traced_round(name, started):
         tracer.span(f"2pc_{name}", started, env.now,
                     track=coordinator_track, txn=txn, branches=len(items))
         tracer.edge("2pc_round", started, txn=txn,
                     track=coordinator_track, round=name, branches=len(items))
 
-    if obs.enabled:
-        obs.inflight_2pc += 1
+    def prepare(_index, site_index, keys):
+        """One vote. A timed-out prepare (idempotent) is retried a
+        bounded number of times; a dead participant ends it. Returns
+        the fault that ended it, or None for a yes vote."""
+        failures = 0
+        while True:
+            try:
+                yield from _branch_call(
+                    system, txn, coordinator, site_index,
+                    sites[site_index].prepare_branch(txn, keys),
+                )
+                return None
+            except RpcTimeout as exc:
+                failures += 1
+                policy = _retry_policy(system)
+                if failures >= policy.attempts:
+                    return exc
+                yield env.timeout(policy.backoff_ms(failures - 1))
+            except FaultError as exc:
+                return exc
 
-    yield from system.client_hop(txn)
-    coordinate = system.config.costs.coordinate_ms * len(items)
+    def commit(index, site_index, keys):
+        return _deliver(
+            system, txn, coordinator, site_index,
+            lambda site: site.commit_branch(txn, keys, begin_vvs[index]),
+        )
+
     #: Branches that may hold locks and need aborting on failure.
     touched: List[Tuple[int, Tuple[Key, ...]]] = []
-
-    def _call(site_index, handler):
-        """One guarded branch call (local branches are crash-raced only)."""
-        if site_index == coordinator:
-            return site_process(sites[site_index], handler)
-        return guarded_call(
-            system.network,
-            sites[site_index],
-            handler,
-            src=coordinator,
-            category="2pc",
-            txn=txn,
-        )
-
     try:
-        # Round 1: branch execution, global unit order (deadlock-free).
+        # Round 1: dispatch branch work (locks acquired, operations run).
+        # Branches are dispatched in global unit order, each waiting for
+        # the previous branch's locks: ordered resource acquisition, the
+        # classic discipline that makes distributed deadlock impossible
+        # when two multi-unit transactions overlap in opposite directions.
         round_started = env.now
-        yield from site_process(
-            coord_site,
-            coord_site.cpu.use(coordinate, txn=txn, track=coordinator_track),
-        )
+        yield from coordinate_round()
         by_unit: Dict[int, VersionVector] = {}
         for unit, keys in sorted(items):
             site_index = placement[unit]
             try:
-                begin_vv = yield from _call(
-                    site_index, sites[site_index].execute_branch(txn, keys, min_begin)
+                by_unit[unit] = yield from _branch_call(
+                    system, txn, coordinator, site_index,
+                    sites[site_index].execute_branch(txn, keys, min_begin),
                 )
             except RpcTimeout as exc:
                 if exc.dispatched:
@@ -247,33 +158,20 @@ def _two_phase_commit_faulted(
                     touched.append((site_index, keys))
                 raise
             touched.append((site_index, keys))
-            by_unit[unit] = begin_vv
         begin_vvs = [by_unit[unit] for unit, _ in items]
         if traced:
-            _round("execute", round_started)
+            traced_round("execute", round_started)
 
-        # Round 2: prepare votes, bounded retries (prepare is idempotent).
+        # Round 2: prepare — participants force-log and vote. Locks
+        # held. Every vote is in before a failed one aborts the rest.
         round_started = env.now
-        yield from site_process(
-            coord_site,
-            coord_site.cpu.use(coordinate, txn=txn, track=coordinator_track),
-        )
-        for unit, keys in items:
-            site_index = placement[unit]
-            failures = 0
-            while True:
-                try:
-                    yield from _call(
-                        site_index, sites[site_index].prepare_branch(txn, keys)
-                    )
-                    break
-                except RpcTimeout:
-                    failures += 1
-                    if failures >= policy.attempts:
-                        raise
-                    yield env.timeout(policy.backoff_ms(failures - 1))
+        yield from coordinate_round()
+        votes = yield fan_out(prepare)
+        for failure in votes:
+            if failure is not None:
+                raise failure
         if traced:
-            _round("prepare", round_started)
+            traced_round("prepare", round_started)
     except FaultError as exc:
         yield from _abort_branches(system, txn, touched, coordinator)
         yield from system.client_hop(txn)
@@ -281,84 +179,88 @@ def _two_phase_commit_faulted(
             obs.inflight_2pc -= 1
         raise TransactionAborted(exc.reason, f"2pc presumed abort: {exc}")
 
-    # Commit point: every vote is in and the decision is (modeled as)
-    # force-logged. From here the decision is delivered persistently.
-    merged = VersionVector.zeros(len(sites[0].svv))
+    # Round 3: all voted yes -> commit decision fan-out. The window
+    # between the prepare votes and this decision reaching a branch is
+    # the 2PC uncertainty window the paper's Figure 1b illustrates.
+    # The decision is (modeled as) force-logged here, so a coordinator
+    # that crashes now still has it delivered (participants would learn
+    # it from the recovered coordinator's log).
     round_started = env.now
     try:
-        yield from site_process(
-            coord_site,
-            coord_site.cpu.use(coordinate, txn=txn, track=coordinator_track),
-        )
+        yield from coordinate_round()
     except SiteDown:
-        # Coordinator crashed after logging the decision; delivery
-        # continues below (participants would learn it from the
-        # recovered coordinator's log).
         pass
-    for index, (unit, keys) in enumerate(items):
-        site_index = placement[unit]
-        failures = 0
-        while True:
-            try:
-                commit_vv = yield from _call(
-                    site_index,
-                    sites[site_index].commit_branch(txn, keys, begin_vvs[index]),
-                )
-                break
-            except SiteDown:
-                # Participant died in the uncertainty window: its
-                # branch (volatile locks, undecided writes) is lost.
-                commit_vv = None
-                break
-            except RpcTimeout:
-                failures += 1
-                yield env.timeout(policy.backoff_ms(min(failures - 1, 8)))
+    commit_vvs = yield fan_out(commit)
+    if traced:
+        traced_round("decide", round_started)
+
+    merged = VersionVector.zeros(len(sites[0].svv))
+    for commit_vv in commit_vvs:
         if commit_vv is not None:
             merged.merge(commit_vv)
-    if traced:
-        _round("decide", round_started)
 
+    # Coordinator -> client reply.
     yield from system.client_hop(txn)
     if obs.enabled:
         obs.inflight_2pc -= 1
     return merged
 
 
+def _retry_policy(system) -> RetryPolicy:
+    """The injector's retry policy (only a fault reaches for it)."""
+    faults = system.cluster.faults
+    return RetryPolicy(faults.rpc, faults.rng)
+
+
+def _branch_call(system, txn, coordinator, site_index, handler):
+    """One branch call from the coordinator: guarded if the branch is
+    remote, crash-raced on the coordinator if it is local."""
+    site = system.sites[site_index]
+    if site_index == coordinator:
+        return site_process(site, handler)
+    return guarded_call(
+        system.network, site, handler, src=coordinator, category="2pc", txn=txn
+    )
+
+
+def _deliver(system, txn, coordinator, site_index, decide):
+    """Deliver a global decision, ``decide(site)``, to one branch.
+
+    Persistent: both decisions are idempotent, so a timed-out delivery
+    is retried until it lands. A dead participant returns None — its
+    volatile locks and undecided writes died with it, and a branch lost
+    after the commit decision is never redone (the documented price of
+    presumed abort without a coordinator redo log, DESIGN.md §7).
+    Terminates because link faults are finite and loss is < 1.
+    """
+    failures = 0
+    while True:
+        try:
+            return (yield from _branch_call(
+                system, txn, coordinator, site_index, decide(system.sites[site_index])
+            ))
+        except SiteDown:
+            return None
+        except RpcTimeout:
+            failures += 1
+            yield system.env.timeout(
+                _retry_policy(system).backoff_ms(min(failures - 1, 8))
+            )
+
+
 def _abort_branches(system, txn, touched, coordinator):
     """Deliver the presumed-abort decision to every touched branch.
 
-    Persistent per branch: an undelivered abort would leak that
-    branch's locks forever and stall every conflicting transaction.
-    Terminates because link faults are finite, loss is < 1, and a dead
-    site's locks died with it (abort skipped).
+    An undelivered abort would leak that branch's locks forever and
+    stall every conflicting transaction.
     """
-    env = system.env
-    faults = system.cluster.faults
-    policy = RetryPolicy(faults.rpc, faults.rng)
     for site_index, keys in touched:
-        failures = 0
-        while True:
-            site = system.sites[site_index]
-            if not site.alive:
-                break
-            try:
-                if site_index == coordinator:
-                    yield from site_process(site, site.abort_branch(txn, keys))
-                else:
-                    yield from guarded_call(
-                        system.network,
-                        site,
-                        site.abort_branch(txn, keys),
-                        src=coordinator,
-                        category="2pc",
-                        txn=txn,
-                    )
-                break
-            except SiteDown:
-                break
-            except RpcTimeout:
-                failures += 1
-                yield env.timeout(policy.backoff_ms(min(failures - 1, 8)))
+        if not system.sites[site_index].alive:
+            continue  # its lock table died with it
+        yield from _deliver(
+            system, txn, coordinator, site_index,
+            lambda site: site.abort_branch(txn, keys),
+        )
 
 
 def submit_partitioned_write(system, txn: Transaction, session, min_begin):

@@ -47,9 +47,9 @@ UNFAULTED_FINGERPRINTS = {
 FAULTED_FINGERPRINTS = {
     "dynamast": "e0109c603f424e0a",
     "single-master": "11214a1a6c5f9e3b",
-    "multi-master": "84c0d4364a45a089",
-    "partition-store": "7d0654b2892f495e",
-    "leap": "24c39234fcac0eb9",
+    "multi-master": "f531f4c54bad01c7",
+    "partition-store": "1db12045d127ad83",
+    "leap": "5e97ac0ec0c43f1c",
 }
 
 
@@ -123,17 +123,27 @@ class TestUnfaultedBitIdentity:
     def test_empty_plan_enables_hardened_stack_without_faults(self):
         """An installed injector with an empty plan opts the run into
         the survivable protocol stack (guarded RPCs, presumed-abort
-        2PC) — the timing differs from the unhardened paths — but
-        nothing fails: no fault events, no fault aborts, and the run
-        stays deterministic."""
-        for system in UNFAULTED_FINGERPRINTS:
+        2PC), which runs the figures' schedule: where no fault fires,
+        the comparators measure the protocol the unfaulted runs do."""
+        for system in ("single-master", "multi-master", "leap"):
+            result = _run(system, fault_plan=FaultPlan())
+            assert result.fault_events == []
+            assert _fingerprint(result) == UNFAULTED_FINGERPRINTS[system], system
+        # The other two run deterministically and see no fault.
+        # DynaMast keeps a remastering fork and hedges reads.
+        empty = {}
+        for system in ("partition-store", "dynamast"):
             first = _run(system, fault_plan=FaultPlan())
             second = _run(system, fault_plan=FaultPlan())
             assert first.fault_events == []
-            assert first.metrics.commits > 0
             for reason in ("timeout", "site_crash"):
                 assert first.metrics.aborts_by_reason.get(reason, 0) == 0
-            assert _fingerprint(first) == _fingerprint(second)
+            assert _fingerprint(first) == _fingerprint(second), system
+            empty[system] = first.metrics.commits
+        # Partition-store's guarded sub-reads run their handler in a
+        # spawned process, which reorders a few same-instant ties.
+        unfaulted = _run("partition-store").metrics.commits
+        assert abs(empty["partition-store"] - unfaulted) <= 0.01 * unfaulted
 
 
 class TestRetryCount:

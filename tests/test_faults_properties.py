@@ -5,7 +5,8 @@ without restarts, drops, loss, extra delay) and the properties assert
 the robustness contract of DESIGN.md's fault model:
 
 * **termination** — every submitted transaction completes (commit or
-  abort); no fault schedule may wedge a client;
+  abort); no fault schedule may wedge a client. For the comparators,
+  no live site holds a lock after the drain;
 * **SI on survivors** — sites that are alive at the end agree on the
   per-record version order (write-write exclusion survived failover);
 * **restart convergence** — when every crash has a restart, the
@@ -22,6 +23,7 @@ simulation run.
 import random
 from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -33,9 +35,16 @@ from repro.replication.recovery import merge_logs
 from repro.sim.config import ClusterConfig
 from repro.systems import Cluster, build_system
 from repro.transactions import Transaction
-from tests.helpers import assert_converged
+from tests.helpers import assert_converged, run_process
 
 NUM_SITES = 3
+
+#: The comparators whose fault handling is part of their one schedule:
+#: 2PC (multi-master, partition-store), scatter-gather reads
+#: (partition-store) and record shipping (LEAP).
+COMPARATORS = ("multi-master", "partition-store", "leap")
+#: Systems that run on a partitioned, unreplicated cluster.
+UNREPLICATED = ("partition-store", "leap")
 
 #: Site 2 durably logs a grant whose reply the link drops, then crashes;
 #: the selector's grant loop fails over while site 2 is still down
@@ -82,6 +91,7 @@ def run_faulted_workload(
     plan,
     seed=0,
     system_name="dynamast",
+    wide_reads=False,
     num_clients=5,
     txns_per_client=10,
     horizon_ms=30_000.0,
@@ -89,12 +99,17 @@ def run_faulted_workload(
     """Finite random clients against one system under ``plan``.
 
     Returns after asserting that every client process finished — the
-    termination property — and draining replication.
+    termination property — and draining replication. ``wide_reads``
+    lets a read span up to three keys, like a write, so it can cover
+    several units (partition-store's scatter-gather).
     """
-    cluster = Cluster(ClusterConfig(num_sites=NUM_SITES, seed=seed))
+    cluster = Cluster(
+        ClusterConfig(num_sites=NUM_SITES, seed=seed),
+        replicated=system_name not in UNREPLICATED,
+    )
     scheme = PartitionScheme(lambda key: key[1] // 5, num_partitions=8)
     kwargs = {"scheme": scheme}
-    if system_name == "multi-master":
+    if system_name != "dynamast":
         kwargs["placement"] = {p: p % NUM_SITES for p in range(8)}
     system = build_system(system_name, cluster, **kwargs)
     injector = FaultInjector(cluster, plan, cluster.streams.faults())
@@ -105,13 +120,17 @@ def run_faulted_workload(
     def client(client_id):
         rng = random.Random(seed * 1000 + client_id)
         session = system.new_session(client_id)
+
+        def draw_keys():
+            return tuple({
+                ("t", rng.randrange(40)) for _ in range(rng.randint(1, 3))
+            })
+
         for _ in range(txns_per_client):
             if rng.random() < 0.7:
-                keys = tuple({
-                    ("t", rng.randrange(40))
-                    for _ in range(rng.randint(1, 3))
-                })
-                txn = Transaction("w", client_id, write_set=keys)
+                txn = Transaction("w", client_id, write_set=draw_keys())
+            elif wide_reads:
+                txn = Transaction("r", client_id, read_set=draw_keys())
             else:
                 txn = Transaction("r", client_id, read_set=(("t", rng.randrange(40)),))
             outcome = yield from system.submit(txn, session)
@@ -141,13 +160,94 @@ class TestTermination:
         _, _, _, outcomes = run_faulted_workload(plan, seed=seed)
         assert all(hasattr(outcome, "committed") for outcome in outcomes)
 
+    @pytest.mark.parametrize("system_name", COMPARATORS)
     @settings(max_examples=6, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(plan=fault_plans(), seed=st.integers(0, 2**16))
-    def test_multi_master_every_txn_terminates(self, plan, seed):
-        """The 2PC termination protocol: no schedule may leak a lock
-        or lose a decision in a way that wedges a later client."""
-        run_faulted_workload(plan, seed=seed, system_name="multi-master")
+    def test_comparator_every_txn_terminates(self, system_name, plan, seed):
+        """The termination protocols (presumed-abort 2PC, retried
+        sub-reads, record shipping): no schedule may wedge a later
+        client or leak a lock."""
+        cluster, _, _, _ = run_faulted_workload(
+            plan, seed=seed, system_name=system_name, wide_reads=True
+        )
+        assert_no_locks_held(cluster)
+
+
+def assert_no_locks_held(cluster):
+    """After the drain, no live site's lock table holds a key: every
+    branch was committed or aborted, every sub-read and ship-out ended."""
+    for site in cluster.sites:
+        if site.alive:
+            held = site.database.locks.held_count()
+            assert held == 0, f"site {site.index} still holds {held} locks"
+
+
+class TestPresumedAbort:
+    def test_prepare_timeout_aborts_every_branch(self):
+        """One branch's prepare exhausts its retries while the other
+        branch has voted yes: both branches are aborted, no lock
+        remains, and the transaction aborts on the timeout."""
+        cluster = Cluster(ClusterConfig(num_sites=NUM_SITES))
+        system = build_system(
+            "multi-master", cluster,
+            scheme=PartitionScheme(lambda key: key[1] // 5, num_partitions=8),
+            placement={p: p % NUM_SITES for p in range(8)},
+        )
+        injector = FaultInjector(cluster, FaultPlan(), cluster.streams.faults())
+        injector.install()
+        env = cluster.env
+        slow = cluster.sites[1]
+        attempts = []
+
+        def never_votes(txn, keys):
+            # Votes long after every prepare attempt timed out.
+            attempts.append(env.now)
+            yield env.timeout(1000 * cluster.config.rpc.timeout_ms)
+            return True
+
+        slow.prepare_branch = never_votes
+        # Unit 0 (site 0) and unit 1 (site 1): site 0 coordinates.
+        txn = Transaction("w", 0, write_set=(("t", 0), ("t", 1), ("t", 5)))
+        outcome = run_process(
+            env, env.process(system.submit(txn, system.new_session(0)))
+        )
+        assert not outcome.committed
+        assert outcome.abort_reason == "timeout"
+        assert len(attempts) == cluster.config.rpc.max_retries + 1
+        for site in cluster.sites[:2]:
+            assert txn.txn_id in site._branch_aborted
+            assert not site._branch_locked
+        assert_no_locks_held(cluster)
+
+
+class TestLocalizationAbort:
+    def test_only_shipped_groups_change_owner(self):
+        """LEAP ships two groups in parallel and one source is down:
+        the transaction aborts, the group that landed is owned by the
+        execution site, and the other stays with its source."""
+        cluster = Cluster(ClusterConfig(num_sites=NUM_SITES), replicated=False)
+        system = build_system(
+            "leap", cluster,
+            scheme=PartitionScheme(lambda key: key[1] // 5, num_partitions=8),
+            placement={p: p % NUM_SITES for p in range(8)},
+        )
+        plan = FaultPlan(crashes=(CrashFault(1, at_ms=0.0),))
+        FaultInjector(cluster, plan, cluster.streams.faults()).install()
+        env = cluster.env
+        down, landed = ("t", 5), ("t", 10)  # units 1 and 2: sites 1 and 2
+        # Client 0 executes at site 0.
+        txn = Transaction("w", 0, write_set=(down, landed))
+        outcome = run_process(
+            env, env.process(system.submit(txn, system.new_session(0)))
+        )
+        assert not outcome.committed
+        assert outcome.abort_reason == "site_crash"
+        assert system.owner_of(landed) == 0
+        assert system.owner_of(down) == 1
+        assert system.records_shipped == 1
+        assert system._migration_locks.held_count() == 0
+        assert_no_locks_held(cluster)
 
 
 class TestSurvivorInvariants:
