@@ -145,7 +145,7 @@ slo-smoke:
 	        % (header['true_positives'], header['mttd_mean_ms']))"
 	python -c "from repro.bench.parallel import run_fingerprint; \
 	  from repro.faults.chaos import run_chaos; \
-	  from repro.obs import quick_slos; \
+	  from repro.obs.slo import quick_slos; \
 	  kw = dict(num_clients=8, duration_ms=2000.0); \
 	  off = run_chaos('dynamast', 'fail_slow_master', **kw).result; \
 	  on = run_chaos('dynamast', 'fail_slow_master', slo=quick_slos(), **kw).result; \

@@ -13,7 +13,8 @@ Run: ``python examples/tpcc_latency.py [--clients N] [--remote F]``
 
 import argparse
 
-from repro.bench import print_table, run_benchmark
+from repro.bench import run_benchmark
+from repro.bench.report import print_table
 from repro.sim.config import ClusterConfig
 from repro.workloads import TPCCConfig, TPCCWorkload
 

@@ -11,8 +11,9 @@ Run: ``python examples/ycsb_comparison.py [--clients N] [--rmw F]``
 
 import argparse
 
-from repro.bench import print_table, run_benchmark
+from repro.bench import run_benchmark
 from repro.bench.harness import ALL_SYSTEMS
+from repro.bench.report import print_table
 from repro.workloads import YCSBConfig, YCSBWorkload
 
 

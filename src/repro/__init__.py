@@ -10,8 +10,15 @@ Public API tour:
 * :class:`repro.core.SiteSelector` — the dynamic-mastering site
   selector (Algorithm 1 + the Eq. 2-8 strategies);
 * :mod:`repro.workloads` — modified YCSB, TPC-C, SmallBank;
-* :func:`repro.bench.run_benchmark` — closed-loop measurement harness;
-* :mod:`repro.bench.experiments` — drivers for every evaluation figure.
+* :func:`repro.bench.run_benchmark` — one measured run;
+* :func:`repro.bench.parallel.execute_specs` — a matrix of ``RunSpec``
+  rows, in-process or over worker processes;
+* :mod:`repro.bench.experiments` — drivers for every evaluation figure;
+* :mod:`repro.obs` — the tracer and sampler; the recorders live in
+  :mod:`repro.obs.mastery` and :mod:`repro.obs.slo`.
+
+Package ``__init__`` files re-export only what every run executes;
+everything else is imported from its defining module.
 """
 
 from repro.bench import run_benchmark

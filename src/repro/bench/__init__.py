@@ -1,4 +1,4 @@
-"""Benchmark harness: clients, metrics, experiment drivers.
+"""Benchmark harness: one run and its metrics.
 
 :func:`~repro.bench.harness.run_benchmark` assembles a cluster, a
 system, and a workload, drives ``num_clients`` closed-loop clients for
@@ -8,48 +8,25 @@ latency breakdown of Figure 7, remastering/2PC/shipping counts, and
 network traffic by category. Passing an
 :class:`~repro.workloads.openloop.OpenLoopSpec` switches the run to
 open-loop traffic — rate-curve arrivals through per-site admission
-queues, with 100k+ modeled clients aggregated into one pool — and
-:mod:`repro.bench.scale` pins saturation-knee cases at that scale
-(``repro perf --scale``).
+queues, with 100k+ modeled clients aggregated into one pool.
 
-Every table and figure of the paper's evaluation has a driver in
-:mod:`repro.bench.experiments`, exercised by the ``benchmarks/`` tree.
+This package exports only what every run executes. The rest is
+imported from its defining module (DESIGN.md §8, "Import floor"):
+
+* :mod:`repro.bench.parallel` — ``RunSpec`` / ``WorkloadSpec`` rows,
+  ``execute_specs`` (serial or over worker processes), ``RunSummary``,
+  ``run_fingerprint``;
+* :mod:`repro.bench.experiments` — a driver for every table and figure
+  of the paper's evaluation, exercised by the ``benchmarks/`` tree;
+* :mod:`repro.bench.repeat` — seed repeats with confidence intervals;
+* :mod:`repro.bench.report` / :mod:`repro.bench.export` — printed
+  tables, CSV / JSON;
+* :mod:`repro.bench.perf` / :mod:`repro.bench.scale` — the pinned
+  determinism matrix and the open-loop saturation knees
+  (``repro perf [--scale]``).
 """
 
 from repro.bench.harness import RunResult, run_benchmark
-from repro.bench.parallel import (
-    ParallelExecutor,
-    RunSpec,
-    RunSummary,
-    SpecExecutionError,
-    WorkloadSpec,
-    execute_specs,
-    run_fingerprint,
-)
-from repro.bench.repeat import Estimate, RepeatedResult, run_repeated
-from repro.bench.scale import SCALE_MATRIX, ScaleCase, find_knee
 from repro.bench.metrics import LatencySummary, Metrics
-from repro.bench.report import format_row, print_run_report, print_table
 
-__all__ = [
-    "Estimate",
-    "LatencySummary",
-    "Metrics",
-    "ParallelExecutor",
-    "RepeatedResult",
-    "RunResult",
-    "RunSpec",
-    "RunSummary",
-    "SCALE_MATRIX",
-    "ScaleCase",
-    "SpecExecutionError",
-    "find_knee",
-    "WorkloadSpec",
-    "execute_specs",
-    "run_fingerprint",
-    "run_repeated",
-    "format_row",
-    "print_run_report",
-    "print_table",
-    "run_benchmark",
-]
+__all__ = ["LatencySummary", "Metrics", "RunResult", "run_benchmark"]

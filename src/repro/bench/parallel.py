@@ -43,7 +43,6 @@ perf and scale harnesses build from those summaries share one envelope
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import platform
@@ -60,8 +59,8 @@ from repro.bench.harness import (
 )
 from repro.core.strategy import StrategyWeights
 from repro.faults.plan import build_scenario
-from repro.obs import DecisionLedger, SloEngine
 from repro.sim.config import ClusterConfig
+from repro.sim.rand import sha256
 from repro.workloads.openloop import OpenLoopSpec
 
 __all__ = [
@@ -124,7 +123,7 @@ def run_fingerprint(result) -> str:
             (key, round(float(value), 6)) for key, value in open_loop.items()
         )
         payload["admission_wait_sum"] = round(metrics.admission_wait_total(), 6)
-    return hashlib.sha256(
+    return sha256(
         json.dumps(payload, sort_keys=True).encode()
     ).hexdigest()[:16]
 
@@ -214,6 +213,17 @@ def execute_spec(spec: RunSpec) -> RunResult:
     makes serial/parallel bit-identity hold by construction. It is also
     the one place in ``bench/`` that builds recorders from flags.
     """
+    # Imported only where a flag builds one: a run that attaches no
+    # recorder loads neither module.
+    ledger = slo = None
+    if spec.mastery:
+        from repro.obs.mastery import DecisionLedger
+
+        ledger = DecisionLedger()
+    if spec.slo:
+        from repro.obs.slo import SloEngine
+
+        slo = SloEngine()
     plan = None
     if spec.fault_scenario is not None:
         cluster = spec.cluster or ClusterConfig()
@@ -233,9 +243,9 @@ def execute_spec(spec: RunSpec) -> RunResult:
         seed=spec.seed,
         streaming_metrics=spec.streaming_metrics,
         fault_plan=plan,
-        ledger=DecisionLedger() if spec.mastery else None,
+        ledger=ledger,
         open_loop=spec.open_loop,
-        slo=SloEngine() if spec.slo else None,
+        slo=slo,
     )
 
 

@@ -41,24 +41,25 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.bench import print_table, run_benchmark
-from repro.bench.harness import ALL_SYSTEMS
-from repro.bench.experiments import run_suite
-from repro.bench.parallel import SpecExecutionError, WorkloadSpec
-from repro.bench.report import print_run_report
+# What only some commands run (drivers, tables, recorders) is imported
+# inside their handlers: ``--help`` loads none of it.
+from repro.bench.harness import ALL_SYSTEMS, run_benchmark
 from repro.sim.config import ClusterConfig
 
 WORKLOADS = ("ycsb", "tpcc", "smallbank")
 
 
-def make_workload_spec(name: str, args) -> WorkloadSpec:
-    """Describe a workload from CLI arguments as picklable pure data.
+def make_workload_spec(name: str, args):
+    """Describe a workload from CLI arguments as picklable pure data
+    (a :class:`~repro.bench.parallel.WorkloadSpec`).
 
     The spec form is what ``bench`` / ``compare`` rows carry (and ship
     to worker processes under ``--jobs``); :func:`make_workload` builds
     the same workload in-process from it for the live-recorder
     commands, so both construct identical generators.
     """
+    from repro.bench.parallel import WorkloadSpec
+
     if name == "ycsb":
         return WorkloadSpec.of("ycsb", rmw_fraction=args.rmw, zipf_theta=args.skew)
     if name == "tpcc":
@@ -91,6 +92,8 @@ def add_common_arguments(parser: argparse.ArgumentParser) -> None:
 
 def run_rows(systems, args, jobs: int = 1):
     """Run one ``RunSpec`` row per system (``bench`` and ``compare``)."""
+    from repro.bench.experiments import run_suite
+
     return run_suite(
         make_workload_spec(args.workload, args),
         systems=systems,
@@ -122,11 +125,14 @@ def run_live(system: str, args, obs=None, ledger=None):
 
 
 def cmd_bench(args) -> int:
+    from repro.bench.report import print_run_report
+
     print_run_report(run_rows([args.system], args)[args.system])
     return 0
 
 
 def cmd_trace(args) -> int:
+    from repro.bench.report import print_run_report, print_table
     from repro.obs import Observability
     from repro.obs.export import (
         flame_summary,
@@ -178,6 +184,7 @@ def _explain_report(system: str, args):
 
 
 def _print_budget(report) -> None:
+    from repro.bench.report import print_table
     from repro.obs.attribution import budget_headers, budget_rows
 
     meta = report.meta
@@ -207,6 +214,8 @@ def _print_budget(report) -> None:
 
 
 def _print_diff(diff) -> None:
+    from repro.bench.report import print_table
+
     print_table(
         f"budget diff: {diff['a']} ({diff['a_txns']} txns) vs "
         f"{diff['b']} ({diff['b_txns']} txns)",
@@ -281,7 +290,7 @@ def cmd_explain(args) -> int:
 
 
 def cmd_masters(args) -> int:
-    from repro.bench.report import print_mastering
+    from repro.bench.report import print_mastering, print_table
     from repro.obs.mastery import DecisionLedger, render_decision
 
     if args.window <= 0:
@@ -362,6 +371,8 @@ def cmd_masters(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from repro.bench.report import print_table
+
     systems = args.systems.split(",") if args.systems else list(ALL_SYSTEMS)
     results = run_rows(systems, args, jobs=args.jobs)
     print(f"ran {len(results)} systems (jobs={args.jobs})", file=sys.stderr)
@@ -397,7 +408,7 @@ def cmd_slo(args) -> int:
     from repro.bench.report import print_slo
     from repro.faults.chaos import run_chaos
     from repro.faults.plan import FaultPlan
-    from repro.obs import SloEngine, quick_slos
+    from repro.obs.slo import SloEngine, quick_slos
 
     if args.window <= 0:
         print(f"repro slo: error: --window must be positive, "
@@ -450,6 +461,7 @@ def cmd_slo(args) -> int:
 
 
 def cmd_chaos(args) -> int:
+    from repro.bench.report import print_mastering, print_slo, print_table
     from repro.faults.chaos import run_chaos
 
     systems = args.systems.split(",") if args.systems else [args.system]
@@ -472,7 +484,7 @@ def cmd_chaos(args) -> int:
         ledger = DecisionLedger()
     slo = None
     if args.slo:
-        from repro.obs import SloEngine
+        from repro.obs.slo import SloEngine
 
         slo = SloEngine()
     report = run_chaos(
@@ -537,8 +549,6 @@ def cmd_chaos(args) -> int:
     if args.masters:
         mastering = report.mastering_summary(window_ms=args.bucket)
         if mastering is not None:
-            from repro.bench.report import print_mastering
-
             print_mastering(report.result)
             rows = []
             for entry in mastering["reconvergence"]:
@@ -555,8 +565,6 @@ def cmd_chaos(args) -> int:
                     rows,
                 )
     if args.slo:
-        from repro.bench.report import print_slo
-
         print_slo(report.result)
     if args.out:
         report.write_csv(args.out)
@@ -566,6 +574,7 @@ def cmd_chaos(args) -> int:
 
 def _chaos_matrix(args, systems, scenarios) -> int:
     """Fan a (system x scenario) matrix over worker processes."""
+    from repro.bench.report import print_table
     from repro.faults.chaos import run_chaos_matrix
 
     if args.explain:
@@ -686,6 +695,7 @@ def cmd_perf(args) -> int:
 
 def cmd_experiments(_args) -> int:
     from repro.bench import experiments
+    from repro.bench.report import print_table
 
     drivers = [
         ("fig4a_ycsb_uniform", "Fig 4a: YCSB uniform 50/50 throughput vs clients"),
@@ -902,6 +912,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     experiments.set_defaults(fn=cmd_experiments)
 
     args = parser.parse_args(argv)
+    from repro.bench.parallel import SpecExecutionError
+
     try:
         return args.fn(args)
     except (ValueError, SpecExecutionError) as exc:

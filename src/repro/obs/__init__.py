@@ -1,25 +1,10 @@
 """Simulation-native observability: tracing, timelines, recorders, export.
 
 One :class:`Observability` object bundles the two instruments of an
-observed run:
-
-* :class:`~repro.obs.tracer.Tracer` — per-transaction span trees and
-  instant events over the simulated clock;
-* :class:`~repro.obs.sampler.TimelineSampler` — periodic per-site
-  timelines (CPU, lock depth, replication lag, 2PC in flight).
-
-Two separately attached recorders watch the same run:
-:class:`~repro.obs.mastery.DecisionLedger` records every remaster
-decision, and :class:`~repro.obs.slo.SloEngine` streams the
-transactions through windowed SLO monitors and runtime invariant
-checks, turning sustained breaches into an
-:class:`~repro.obs.slo.Incident` ledger correlated against injected
-fault windows. Either is off when its argument is None.
-
-End-of-run totals reach Prometheus text one way: ``Metrics``,
-``SloEngine`` and ``DecisionLedger`` each fold into a fresh
-:class:`~repro.obs.registry.MetricsRegistry` (``to_registry``), whose
-``to_prometheus`` is the only formatter.
+observed run: the :class:`~repro.obs.tracer.Tracer` (per-transaction
+span trees and instant events over the simulated clock) and the
+:class:`~repro.obs.sampler.TimelineSampler` (periodic per-site
+timelines: CPU, lock depth, replication lag, 2PC in flight).
 
 The default everywhere is :data:`NULL_OBS`, whose tracer is a no-op and
 whose sampler never starts: an unobserved run schedules no extra
@@ -28,119 +13,29 @@ this package. Protocol code reaches its observability handle through
 the simulation environment (``env.obs``), so no constructor threading
 is needed.
 
+This package exports only those two names, which every run imports.
+The rest is imported from its defining module, by the runs that use it
+(DESIGN.md §8, "Import floor"):
+
+* :mod:`repro.obs.mastery` — the remaster ``DecisionLedger``;
+* :mod:`repro.obs.slo` — the streaming ``SloEngine``, ``quick_slos``;
+* :mod:`repro.obs.registry` — ``MetricsRegistry``, the one Prometheus
+  formatter every recorder folds into (``to_registry``);
+* :mod:`repro.obs.export` — Chrome-trace / JSONL writers and the
+  trace-vs-metrics reconciliation;
+* :mod:`repro.obs.causal` / :mod:`repro.obs.attribution` — critical
+  paths and latency budgets; :mod:`repro.obs.dashboard` — HTML.
+
 Design rationale, the full span/instant inventory, and the
 zero-overhead guarantee are documented in DESIGN.md §6; the
 determinism contract the no-op default upholds is §5, and the AST
-guard enforcing it lives in ``tests/test_determinism_guard.py``. Hot
-protocol paths check ``tracer.enabled`` once and skip span
-construction entirely when unobserved (DESIGN.md §8).
+guard enforcing it lives in ``tests/test_determinism_guard.py``.
 """
 
-from repro.obs.attribution import (
-    AttributionError,
-    AttributionReport,
-    TxnAttribution,
-    diff_reports,
-    render_waterfall,
-)
-from repro.obs.causal import (
-    CATEGORIES,
-    EDGE_KINDS,
-    PathSegment,
-    critical_path,
-    path_categories,
-)
-from repro.obs.dashboard import render_dashboard, write_dashboard
-from repro.obs.export import (
-    flame_summary,
-    reconcile_with_metrics,
-    to_chrome_trace,
-    to_jsonl,
-    write_chrome_trace,
-    write_jsonl,
-)
-from repro.obs.mastery import (
-    CandidateScore,
-    DecisionLedger,
-    DecisionRecord,
-    MastershipTimeline,
-    OwnershipChange,
-    OwnershipInterval,
-    RateWindow,
-    recompute_decision,
-    render_decision,
-)
-from repro.obs.registry import Counter, Gauge, MetricsRegistry, StreamingHistogram
-from repro.obs.sampler import Timeline, TimelineSampler, attach_cluster_probes
-from repro.obs.slo import (
-    DEFAULT_SLOS,
-    Incident,
-    SloEngine,
-    SloSpec,
-    quick_slos,
-)
-from repro.obs.tracer import (
-    NULL_TRACER,
-    EdgeRecord,
-    InstantRecord,
-    NullTracer,
-    SpanNode,
-    SpanRecord,
-    Tracer,
-    TxnRecord,
-)
+from repro.obs.sampler import TimelineSampler, attach_cluster_probes
+from repro.obs.tracer import NULL_TRACER, Tracer
 
-__all__ = [
-    "CATEGORIES",
-    "DEFAULT_SLOS",
-    "EDGE_KINDS",
-    "NULL_OBS",
-    "NULL_TRACER",
-    "AttributionError",
-    "AttributionReport",
-    "CandidateScore",
-    "Counter",
-    "DecisionLedger",
-    "DecisionRecord",
-    "EdgeRecord",
-    "Gauge",
-    "Incident",
-    "InstantRecord",
-    "MastershipTimeline",
-    "MetricsRegistry",
-    "NullTracer",
-    "Observability",
-    "OwnershipChange",
-    "OwnershipInterval",
-    "PathSegment",
-    "RateWindow",
-    "SloEngine",
-    "SloSpec",
-    "SpanNode",
-    "SpanRecord",
-    "StreamingHistogram",
-    "Timeline",
-    "TimelineSampler",
-    "Tracer",
-    "TxnAttribution",
-    "TxnRecord",
-    "attach_cluster_probes",
-    "critical_path",
-    "diff_reports",
-    "flame_summary",
-    "path_categories",
-    "quick_slos",
-    "reconcile_with_metrics",
-    "recompute_decision",
-    "render_dashboard",
-    "render_decision",
-    "render_waterfall",
-    "write_dashboard",
-    "to_chrome_trace",
-    "to_jsonl",
-    "write_chrome_trace",
-    "write_jsonl",
-]
+__all__ = ["NULL_OBS", "Observability"]
 
 
 class Observability:

@@ -9,10 +9,20 @@ not perturb existing streams.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from bisect import bisect_right
 from typing import Dict
+
+# The builtin SHA-256, as random.py takes its sha512: hashlib maps
+# OpenSSL's libcrypto (about 3.5 MB of every run's RSS) to hash a few
+# short strings. Also the digest of ``run_fingerprint``.
+try:
+    from _sha2 import sha256  # CPython >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython <= 3.11
+    except ImportError:
+        from hashlib import sha256
 
 #: Well-known stream names. Streams are derived independently from the
 #: seed (SHA-256 of ``seed:name``), so adding or removing a *consumer*
@@ -42,7 +52,7 @@ class RandomStreams:
         """Return (creating on first use) the stream called ``name``."""
         stream = self._streams.get(name)
         if stream is None:
-            digest = hashlib.sha256(f"{self.seed}:{name}".encode()).digest()
+            digest = sha256(f"{self.seed}:{name}".encode()).digest()
             stream = random.Random(int.from_bytes(digest[:8], "big"))
             self._streams[name] = stream
         return stream

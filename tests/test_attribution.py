@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.obs import Tracer
+from repro.obs.tracer import Tracer
 from repro.obs.attribution import (
     SCHEMA,
     AttributionError,

@@ -9,7 +9,8 @@ within 1e-6 simulated milliseconds.
 import pytest
 
 from repro.bench import run_benchmark
-from repro.obs import Observability, Tracer
+from repro.obs import Observability
+from repro.obs.tracer import Tracer
 from repro.obs.causal import (
     CATEGORIES,
     EDGE_KINDS,

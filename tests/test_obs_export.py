@@ -4,16 +4,15 @@ import json
 
 import pytest
 
-from repro.obs import (
-    Timeline,
-    TimelineSampler,
-    Tracer,
+from repro.obs.export import (
     flame_summary,
     to_chrome_trace,
     to_jsonl,
     write_chrome_trace,
     write_jsonl,
 )
+from repro.obs.sampler import Timeline, TimelineSampler
+from repro.obs.tracer import Tracer
 from repro.sim.core import Environment
 from repro.transactions import Outcome, Transaction
 

@@ -9,7 +9,8 @@ from repro.bench import Metrics, run_benchmark
 from repro.bench.metrics import rate_series
 from repro.bench.export import run_to_row
 from repro.bench.report import print_run_report
-from repro.obs import Observability, reconcile_with_metrics, to_chrome_trace, to_jsonl
+from repro.obs import Observability
+from repro.obs.export import reconcile_with_metrics, to_chrome_trace, to_jsonl
 from repro.sim.config import ClusterConfig
 from repro.transactions import Outcome, Transaction
 from repro.workloads import YCSBConfig, YCSBWorkload

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs import Counter, Gauge, MetricsRegistry, StreamingHistogram
+from repro.obs.registry import Counter, Gauge, MetricsRegistry, StreamingHistogram
 from repro.bench.metrics import LatencySummary, Metrics, _percentile
 from repro.transactions import Outcome, Transaction
 

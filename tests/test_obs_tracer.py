@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs import (
+from repro.obs import tracer as tracer_module
+from repro.obs.tracer import (
     NULL_TRACER,
     EdgeRecord,
     InstantRecord,
@@ -18,7 +19,6 @@ from repro.obs import (
     SpanRecord,
     Tracer,
 )
-from repro.obs import tracer as tracer_module
 from repro.transactions import Outcome, Transaction
 
 
@@ -476,7 +476,8 @@ class TestExportsArePinned:
     def test_jsonl_and_chrome_trace_digests(self, monkeypatch):
         from repro import transactions
         from repro.bench import run_benchmark
-        from repro.obs import Observability, to_chrome_trace, to_jsonl
+        from repro.obs import Observability
+        from repro.obs.export import to_chrome_trace, to_jsonl
         from repro.sim.config import ClusterConfig
         from repro.workloads import build_workload
 

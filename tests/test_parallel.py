@@ -71,6 +71,28 @@ def run_spec_serially(spec):
     )
 
 
+#: One short unobserved run, as a subprocess program; binds ``result``.
+SHORT_RUN = (
+    "from repro.bench import run_benchmark\n"
+    "from repro.bench.parallel import run_fingerprint\n"
+    "from repro.sim.config import ClusterConfig\n"
+    "from repro.workloads import build_workload\n"
+    "result = run_benchmark('dynamast', build_workload('ycsb', num_partitions=16),"
+    " num_clients=4, duration_ms=150.0, warmup_ms=30.0,"
+    " cluster_config=ClusterConfig(num_sites=2), seed=11)\n"
+    "assert result.metrics.commits > 0\n"
+)
+
+#: Modules an unobserved run never executes, so never imports.
+FLOOR_EXCLUDES = (
+    "_hashlib", "html",
+    "repro.obs.slo", "repro.obs.mastery", "repro.obs.dashboard",
+    "repro.obs.export", "repro.obs.attribution", "repro.obs.causal",
+    "repro.bench.scale", "repro.bench.repeat", "repro.bench.experiments",
+    "repro.bench.report",
+)
+
+
 class TestWorkloadSpec:
     def test_builds_registered_workload(self):
         workload = WorkloadSpec.of("ycsb", num_partitions=16).build()
@@ -136,6 +158,47 @@ class TestParallelExecutorPool:
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
         )
         assert done.returncode == 0, done.stderr
+
+    def test_an_unobserved_run_imports_only_what_it_executes(self):
+        """The import floor every figure point pays: no OpenSSL (the
+        named streams and the fingerprint hash with the builtin
+        SHA-256), no recorder, report, dashboard or driver module."""
+        code = (
+            "import sys, repro.bench, repro.cli, repro.faults.chaos\n"
+            + SHORT_RUN
+            + f"loaded = [name for name in {FLOOR_EXCLUDES!r} if name in sys.modules]\n"
+            "assert not loaded, loaded\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+
+    def test_hashlib_fallback_hashes_identically(self):
+        """Without the builtin SHA-256 module (``_sha2`` on CPython
+        >= 3.12, ``_sha256`` before) the streams and the fingerprint
+        fall back to ``hashlib``, with the same digests."""
+        outputs = []
+        for prelude in ("", "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"):
+            code = (
+                "import sys\n" + prelude + SHORT_RUN
+                + "from repro.sim import rand\n"
+                "streams = rand.RandomStreams(11)\n"
+                "print(run_fingerprint(result), [streams.stream(name).random()"
+                " for name in (rand.WORKLOAD_STREAM, rand.NETWORK_STREAM,"
+                " rand.FAULTS_STREAM, rand.ARRIVALS_STREAM)])\n"
+                "print(rand.sha256.__module__, '_hashlib' in sys.modules)\n"
+            )
+            done = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True,
+                timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout.splitlines())
+        (lean, lean_source), (fallback, fallback_source) = outputs
+        assert lean == fallback
+        assert lean_source.endswith("False") and "hashlib" not in lean_source
+        assert fallback_source.endswith("True")
 
 
 class TestSpecFailurePaths:

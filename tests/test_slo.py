@@ -23,16 +23,20 @@ from repro.bench.parallel import (
 )
 from repro.faults import FaultPlan, build_scenario
 from repro.faults.chaos import defense_setup, run_chaos
-from repro.obs import (
+from repro.obs.dashboard import render_dashboard, write_dashboard
+from repro.obs.slo import (
     DEFAULT_SLOS,
+    SCHEMA,
     Incident,
     SloEngine,
     SloSpec,
+    _coalesce,
+    _evaluate,
+    _SloState,
+    _Window,
+    load_jsonl,
     quick_slos,
-    render_dashboard,
-    write_dashboard,
 )
-from repro.obs.slo import SCHEMA, _coalesce, _evaluate, _SloState, _Window, load_jsonl
 from repro.sim.config import ClusterConfig
 from repro.workloads.ycsb import YCSBConfig, YCSBWorkload
 from tests.test_obs_registry import exposition, parse_exposition, sorted_digest
