@@ -6,10 +6,10 @@ The package is inert unless a :class:`FaultInjector` is installed on a
 cluster. Each protocol step is written once: without an injector
 ``guarded_call`` is ``remote_call``, ``site_process`` is the handler
 itself and ``with_retries`` makes a single try, so runs without a plan
-are bit-identical to the pre-fault codebase, and the comparators' 2PC,
-scatter-gather reads and record shipping run one schedule with or
-without faults. The few remaining ``faults is None`` tests (DynaMast's
-remastering fork and two reads of injector state) are listed in
+are bit-identical to the pre-fault codebase, and DynaMast's
+remastering, the comparators' 2PC, scatter-gather reads and record
+shipping run one schedule with or without faults. The two remaining
+``faults is None`` tests read injector state; they are listed in
 ``tests/test_fault_gates.py``.
 
 The fault model — crash/restart semantics, the hardened RPC layer

@@ -44,8 +44,7 @@ class Cluster:
         )
         self.activity = PartitionActivity(self.env)
         #: The installed fault injector, or None (nothing can fail).
-        #: Routers consult it for suspicion state; the few protocol
-        #: forks that remain test it (DESIGN.md §7).
+        #: Routers ask :meth:`health` rather than test it (DESIGN.md §7).
         self.faults = None
         row_index = {} if replicated else None
         self.sites: List[DataSite] = [
@@ -74,6 +73,20 @@ class Cluster:
     @property
     def num_sites(self) -> int:
         return self.config.num_sites
+
+    def health(self, index: int) -> float:
+        """Graded confidence that site ``index`` can serve, in [0, 1].
+
+        1.0 without an injector, 0.0 for a down site, otherwise the
+        failure detector's graded health — 0 exactly when suspicion
+        trips — so a site is *healthy* when this is ``> 0``. Asking may
+        update a phi-accrual detector's suspicion state.
+        """
+        if self.faults is None:
+            return 1.0
+        if not self.sites[index].alive:
+            return 0.0
+        return self.faults.detector.health(index)
 
     def place_partitions(self, placement: Dict[int, int]) -> None:
         """Assign initial mastership: partition id -> site index."""
@@ -155,21 +168,17 @@ def choose_fresh_site(cluster: Cluster, session: Session, rng) -> int:
     spreading read load. If no site is fresh enough yet, pick the site
     with the smallest lag; the read then blocks briefly at that site.
 
-    Under fault injection, crashed and suspected sites are routed
-    around (falling back to merely-alive sites if suspicion covers
-    everything). Each live site is asked ``is_suspected`` once, in
-    index order: asking updates the phi-accrual detector's state.
+    Unhealthy (:meth:`Cluster.health`) sites are routed around,
+    falling back to merely-alive sites if suspicion covers everything.
+    Each live site is asked once, in index order: asking updates the
+    phi-accrual detector's state.
     """
-    candidates = cluster.sites
-    faults = cluster.faults
-    if faults is not None:
-        detector = faults.detector
-        candidates = (
-            [site for site in candidates
-             if site.alive and not detector.is_suspected(site.index)]
-            or [site for site in candidates if site.alive]
-            or candidates
-        )
+    sites = cluster.sites
+    candidates = (
+        [site for site in sites if cluster.health(site.index) > 0]
+        or [site for site in sites if site.alive]
+        or sites
+    )
     fresh = [site.index for site in candidates if site.svv.dominates(session.cvv)]
     if fresh:
         return fresh[rng.randrange(len(fresh))]

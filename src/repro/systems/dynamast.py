@@ -152,12 +152,9 @@ class DynaMast(System):
         site id on ties. Deterministic — no RNG draw — so enabling
         hedging perturbs nothing else.
         """
-        detector = self.cluster.faults.detector
         candidates = [
             site for site in self.sites
-            if site.index != primary_index
-            and site.alive
-            and not detector.is_suspected(site.index)
+            if site.index != primary_index and self.cluster.health(site.index) > 0
         ]
         if not candidates:
             return None

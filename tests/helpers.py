@@ -1,5 +1,11 @@
 """Helpers shared by the test modules."""
 
+import weakref
+from contextlib import contextmanager
+from unittest import mock
+
+from repro.sites.data_site import DataSite
+
 
 def run_process(env, process):
     """Step ``env`` until ``process`` finishes; return its value.
@@ -46,3 +52,50 @@ def assert_converged(databases):
                 f"divergence on {key}: {chain} at database 0, "
                 f"{chains[key]} at database {index}"
             )
+
+
+@contextmanager
+def mastership_oracle():
+    """Check single mastership at every instant, in every cluster built
+    inside the block.
+
+    A site gains partitions only through ``DataSite.grant_mastership``
+    and ``DataSite.complete_restart`` (recovery replays its markers);
+    both are wrapped, and each gain is checked against the mastered
+    sets of the cluster's other live sites at that instant. Yields the
+    list of violations, ``(time, gaining site, other site, partitions)``,
+    which a correct protocol leaves empty.
+    """
+    violations = []
+    peers = weakref.WeakKeyDictionary()
+    connect = DataSite.connect
+    grant = DataSite.grant_mastership
+    restart = DataSite.complete_restart
+
+    def check(site, partitions):
+        assert site in peers, "build the cluster inside the oracle's block"
+        gained = set(partitions)
+        for other in peers[site]:
+            shared = other.mastered & gained
+            if other is not site and other.alive and shared:
+                violations.append(
+                    (site.env.now, site.index, other.index, tuple(sorted(shared)))
+                )
+
+    def connect_spy(self, sites):
+        peers[self] = list(sites)
+        connect(self, sites)
+
+    def grant_spy(self, partitions, release_vv, source=None):
+        grant_vv = yield from grant(self, partitions, release_vv, source)
+        check(self, partitions)
+        return grant_vv
+
+    def restart_spy(self, database, svv, mastered):
+        restart(self, database, svv, mastered)
+        check(self, self.mastered)
+
+    with mock.patch.object(DataSite, "connect", connect_spy), \
+            mock.patch.object(DataSite, "grant_mastership", grant_spy), \
+            mock.patch.object(DataSite, "complete_restart", restart_spy):
+        yield violations

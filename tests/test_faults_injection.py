@@ -45,7 +45,7 @@ UNFAULTED_FINGERPRINTS = {
 #: The payload additionally covers aborts by reason and the fault
 #: timeline, since those are the observable outputs of a faulted run.
 FAULTED_FINGERPRINTS = {
-    "dynamast": "e0109c603f424e0a",
+    "dynamast": "02e5b528f36602b7",
     "single-master": "11214a1a6c5f9e3b",
     "multi-master": "f531f4c54bad01c7",
     "partition-store": "1db12045d127ad83",
@@ -124,26 +124,22 @@ class TestUnfaultedBitIdentity:
         """An installed injector with an empty plan opts the run into
         the survivable protocol stack (guarded RPCs, presumed-abort
         2PC), which runs the figures' schedule: where no fault fires,
-        the comparators measure the protocol the unfaulted runs do."""
-        for system in ("single-master", "multi-master", "leap"):
+        every system measures the protocol the unfaulted runs do."""
+        for system in ("dynamast", "single-master", "multi-master", "leap"):
             result = _run(system, fault_plan=FaultPlan())
             assert result.fault_events == []
             assert _fingerprint(result) == UNFAULTED_FINGERPRINTS[system], system
-        # The other two run deterministically and see no fault.
-        # DynaMast keeps a remastering fork and hedges reads.
-        empty = {}
-        for system in ("partition-store", "dynamast"):
-            first = _run(system, fault_plan=FaultPlan())
-            second = _run(system, fault_plan=FaultPlan())
-            assert first.fault_events == []
-            for reason in ("timeout", "site_crash"):
-                assert first.metrics.aborts_by_reason.get(reason, 0) == 0
-            assert _fingerprint(first) == _fingerprint(second), system
-            empty[system] = first.metrics.commits
-        # Partition-store's guarded sub-reads run their handler in a
-        # spawned process, which reorders a few same-instant ties.
+        # Partition-store runs deterministically and sees no fault; its
+        # guarded sub-reads run their handler in a spawned process,
+        # which reorders a few same-instant ties.
+        first = _run("partition-store", fault_plan=FaultPlan())
+        second = _run("partition-store", fault_plan=FaultPlan())
+        assert first.fault_events == []
+        for reason in ("timeout", "site_crash"):
+            assert first.metrics.aborts_by_reason.get(reason, 0) == 0
+        assert _fingerprint(first) == _fingerprint(second)
         unfaulted = _run("partition-store").metrics.commits
-        assert abs(empty["partition-store"] - unfaulted) <= 0.01 * unfaulted
+        assert abs(first.metrics.commits - unfaulted) <= 0.01 * unfaulted
 
 
 class TestRetryCount:

