@@ -275,9 +275,10 @@ def run_benchmark(
         num_clients = open_loop.modeled_clients
     else:
         rng = cluster.streams.stream("workload")
+        pool = workload.client_pool(num_clients)
         for client_id in range(num_clients):
             cluster.env.process(
-                _client_loop(system, workload, client_id, rng, metrics, warmup_ms,
+                _client_loop(system, pool, client_id, rng, metrics, warmup_ms,
                              observability)
             )
     if slo is not None:
@@ -353,15 +354,14 @@ def run_benchmark(
     )
 
 
-def _client_loop(system, workload, client_id, rng, metrics, warmup_ms, obs):
+def _client_loop(system, pool, client_id, rng, metrics, warmup_ms, obs):
     """One closed-loop client issuing transactions back to back."""
     env = system.env
     tracer = obs.tracer
     traced = tracer.enabled
-    state = workload.new_client_state(client_id, rng)
     session = system.new_session(client_id)
     while True:
-        turn = workload.next_transaction(state, rng, env._now)
+        turn = pool.turn(client_id, rng, env._now)
         if turn.reset_session:
             session = system.new_session(client_id)
         started = env._now

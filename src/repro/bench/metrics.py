@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.obs.registry import StreamingHistogram
+from repro.obs.registry import StreamingHistogram, nearest_rank
 from repro.transactions import Outcome, Transaction
 
 
@@ -27,13 +27,14 @@ class LatencySummary:
         if not samples:
             return cls(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
         ordered = sorted(samples)
+        count = len(ordered)
         return cls(
-            count=len(ordered),
-            mean=sum(ordered) / len(ordered),
-            p50=_percentile(ordered, 0.50),
-            p90=_percentile(ordered, 0.90),
-            p95=_percentile(ordered, 0.95),
-            p99=_percentile(ordered, 0.99),
+            count=count,
+            mean=sum(ordered) / count,
+            p50=ordered[nearest_rank(count, 0.50)],
+            p90=ordered[nearest_rank(count, 0.90)],
+            p95=ordered[nearest_rank(count, 0.95)],
+            p99=ordered[nearest_rank(count, 0.99)],
             maximum=ordered[-1],
         )
 
@@ -55,14 +56,6 @@ class LatencySummary:
             p99=histogram.quantile(0.99),
             maximum=histogram.maximum,
         )
-
-
-def _percentile(ordered: Sequence[float], fraction: float) -> float:
-    """Nearest-rank percentile of a pre-sorted sample."""
-    if not ordered:
-        return 0.0
-    index = min(len(ordered) - 1, max(0, round(fraction * (len(ordered) - 1))))
-    return ordered[index]
 
 
 #: (family prefix, Metrics attribute, counter names, gauge names) of the

@@ -83,9 +83,7 @@ class SiteSelector:
         self.table = PartitionTable(self.env, placement)
         weights = weights or StrategyWeights()
         self.statistics = AccessStatistics(
-            StatisticsConfig(),
-            rng=cluster.streams.stream("selector-sampling"),
-            track_inter=weights.inter_txn != 0,
+            StatisticsConfig(), track_inter=weights.inter_txn != 0
         )
         self.strategy = RemasterStrategy(
             weights,

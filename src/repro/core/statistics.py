@@ -1,7 +1,7 @@
 """Workload access statistics (paper §V-B).
 
-The site selector adaptively samples transaction write sets and
-maintains, per partition:
+The site selector records every update transaction's write set (the
+paper's sampling at rate one) and maintains, per partition:
 
 * a write access count (the load-balance feature's ``freq``);
 * intra-transaction co-access counts — partitions written together in
@@ -18,9 +18,8 @@ sliding window of the workload and adapt when access patterns change
 Ingestion is **lazy**: :meth:`AccessStatistics.observe` is on the hot
 routing path of every update transaction, while the counts are only
 read on the (rare, <3% in the paper) remastering path. ``observe``
-therefore just timestamps the sampled write set into a pending buffer
-— the sampling RNG draw stays in ``observe`` so the draw sequence is
-unchanged — and every query first *folds* the buffer by replaying the
+therefore just timestamps the write set into a pending buffer, and
+every query first *folds* the buffer by replaying the
 eager algorithm sample by sample, each with its own observe-time
 expiry horizon. A folded state is bit-identical to what per-observe
 ingestion would have produced (pinned by the golden statistics test),
@@ -47,10 +46,8 @@ from repro.sim.config import check_config
 
 @dataclass
 class StatisticsConfig:
-    """Sampling and retention knobs."""
+    """Retention knobs."""
 
-    #: Fraction of write transactions sampled into the statistics.
-    sample_rate: float = 1.0
     #: The inter-transaction window Delta-t, in simulated ms.
     inter_txn_window_ms: float = 20.0
     #: Sample lifetime; expired samples decrement their counts.
@@ -62,7 +59,6 @@ class StatisticsConfig:
 
     def __post_init__(self):
         check_config(self, (
-            ("sample_rate", 0 <= self.sample_rate <= 1, "in [0, 1]"),
             ("inter_txn_window_ms", self.inter_txn_window_ms > 0, "> 0"),
             ("expiry_ms", self.expiry_ms > 0, "> 0"),
             ("max_samples", self.max_samples >= 1, ">= 1"),
@@ -87,14 +83,8 @@ class _Sample:
 class AccessStatistics:
     """Sliding-window partition access and co-access statistics."""
 
-    def __init__(
-        self,
-        config: StatisticsConfig,
-        rng=None,
-        track_inter: bool = True,
-    ):
+    def __init__(self, config: StatisticsConfig, track_inter: bool = True):
         self.config = config
-        self._rng = rng
         #: Whether inter-transaction pairs are recorded; the selector
         #: derives it from its weights (a zero ``inter_txn`` weight
         #: never reads the table).
@@ -115,8 +105,6 @@ class AccessStatistics:
         #: mastered at each site (see :meth:`follow_masters`).
         self._masters: Mapping[int, int] = {}
         self._site_writes: List[float] = []
-        self.observed = 0
-        self.sampled = 0
 
     # -- folded views ------------------------------------------------------
 
@@ -155,15 +143,10 @@ class AccessStatistics:
     # -- recording ---------------------------------------------------------
 
     def observe(self, now: float, client_id: int, partitions: Iterable[int]) -> None:
-        """Record one write transaction's partition set (maybe sampled)."""
-        self.observed += 1
+        """Record one write transaction's partition set."""
         partitions = tuple(sorted(set(partitions)))
         if not partitions:
             return
-        if self._rng is not None and self.config.sample_rate < 1.0:
-            if self._rng.random() >= self.config.sample_rate:
-                return
-        self.sampled += 1
         self._pending.append((now, client_id, partitions))
 
     def _fold(self) -> None:

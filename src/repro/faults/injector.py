@@ -98,6 +98,7 @@ class FaultInjector:
         logs' markers are replayed against).
         """
         self.cluster.faults = self
+        self.cluster.hedged_reads = self.rpc.hedged_reads
         self.cluster.network.faults = self
         for site in self.cluster.sites:
             for partition in site.mastered:

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs.causal import CATEGORIES, PathSegment, critical_path, path_categories
+from repro.obs.registry import nearest_rank
 from repro.obs.tracer import Tracer
 
 __all__ = [
@@ -67,11 +68,6 @@ class TxnAttribution:
     @property
     def attributed_total(self) -> float:
         return sum(self.categories.values())
-
-
-def _nearest_rank(count: int, q: float) -> int:
-    """Nearest-rank index, mirroring ``bench.metrics._percentile``."""
-    return min(count - 1, max(0, round(q * (count - 1))))
 
 
 @dataclass
@@ -169,7 +165,7 @@ class AttributionReport:
         if not ordered:
             return {"latency_ms": 0.0,
                     "categories": {category: 0.0 for category in CATEGORIES}}
-        rank = _nearest_rank(len(ordered), q)
+        rank = nearest_rank(len(ordered), q)
         lo = max(0, rank - _QUANTILE_WINDOW)
         hi = min(len(ordered), rank + _QUANTILE_WINDOW + 1)
         window = ordered[lo:hi]
@@ -207,7 +203,7 @@ class AttributionReport:
         ordered = self._by_latency()
         if not ordered:
             return []
-        threshold = ordered[_nearest_rank(len(ordered), 0.95)].latency
+        threshold = ordered[nearest_rank(len(ordered), 0.95)].latency
         tail = [txn for txn in ordered if txn.latency >= threshold]
         totals: Dict[Tuple[str, str], float] = {}
         tail_latency = 0.0

@@ -20,9 +20,20 @@ __all__ = [
     "Gauge",
     "MetricsRegistry",
     "StreamingHistogram",
+    "nearest_rank",
 ]
 
 _NAME_INVALID = re.compile(r"[^a-zA-Z0-9_:]")
+
+
+def nearest_rank(count: int, q: float) -> int:
+    """Index of the ``q``-quantile among ``count`` sorted samples.
+
+    The nearest rank ``round(q * (count - 1))``, clamped: the one rule
+    behind every percentile the repo reports (latency summaries, SLO
+    windows, attribution budgets and these histograms' estimates).
+    """
+    return min(count - 1, max(0, round(q * (count - 1))))
 
 
 def _prometheus_name(name: str) -> str:
@@ -173,8 +184,7 @@ class StreamingHistogram:
             raise ValueError(f"quantile fraction out of range: {q}")
         if self.count == 0:
             return 0.0
-        # Nearest-rank position, mirroring bench.metrics._percentile.
-        rank = min(self.count - 1, max(0, round(q * (self.count - 1))))
+        rank = nearest_rank(self.count, q)
         seen = self._underflow
         if rank < seen:
             return min(self.minimum, self.base)

@@ -48,6 +48,8 @@ import json
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.obs.registry import nearest_rank
+
 SCHEMA = "repro-slo/1"
 
 #: Metric keys an :class:`SloSpec` may evaluate.
@@ -202,14 +204,6 @@ class _Window:
         self.sites_total = 0
 
 
-def _percentile(ordered: Sequence[float], fraction: float) -> float:
-    """Nearest-rank percentile of a pre-sorted sample (metrics.py rule)."""
-    if not ordered:
-        return 0.0
-    index = min(len(ordered) - 1, max(0, round(fraction * (len(ordered) - 1))))
-    return ordered[index]
-
-
 def _evaluate(metric: str, windows: Sequence[_Window]) -> Tuple[Optional[float], int]:
     """(value, sample count) of ``metric`` over ``windows``.
 
@@ -232,7 +226,7 @@ def _evaluate(metric: str, windows: Sequence[_Window]) -> Tuple[Optional[float],
         if not samples:
             return None, 0
         samples.sort()
-        return _percentile(samples, 0.99), len(samples)
+        return samples[nearest_rank(len(samples), 0.99)], len(samples)
     if metric == "remaster_rate":
         if commits == 0:
             return None, 0
@@ -297,7 +291,7 @@ class _SloState:
                 self._baseline.append(value)
                 if len(self._baseline) >= spec.baseline_windows:
                     ordered = sorted(self._baseline)
-                    median = _percentile(ordered, 0.5)
+                    median = ordered[nearest_rank(len(ordered), 0.5)]
                     self.threshold = max(spec.floor, median * spec.baseline_factor)
             self.series.append((window.start, value, None, samples, False))
             return None

@@ -12,12 +12,12 @@ docs/SCALE.md).
 
 This module provides the *rate curves* and the *arrival stream*:
 
-* four registered curve shapes — :class:`ConstantCurve`,
-  :class:`RampCurve`, :class:`DiurnalCurve` (sinusoidal
-  day/night cycle), :class:`BurstyCurve` (square-wave bursts) — all
-  frozen picklable dataclasses, buildable by name from
-  :data:`CURVE_REGISTRY` so a :class:`~repro.workloads.openloop.
-  OpenLoopSpec` can describe one as pure data;
+* two registered curve shapes — :class:`ConstantCurve` and
+  :class:`DiurnalCurve` (sinusoidal day/night cycle), the ones the
+  perf and scale harnesses run — frozen picklable dataclasses,
+  buildable by name from :data:`CURVE_REGISTRY` so a
+  :class:`~repro.workloads.openloop.OpenLoopSpec` can describe one as
+  pure data;
 * :func:`arrival_times` — a nonhomogeneous Poisson process sampled by
   *thinning*: candidate arrivals are drawn from a homogeneous Poisson
   process at the curve's peak rate and accepted with probability
@@ -66,34 +66,6 @@ class ConstantCurve:
 
 
 @dataclass(frozen=True)
-class RampCurve:
-    """A linear ramp from ``start_tps`` to ``end_tps`` over ``ramp_ms``.
-
-    After ``ramp_ms`` the rate holds at ``end_tps``; a decreasing ramp
-    (``end_tps < start_tps``) models load draining away. Useful for
-    walking a system *through* its saturation knee within one run.
-    """
-
-    start_tps: float = 100.0
-    end_tps: float = 2000.0
-    ramp_ms: float = 1000.0
-
-    def __post_init__(self):
-        _require_non_negative("start_tps", self.start_tps)
-        _require_non_negative("end_tps", self.end_tps)
-        _require_positive("ramp_ms", self.ramp_ms)
-        if self.start_tps == 0 and self.end_tps == 0:
-            raise ValueError("ramp needs a nonzero endpoint")
-
-    def rate(self, t_ms: float) -> float:
-        progress = min(1.0, max(0.0, t_ms / self.ramp_ms))
-        return self.start_tps + (self.end_tps - self.start_tps) * progress
-
-    def peak(self) -> float:
-        return max(self.start_tps, self.end_tps)
-
-
-@dataclass(frozen=True)
 class DiurnalCurve:
     """A sinusoidal day/night cycle between ``base_tps`` and ``peak_tps``.
 
@@ -126,49 +98,13 @@ class DiurnalCurve:
         return self.peak_tps
 
 
-@dataclass(frozen=True)
-class BurstyCurve:
-    """Square-wave bursts: ``burst_tps`` for the first ``burst_ms`` of
-    every ``period_ms``, ``base_tps`` otherwise.
-
-    The arrivals inside and outside bursts are still Poisson (thinned
-    from the peak rate), so this models a flash crowd riding on steady
-    background traffic rather than a deterministic batch.
-    """
-
-    base_tps: float = 200.0
-    burst_tps: float = 2000.0
-    period_ms: float = 500.0
-    burst_ms: float = 100.0
-
-    def __post_init__(self):
-        _require_non_negative("base_tps", self.base_tps)
-        _require_positive("burst_tps", self.burst_tps)
-        _require_positive("period_ms", self.period_ms)
-        _require_positive("burst_ms", self.burst_ms)
-        if self.burst_ms > self.period_ms:
-            raise ValueError(
-                f"burst_ms ({self.burst_ms}) must be <= period_ms ({self.period_ms})"
-            )
-
-    def rate(self, t_ms: float) -> float:
-        if (t_ms % self.period_ms) < self.burst_ms:
-            return self.burst_tps
-        return self.base_tps
-
-    def peak(self) -> float:
-        return max(self.base_tps, self.burst_tps)
-
-
 #: Registry of buildable arrival curves: name -> curve class. Like
 #: :data:`repro.workloads.WORKLOAD_REGISTRY`, this is what lets a spec
 #: describe a curve as pure data (name + params) and have a worker
 #: process rebuild it — the spawn-safety contract (CONTRIBUTING.md).
 CURVE_REGISTRY: Dict[str, Type] = {
     "constant": ConstantCurve,
-    "ramp": RampCurve,
     "diurnal": DiurnalCurve,
-    "bursty": BurstyCurve,
 }
 
 

@@ -64,14 +64,11 @@ class NetworkConfig:
     #: Usable bandwidth for the size-dependent term, bytes per ms.
     #: 1e6 bytes/ms = 1 GB/s, roughly the goodput of a 10 Gbit link.
     bandwidth_bytes_per_ms: float = 1.0e6
-    #: Uniform jitter amplitude as a fraction of the base latency.
-    jitter: float = 0.0
 
     def __post_init__(self):
         check_config(self, (
             ("one_way_latency_ms", self.one_way_latency_ms >= 0, ">= 0"),
             ("bandwidth_bytes_per_ms", self.bandwidth_bytes_per_ms > 0, "> 0"),
-            ("jitter", 0 <= self.jitter <= 1, "in [0, 1]"),
         ))
 
 

@@ -67,10 +67,9 @@ class Network:
     fault plan are bit-identical.
     """
 
-    def __init__(self, env: Environment, config: NetworkConfig | None = None, rng=None):
+    def __init__(self, env: Environment, config: NetworkConfig | None = None):
         self.env = env
         self.config = config or NetworkConfig()
-        self._rng = rng
         self.traffic = TrafficCounters()
         #: The installed :class:`~repro.faults.injector.FaultInjector`,
         #: or None (the default — no fault can occur).
@@ -79,10 +78,7 @@ class Network:
     def delay_for(self, size: int = 0) -> float:
         """Return the one-way delay for a message of ``size`` bytes."""
         cfg = self.config
-        delay = cfg.one_way_latency_ms + size / cfg.bandwidth_bytes_per_ms
-        if cfg.jitter and self._rng is not None:
-            delay *= 1.0 + cfg.jitter * (2.0 * self._rng.random() - 1.0)
-        return delay
+        return cfg.one_way_latency_ms + size / cfg.bandwidth_bytes_per_ms
 
     # -- per-link view (fault injection only) -----------------------------
 

@@ -29,15 +29,14 @@ except ImportError:
 #: of one stream never perturbs draws from any other. Fault injection
 #: relies on this: :data:`FAULTS_STREAM` feeds message-loss draws and
 #: retry-backoff jitter exclusively, so attaching a fault plan cannot
-#: shift the workload, routing, or network streams — and a run without
-#: faults never draws from it at all.
+#: shift the workload or routing streams — and a run without faults
+#: never draws from it at all.
 WORKLOAD_STREAM = "workload"
-NETWORK_STREAM = "network"
 FAULTS_STREAM = "faults"
 #: Open-loop arrival process (repro.sim.arrivals / repro.workloads
 #: .openloop). Isolated for the same reason as faults: attaching an
 #: open-loop engine must not shift the draws a closed-loop run makes
-#: from the workload or network streams.
+#: from the workload stream.
 ARRIVALS_STREAM = "arrivals"
 
 

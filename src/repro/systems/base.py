@@ -39,13 +39,14 @@ class Cluster:
         #: The observability handle (``NULL_OBS`` unless observed).
         self.obs = self.env.obs
         self.streams = RandomStreams(self.config.seed)
-        self.network = Network(
-            self.env, self.config.network, rng=self.streams.stream("network")
-        )
+        self.network = Network(self.env, self.config.network)
         self.activity = PartitionActivity(self.env)
         #: The installed fault injector, or None (nothing can fail).
         #: Routers ask :meth:`health` rather than test it (DESIGN.md §7).
         self.faults = None
+        #: Whether reads race a backup replica; the injector sets it
+        #: from its RPC config at install.
+        self.hedged_reads = False
         row_index = {} if replicated else None
         self.sites: List[DataSite] = [
             DataSite(

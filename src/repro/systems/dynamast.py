@@ -53,8 +53,7 @@ class DynaMast(System):
         yield from self.client_hop(txn)  # client -> site selector
 
         if txn.is_read_only:
-            faults = self.cluster.faults
-            hedged = faults is not None and faults.rpc.hedged_reads
+            hedged = self.cluster.hedged_reads
 
             def read():
                 site_index = yield from self.selector.route_read(txn, session)

@@ -13,13 +13,7 @@
 """
 
 from repro.workloads.base import ClientTurn, Workload
-from repro.workloads.openloop import (
-    ClientPool,
-    LazyClientPool,
-    OpenLoopEngine,
-    OpenLoopSpec,
-    StatelessClientPool,
-)
+from repro.workloads.openloop import OpenLoopEngine, OpenLoopSpec
 from repro.workloads.smallbank import SmallBankConfig, SmallBankWorkload
 from repro.workloads.tpcc import TPCCConfig, TPCCWorkload
 from repro.workloads.ycsb import YCSBClientPool, YCSBConfig, YCSBWorkload
@@ -57,14 +51,11 @@ def build_workload(name: str, **params) -> Workload:
 __all__ = [
     "WORKLOAD_REGISTRY",
     "build_workload",
-    "ClientPool",
     "ClientTurn",
-    "LazyClientPool",
     "OpenLoopEngine",
     "OpenLoopSpec",
     "SmallBankConfig",
     "SmallBankWorkload",
-    "StatelessClientPool",
     "TPCCConfig",
     "TPCCWorkload",
     "Workload",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Dict, Optional
 
 from repro.core.strategy import StrategyWeights
 from repro.partitioning.schemes import PartitionScheme
@@ -28,9 +28,10 @@ class Workload(ABC):
     """A transaction mix over a keyed dataset.
 
     A workload owns the partition scheme (what the site selector tracks
-    mastership by) and produces transactions per client. Workload
-    objects may keep shared mutable state (e.g. TPC-C order counters);
-    the simulation is single-threaded so no synchronization is needed.
+    mastership by) and produces transactions per client through its
+    :meth:`client_pool`. Workload objects may keep shared mutable state
+    (e.g. TPC-C order counters); the simulation is single-threaded so
+    no synchronization is needed.
     """
 
     name: str = "workload"
@@ -41,12 +42,18 @@ class Workload(ABC):
         """The key -> partition mapping for this workload."""
 
     @abstractmethod
-    def new_client_state(self, client_id: int, rng) -> Any:
-        """Per-client generator state (affinity region, counters...)."""
+    def client_pool(self, num_clients: int):
+        """The generator state of ``num_clients`` clients, ids 0..n-1.
 
-    @abstractmethod
-    def next_transaction(self, state: Any, rng, now: float) -> ClientTurn:
-        """Produce the client's next transaction."""
+        Returns an object whose ``turn(client_id, rng, now)`` is that
+        client's next :class:`ClientTurn`; a client's first turn draws
+        its own state (affinity region, home warehouse) before its
+        transaction. Closed-loop clients and the open-loop engine both
+        draw from one pool per run, so it keeps O(1) machine words per
+        client — ``array('q')`` columns, or nothing at all when a
+        client is just its id (CONTRIBUTING.md, "Memory-lean workload
+        state").
+        """
 
     def fixed_placement(self, num_sites: int) -> Dict[int, int]:
         """The offline placement used by the fixed-mastership systems.
@@ -78,17 +85,3 @@ class Workload(ABC):
     def recommended_weights(self) -> StrategyWeights:
         """DynaMast hyperparameters for this workload (Appendix H)."""
         return StrategyWeights()
-
-    def client_pool(self, num_clients: int):
-        """Aggregated client state for open-loop traffic.
-
-        The default is the always-correct :class:`~repro.workloads.
-        openloop.LazyClientPool` (real state objects, created lazily).
-        Workloads meant to scale to 100k+ modeled clients override this
-        with an array-backed or stateless pool; the override must honor
-        the equivalence contract — consume exactly the RNG draws of
-        ``new_client_state`` (first touch) + ``next_transaction``.
-        """
-        from repro.workloads.openloop import LazyClientPool
-
-        return LazyClientPool(self, num_clients)

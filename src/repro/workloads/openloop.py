@@ -1,4 +1,4 @@
-"""Open-loop traffic: aggregated client pools behind admission queues.
+"""Open-loop traffic: a modeled client population behind admission queues.
 
 The closed-loop harness (`repro.bench.harness._client_loop`) runs one
 generator process per client, each issuing its next transaction only
@@ -9,8 +9,8 @@ populations — for two reasons:
 1. **Coordinated omission.** A closed-loop client under a slow system
    simply offers less load, so saturation never shows up as queueing or
    goodput collapse, only as mysteriously-lower throughput.
-2. **Memory.** One generator process + one state object per client
-   caps the modeled population at thousands, not hundreds of thousands.
+2. **Memory.** One generator process and one session per client caps
+   the modeled population at thousands, not hundreds of thousands.
 
 This module replaces both halves:
 
@@ -21,14 +21,10 @@ This module replaces both halves:
   *immediately* (so the workload stream's draw sequence is independent
   of queue state), and offers it to the client's home-site
   :class:`~repro.sim.resources.AdmissionQueue`.
-* **Client side** — a :class:`ClientPool` collapses per-client
-  generator state into array-backed structures (one int per client for
-  YCSB, zero bytes per client for SmallBank) with the **equivalence
-  contract**: ``pool.turn(cid, rng, now)`` must consume exactly the
-  RNG draws that ``new_client_state(cid, rng)`` (on first touch) +
-  ``next_transaction(state, rng, now)`` would, so a pool-driven
-  generation sequence is bit-identical to individually-modeled clients
-  served in the same order (pinned by ``tests/test_openloop.py``).
+* **Client side** — the workload's client pool
+  (:meth:`~repro.workloads.base.Workload.client_pool`, the one the
+  closed-loop clients draw from too) keeps O(1) machine words per
+  modeled client, so 100k+ clients cost a few arrays.
 * **Service side** — ``admission_concurrency`` dispatcher slots per
   site drain the queue FIFO and run transactions through the system
   under test. Latency is measured from *arrival* (enqueue), not from
@@ -67,7 +63,7 @@ class OpenLoopSpec:
     rebuilds identically in a spawn worker.
     """
 
-    #: Registered curve name (constant / ramp / diurnal / bursty).
+    #: Registered curve name (constant / diurnal).
     curve: str = "constant"
     #: Curve constructor kwargs as a sorted tuple of (name, value).
     curve_params: Tuple[Tuple[str, Any], ...] = ()
@@ -124,73 +120,6 @@ class OpenLoopSpec:
         )
 
 
-class ClientPool:
-    """Aggregated per-client generator state for ``num_clients`` users.
-
-    The memory contract: a pool may keep at most O(1) machine words per
-    client (array-backed scalars), never per-client Python objects —
-    that is what lets 100k+ modeled clients fit alongside multi-million
-    key tables (CONTRIBUTING.md, "Memory-lean workload state").
-
-    The equivalence contract: ``turn(cid, rng, now)`` consumes exactly
-    the same RNG draws as ``workload.new_client_state(cid, rng)`` on
-    the client's first turn followed by ``workload.next_transaction``
-    on every turn. Hence driving clients through a pool in some arrival
-    order produces the same transactions as keeping one state object
-    per client and serving them in that order.
-    """
-
-    def __init__(self, workload, num_clients: int):
-        if num_clients < 1:
-            raise ValueError(f"num_clients must be >= 1, got {num_clients}")
-        self.workload = workload
-        self.num_clients = num_clients
-
-    def turn(self, client_id: int, rng, now: float):
-        """The client's next :class:`~repro.workloads.base.ClientTurn`."""
-        raise NotImplementedError
-
-
-class LazyClientPool(ClientPool):
-    """Fallback pool: real per-client state objects, created lazily.
-
-    Correct for every workload (it literally calls
-    ``new_client_state`` / ``next_transaction``) but not memory-lean —
-    one state object per *touched* client. Workloads that matter at
-    scale override :meth:`~repro.workloads.base.Workload.client_pool`
-    with an array-backed pool (YCSB) or a stateless one (SmallBank);
-    this fallback keeps the rest (TPC-C) runnable open-loop at moderate
-    populations.
-    """
-
-    def __init__(self, workload, num_clients: int):
-        super().__init__(workload, num_clients)
-        self._states: List[Any] = [None] * num_clients
-
-    def turn(self, client_id: int, rng, now: float):
-        state = self._states[client_id]
-        if state is None:
-            state = self._states[client_id] = self.workload.new_client_state(
-                client_id, rng
-            )
-        return self.workload.next_transaction(state, rng, now)
-
-
-class StatelessClientPool(ClientPool):
-    """Pool for workloads whose client state is just the client id.
-
-    ``new_client_state`` must consume no RNG and its state must carry
-    nothing but ``client_id`` (SmallBank). Zero bytes per client.
-    """
-
-    def __init__(self, workload, num_clients: int, state_cls):
-        super().__init__(workload, num_clients)
-        self._state_cls = state_cls
-
-    def turn(self, client_id: int, rng, now: float):
-        return self.workload.next_transaction(self._state_cls(client_id), rng, now)
-
-
 class OpenLoopEngine:
     """Wires arrivals → admission queues → dispatcher slots for one run.
 
@@ -214,7 +143,7 @@ class OpenLoopEngine:
             AdmissionQueue(self.env, spec.queue_capacity)
             for _ in range(self.num_sites)
         ]
-        self.pool: ClientPool = workload.client_pool(spec.modeled_clients)
+        self.pool = workload.client_pool(spec.modeled_clients)
         #: Arrivals whose arrival instant fell after warmup (the
         #: denominator of the recorded offered rate).
         self.offered_recorded = 0

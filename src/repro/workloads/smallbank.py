@@ -62,11 +62,6 @@ class SmallBankConfig:
         return -(-self.users // self.users_per_partition)
 
 
-@dataclass
-class _ClientState:
-    client_id: int
-
-
 class SmallBankWorkload(Workload):
     """Generator for the three SmallBank transaction classes."""
 
@@ -90,8 +85,10 @@ class SmallBankWorkload(Workload):
     def recommended_weights(self) -> StrategyWeights:
         return StrategyWeights.for_smallbank()
 
-    def new_client_state(self, client_id: int, rng) -> _ClientState:
-        return _ClientState(client_id=client_id)
+    def client_pool(self, num_clients: int) -> "SmallBankWorkload":
+        """A SmallBank client is nothing but its id, so the workload
+        serves every client's turn itself: zero bytes per client."""
+        return self
 
     def _draw_user(self, rng) -> int:
         """An account: from the hotspot with ``hotspot_fraction``,
@@ -122,7 +119,7 @@ class SmallBankWorkload(Workload):
             other = (other + 1) % cfg.users
         return other
 
-    def next_transaction(self, state: _ClientState, rng, now: float) -> ClientTurn:
+    def turn(self, client_id: int, rng, now: float) -> ClientTurn:
         cfg = self.config
         user = self._draw_user(rng)
         point = rng.random()
@@ -130,7 +127,7 @@ class SmallBankWorkload(Workload):
             table = self.TABLES[rng.randrange(2)]
             txn = Transaction(
                 "single_update",
-                state.client_id,
+                client_id,
                 write_set=((table, user),),
                 read_set=((table, user),),
             )
@@ -139,19 +136,11 @@ class SmallBankWorkload(Workload):
             keys = (("checking", user), ("checking", other))
             txn = Transaction(
                 "two_row_update",
-                state.client_id,
+                client_id,
                 write_set=keys,
                 read_set=keys,
             )
         else:
             keys = (("checking", user), ("savings", user))
-            txn = Transaction("balance", state.client_id, read_set=keys)
+            txn = Transaction("balance", client_id, read_set=keys)
         return ClientTurn(txn)
-
-    def client_pool(self, num_clients: int):
-        """SmallBank clients carry no generator state beyond their id
-        (``new_client_state`` consumes no RNG), so the open-loop pool
-        is stateless — zero bytes per modeled client."""
-        from repro.workloads.openloop import StatelessClientPool
-
-        return StatelessClientPool(self, num_clients, _ClientState)

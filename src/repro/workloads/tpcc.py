@@ -20,6 +20,7 @@ warehouse — these are the workload's distributed transactions.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import count
 from typing import Dict, List, Optional, Tuple
@@ -98,12 +99,6 @@ class TPCCConfig:
     @property
     def num_partitions(self) -> int:
         return self.warehouses * self.partitions_per_warehouse
-
-
-@dataclass
-class _ClientState:
-    client_id: int
-    home_warehouse: int
 
 
 class TPCCWorkload(Workload):
@@ -207,21 +202,19 @@ class TPCCWorkload(Workload):
 
     # -- workload interface -----------------------------------------------------------
 
-    def new_client_state(self, client_id: int, rng) -> _ClientState:
-        return _ClientState(
-            client_id=client_id,
-            home_warehouse=rng.randrange(self.config.warehouses),
-        )
+    def client_pool(self, num_clients: int) -> "TPCCClientPool":
+        return TPCCClientPool(self, num_clients)
 
-    def next_transaction(self, state: _ClientState, rng, now: float) -> ClientTurn:
+    def _turn(self, client_id: int, warehouse: int, rng) -> ClientTurn:
+        """The next transaction of a client homed at ``warehouse``."""
         cfg = self.config
         point = rng.random()
         if point < cfg.neworder_weight:
-            txn = self._make_neworder(state, rng)
+            txn = self._make_neworder(client_id, warehouse, rng)
         elif point < cfg.neworder_weight + cfg.payment_weight:
-            txn = self._make_payment(state, rng)
+            txn = self._make_payment(client_id, warehouse, rng)
         else:
-            txn = self._make_stocklevel(state, rng)
+            txn = self._make_stocklevel(client_id, warehouse, rng)
         return ClientTurn(txn)
 
     # -- transactions -------------------------------------------------------------------
@@ -232,9 +225,8 @@ class TPCCWorkload(Workload):
         self._next_order[key] = order + 1
         return order
 
-    def _make_neworder(self, state: _ClientState, rng) -> Transaction:
+    def _make_neworder(self, client_id: int, warehouse: int, rng) -> Transaction:
         cfg = self.config
-        warehouse = state.home_warehouse
         district = rng.randrange(cfg.districts_per_warehouse)
         customer = rng.randrange(cfg.customers_per_district)
         lines = rng.randint(cfg.min_order_lines, cfg.max_order_lines)
@@ -273,7 +265,7 @@ class TPCCWorkload(Workload):
         self._remember_lines(warehouse, district, items, supply_warehouses)
         return Transaction(
             "new_order",
-            state.client_id,
+            client_id,
             write_set=tuple(writes),
             read_set=tuple(reads),
             extra_cpu_ms=0.1,
@@ -294,9 +286,8 @@ class TPCCWorkload(Workload):
         if len(recent) > limit:
             del recent[: len(recent) - limit]
 
-    def _make_payment(self, state: _ClientState, rng) -> Transaction:
+    def _make_payment(self, client_id: int, warehouse: int, rng) -> Transaction:
         cfg = self.config
-        warehouse = state.home_warehouse
         district = rng.randrange(cfg.districts_per_warehouse)
         customer_warehouse = warehouse
         customer_district = district
@@ -317,12 +308,11 @@ class TPCCWorkload(Workload):
         )
         reads = writes[:3]
         return Transaction(
-            "payment", state.client_id, write_set=writes, read_set=reads
+            "payment", client_id, write_set=writes, read_set=reads
         )
 
-    def _make_stocklevel(self, state: _ClientState, rng) -> Transaction:
+    def _make_stocklevel(self, client_id: int, warehouse: int, rng) -> Transaction:
         cfg = self.config
-        warehouse = state.home_warehouse
         district = rng.randrange(cfg.districts_per_warehouse)
         recent = self._recent_lines.get((warehouse, district), [])
         # Scan blocks are runs of consecutive keys inside one warehouse
@@ -346,5 +336,27 @@ class TPCCWorkload(Workload):
         if run:
             blocks.append(tuple(run))
         return Transaction(
-            "stock_level", state.client_id, scan_set=tuple(blocks)
+            "stock_level", client_id, scan_set=tuple(blocks)
         )
+
+
+class TPCCClientPool:
+    """TPC-C client state in one ``array('q')``: 8 bytes per client.
+
+    A client's home warehouse, -1 until the client's first turn draws
+    it; every transaction the client issues runs from that warehouse.
+    """
+
+    def __init__(self, workload: TPCCWorkload, num_clients: int):
+        if num_clients < 1:
+            raise ValueError(f"num_clients must be >= 1, got {num_clients}")
+        self.workload = workload
+        self._home = array("q", [-1]) * num_clients
+
+    def turn(self, client_id: int, rng, now: float) -> ClientTurn:
+        warehouse = self._home[client_id]
+        if warehouse < 0:
+            warehouse = self._home[client_id] = rng.randrange(
+                self.workload.config.warehouses
+            )
+        return self.workload._turn(client_id, warehouse, rng)

@@ -86,13 +86,6 @@ class YCSBConfig:
         ))
 
 
-@dataclass
-class _ClientState:
-    client_id: int
-    affinity_base: int
-    remaining: int
-
-
 class YCSBWorkload(Workload):
     """The modified YCSB generator."""
 
@@ -154,33 +147,6 @@ class YCSBWorkload(Workload):
         start = partition * cfg.keys_per_partition
         return (TABLE, start + rng.randrange(cfg.keys_per_partition))
 
-    # -- workload interface -----------------------------------------------------
-
-    def new_client_state(self, client_id: int, rng) -> _ClientState:
-        return _ClientState(
-            client_id=client_id,
-            affinity_base=self._draw_base(rng),
-            remaining=self.config.affinity_txns,
-        )
-
-    def next_transaction(self, state: _ClientState, rng, now: float) -> ClientTurn:
-        cfg = self.config
-        reset = False
-        if state.remaining <= 0:
-            # The client departs; a new one takes its place.
-            state.affinity_base = self._draw_base(rng)
-            state.remaining = cfg.affinity_txns
-            reset = True
-        state.remaining -= 1
-
-        spread = rng.randint(-cfg.affinity_spread, cfg.affinity_spread)
-        base = self._neighbour(state.affinity_base, spread)
-        if rng.random() < cfg.rmw_fraction:
-            txn = self._make_rmw(base, state.client_id, rng)
-        else:
-            txn = self._make_scan(base, state.client_id, rng)
-        return ClientTurn(txn, reset_session=reset)
-
     def _make_rmw(self, base: int, client_id: int, rng) -> Transaction:
         cfg = self.config
         random = rng.random
@@ -219,42 +185,34 @@ class YCSBWorkload(Workload):
             ),
         )
 
+    # -- workload interface -----------------------------------------------------
+
     def client_pool(self, num_clients: int) -> "YCSBClientPool":
         return YCSBClientPool(self, num_clients)
 
 
 class YCSBClientPool:
-    """Array-backed YCSB client state: 16 bytes per modeled client.
+    """YCSB client state in two ``array('q')`` columns: 16 bytes per client.
 
-    Replaces one :class:`_ClientState` object (~150 bytes + GC
-    pressure) per client with two machine words — ``affinity_base``
-    (signed, -1 = client never seen) and ``remaining`` — so 100k
-    modeled clients cost ~1.6 MB instead of tens of MB of objects.
-
-    Equivalence contract (pinned by ``tests/test_openloop.py``): the
-    draw sequence per turn is identical to ``new_client_state`` (first
-    touch: one ``_draw_base``) + ``next_transaction`` (departure
-    re-draw, affinity-spread randint, mix Bernoulli, then the RMW/scan
-    key draws), so pool-driven generation is bit-identical to
-    individually-modeled clients served in the same order.
+    ``affinity_base`` (-1 = client not seen yet) and ``remaining``, the
+    transactions left in the client's affinity period. A client's first
+    turn draws its affinity base; a turn with no transactions left
+    models the client departing and a new one taking its place (new
+    base, ``reset_session``).
     """
 
     def __init__(self, workload: YCSBWorkload, num_clients: int):
         if num_clients < 1:
             raise ValueError(f"num_clients must be >= 1, got {num_clients}")
         self.workload = workload
-        self.num_clients = num_clients
-        self._affinity = array("q", bytes(8 * num_clients))
-        for index in range(num_clients):
-            self._affinity[index] = -1
-        self._remaining = array("q", bytes(8 * num_clients))
+        self._affinity = array("q", [-1]) * num_clients
+        self._remaining = array("q", [0]) * num_clients
 
     def turn(self, client_id: int, rng, now: float) -> ClientTurn:
         w = self.workload
         cfg = w.config
         reset = False
         if self._affinity[client_id] < 0:
-            # First arrival: the lazy equivalent of new_client_state.
             self._affinity[client_id] = w._draw_base(rng)
             self._remaining[client_id] = cfg.affinity_txns
         if self._remaining[client_id] <= 0:

@@ -11,11 +11,9 @@ import random
 import pytest
 
 from repro.sim.arrivals import (
-    BurstyCurve,
     ConstantCurve,
     CURVE_REGISTRY,
     DiurnalCurve,
-    RampCurve,
     arrival_times,
     build_curve,
     scale_curve_params,
@@ -46,8 +44,7 @@ class TestDeterminism:
         assert stream(curve, 200.0, seed=1) != stream(curve, 200.0, seed=2)
 
     def test_instants_sorted_and_bounded(self):
-        curve = BurstyCurve(base_tps=200.0, burst_tps=4000.0,
-                            period_ms=100.0, burst_ms=25.0)
+        curve = DiurnalCurve(base_tps=200.0, peak_tps=4000.0, period_ms=100.0)
         times = stream(curve, 300.0, seed=3)
         assert times == sorted(times)
         assert all(0.0 <= t < 300.0 for t in times)
@@ -69,15 +66,6 @@ class TestThinning:
         times = stream(ConstantCurve(rate_tps=2000.0), 2000.0, seed=11)
         assert 3700 <= len(times) <= 4300
 
-    def test_bursty_concentrates_arrivals_in_bursts(self):
-        curve = BurstyCurve(base_tps=200.0, burst_tps=4000.0,
-                            period_ms=100.0, burst_ms=25.0)
-        times = stream(curve, 1000.0, seed=13)
-        inside = sum(1 for t in times if (t % 100.0) < 25.0)
-        outside = len(times) - inside
-        # Expected 1000 inside vs 150 outside; any sane split passes.
-        assert inside > 3 * outside
-
     def test_diurnal_trough_is_quieter_than_crest(self):
         curve = DiurnalCurve(base_tps=100.0, peak_tps=4000.0,
                              period_ms=400.0, phase=0.0)
@@ -89,13 +77,6 @@ class TestThinning:
 
 
 class TestCurves:
-    def test_ramp_interpolates_then_holds(self):
-        curve = RampCurve(start_tps=100.0, end_tps=1100.0, ramp_ms=1000.0)
-        assert curve.rate(0.0) == pytest.approx(100.0)
-        assert curve.rate(500.0) == pytest.approx(600.0)
-        assert curve.rate(1000.0) == pytest.approx(1100.0)
-        assert curve.rate(5000.0) == pytest.approx(1100.0)
-
     def test_diurnal_cycle_shape(self):
         curve = DiurnalCurve(base_tps=200.0, peak_tps=2200.0, period_ms=400.0)
         assert curve.rate(0.0) == pytest.approx(1200.0)  # mid, rising
@@ -106,29 +87,21 @@ class TestCurves:
     def test_mean_rate_constant(self):
         assert mean_rate(ConstantCurve(rate_tps=750.0), 500.0) == pytest.approx(750.0)
 
-    def test_mean_rate_ramp(self):
-        curve = RampCurve(start_tps=0.0, end_tps=2000.0, ramp_ms=1000.0)
-        assert mean_rate(curve, 1000.0) == pytest.approx(1000.0)
-
     def test_validation_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             ConstantCurve(rate_tps=0.0)
         with pytest.raises(ValueError):
-            RampCurve(start_tps=0.0, end_tps=0.0)
-        with pytest.raises(ValueError):
             DiurnalCurve(base_tps=2000.0, peak_tps=100.0)
-        with pytest.raises(ValueError):
-            BurstyCurve(period_ms=100.0, burst_ms=200.0)
 
 
 class TestRegistry:
     def test_registry_builds_every_curve(self):
-        assert set(CURVE_REGISTRY) == {"constant", "ramp", "diurnal", "bursty"}
+        assert set(CURVE_REGISTRY) == {"constant", "diurnal"}
         for name, cls in CURVE_REGISTRY.items():
             assert isinstance(build_curve(name), cls)
 
     def test_unknown_curve_names_the_known_ones(self):
-        with pytest.raises(ValueError, match="constant.*ramp"):
+        with pytest.raises(ValueError, match="constant, diurnal"):
             build_curve("sawtooth")
 
     def test_bad_params_surface_as_type_error(self):

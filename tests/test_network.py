@@ -1,7 +1,5 @@
 """Tests for the network model and RPC helper."""
 
-import random
-
 import pytest
 
 from repro.sim.core import Environment
@@ -43,19 +41,6 @@ class TestNetwork:
         network.traffic.record("b", 5)
         network.traffic.record("a", 1)
         assert network.traffic.total_bytes() == 16
-
-    def test_jitter_varies_delay_deterministically(self):
-        env = Environment()
-        config = NetworkConfig(one_way_latency_ms=1.0, jitter=0.5)
-        network = Network(env, config, rng=random.Random(3))
-        delays = {network.delay_for(0) for _ in range(10)}
-        assert len(delays) > 1
-        assert all(0.5 <= delay <= 1.5 for delay in delays)
-
-    def test_no_rng_means_no_jitter(self):
-        env = Environment()
-        network = Network(env, NetworkConfig(one_way_latency_ms=1.0, jitter=0.5))
-        assert network.delay_for(0) == 1.0
 
 
 class TestRemoteCall:

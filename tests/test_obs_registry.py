@@ -9,8 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs.registry import Counter, Gauge, MetricsRegistry, StreamingHistogram
-from repro.bench.metrics import LatencySummary, Metrics, _percentile
+from repro.obs.registry import (
+    Counter,
+    Gauge,
+    MetricsRegistry,
+    StreamingHistogram,
+    nearest_rank,
+)
+from repro.bench.metrics import LatencySummary, Metrics
 from repro.transactions import Outcome, Transaction
 
 
@@ -101,7 +107,7 @@ class TestStreamingHistogram:
             histogram.record(value)
         ordered = sorted(samples)
         for q in (0.01, 0.25, 0.50, 0.90, 0.95, 0.99, 1.0):
-            exact = _percentile(ordered, q)
+            exact = ordered[nearest_rank(len(ordered), q)]
             approx = histogram.quantile(q)
             assert approx == pytest.approx(exact, rel=growth - 1.0)
 
@@ -218,7 +224,7 @@ class TestHistogramQuantileProperty:
         histogram = StreamingHistogram("h", growth=growth)
         for value in samples:
             histogram.record(value)
-        exact = _percentile(sorted(samples), q)
+        exact = sorted(samples)[nearest_rank(len(samples), q)]
         approx = histogram.quantile(q)
         # One bucket's relative width; the midpoint estimate is within
         # half of that, the other half is slack for boundary rounding.

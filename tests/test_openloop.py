@@ -2,9 +2,8 @@
 
 Pins the three contracts the open-loop engine rests on:
 
-* **pool equivalence** — an aggregated :class:`ClientPool` generates
-  bit-identical transactions to individually-modeled clients served in
-  the same arrival order (same shared RNG);
+* **lean pools** — every workload's client pool, which closed- and
+  open-loop clients share, is array-backed or stateless;
 * **admission accounting** — ``offered == admitted + shed`` and
   ``admitted == taken + queued`` at every instant, extended by the
   engine to ``taken == completed + in_flight``;
@@ -29,86 +28,36 @@ from repro.bench.parallel import (
 from repro.sim.config import ClusterConfig
 from repro.sim.core import Environment, SimulationError
 from repro.sim.resources import AdmissionQueue
-from repro.workloads import SmallBankWorkload, YCSBConfig, YCSBWorkload
-from repro.workloads.openloop import (
-    LazyClientPool,
-    OpenLoopSpec,
-    StatelessClientPool,
-    goodput_ratio,
-    offered_rate_tps,
+from repro.workloads import (
+    WORKLOAD_REGISTRY,
+    SmallBankWorkload,
+    TPCCConfig,
+    TPCCWorkload,
+    YCSBClientPool,
+    YCSBConfig,
+    YCSBWorkload,
+    build_workload,
 )
+from repro.workloads.openloop import OpenLoopSpec, goodput_ratio, offered_rate_tps
 from repro.workloads.smallbank import SmallBankConfig
-from repro.workloads.ycsb import YCSBClientPool
+from repro.workloads.tpcc import TPCCClientPool
 from tests.test_obs_registry import exposition, parse_exposition, sorted_digest
 
 
-def txn_signature(turn):
-    txn = turn.txn
-    return (
-        txn.txn_type,
-        txn.client_id,
-        tuple(txn.read_set),
-        tuple(txn.write_set),
-        tuple(getattr(txn, "scan_set", ()) or ()),
-        turn.reset_session,
-    )
+class TestLeanPools:
+    """Closed-loop clients and the open-loop engine draw from one pool
+    per run, so every pool keeps O(1) machine words per client."""
 
-
-def arrival_order(num_clients, turns, seed):
-    """A deterministic interleaved client order with repeats."""
-    rng = random.Random(seed)
-    return [rng.randrange(num_clients) for _ in range(turns)]
-
-
-def reference_turns(workload, num_clients, order, seed):
-    """The individually-modeled baseline: one state object per client."""
-    rng = random.Random(seed)
-    states = {}
-    turns = []
-    now = 0.0
-    for client_id in order:
-        if client_id not in states:
-            states[client_id] = workload.new_client_state(client_id, rng)
-        turns.append(workload.next_transaction(states[client_id], rng, now))
-        now += 0.5
-    return turns
-
-
-def pool_turns(pool, order, seed):
-    rng = random.Random(seed)
-    turns = []
-    now = 0.0
-    for client_id in order:
-        turns.append(pool.turn(client_id, rng, now))
-        now += 0.5
-    return turns
-
-
-class TestPoolEquivalence:
-    def test_ycsb_pool_matches_individual_clients(self):
-        # affinity_txns=3 forces several departures (reset_session) so
-        # the re-draw path is exercised, not just steady state.
-        workload = YCSBWorkload(YCSBConfig(
-            num_partitions=40, affinity_txns=3, rmw_fraction=0.6))
-        order = arrival_order(12, 400, seed=21)
-        expected = reference_turns(workload, 12, order, seed=5)
-        actual = pool_turns(workload.client_pool(12), order, seed=5)
-        assert list(map(txn_signature, actual)) == list(map(txn_signature, expected))
-
-    def test_smallbank_pool_matches_individual_clients(self):
-        workload = SmallBankWorkload(SmallBankConfig(users=200))
-        order = arrival_order(10, 300, seed=23)
-        expected = reference_turns(workload, 10, order, seed=6)
-        actual = pool_turns(workload.client_pool(10), order, seed=6)
-        assert list(map(txn_signature, actual)) == list(map(txn_signature, expected))
-
-    def test_lazy_pool_matches_individual_clients(self):
-        # The fallback pool IS the individual-client path, lazily.
-        workload = YCSBWorkload(YCSBConfig(num_partitions=40, affinity_txns=4))
-        order = arrival_order(8, 200, seed=25)
-        expected = reference_turns(workload, 8, order, seed=7)
-        actual = pool_turns(LazyClientPool(workload, 8), order, seed=7)
-        assert list(map(txn_signature, actual)) == list(map(txn_signature, expected))
+    @pytest.mark.parametrize("name", sorted(WORKLOAD_REGISTRY))
+    def test_every_pool_is_array_backed_or_stateless(self, name):
+        workload = build_workload(name)
+        pool = workload.client_pool(1000)
+        if pool is workload:
+            return  # stateless: a client is nothing but its id
+        columns = [value for value in vars(pool).values() if value is not workload]
+        assert columns
+        assert all(isinstance(column, array) and len(column) == 1000
+                   for column in columns)
 
     def test_ycsb_pool_is_array_backed(self):
         pool = YCSBWorkload(YCSBConfig(num_partitions=10)).client_pool(1000)
@@ -116,14 +65,26 @@ class TestPoolEquivalence:
         assert isinstance(pool._affinity, array)
         assert isinstance(pool._remaining, array)
 
+    def test_tpcc_pool_is_array_backed(self):
+        pool = TPCCWorkload(TPCCConfig(warehouses=3)).client_pool(1000)
+        assert isinstance(pool, TPCCClientPool)
+        assert isinstance(pool._home, array)
+        rng = random.Random(1)
+        pool.turn(7, rng, 0.0)
+        # The first turn draws the home warehouse; later turns keep it.
+        home = pool._home[7]
+        assert 0 <= home < 3 and pool._home[8] == -1
+        turn = pool.turn(7, rng, 1.0)
+        assert pool._home[7] == home and turn.txn.client_id == 7
+
     def test_smallbank_pool_is_stateless(self):
-        pool = SmallBankWorkload(SmallBankConfig(users=50)).client_pool(1000)
-        assert isinstance(pool, StatelessClientPool)
+        workload = SmallBankWorkload(SmallBankConfig(users=50))
+        assert workload.client_pool(1000) is workload
 
     def test_pool_rejects_empty_population(self):
-        workload = SmallBankWorkload(SmallBankConfig(users=50))
-        with pytest.raises(ValueError):
-            LazyClientPool(workload, 0)
+        for workload in (YCSBWorkload(YCSBConfig(num_partitions=10)), TPCCWorkload()):
+            with pytest.raises(ValueError):
+                workload.client_pool(0)
 
 
 class TestAdmissionQueue:
@@ -227,9 +188,9 @@ class TestOpenLoopSpec:
             OpenLoopSpec(queue_capacity=-1)
 
     def test_pickle_round_trip(self):
-        spec = OpenLoopSpec.of("bursty", base_tps=50.0, burst_tps=500.0,
-                               period_ms=100.0, burst_ms=20.0,
-                               modeled_clients=64, queue_capacity=32)
+        spec = OpenLoopSpec.of("diurnal", base_tps=50.0, peak_tps=500.0,
+                               period_ms=100.0, modeled_clients=64,
+                               queue_capacity=32)
         assert pickle.loads(pickle.dumps(spec)) == spec
 
 

@@ -185,7 +185,7 @@ class TestParallelExecutorPool:
                 + "from repro.sim import rand\n"
                 "streams = rand.RandomStreams(11)\n"
                 "print(run_fingerprint(result), [streams.stream(name).random()"
-                " for name in (rand.WORKLOAD_STREAM, rand.NETWORK_STREAM,"
+                " for name in (rand.WORKLOAD_STREAM, 'read-routing',"
                 " rand.FAULTS_STREAM, rand.ARRIVALS_STREAM)])\n"
                 "print(rand.sha256.__module__, '_hashlib' in sys.modules)\n"
             )

@@ -76,12 +76,11 @@ class TestSchism:
 
     def test_confirms_range_partitioning_for_range_workload(self):
         workload = YCSBWorkload(YCSBConfig(num_partitions=40))
+        pool = workload.client_pool(4)
         txns = []
         for client in range(4):
             rng = random.Random(client)
-            state = workload.new_client_state(client, rng)
-            txns += [workload.next_transaction(state, rng, float(step)).txn
-                     for step in range(100)]
+            txns += [pool.turn(client, rng, float(step)).txn for step in range(100)]
         scheme = workload.scheme
         range_cut = cut_weight(txns, scheme, scheme.range_placement(4))
         round_robin_cut = cut_weight(txns, scheme, scheme.round_robin_placement(4))

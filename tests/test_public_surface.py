@@ -39,6 +39,11 @@ nothing sets is a second configuration no figure, benchmark or command
 runs: it is deleted, and its default becomes the code. The exceptions
 are the at most 10 entries of :data:`ALLOW_OPTIONS`, each with a reason.
 
+The same holds for *registered names*: every name in
+``CURVE_REGISTRY`` and ``WORKLOAD_REGISTRY`` must appear as a string
+literal in those callers (its own registry key aside) or in the
+Makefile — a curve or workload nothing runs is deleted.
+
 Out of scope: the config dataclasses (``ClusterConfig``, ``CostModel``,
 ``RpcConfig``, ``StatisticsConfig``, the workload configs,
 ``OpenLoopSpec``) — the calibration surface, built through
@@ -62,8 +67,7 @@ ALLOW = {
         "paper Appendix I; its tests are the repo's evidence for the appendix",
     "core.distributed_selector:ReplicaSelector.submit_update":
         "paper Appendix I; its tests are the repo's evidence for the appendix",
-    "bench.repeat:run_repeated":
-        "paper §VI-A.2 confidence intervals; ROADMAP item 4(b) error bars",
+    "bench.repeat:run_repeated": "ROADMAP item 5a error bars",
     "versioning.vectors:satisfies_session":
         "the strong-session predicate of ROADMAP item 1a's history checker",
     "bench.perf:calibrate":
@@ -202,7 +206,7 @@ ALLOW_OPTIONS = {
         "AllOf/AnyOf carry values in the kernel golden trace (test_perf_identity)",
     "core.distributed_selector:ReplicaSelector(refresh_interval_ms)":
         "ReplicaSelector is in ALLOW: the appendix evidence sweeps it",
-    "bench.repeat:run_repeated": "run_repeated is in ALLOW: ROADMAP item 4(b) error bars",
+    "bench.repeat:run_repeated": "ROADMAP item 5a error bars",
     "bench.perf:calibrate": "perfbench/driver.py calls it through a `python -c` string",
 }
 
@@ -381,3 +385,40 @@ def test_option_allow_list_is_short_and_current():
         if not any(key == entry or key.startswith(entry + "(") for key in unset)
     )
     assert not stale, f"ALLOW_OPTIONS entries that are gone or now set: {stale}"
+
+
+# ---------------------------------------------------------------------------
+# Registered names (see the module docstring)
+# ---------------------------------------------------------------------------
+
+REGISTRIES = ("CURVE_REGISTRY", "WORKLOAD_REGISTRY")
+
+
+def string_literals(trees) -> set:
+    """Every string constant in ``trees``, the registries' own keys aside."""
+    literals = set()
+    for tree in trees:
+        keys = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, ast.Dict):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                if any(getattr(target, "id", "") in REGISTRIES for target in targets):
+                    keys.update(id(key) for key in node.value.keys)
+        literals.update(
+            node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and id(node) not in keys
+        )
+    return literals
+
+
+def test_every_registered_name_has_a_non_test_caller():
+    from repro.sim.arrivals import CURVE_REGISTRY
+    from repro.workloads import WORKLOAD_REGISTRY
+
+    named = string_literals(_caller_trees().values())
+    named.update(re.findall(r"[A-Za-z_][A-Za-z0-9_-]*", (REPO / "Makefile").read_text()))
+    unrun = sorted(set(CURVE_REGISTRY) - named) + sorted(set(WORKLOAD_REGISTRY) - named)
+    assert not unrun, (
+        f"registered names no figure, benchmark or command runs — delete them: {unrun}"
+    )

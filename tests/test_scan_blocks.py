@@ -65,9 +65,8 @@ def make(name):
 
 def turns_of(workload, seed, turns):
     rng = random.Random(seed)
-    state = workload.new_client_state(0, rng)
-    return [workload.next_transaction(state, rng, float(step)).txn
-            for step in range(turns)]
+    pool = workload.client_pool(1)
+    return [pool.turn(0, rng, float(step)).txn for step in range(turns)]
 
 
 def assert_is_a_block(block):
@@ -96,8 +95,7 @@ def flat_ycsb_scan(workload, base, rng):
     return tuple(keys)
 
 
-def flat_stocklevel(workload, state, rng):
-    warehouse = state.home_warehouse
+def flat_stocklevel(workload, warehouse, rng):
     district = rng.randrange(workload.config.districts_per_warehouse)
     recent = workload._recent_lines.get((warehouse, district), [])
     scans = [("district", (warehouse, district))]
@@ -148,11 +146,11 @@ class TestGeneratedBlocks:
     def test_stock_level_flattens_to_the_old_generator(self, seed, orders):
         workload = make("tpcc")
         rng = random.Random(seed)
-        state = workload.new_client_state(0, rng)
+        warehouse = rng.randrange(workload.config.warehouses)
         for _ in range(orders):
-            workload._make_neworder(state, rng)
-        txn = workload._make_stocklevel(state, random.Random(seed))
-        assert txn.all_keys() == flat_stocklevel(workload, state, random.Random(seed))
+            workload._make_neworder(0, warehouse, rng)
+        txn = workload._make_stocklevel(0, warehouse, random.Random(seed))
+        assert txn.all_keys() == flat_stocklevel(workload, warehouse, random.Random(seed))
         units = [workload.placement_unit_of(block[0]) for block in txn.scan_set]
         # Consecutive keys of one warehouse are one block, never split.
         assert all(a != b for a, b in zip(units, units[1:]))

@@ -416,7 +416,7 @@ PARTITIONS = 10
 #: mutation point: expiry, ``max_samples`` eviction, inter rows whose
 #: ``earlier`` partition has already left the window.
 TIGHT_WINDOW = dict(
-    sample_rate=1.0, inter_txn_window_ms=12.0, expiry_ms=40.0,
+    inter_txn_window_ms=12.0, expiry_ms=40.0,
     max_samples=9, max_inter_pairs=6,
 )
 

@@ -146,8 +146,6 @@ class TestNetworkConfig:
     @pytest.mark.parametrize("field,overrides", [
         ("one_way_latency_ms", dict(one_way_latency_ms=-1.0)),  # negative delay
         ("bandwidth_bytes_per_ms", dict(bandwidth_bytes_per_ms=0.0)),  # / 0
-        ("jitter", dict(jitter=-0.1)),
-        ("jitter", dict(jitter=1.5)),  # could push a delay below zero
     ])
     def test_bad_config_is_refused_at_construction_by_field(self, field, overrides):
         refused(NetworkConfig, field, **overrides)
@@ -182,8 +180,6 @@ class TestRpcConfig:
 
 class TestStatisticsConfig:
     @pytest.mark.parametrize("field,overrides", [
-        ("sample_rate", dict(sample_rate=-0.1)),
-        ("sample_rate", dict(sample_rate=1.1)),
         ("inter_txn_window_ms", dict(inter_txn_window_ms=0.0)),
         ("expiry_ms", dict(expiry_ms=-1.0)),
         ("max_samples", dict(max_samples=0)),

@@ -27,10 +27,10 @@ class TestYCSBProperties:
             YCSBConfig(num_partitions=partitions, rmw_fraction=rmw, affinity_txns=5)
         )
         rng = random.Random(seed)
-        state = workload.new_client_state(0, rng)
+        pool = workload.client_pool(1)
         total_keys = partitions * workload.config.keys_per_partition
         for step in range(20):
-            txn = workload.next_transaction(state, rng, float(step)).txn
+            txn = pool.turn(0, rng, float(step)).txn
             for table, key in txn.all_keys():
                 assert table == "usertable"
                 assert 0 <= key < total_keys
@@ -49,8 +49,8 @@ class TestYCSBProperties:
     def test_partition_mapping_consistent_with_scheme(self, seed):
         workload = YCSBWorkload(YCSBConfig(num_partitions=30, affinity_txns=4))
         rng = random.Random(seed)
-        state = workload.new_client_state(0, rng)
-        txn = workload.next_transaction(state, rng, 0.0).txn
+        pool = workload.client_pool(1)
+        txn = pool.turn(0, rng, 0.0).txn
         for key in txn.all_keys():
             partition = workload.scheme.partition(key)
             assert 0 <= partition < 30
@@ -74,9 +74,9 @@ class TestTPCCProperties:
             )
         )
         rng = random.Random(seed)
-        state = workload.new_client_state(0, rng)
+        pool = workload.client_pool(1)
         for step in range(15):
-            txn = workload.next_transaction(state, rng, float(step)).txn
+            txn = pool.turn(0, rng, float(step)).txn
             for key in txn.all_keys():
                 partition = workload.scheme.partition(key)
                 if key[0] == "item":
@@ -94,9 +94,9 @@ class TestTPCCProperties:
     def test_writes_never_touch_static_tables(self, seed):
         workload = TPCCWorkload(TPCCConfig(items=100, customers_per_district=30))
         rng = random.Random(seed)
-        state = workload.new_client_state(0, rng)
+        pool = workload.client_pool(1)
         for step in range(15):
-            txn = workload.next_transaction(state, rng, float(step)).txn
+            txn = pool.turn(0, rng, float(step)).txn
             for table, _ in txn.write_set:
                 assert table != "item"
 
@@ -121,9 +121,9 @@ class TestSmallBankProperties:
             SmallBankConfig(users=users, hotspot_fraction=hotspot)
         )
         rng = random.Random(seed)
-        state = workload.new_client_state(0, rng)
+        pool = workload.client_pool(1)
         for step in range(20):
-            txn = workload.next_transaction(state, rng, float(step)).txn
+            txn = pool.turn(0, rng, float(step)).txn
             for table, user in txn.all_keys():
                 assert table in ("checking", "savings")
                 assert 0 <= user < users

@@ -19,11 +19,11 @@ from repro.workloads.smallbank import SmallBankConfig
 def drive(workload, txns, rng=None, client_id=0, now_step=1.0):
     """Generate ``txns`` transactions from one client."""
     rng = rng or random.Random(1)
-    state = workload.new_client_state(client_id, rng)
+    pool = workload.client_pool(client_id + 1)
     turns = []
     now = 0.0
     for _ in range(txns):
-        turns.append(workload.next_transaction(state, rng, now))
+        turns.append(pool.turn(client_id, rng, now))
         now += now_step
     return turns
 
@@ -125,9 +125,9 @@ class TestYCSB:
         scheme = workload.scheme
         rng = random.Random(5)
         bases = Counter()
-        state = workload.new_client_state(0, rng)
+        pool = workload.client_pool(1)
         for index in range(2000):
-            turn = workload.next_transaction(state, rng, float(index))
+            turn = pool.turn(0, rng, float(index))
             bases[scheme.partition(turn.txn.write_set[0])] += 1
         top_share = sum(count for p, count in bases.items() if p < 10) / 2000
         assert top_share > 0.25  # popular partitions dominate
@@ -221,10 +221,10 @@ class TestTPCC:
     def test_stocklevel_reads_recent_lines(self):
         workload = self.make(stocklevel_weight=1.0, neworder_weight=0.0, payment_weight=0.0)
         rng = random.Random(2)
-        state = workload.new_client_state(0, rng)
+        warehouse = rng.randrange(workload.config.warehouses)
         # Seed recent lines via a New-Order for this client's warehouse.
-        no = workload._make_neworder(state, rng)
-        sl = workload._make_stocklevel(state, rng)
+        no = workload._make_neworder(0, warehouse, rng)
+        sl = workload._make_stocklevel(0, warehouse, rng)
         # District row plus order lines and stock entries.
         tables = Counter(table for table, _ in sl.all_keys())
         assert tables["district"] == 1
