@@ -109,7 +109,7 @@ PROM_CHECK = python -c "import re, sys; \
 masters-smoke:
 	python -m repro masters --system dynamast --skew 0.9 --clients 8 --duration 400 --seed 7 --export-jsonl masters_ledger.jsonl --export-csv masters_rate.csv --prometheus masters.prom
 	$(PROM_CHECK) masters.prom repro_masters_decisions_total
-	python -c "from repro.obs.mastery import load_jsonl, recompute_decision; \
+	python -c "from repro.obs.export import load_jsonl; from repro.obs.mastery import recompute_decision; \
 	  data = load_jsonl('masters_ledger.jsonl'); \
 	  header, decisions = data['header'], data['decisions']; \
 	  assert decisions, 'no decisions recorded'; \
@@ -134,7 +134,7 @@ slo-smoke:
 		--html slo_dashboard.html --export-jsonl slo_incidents.jsonl \
 		--prometheus slo.prom
 	$(PROM_CHECK) slo.prom repro_slo_true_positives
-	python -c "from repro.obs.slo import load_jsonl; import os; \
+	python -c "from repro.obs.export import load_jsonl; import os; \
 	  data = load_jsonl('slo_incidents.jsonl'); header = data['header']; \
 	  assert header['true_positives'] >= 1, header; \
 	  assert header['violations'] == 0, header; \

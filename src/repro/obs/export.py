@@ -10,7 +10,9 @@ microseconds.
 ``to_jsonl`` streams the same records as plain JSON lines for ad-hoc
 analysis (one ``span`` / ``instant`` / ``txn`` object per line), and
 ``flame_summary`` renders a top-N self-time table over the span-tree
-paths — a text flamegraph.
+paths — a text flamegraph. ``load_jsonl`` reads back the recorders'
+schema-tagged JSONL exports (the decision ledger's and the SLO
+engine's).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from repro.obs.tracer import Tracer
 
 __all__ = [
     "flame_summary",
+    "load_jsonl",
     "reconcile_with_metrics",
     "to_chrome_trace",
     "to_jsonl",
@@ -154,6 +157,55 @@ def write_jsonl(tracer: Tracer, path: str) -> None:
     with open(path, "w") as handle:
         for line in to_jsonl(tracer):
             handle.write(line + "\n")
+
+
+#: ``schema -> (key, dropped, kind -> section)``: the sections of one
+#: recorder's JSONL export after its header line, and the key that
+#: names each record's kind. The SLO engine wraps a record's dict in a
+#: ``type`` the reader drops; a ledger record's ``kind`` is part of its
+#: ``to_dict`` and stays.
+_SECTIONS = {
+    "repro-masters/1": ("kind", False, {
+        "decision": "decisions", "ownership": "changes",
+    }),
+    "repro-slo/1": ("type", True, {
+        "incident": "incidents", "violation": "violations",
+        "span": "spans", "window": "windows",
+    }),
+}
+
+
+def load_jsonl(path: str) -> Dict[str, object]:
+    """Read a recorder's JSONL export back into plain dicts.
+
+    The first line is the header, and its ``schema`` decides the rest:
+    ``{"header", "decisions", "changes"}`` for a ``repro-masters/1``
+    ledger (:meth:`~repro.obs.mastery.DecisionLedger.to_jsonl`),
+    ``{"header", "incidents", "violations", "spans", "windows"}`` for a
+    ``repro-slo/1`` engine (:meth:`~repro.obs.slo.SloEngine.to_jsonl`).
+    An empty file, a first line naming no schema, an unknown schema and
+    an unknown record kind raise ``ValueError``.
+    """
+    with open(path) as handle:
+        records = [json.loads(line) for line in handle if line.strip()]
+    if not records:
+        raise ValueError(f"empty file: {path} has no header line")
+    header = records[0]
+    if "schema" not in header:
+        raise ValueError(f"{path} has no header line naming its schema")
+    schema = header["schema"]
+    if schema not in _SECTIONS:
+        raise ValueError(f"unsupported schema {schema!r} in {path}: " + ", ".join(
+            f"not a {known} file" for known in _SECTIONS))
+    key, dropped, sections = _SECTIONS[schema]
+    loaded: Dict[str, object] = {"header": header}
+    loaded.update((section, []) for section in sections.values())
+    for record in records[1:]:
+        kind = record.pop(key) if dropped else record.get(key)
+        if kind not in sections:
+            raise ValueError(f"unknown record {key} {kind!r} in {path}")
+        loaded[sections[kind]].append(record)
+    return loaded
 
 
 def flame_summary(tracer: Tracer, top: int = 20) -> str:

@@ -39,6 +39,8 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -51,7 +53,6 @@ __all__ = [
     "OwnershipChange",
     "OwnershipInterval",
     "RateWindow",
-    "load_jsonl",
     "recompute_decision",
     "render_decision",
 ]
@@ -211,6 +212,32 @@ class RateWindow:
         return self.remastered / self.routed
 
 
+class _Routes(Sequence):
+    """One ``(at_ms, site, moved)`` per routed update, stored as columns.
+
+    A read-only sequence of tuples, built on access; the recording hook
+    :meth:`DecisionLedger.route` appends one entry to each column, and
+    the ledger's totals and series read the columns directly.
+    """
+
+    __slots__ = ("at_ms", "site", "moved")
+
+    def __init__(self):
+        self.at_ms = array("d")
+        #: Routed-to site (``ClusterConfig`` admits at most 65 535).
+        self.site = array("H")
+        #: Partitions the route moved; 0 for a local route.
+        self.moved = array("I")
+
+    def __len__(self) -> int:
+        return len(self.at_ms)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(zip(self.at_ms[index], self.site[index], self.moved[index]))
+        return self.at_ms[index], self.site[index], self.moved[index]
+
+
 class DecisionLedger:
     """Records remaster decisions, ownership changes, and route events.
 
@@ -218,8 +245,8 @@ class DecisionLedger:
     :meth:`~repro.core.site_selector.SiteSelector.attach_ledger`; the
     selector snapshots its initial placement into the ledger and then
     feeds it every routed update, every strategy decision, and every
-    mastership transfer. All recording is plain list appends over
-    already-computed values — no simulation interaction.
+    mastership transfer. All recording is plain list and column appends
+    over already-computed values — no simulation interaction.
     """
 
     def __init__(self):
@@ -232,7 +259,7 @@ class DecisionLedger:
         self.decisions: List[DecisionRecord] = []
         self.changes: List[OwnershipChange] = []
         #: (at_ms, site, partitions_moved) per routed update txn.
-        self.routes: List[Tuple[float, int, int]] = []
+        self.routes = _Routes()
 
     # -- recording hooks (called from the site selector) --------------------
 
@@ -245,7 +272,10 @@ class DecisionLedger:
 
     def route(self, now: float, site: int, moved: int) -> None:
         """One routed update transaction (``moved`` partitions moved)."""
-        self.routes.append((now, site, moved))
+        routes = self.routes
+        routes.at_ms.append(now)
+        routes.site.append(site)
+        routes.moved.append(moved)
         if site >= self.num_sites:
             self.num_sites = site + 1
 
@@ -324,7 +354,8 @@ class DecisionLedger:
 
     @property
     def updates_remastered(self) -> int:
-        return sum(1 for _, _, moved in self.routes if moved)
+        moved = self.routes.moved
+        return len(moved) - moved.count(0)
 
     @property
     def partitions_moved(self) -> int:
@@ -356,7 +387,7 @@ class DecisionLedger:
         if end is None:
             last = 0.0
             if self.routes:
-                last = max(last, self.routes[-1][0])
+                last = max(last, self.routes.at_ms[-1])
             if self.changes:
                 last = max(last, self.changes[-1].at_ms)
             end = last + 1e-9
@@ -366,7 +397,7 @@ class DecisionLedger:
         routed = [0] * buckets
         remastered = [0] * buckets
         moved = [0] * buckets
-        for at_ms, _site, txn_moved in self.routes:
+        for at_ms, txn_moved in zip(self.routes.at_ms, self.routes.moved):
             if start <= at_ms < end:
                 index = int((at_ms - start) // window_ms)
                 routed[index] += 1
@@ -496,7 +527,7 @@ class DecisionLedger:
 
         The header pins the schema, initial placement, and totals, so a
         reader can reconstruct the full timeline without the live
-        ledger (:func:`load_jsonl` round-trips it).
+        ledger (:func:`repro.obs.export.load_jsonl` round-trips it).
         """
         lines = [json.dumps({
             "kind": "header",
@@ -652,7 +683,7 @@ def recompute_decision(record) -> Tuple[int, bool]:
       run's seed stream, which an offline reader does not have).
 
     Accepts a :class:`DecisionRecord` or the dict form from
-    :func:`load_jsonl`.
+    :func:`repro.obs.export.load_jsonl`.
     """
     if isinstance(record, DecisionRecord):
         record = record.to_dict()
@@ -680,40 +711,6 @@ def recompute_decision(record) -> Tuple[int, bool]:
     if len(tied) > 1:
         return chosen, chosen in tied
     return tied[0], tied[0] == chosen
-
-
-def load_jsonl(path: str) -> Dict[str, object]:
-    """Read a :meth:`DecisionLedger.to_jsonl` export back into dicts.
-
-    Returns ``{"header": ..., "decisions": [...], "changes": [...]}``
-    and validates the schema tag.
-    """
-    header = None
-    decisions: List[dict] = []
-    changes: List[dict] = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            kind = record.get("kind")
-            if kind == "header":
-                if record.get("schema") != SCHEMA:
-                    raise ValueError(
-                        f"unsupported masters schema {record.get('schema')!r} "
-                        f"(expected {SCHEMA})"
-                    )
-                header = record
-            elif kind == "decision":
-                decisions.append(record)
-            elif kind == "ownership":
-                changes.append(record)
-            else:
-                raise ValueError(f"unknown record kind {kind!r}")
-    if header is None:
-        raise ValueError(f"{path} has no {SCHEMA} header line")
-    return {"header": header, "decisions": decisions, "changes": changes}
 
 
 def render_decision(record) -> str:

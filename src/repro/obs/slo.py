@@ -828,43 +828,6 @@ class SloEngine:
             registry.gauge(f"repro_slo_{key}").set(summary[key])
 
 
-def load_jsonl(path: str) -> Dict[str, object]:
-    """Parse a ``repro-slo/1`` JSONL export back into plain data."""
-    header: Optional[Dict[str, object]] = None
-    incidents: List[Dict[str, object]] = []
-    violations: List[Dict[str, object]] = []
-    spans: List[Dict[str, object]] = []
-    windows: List[Dict[str, object]] = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            if header is None:
-                if record.get("schema") != SCHEMA:
-                    raise ValueError(
-                        f"not a {SCHEMA} file: schema={record.get('schema')!r}"
-                    )
-                header = record
-                continue
-            kind = record.pop("type", None)
-            if kind == "incident":
-                incidents.append(record)
-            elif kind == "violation":
-                violations.append(record)
-            elif kind == "span":
-                spans.append(record)
-            elif kind == "window":
-                windows.append(record)
-            else:
-                raise ValueError(f"unknown record type {kind!r}")
-    if header is None:
-        raise ValueError(f"empty file: {path}")
-    return {"header": header, "incidents": incidents,
-            "violations": violations, "spans": spans, "windows": windows}
-
-
 def quick_slos(window_ms: float = 250.0) -> "SloEngine":
     """An engine tuned for short smoke runs: 2-window baselines so the
     relative thresholds arm before a scenario fault lands a third of
@@ -880,5 +843,5 @@ def quick_slos(window_ms: float = 250.0) -> "SloEngine":
 __all__ = [
     "SCHEMA", "METRICS", "DEFAULT_SLOS", "GRACE_MS",
     "MERGE_GAP_MS", "SloSpec", "Incident", "SloEngine",
-    "load_jsonl", "quick_slos",
+    "quick_slos",
 ]

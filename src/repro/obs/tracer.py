@@ -15,14 +15,15 @@ untraced run is bit-identical to a run before this module existed.
 
 Records are *stored* as parallel columns, one set per record kind
 (DESIGN.md §6, "Trace store"): :class:`SpanRecord`,
-:class:`InstantRecord` and :class:`EdgeRecord` are what a reader gets,
-built on access by ``tracer.spans`` / ``.instants`` / ``.edges``.
+:class:`InstantRecord`, :class:`EdgeRecord` and :class:`TxnRecord` are
+what a reader gets, built on access by ``tracer.spans`` / ``.instants``
+/ ``.edges`` / ``.txns``.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -175,6 +176,21 @@ NULL_TRACER = NullTracer()
 #: Stands for ``None`` in an id column; no transaction id reaches it.
 _NO_ID = -(1 << 63)
 
+#: Shape and transaction-type codes are stored in ``array('H')``.
+_MAX_CODES = 1 << 16
+
+
+def _intern(codes: Dict[Any, int], values: List[Any], value, what: str) -> int:
+    """Give ``value`` the next code of a 2-byte code column."""
+    if len(values) == _MAX_CODES:
+        raise ValueError(
+            f"cannot trace {what} {value!r}: one tracer holds at most "
+            f"{_MAX_CODES} distinct {what}s"
+        )
+    code = codes[value] = len(values)
+    values.append(value)
+    return code
+
 
 class _Columns(Sequence):
     """One record kind, stored as parallel columns; row ``i`` is record ``i``.
@@ -186,22 +202,25 @@ class _Columns(Sequence):
     per column per record (DESIGN.md §6, "Trace store").
     """
 
-    __slots__ = ("_shapes", "_shape", "_times", "_ids", "_voff", "_vals")
+    __slots__ = ("_shapes", "_shape", "_times", "_ids", "_vals", "_offsets")
 
     def __init__(self, shapes: List[tuple]):
         #: ``code -> (name, track, *arg names)``, shared by the three
         #: kinds: what a call site passes identically on every call.
         self._shapes = shapes
-        self._shape = array("I")
+        self._shape = array("H")
         #: Timestamps: ``(start, end)`` per span row, ``ts`` otherwise.
         self._times = array("d")
         #: Transaction ids, :data:`_NO_ID` for None: ``txn_id`` per span
         #: and instant row, ``(txn_id, src_txn_id)`` per edge row.
         self._ids = array("q")
-        #: Where each row's arg values start in ``_vals``; how many
-        #: there are is the number of arg names in its shape.
-        self._voff = array("I")
+        #: Arg values of all rows in call order; a row has as many as
+        #: its shape has arg names.
         self._vals: List[Any] = []
+        #: Where rows ``0 .. len - 1`` start in ``_vals``: the prefix
+        #: sums of their shapes' arg counts, kept for read only and
+        #: extended on the first read past its end.
+        self._offsets = array("I")
 
     def __len__(self) -> int:
         return len(self._shape)
@@ -223,7 +242,15 @@ class _Columns(Sequence):
         whichever way a call site ordered its keywords.
         """
         name, track, *keys = self._shapes[self._shape[row]]
-        start = self._voff[row]
+        offsets = self._offsets
+        if row >= len(offsets):
+            shapes, shape = self._shapes, self._shape
+            done = len(offsets)
+            start = offsets[-1] + len(shapes[shape[done - 1]]) - 2 if done else 0
+            for code in shape[done:]:
+                offsets.append(start)
+                start += len(shapes[code]) - 2
+        start = offsets[row]
         values = self._vals[start:start + len(keys)]
         return name, track, tuple(sorted(zip(keys, values)))
 
@@ -262,6 +289,110 @@ class _Edges(_Columns):
                           _id(self._ids[2 * row + 1]), track, args)
 
 
+# The flag bits of an envelope row.
+_ENDED, _COMMITTED, _REMASTERED, _DISTRIBUTED, _RECORDED = 1, 2, 4, 8, 16
+
+
+class _Txns(Mapping):
+    """``txn_id -> TxnRecord``, stored as columns; row ``i`` is envelope ``i``.
+
+    A read-only mapping to everyone outside this module, iterated in
+    the order the envelopes were opened; lookups build the
+    :class:`TxnRecord` they hand out. ``_slot`` finds a row by id
+    offset, not by search, because the open-loop dispatcher begins
+    transactions out of id order; ids of one run are dense, so the
+    offset column is as long as the rows it indexes.
+    """
+
+    __slots__ = ("_ids", "_type", "_types", "_type_codes", "_client",
+                 "_begin", "_end", "_flags", "_base", "_slot")
+
+    def __init__(self):
+        self._ids = array("q")
+        #: Interned transaction types: codes in ``_type``, names in
+        #: ``_types``, ``name -> code`` in ``_type_codes``.
+        self._type = array("H")
+        self._types: List[str] = []
+        self._type_codes: Dict[str, int] = {}
+        self._client = array("i")
+        self._begin = array("d")
+        #: End time; meaningful only once the row's ``_ENDED`` bit is set.
+        self._end = array("d")
+        self._flags = array("B")
+        #: Row of transaction ``base + i`` at ``_slot[i]``, −1 for none.
+        self._base = 0
+        self._slot = array("i")
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __iter__(self):
+        return iter(self._ids)
+
+    def __contains__(self, txn_id) -> bool:
+        return self._row(txn_id) >= 0
+
+    def __getitem__(self, txn_id) -> TxnRecord:
+        row = self._row(txn_id)
+        if row < 0:
+            raise KeyError(txn_id)
+        flags = self._flags[row]
+        ended = flags & _ENDED
+        return TxnRecord(
+            self._ids[row], self._types[self._type[row]], self._client[row],
+            self._begin[row],
+            self._end[row] if ended else None,
+            bool(flags & _COMMITTED) if ended else None,
+            bool(flags & _REMASTERED), bool(flags & _DISTRIBUTED),
+            bool(flags & _RECORDED),
+        )
+
+    def _row(self, txn_id) -> int:
+        try:
+            offset = txn_id - self._base
+        except TypeError:  # None, for records of no transaction
+            return -1
+        slot = self._slot
+        return slot[offset] if 0 <= offset < len(slot) else -1
+
+    def _open(self, txn, now: float) -> int:
+        """Begin ``txn``'s envelope at ``now``, in a new row unless it has one."""
+        txn_id = txn.txn_id
+        code = self._type_codes.get(txn.txn_type)
+        if code is None:
+            code = _intern(self._type_codes, self._types, txn.txn_type,
+                           "transaction type")
+        slot = self._slot
+        if not slot:
+            self._base = txn_id
+        offset = txn_id - self._base
+        if 0 <= offset < len(slot) and slot[offset] >= 0:
+            row = slot[offset]  # begun again: start over in place
+            self._type[row] = code
+            self._client[row] = txn.client_id
+            self._begin[row] = now
+            self._end[row] = 0.0
+            self._flags[row] = 0
+            return row
+        row = len(self._ids)
+        if offset == len(slot):
+            slot.append(row)
+        elif offset < 0:
+            self._slot = array("i", [row]) + array("i", [-1]) * (-offset - 1) + slot
+            self._base = txn_id
+        else:
+            if offset > len(slot):
+                slot.extend(array("i", [-1]) * (offset - len(slot) + 1))
+            slot[offset] = row
+        self._ids.append(txn_id)
+        self._type.append(code)
+        self._client.append(txn.client_id)
+        self._begin.append(now)
+        self._end.append(0.0)
+        self._flags.append(0)
+        return row
+
+
 class Tracer(NullTracer):
     """Records spans, instants and transaction envelopes."""
 
@@ -277,7 +408,9 @@ class Tracer(NullTracer):
         self.spans = _Spans(self._shapes)
         self.instants = _Instants(self._shapes)
         self.edges = _Edges(self._shapes)
-        self.txns: Dict[int, TxnRecord] = {}
+        #: The transaction envelopes: a read-only mapping
+        #: ``txn_id -> TxnRecord``, in the order they were opened.
+        self.txns = _Txns()
         #: ``txn_id -> rows of spans`` in (start, -end) order, covering
         #: the first ``_indexed`` spans (see :meth:`spans_of`).
         self._rows_by_txn: Dict[Optional[int], List[int]] = {}
@@ -286,31 +419,27 @@ class Tracer(NullTracer):
     # -- hooks (called from instrumented protocol code) ---------------------
 
     def txn_begin(self, txn, now: float) -> None:
-        self.txns[txn.txn_id] = TxnRecord(
-            txn_id=txn.txn_id,
-            txn_type=txn.txn_type,
-            client_id=txn.client_id,
-            begin=now,
-        )
+        self.txns._open(txn, now)
 
     def txn_end(self, txn, outcome, now: float, recorded: bool = True) -> None:
-        record = self.txns.get(txn.txn_id)
-        if record is None:  # submitted outside the harness's begin hook
-            record = TxnRecord(txn.txn_id, txn.txn_type, txn.client_id, now)
-            self.txns[txn.txn_id] = record
-        record.end = now
-        record.committed = outcome.committed
-        record.remastered = outcome.remastered
-        record.distributed = outcome.distributed
-        record.recorded = recorded and outcome.committed
+        txns = self.txns
+        row = txns._row(txn.txn_id)
+        if row < 0:  # submitted outside the harness's begin hook
+            row = txns._open(txn, now)
+        txns._end[row] = now
+        txns._flags[row] = (
+            _ENDED
+            | (_COMMITTED if outcome.committed else 0)
+            | (_REMASTERED if outcome.remastered else 0)
+            | (_DISTRIBUTED if outcome.distributed else 0)
+            | (_RECORDED if recorded and outcome.committed else 0)
+        )
         if not outcome.committed:
             self.instant("abort", now, track="client", txn=txn,
                          txn_type=txn.txn_type)
 
     def _new_shape(self, shape: tuple) -> int:
-        code = self._codes[shape] = len(self._shapes)
-        self._shapes.append(shape)
-        return code
+        return _intern(self._codes, self._shapes, shape, "shape")
 
     # The three recording hooks run once per record of a traced run
     # (166 k times on perfbench's chaos-observed); each appends to its
@@ -327,7 +456,6 @@ class Tracer(NullTracer):
         spans._times.append(start)
         spans._times.append(end)
         spans._ids.append(_NO_ID if txn is None else txn.txn_id)
-        spans._voff.append(len(spans._vals))
         if args:
             spans._vals.extend(args.values())
 
@@ -341,7 +469,6 @@ class Tracer(NullTracer):
         instants._shape.append(code)
         instants._times.append(ts)
         instants._ids.append(_NO_ID if txn is None else txn.txn_id)
-        instants._voff.append(len(instants._vals))
         if args:
             instants._vals.extend(args.values())
 
@@ -356,7 +483,6 @@ class Tracer(NullTracer):
         edges._times.append(ts)
         edges._ids.append(_NO_ID if txn is None else txn.txn_id)
         edges._ids.append(_NO_ID if src_txn is None else src_txn.txn_id)
-        edges._voff.append(len(edges._vals))
         if args:
             edges._vals.extend(args.values())
 
@@ -437,26 +563,28 @@ class Tracer(NullTracer):
         these totals reconcile against.
         """
         totals: Dict[str, float] = {}
+        txns = self.txns
         for span in self.spans:
             if span.txn_id is None:
                 continue
-            record = self.txns.get(span.txn_id)
-            if record is None or not record.recorded:
+            row = txns._row(span.txn_id)
+            if row < 0 or not txns._flags[row] & _RECORDED:
                 continue
             totals[span.name] = totals.get(span.name, 0.0) + span.duration
         return totals
 
     def recorded_latency_total(self) -> float:
         """Sum of end-to-end latencies over recorded transactions."""
+        txns = self.txns
         return sum(
-            record.latency or 0.0
-            for record in self.txns.values()
-            if record.recorded
+            txns._end[row] - txns._begin[row]
+            for row, flags in enumerate(txns._flags)
+            if flags & _RECORDED
         )
 
     def abort_count(self) -> int:
         return sum(
-            1 for record in self.txns.values() if record.committed is False
+            1 for flags in self.txns._flags if flags & (_ENDED | _COMMITTED) == _ENDED
         )
 
 

@@ -381,7 +381,7 @@ class TestMastersCommand:
         assert "--window must be positive" in capsys.readouterr().err
 
     def test_masters_exports(self, capsys, tmp_path):
-        from repro.obs.mastery import load_jsonl
+        from repro.obs.export import load_jsonl
 
         jsonl = tmp_path / "ledger.jsonl"
         csv_path = tmp_path / "rate.csv"

@@ -13,22 +13,24 @@ Pins the contract of :mod:`repro.obs.mastery` (DESIGN.md §6.6):
   :func:`recompute_decision` reproduces the choice from the recorded
   feature scores and weights;
 * the ``repro-masters/1`` JSONL export round-trips through
-  :func:`load_jsonl`;
+  :func:`repro.obs.export.load_jsonl`;
 * convergence/churn/ping-pong math on hand-built histories.
 """
 
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bench.harness import run_benchmark
 from repro.faults.chaos import run_chaos, run_chaos_matrix
+from repro.obs.export import load_jsonl
 from repro.obs.mastery import (
     DEFAULT_THRESHOLD,
     SCHEMA,
     DecisionLedger,
     MastershipTimeline,
-    load_jsonl,
     recompute_decision,
     render_decision,
 )
@@ -240,6 +242,50 @@ class TestWindowedSeries:
         ledger.route(210.0, 1, 1)   # disruption at ~200
         ledger.route(310.0, 0, 0)   # settles in [300, 400)
         assert ledger.convergence_time(after=200.0, window_ms=100.0) == 100.0
+
+    @given(
+        routes=st.lists(st.tuples(
+            st.floats(min_value=0.0, max_value=1000.0, allow_nan=False),
+            st.integers(0, 7), st.integers(0, 5),
+        ), max_size=60).map(sorted),
+        window_ms=st.sampled_from([1.0, 30.0, 100.0]),
+        run_end_ms=st.one_of(st.none(), st.floats(min_value=1.0, max_value=1200.0)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_route_columns_equal_a_tuple_list(self, routes, window_ms, run_end_ms):
+        """The route log is three columns; its totals and windows are
+        those of the ``(at_ms, site, moved)`` tuple list it replaced."""
+        ledger = DecisionLedger()
+        ledger.run_end_ms = run_end_ms
+        for at_ms, site, moved in routes:
+            ledger.route(at_ms, site, moved)
+        assert list(ledger.routes) == routes
+        assert len(ledger.routes) == len(routes)
+        assert ledger.routes[-3:] == routes[-3:]
+        remastered = sum(1 for _, _, moved in routes if moved)
+        assert ledger.updates_routed == len(routes)
+        assert ledger.updates_remastered == remastered
+        assert ledger.locality_share() == (
+            1.0 - remastered / len(routes) if routes else 0.0)
+        end = run_end_ms
+        if end is None:
+            end = (routes[-1][0] if routes else 0.0) + 1e-9
+        windows = []
+        if end > 0.0:
+            count = max(1, math.ceil(end / window_ms))
+            windows = [[index * window_ms, 0, 0, 0] for index in range(count)]
+            for at_ms, _, moved in routes:
+                if at_ms < end:
+                    window = windows[int(at_ms // window_ms)]
+                    window[1] += 1
+                    if moved:
+                        window[2] += 1
+                        window[3] += moved
+        assert [
+            [window.start_ms, window.routed, window.remastered,
+             window.partitions_moved]
+            for window in ledger.rate_series(window_ms)
+        ] == windows
 
 
 class TestChurnMetrics:

@@ -18,6 +18,7 @@ from repro.obs.tracer import (
     NullTracer,
     SpanRecord,
     Tracer,
+    TxnRecord,
 )
 from repro.transactions import Outcome, Transaction
 
@@ -84,6 +85,18 @@ class TestTxnRecords:
         record = tracer.txns[txn.txn_id]
         assert record.begin == record.end == 5.0
         assert record.latency == 0.0
+
+    def test_begin_again_starts_the_envelope_over_in_place(self):
+        tracer = Tracer()
+        first, second = make_txn(), make_txn()
+        tracer.txn_begin(first, 1.0)
+        tracer.txn_begin(second, 2.0)
+        tracer.txn_end(first, Outcome(committed=True, remastered=True), 3.0)
+        tracer.txn_begin(first, 4.0)
+        assert list(tracer.txns) == [first.txn_id, second.txn_id]
+        record = tracer.txns[first.txn_id]
+        assert (record.begin, record.end, record.committed, record.remastered,
+                record.recorded) == (4.0, None, None, False, False)
 
 
 class TestSpanTree:
@@ -260,7 +273,8 @@ class TestAggregation:
 @pytest.fixture
 def built(monkeypatch):
     """Count the records the store builds, per record type name."""
-    counts = {"SpanRecord": 0, "InstantRecord": 0, "EdgeRecord": 0}
+    counts = {"SpanRecord": 0, "InstantRecord": 0, "EdgeRecord": 0,
+              "TxnRecord": 0}
     for name in counts:
         def counting(*fields, _name=name, _make=getattr(tracer_module, name)):
             counts[_name] += 1
@@ -318,10 +332,30 @@ class TestFoldIsLinear:
 
 class ListTracer:
     """The store the columns replaced, kept as the model: one frozen
-    record per call, args sorted at record time, appended to a list."""
+    record per call, args sorted at record time, appended to a list;
+    one mutable envelope per transaction in a dict."""
 
     def __init__(self):
         self.spans, self.instants, self.edges = [], [], []
+        self.txns = {}
+
+    def txn_begin(self, txn, now):
+        self.txns[txn.txn_id] = TxnRecord(txn.txn_id, txn.txn_type,
+                                          txn.client_id, now)
+
+    def txn_end(self, txn, outcome, now, recorded=True):
+        record = self.txns.get(txn.txn_id)
+        if record is None:
+            record = TxnRecord(txn.txn_id, txn.txn_type, txn.client_id, now)
+            self.txns[txn.txn_id] = record
+        record.end = now
+        record.committed = outcome.committed
+        record.remastered = outcome.remastered
+        record.distributed = outcome.distributed
+        record.recorded = recorded and outcome.committed
+        if not outcome.committed:
+            self.instant("abort", now, track="client", txn=txn,
+                         txn_type=txn.txn_type)
 
     def span(self, name, start, end, *, track="", txn=None, **args):
         self.spans.append(SpanRecord(
@@ -371,10 +405,22 @@ _args = st.lists(
     for key in keys
 }))
 _names = st.sampled_from(["execute", "route", "network", "rpc", "lock_wait"])
+# Envelopes over a few ids, begun and ended in any order: out of id
+# order (the open-loop shape), ended without a begin, begun twice, or
+# still in flight when read.
+_envelopes = st.builds(
+    SimpleNamespace, txn_id=st.integers(-3, 8),
+    txn_type=st.sampled_from(["rmw", "read", "new_order"]),
+    client_id=st.integers(0, 7),
+)
+_outcomes = st.builds(SimpleNamespace, committed=st.booleans(),
+                      remastered=st.booleans(), distributed=st.booleans())
 _calls = st.lists(st.one_of(
     st.tuples(st.just("span"), _names, _times, _times, _tracks, _txns, _args),
     st.tuples(st.just("instant"), _names, _times, _tracks, _txns, _args),
     st.tuples(st.just("edge"), _names, _times, _tracks, _txns, _txns, _args),
+    st.tuples(st.just("begin"), _envelopes, _times),
+    st.tuples(st.just("end"), _envelopes, _outcomes, _times, st.booleans()),
 ), max_size=40)
 
 
@@ -386,17 +432,50 @@ def _replay(calls, tracer):
         elif call[0] == "instant":
             _, name, ts, track, txn, args = call
             tracer.instant(name, ts, track=track, txn=txn, **args)
+        elif call[0] == "begin":
+            _, txn, now = call
+            tracer.txn_begin(txn, now)
+        elif call[0] == "end":
+            _, txn, outcome, now, recorded = call
+            tracer.txn_end(txn, outcome, now, recorded=recorded)
         else:
             _, kind, ts, track, txn, src_txn, args = call
             tracer.edge(kind, ts, txn=txn, src_txn=src_txn, track=track, **args)
     return tracer
 
 
+def _assert_same_records(tracer, model):
+    for kind in ("spans", "instants", "edges"):
+        assert list(getattr(tracer, kind)) == getattr(model, kind)
+    assert list(tracer.txns.items()) == list(model.txns.items())
+    assert len(tracer.txns) == len(model.txns)
+    for txn_id in (None, -4, 9, *model.txns):
+        assert (txn_id in tracer.txns) == (txn_id in model.txns)
+        assert tracer.txns.get(txn_id) == model.txns.get(txn_id)
+    totals = {}
+    for span in model.spans:
+        record = model.txns.get(span.txn_id)
+        if record is not None and record.recorded:
+            totals[span.name] = totals.get(span.name, 0.0) + span.duration
+    assert tracer.phase_totals() == totals
+    assert tracer.abort_count() == sum(
+        1 for record in model.txns.values() if record.committed is False)
+    assert tracer.recorded_latency_total() == sum(
+        record.latency or 0.0 for record in model.txns.values() if record.recorded)
+
+
 class TestColumnStoreMatchesListModel:
     @given(_calls, st.data())
     @settings(max_examples=200, deadline=None)
     def test_every_read_equals_the_list_of_records(self, calls, data):
-        tracer, model = _replay(calls, Tracer()), _replay(calls, ListTracer())
+        # Read part-way through too: value offsets and the envelope
+        # index grow after a first read.
+        cut = data.draw(st.integers(0, len(calls)))
+        tracer, model = _replay(calls[:cut], Tracer()), _replay(calls[:cut], ListTracer())
+        _assert_same_records(tracer, model)
+        _replay(calls[cut:], tracer)
+        _replay(calls[cut:], model)
+        _assert_same_records(tracer, model)
         for kind in ("spans", "instants", "edges"):
             view, records = getattr(tracer, kind), getattr(model, kind)
             assert len(view) == len(records)
@@ -416,21 +495,43 @@ class TestColumnStoreMatchesListModel:
             mine.sort(key=lambda span: (span.start, -span.end))
             assert tracer.spans_of(txn_id) == mine
 
+    @given(_calls, _calls, st.lists(st.booleans(), max_size=80))
+    @settings(max_examples=100, deadline=None)
+    def test_two_tracers_in_one_process_keep_their_own_rows(self, first, second,
+                                                            turns):
+        """Interleaved calls into two tracers: neither sees the other's
+        shapes, types or envelope rows."""
+        tracers, models = (Tracer(), Tracer()), (ListTracer(), ListTracer())
+        pending = [list(first), list(second)]
+        for turn in turns + [False] * len(first) + [True] * len(second):
+            if pending[turn]:
+                call = pending[turn].pop(0)
+                _replay([call], tracers[turn])
+                _replay([call], models[turn])
+        for tracer, model in zip(tracers, models):
+            _assert_same_records(tracer, model)
+
     def test_records_are_built_on_access_only(self, built):
         tracer = Tracer()
         for index in range(50):
+            txn = make_txn()
+            tracer.txn_begin(txn, float(index))
             tracer.span("execute", float(index), index + 0.5, track="site0",
-                        txn=make_txn(), depth=index)
+                        txn=txn, depth=index)
             tracer.instant("log_append", float(index), track="site0", seq=index)
             tracer.edge("rpc", float(index), txn=make_txn(), track="net")
-        assert (len(tracer.spans), len(tracer.instants), len(tracer.edges)) == (
-            50, 50, 50)
+            tracer.txn_end(txn, Outcome(committed=True), index + 0.5)
+        assert (len(tracer.spans), len(tracer.instants), len(tracer.edges),
+                len(tracer.txns)) == (50, 50, 50, 50)
         assert sum(built.values()) == 0
         last = tracer.spans[-1]
         assert (last.start, last.end, last.args) == (49.0, 49.5, (("depth", 49),))
-        assert built == {"SpanRecord": 1, "InstantRecord": 0, "EdgeRecord": 0}
+        assert built == {"SpanRecord": 1, "InstantRecord": 0, "EdgeRecord": 0,
+                         "TxnRecord": 0}
         assert len(tracer.instants[10:13]) == 3
         assert built["InstantRecord"] == 3
+        assert tracer.txns[last.txn_id].end == 49.5
+        assert built["TxnRecord"] == 1
 
     def test_strings_formatted_per_record_are_kept_once_per_shape(self):
         tracer = Tracer()
@@ -463,6 +564,52 @@ class TestColumnStoreMatchesListModel:
             tracemalloc.stop()
         assert len(tracer.spans) == count
         assert used / count <= 64.0
+
+
+def test_bytes_per_traced_txn(retained_bytes):
+    """50 k begun and ended envelopes. A ``TxnRecord`` in a dict cost
+    about 200 B each (plus its boxed id and the two times it kept
+    alive); the columns cost 8 + 2 + 4 + 8 + 8 + 1 bytes a row and 4
+    for its id slot, plus the arrays' growth slack."""
+    count = 50_000
+    txns = [SimpleNamespace(txn_id=1000 + index, txn_type=("rmw", "read")[index % 2],
+                            client_id=index % 32) for index in range(count)]
+    committed = Outcome(committed=True)
+    tracer = Tracer()
+
+    def record():
+        for index, txn in enumerate(txns):
+            tracer.txn_begin(txn, 0.5 * index)
+            tracer.txn_end(txn, committed, 0.5 * index + 0.25)
+
+    _, used = retained_bytes(record)
+    assert len(tracer.txns) == count
+    assert used / count <= 48.0
+
+
+class TestCodeColumnsOverflow:
+    """Shape and transaction-type codes are 2-byte columns: the 65 537th
+    distinct value is refused by name, before any column moves."""
+
+    def test_shapes(self):
+        tracer = Tracer()
+        for index in range(1 << 16):
+            tracer.instant("log_append", 0.0, track=f"site{index}")
+        with pytest.raises(ValueError, match=r"shape \('log_append', 'site65536'\)"):
+            tracer.instant("log_append", 1.0, track="site65536")
+        assert len(tracer.instants) == 1 << 16
+        assert tracer.instants[-1].track == "site65535"
+
+    def test_transaction_types(self):
+        tracer = Tracer()
+        for index in range(1 << 16):
+            tracer.txn_begin(SimpleNamespace(txn_id=index, txn_type=f"t{index}",
+                                             client_id=0), 0.0)
+        with pytest.raises(ValueError, match="transaction type 't65536'"):
+            tracer.txn_begin(SimpleNamespace(txn_id=1 << 16, txn_type="t65536",
+                                             client_id=0), 1.0)
+        assert len(tracer.txns) == 1 << 16 and (1 << 16) not in tracer.txns
+        assert tracer.txns[65535].txn_type == "t65535"
 
 
 class TestExportsArePinned:

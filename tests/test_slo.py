@@ -24,6 +24,7 @@ from repro.bench.parallel import (
 from repro.faults import FaultPlan, build_scenario
 from repro.faults.chaos import defense_setup, run_chaos
 from repro.obs.dashboard import render_dashboard, write_dashboard
+from repro.obs.export import load_jsonl
 from repro.obs.slo import (
     DEFAULT_SLOS,
     SCHEMA,
@@ -34,7 +35,6 @@ from repro.obs.slo import (
     _evaluate,
     _SloState,
     _Window,
-    load_jsonl,
     quick_slos,
 )
 from repro.sim.config import ClusterConfig
