@@ -30,7 +30,7 @@ def show(label, cluster):
 def main():
     # Three sites; make S1's log slow to S2 so R(T1) arrives there late,
     # exactly the race Figure 2 illustrates.
-    cluster = Cluster(ClusterConfig(num_sites=3, log_delivery_ms=0.3))
+    cluster = Cluster(ClusterConfig(num_sites=3))
     s1, s2, s3 = cluster.sites
     s1.log.delivery_delay_ms = 8.0  # the slow hop S1 -> {S2, S3}... S2 only:
     # (a single log fans out uniformly, so model the lag by making S1's

@@ -43,6 +43,7 @@ from repro.bench.parallel import (
 )
 from repro.sim.config import ClusterConfig
 from repro.workloads.openloop import OpenLoopSpec, goodput_ratio
+from repro.workloads.ycsb import KEYS_PER_PARTITION
 
 #: Bump when the report layout or the pinned matrix changes shape.
 SCHEMA = "repro-scale/1"
@@ -103,9 +104,7 @@ class ScaleCase:
         """Modeled table size in keys (for the report header)."""
         params = dict(self.workload.params)
         if self.workload.name == "ycsb":
-            return params.get("num_partitions", 2000) * params.get(
-                "keys_per_partition", 100
-            )
+            return params.get("num_partitions", 2000) * KEYS_PER_PARTITION
         if self.workload.name == "smallbank":
             return params.get("users", 10000) * 2
         return 0

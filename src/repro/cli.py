@@ -74,6 +74,15 @@ def make_workload(name: str, args):
     return make_workload_spec(name, args).build()
 
 
+def row_count(text: str) -> int:
+    """An argparse type for a row count: a negative one would slice
+    "all but N" rows, so it is refused (exit 2, naming the flag)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def add_common_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workload", choices=WORKLOADS, default="ycsb")
     parser.add_argument("--clients", type=int, default=32)
@@ -751,7 +760,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                        help="output prefix (<out>.trace.json, <out>.events.jsonl)")
     trace.add_argument("--sample-interval", type=float, default=10.0,
                        help="timeline sampling cadence, simulated ms")
-    trace.add_argument("--top", type=int, default=20,
+    trace.add_argument("--top", type=row_count, default=20,
                        help="flame summary rows")
     add_common_arguments(trace)
     trace.set_defaults(fn=cmd_trace)
@@ -769,7 +778,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                               "on malformed or mismatched pairs")
     explain.add_argument("--export", default="",
                          help="write the attribution report as JSON")
-    explain.add_argument("--exemplars", type=int, default=3,
+    explain.add_argument("--exemplars", type=row_count, default=3,
                          help="worst-transaction waterfalls to print")
     add_common_arguments(explain)
     explain.set_defaults(fn=cmd_explain)
@@ -789,7 +798,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                               "and exit")
     masters.add_argument("--partition", type=int, default=None,
                          help="print this partition's ownership timeline")
-    masters.add_argument("--decisions", type=int, default=10,
+    masters.add_argument("--decisions", type=row_count, default=10,
                          help="recent decisions to list (0 to hide)")
     masters.add_argument("--export-jsonl", default="",
                          help="write the full ledger (repro-masters/1 JSONL)")

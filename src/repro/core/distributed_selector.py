@@ -21,7 +21,7 @@ from typing import Dict, Optional
 
 from repro.core.site_selector import RouteResult, SiteSelector
 from repro.sim.resources import Resource
-from repro.systems.base import Cluster, Session
+from repro.systems.base import ROUTE_LOOKUP_MS, SELECTOR_CORES, Cluster, Session
 from repro.transactions import Transaction
 
 
@@ -43,8 +43,7 @@ class ReplicaSelector:
         self.master = master
         self.cluster = cluster
         self.env = cluster.env
-        self.config = cluster.config
-        self.cpu = Resource(self.env, self.config.selector_cores)
+        self.cpu = Resource(self.env, SELECTOR_CORES)
         self.refresh_interval_ms = refresh_interval_ms
         self._map: Dict[int, int] = master.table.snapshot()
         self._refreshed_at = self.env.now
@@ -86,7 +85,7 @@ class ReplicaSelector:
         """
         retries = 0
         while True:
-            yield from self.cpu.use(self.config.costs.route_lookup_ms)
+            yield from self.cpu.use(ROUTE_LOOKUP_MS)
             optimistic = retries == 0
             route = self._route_local(txn) if optimistic else None
             if route is None:

@@ -42,9 +42,21 @@ from repro.partitioning.schemes import PartitionScheme
 from repro.replication.log import GRANT, RELEASE, LogRecord
 from repro.sim.resources import Resource
 from repro.sites.messages import RetryPolicy, guarded_call
-from repro.systems.base import Cluster, Session, choose_fresh_site
+from repro.systems.base import (
+    ROUTE_LOOKUP_MS,
+    SELECTOR_CORES,
+    Cluster,
+    Session,
+    choose_fresh_site,
+)
 from repro.transactions import Transaction
 from repro.versioning.vectors import VersionVector
+
+#: Site-selector work to score candidate sites for remastering (ms).
+REMASTER_DECISION_MS = 0.02
+#: Remastering RPCs (release/grant) legitimately block on quiesce and
+#: replication catch-up; they get a longer leash than ``TIMEOUT_MS``.
+REMASTER_TIMEOUT_MS = 400.0
 
 
 @dataclass(slots=True)
@@ -76,10 +88,9 @@ class SiteSelector:
     ):
         self.cluster = cluster
         self.env = cluster.env
-        self.config = cluster.config
         self.network = cluster.network
         self.scheme = scheme
-        self.cpu = Resource(self.env, self.config.selector_cores)
+        self.cpu = Resource(self.env, SELECTOR_CORES)
         self.table = PartitionTable(self.env, placement)
         weights = weights or StrategyWeights()
         self.statistics = AccessStatistics(
@@ -139,8 +150,7 @@ class SiteSelector:
         self._route_seq += 1
         partitions = sorted(self.scheme.partitions_of(txn.write_set))
         lock_started = env._now
-        yield from self.cpu.use(self.config.costs.route_lookup_ms,
-                                txn=txn, track="selector")
+        yield from self.cpu.use(ROUTE_LOOKUP_MS, txn=txn, track="selector")
         for partition in partitions:
             yield self.table.info(partition).lock.acquire_read()
         txn.add_timing("selector_lock", env._now - lock_started)
@@ -182,8 +192,7 @@ class SiteSelector:
                 # us (clients benefit from remastering initiated by
                 # clients with common write sets, §III-B).
                 break
-            yield from self.cpu.use(self.config.costs.remaster_decision_ms,
-                                    txn=txn, track="selector")
+            yield from self.cpu.use(REMASTER_DECISION_MS, txn=txn, track="selector")
             health = tuple(self.cluster.health(index)
                            for index in range(self.cluster.num_sites))
             excluded = {index for index, score in enumerate(health) if score <= 0}
@@ -343,7 +352,6 @@ class SiteSelector:
         tracer = env.obs.tracer
         traced = tracer.enabled
         sites = self.cluster.sites
-        timeout_ms = self.config.rpc.remaster_timeout_ms
         policy = None
         release_started = env._now
         try:
@@ -359,14 +367,13 @@ class SiteSelector:
                         sites[source],
                         sites[source].release_mastership(partitions),
                         category="remaster",
-                        timeout_ms=timeout_ms,
+                        timeout_ms=REMASTER_TIMEOUT_MS,
                     )
                 except SiteDown:
                     pass  # the next pass fences the dead source
                 except RpcTimeout:
                     failures += 1
-                    policy = policy or RetryPolicy(self.config.rpc,
-                                                   self.cluster.faults.rng)
+                    policy = policy or RetryPolicy(self.cluster.faults.rng)
                     if failures >= policy.attempts:
                         raise TransactionAborted(
                             REASON_TIMEOUT,
@@ -396,7 +403,7 @@ class SiteSelector:
                             partitions, release_vv, source=source
                         ),
                         category="remaster",
-                        timeout_ms=timeout_ms,
+                        timeout_ms=REMASTER_TIMEOUT_MS,
                     )
                 except SiteDown:
                     pass  # the next pass picks a live target
@@ -406,8 +413,7 @@ class SiteSelector:
                     # marker replays harmlessly and the returned vector
                     # still covers the release point).
                     failures += 1
-                    policy = policy or RetryPolicy(self.config.rpc,
-                                                   self.cluster.faults.rng)
+                    policy = policy or RetryPolicy(self.cluster.faults.rng)
                     yield env.timeout(policy.backoff_ms(min(failures - 1, 8)))
         except FaultError as exc:
             return exc
@@ -492,8 +498,7 @@ class SiteSelector:
         """Pick a session-fresh site for a read-only transaction
         (:func:`~repro.systems.base.choose_fresh_site`)."""
         route_started = self.env._now
-        yield from self.cpu.use(self.config.costs.route_lookup_ms,
-                                txn=txn, track="selector")
+        yield from self.cpu.use(ROUTE_LOOKUP_MS, txn=txn, track="selector")
         choice = choose_fresh_site(self.cluster, session, self._read_rng)
         self.reads_routed += 1
         tracer = self.env.obs.tracer

@@ -14,8 +14,9 @@ destination's RTT distribution (a compact
   distribution: how long a read waits before launching a backup
   request to another replica ("the tail at scale" recipe).
 
-Until ``min_samples`` RTTs have been observed for a destination, both
-fall back to the fixed values — cold-start guesses would be noise.
+Until ``DEADLINE_MIN_SAMPLES`` RTTs have been observed for a
+destination, both fall back to the fixed values — cold-start guesses
+would be noise.
 The tracker is passive and deterministic: it only folds in RTTs the
 RPC layer measured anyway, consumes no randomness, and is dropped per
 destination by the injector's restart hook (a rejoined site's RTT
@@ -29,32 +30,28 @@ from typing import Dict
 from repro.obs.registry import StreamingHistogram
 
 
+#: How long a caller waits for an RPC response before giving up. It
+#: is deliberately generous relative to typical transaction latencies
+#: (a few ms) so that a loaded-but-live site is not mistaken for a
+#: dead one; a crashed site is detected fast anyway via
+#: connection-refused (:class:`~repro.faults.errors.SiteDown`), so
+#: timeouts mostly fire for lost/partitioned messages.
+TIMEOUT_MS = 50.0
+#: RTT quantile and headroom multiplier for the adaptive deadline.
+DEADLINE_QUANTILE = 0.99
+DEADLINE_MULTIPLIER = 3.0
+#: RTT samples per destination before adapting (cold-start guard).
+DEADLINE_MIN_SAMPLES = 20
+#: Never tighten a deadline below this.
+DEADLINE_FLOOR_MS = 5.0
+#: RTT quantile after which a read hedges.
+HEDGE_QUANTILE = 0.95
+
+
 class DeadlineTracker:
     """Quantile-tracked RTTs per destination -> adaptive deadlines."""
 
-    def __init__(
-        self,
-        timeout_ms: float,
-        quantile: float = 0.99,
-        multiplier: float = 3.0,
-        min_samples: int = 20,
-        floor_ms: float = 5.0,
-        hedge_quantile: float = 0.95,
-    ):
-        if not 0 < quantile <= 1 or not 0 < hedge_quantile <= 1:
-            raise ValueError(
-                f"quantiles must be in (0, 1], got {quantile}/{hedge_quantile}"
-            )
-        if multiplier < 1.0:
-            raise ValueError(f"deadline multiplier must be >= 1, got {multiplier}")
-        if min_samples < 1:
-            raise ValueError(f"min_samples must be >= 1, got {min_samples}")
-        self.timeout_ms = timeout_ms
-        self.quantile = quantile
-        self.multiplier = multiplier
-        self.min_samples = min_samples
-        self.floor_ms = floor_ms
-        self.hedge_quantile = hedge_quantile
+    def __init__(self):
         self._rtts: Dict[int, StreamingHistogram] = {}
 
     def observe(self, dst: int, rtt_ms: float) -> None:
@@ -72,18 +69,18 @@ class DeadlineTracker:
         """Adaptive deadline for an RPC to ``dst``; never looser than
         the fixed timeout, never tighter than the floor."""
         hist = self._rtts.get(dst)
-        if hist is None or hist.count < self.min_samples:
-            return self.timeout_ms
-        adaptive = hist.quantile(self.quantile) * self.multiplier
-        return min(self.timeout_ms, max(self.floor_ms, adaptive))
+        if hist is None or hist.count < DEADLINE_MIN_SAMPLES:
+            return TIMEOUT_MS
+        adaptive = hist.quantile(DEADLINE_QUANTILE) * DEADLINE_MULTIPLIER
+        return min(TIMEOUT_MS, max(DEADLINE_FLOOR_MS, adaptive))
 
     def hedge_delay_ms(self, dst: int) -> float:
         """How long a hedged read waits on ``dst`` before launching its
         backup; the fixed timeout until enough history exists."""
         hist = self._rtts.get(dst)
-        if hist is None or hist.count < self.min_samples:
-            return self.timeout_ms
-        return min(self.timeout_ms, max(self.floor_ms, hist.quantile(self.hedge_quantile)))
+        if hist is None or hist.count < DEADLINE_MIN_SAMPLES:
+            return TIMEOUT_MS
+        return min(TIMEOUT_MS, max(DEADLINE_FLOOR_MS, hist.quantile(HEDGE_QUANTILE)))
 
     def reset(self, dst: int) -> None:
         """Drop ``dst``'s history (the site restarted)."""

@@ -12,15 +12,16 @@ Two policies share one interface (``report_timeout`` /
 ``health``):
 
 * :class:`FailureDetector` — the classic fixed-strike detector:
-  ``threshold`` consecutive timeouts to a destination mean suspicion.
-  Binary, simple, and blind to gray failure (a slow-but-alive site
-  that answers within the fixed RPC timeout is never suspected).
+  ``SUSPICION_THRESHOLD`` consecutive timeouts to a destination mean
+  suspicion. Binary, simple, and blind to gray failure (a
+  slow-but-alive site that answers within the fixed RPC timeout is
+  never suspected).
 * :class:`AdaptiveDetector` — phi-accrual style (Hayashibara et al.):
   per-site EWMA mean/variance of inter-success intervals turn the
   silence since the last success into a suspicion level
   ``phi = -log10 P(silence this long | history)``. Suspicion is the
-  threshold ``phi >= phi_threshold``; :meth:`health` exposes the
-  *graded* signal ``1 - phi/phi_threshold`` so remastering can steer
+  threshold ``phi >= PHI_THRESHOLD``; :meth:`health` exposes the
+  *graded* signal ``1 - phi/PHI_THRESHOLD`` so remastering can steer
   away from a degrading site before the detector commits to suspicion.
 
 Both count suspicion episodes and — when given a ground-truth
@@ -39,6 +40,16 @@ import math
 from typing import Callable, Dict, Optional, Set
 
 GroundTruth = Optional[Callable[[int], bool]]
+
+#: Consecutive timeouts before a site is suspected dead.
+SUSPICION_THRESHOLD = 2
+#: Phi level at which the adaptive detector suspects a site.
+PHI_THRESHOLD = 8.0
+#: Suspicion hysteresis of the adaptive detector: once tripped,
+#: suspicion latches for this long (extended by fresh timeout
+#: evidence) so a fail-slow site that keeps slowly succeeding is
+#: actually drained rather than flickering in and out of routing.
+SUSPICION_QUARANTINE_MS = 250.0
 
 
 class _SuspicionCounters:
@@ -106,25 +117,21 @@ class FailureDetector(_SuspicionCounters):
 
     def __init__(
         self,
-        threshold: int = 2,
         ground_truth: GroundTruth = None,
         clock: Optional[Callable[[], float]] = None,
     ):
-        if threshold < 1:
-            raise ValueError(f"suspicion threshold must be >= 1, got {threshold}")
         super().__init__(ground_truth, clock)
-        self.threshold = threshold
         self._strikes: Dict[int, int] = {}
 
     def report_timeout(self, site: int) -> None:
         strikes = self._strikes.get(site, 0) + 1
         self._strikes[site] = strikes
-        if strikes >= self.threshold:
+        if strikes >= SUSPICION_THRESHOLD:
             self._suspect(site)
 
     def report_down(self, site: int) -> None:
         """Connection refused/reset: suspect immediately."""
-        self._strikes[site] = self.threshold
+        self._strikes[site] = SUSPICION_THRESHOLD
         self._suspect(site)
 
     def report_success(self, site: int) -> None:
@@ -147,7 +154,7 @@ class FailureDetector(_SuspicionCounters):
         if site in self._suspected:
             return 0.0
         strikes = self._strikes.get(site, 0)
-        return max(0.0, 1.0 - strikes / self.threshold)
+        return max(0.0, 1.0 - strikes / SUSPICION_THRESHOLD)
 
 
 #: EWMA weight of a new inter-success interval, and the floor on the
@@ -180,32 +187,17 @@ class AdaptiveDetector(_SuspicionCounters):
     suspects immediately, as in the strike detector.
     """
 
-    def __init__(
-        self,
-        clock: Callable[[], float],
-        phi_threshold: float = 8.0,
-        threshold: int = 2,
-        ground_truth: GroundTruth = None,
-        quarantine_ms: float = 250.0,
-    ):
-        if phi_threshold <= 0:
-            raise ValueError(f"phi threshold must be positive, got {phi_threshold}")
-        if threshold < 1:
-            raise ValueError(f"suspicion threshold must be >= 1, got {threshold}")
-        if quarantine_ms < 0:
-            raise ValueError(f"quarantine must be >= 0 ms, got {quarantine_ms}")
+    def __init__(self, clock: Callable[[], float], ground_truth: GroundTruth = None):
         super().__init__(ground_truth, clock)
         self.clock = clock
-        self.phi_threshold = phi_threshold
-        self.threshold = threshold
         #: Suspicion hysteresis. A fail-slow site keeps *succeeding*
         #: (slowly), and under concurrent traffic some success always
         #: lands shortly after suspicion trips — without a latch the
         #: detector flickers and routing never actually drains the sick
-        #: site. Once tripped, suspicion holds for ``quarantine_ms``;
-        #: fresh timeout evidence extends the quarantine, an explicit
-        #: :meth:`clear` (site restart) bypasses it.
-        self.quarantine_ms = quarantine_ms
+        #: site. Once tripped, suspicion holds for
+        #: ``SUSPICION_QUARANTINE_MS``; fresh timeout evidence extends
+        #: the quarantine, an explicit :meth:`clear` (site restart)
+        #: bypasses it.
         self._quarantined_until: Dict[int, float] = {}
         self._mean: Dict[int, float] = {}
         self._var: Dict[int, float] = {}
@@ -241,7 +233,7 @@ class AdaptiveDetector(_SuspicionCounters):
         self._refresh(site)
         if site in self._suspected:
             # Fresh evidence while quarantined: extend the latch.
-            self._quarantined_until[site] = self.clock() + self.quarantine_ms
+            self._quarantined_until[site] = self.clock() + SUSPICION_QUARANTINE_MS
 
     def report_down(self, site: int) -> None:
         """Connection refused/reset: suspect immediately."""
@@ -278,7 +270,7 @@ class AdaptiveDetector(_SuspicionCounters):
         if last is None or mean is None:
             # No interval history yet: fixed-strike fallback, mapped
             # onto the phi scale so one threshold governs both regimes.
-            return self.phi_threshold * (timeouts / self.threshold)
+            return PHI_THRESHOLD * (timeouts / SUSPICION_THRESHOLD)
         elapsed = self.clock() - last
         std = max(_MIN_STD_MS, math.sqrt(self._var.get(site, 0.0)), 0.1 * mean)
         tail = 0.5 * math.erfc((elapsed - mean) / (std * math.sqrt(2.0)))
@@ -288,11 +280,11 @@ class AdaptiveDetector(_SuspicionCounters):
 
     def _suspect(self, site: int) -> None:
         if site not in self._suspected:
-            self._quarantined_until[site] = self.clock() + self.quarantine_ms
+            self._quarantined_until[site] = self.clock() + SUSPICION_QUARANTINE_MS
         super()._suspect(site)
 
     def _refresh(self, site: int) -> None:
-        if self.phi(site) >= self.phi_threshold:
+        if self.phi(site) >= PHI_THRESHOLD:
             self._suspect(site)
         elif self.clock() >= self._quarantined_until.get(site, 0.0):
             self._unsuspect(site)
@@ -307,7 +299,7 @@ class AdaptiveDetector(_SuspicionCounters):
     def health(self, site: int) -> float:
         """Graded confidence the site is healthy, in [0, 1].
 
-        ``1 - phi/phi_threshold``: degrades continuously as evidence
+        ``1 - phi/PHI_THRESHOLD``: degrades continuously as evidence
         accrues, hitting zero exactly when suspicion trips. This is
         the signal health-aware remastering consumes — a site at
         health 0.4 is not yet routed around, but the strategy already
@@ -315,4 +307,4 @@ class AdaptiveDetector(_SuspicionCounters):
         """
         if self.is_suspected(site):
             return 0.0
-        return max(0.0, 1.0 - self.phi(site) / self.phi_threshold)
+        return max(0.0, 1.0 - self.phi(site) / PHI_THRESHOLD)

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.faults.deadlines import DeadlineTracker
+from repro.faults.deadlines import TIMEOUT_MS, DeadlineTracker
 from repro.faults.detector import AdaptiveDetector, FailureDetector
 from repro.faults.plan import FaultPlan, LinkFault, SlowFault
 from repro.replication.recovery import rejoin_site
@@ -56,26 +56,13 @@ class FaultInjector:
         self.rpc = cluster.config.rpc
         if self.rpc.detector_policy == "adaptive":
             self.detector = AdaptiveDetector(
-                clock=lambda: cluster.env.now,
-                phi_threshold=self.rpc.phi_threshold,
-                threshold=self.rpc.suspicion_threshold,
-                ground_truth=self.site_faulted,
-                quarantine_ms=self.rpc.suspicion_quarantine_ms,
+                clock=lambda: cluster.env.now, ground_truth=self.site_faulted
             )
         else:  # "threshold" (RpcConfig refuses any other policy)
             self.detector = FailureDetector(
-                self.rpc.suspicion_threshold,
-                ground_truth=self.site_faulted,
-                clock=lambda: cluster.env.now,
+                ground_truth=self.site_faulted, clock=lambda: cluster.env.now
             )
-        self.deadlines = DeadlineTracker(
-            timeout_ms=self.rpc.timeout_ms,
-            quantile=self.rpc.deadline_quantile,
-            multiplier=self.rpc.deadline_multiplier,
-            min_samples=self.rpc.deadline_min_samples,
-            floor_ms=self.rpc.deadline_floor_ms,
-            hedge_quantile=self.rpc.hedge_quantile,
-        )
+        self.deadlines = DeadlineTracker()
         self.events: List[FaultEvent] = []
         #: Hedged-read accounting (bumped by the systems' read paths).
         self.hedges_launched = 0
@@ -168,7 +155,7 @@ class FaultInjector:
         """Effective RPC deadline for ``dst``: adaptive when enabled
         and warmed up, the fixed timeout otherwise."""
         if not self.rpc.adaptive_deadlines:
-            return self.rpc.timeout_ms
+            return TIMEOUT_MS
         return self.deadlines.deadline_ms(dst)
 
     def hedge_delay_ms(self, dst: int) -> float:

@@ -28,6 +28,18 @@ from repro.versioning.vectors import can_apply_refresh
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.sites.data_site import DataSite
 
+#: Per-record cost to apply a refresh transaction at a replica, in
+#: simulated ms (version installation only - no transaction logic,
+#: locks, or index lookups, so far cheaper than an original write).
+REFRESH_OP_MS = 0.004
+#: Fixed cost to apply a refresh transaction (dequeue, rule check).
+REFRESH_BASE_MS = 0.01
+
+
+def refresh_ms(writes: int) -> float:
+    """CPU time to apply a refresh transaction with ``writes`` records."""
+    return REFRESH_BASE_MS + writes * REFRESH_OP_MS
+
 
 class ReplicationManager:
     """Applies refresh transactions at one data site."""
@@ -135,7 +147,6 @@ class ReplicationManager:
             # (commit sequences are always >= 1).
             svv = site.svv
             svv_counts = svv.counts
-            refresh_ms = site.config.costs.refresh_ms
             install_many = site.database.install_many
             notify = site.watch.notify
             timeout = env.timeout

@@ -18,7 +18,8 @@ from copy import copy
 from typing import Dict, List, Sequence, Tuple
 
 from repro.replication.log import GRANT, RELEASE, UPDATE, DurableLog, LogRecord
-from repro.storage.database import Database
+from repro.replication.manager import REFRESH_BASE_MS, REFRESH_OP_MS
+from repro.storage.database import MAX_VERSIONS, Database
 from repro.versioning.vectors import VersionVector
 
 #: Appends, group-wide, between two folds. It only sets how far the
@@ -115,7 +116,7 @@ class Checkpoint:
         self.sites = sites
         self.database = Database(
             first.env,
-            max_versions=first.config.max_versions,
+            MAX_VERSIONS,
             row_index=first.database.row_index,
         )
         self.vector = VersionVector.zeros(len(sites))
@@ -176,11 +177,11 @@ def recover_database(checkpoint: Checkpoint, records: Sequence[LogRecord]) -> tu
     return database, svv
 
 
-def _replay_ms(costs, logs: Sequence[DurableLog]) -> float:
+def _replay_ms(logs: Sequence[DurableLog]) -> float:
     """CPU price of replaying every record the logs ever held (§V-C)."""
     return (
-        costs.refresh_base_ms * sum(len(log) for log in logs)
-        + costs.refresh_op_ms * sum(log.key_count for log in logs)
+        REFRESH_BASE_MS * sum(len(log) for log in logs)
+        + REFRESH_OP_MS * sum(log.key_count for log in logs)
     )
 
 
@@ -203,12 +204,11 @@ def rejoin_site(cluster, index: int, initial_mastership: Dict[int, int]):
     come back with the database they crashed with.
     """
     site = cluster.sites[index]
-    costs = cluster.config.costs
     if site.replicated:
         logs = [peer.log for peer in cluster.sites]
         # The price is the paper's full redo replay, every record ever
         # appended: the checkpoint saves host memory, not simulated time.
-        yield from site.cpu.use(_replay_ms(costs, logs))
+        yield from site.cpu.use(_replay_ms(logs))
         # Survivors kept appending while the replay was charged: the
         # state is rebuilt from the checkpoint and suffix at this instant.
         records = merge_logs(logs)
@@ -224,7 +224,7 @@ def rejoin_site(cluster, index: int, initial_mastership: Dict[int, int]):
         site.complete_restart(database, svv, mastered)
         site.replication.resubscribe(cluster.sites, svv)
     else:
-        yield from site.cpu.use(_replay_ms(costs, [site.log]))
+        yield from site.cpu.use(_replay_ms([site.log]))
         site.complete_restart(site.database, site.svv, site.mastered)
     return site
 

@@ -17,7 +17,7 @@ from repro.sim.core import (
     SimulationError,
     Timeout,
 )
-from repro.sim.network import Network, NetworkConfig
+from repro.sim.network import Network
 from repro.sim.rand import RandomStreams, ZipfGenerator
 from repro.sim.resources import Resource, RWLock, Store
 
@@ -27,7 +27,6 @@ __all__ = [
     "Environment",
     "Event",
     "Network",
-    "NetworkConfig",
     "Process",
     "RandomStreams",
     "Resource",

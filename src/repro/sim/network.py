@@ -13,8 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
-from repro.sim.config import NetworkConfig
 from repro.sim.core import Environment
+
+#: One-way per-message latency: propagation + RPC framing overhead (ms).
+ONE_WAY_LATENCY_MS = 0.25
+#: Usable bandwidth for the size-dependent term, bytes per ms.
+#: 1e6 bytes/ms = 1 GB/s, roughly the goodput of a 10 Gbit link.
+BANDWIDTH_BYTES_PER_MS = 1.0e6
 
 
 @dataclass
@@ -67,9 +72,8 @@ class Network:
     fault plan are bit-identical.
     """
 
-    def __init__(self, env: Environment, config: NetworkConfig | None = None):
+    def __init__(self, env: Environment):
         self.env = env
-        self.config = config or NetworkConfig()
         self.traffic = TrafficCounters()
         #: The installed :class:`~repro.faults.injector.FaultInjector`,
         #: or None (the default — no fault can occur).
@@ -77,8 +81,7 @@ class Network:
 
     def delay_for(self, size: int = 0) -> float:
         """Return the one-way delay for a message of ``size`` bytes."""
-        cfg = self.config
-        return cfg.one_way_latency_ms + size / cfg.bandwidth_bytes_per_ms
+        return ONE_WAY_LATENCY_MS + size / BANDWIDTH_BYTES_PER_MS
 
     # -- per-link view (fault injection only) -----------------------------
 

@@ -30,11 +30,66 @@ from repro.sim.core import Environment, Event
 from repro.sim.network import Network
 from repro.sim.resources import Resource
 from repro.sites.activity import PartitionActivity
-from repro.storage.database import Database
+from repro.storage.database import MAX_VERSIONS, Database
 from repro.storage.locks import LockTable
 from repro.transactions import Transaction
 from repro.versioning.vectors import VersionVector
 from repro.versioning.watch import VersionWatch
+
+
+# The cost model: per-operation CPU costs in simulated milliseconds,
+# shared by every comparator (paper §VI).
+
+#: Fixed cost to begin one transaction branch at a site: request
+#: dispatch/unmarshalling, snapshot setup, lock bookkeeping. Charged
+#: per participating site, so scatter-gather reads and multi-branch
+#: 2PC writes pay it once per shard.
+TXN_BEGIN_MS = 0.15
+#: Fixed cost to commit (log record construction, version stamping).
+TXN_COMMIT_MS = 0.05
+#: Point read of one record.
+READ_OP_MS = 0.02
+#: Write of one record (new version creation).
+WRITE_OP_MS = 0.05
+#: Per-record cost inside a range scan (in-memory sequential read).
+SCAN_OP_MS = 0.001
+#: 2PC prepare work at a participant (force-log the prepare record).
+PREPARE_MS = 0.4
+#: 2PC commit/abort record processing at a participant.
+DECIDE_MS = 0.1
+#: Site-manager work to release mastership of one partition.
+RELEASE_MS = 0.01
+#: Site-manager work to take mastership of one partition.
+GRANT_MS = 0.01
+#: Per-record cost to migrate a record between owners (LEAP data
+#: shipping): index removal + packing at the source, unpacking +
+#: index insertion at the destination.
+MARSHAL_OP_MS = 0.025
+
+# Wire sizes in bytes for the traffic accounting.
+
+#: Payload bytes per record shipped or replicated.
+RECORD_BYTES = 100
+#: Fixed bytes per RPC request/response.
+RPC_OVERHEAD_BYTES = 64
+#: Bytes of a version vector entry.
+VECTOR_ENTRY_BYTES = 8
+
+#: Delay between a commit and its update record reaching subscribers
+#: (the Kafka hop, paper §V-A2). Kept below a client's reply+request
+#: round trip so replicas are usually session-fresh by the time the
+#: writing client's next transaction arrives (§VI-B2).
+LOG_DELIVERY_MS = 0.3
+
+
+def execution_ms(reads: int, writes: int, scanned: int) -> float:
+    """CPU time for the execution phase of a transaction."""
+    return reads * READ_OP_MS + writes * WRITE_OP_MS + scanned * SCAN_OP_MS
+
+
+def update_record_bytes(writes: int, sites: int) -> int:
+    """Size of one replicated update record."""
+    return RPC_OVERHEAD_BYTES + writes * RECORD_BYTES + sites * VECTOR_ENTRY_BYTES
 
 
 class MastershipError(Exception):
@@ -73,16 +128,13 @@ class DataSite:
         self.cpu = Resource(env, config.cores_per_site)
         # ``row_index``: the replica group's key -> row-number maps, or
         # None for maps of this site's own (a partitioned cluster).
-        self.database = Database(
-            env, max_versions=config.max_versions, row_index=row_index
-        )
-        sizes = config.sizes
+        self.database = Database(env, MAX_VERSIONS, row_index=row_index)
         self.log = DurableLog(
             env,
             index,
-            delivery_delay_ms=config.log_delivery_ms,
+            delivery_delay_ms=LOG_DELIVERY_MS,
             network=network if replicated else None,
-            record_size=lambda record: sizes.update_record_bytes(
+            record_size=lambda record: update_record_bytes(
                 len(record.keys), num_sites
             ),
         )
@@ -168,9 +220,7 @@ class DataSite:
             # restart (paper §V-C).
             # The group's row numbers outlive the replica.
             self.database = Database(
-                self.env,
-                max_versions=self.config.max_versions,
-                row_index=self.database.row_index,
+                self.env, MAX_VERSIONS, row_index=self.database.row_index
             )
             self.svv = VersionVector.zeros(self.num_sites)
             self.watch = VersionWatch(self.env, self.svv)
@@ -222,7 +272,6 @@ class DataSite:
         Returns the transaction version vector (commit timestamp).
         """
         partitions = tuple(partitions)
-        costs = self.config.costs
         env = self.env
         tracer = env.obs.tracer
         traced = tracer.enabled
@@ -248,14 +297,14 @@ class DataSite:
             tracer.span("lock_wait", lock_started, env._now, track=track, txn=txn)
         try:
             begin_started = env._now
-            yield from self.cpu.use(costs.txn_begin_ms, txn=txn, track=track)
+            yield from self.cpu.use(TXN_BEGIN_MS, txn=txn, track=track)
             begin_vv = self.svv.copy()
             txn.add_timing("begin", env._now - begin_started)
             if traced:
                 tracer.span("begin", begin_started, env._now, track=track, txn=txn)
 
             execute_started = env._now
-            service = costs.execution_ms(
+            service = execution_ms(
                 len(txn.read_set), len(txn.write_set), txn.scan_count
             )
             yield from self.cpu.use(service + txn.extra_cpu_ms, txn=txn, track=track)
@@ -266,7 +315,7 @@ class DataSite:
                 tracer.span("execute", execute_started, env._now, track=track, txn=txn)
 
             commit_started = env._now
-            yield from self.cpu.use(costs.txn_commit_ms, txn=txn, track=track)
+            yield from self.cpu.use(TXN_COMMIT_MS, txn=txn, track=track)
             tvv = self._commit(txn, begin_vv)
             txn.add_timing("commit", env._now - commit_started)
             if traced:
@@ -319,7 +368,6 @@ class DataSite:
         run here. Returns the begin vector the reads observed, for
         session maintenance.
         """
-        costs = self.config.costs
         env = self.env
         tracer = env.obs.tracer
         traced = tracer.enabled
@@ -336,9 +384,9 @@ class DataSite:
         read_keys = txn.read_set if keys is None else keys
         scanned = txn.scan_count if scans is None else sum(map(len, scans))
         execute_started = env._now
-        yield from self.cpu.use(costs.txn_begin_ms, txn=txn, track=track)
+        yield from self.cpu.use(TXN_BEGIN_MS, txn=txn, track=track)
         begin_vv = self.svv.copy()
-        service = costs.execution_ms(len(read_keys), 0, scanned)
+        service = execution_ms(len(read_keys), 0, scanned)
         yield from self.cpu.use(service + txn.extra_cpu_ms, txn=txn, track=track)
         for key in read_keys:
             self.database.read(key, begin_vv)
@@ -378,7 +426,7 @@ class DataSite:
         quiesce_started = self.env._now
         quiesce = [self.activity.quiesced(self.index, p) for p in partitions]
         yield self.env.all_of(quiesce)
-        yield from self.cpu.use(self.config.costs.release_ms * len(partitions))
+        yield from self.cpu.use(RELEASE_MS * len(partitions))
         self.mastered.difference_update(partitions)
         tracer = self.env.obs.tracer
         if tracer.enabled:
@@ -425,7 +473,7 @@ class DataSite:
                 )
         elif not self.svv.dominates(release_vv):
             yield self.watch.wait_for(release_vv)
-        yield from self.cpu.use(self.config.costs.grant_ms * len(partitions))
+        yield from self.cpu.use(GRANT_MS * len(partitions))
         self.mastered.update(partitions)
         tracer = self.env.obs.tracer
         if tracer.enabled:
@@ -473,7 +521,6 @@ class DataSite:
         blocking across the prepare/commit rounds is precisely the 2PC
         cost the paper measures against.
         """
-        costs = self.config.costs
         tracer = self.env.obs.tracer
         traced = tracer.enabled
         track = self.trace_track if traced else ""
@@ -500,10 +547,10 @@ class DataSite:
         if traced:
             tracer.span("lock_wait", lock_started, self.env._now, track=track, txn=txn)
         execute_started = self.env._now
-        yield from self.cpu.use(costs.txn_begin_ms, txn=txn, track=track)
+        yield from self.cpu.use(TXN_BEGIN_MS, txn=txn, track=track)
         begin_vv = self.svv.copy()
         share = len(keys) / max(1, len(txn.write_set))
-        service = costs.execution_ms(0, len(keys), 0) + txn.extra_cpu_ms * share
+        service = execution_ms(0, len(keys), 0) + txn.extra_cpu_ms * share
         yield from self.cpu.use(service, txn=txn, track=track)
         # Trace-only: branch execution is deliberately not added to the
         # metrics breakdown (it overlaps other branches of the same txn).
@@ -518,7 +565,7 @@ class DataSite:
         tracer = self.env.obs.tracer
         track = self.trace_track if tracer.enabled else ""
         started = self.env._now
-        yield from self.cpu.use(self.config.costs.prepare_ms, txn=txn, track=track)
+        yield from self.cpu.use(PREPARE_MS, txn=txn, track=track)
         if tracer.enabled:
             tracer.span("branch_prepare", started, self.env._now,
                         track=track, txn=txn)
@@ -541,10 +588,7 @@ class DataSite:
         tracer = self.env.obs.tracer
         track = self.trace_track if tracer.enabled else ""
         branch_started = self.env._now
-        yield from self.cpu.use(
-            self.config.costs.decide_ms + self.config.costs.txn_commit_ms,
-            txn=txn, track=track,
-        )
+        yield from self.cpu.use(DECIDE_MS + TXN_COMMIT_MS, txn=txn, track=track)
         seq = self.svv.increment(self.index)
         tvv = begin_vv.copy()
         tvv[self.index] = seq
@@ -572,7 +616,7 @@ class DataSite:
             self._branch_aborted.add(txn.txn_id)
             if (txn.txn_id, keys) not in self._branch_locked:
                 return
-        yield from self.cpu.use(self.config.costs.decide_ms)
+        yield from self.cpu.use(DECIDE_MS)
         self._branch_locked.discard((txn.txn_id, keys))
         self.database.locks.release_all(keys)
 
@@ -584,15 +628,14 @@ class DataSite:
         The caller must already hold the router-level locks that make
         the migration exclusive. Returns the payload size in bytes.
         """
-        costs = self.config.costs
         yield from self.database.locks.acquire_all(keys)
-        yield from self.cpu.use(costs.marshal_op_ms * len(keys))
+        yield from self.cpu.use(MARSHAL_OP_MS * len(keys))
         self.database.locks.release_all(keys)
-        return len(keys) * self.config.sizes.record_bytes
+        return len(keys) * RECORD_BYTES
 
     def install_shipment(self, keys: Tuple):
         """Install shipped records and take ownership (LEAP localization)."""
-        yield from self.cpu.use(self.config.costs.marshal_op_ms * len(keys))
+        yield from self.cpu.use(MARSHAL_OP_MS * len(keys))
 
     # -- introspection ---------------------------------------------------------
 

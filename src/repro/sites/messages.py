@@ -69,8 +69,9 @@ def remote_call(
     return result
 
 
-class _Box:
-    """Out-of-band result slot for a handler run in its own process."""
+class ResultBox:
+    """Out-of-band result slot for a handler run in its own process
+    (an RPC handler, or one racer of a hedged read)."""
 
     __slots__ = ("result", "exc")
 
@@ -79,7 +80,7 @@ class _Box:
         self.exc = None
 
 
-def _run_boxed(handler: Generator, box: _Box):
+def _run_boxed(handler: Generator, box: ResultBox):
     """Drive ``handler``, parking its outcome in ``box``.
 
     Injected failures (a crash interrupt) are absorbed so the wrapping
@@ -129,7 +130,7 @@ def _site_process(site, handler):
     if not site.alive:
         raise SiteDown(site.index)
     env = site.env
-    box = _Box()
+    box = ResultBox()
     proc = env.process(_run_boxed(handler, box))
     site.track(proc)
     crash = site.crash_event
@@ -238,7 +239,7 @@ def _guarded(network, site, handler, src, category, txn, timeout_ms):
 
     # Dispatch: the handler runs on the destination, raced against the
     # caller's timeout and the destination's crash.
-    box = _Box()
+    box = ResultBox()
     proc = env.process(_run_boxed(handler, box))
     site.track(proc)
     crash = site.crash_event
@@ -281,21 +282,26 @@ def _guarded(network, site, handler, src, category, txn, timeout_ms):
     raise exc
 
 
+#: Retries after the first attempt of a protocol-level operation.
+MAX_RETRIES = 3
+#: Exponential backoff: min(cap, base * 2**attempt), jittered
+#: +-50% from the faults RNG stream.
+BACKOFF_BASE_MS = 1.0
+BACKOFF_CAP_MS = 16.0
+
+
 class RetryPolicy:
     """Bounded retries with seeded, jittered exponential backoff."""
 
-    def __init__(self, rpc, rng):
-        self.rpc = rpc
-        self._rng = rng
+    #: Total tries: the first attempt plus ``MAX_RETRIES`` retries.
+    attempts = MAX_RETRIES + 1
 
-    @property
-    def attempts(self) -> int:
-        """Total tries: the first attempt plus ``max_retries`` retries."""
-        return self.rpc.max_retries + 1
+    def __init__(self, rng):
+        self._rng = rng
 
     def backoff_ms(self, attempt: int) -> float:
         """Backoff before retry number ``attempt`` (0-based), jittered ±50%."""
-        base = min(self.rpc.backoff_cap_ms, self.rpc.backoff_base_ms * (2.0 ** attempt))
+        base = min(BACKOFF_CAP_MS, BACKOFF_BASE_MS * (2.0 ** attempt))
         return base * (0.5 + self._rng.random())
 
 
@@ -315,7 +321,7 @@ def with_retries(network: Network, attempt) -> Generator:
     if faults is None:
         result = yield from attempt()
         return result, 0, None
-    policy = RetryPolicy(faults.rpc, faults.rng)
+    policy = RetryPolicy(faults.rng)
     last = policy.attempts - 1
     for tries in range(policy.attempts):
         try:

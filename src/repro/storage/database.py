@@ -21,11 +21,14 @@ from repro.versioning.vectors import VersionVector
 #: A fully-qualified record key: (table name, primary key).
 Key = Tuple[str, Any]
 
+#: Maximum record versions a site's MVCC store retains (paper: 4, §V-A1).
+MAX_VERSIONS = 4
+
 
 class Database:
     """An in-memory multi-version store for one data site."""
 
-    def __init__(self, env: Environment, max_versions: int = 4,
+    def __init__(self, env: Environment, max_versions: int,
                  row_index: Optional[Dict[str, Dict[Any, int]]] = None):
         if max_versions < 1:
             raise ValueError(f"max_versions must be >= 1, got {max_versions}")

@@ -17,6 +17,11 @@ from repro.sites.data_site import DataSite
 from repro.transactions import Transaction
 from repro.versioning.vectors import VersionVector
 
+#: Simulated cores for the site-selector (router) machine.
+SELECTOR_CORES = 8
+#: Router work to look up and lock partition metadata (simulated ms).
+ROUTE_LOOKUP_MS = 0.005
+
 
 class Cluster:
     """A set of simulated data sites sharing a network and a clock.
@@ -39,7 +44,7 @@ class Cluster:
         #: The observability handle (``NULL_OBS`` unless observed).
         self.obs = self.env.obs
         self.streams = RandomStreams(self.config.seed)
-        self.network = Network(self.env, self.config.network)
+        self.network = Network(self.env)
         self.activity = PartitionActivity(self.env)
         #: The installed fault injector, or None (nothing can fail).
         #: Routers ask :meth:`health` rather than test it (DESIGN.md §7).
@@ -135,7 +140,7 @@ class System(ABC):
         self.streams = cluster.streams
         #: Router/front-end machine for the comparator systems (DynaMast
         #: uses its site selector's CPU instead).
-        self.router_cpu = Resource(self.env, self.config.selector_cores)
+        self.router_cpu = Resource(self.env, SELECTOR_CORES)
 
     def new_session(self, client_id: int) -> Session:
         return Session(client_id, VersionVector.zeros(self.cluster.num_sites))

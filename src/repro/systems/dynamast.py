@@ -8,7 +8,7 @@ from repro.core.site_selector import SiteSelector
 from repro.core.strategy import StrategyWeights
 from repro.faults.errors import FaultError, RpcTimeout, TransactionAborted
 from repro.partitioning.schemes import PartitionScheme
-from repro.sites.messages import guarded_call, with_retries
+from repro.sites.messages import ResultBox, guarded_call, with_retries
 from repro.systems.base import Cluster, Session, System
 from repro.transactions import Outcome, Transaction
 
@@ -177,7 +177,7 @@ class DynaMast(System):
         """
         env = self.env
         faults = self.cluster.faults
-        primary_box = _HedgeBox()
+        primary_box = ResultBox()
         primary_proc = env.process(
             self._absorbed_read(primary, txn, session, primary_box)
         )
@@ -188,7 +188,7 @@ class DynaMast(System):
             backup = self._backup_replica(primary.index, session)
             if backup is not None:
                 faults.hedges_launched += 1
-                backup_box = _HedgeBox()
+                backup_box = ResultBox()
                 backup_proc = env.process(
                     self._absorbed_read(backup, txn, session, backup_box)
                 )
@@ -216,13 +216,3 @@ class DynaMast(System):
         if primary_box.exc is not None:
             raise primary_box.exc
         return primary_box.result
-
-
-class _HedgeBox:
-    """Out-of-band result slot for one hedged-read racer."""
-
-    __slots__ = ("result", "exc")
-
-    def __init__(self):
-        self.result = None
-        self.exc = None

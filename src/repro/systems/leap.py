@@ -17,7 +17,7 @@ from typing import Dict, List, Tuple
 from repro.partitioning.schemes import PartitionScheme
 from repro.sites.messages import guarded_call, site_process, with_retries
 from repro.storage.locks import LockTable
-from repro.systems.base import Cluster, Session, System
+from repro.systems.base import ROUTE_LOOKUP_MS, Cluster, Session, System
 from repro.transactions import Key, Outcome, Transaction
 
 
@@ -64,8 +64,7 @@ class LEAP(System):
         availability comparison punishes).
         """
         yield from self.client_hop(txn)  # client -> router
-        yield from self.router_cpu.use(self.config.costs.route_lookup_ms,
-                                       txn=txn, track="router")
+        yield from self.router_cpu.use(ROUTE_LOOKUP_MS, txn=txn, track="router")
 
         cache = self._partitions
         partition_of = self.scheme.partition

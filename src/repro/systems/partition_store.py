@@ -14,7 +14,7 @@ from typing import Dict, List
 
 from repro.partitioning.schemes import PartitionScheme
 from repro.sites.messages import guarded_call, with_retries
-from repro.systems.base import Cluster, Session, System
+from repro.systems.base import ROUTE_LOOKUP_MS, Cluster, Session, System
 from repro.systems.two_phase_commit import submit_partitioned_write
 from repro.transactions import Key, Outcome, ScanBlock, Transaction
 
@@ -43,8 +43,7 @@ class PartitionStore(System):
 
     def submit(self, txn: Transaction, session: Session):
         yield from self.client_hop(txn)  # client -> router
-        yield from self.router_cpu.use(self.config.costs.route_lookup_ms,
-                                       txn=txn, track="router")
+        yield from self.router_cpu.use(ROUTE_LOOKUP_MS, txn=txn, track="router")
 
         if txn.is_read_only:
             outcome = yield from self._submit_read(txn)

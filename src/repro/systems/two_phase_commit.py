@@ -41,6 +41,10 @@ from repro.sites.messages import (
 from repro.transactions import Key, Outcome, Transaction
 from repro.versioning.vectors import VersionVector
 
+#: Coordinator-side work per branch and per round of 2PC (request
+#: marshalling, vote collection, decision logging), in simulated ms.
+COORDINATE_MS = 0.1
+
 
 def group_writes_by_unit(system, txn: Transaction) -> Dict[int, Tuple[Key, ...]]:
     """Split the write set into placement-unit branches."""
@@ -92,7 +96,7 @@ def two_phase_commit(
 
     # The coordinator pays per-branch marshalling / vote-collection /
     # decision-logging work on every round.
-    coordinate = system.config.costs.coordinate_ms * len(items)
+    coordinate = COORDINATE_MS * len(items)
 
     def coordinate_round():
         return site_process(
@@ -209,7 +213,7 @@ def two_phase_commit(
 def _retry_policy(system) -> RetryPolicy:
     """The injector's retry policy (only a fault reaches for it)."""
     faults = system.cluster.faults
-    return RetryPolicy(faults.rpc, faults.rng)
+    return RetryPolicy(faults.rng)
 
 
 def _branch_call(system, txn, coordinator, site_index, handler):

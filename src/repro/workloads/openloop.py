@@ -47,7 +47,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.sim.arrivals import arrival_times, build_curve, scale_curve_params
+from repro.sim.arrivals import (
+    CURVE_REGISTRY,
+    arrival_times,
+    build_curve,
+    scale_curve_params,
+)
+from repro.sim.config import check_config
 from repro.sim.rand import ARRIVALS_STREAM, WORKLOAD_STREAM
 from repro.sim.resources import AdmissionQueue
 
@@ -76,18 +82,13 @@ class OpenLoopSpec:
     queue_capacity: int = 0
 
     def __post_init__(self):
-        if self.modeled_clients < 1:
-            raise ValueError(
-                f"modeled_clients must be >= 1, got {self.modeled_clients}"
-            )
-        if self.admission_concurrency < 1:
-            raise ValueError(
-                f"admission_concurrency must be >= 1, got {self.admission_concurrency}"
-            )
-        if self.queue_capacity < 0:
-            raise ValueError(
-                f"queue_capacity must be >= 0, got {self.queue_capacity}"
-            )
+        check_config(self, (
+            ("curve", self.curve in CURVE_REGISTRY,
+             f"a registered curve ({', '.join(sorted(CURVE_REGISTRY))})"),
+            ("modeled_clients", self.modeled_clients >= 1, ">= 1"),
+            ("admission_concurrency", self.admission_concurrency >= 1, ">= 1"),
+            ("queue_capacity", self.queue_capacity >= 0, ">= 0"),
+        ))
 
     @classmethod
     def of(

@@ -27,39 +27,37 @@ from repro.transactions import Transaction
 from repro.workloads.base import ClientTurn, Workload
 
 
+USERS_PER_PARTITION = 100
+#: Transaction mix; Balance reads take the remaining 15%.
+SINGLE_UPDATE_WEIGHT = 0.45
+TWO_ROW_UPDATE_WEIGHT = 0.40
+#: Bernoulli neighbour selection for the payment counterparty.
+NEIGHBOUR_TRIALS = 5
+NEIGHBOUR_P = 0.5
+#: Number of hot accounts (the first accounts of the key space).
+HOTSPOT_ACCOUNTS = 100
+
+
 @dataclass
 class SmallBankConfig:
     """Scaled SmallBank parameters."""
 
     users: int = 10000
-    users_per_partition: int = 100
-    single_update_weight: float = 0.45
-    two_row_update_weight: float = 0.40
-    balance_weight: float = 0.15
-    #: Bernoulli neighbour selection for the payment counterparty.
-    neighbour_trials: int = 5
-    neighbour_p: float = 0.5
     #: Fraction of account picks drawn from the hotspot. The paper's
     #: SmallBank experiments do not mention skew, so the default is
     #: uniform; setting this > 0 enables the classic SmallBank hotspot
     #: (used by the ablation benchmarks).
     hotspot_fraction: float = 0.0
-    #: Number of hot accounts (the first accounts of the key space).
-    hotspot_accounts: int = 100
 
     def __post_init__(self):
         check_config(self, (
             ("users", self.users >= 1, ">= 1"),
-            ("users_per_partition", self.users_per_partition >= 1, ">= 1"),
-            ("hotspot_accounts", self.hotspot_accounts >= 1, ">= 1"),
-            ("neighbour_trials", self.neighbour_trials >= 0, ">= 0"),
-            ("neighbour_p", 0.0 <= self.neighbour_p <= 1.0, "in [0, 1]"),
             ("hotspot_fraction", 0.0 <= self.hotspot_fraction <= 1.0, "in [0, 1]"),
-        ), mix=("single_update_weight", "two_row_update_weight", "balance_weight"))
+        ))
 
     @property
     def num_partitions(self) -> int:
-        return -(-self.users // self.users_per_partition)
+        return -(-self.users // USERS_PER_PARTITION)
 
 
 class SmallBankWorkload(Workload):
@@ -74,7 +72,7 @@ class SmallBankWorkload(Workload):
     def __init__(self, config: Optional[SmallBankConfig] = None):
         self.config = config or SmallBankConfig()
         self._scheme = PartitionScheme(
-            lambda key: key[1] // self.config.users_per_partition,
+            lambda key: key[1] // USERS_PER_PARTITION,
             self.config.num_partitions,
         )
 
@@ -94,36 +92,35 @@ class SmallBankWorkload(Workload):
         """An account: from the hotspot with ``hotspot_fraction``,
         uniform otherwise."""
         cfg = self.config
-        if cfg.hotspot_accounts > 0 and rng.random() < cfg.hotspot_fraction:
-            return rng.randrange(min(cfg.hotspot_accounts, cfg.users))
+        if rng.random() < cfg.hotspot_fraction:
+            return rng.randrange(min(HOTSPOT_ACCOUNTS, cfg.users))
         return rng.randrange(cfg.users)
 
     def _counterparty(self, user: int, rng) -> int:
         """A second user: hot with ``hotspot_fraction``, otherwise from
         a partition near the first user's."""
         cfg = self.config
-        if cfg.hotspot_accounts > 0 and rng.random() < cfg.hotspot_fraction:
-            other = rng.randrange(min(cfg.hotspot_accounts, cfg.users))
+        if rng.random() < cfg.hotspot_fraction:
+            other = rng.randrange(min(HOTSPOT_ACCOUNTS, cfg.users))
             if other == user:
                 other = (other + 1) % cfg.users
             return other
         successes = sum(
-            rng.random() < cfg.neighbour_p for _ in range(cfg.neighbour_trials)
+            rng.random() < NEIGHBOUR_P for _ in range(NEIGHBOUR_TRIALS)
         )
-        offset = successes - (cfg.neighbour_trials + 1) // 2
-        partition = (user // cfg.users_per_partition + offset) % cfg.num_partitions
-        start = partition * cfg.users_per_partition
-        limit = min(cfg.users_per_partition, cfg.users - start)
+        offset = successes - (NEIGHBOUR_TRIALS + 1) // 2
+        partition = (user // USERS_PER_PARTITION + offset) % cfg.num_partitions
+        start = partition * USERS_PER_PARTITION
+        limit = min(USERS_PER_PARTITION, cfg.users - start)
         other = start + rng.randrange(max(1, limit))
         if other == user:
             other = (other + 1) % cfg.users
         return other
 
     def turn(self, client_id: int, rng, now: float) -> ClientTurn:
-        cfg = self.config
         user = self._draw_user(rng)
         point = rng.random()
-        if point < cfg.single_update_weight:
+        if point < SINGLE_UPDATE_WEIGHT:
             table = self.TABLES[rng.randrange(2)]
             txn = Transaction(
                 "single_update",
@@ -131,7 +128,7 @@ class SmallBankWorkload(Workload):
                 write_set=((table, user),),
                 read_set=((table, user),),
             )
-        elif point < cfg.single_update_weight + cfg.two_row_update_weight:
+        elif point < SINGLE_UPDATE_WEIGHT + TWO_ROW_UPDATE_WEIGHT:
             other = self._counterparty(user, rng)
             keys = (("checking", user), ("checking", other))
             txn = Transaction(

@@ -32,17 +32,25 @@ from repro.transactions import Key, ScanBlock, Transaction
 from repro.workloads.base import ClientTurn, Workload
 
 
+DISTRICTS_PER_WAREHOUSE = 10
+CUSTOMERS_PER_DISTRICT = 300
+#: Customers per customer partition chunk (fine-grained, so a
+#: cross-warehouse Payment remasters one cold slice of customers
+#: rather than a district's whole customer base).
+CUSTOMER_CHUNK = 30
+CUSTOMER_CHUNKS_PER_DISTRICT = -(-CUSTOMERS_PER_DISTRICT // CUSTOMER_CHUNK)  # ceil
+#: Order lines per New-Order, uniform in [min, max].
+MIN_ORDER_LINES = 5
+MAX_ORDER_LINES = 15
+#: Recent orders examined by Stock-Level.
+STOCKLEVEL_ORDERS = 20
+
+
 @dataclass
 class TPCCConfig:
     """Scaled-down TPC-C parameters."""
 
     warehouses: int = 10
-    districts_per_warehouse: int = 10
-    customers_per_district: int = 300
-    #: Customers per customer partition chunk (fine-grained, so a
-    #: cross-warehouse Payment remasters one cold slice of customers
-    #: rather than a district's whole customer base).
-    customer_chunk: int = 30
     #: Catalogue size (paper: 100 000; scaled with the database).
     items: int = 5000
     #: Stock rows per stock partition chunk. Kept small so that
@@ -50,9 +58,6 @@ class TPCCConfig:
     #: remote site by a cross-warehouse New-Order disturbs only a small
     #: fraction of the home warehouse's subsequent transactions.
     stock_chunk: int = 50
-    #: Order lines per New-Order, uniform in [min, max].
-    min_order_lines: int = 5
-    max_order_lines: int = 15
     #: Fraction of New-Order transactions that include remote stock.
     neworder_remote_fraction: float = 0.10
     #: Fraction of Payments for a remote warehouse's customer.
@@ -61,18 +66,12 @@ class TPCCConfig:
     neworder_weight: float = 0.45
     payment_weight: float = 0.45
     stocklevel_weight: float = 0.10
-    #: Recent orders examined by Stock-Level.
-    stocklevel_orders: int = 20
 
     def __post_init__(self):
-        counts = ("warehouses", "districts_per_warehouse",
-                  "customers_per_district", "customer_chunk", "items",
-                  "stock_chunk", "min_order_lines", "stocklevel_orders")
+        counts = ("warehouses", "items", "stock_chunk")
         fractions = ("neworder_remote_fraction", "payment_remote_fraction")
         check_config(self, (
             *((name, getattr(self, name) >= 1, ">= 1") for name in counts),
-            ("min_order_lines", self.min_order_lines <= self.max_order_lines,
-             f"<= max_order_lines ({self.max_order_lines})"),
             *((name, 0.0 <= getattr(self, name) <= 1.0, "in [0, 1]")
               for name in fractions),
         ), mix=("neworder_weight", "payment_weight", "stocklevel_weight"))
@@ -82,17 +81,13 @@ class TPCCConfig:
         return -(-self.items // self.stock_chunk)  # ceil
 
     @property
-    def customer_chunks_per_district(self) -> int:
-        return -(-self.customers_per_district // self.customer_chunk)  # ceil
-
-    @property
     def partitions_per_warehouse(self) -> int:
         # warehouse row | district rows + order tables | customer
         # chunks + history | stock chunks
         return (
             1
-            + self.districts_per_warehouse
-            + self.districts_per_warehouse * self.customer_chunks_per_district
+            + DISTRICTS_PER_WAREHOUSE
+            + DISTRICTS_PER_WAREHOUSE * CUSTOMER_CHUNKS_PER_DISTRICT
             + self.stock_chunks_per_warehouse
         )
 
@@ -138,13 +133,12 @@ class TPCCWorkload(Workload):
         district row, in small chunks, so remastering a remote customer
         for a Payment never moves the district's New-Order traffic and
         disturbs only a thin slice of its other customers."""
-        cfg = self.config
         return (
             self._base_partition(warehouse)
             + 1
-            + cfg.districts_per_warehouse
-            + district * cfg.customer_chunks_per_district
-            + customer // cfg.customer_chunk
+            + DISTRICTS_PER_WAREHOUSE
+            + district * CUSTOMER_CHUNKS_PER_DISTRICT
+            + customer // CUSTOMER_CHUNK
         )
 
     def _stock_partition(self, warehouse: int, item: int) -> int:
@@ -152,8 +146,8 @@ class TPCCWorkload(Workload):
         return (
             self._base_partition(warehouse)
             + 1
-            + cfg.districts_per_warehouse
-            + cfg.districts_per_warehouse * cfg.customer_chunks_per_district
+            + DISTRICTS_PER_WAREHOUSE
+            + DISTRICTS_PER_WAREHOUSE * CUSTOMER_CHUNKS_PER_DISTRICT
             + item // cfg.stock_chunk
         )
 
@@ -227,9 +221,9 @@ class TPCCWorkload(Workload):
 
     def _make_neworder(self, client_id: int, warehouse: int, rng) -> Transaction:
         cfg = self.config
-        district = rng.randrange(cfg.districts_per_warehouse)
-        customer = rng.randrange(cfg.customers_per_district)
-        lines = rng.randint(cfg.min_order_lines, cfg.max_order_lines)
+        district = rng.randrange(DISTRICTS_PER_WAREHOUSE)
+        customer = rng.randrange(CUSTOMERS_PER_DISTRICT)
+        lines = rng.randint(MIN_ORDER_LINES, MAX_ORDER_LINES)
         remote = rng.random() < cfg.neworder_remote_fraction
         remote_warehouse = None
         if remote and cfg.warehouses > 1:
@@ -278,25 +272,24 @@ class TPCCWorkload(Workload):
         items: List[int],
         suppliers: List[int],
     ) -> None:
-        cfg = self.config
         recent = self._recent_lines.setdefault((warehouse, district), [])
         recent.extend(zip(suppliers, items))
         # Keep only what Stock-Level can look back at.
-        limit = cfg.stocklevel_orders * cfg.max_order_lines
+        limit = STOCKLEVEL_ORDERS * MAX_ORDER_LINES
         if len(recent) > limit:
             del recent[: len(recent) - limit]
 
     def _make_payment(self, client_id: int, warehouse: int, rng) -> Transaction:
         cfg = self.config
-        district = rng.randrange(cfg.districts_per_warehouse)
+        district = rng.randrange(DISTRICTS_PER_WAREHOUSE)
         customer_warehouse = warehouse
         customer_district = district
         if rng.random() < cfg.payment_remote_fraction and cfg.warehouses > 1:
             customer_warehouse = rng.randrange(cfg.warehouses - 1)
             if customer_warehouse >= warehouse:
                 customer_warehouse += 1
-            customer_district = rng.randrange(cfg.districts_per_warehouse)
-        customer = rng.randrange(cfg.customers_per_district)
+            customer_district = rng.randrange(DISTRICTS_PER_WAREHOUSE)
+        customer = rng.randrange(CUSTOMERS_PER_DISTRICT)
         # The history insert lands in the home customer's chunk (pk[2]).
         history = ("history", (warehouse, district, customer, next(self._history_ids)))
         shared = self._shared
@@ -312,8 +305,7 @@ class TPCCWorkload(Workload):
         )
 
     def _make_stocklevel(self, client_id: int, warehouse: int, rng) -> Transaction:
-        cfg = self.config
-        district = rng.randrange(cfg.districts_per_warehouse)
+        district = rng.randrange(DISTRICTS_PER_WAREHOUSE)
         recent = self._recent_lines.get((warehouse, district), [])
         # Scan blocks are runs of consecutive keys inside one warehouse
         # (the placement unit). The district and order-line keys are

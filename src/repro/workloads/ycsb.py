@@ -39,6 +39,22 @@ from repro.workloads.base import ClientTurn, Workload
 TABLE = "usertable"
 
 
+#: Keys per partition (the paper's 100-key partitions).
+KEYS_PER_PARTITION = 100
+#: Bernoulli neighbour-selection trials and success probability.
+NEIGHBOUR_TRIALS = 5
+NEIGHBOUR_P = 0.5
+#: Scan length bounds, in partitions. ``SCAN_MAX_PARTITIONS`` may
+#: exceed ``num_partitions``: the scan then wraps around the partition
+#: order and revisits partitions (the 3- and 5-partition workloads of
+#: the test suite rely on it).
+SCAN_MIN_PARTITIONS = 2
+SCAN_MAX_PARTITIONS = 10
+#: Offset range for a client's per-transaction base partition around
+#: its affinity base (keeps locality without pinning).
+AFFINITY_SPREAD = 2
+
+
 @dataclass
 class YCSBConfig:
     """Knobs for the modified YCSB workload."""
@@ -48,39 +64,20 @@ class YCSBConfig:
     #: affinity regions cover only a fraction of the key space, as in
     #: the paper's setup).
     num_partitions: int = 2000
-    keys_per_partition: int = 100
     #: Fraction of transactions that are RMWs (the rest are scans).
     rmw_fraction: float = 0.5
     #: Zipfian skew over base partitions; 0 = uniform (paper: 0.75).
     zipf_theta: float = 0.0
-    #: Bernoulli neighbour-selection trials and success probability.
-    neighbour_trials: int = 5
-    neighbour_p: float = 0.5
-    #: Scan length bounds, in partitions. ``scan_max_partitions`` may
-    #: exceed ``num_partitions``: the scan then wraps around the
-    #: partition order and revisits partitions (the 3- and 5-partition
-    #: workloads of the test suite rely on it), so that is not rejected.
-    scan_min_partitions: int = 2
-    scan_max_partitions: int = 10
     #: Transactions a client issues against its affinity region before
     #: being replaced. The paper uses 1000 (~1 second of that client's
     #: activity); at this simulation's per-client rate ~300 txns is the
     #: same one second. The adaptivity experiment drops this to 25.
     affinity_txns: int = 300
-    #: Offset range for a client's per-transaction base partition
-    #: around its affinity base (keeps locality without pinning).
-    affinity_spread: int = 2
 
     def __post_init__(self):
         check_config(self, (
-            ("keys_per_partition", self.keys_per_partition >= 1, ">= 1"),
-            ("scan_min_partitions", self.scan_min_partitions >= 1, ">= 1"),
-            ("scan_min_partitions",
-             self.scan_min_partitions <= self.scan_max_partitions,
-             f"<= scan_max_partitions ({self.scan_max_partitions})"),
+            ("num_partitions", self.num_partitions >= 1, ">= 1"),
             ("rmw_fraction", 0.0 <= self.rmw_fraction <= 1.0, "in [0, 1]"),
-            ("neighbour_p", 0.0 <= self.neighbour_p <= 1.0, "in [0, 1]"),
-            ("neighbour_trials", self.neighbour_trials >= 0, ">= 0"),
             ("affinity_txns", self.affinity_txns >= 1, ">= 1"),
             ("zipf_theta", self.zipf_theta >= 0.0, ">= 0"),
         ))
@@ -95,7 +92,7 @@ class YCSBWorkload(Workload):
         self.config = config or YCSBConfig()
         cfg = self.config
         self._scheme = PartitionScheme(
-            lambda key: key[1] // cfg.keys_per_partition, cfg.num_partitions
+            lambda key: key[1] // KEYS_PER_PARTITION, cfg.num_partitions
         )
         #: order[i] = the partition at position i of correlation space.
         self.order: List[int] = list(range(cfg.num_partitions))
@@ -143,21 +140,17 @@ class YCSBWorkload(Workload):
         return rng.randrange(cfg.num_partitions)
 
     def _key_in(self, partition: int, rng) -> Key:
-        cfg = self.config
-        start = partition * cfg.keys_per_partition
-        return (TABLE, start + rng.randrange(cfg.keys_per_partition))
+        start = partition * KEYS_PER_PARTITION
+        return (TABLE, start + rng.randrange(KEYS_PER_PARTITION))
 
     def _make_rmw(self, base: int, client_id: int, rng) -> Transaction:
-        cfg = self.config
         random = rng.random
-        neighbour_p = cfg.neighbour_p
-        trials = cfg.neighbour_trials
-        centre = (trials + 1) // 2
+        centre = (NEIGHBOUR_TRIALS + 1) // 2
         partitions = [base]
         for _ in range(2):
             successes = 0
-            for _ in range(trials):
-                if random() < neighbour_p:
+            for _ in range(NEIGHBOUR_TRIALS):
+                if random() < NEIGHBOUR_P:
                     successes += 1
             partitions.append(self._neighbour(base, successes - centre))
         keys = tuple(self._key_in(partition, rng) for partition in partitions)
@@ -168,15 +161,14 @@ class YCSBWorkload(Workload):
     def _scan_block(self, partition: int) -> KeyRange:
         block = self._scan_blocks[partition]
         if block is None:
-            size = self.config.keys_per_partition
+            size = KEYS_PER_PARTITION
             block = self._scan_blocks[partition] = KeyRange(
                 TABLE, range(partition * size, (partition + 1) * size)
             )
         return block
 
     def _make_scan(self, base: int, client_id: int, rng) -> Transaction:
-        cfg = self.config
-        length = rng.randint(cfg.scan_min_partitions, cfg.scan_max_partitions)
+        length = rng.randint(SCAN_MIN_PARTITIONS, SCAN_MAX_PARTITIONS)
         return Transaction(
             "scan",
             client_id,
@@ -222,7 +214,7 @@ class YCSBClientPool:
             reset = True
         self._remaining[client_id] -= 1
 
-        spread = rng.randint(-cfg.affinity_spread, cfg.affinity_spread)
+        spread = rng.randint(-AFFINITY_SPREAD, AFFINITY_SPREAD)
         base = w._neighbour(self._affinity[client_id], spread)
         if rng.random() < cfg.rmw_fraction:
             txn = w._make_rmw(base, client_id, rng)

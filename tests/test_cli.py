@@ -73,6 +73,7 @@ class TestCommands:
         (["--duration", "0", "--clients", "0"], "duration_ms"),
         (["--clients", "0"], "num_clients"),
         (["--rmw", "1.5"], "rmw_fraction"),
+        (["--cores", "0"], "ClusterConfig.cores_per_site must be >= 1, got 0"),
     ])
     def test_bad_run_parameters_exit_2_without_a_report(
             self, command, flags, field, capsys, tmp_path, monkeypatch):
@@ -84,6 +85,20 @@ class TestCommands:
         assert field in captured.err
         assert "Traceback" not in captured.err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command,flag", [
+        (["masters"], "--decisions"),
+        (["explain"], "--exemplars"),
+        (["trace", "--out", "unwritten"], "--top"),
+    ])
+    def test_a_negative_count_exits_2_naming_the_flag(self, command, flag, capsys):
+        """A negative count used to slice "all but N" rows."""
+        with pytest.raises(SystemExit) as exit:
+            main(command + [flag, "-2"])
+        assert exit.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: must be >= 0, got -2" in captured.err
 
     def test_compare_rejects_unknown_system(self, capsys):
         assert main(["compare", "--systems", "dynamast,bogus"]) == 2

@@ -4,11 +4,12 @@ import pytest
 
 from repro.core.partitions import PartitionInfo, PartitionTable
 from repro.replication.log import UPDATE, DurableLog, LogRecord
-from repro.sim.config import ClusterConfig, SizeModel
+from repro.sim.config import ClusterConfig
 from repro.sim.core import Environment, SimulationError
-from repro.sim.network import Network, NetworkConfig
+from repro.sim.network import Network
 from repro.sim.rand import ZipfGenerator
 from repro.sim.resources import RWLock
+from repro.sites.data_site import update_record_bytes
 import random
 from tests.helpers import run_process
 
@@ -102,21 +103,20 @@ class TestRWLockDowngrade:
 class TestDurableLogTraffic:
     def test_replication_bytes_accounted_per_subscriber(self):
         env = Environment()
-        network = Network(env, NetworkConfig())
-        sizes = SizeModel()
+        network = Network(env)
         log = DurableLog(
             env, 0, network=network,
-            record_size=lambda r: sizes.update_record_bytes(len(r.keys), 2),
+            record_size=lambda r: update_record_bytes(len(r.keys), 2),
         )
         log.subscribe()
         log.subscribe()
         log.append(LogRecord(UPDATE, 0, (1, 0), keys=(("t", 1),)))
-        expected = sizes.update_record_bytes(1, 2) * 3  # producer + 2 subs
+        expected = update_record_bytes(1, 2) * 3  # producer + 2 subs
         assert network.traffic.bytes_by_category["replication"] == expected
 
     def test_marker_bytes_counted_as_remaster(self):
         env = Environment()
-        network = Network(env, NetworkConfig())
+        network = Network(env)
         log = DurableLog(env, 0, network=network, record_size=lambda r: 64)
         log.append(LogRecord("release", 0, (1, 0), partitions=(3,)))
         assert network.traffic.bytes_by_category["remaster"] == 64

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.config import ClusterConfig
-from repro.sites.data_site import MastershipError
+from repro.sites.data_site import LOG_DELIVERY_MS, RECORD_BYTES, MastershipError
 from repro.systems.base import Cluster
 from repro.transactions import Transaction
 from repro.versioning import VersionVector
@@ -98,7 +98,7 @@ class TestExecuteUpdate:
         cluster.env.process(writer_at_site0())
         cluster.env.run()
         # Must wait at least for the commit (>= 1 ms) plus log delivery.
-        assert done and done[0] >= 1.0 + cluster.config.log_delivery_ms
+        assert done and done[0] >= 1.0 + LOG_DELIVERY_MS
 
     def test_activity_deregistered_on_commit(self):
         cluster = make_cluster()
@@ -258,7 +258,7 @@ class TestRemasteringHandlers:
         cluster.env.process(run())
         cluster.env.run()
         # The grant had to wait for the release marker's log delivery.
-        assert grant_time and grant_time[0] >= cluster.config.log_delivery_ms
+        assert grant_time and grant_time[0] >= LOG_DELIVERY_MS
 
     def test_remastered_write_visible_at_new_master(self):
         """End-to-end: write at old master, remaster, write at new master,
@@ -353,7 +353,7 @@ class TestDataShipping:
 
         process = cluster.env.process(run())
         payload = run_process(cluster.env, process)
-        assert payload == 3 * cluster.config.sizes.record_bytes
+        assert payload == 3 * RECORD_BYTES
 
     def test_unreplicated_sites_do_not_propagate(self):
         cluster = Cluster(ClusterConfig(num_sites=2), replicated=False)

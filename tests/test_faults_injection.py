@@ -19,6 +19,7 @@ from repro.faults.chaos import run_chaos
 from repro.faults.injector import FaultInjector
 from repro.partitioning.schemes import PartitionScheme
 from repro.sim.config import ClusterConfig
+from repro.sites.messages import MAX_RETRIES
 from repro.systems import Cluster, build_system
 from repro.transactions import Transaction
 from repro.workloads.ycsb import YCSBConfig, YCSBWorkload
@@ -182,7 +183,7 @@ class TestRetryCount:
         )
         assert not outcome.committed
         assert outcome.abort_reason == "site_crash"
-        assert outcome.retries == cluster.config.rpc.max_retries
+        assert outcome.retries == MAX_RETRIES
 
 
 class TestDeterminism:

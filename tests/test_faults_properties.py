@@ -28,11 +28,13 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.faults import FRONTEND, CrashFault, FaultPlan, LinkFault
+from repro.faults.deadlines import TIMEOUT_MS
 from repro.faults.injector import FaultInjector
 from repro.partitioning.schemes import PartitionScheme
 from repro.replication import recovery
 from repro.replication.recovery import merge_logs
 from repro.sim.config import ClusterConfig
+from repro.sites.messages import MAX_RETRIES
 from repro.systems import Cluster, build_system
 from repro.transactions import Transaction
 from tests.helpers import assert_converged, run_process
@@ -203,7 +205,7 @@ class TestPresumedAbort:
         def never_votes(txn, keys):
             # Votes long after every prepare attempt timed out.
             attempts.append(env.now)
-            yield env.timeout(1000 * cluster.config.rpc.timeout_ms)
+            yield env.timeout(1000 * TIMEOUT_MS)
             return True
 
         slow.prepare_branch = never_votes
@@ -214,7 +216,7 @@ class TestPresumedAbort:
         )
         assert not outcome.committed
         assert outcome.abort_reason == "timeout"
-        assert len(attempts) == cluster.config.rpc.max_retries + 1
+        assert len(attempts) == MAX_RETRIES + 1
         for site in cluster.sites[:2]:
             assert txn.txn_id in site._branch_aborted
             assert not site._branch_locked

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.core import Environment
-from repro.sim.network import Network, NetworkConfig
+from repro.sim.network import BANDWIDTH_BYTES_PER_MS, ONE_WAY_LATENCY_MS, Network
 from repro.sites.messages import RPC_BYTES, remote_call
 from repro.transactions import Transaction
 from tests.helpers import run_process
@@ -12,15 +12,14 @@ from tests.helpers import run_process
 class TestNetwork:
     def test_delay_includes_size_term(self):
         env = Environment()
-        network = Network(
-            env, NetworkConfig(one_way_latency_ms=1.0, bandwidth_bytes_per_ms=1000.0)
-        )
-        assert network.delay_for(0) == 1.0
-        assert network.delay_for(2000) == 3.0
+        network = Network(env)
+        assert network.delay_for(0) == ONE_WAY_LATENCY_MS
+        two_ms_of_bytes = int(2 * BANDWIDTH_BYTES_PER_MS)
+        assert network.delay_for(two_ms_of_bytes) == ONE_WAY_LATENCY_MS + 2.0
 
     def test_transfer_advances_clock_and_accounts(self):
         env = Environment()
-        network = Network(env, NetworkConfig(one_way_latency_ms=0.5))
+        network = Network(env)
         done = []
 
         def proc():
@@ -30,13 +29,13 @@ class TestNetwork:
 
         env.process(proc())
         env.run()
-        assert done and done[0] >= 0.5
+        assert done and done[0] >= ONE_WAY_LATENCY_MS
         assert network.traffic.bytes_by_category["test"] == 100
         assert network.traffic.messages_by_category["test"] == 1
 
     def test_total_bytes(self):
         env = Environment()
-        network = Network(env, NetworkConfig())
+        network = Network(env)
         network.traffic.record("a", 10)
         network.traffic.record("b", 5)
         network.traffic.record("a", 1)
@@ -46,7 +45,7 @@ class TestNetwork:
 class TestRemoteCall:
     def test_wraps_handler_with_two_hops(self):
         env = Environment()
-        network = Network(env, NetworkConfig(one_way_latency_ms=1.0))
+        network = Network(env)
         results = []
 
         def handler():
@@ -61,12 +60,12 @@ class TestRemoteCall:
         env.run()
         when, value = results[0]
         assert value == "payload"
-        # Two 1 ms hops + 3 ms of handler work (+ tiny size term).
-        assert when == pytest.approx(5.0, abs=0.01)
+        # Two hops + 3 ms of handler work (+ tiny size term).
+        assert when == pytest.approx(2 * ONE_WAY_LATENCY_MS + 3.0, abs=0.01)
 
     def test_accounts_network_timing_on_txn(self):
         env = Environment()
-        network = Network(env, NetworkConfig(one_way_latency_ms=1.0))
+        network = Network(env)
         txn = Transaction("w", 0, write_set=(("t", 1),))
 
         def handler():
@@ -78,11 +77,11 @@ class TestRemoteCall:
 
         process = env.process(caller())
         run_process(env, process)
-        assert txn.timings["network"] == pytest.approx(2.0, abs=0.01)
+        assert txn.timings["network"] == pytest.approx(2 * ONE_WAY_LATENCY_MS, abs=0.01)
 
     def test_traffic_category(self):
         env = Environment()
-        network = Network(env, NetworkConfig())
+        network = Network(env)
 
         def handler():
             return None

@@ -20,10 +20,10 @@ the tests then exercise the code paths that actually run.
 
 The same holds for *options*. An option is a defaulted parameter (or
 the ``**kwargs``) of a public function, method or constructor
-(``__init__`` of a public class), or a field of a dataclass in
-:data:`OPTION_DATACLASSES`. It counts as *set* when a call in the same
-callers (and the Makefile's ``python -c`` programs), outside the
-option's own definition, calls it by name and
+(``__init__`` of a public class), or a defaulted field of a config
+dataclass in :data:`OPTION_DATACLASSES`. A parameter counts as *set*
+when a call in the same callers (and the Makefile's ``python -c``
+programs), outside the option's own definition, calls it by name and
 
 * passes it by keyword, or by position;
 * forwards ``*args`` (every positional option) or ``**kwargs`` (every
@@ -33,21 +33,29 @@ option's own definition, calls it by name and
   ``once(fn, kw=...)``.
 
 ``super().__init__(...)`` calls the enclosing class's bases, ``cls(...)``
-the enclosing class, and a callable stored in a dict (a registry such
-as ``WORKLOAD_REGISTRY``) counts as called with every option. An option
-nothing sets is a second configuration no figure, benchmark or command
-runs: it is deleted, and its default becomes the code. The exceptions
-are the at most 10 entries of :data:`ALLOW_OPTIONS`, each with a reason.
+the enclosing class, ``Class.method(...)`` that class's method only,
+and a callable stored in a dict (a registry such as
+``WORKLOAD_REGISTRY``) counts as called with every option.
+
+A config field counts as set when such a call passes its name by
+keyword (or position) to the class, to ``replace``, to a method of the
+class (``.of``, ``.scaled``), or to ``WorkloadSpec.of`` /
+``build_workload`` with the workload's registry name; or when the name
+is a key of a dict literal or ``dict(...)`` forwarded with ``**`` (see
+:func:`set_fields`). Inside the class's own body only a preset counts.
+
+An option nothing sets is a second configuration no figure, benchmark
+or command runs: it is deleted, and its default becomes the code (a
+config field becomes a module constant next to its reader). The
+exceptions are the at most 10 entries of :data:`ALLOW_OPTIONS`, each
+with a reason.
 
 The same holds for *registered names*: every name in
 ``CURVE_REGISTRY`` and ``WORKLOAD_REGISTRY`` must appear as a string
 literal in those callers (its own registry key aside) or in the
 Makefile — a curve or workload nothing runs is deleted.
 
-Out of scope: the config dataclasses (``ClusterConfig``, ``CostModel``,
-``RpcConfig``, ``StatisticsConfig``, the workload configs,
-``OpenLoopSpec``) — the calibration surface, built through
-``**params``, which a syntax scan cannot follow — and CLI flags.
+Out of scope: CLI flags.
 """
 
 from __future__ import annotations
@@ -192,8 +200,15 @@ def test_allow_list_stays_short():
 # Options (see the module docstring)
 # ---------------------------------------------------------------------------
 
-#: Dataclasses whose fields count as options.
-OPTION_DATACLASSES = ("bench.parallel:RunSpec",)
+#: Dataclasses whose fields count as options: the run description and
+#: every config a run is built from.
+OPTION_DATACLASSES = (
+    "bench.parallel:RunSpec",
+    "sim.config:ClusterConfig", "sim.config:RpcConfig",
+    "core.statistics:StatisticsConfig", "core.strategy:StrategyWeights",
+    "workloads.ycsb:YCSBConfig", "workloads.tpcc:TPCCConfig",
+    "workloads.smallbank:SmallBankConfig", "workloads.openloop:OpenLoopSpec",
+)
 
 #: Options kept without a non-test setter, ``module:Qualified.name(option)``
 #: (or ``module:Qualified.name`` for all of a name's options) -> the reason.
@@ -208,6 +223,10 @@ ALLOW_OPTIONS = {
         "ReplicaSelector is in ALLOW: the appendix evidence sweeps it",
     "bench.repeat:run_repeated": "ROADMAP item 5a error bars",
     "bench.perf:calibrate": "perfbench/driver.py calls it through a `python -c` string",
+    "core.statistics:StatisticsConfig":
+        "STATISTICS_DIGEST reaches expiry and both caps in 400 steps only at small values",
+    "workloads.openloop:OpenLoopSpec(queue_capacity)":
+        "its shed counter is in the open-loop fingerprint; deleting it re-pins BENCH_scale",
 }
 
 INFINITE = float("inf")
@@ -223,27 +242,30 @@ def _makefile_trees() -> list:
 
 
 def options(trees: dict) -> dict:
-    """``module:Qualified.name(option)`` -> (callee, definition, index, names).
+    """``module:Qualified.name(option)`` -> (callee, definition, index, names, owner).
 
     *callee* is the name a call uses; *index* is the option's position
     among a call's positional arguments (``self`` not counted), or None;
     *names* are the keywords that set it (for ``**kwargs``, any keyword
-    that is not a named parameter).
+    that is not a named parameter); *owner* is a method's class. The
+    fields of :data:`OPTION_DATACLASSES` are :func:`config_fields`, and
+    a parameter of their methods named like a field is that field.
     """
     found = {}
 
-    def add(prefix, callee, node, skip):
+    def add(prefix, callee, node, skip, owner=None, fields=()):
         args = node.args
         positional = args.posonlyargs + args.args
         named = {arg.arg for arg in positional + args.kwonlyargs}
         first = len(positional) - len(args.defaults)
         for index, param in enumerate(positional[first:], first - skip):
-            found[f"{prefix}({param.arg})"] = (callee, node, index, {param.arg})
+            if param.arg not in fields:
+                found[f"{prefix}({param.arg})"] = (callee, node, index, {param.arg}, owner)
         for param, default in zip(args.kwonlyargs, args.kw_defaults):
-            if default is not None:
-                found[f"{prefix}({param.arg})"] = (callee, node, None, {param.arg})
+            if default is not None and param.arg not in fields:
+                found[f"{prefix}({param.arg})"] = (callee, node, None, {param.arg}, owner)
         if args.kwarg is not None:
-            found[f"{prefix}(**{args.kwarg.arg})"] = (callee, node, None, named)
+            found[f"{prefix}(**{args.kwarg.arg})"] = (callee, node, None, named, owner)
 
     for path, tree in trees.items():
         if PACKAGE not in path.parents:
@@ -256,12 +278,7 @@ def options(trees: dict) -> dict:
             if isinstance(node, ast.FunctionDef):
                 add(prefix, node.name, node, 0)
                 continue
-            if prefix in OPTION_DATACLASSES:
-                fields = [m for m in node.body if isinstance(m, ast.AnnAssign)]
-                for index, member in enumerate(fields):
-                    if member.value is not None:
-                        name = member.target.id
-                        found[f"{prefix}({name})"] = (node.name, node, index, {name})
+            fields = _fields(node) if prefix in OPTION_DATACLASSES else ()
             for member in node.body:
                 if not isinstance(member, ast.FunctionDef):
                     continue
@@ -270,7 +287,8 @@ def options(trees: dict) -> dict:
                 if member.name == "__init__":
                     add(prefix, node.name, member, 1)
                 elif member.name[0] != "_":
-                    add(f"{prefix}.{member.name}", member.name, member, 0 if static else 1)
+                    add(f"{prefix}.{member.name}", member.name, member,
+                        0 if static else 1, node.name, fields)
     return found
 
 
@@ -291,12 +309,13 @@ def _callees(call: ast.Call, classes: tuple) -> list:
 
 
 def setters(trees) -> dict:
-    """Callee name -> ``(enclosing, keywords, positions)`` per setting call.
+    """Callee name -> ``(enclosing, keywords, positions, owner)`` per setting call.
 
     *enclosing* holds the ids of the definitions around the call,
     *keywords* the keywords it passes (``"**"`` for a ``**`` forward),
-    and *positions* the number of positional arguments (infinite for a
-    ``*`` forward).
+    *positions* the number of positional arguments (infinite for a
+    ``*`` forward), and *owner* the name a method is called on
+    (``OpenLoopSpec`` in ``OpenLoopSpec.of(...)``), if it is a name.
     """
     calls = {}
     for tree in trees:
@@ -307,18 +326,19 @@ def setters(trees) -> dict:
                 keywords = {kw.arg or "**" for kw in node.keywords}
                 starred = any(isinstance(arg, ast.Starred) for arg in node.args)
                 positions = INFINITE if starred else len(node.args)
+                owner = getattr(getattr(node.func, "value", None), "id", None)
                 for name in _callees(node, classes):
-                    calls.setdefault(name, []).append((enclosing, keywords, positions))
+                    calls.setdefault(name, []).append((enclosing, keywords, positions, owner))
                 for arg in node.args:
                     name = getattr(arg, "id", getattr(arg, "attr", None))
                     if name and keywords:
-                        calls.setdefault(name, []).append((enclosing, keywords, 0))
+                        calls.setdefault(name, []).append((enclosing, keywords, 0, None))
             elif isinstance(node, ast.Dict):
                 for value in node.values:
                     for item in getattr(value, "elts", [value]):
                         if isinstance(item, ast.Name):
                             calls.setdefault(item.id, []).append(
-                                (enclosing, {"**"}, INFINITE))
+                                (enclosing, {"**"}, INFINITE, None))
             elif isinstance(node, ast.ClassDef):
                 enclosing, classes = enclosing + (id(node),), classes + (node,)
             elif isinstance(node, ast.FunctionDef):
@@ -327,24 +347,174 @@ def setters(trees) -> dict:
     return calls
 
 
+# -- config fields --------------------------------------------------------------
+
+
+def _fields(node: ast.ClassDef) -> list:
+    """A dataclass's field names, in order."""
+    return [m.target.id for m in node.body if isinstance(m, ast.AnnAssign)]
+
+
+def _dataclasses(trees: dict) -> dict:
+    """Class name -> ``(key prefix, class node)`` per :data:`OPTION_DATACLASSES` entry."""
+    found = {}
+    for path, tree in trees.items():
+        if PACKAGE in path.parents:
+            module = _module_name(path)
+            for node in tree.body:
+                if isinstance(node, ast.ClassDef) and f"{module}:{node.name}" in OPTION_DATACLASSES:
+                    found[node.name] = (f"{module}:{node.name}", node)
+    return found
+
+
+def config_fields(trees: dict) -> dict:
+    """``module:Class(field)`` -> ``(class name, field)``, defaulted fields only."""
+    return {
+        f"{prefix}({member.target.id})": (name, member.target.id)
+        for name, (prefix, node) in _dataclasses(trees).items()
+        for member in node.body
+        if isinstance(member, ast.AnnAssign) and member.value is not None
+    }
+
+
+def _registry(trees: dict) -> dict:
+    """``WORKLOAD_REGISTRY`` name -> the name of its config class."""
+    for tree in trees.values():
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and getattr(
+                node.targets[0], "id", ""
+            ) == "WORKLOAD_REGISTRY":
+                return {key.value: value.elts[0].id
+                        for key, value in zip(node.value.keys, node.value.values)}
+    return {}
+
+
+def _params(method: ast.FunctionDef) -> list:
+    """A method's positional parameter names, ``self`` / ``cls`` aside."""
+    static = any(getattr(d, "id", "") == "staticmethod" for d in method.decorator_list)
+    names = [arg.arg for arg in method.args.posonlyargs + method.args.args]
+    return names if static else names[1:]
+
+
+def _targets(call: ast.Call, classes: dict, registry: dict, inside):
+    """``(class name, positional parameter names)`` per config a call sets.
+
+    A class call maps positions to fields, a method call (``.of``,
+    ``.scaled``) to the method's parameters; ``replace`` and the
+    workload builders set keywords only.
+    """
+    func = call.func
+    name = getattr(func, "id", None) or getattr(func, "attr", "")
+    owner = getattr(getattr(func, "value", None), "id", None)
+    if name == "cls" and inside:
+        name = inside
+    if isinstance(func, ast.Name) and name in classes:
+        return [(name, _fields(classes[name][1]))]
+    if name == "replace":
+        return [(cls, ()) for cls in classes]
+    if (name, owner) in (("build_workload", None), ("of", "WorkloadSpec")):
+        first = call.args[0] if call.args else None
+        if isinstance(first, ast.Constant):
+            return [(registry.get(first.value), ())]
+        return [(cls, ()) for cls in registry.values()]
+    if not isinstance(func, ast.Attribute):
+        return []
+    candidates = [owner] if owner in classes else list(classes)
+    return [
+        (cls, _params(member))
+        for cls in candidates
+        for member in classes[cls][1].body
+        if isinstance(member, ast.FunctionDef) and member.name == name
+        and name[0] != "_"
+    ]
+
+
+def _reads(value: ast.AST, names: set) -> bool:
+    """Whether the expression ``value`` reads any of ``names``."""
+    return any(getattr(node, "id", None) in names for node in ast.walk(value))
+
+
+def set_fields(trees: dict, programs: list) -> set:
+    """``(class name, field)`` pairs a call outside ``tests/`` sets.
+
+    A call sets a field when it passes the field's name by keyword (or
+    by position) to the class, to ``replace``, to a method of the class
+    such as ``.of`` or ``.scaled``, or to ``WorkloadSpec.of`` /
+    ``build_workload`` with the registry name of the workload. A ``**``
+    forward sets the names of a dict literal it unpacks; one a syntax
+    scan cannot read sets every key of every dict literal and
+    ``dict(...)`` call in the callers. Inside the class's own body only
+    a preset counts: a value that reads none of the enclosing
+    function's parameters (``for_ycsb``'s constants, not ``of``
+    passing its arguments through).
+    """
+    classes = _dataclasses(trees)
+    registry = _registry(trees)
+    own = {id(node): name for name, (_, node) in classes.items()}
+    done, forwarded, keys = set(), set(), set()
+    for tree in list(trees.values()) + programs:
+        stack = [(tree, None, set())]
+        while stack:
+            node, inside, params = stack.pop()
+            if isinstance(node, ast.ClassDef):
+                inside = own.get(id(node), inside)
+            elif isinstance(node, ast.FunctionDef):
+                params = {arg.arg for arg in ast.walk(node.args) if isinstance(arg, ast.arg)}
+            elif isinstance(node, ast.Dict) and inside is None:
+                keys.update(key.value for key in node.keys if isinstance(key, ast.Constant))
+            elif isinstance(node, ast.Call):
+                if inside is None and getattr(node.func, "id", "") == "dict":
+                    keys.update(kw.arg for kw in node.keywords if kw.arg)
+                for cls, positional in _targets(node, classes, registry, inside):
+                    if cls is None:
+                        continue
+                    own_body = cls == inside
+                    passed = params if own_body else set()
+                    for index, arg in enumerate(node.args):
+                        if isinstance(arg, ast.Starred):
+                            if not own_body:
+                                done.update((cls, name) for name in positional[index:])
+                            break
+                        if index < len(positional) and not _reads(arg, passed):
+                            done.add((cls, positional[index]))
+                    for kw in node.keywords:
+                        if kw.arg is not None:
+                            if not _reads(kw.value, passed):
+                                done.add((cls, kw.arg))
+                        elif own_body:
+                            continue
+                        elif isinstance(kw.value, ast.Dict) and all(
+                            isinstance(key, ast.Constant) for key in kw.value.keys
+                        ):
+                            done.update((cls, key.value) for key in kw.value.keys)
+                        else:
+                            forwarded.add(cls)
+            stack.extend((child, inside, params) for child in ast.iter_child_nodes(node))
+    done.update((cls, key) for cls in forwarded for key in keys)
+    return done
+
+
 def unset_options() -> list:
     """Options no call outside ``tests/`` sets.
 
     A ``**`` forward out of a public function's own ``**kwargs`` sets
     the callee's options only once something sets that ``**kwargs``:
-    ``run_repeated(**kwargs)`` forwarding into ``RunSpec`` must not set
-    every ``RunSpec`` field on the strength of test calls alone.
+    ``run_repeated(**kwargs)`` forwarding into a function must not set
+    every option on the strength of test calls alone. A method called on
+    a class by name (``OpenLoopSpec.of``) is that class's method only.
     """
     trees = _caller_trees()
-    calls = setters(list(trees.values()) + _makefile_trees())
+    programs = _makefile_trees()
+    calls = setters(list(trees.values()) + programs)
     found = options(trees)
-    forwarders = {id(node): key for key, (_, node, _, _) in found.items() if "(**" in key}
+    classes = {owner for (_, _, _, _, owner) in found.values() if owner}
+    forwarders = {id(node): key for key, (_, node, _, _, _) in found.items() if "(**" in key}
     unset = set(found)
 
     def sets(key, call) -> bool:
-        _, node, index, names = found[key]
-        enclosing, keywords, positions = call
-        if id(node) in enclosing:
+        _, node, index, names, owner = found[key]
+        enclosing, keywords, positions, called_on = call
+        if id(node) in enclosing or (owner and called_on in classes and called_on != owner):
             return False
         if "**" in keywords:
             if (forwarders.get(enclosing[-1]) if enclosing else None) not in unset:
@@ -360,8 +530,11 @@ def unset_options() -> list:
             if any(sets(key, call) for call in calls.get(found[key][0], ()))
         }
         if not settled:
-            return sorted(unset)
+            break
         unset -= settled
+    done = set_fields(trees, programs)
+    unset.update(key for key, field in config_fields(trees).items() if field not in done)
+    return sorted(unset)
 
 
 def _allowed(key: str) -> bool:
@@ -374,6 +547,13 @@ def test_every_option_has_a_non_test_setter():
         "options only tests set — delete them (the default becomes the "
         f"code), or add an ALLOW_OPTIONS line with a reason: {unexplained}"
     )
+
+
+def test_every_option_dataclass_exists():
+    missing = sorted(set(OPTION_DATACLASSES) - {
+        prefix for prefix, _ in _dataclasses(_caller_trees()).values()
+    })
+    assert not missing, f"OPTION_DATACLASSES entries that no longer exist: {missing}"
 
 
 def test_option_allow_list_is_short_and_current():

@@ -95,7 +95,7 @@ class TestRefreshApplication:
         """Figure 2: R(T2) must wait for R(T1) at a lagging replica."""
         # Site 0's log is slow (5 ms) while site 2's log is fast, so
         # site 1 receives R(T2) (which depends on T1) before R(T1).
-        config = ClusterConfig(num_sites=3, log_delivery_ms=0.1)
+        config = ClusterConfig(num_sites=3)
         cluster = Cluster(config)
         site0, site1, site2 = cluster.sites
         site0.log.delivery_delay_ms = 5.0

@@ -30,7 +30,13 @@ from repro.sim.config import ClusterConfig
 from repro.systems import Cluster, build_system
 from repro.transactions import KeyRange, Transaction
 from repro.workloads import WORKLOAD_REGISTRY, build_workload
-from repro.workloads.ycsb import TABLE
+from repro.workloads.tpcc import DISTRICTS_PER_WAREHOUSE
+from repro.workloads.ycsb import (
+    KEYS_PER_PARTITION,
+    SCAN_MAX_PARTITIONS,
+    SCAN_MIN_PARTITIONS,
+    TABLE,
+)
 from tests.helpers import run_process
 
 #: Small configurations that still produce every shape of scan: YCSB
@@ -38,7 +44,7 @@ from tests.helpers import run_process
 #: recent orders drew half their stock from remote warehouses.
 PARAMS = {
     "ycsb": dict(num_partitions=40, rmw_fraction=0.3, affinity_txns=7),
-    "tpcc": dict(warehouses=3, items=120, customers_per_district=60,
+    "tpcc": dict(warehouses=3, items=120,
                  neworder_remote_fraction=0.5, stocklevel_weight=0.3,
                  neworder_weight=0.4, payment_weight=0.3),
     "smallbank": dict(),
@@ -50,9 +56,11 @@ KEY_STREAM_DIGESTS = {
     ("smallbank", 0): "d8e6311605645bb3",
     ("smallbank", 1): "a2e34a2682107a00",
     ("smallbank", 2): "885a47bab431f284",
-    ("tpcc", 0): "307de9b089b95193",
-    ("tpcc", 1): "9f2af180cde4e1d1",
-    ("tpcc", 2): "b010a6930c3c707b",
+    # TPC-C's three are of the fixed 300 customers per district (the old
+    # ones drew from 60); flat_stocklevel checks that stream's scans.
+    ("tpcc", 0): "8566e5e22fee1b33",
+    ("tpcc", 1): "0601cc9b27d146d2",
+    ("tpcc", 2): "f057d4b4d4abb70b",
     ("ycsb", 0): "72a6b99b2285c58c",
     ("ycsb", 1): "ced398c514b9a89a",
     ("ycsb", 2): "e3edea3f9b4620d1",
@@ -86,17 +94,16 @@ def key_stream_digest(txns):
 
 
 def flat_ycsb_scan(workload, base, rng):
-    cfg = workload.config
-    length = rng.randint(cfg.scan_min_partitions, cfg.scan_max_partitions)
+    length = rng.randint(SCAN_MIN_PARTITIONS, SCAN_MAX_PARTITIONS)
     keys = []
     for step in range(length):
-        start = workload._neighbour(base, step) * cfg.keys_per_partition
-        keys.extend((TABLE, start + offset) for offset in range(cfg.keys_per_partition))
+        start = workload._neighbour(base, step) * KEYS_PER_PARTITION
+        keys.extend((TABLE, start + offset) for offset in range(KEYS_PER_PARTITION))
     return tuple(keys)
 
 
 def flat_stocklevel(workload, warehouse, rng):
-    district = rng.randrange(workload.config.districts_per_warehouse)
+    district = rng.randrange(DISTRICTS_PER_WAREHOUSE)
     recent = workload._recent_lines.get((warehouse, district), [])
     scans = [("district", (warehouse, district))]
     seen = set()

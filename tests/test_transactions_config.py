@@ -1,5 +1,5 @@
 """Tests for the transaction type, the cluster cost model, and the
-construction-time validation of every cluster and strategy config."""
+construction-time validation of every config."""
 
 import dataclasses
 import math
@@ -8,8 +8,19 @@ import pytest
 
 from repro.core.statistics import StatisticsConfig
 from repro.core.strategy import StrategyWeights
-from repro.sim.config import ClusterConfig, CostModel, NetworkConfig, RpcConfig, SizeModel
+from repro.replication.manager import refresh_ms
+from repro.sim.config import ClusterConfig, RpcConfig
+from repro.sim.network import ONE_WAY_LATENCY_MS
+from repro.sites.data_site import (
+    LOG_DELIVERY_MS,
+    TXN_BEGIN_MS,
+    TXN_COMMIT_MS,
+    execution_ms,
+    update_record_bytes,
+)
+from repro.storage.database import MAX_VERSIONS
 from repro.transactions import KeyRange, Outcome, Transaction
+from repro.workloads import OpenLoopSpec, SmallBankConfig, TPCCConfig, YCSBConfig
 
 
 def refused(cls, field, **overrides):
@@ -68,43 +79,31 @@ class TestTransaction:
 
 class TestCostModel:
     def test_execution_cost_composition(self):
-        costs = CostModel(read_op_ms=1.0, write_op_ms=2.0, scan_op_ms=0.1)
-        assert costs.execution_ms(reads=2, writes=3, scanned=10) == pytest.approx(9.0)
+        assert execution_ms(reads=2, writes=3, scanned=10) == pytest.approx(
+            2 * 0.02 + 3 * 0.05 + 10 * 0.001
+        )
 
     def test_refresh_cost(self):
-        costs = CostModel(refresh_base_ms=0.5, refresh_op_ms=0.1)
-        assert costs.refresh_ms(writes=5) == pytest.approx(1.0)
-
-    @pytest.mark.parametrize("field,value", [
-        *((spec.name, -1.0) for spec in dataclasses.fields(CostModel)),
-        ("read_op_ms", math.nan),
-        ("write_op_ms", math.inf),
-    ])
-    def test_every_cost_is_finite_and_nonnegative(self, field, value):
-        refused(CostModel, field, **{field: value})
-        assert CostModel(**{field: 0.0}).execution_ms(1, 1, 1) >= 0.0
+        assert refresh_ms(writes=5) == pytest.approx(0.01 + 5 * 0.004)
 
     def test_refresh_cheaper_than_execution(self):
-        """The default model applies refreshes far cheaper than
-        original writes — the premise of lazy replication's economy."""
-        costs = CostModel()
+        """The model applies refreshes far cheaper than original
+        writes — the premise of lazy replication's economy."""
         writes = 10
-        original = costs.txn_begin_ms + costs.execution_ms(0, writes, 0) + costs.txn_commit_ms
-        refresh = costs.refresh_ms(writes)
-        assert refresh < original / 3
+        original = TXN_BEGIN_MS + execution_ms(0, writes, 0) + TXN_COMMIT_MS
+        assert refresh_ms(writes) < original / 3
 
 
 class TestSizeModel:
     def test_update_record_bytes(self):
-        sizes = SizeModel(record_bytes=100, rpc_overhead_bytes=64, vector_entry_bytes=8)
-        assert sizes.update_record_bytes(writes=3, sites=4) == 64 + 300 + 32
+        assert update_record_bytes(writes=3, sites=4) == 64 + 300 + 32
 
 
 class TestClusterConfig:
     def test_defaults(self):
         config = ClusterConfig()
         assert config.num_sites == 4
-        assert config.max_versions == 4  # the paper's empirical default
+        assert MAX_VERSIONS == 4  # the paper's empirical default
 
     def test_scaled_copy(self):
         config = ClusterConfig(num_sites=4)
@@ -125,8 +124,8 @@ class TestClusterConfig:
         assert ClusterConfig(num_sites=65_535).num_sites == 65_535
 
     @pytest.mark.parametrize("field,overrides", [
-        ("log_delivery_ms", dict(log_delivery_ms=-5.0)),  # was silently 0
-        ("max_versions", dict(max_versions=0)),
+        # Used to fail inside the worker with a SimulationError.
+        ("cores_per_site", dict(cores_per_site=0)),
     ])
     def test_bad_config_is_refused_at_construction_by_field(self, field, overrides):
         refused(ClusterConfig, field, **overrides)
@@ -137,45 +136,16 @@ class TestClusterConfig:
         """Replicas must usually be session-fresh by the time a writing
         client's next transaction arrives (paper §VI-B2): delivery
         must beat the reply+request client hops."""
-        config = ClusterConfig()
-        client_hops = 2 * config.network.one_way_latency_ms
-        assert config.log_delivery_ms <= client_hops * 1.2
-
-
-class TestNetworkConfig:
-    @pytest.mark.parametrize("field,overrides", [
-        ("one_way_latency_ms", dict(one_way_latency_ms=-1.0)),  # negative delay
-        ("bandwidth_bytes_per_ms", dict(bandwidth_bytes_per_ms=0.0)),  # / 0
-    ])
-    def test_bad_config_is_refused_at_construction_by_field(self, field, overrides):
-        refused(NetworkConfig, field, **overrides)
+        assert LOG_DELIVERY_MS <= 2 * ONE_WAY_LATENCY_MS * 1.2
 
 
 class TestRpcConfig:
     @pytest.mark.parametrize("field,overrides", [
-        ("timeout_ms", dict(timeout_ms=0.0)),
-        ("remaster_timeout_ms", dict(remaster_timeout_ms=-1.0)),
-        ("max_retries", dict(max_retries=-1)),
-        ("backoff_base_ms", dict(backoff_base_ms=-1.0)),
-        ("backoff_cap_ms", dict(backoff_cap_ms=0.0)),
-        ("suspicion_threshold", dict(suspicion_threshold=0)),
         # Used to pass every unfaulted run and fail at injector install.
         ("detector_policy", dict(detector_policy="adaptiv")),
-        ("phi_threshold", dict(phi_threshold=0.0)),
-        ("suspicion_quarantine_ms", dict(suspicion_quarantine_ms=-1.0)),
-        ("deadline_quantile", dict(deadline_quantile=0.0)),
-        ("deadline_quantile", dict(deadline_quantile=1.5)),
-        ("deadline_multiplier", dict(deadline_multiplier=0.5)),
-        ("deadline_min_samples", dict(deadline_min_samples=0)),
-        ("deadline_floor_ms", dict(deadline_floor_ms=-1.0)),
-        ("hedge_quantile", dict(hedge_quantile=math.nan)),
     ])
     def test_bad_config_is_refused_at_construction_by_field(self, field, overrides):
         refused(RpcConfig, field, **overrides)
-
-    def test_top_quantile_is_accepted(self):
-        rpc = RpcConfig(deadline_quantile=1.0, hedge_quantile=1.0)
-        assert rpc.deadline_quantile == rpc.hedge_quantile == 1.0
 
 
 class TestStatisticsConfig:
@@ -200,3 +170,57 @@ class TestStrategyWeights:
         ones = StrategyWeights(*(1.0,) * len(dataclasses.fields(StrategyWeights)))
         with pytest.raises(ValueError, match=field):
             ones.scaled(**{field: value})  # scaled() goes through the constructor
+
+
+#: One invalid value per settable config field; every one is refused
+#: at construction, naming ``Class.field``.
+INVALID = [
+    (ClusterConfig, "num_sites", 0),
+    (ClusterConfig, "cores_per_site", 0),
+    (RpcConfig, "detector_policy", "psychic"),
+    (StatisticsConfig, "inter_txn_window_ms", 0.0),
+    (StatisticsConfig, "expiry_ms", -1.0),
+    (StatisticsConfig, "max_samples", 0),
+    (StatisticsConfig, "max_inter_pairs", 0),
+    *((StrategyWeights, spec.name, -1.0) for spec in dataclasses.fields(StrategyWeights)),
+    (YCSBConfig, "num_partitions", 0),
+    (YCSBConfig, "rmw_fraction", 1.5),
+    (YCSBConfig, "zipf_theta", -0.5),
+    (YCSBConfig, "affinity_txns", 0),
+    (TPCCConfig, "warehouses", 0),
+    (TPCCConfig, "items", 0),
+    (TPCCConfig, "stock_chunk", 0),
+    (TPCCConfig, "neworder_remote_fraction", 1.5),
+    (TPCCConfig, "payment_remote_fraction", -0.1),
+    (TPCCConfig, "neworder_weight", -0.1),
+    (TPCCConfig, "payment_weight", -0.1),
+    (TPCCConfig, "stocklevel_weight", -0.1),
+    (SmallBankConfig, "users", 0),
+    (SmallBankConfig, "hotspot_fraction", 1.5),
+    (OpenLoopSpec, "curve", "sawtooth"),
+    (OpenLoopSpec, "modeled_clients", 0),
+    (OpenLoopSpec, "admission_concurrency", 0),
+    (OpenLoopSpec, "queue_capacity", -1),
+]
+
+#: Settable fields with no invalid value to refuse at construction.
+ANY_VALUE = {
+    (ClusterConfig, "seed"),  # any integer seeds the streams
+    (ClusterConfig, "rpc"),  # an RpcConfig, validated by its own rules
+    (RpcConfig, "adaptive_deadlines"),
+    (RpcConfig, "hedged_reads"),
+    (OpenLoopSpec, "curve_params"),  # checked by the curve they build
+}
+
+
+@pytest.mark.parametrize(
+    "cls,field,value", INVALID, ids=[f"{c.__name__}.{f}" for c, f, _ in INVALID]
+)
+def test_every_settable_field_refuses_an_invalid_value(cls, field, value):
+    refused(cls, field, **{field: value})
+
+
+def test_the_invalid_value_table_covers_every_settable_field():
+    classes = {cls for cls, _, _ in INVALID}
+    settable = {(cls, spec.name) for cls in classes for spec in dataclasses.fields(cls)}
+    assert {(cls, field) for cls, field, _ in INVALID} | ANY_VALUE == settable

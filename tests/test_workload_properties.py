@@ -13,6 +13,7 @@ from repro.workloads import (
     YCSBConfig,
     YCSBWorkload,
 )
+from repro.workloads.ycsb import KEYS_PER_PARTITION
 
 
 class TestYCSBProperties:
@@ -28,7 +29,7 @@ class TestYCSBProperties:
         )
         rng = random.Random(seed)
         pool = workload.client_pool(1)
-        total_keys = partitions * workload.config.keys_per_partition
+        total_keys = partitions * KEYS_PER_PARTITION
         for step in range(20):
             txn = pool.turn(0, rng, float(step)).txn
             for table, key in txn.all_keys():
@@ -70,7 +71,6 @@ class TestTPCCProperties:
                 neworder_remote_fraction=remote,
                 payment_remote_fraction=remote,
                 items=200,
-                customers_per_district=60,
             )
         )
         rng = random.Random(seed)
@@ -92,7 +92,7 @@ class TestTPCCProperties:
     @given(st.integers(min_value=0, max_value=1000))
     @settings(max_examples=15)
     def test_writes_never_touch_static_tables(self, seed):
-        workload = TPCCWorkload(TPCCConfig(items=100, customers_per_district=30))
+        workload = TPCCWorkload(TPCCConfig(items=100))
         rng = random.Random(seed)
         pool = workload.client_pool(1)
         for step in range(15):
@@ -103,7 +103,7 @@ class TestTPCCProperties:
     @given(st.integers(min_value=1, max_value=16))
     @settings(max_examples=10)
     def test_fixed_placement_covers_all_partitions(self, sites):
-        workload = TPCCWorkload(TPCCConfig(items=100, customers_per_district=30))
+        workload = TPCCWorkload(TPCCConfig(items=100))
         placement = workload.fixed_placement(sites)
         assert set(placement) == set(range(workload.config.num_partitions))
         assert set(placement.values()) <= set(range(sites))

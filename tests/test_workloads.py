@@ -13,7 +13,8 @@ from repro.workloads import (
     YCSBWorkload,
     build_workload,
 )
-from repro.workloads.smallbank import SmallBankConfig
+from repro.workloads.smallbank import HOTSPOT_ACCOUNTS, SmallBankConfig
+from repro.workloads.tpcc import CUSTOMERS_PER_DISTRICT, MAX_ORDER_LINES, MIN_ORDER_LINES
 
 
 def drive(workload, txns, rng=None, client_id=0, now_step=1.0):
@@ -46,7 +47,7 @@ class TestYCSB:
                 assert 0 <= key < 50 * 100
 
     def test_rmw_keys_near_base_partition(self):
-        workload = self.make(rmw_fraction=1.0, affinity_spread=0)
+        workload = self.make(rmw_fraction=1.0)
         scheme = workload.scheme
         for turn in drive(workload, 100):
             partitions = [scheme.partition(k) for k in turn.txn.write_set]
@@ -57,13 +58,8 @@ class TestYCSB:
                 assert offset <= 2 or offset >= 47
 
     @pytest.mark.parametrize("field,overrides", [
-        ("keys_per_partition", dict(keys_per_partition=0)),  # empty scan blocks
-        ("scan_min_partitions", dict(scan_min_partitions=0)),
-        ("scan_min_partitions",  # randrange's "empty range", mid-run
-         dict(scan_min_partitions=5, scan_max_partitions=2)),
+        ("num_partitions", dict(num_partitions=0)),  # randrange's "empty range"
         ("rmw_fraction", dict(rmw_fraction=1.5)),
-        ("neighbour_p", dict(neighbour_p=-0.1)),
-        ("neighbour_trials", dict(neighbour_trials=-1)),
         ("affinity_txns", dict(affinity_txns=0)),
         ("zipf_theta", dict(zipf_theta=-0.5)),
     ])
@@ -150,8 +146,6 @@ class TestTPCC:
     @pytest.mark.parametrize("field,overrides", [
         ("warehouses", dict(warehouses=0)),
         ("stock_chunk", dict(stock_chunk=0)),  # a count / chunk below 1
-        ("min_order_lines",  # randrange's "empty range", mid-run
-         dict(min_order_lines=10, max_order_lines=5)),
         ("neworder_remote_fraction", dict(neworder_remote_fraction=1.5)),
         ("payment_weight", dict(payment_weight=-0.1, neworder_weight=1.0)),
         ("stocklevel_weight",  # Stock-Level silently never ran
@@ -171,7 +165,6 @@ class TestTPCC:
 
     def test_neworder_write_set_structure(self):
         workload = self.make(neworder_remote_fraction=0.0)
-        cfg = workload.config
         for turn in drive(workload, 60):
             txn = turn.txn
             if txn.txn_type != "new_order":
@@ -180,7 +173,7 @@ class TestTPCC:
             assert tables["district"] == 1
             assert tables["orders"] == 1
             assert tables["new_orders"] == 1
-            assert cfg.min_order_lines <= tables["stock"] <= cfg.max_order_lines
+            assert MIN_ORDER_LINES <= tables["stock"] <= MAX_ORDER_LINES
             assert tables["order_line"] == tables["stock"]
             # All stock from the home warehouse when remote fraction 0.
             home = txn.write_set[0][1][0]
@@ -240,8 +233,8 @@ class TestTPCC:
         for key in [
             ("warehouse", 9),
             ("district", (9, 9)),
-            ("customer", (9, 9, cfg.customers_per_district - 1)),
-            ("history", (9, 9, cfg.customers_per_district - 1, 12345)),
+            ("customer", (9, 9, CUSTOMERS_PER_DISTRICT - 1)),
+            ("history", (9, 9, CUSTOMERS_PER_DISTRICT - 1, 12345)),
             ("stock", (9, cfg.items - 1)),
             ("orders", (9, 9, 99999)),
         ]:
@@ -283,12 +276,7 @@ class TestSmallBank:
 
     @pytest.mark.parametrize("field,overrides", [
         ("users", dict(users=0)),
-        ("hotspot_accounts", dict(hotspot_accounts=0)),
-        ("neighbour_trials", dict(neighbour_trials=-1)),
-        ("neighbour_p", dict(neighbour_p=1.5)),
         ("hotspot_fraction", dict(hotspot_fraction=-0.1)),
-        ("single_update_weight", dict(single_update_weight=-1.0)),  # all `balance`
-        ("balance_weight", dict(balance_weight=0.5)),  # mix sums to 1.35
     ])
     def test_bad_config_is_refused_at_construction_by_field(self, field, overrides):
         with pytest.raises(ValueError, match=rf"SmallBankConfig.*{field}.* must "):
@@ -332,8 +320,8 @@ class TestSmallBank:
             assert partition_gap <= 3 or partition_gap >= 97  # wraparound
 
     def test_hotspot_draws(self):
-        workload = self.make(hotspot_fraction=0.5, hotspot_accounts=10)
+        workload = self.make(hotspot_fraction=0.5)
         rng = random.Random(3)
         draws = [workload._draw_user(rng) for _ in range(1000)]
-        hot = sum(1 for d in draws if d < 10)
+        hot = sum(1 for d in draws if d < HOTSPOT_ACCOUNTS)
         assert 0.4 < hot / 1000 < 0.6
