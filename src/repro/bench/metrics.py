@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -133,9 +134,12 @@ class Metrics:
     def __init__(self, streaming: bool = False):
         self.streaming = streaming
         self.latencies: Dict[str, Union[List[float], StreamingHistogram]] = {}
-        self.commit_times: List[float] = []
+        #: Completion times of committed txns, 8 B each. The latency
+        #: lists stay lists: summaries sort them, and sorting a column
+        #: would box every float again.
+        self.commit_times = array("d")
         #: Completion times of aborted txns (for availability timelines).
-        self.abort_times: List[float] = []
+        self.abort_times = array("d")
         self.commits = 0
         self.remastered_txns = 0
         self.distributed_txns = 0

@@ -10,10 +10,10 @@ paper's sampling at rate one) and maintains, per partition:
   client within a time window :math:`\\Delta t` of each other
   (Equation 7's :math:`P(d_2 | d_1; T \\le \\Delta t)`).
 
-Samples are recorded in a bounded history queue; expiring a sample
-decrements every count it contributed, so the statistics track a
-sliding window of the workload and adapt when access patterns change
-(§VI-B5).
+Samples are retained in a bounded window, kept as typed columns (one
+row per sample, oldest first); expiring a sample decrements every count
+it contributed, so the statistics track a sliding window of the
+workload and adapt when access patterns change (§VI-B5).
 
 Ingestion is **lazy**: :meth:`AccessStatistics.observe` is on the hot
 routing path of every update transaction, while the counts are only
@@ -37,9 +37,10 @@ rescan of the window bit for bit (DESIGN.md §8).
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterable, List, Mapping, Tuple
+from typing import Deque, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 from repro.sim.config import check_config
 
@@ -66,18 +67,10 @@ class StatisticsConfig:
         ))
 
 
-@dataclass(slots=True)
-class _Sample:
-    """One sampled write set and what it takes to undo its counts."""
-
-    time: float
-    client_id: int
-    partitions: Tuple[int, ...]
-    #: The client's earlier write sets inside Δt when this one was
-    #: ingested — shared references, not copies. Its inter-transaction
-    #: pairs are :meth:`AccessStatistics._pairs` of these and
-    #: ``partitions``, derived again when the sample is removed.
-    earlier: Tuple[Tuple[int, ...], ...]
+#: Removed rows the window columns hold at their head before
+#: :meth:`AccessStatistics._compact` drops them. It also waits until
+#: half the rows are removed, so a removal costs amortised O(1).
+COMPACT_AT = 64
 
 
 class AccessStatistics:
@@ -96,7 +89,26 @@ class AccessStatistics:
         self._mass: float = 0.0
         self._intra: Dict[int, Dict[int, float]] = {}
         self._inter: Dict[int, Dict[int, float]] = {}
-        self._retained: Deque[_Sample] = deque()
+        #: The retained window, one row per sample, oldest first. Rows
+        #: before ``_head`` are removed and wait for :meth:`_compact`;
+        #: ``_part_head`` / ``_first_head`` are where the head row's
+        #: entries start in the two flat columns.
+        self._times = array("d")
+        #: Each row's partition count, and the sorted partitions flat.
+        #: A partition id is below its workload's ``num_partitions``,
+        #: so four bytes hold it.
+        self._sizes = array("I")
+        self._parts = array("I")
+        #: Inter tracking only: each row's count of "first" partitions,
+        #: and those flat — the client's earlier write sets inside Δt
+        #: concatenated, cut after the last one :meth:`_pairs` paired.
+        #: Removal walks them again, so it decays exactly the pairs
+        #: recording added.
+        self._first_sizes = array("I")
+        self._firsts = array("I")
+        self._head = 0
+        self._part_head = 0
+        self._first_head = 0
         #: Per-client recent write sets for the inter-txn window.
         self._recent: Dict[int, Deque[Tuple[float, Tuple[int, ...]]]] = {}
         #: Sampled write sets awaiting ingestion, in observe order.
@@ -135,10 +147,11 @@ class AccessStatistics:
         return self._inter
 
     @property
-    def _samples(self) -> Deque[_Sample]:
+    def _sample_count(self) -> int:
+        """Retained samples (folds pending samples)."""
         if self._pending:
             self._fold()
-        return self._retained
+        return len(self._times) - self._head
 
     # -- recording ---------------------------------------------------------
 
@@ -147,7 +160,11 @@ class AccessStatistics:
         partitions = tuple(sorted(set(partitions)))
         if not partitions:
             return
-        self._pending.append((now, client_id, partitions))
+        pending = self._pending
+        pending.append((now, client_id, partitions))
+        # ``max_samples`` bounds the buffer as well as the window.
+        if len(pending) >= self.config.max_samples:
+            self._fold()
 
     def _fold(self) -> None:
         """Ingest every pending sample exactly as eager observe did."""
@@ -192,37 +209,43 @@ class AccessStatistics:
                 else:
                     row[left] = 1.0
 
-        earlier = (
-            self._record_inter(now, client_id, partitions) if self.track_inter else ()
-        )
-        self._retained.append(_Sample(now, client_id, partitions, earlier))
-        if len(self._retained) > self.config.max_samples:
-            self._remove(self._retained.popleft())
+        if self.track_inter:
+            firsts = self._record_inter(now, client_id, partitions)
+            self._first_sizes.append(len(firsts))
+            self._firsts.extend(firsts)
+        self._times.append(now)
+        self._sizes.append(len(partitions))
+        self._parts.extend(partitions)
+        if len(self._times) - self._head > self.config.max_samples:
+            self._remove_oldest()
 
-    def _pairs(self, earlier: Tuple[Tuple[int, ...], ...], partitions: Tuple[int, ...]):
-        """The inter-transaction pairs one sample contributes, in order.
+    def _pairs(
+        self, firsts: Sequence[int], partitions: Sequence[int]
+    ) -> Iterator[Tuple[int, int]]:
+        """The inter-transaction pairs one sample contributes, in order,
+        as ``(index into firsts, later)``.
 
-        Every ``(first, later)`` with ``first`` in an earlier write set,
-        ``later`` in ``partitions`` and ``first != later``, stopping at
-        ``max_inter_pairs``. Recording and removal both walk this, so a
-        sample takes away exactly the pairs it added.
+        Every ``(first, later)`` with ``first`` in ``firsts`` (the
+        earlier write sets, concatenated), ``later`` in ``partitions``
+        and ``first != later``, stopping at ``max_inter_pairs``.
+        Recording and removal both walk this, so a sample takes away
+        exactly the pairs it added.
         """
         cap = self.config.max_inter_pairs
         count = 0
-        for previous in earlier:
-            for first in previous:
-                for later in partitions:
-                    if first != later:
-                        yield first, later
-                        count += 1
-                        if count >= cap:
-                            return
+        for index, first in enumerate(firsts):
+            for later in partitions:
+                if first != later:
+                    yield index, later
+                    count += 1
+                    if count >= cap:
+                        return
 
     def _record_inter(
         self, now: float, client_id: int, partitions: Tuple[int, ...]
-    ) -> Tuple[Tuple[int, ...], ...]:
+    ) -> List[int]:
         """Pair this write set with the client's recent ones within Δt;
-        returns those earlier write sets."""
+        returns the "first" partitions the pairs walked, in order."""
         window = self.config.inter_txn_window_ms
         recent = self._recent.get(client_id)
         if recent is None:
@@ -230,11 +253,13 @@ class AccessStatistics:
         horizon = now - window
         while recent and recent[0][0] < horizon:
             recent.popleft()
-        earlier = tuple([previous for _, previous in recent])
+        firsts = [first for _, previous in recent for first in previous]
         # A row is only created when a pair is actually added, so the
         # table never holds an empty row.
         inter = self._inter
-        for first, later in self._pairs(earlier, partitions):
+        walked = 0
+        for index, later in self._pairs(firsts, partitions):
+            first = firsts[index]
             row = inter.get(first)
             if row is None:
                 row = inter[first] = {}
@@ -242,35 +267,59 @@ class AccessStatistics:
                 row[later] += 1.0
             else:
                 row[later] = 1.0
+            walked = index + 1
+        del firsts[walked:]
         recent.append((now, partitions))
-        return earlier
+        return firsts
 
     # -- expiry -----------------------------------------------------------------
 
     def _expire(self, now: float) -> None:
         horizon = now - self.config.expiry_ms
-        retained = self._retained
-        while retained and retained[0].time < horizon:
-            self._remove(retained.popleft())
+        times = self._times
+        while self._head < len(times) and times[self._head] < horizon:
+            self._remove_oldest()
 
-    def _remove(self, sample: _Sample) -> None:
+    def _remove_oldest(self) -> None:
+        """Take the head row's counts away and advance the head."""
+        head = self._head
+        start = self._part_head
+        end = self._part_head = start + self._sizes[head]
+        partitions = self._parts[start:end]
         writes = self._writes
-        for partition in sample.partitions:
+        for partition in partitions:
             count = writes.get(partition, 0.0) - 1.0
             if count <= 0:
                 writes.pop(partition, None)
             else:
                 writes[partition] = count
         self._total = max(0.0, self._total - 1.0)
-        self._mass -= float(len(sample.partitions))
+        self._mass -= float(len(partitions))
         if self._site_writes:
-            self._shift_site_writes(sample.partitions, -1.0)
-        for index, left in enumerate(sample.partitions):
-            for right in sample.partitions[index + 1:]:
+            self._shift_site_writes(partitions, -1.0)
+        for index, left in enumerate(partitions):
+            for right in partitions[index + 1:]:
                 self._decay(self._intra, left, right)
                 self._decay(self._intra, right, left)
-        for first, later in self._pairs(sample.earlier, sample.partitions):
-            self._decay(self._inter, first, later)
+        if self.track_inter:
+            start = self._first_head
+            end = self._first_head = start + self._first_sizes[head]
+            firsts = self._firsts[start:end]
+            for index, later in self._pairs(firsts, partitions):
+                self._decay(self._inter, firsts[index], later)
+        self._head = head = head + 1
+        if head >= COMPACT_AT and 2 * head >= len(self._times):
+            self._compact()
+
+    def _compact(self) -> None:
+        """Drop the removed rows from the front of every column."""
+        head = self._head
+        del self._times[:head]
+        del self._sizes[:head]
+        del self._parts[:self._part_head]
+        del self._first_sizes[:head]
+        del self._firsts[:self._first_head]
+        self._head = self._part_head = self._first_head = 0
 
     @staticmethod
     def _decay(table: Dict[int, Dict[int, float]], left: int, right: int) -> None:
@@ -355,7 +404,7 @@ class AccessStatistics:
             totals[masters[partition]] += count
         table.on_master_change = self._master_changed
 
-    def _shift_site_writes(self, partitions: Tuple[int, ...], amount: float) -> None:
+    def _shift_site_writes(self, partitions: Sequence[int], amount: float) -> None:
         masters = self._masters
         totals = self._site_writes
         for partition in partitions:

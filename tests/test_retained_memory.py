@@ -1,9 +1,9 @@
-"""What a TPC-C run retains per commit (DESIGN.md §8, "What a commit
+"""What a DynaMast run retains per commit (DESIGN.md §8, "What a commit
 retains").
 
-One DynaMast TPC-C run is traced by ``tracemalloc`` from before it
-starts; what is still allocated once it is over is attributed to the
-code that allocated it:
+One DynaMast TPC-C run and one YCSB run are traced by ``tracemalloc``
+from before they start; what is still allocated once each is over is
+attributed to the code that allocated it:
 
 * an update log record costs what ``DataSite._commit`` allocates for it
   — the record itself; the write set it logs is the transaction's own
@@ -11,7 +11,8 @@ code that allocated it:
   their records into the checkpoint, so the test keeps every appended
   record alive to measure them;
 * a statistics sample costs what ``core/statistics.py`` still holds
-  once the co-access tables every sample shares are dropped.
+  once the co-access tables every sample shares are dropped;
+* a commit time costs what dropping ``Metrics.commit_times`` frees.
 
 The logs themselves keep a suffix bounded by one constant, whatever the
 run's length.
@@ -48,6 +49,14 @@ def _tpcc(num_clients, duration_ms):
     )
 
 
+def _ycsb():
+    """Inter-transaction pairs are not tracked: YCSB's weight is zero."""
+    return run_benchmark(
+        "dynamast", build_workload("ycsb"),
+        num_clients=16, duration_ms=300.0, warmup_ms=0.0, seed=89,
+    )
+
+
 def _allocated_in(snapshot, function) -> int:
     """Bytes of ``snapshot`` allocated on ``function``'s source lines."""
     lines, first = inspect.getsourcelines(function)
@@ -59,23 +68,15 @@ def _allocated_in(snapshot, function) -> int:
     )
 
 
-@pytest.fixture(scope="module")
-def retained():
-    """One short run, and what it retains per record and per sample."""
-    appended = []
-    append = DurableLog.append
-
-    def keep(log, record):
-        appended.append(record)
-        append(log, record)
-
+def _traced(run):
+    """``run()``'s result, what it allocated that is still live, and
+    what its statistics samples and commit times retain apiece."""
     gc.collect()
     tracemalloc.start()
     try:
-        with mock.patch.object(DurableLog, "append", keep):
-            result = _tpcc(num_clients=8, duration_ms=300.0)
+        result = run()
         stats = result.system.selector.statistics
-        samples = len(stats._samples)  # folds what is pending
+        samples = stats._sample_count  # folds what is pending
         gc.collect()
         after_run = tracemalloc.take_snapshot()
         stats._intra.clear()
@@ -83,21 +84,53 @@ def retained():
         stats._writes.clear()
         gc.collect()
         without_tables = tracemalloc.take_snapshot()
+        commits = len(result.metrics.commit_times)
+        with_times = tracemalloc.get_traced_memory()[0]
+        result.metrics.commit_times = None
+        gc.collect()
+        commit_time_bytes = (with_times - tracemalloc.get_traced_memory()[0]) / commits
     finally:
         tracemalloc.stop()
-    records = [record for record in appended if record.kind == UPDATE]
     statistics_file = inspect.getsourcefile(type(stats))
-    return {
-        "logs": [site.log for site in result.system.sites],
-        "records": records,
+    return result, after_run, {
         "samples": samples,
-        "record_bytes": _allocated_in(after_run, DataSite._commit) / len(records),
         "sample_bytes": sum(
             stat.size for stat in without_tables.filter_traces(
                 [tracemalloc.Filter(True, statistics_file)]
             ).statistics("filename")
         ) / samples,
+        "commits": commits,
+        "commit_time_bytes": commit_time_bytes,
     }
+
+
+@pytest.fixture(scope="module")
+def retained():
+    """One short TPC-C run, and what it retains per record and per sample."""
+    appended = []
+    append = DurableLog.append
+
+    def keep(log, record):
+        appended.append(record)
+        append(log, record)
+
+    with mock.patch.object(DurableLog, "append", keep):
+        result, after_run, measured = _traced(
+            lambda: _tpcc(num_clients=8, duration_ms=300.0)
+        )
+    records = [record for record in appended if record.kind == UPDATE]
+    return {
+        **measured,
+        "logs": [site.log for site in result.system.sites],
+        "records": records,
+        "record_bytes": _allocated_in(after_run, DataSite._commit) / len(records),
+    }
+
+
+@pytest.fixture(scope="module")
+def ycsb():
+    """One short YCSB run, and what it retains per sample and commit."""
+    return _traced(_ycsb)[2]
 
 
 class TestWhatACommitRetains:
@@ -112,11 +145,26 @@ class TestWhatACommitRetains:
         988 B."""
         assert retained["record_bytes"] <= 85
 
-    def test_a_sample_keeps_references_not_pairs(self, retained):
-        """267 B a sample: it keeps the earlier write sets it was paired
-        with. A flat tuple of up to ``max_inter_pairs`` pairs made it
-        1 221 B."""
-        assert retained["sample_bytes"] <= 400
+    def test_a_sample_is_a_row_of_columns(self, retained):
+        """127 B a sample: its time, its partitions and the
+        "first" partitions of its inter-transaction pairs, each in a
+        typed column. A ``_Sample`` object keeping references to the
+        earlier write sets made it 267 B; a flat tuple of up to
+        ``max_inter_pairs`` pairs, 1 221 B."""
+        assert retained["sample_bytes"] <= 140
+
+    def test_a_sample_without_inter_pairs_is_a_time_and_its_partitions(self, ycsb):
+        """22.5 B a sample on YCSB, which tracks no
+        inter-transaction pairs: its time, its partition count and its
+        partitions. A ``_Sample`` object made it 131 B."""
+        assert ycsb["samples"] > 500
+        assert ycsb["sample_bytes"] <= 26
+
+    def test_a_commit_time_is_eight_bytes(self, ycsb):
+        """8.4 B a commit: one double in an ``array('d')`` plus its
+        over-allocation. A list of boxed floats made it 32 B."""
+        assert ycsb["commits"] > 500
+        assert ycsb["commit_time_bytes"] <= 9
 
     def test_tpcc_logs_share_one_key_per_record(self, retained):
         """Equal warehouse, district, customer and stock keys across

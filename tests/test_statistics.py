@@ -1,12 +1,13 @@
 """Unit tests for the site selector's access statistics."""
 
 from collections import deque
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.partitions import PartitionTable
-from repro.core.statistics import AccessStatistics, StatisticsConfig
+from repro.core.statistics import COMPACT_AT, AccessStatistics, StatisticsConfig
 from repro.sim.core import Environment
 
 
@@ -120,7 +121,7 @@ class TestExpiry:
         stats = make_stats(expiry_ms=1e9, max_samples=5)
         for index in range(10):
             stats.observe(float(index), 1, [index])
-        assert len(stats._samples) == 5
+        assert stats._sample_count == 5
         # Early partitions were evicted.
         assert 0 not in stats.partition_writes
         assert 9 in stats.partition_writes
@@ -264,12 +265,52 @@ class TestDerivedInterPairsMatchFlatPairs:
          ("observe", 11, 1, [4]), ("observe", 11, 1, [5])],
     )
     def test_every_count_equals_the_reference(self, config, ops):
+        self.replay(config, ops)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_configs, st.lists(_observe, min_size=COMPACT_AT + 16, max_size=COMPACT_AT + 60))
+    def test_compaction_keeps_every_count(self, config, ops):
+        """At most 8 samples are retained, so expiry and eviction
+        remove at least ``COMPACT_AT + 8`` of them: the head passes
+        ``COMPACT_AT`` and the columns are compacted mid-run."""
+        compact = AccessStatistics._compact
+        compactions = []
+
+        def counted(stats):
+            compactions.append(stats._head)
+            compact(stats)
+
+        with mock.patch.object(AccessStatistics, "_compact", counted):
+            self.replay(config, ops)
+        assert compactions and min(compactions) >= COMPACT_AT
+
+    def test_pending_samples_stay_under_max_samples(self):
+        """``max_samples`` bounds memory: ten windows of samples with no
+        query in between never leave more than one window pending, and
+        folding early changes no count."""
+        config = StatisticsConfig(inter_txn_window_ms=12.0, expiry_ms=30.0,
+                                  max_samples=8, max_inter_pairs=3)
+        placement = {partition: partition % _SITES for partition in _PARTITIONS}
+        table = PartitionTable(Environment(), placement)
+        stats = AccessStatistics(config)
+        stats.follow_masters(table, _SITES)
+        reference = FlatPairStatistics(config, table.masters)
+        for step in range(10 * config.max_samples):
+            partitions = [step % 6, step * 5 % 6, step * 7 % 4]
+            stats.observe(2.0 * step, step % 3, partitions)
+            reference.observe(2.0 * step, step % 3, partitions)
+            assert len(stats._pending) <= config.max_samples
+        self.assert_equal(stats, reference)
+
+    def replay(self, config, ops):
+        """Run ``ops`` through eager and lazily folded statistics and
+        the reference, comparing every count after every step."""
         placement = {partition: partition % _SITES for partition in _PARTITIONS}
         eager_table = PartitionTable(Environment(), placement)
         lazy_table = PartitionTable(Environment(), placement)
         eager = AccessStatistics(config)
         eager.follow_masters(eager_table, _SITES)
-        # Folds everything at the end: many pending samples at once.
+        # Folds only at the end or at ``max_samples`` pending.
         lazy = AccessStatistics(config)
         lazy.follow_masters(lazy_table, _SITES)
         reference = FlatPairStatistics(config, eager_table.masters)
@@ -292,7 +333,7 @@ class TestDerivedInterPairsMatchFlatPairs:
         assert _rows(stats.co_intra) == _rows(reference.intra)
         assert list(stats.partition_writes.items()) == list(reference.writes.items())
         assert stats.site_write_loads() == reference.site_write_loads(_SITES)
-        assert len(stats._samples) == len(reference.samples)
+        assert stats._sample_count == len(reference.samples)
 
     def test_the_example_binds_the_cap(self):
         """The pinned example does reach the cap (the property's
