@@ -44,7 +44,7 @@ from typing import List, Optional
 # What only some commands run (drivers, tables, recorders) is imported
 # inside their handlers: ``--help`` loads none of it.
 from repro.bench.harness import ALL_SYSTEMS, run_benchmark
-from repro.sim.config import ClusterConfig
+from repro.sim.config import DEFENSES, ClusterConfig
 
 WORKLOADS = ("ycsb", "tpcc", "smallbank")
 
@@ -80,6 +80,25 @@ def row_count(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def job_count(text: str) -> int:
+    """An argparse type for ``--jobs``: fewer than one worker process
+    would silently run serially (or fail after printing a plan), so it
+    is refused (exit 2, naming the flag)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def fraction(text: str) -> float:
+    """An argparse type for a share: outside [0, 1] it can never hold
+    or always holds, so it is refused (exit 2, naming the flag)."""
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {value:g}")
     return value
 
 
@@ -746,7 +765,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                          help="comma-separated subset (default: all five)")
     compare.add_argument("--csv", default="", help="also write results as CSV")
     compare.add_argument("--json", default="", help="also write results as JSON")
-    compare.add_argument("--jobs", type=int, default=1,
+    compare.add_argument("--jobs", type=job_count, default=1,
                          help="worker processes to fan the systems over "
                               "(results are bit-identical to --jobs 1)")
     add_common_arguments(compare)
@@ -790,7 +809,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     masters.add_argument("--system", choices=ALL_SYSTEMS, default="dynamast")
     masters.add_argument("--window", type=float, default=100.0,
                          help="remaster-rate window, simulated ms")
-    masters.add_argument("--threshold", type=float, default=0.05,
+    masters.add_argument("--threshold", type=fraction, default=0.05,
                          help="steady-state remastered fraction defining "
                               "convergence (default: %(default)s)")
     masters.add_argument("--why", type=int, default=None, metavar="SEQ",
@@ -821,7 +840,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                        help="comma-separated systems for a fan-out matrix")
     chaos.add_argument("--scenarios", default="",
                        help="comma-separated scenarios for a fan-out matrix")
-    chaos.add_argument("--jobs", type=int, default=1,
+    chaos.add_argument("--jobs", type=job_count, default=1,
                        help="worker processes for the matrix (bit-identical "
                             "to serial)")
     chaos.add_argument("--sites", type=int, default=3)
@@ -841,8 +860,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                        help="attach the streaming SLO engine: incident "
                             "ledger and MTTD/MTTR per run (matrix runs get "
                             "incident/TP/FP columns)")
-    from repro.faults.chaos import DEFENSES
-
     chaos.add_argument("--defenses", choices=DEFENSES, default="fixed",
                        help="gray-failure defense preset: 'fixed' (classic "
                             "strike detector, fixed timeout) or 'adaptive' "
@@ -907,7 +924,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     perf.add_argument("--baseline", default=None,
                       help="committed report --check compares against "
                            "(same defaults as --out)")
-    perf.add_argument("--jobs", type=int, default=1,
+    perf.add_argument("--jobs", type=job_count, default=1,
                       help="worker processes for the matrix (simulated "
                            "results are bit-identical to serial)")
     perf.add_argument("--cores", type=int, default=0,

@@ -24,7 +24,7 @@ exclusive locks, at most one round per site plus one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.partitions import PartitionTable
@@ -57,6 +57,12 @@ REMASTER_DECISION_MS = 0.02
 #: Remastering RPCs (release/grant) legitimately block on quiesce and
 #: replication catch-up; they get a longer leash than ``TIMEOUT_MS``.
 REMASTER_TIMEOUT_MS = 400.0
+#: Health weight under the ``"adaptive"`` defense preset — large enough
+#: that a site the detector grades fully unhealthy loses to any
+#: candidate whose Equation-8 benefit is within typical chaos-run
+#: magnitudes, yet small enough not to drown the balance term for
+#: mildly degraded sites.
+ADAPTIVE_HEALTH_WEIGHT = 1000.0
 
 
 @dataclass(slots=True)
@@ -93,6 +99,8 @@ class SiteSelector:
         self.cpu = Resource(self.env, SELECTOR_CORES)
         self.table = PartitionTable(self.env, placement)
         weights = weights or StrategyWeights()
+        if cluster.config.defenses == "adaptive":
+            weights = replace(weights, health=ADAPTIVE_HEALTH_WEIGHT)
         self.statistics = AccessStatistics(
             StatisticsConfig(), track_inter=weights.inter_txn != 0
         )

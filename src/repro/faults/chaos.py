@@ -13,33 +13,22 @@ the dead site.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.harness import RunMeasurements, run_benchmark
 from repro.bench.metrics import rate_series
 from repro.bench.parallel import RunSpec, WorkloadSpec, execute_specs
 from repro.faults.plan import FaultPlan, build_scenario
-from repro.sim.config import ClusterConfig, RpcConfig
+from repro.sim.config import ClusterConfig
 
 __all__ = [
     "AvailabilityBucket",
     "ChaosReport",
-    "DEFENSES",
     "chaos_workload_spec",
-    "defense_setup",
     "run_chaos",
     "run_chaos_matrix",
 ]
-
-#: Selectable gray-failure defense presets for chaos runs.
-DEFENSES = ("fixed", "adaptive")
-
-#: Health weight for the ``adaptive`` preset — large enough that a site
-#: the detector grades fully unhealthy loses to any candidate whose
-#: Equation-8 benefit is within typical chaos-run magnitudes, yet small
-#: enough not to drown the balance term for mildly degraded sites.
-ADAPTIVE_HEALTH_WEIGHT = 1000.0
 
 #: The default chaos workload as pure data — contended YCSB (50% RMW,
 #: moderate skew) — so scenario matrices can fan out across worker
@@ -49,33 +38,6 @@ DEFAULT_CHAOS_WORKLOAD = dict(num_partitions=40, rmw_fraction=0.5, zipf_theta=0.
 
 def chaos_workload_spec() -> WorkloadSpec:
     return WorkloadSpec.of("ycsb", **DEFAULT_CHAOS_WORKLOAD)
-
-
-def defense_setup(defenses: str, workload):
-    """Resolve a defense preset into ``(rpc_config, dynamast_weights)``.
-
-    ``"fixed"`` is the pre-gray-failure baseline: the classic
-    fixed-strike detector, one fixed RPC timeout, no hedging, and the
-    paper's Equation-8 weights untouched. ``"adaptive"`` arms the full
-    gray-failure defense stack: phi-accrual detection, per-destination
-    adaptive deadlines, hedged reads, and a health-weighted remastering
-    strategy (the workload's recommended weights plus a health
-    penalty). ``workload`` supplies the base strategy weights; only
-    DynaMast consumes them.
-    """
-    if defenses == "fixed":
-        return RpcConfig(detector_policy="threshold"), None
-    if defenses == "adaptive":
-        rpc = RpcConfig(
-            detector_policy="adaptive",
-            adaptive_deadlines=True,
-            hedged_reads=True,
-        )
-        weights = replace(
-            workload.recommended_weights(), health=ADAPTIVE_HEALTH_WEIGHT
-        )
-        return rpc, weights
-    raise ValueError(f"unknown defenses {defenses!r}; expected one of {DEFENSES}")
 
 
 @dataclass(frozen=True)
@@ -268,22 +230,20 @@ def run_chaos(
     :class:`~repro.obs.slo.SloEngine`) evaluates SLO and invariant
     monitors over the run and correlates incidents against the
     scenario's injected fault windows. ``defenses`` selects the
-    gray-failure defense preset (see :func:`defense_setup`).
+    gray-failure defense preset (``ClusterConfig.defenses``).
     """
     _check_bucket(bucket_ms)
     if plan is None:
         plan = build_scenario(scenario, num_sites=num_sites, duration_ms=duration_ms)
     if workload is None:
         workload = chaos_workload_spec().build()
-    rpc, weights = defense_setup(defenses, workload)
     result = run_benchmark(
         system_name,
         workload,
         num_clients=num_clients,
         duration_ms=duration_ms,
         warmup_ms=warmup_ms,
-        cluster_config=ClusterConfig(num_sites=num_sites, rpc=rpc),
-        weights=weights,
+        cluster_config=ClusterConfig(num_sites=num_sites, defenses=defenses),
         seed=seed,
         fault_plan=plan,
         obs=obs,
@@ -373,15 +333,13 @@ def run_chaos_matrix(
     outcome is bit-identical to ``run_chaos`` of the same cell
     (``tests/test_parallel_parity.py`` pins this). ``jobs=1`` runs the
     same specs serially in-process. ``defenses`` selects the
-    gray-failure defense preset for every cell (see
-    :func:`defense_setup`); the resolved RPC config and strategy
-    weights travel to the workers as plain spec data. ``slo=True``
-    evaluates the default SLO and invariant monitors in every cell;
-    the folded verdict rides back on each summary's ``slo`` dict.
+    gray-failure defense preset for every cell (``ClusterConfig.defenses``).
+    ``slo=True`` evaluates the default SLO and invariant monitors in
+    every cell; the folded verdict rides back on each summary's ``slo``
+    dict.
     """
     _check_bucket(bucket_ms)
     workload = chaos_workload_spec()
-    rpc, weights = defense_setup(defenses, workload.build())
     combos = [(system, scenario) for system in systems for scenario in scenarios]
     specs = [
         RunSpec(
@@ -390,8 +348,7 @@ def run_chaos_matrix(
             num_clients=num_clients,
             duration_ms=duration_ms,
             warmup_ms=0.0,
-            cluster=ClusterConfig(num_sites=num_sites, rpc=rpc),
-            weights=weights,
+            cluster=ClusterConfig(num_sites=num_sites, defenses=defenses),
             seed=seed,
             fault_scenario=scenario,
             mastery=mastery,

@@ -13,7 +13,7 @@ The injector interprets a :class:`~repro.faults.plan.FaultPlan`:
   fail-stops the site at the scheduled time and, optionally, restarts
   it later via live log-replay rejoin;
 * it owns the shared failure detector the routers use for suspicion
-  (fixed-strike or phi-accrual, per ``RpcConfig.detector_policy``),
+  (fixed-strike or phi-accrual, per ``ClusterConfig.defenses``),
   the per-destination :class:`~repro.faults.deadlines.DeadlineTracker`
   behind adaptive RPC deadlines and hedged-read delays, and the
   ground truth (:meth:`is_crashed`) that gates the destructive
@@ -53,12 +53,15 @@ class FaultInjector:
         self.cluster = cluster
         self.plan = plan
         self.rng = rng
-        self.rpc = cluster.config.rpc
-        if self.rpc.detector_policy == "adaptive":
+        #: The ``"adaptive"`` preset: phi-accrual detector, adaptive
+        #: deadlines and hedged reads (ClusterConfig refuses any preset
+        #: but it and ``"fixed"``).
+        self.adaptive = cluster.config.defenses == "adaptive"
+        if self.adaptive:
             self.detector = AdaptiveDetector(
                 clock=lambda: cluster.env.now, ground_truth=self.site_faulted
             )
-        else:  # "threshold" (RpcConfig refuses any other policy)
+        else:
             self.detector = FailureDetector(
                 ground_truth=self.site_faulted, clock=lambda: cluster.env.now
             )
@@ -85,7 +88,7 @@ class FaultInjector:
         logs' markers are replayed against).
         """
         self.cluster.faults = self
-        self.cluster.hedged_reads = self.rpc.hedged_reads
+        self.cluster.hedged_reads = self.adaptive
         self.cluster.network.faults = self
         for site in self.cluster.sites:
             for partition in site.mastered:
@@ -152,9 +155,9 @@ class FaultInjector:
         self.deadlines.observe(dst, rtt_ms)
 
     def deadline_ms(self, dst: int) -> float:
-        """Effective RPC deadline for ``dst``: adaptive when enabled
-        and warmed up, the fixed timeout otherwise."""
-        if not self.rpc.adaptive_deadlines:
+        """Effective RPC deadline for ``dst``: adaptive under the
+        adaptive preset once warmed up, the fixed timeout otherwise."""
+        if not self.adaptive:
             return TIMEOUT_MS
         return self.deadlines.deadline_ms(dst)
 

@@ -20,7 +20,7 @@ the paper's *shapes* is the cost structure:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Sequence, Tuple
 
 
@@ -59,37 +59,14 @@ def finite_nonnegative(config) -> Iterable[Tuple[str, bool, str]]:
         yield spec.name, 0 <= value < math.inf, "finite and >= 0"
 
 
-@dataclass
-class RpcConfig:
-    """The defense toggles of the hardened RPC layer.
-
-    Only consulted when a fault plan is active; unfaulted runs never
-    arm a timeout or take a retry branch, so these values cannot
-    perturb them. The timeouts, retries and thresholds themselves are
-    constants next to their readers (``repro.faults.deadlines``,
-    ``repro.faults.detector``, ``repro.sites.messages``).
-    """
-
-    #: Failure-detector policy: "adaptive" (phi-accrual over per-site
-    #: inter-success intervals; see repro.faults.detector) or
-    #: "threshold" (the classic fixed-strike detector, kept as a
-    #: selectable baseline — chaos --defenses fixed uses it).
-    detector_policy: str = "adaptive"
-    #: When True, guarded RPCs use per-destination deadlines derived
-    #: from observed RTT quantiles (clamped to [DEADLINE_FLOOR_MS,
-    #: TIMEOUT_MS]) instead of the fixed timeout — a fail-slow site is
-    #: then noticed in milliseconds rather than at the full timeout.
-    adaptive_deadlines: bool = False
-    #: When True, reads launch a backup request to another replica
-    #: after the hedge-quantile RTT has elapsed without a response;
-    #: first response wins, the loser is absorbed.
-    hedged_reads: bool = False
-
-    def __post_init__(self):
-        check_config(self, (
-            ("detector_policy", self.detector_policy in ("adaptive", "threshold"),
-             "a known detector policy ('adaptive' or 'threshold')"),
-        ))
+#: The gray-failure defense presets (``ClusterConfig.defenses``). Only a
+#: fault plan consults them; unfaulted runs never arm a timeout.
+#: ``"fixed"`` is the pre-gray-failure baseline: the fixed-strike
+#: detector, one fixed RPC timeout, no hedging, and the paper's
+#: Equation-8 weights. ``"adaptive"`` arms phi-accrual detection,
+#: per-destination deadlines, hedged reads and a health penalty in the
+#: site selector (``repro.faults.injector``, ``repro.core.site_selector``).
+DEFENSES = ("fixed", "adaptive")
 
 
 @dataclass
@@ -99,7 +76,8 @@ class ClusterConfig:
     num_sites: int = 4
     #: Simulated cores per data site (paper: 12; scaled down by default).
     cores_per_site: int = 4
-    rpc: RpcConfig = field(default_factory=RpcConfig)
+    #: Gray-failure defense preset, one of :data:`DEFENSES`.
+    defenses: str = "fixed"
     seed: int = 0
 
     def __post_init__(self):
@@ -108,6 +86,7 @@ class ClusterConfig:
         check_config(self, (
             ("num_sites", 1 <= self.num_sites <= 65_535, "in [1, 65535]"),
             ("cores_per_site", self.cores_per_site >= 1, ">= 1"),
+            ("defenses", self.defenses in DEFENSES, f"one of {DEFENSES}"),
         ))
 
     def scaled(self, **changes) -> "ClusterConfig":

@@ -100,6 +100,27 @@ class TestCommands:
         assert captured.out == ""
         assert f"argument {flag}: must be >= 0, got -2" in captured.err
 
+    @pytest.mark.parametrize("command,flag,value,rule", [
+        (["compare"], "--jobs", "0", "must be >= 1, got 0"),
+        (["chaos"], "--jobs", "0", "must be >= 1, got 0"),
+        (["chaos"], "--jobs", "-3", "must be >= 1, got -3"),
+        (["perf"], "--jobs", "0", "must be >= 1, got 0"),
+        (["masters"], "--threshold", "-1", "must be in [0, 1], got -1"),
+        (["masters"], "--threshold", "2", "must be in [0, 1], got 2"),
+        (["masters"], "--threshold", "nan", "must be in [0, 1], got nan"),
+    ])
+    def test_an_out_of_range_flag_exits_2_naming_it(
+            self, command, flag, value, rule, capsys):
+        """``chaos --jobs 0`` used to run serially and ``masters
+        --threshold 2`` to report convergence at "<= 200%", both exit 0;
+        ``perf --jobs 0`` printed its plan before failing."""
+        with pytest.raises(SystemExit) as exit:
+            main(command + [flag, value])
+        assert exit.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: {rule}" in captured.err
+
     def test_compare_rejects_unknown_system(self, capsys):
         assert main(["compare", "--systems", "dynamast,bogus"]) == 2
         assert "repro compare: error: unknown system 'bogus'" in \

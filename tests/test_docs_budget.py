@@ -11,7 +11,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 
 #: Combined bytes of the two documents, at most.
-BUDGET_BYTES = 176_658
+BUDGET_BYTES = 176_628
 
 
 def test_design_and_experiments_stay_within_their_byte_budget():

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.bench.harness import run_benchmark
 from repro.core.partitions import PartitionTable
+from repro.core.site_selector import ADAPTIVE_HEALTH_WEIGHT
 from repro.core.statistics import AccessStatistics, StatisticsConfig
 from repro.core.strategy import RemasterStrategy, StrategyWeights
 from repro.faults import (
@@ -26,10 +27,14 @@ from repro.faults import (
     SlowFault,
     build_scenario,
 )
-from repro.faults.chaos import defense_setup, run_chaos
+from repro.faults.chaos import run_chaos
 from repro.faults.deadlines import DEADLINE_FLOOR_MS, DEADLINE_MIN_SAMPLES, TIMEOUT_MS
-from repro.faults.detector import SUSPICION_QUARANTINE_MS, SUSPICION_THRESHOLD
-from repro.sim.config import ClusterConfig, RpcConfig
+from repro.faults.detector import (
+    SUSPICION_QUARANTINE_MS,
+    SUSPICION_THRESHOLD,
+    FailureDetector,
+)
+from repro.sim.config import ClusterConfig
 from repro.sim.core import Environment
 from repro.sim.resources import Resource
 from repro.versioning import VersionVector
@@ -43,7 +48,7 @@ def _workload():
     )
 
 
-def _run(system, fault_plan, rpc=None, seed=7, duration_ms=900.0, weights=None,
+def _run(system, fault_plan, defenses="fixed", seed=7, duration_ms=900.0,
          warmup_ms=100.0):
     return run_benchmark(
         system,
@@ -51,8 +56,7 @@ def _run(system, fault_plan, rpc=None, seed=7, duration_ms=900.0, weights=None,
         num_clients=8,
         duration_ms=duration_ms,
         warmup_ms=warmup_ms,
-        cluster_config=ClusterConfig(num_sites=3, rpc=rpc or RpcConfig()),
-        weights=weights,
+        cluster_config=ClusterConfig(num_sites=3, defenses=defenses),
         seed=seed,
         fault_plan=fault_plan,
     )
@@ -279,11 +283,6 @@ class TestDeadlineTracker:
 # -- hedged reads -----------------------------------------------------------
 
 
-ADAPTIVE_RPC = RpcConfig(
-    detector_policy="adaptive", adaptive_deadlines=True, hedged_reads=True
-)
-
-
 class TestHedgedReads:
     @settings(max_examples=3, deadline=None)
     @given(seed=st.integers(min_value=1, max_value=50))
@@ -298,12 +297,10 @@ class TestHedgedReads:
         """
         plan = build_scenario("fail_slow_master", num_sites=3,
                               duration_ms=900.0)
-        off = _run("dynamast", plan, seed=seed, rpc=RpcConfig(
-            detector_policy="adaptive", adaptive_deadlines=True, hedged_reads=False,
-        ))
+        off = _run("dynamast", plan, seed=seed, defenses="fixed")
         assert off.metrics.detector_counters["hedges_launched"] == 0
 
-        on = _run("dynamast", plan, seed=seed, rpc=ADAPTIVE_RPC)
+        on = _run("dynamast", plan, seed=seed, defenses="adaptive")
         metrics = on.metrics
         assert metrics.commits == len(metrics.commit_times)
         assert metrics.abort_count == len(metrics.abort_times)
@@ -315,7 +312,7 @@ class TestHedgedReads:
     def test_hedges_fire_under_fail_slow_master(self):
         plan = build_scenario("fail_slow_master", num_sites=3,
                               duration_ms=1500.0)
-        result = _run("dynamast", plan, rpc=ADAPTIVE_RPC,
+        result = _run("dynamast", plan, defenses="adaptive",
                       duration_ms=1500.0)
         counters = result.metrics.detector_counters
         assert counters["hedges_launched"] > 0
@@ -324,8 +321,8 @@ class TestHedgedReads:
     def test_hedged_run_is_deterministic(self):
         plan = build_scenario("fail_slow_master", num_sites=3,
                               duration_ms=900.0)
-        first = _run("dynamast", plan, rpc=ADAPTIVE_RPC)
-        second = _run("dynamast", plan, rpc=ADAPTIVE_RPC)
+        first = _run("dynamast", plan, defenses="adaptive")
+        second = _run("dynamast", plan, defenses="adaptive")
         assert _fingerprint(first) == _fingerprint(second)
         assert first.metrics.detector_counters == \
             second.metrics.detector_counters
@@ -381,7 +378,7 @@ class TestRestartHygiene:
     def test_crash_restart_clears_suspicion_and_routes_back(self):
         plan = build_scenario("crash-restart", num_sites=3,
                               duration_ms=1500.0)
-        result = _run("dynamast", plan, duration_ms=1500.0)
+        result = _run("dynamast", plan, defenses="adaptive", duration_ms=1500.0)
         injector = result.injector
         kinds = [(event.kind, event.site) for event in injector.events]
         assert ("crash", 1) in kinds and ("restart", 1) in kinds
@@ -464,35 +461,53 @@ class TestDetectorObservability:
 
 
 class TestDefensePresets:
+    """Each preset, read off a built cluster: the detector class, the
+    RPC deadline, hedging and the selector's health weight."""
+
+    def _built(self, defenses):
+        plan = build_scenario("crash", num_sites=3, duration_ms=300.0)
+        result = _run("dynamast", plan, defenses=defenses, duration_ms=300.0)
+        return result.injector, result.system
+
     def test_fixed_preset_is_the_baseline(self):
-        rpc, weights = defense_setup("fixed", _workload())
-        assert rpc.detector_policy == "threshold"
-        assert not rpc.adaptive_deadlines
-        assert not rpc.hedged_reads
-        assert weights is None
+        injector, system = self._built("fixed")
+        assert type(injector.detector) is FailureDetector
+        assert injector.deadline_ms(0) == TIMEOUT_MS
+        assert not system.cluster.hedged_reads
+        assert system.selector.strategy.weights.health == 0.0
 
     def test_adaptive_preset_arms_everything(self):
-        rpc, weights = defense_setup("adaptive", _workload())
-        assert rpc.detector_policy == "adaptive"
-        assert rpc.adaptive_deadlines
-        assert rpc.hedged_reads
-        assert weights is not None and weights.health > 0
+        injector, system = self._built("adaptive")
+        assert type(injector.detector) is AdaptiveDetector
+        assert injector.deadlines.samples(0) >= DEADLINE_MIN_SAMPLES
+        assert injector.deadline_ms(0) == injector.deadlines.deadline_ms(0)
+        assert injector.deadline_ms(0) < TIMEOUT_MS
+        assert system.cluster.hedged_reads
+        assert system.selector.strategy.weights.health == ADAPTIVE_HEALTH_WEIGHT
 
     def test_unknown_preset_rejected(self):
-        with pytest.raises(ValueError, match="unknown defenses"):
-            defense_setup("wishful", _workload())
+        with pytest.raises(ValueError, match="ClusterConfig.defenses"):
+            ClusterConfig(defenses="wishful")
+        with pytest.raises(ValueError, match="ClusterConfig.defenses"):
+            run_chaos("dynamast", "crash", duration_ms=300.0, defenses="wishful")
 
-    def test_unknown_detector_policy_rejected(self):
-        plan = build_scenario("crash", num_sites=3, duration_ms=900.0)
-        with pytest.raises(ValueError, match="detector policy"):
-            _run("dynamast", plan, rpc=RpcConfig(detector_policy="psychic"))
+    def test_a_faulted_run_defaults_to_the_fixed_preset(self):
+        plan = build_scenario("crash", num_sites=3, duration_ms=300.0)
+        result = run_benchmark(
+            "dynamast", _workload(), num_clients=4, duration_ms=300.0,
+            warmup_ms=100.0, cluster_config=ClusterConfig(num_sites=3), seed=7,
+            fault_plan=plan,
+        )
+        assert type(result.injector.detector) is FailureDetector
+        assert not result.system.cluster.hedged_reads
+        assert result.system.selector.strategy.weights.health == 0.0
 
 
 # -- the headline: adaptive defenses beat fixed under fail-slow -------------
 
 
 class TestFailSlowHeadline:
-    def test_detection_under_fail_slow_needs_adaptive_deadlines(self):
+    def test_detection_under_fail_slow_needs_the_adaptive_preset(self):
         """A 10x-slow master still answers within the generous fixed
         timeout, so the fixed-strike detector never suspects it; the
         adaptive stack converts the slowness into timeout evidence and
@@ -500,10 +515,10 @@ class TestFailSlowHeadline:
         plan = build_scenario("fail_slow_master", num_sites=3,
                               duration_ms=3000.0)
         fixed = _run("dynamast", plan, duration_ms=3000.0,
-                     rpc=RpcConfig(detector_policy="threshold"))
+                     defenses="fixed")
         assert fixed.metrics.detector_counters["suspicion_episodes"] == 0
 
         adaptive = _run("dynamast", plan, duration_ms=3000.0,
-                        rpc=ADAPTIVE_RPC)
+                        defenses="adaptive")
         assert adaptive.metrics.detector_counters["suspicion_episodes"] >= 1
         assert adaptive.metrics.detector_counters["false_suspicions"] == 0

@@ -204,7 +204,7 @@ def test_allow_list_stays_short():
 #: every config a run is built from.
 OPTION_DATACLASSES = (
     "bench.parallel:RunSpec",
-    "sim.config:ClusterConfig", "sim.config:RpcConfig",
+    "sim.config:ClusterConfig",
     "core.statistics:StatisticsConfig", "core.strategy:StrategyWeights",
     "workloads.ycsb:YCSBConfig", "workloads.tpcc:TPCCConfig",
     "workloads.smallbank:SmallBankConfig", "workloads.openloop:OpenLoopSpec",

@@ -22,7 +22,7 @@ from repro.bench.parallel import (
     run_fingerprint,
 )
 from repro.faults import FaultPlan, build_scenario
-from repro.faults.chaos import defense_setup, run_chaos
+from repro.faults.chaos import run_chaos
 from repro.obs.dashboard import render_dashboard, write_dashboard
 from repro.obs.export import load_jsonl
 from repro.obs.slo import (
@@ -619,18 +619,15 @@ def _workload():
 
 
 def _slo_run(system, scenario, slo, duration_ms=6000.0, seed=0):
-    workload = _workload()
-    rpc, weights = defense_setup("adaptive", workload)
     plan = (build_scenario(scenario, num_sites=3, duration_ms=duration_ms)
             if scenario else None)
     return run_benchmark(
         system,
-        workload,
+        _workload(),
         num_clients=8,
         duration_ms=duration_ms,
         warmup_ms=0.0,
-        cluster_config=ClusterConfig(num_sites=3, rpc=rpc),
-        weights=weights,
+        cluster_config=ClusterConfig(num_sites=3, defenses="adaptive"),
         seed=seed,
         fault_plan=plan,
         slo=slo,

@@ -9,7 +9,7 @@ import pytest
 from repro.core.statistics import StatisticsConfig
 from repro.core.strategy import StrategyWeights
 from repro.replication.manager import refresh_ms
-from repro.sim.config import ClusterConfig, RpcConfig
+from repro.sim.config import ClusterConfig
 from repro.sim.network import ONE_WAY_LATENCY_MS
 from repro.sites.data_site import (
     LOG_DELIVERY_MS,
@@ -126,6 +126,7 @@ class TestClusterConfig:
     @pytest.mark.parametrize("field,overrides", [
         # Used to fail inside the worker with a SimulationError.
         ("cores_per_site", dict(cores_per_site=0)),
+        ("defenses", dict(defenses="adaptiv")),
     ])
     def test_bad_config_is_refused_at_construction_by_field(self, field, overrides):
         refused(ClusterConfig, field, **overrides)
@@ -137,15 +138,6 @@ class TestClusterConfig:
         client's next transaction arrives (paper §VI-B2): delivery
         must beat the reply+request client hops."""
         assert LOG_DELIVERY_MS <= 2 * ONE_WAY_LATENCY_MS * 1.2
-
-
-class TestRpcConfig:
-    @pytest.mark.parametrize("field,overrides", [
-        # Used to pass every unfaulted run and fail at injector install.
-        ("detector_policy", dict(detector_policy="adaptiv")),
-    ])
-    def test_bad_config_is_refused_at_construction_by_field(self, field, overrides):
-        refused(RpcConfig, field, **overrides)
 
 
 class TestStatisticsConfig:
@@ -177,7 +169,7 @@ class TestStrategyWeights:
 INVALID = [
     (ClusterConfig, "num_sites", 0),
     (ClusterConfig, "cores_per_site", 0),
-    (RpcConfig, "detector_policy", "psychic"),
+    (ClusterConfig, "defenses", "wishful"),
     (StatisticsConfig, "inter_txn_window_ms", 0.0),
     (StatisticsConfig, "expiry_ms", -1.0),
     (StatisticsConfig, "max_samples", 0),
@@ -206,9 +198,6 @@ INVALID = [
 #: Settable fields with no invalid value to refuse at construction.
 ANY_VALUE = {
     (ClusterConfig, "seed"),  # any integer seeds the streams
-    (ClusterConfig, "rpc"),  # an RpcConfig, validated by its own rules
-    (RpcConfig, "adaptive_deadlines"),
-    (RpcConfig, "hedged_reads"),
     (OpenLoopSpec, "curve_params"),  # checked by the curve they build
 }
 
