@@ -22,7 +22,7 @@ test:
 	fi
 
 lint:
-	ruff check src tests
+	ruff check src tests tools benchmarks examples
 
 test-output:
 	python -m pytest tests/ 2>&1 | tee test_output.txt

@@ -8,7 +8,7 @@ replicated systems with comparable latency.
 """
 
 from _smallbank_cache import get_suite
-from repro.bench.report import print_table, ratio
+from repro.bench.report import print_table
 
 
 def test_fig8bcd_smallbank_tails(once):

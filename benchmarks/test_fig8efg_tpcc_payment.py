@@ -15,7 +15,7 @@ DynaMast's is lowest instead; the 2PC/shipping orderings hold.
 
 from _tpcc_cache import get_default_suite
 from repro.bench.experiments import cross_warehouse_sweep
-from repro.bench.report import print_table, ratio
+from repro.bench.report import print_table
 
 
 def test_fig8ef_payment_latency(once):

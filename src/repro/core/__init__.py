@@ -10,12 +10,9 @@
   (Eq. 5), co-access localization (Eqs. 6–7), combined by the weighted
   linear benefit model (Eq. 8);
 * :class:`~repro.core.site_selector.SiteSelector` — transaction
-  routing and the remastering protocol driver (Algorithm 1);
-* :class:`~repro.core.distributed_selector.ReplicaSelector` — the
-  replicated site-selector design of Appendix I.
+  routing and the remastering protocol driver (Algorithm 1).
 """
 
-from repro.core.distributed_selector import ReplicaSelector
 from repro.core.partitions import PartitionTable
 from repro.core.site_selector import RouteResult, SiteSelector
 from repro.core.statistics import AccessStatistics, StatisticsConfig
@@ -25,7 +22,6 @@ __all__ = [
     "AccessStatistics",
     "PartitionTable",
     "RemasterStrategy",
-    "ReplicaSelector",
     "RouteResult",
     "SiteSelector",
     "StatisticsConfig",

@@ -83,7 +83,6 @@ class AccessStatistics:
         #: never reads the table).
         self.track_inter = track_inter
         self._writes: Dict[int, float] = {}
-        self._total: float = 0.0
         #: Incremental ``sum(self._writes.values())``; exact because
         #: every mutation is +-1.0 per partition.
         self._mass: float = 0.0
@@ -126,13 +125,6 @@ class AccessStatistics:
         if self._pending:
             self._fold()
         return self._writes
-
-    @property
-    def total_writes(self) -> float:
-        """Retained sampled-transaction count (folds pending samples)."""
-        if self._pending:
-            self._fold()
-        return self._total
 
     @property
     def co_intra(self) -> Dict[int, Dict[int, float]]:
@@ -182,7 +174,6 @@ class AccessStatistics:
                 writes[partition] += 1.0
             else:
                 writes[partition] = 1.0
-        self._total += 1.0
         self._mass += float(len(partitions))
         if self._site_writes:
             self._shift_site_writes(partitions, 1.0)
@@ -293,7 +284,6 @@ class AccessStatistics:
                 writes.pop(partition, None)
             else:
                 writes[partition] = count
-        self._total = max(0.0, self._total - 1.0)
         self._mass -= float(len(partitions))
         if self._site_writes:
             self._shift_site_writes(partitions, -1.0)
@@ -336,55 +326,18 @@ class AccessStatistics:
 
     # -- queries -------------------------------------------------------------------
 
-    def write_fraction(self, partition: int) -> float:
-        """Fraction of sampled write transactions touching ``partition``."""
-        if self._pending:
-            self._fold()
-        if self._total <= 0:
-            return 0.0
-        return self._writes.get(partition, 0.0) / self._total
-
     def access_fraction(self, partition: int) -> float:
         """``partition``'s share of all sampled write accesses.
 
-        Unlike :meth:`write_fraction` this normalizes by total access
-        mass, so summing over all partitions yields 1 — the ``freq``
-        needed by the load-balance feature (Equation 2).
+        Normalized by total access mass, so summing over all partitions
+        yields 1 — the ``freq`` needed by the load-balance feature
+        (Equation 2).
         """
         if self._pending:
             self._fold()
         if self._mass <= 0:
             return 0.0
         return self._writes.get(partition, 0.0) / self._mass
-
-    def intra_probability(self, first: int, second: int) -> float:
-        """P(second | first) within a transaction (Eq. 6 numerator)."""
-        if self._pending:
-            self._fold()
-        base = self._writes.get(first, 0.0)
-        if base <= 0:
-            return 0.0
-        return self._intra.get(first, {}).get(second, 0.0) / base
-
-    def inter_probability(self, first: int, second: int) -> float:
-        """P(second | first; T <= Δt) across transactions (Eq. 7)."""
-        if self._pending:
-            self._fold()
-        base = self._writes.get(first, 0.0)
-        if base <= 0:
-            return 0.0
-        return self._inter.get(first, {}).get(second, 0.0) / base
-
-    def intra_partners(self, partition: int) -> Dict[int, float]:
-        """Co-access counts of partitions written with ``partition``."""
-        if self._pending:
-            self._fold()
-        return self._intra.get(partition, {})
-
-    def inter_partners(self, partition: int) -> Dict[int, float]:
-        if self._pending:
-            self._fold()
-        return self._inter.get(partition, {})
 
     # -- per-site write loads ----------------------------------------------
 

@@ -16,9 +16,9 @@ The injector interprets a :class:`~repro.faults.plan.FaultPlan`:
   (fixed-strike or phi-accrual, per ``ClusterConfig.defenses``),
   the per-destination :class:`~repro.faults.deadlines.DeadlineTracker`
   behind adaptive RPC deadlines and hedged-read delays, and the
-  ground truth (:meth:`is_crashed`) that gates the destructive
-  failover path — standing in for the durable-log service fencing a
-  dead producer.
+  ground truth (each site's ``alive`` flag, cleared at a crash) that
+  gates the destructive failover path — standing in for the
+  durable-log service fencing a dead producer.
 
 Every fault transition is recorded in :attr:`events` for reports and
 tests, and the detector/hedging counters are folded into ``Metrics``
@@ -104,15 +104,6 @@ class FaultInjector:
 
     # -- ground truth -----------------------------------------------------
 
-    def is_crashed(self, site: int) -> bool:
-        """Whether ``site`` is actually down right now (not mere suspicion).
-
-        Only this — modeling the log service refusing a fenced, dead
-        producer — may authorize forced mastership failover; suspicion
-        alone aborts the transaction instead.
-        """
-        return site in self._crashed
-
     def site_faulted(self, site: int) -> bool:
         """Whether ``site`` is under *any* active fault right now —
         crashed, fail-slow, or with a degraded/cut/lossy link touching
@@ -128,10 +119,6 @@ class FaultInjector:
             (link.src == site or link.dst == site) and link.active_at(now)
             for link in self.plan.links
         )
-
-    @property
-    def any_crashed(self) -> bool:
-        return bool(self._crashed)
 
     def sites_up(self) -> int:
         return self.cluster.config.num_sites - len(self._crashed)

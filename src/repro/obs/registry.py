@@ -210,9 +210,6 @@ class StreamingHistogram:
         for index, count in other._buckets.items():
             self._count_bucket(index, count)
 
-    def percentiles(self) -> Dict[float, float]:
-        return {fraction: self.quantile(fraction) for fraction in (0.50, 0.90, 0.95, 0.99)}
-
     def bucket_counts(self) -> List[Tuple[float, int]]:
         """(bucket lower bound, count) pairs, for export."""
         pairs = []

@@ -254,7 +254,6 @@ class DataSite:
         txn: Transaction,
         min_begin: Optional[VersionVector] = None,
         partitions: Iterable[int] = (),
-        verify_mastership: bool = False,
         token=None,
     ):
         """Execute and commit an update transaction locally.
@@ -265,9 +264,7 @@ class DataSite:
         for activity deregistration at commit, and ``token`` the
         activity registration to deregister (fault-aware routers pass
         a per-attempt token so a retried transaction cannot clobber
-        another attempt's registration). With ``verify_mastership``
-        (the distributed site-selector of Appendix I), the site aborts
-        — returns None — if it no longer masters a write-set partition.
+        another attempt's registration).
 
         Returns the transaction version vector (commit timestamp).
         """
@@ -276,11 +273,6 @@ class DataSite:
         tracer = env.obs.tracer
         traced = tracer.enabled
         track = self.trace_track if traced else ""
-        if verify_mastership and any(p not in self.mastered for p in partitions):
-            self.activity.finish(self.index, partitions, token)
-            if traced:
-                tracer.instant("mastership_miss", env._now, track=track, txn=txn)
-            return None
         started = env._now
         if min_begin is not None and not self.svv.dominates(min_begin):
             if traced:

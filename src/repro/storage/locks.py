@@ -45,10 +45,6 @@ class LockTable:
         """Number of keys currently locked (lock-table depth probe)."""
         return len(self._queues)
 
-    def waiting_count(self) -> int:
-        """Total transactions queued behind held locks."""
-        return sum(len(queue) for queue in self._queues.values() if queue)
-
     def waiters(self, key: Any) -> int:
         queue = self._queues.get(key)
         return len(queue) if queue else 0

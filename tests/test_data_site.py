@@ -113,23 +113,6 @@ class TestExecuteUpdate:
         cluster.env.run()
         assert cluster.activity.active(0, 7) == 0
 
-    def test_verify_mastership_aborts_when_not_master(self):
-        cluster = make_cluster()
-        site = cluster.sites[0]
-        cluster.activity.begin(0, [3])
-        txn = Transaction("w", client_id=0, write_set=(("t", 1),))
-
-        def run():
-            return (yield from site.execute_update(
-                txn, partitions=[3], verify_mastership=True
-            ))
-
-        process = cluster.env.process(run())
-        result = run_process(cluster.env, process)
-        assert result is None
-        assert cluster.activity.active(0, 3) == 0
-        assert site.commits == 0
-
 
 class TestExecuteRead:
     def test_read_returns_snapshot_vector(self):

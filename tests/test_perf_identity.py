@@ -231,15 +231,19 @@ def run_statistics_scenario():
         if step % 7 == 3:
             first = driver.randrange(12)
             second = driver.randrange(12)
+            # Write fraction, access fraction, the Eq. 6 / Eq. 7
+            # conditional probabilities and the intra partners of
+            # ``first``, all from the folded counts.
+            writes = stats.partition_writes.get(first, 0.0)
+            samples = stats._sample_count
+            intra = stats.co_intra.get(first, {})
+            inter = stats.co_inter.get(first, {})
             snapshots.append([
-                round(stats.write_fraction(first), 12),
+                round(writes / samples if samples else 0.0, 12),
                 round(stats.access_fraction(first), 12),
-                round(stats.intra_probability(first, second), 12),
-                round(stats.inter_probability(first, second), 12),
-                sorted(
-                    (key, round(value, 9))
-                    for key, value in stats.intra_partners(first).items()
-                ),
+                round(intra.get(second, 0.0) / writes if writes else 0.0, 12),
+                round(inter.get(second, 0.0) / writes if writes else 0.0, 12),
+                sorted((key, round(value, 9)) for key, value in intra.items()),
                 [
                     round(load, 12)
                     for load in stats.site_write_loads()
@@ -248,7 +252,7 @@ def run_statistics_scenario():
     return {
         "observed": 400,
         "sampled": sampled,
-        "total_writes": stats.total_writes,
+        "total_writes": float(stats._sample_count),
         "partition_writes": sorted(stats.partition_writes.items()),
         "co_intra": sorted(
             (left, sorted(row.items())) for left, row in stats.co_intra.items()
@@ -284,9 +288,9 @@ class TestStatisticsGolden:
             if sampler.random() < 0.85:
                 stats.observe(now, client, partitions)
             # Query every step instead of every 7th.
-            stats.write_fraction(0)
+            stats.partition_writes  # folds
             stats.access_fraction(1)
             if step % 7 == 3:
                 _ = (driver.randrange(12), driver.randrange(12))  # keep draws aligned
         assert sorted(stats.partition_writes.items()) == baseline["partition_writes"]
-        assert stats.total_writes == baseline["total_writes"]
+        assert stats._sample_count == baseline["total_writes"]

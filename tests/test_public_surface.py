@@ -11,9 +11,13 @@ definition, or when the Makefile mentions it. ``__all__`` lists and
 Two kinds of name need no caller:
 
 * a method or property whose body (after its docstring) is one
-  ``return`` spanning at most 3 lines — a pure inspection accessor;
-* a name in :data:`ALLOW`, each with the reason it stays (the strategy
-  oracle is the per-candidate scorer in ``tests/test_strategy.py``).
+  ``return`` spanning at most 3 lines — a pure inspection accessor.
+  It still needs a reader: something under ``src/``, ``tests/``,
+  ``perfbench/``, ``benchmarks/`` or ``tools/`` (or the Makefile)
+  must refer to it, or it is deleted;
+* a name in :data:`ALLOW`, each with the reason it stays (``calibrate``
+  is called by ``perfbench/driver.py`` through a ``python -c`` string,
+  which this scan does not parse).
 
 Anything else that only tests call is deleted, not kept "just in case":
 the tests then exercise the code paths that actually run.
@@ -47,7 +51,7 @@ is a key of a dict literal or ``dict(...)`` forwarded with ``**`` (see
 An option nothing sets is a second configuration no figure, benchmark
 or command runs: it is deleted, and its default becomes the code (a
 config field becomes a module constant next to its reader). The
-exceptions are the at most 10 entries of :data:`ALLOW_OPTIONS`, each
+exceptions are the at most 9 entries of :data:`ALLOW_OPTIONS`, each
 with a reason.
 
 The same holds for *registered names*: every name in
@@ -71,21 +75,11 @@ CALLER_DIRS = ("src", "perfbench", "benchmarks", "tools")
 #: Public names kept without a non-test caller, ``module:Qualified.name``
 #: -> the reason each stays.
 ALLOW = {
-    "core.distributed_selector:ReplicaSelector":
-        "paper Appendix I; its tests are the repo's evidence for the appendix",
-    "core.distributed_selector:ReplicaSelector.submit_update":
-        "paper Appendix I; its tests are the repo's evidence for the appendix",
     "bench.repeat:run_repeated": "ROADMAP item 5a error bars",
     "versioning.vectors:satisfies_session":
         "the strong-session predicate of ROADMAP item 1a's history checker",
     "bench.perf:calibrate":
         "perfbench/driver.py calls it through a `python -c` string",
-    "core.statistics:AccessStatistics.intra_probability": "input of the strategy oracle",
-    "core.statistics:AccessStatistics.inter_probability": "input of the strategy oracle",
-    "core.statistics:AccessStatistics.intra_partners": "input of the strategy oracle",
-    "core.statistics:AccessStatistics.inter_partners": "input of the strategy oracle",
-    "core.statistics:AccessStatistics.write_fraction": "input of the strategy oracle",
-    "core.statistics:AccessStatistics.total_writes": "input of the strategy oracle",
 }
 
 
@@ -184,6 +178,28 @@ def test_every_public_name_has_a_non_test_caller():
     )
 
 
+def unread_accessors() -> list:
+    """Inspection accessors nothing refers to, tests included."""
+    trees = _caller_trees()
+    tests = sorted((REPO / "tests").rglob("*.py"))
+    refs = references({**trees, **{path: ast.parse(path.read_text()) for path in tests}})
+    return sorted(
+        f"{_module_name(path)}:{node.name}.{member.name}"
+        for path, tree in trees.items() if PACKAGE in path.parents
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+        for member in node.body
+        if isinstance(member, ast.FunctionDef) and not member.name.startswith("_")
+        and _is_accessor(member)
+        and all(id(member) in enclosing for enclosing in refs.get(member.name, ()))
+    )
+
+
+def test_every_accessor_has_a_reader():
+    unread = unread_accessors()
+    assert not unread, f"inspection accessors nothing reads — delete them: {unread}"
+
+
 def test_allow_list_has_no_stale_entries():
     missing = sorted(set(ALLOW) - set(public_names(_caller_trees())))
     assert not missing, f"ALLOW names that no longer exist: {missing}"
@@ -192,7 +208,7 @@ def test_allow_list_has_no_stale_entries():
 
 
 def test_allow_list_stays_short():
-    assert len(ALLOW) <= 15
+    assert len(ALLOW) <= 3
     assert all(reason.strip() for reason in ALLOW.values())
 
 
@@ -219,8 +235,6 @@ ALLOW_OPTIONS = {
     "cli:main(argv)": "the entry point: the console script reads sys.argv, tests pass a list",
     "sim.core:Environment.timeout(value)":
         "AllOf/AnyOf carry values in the kernel golden trace (test_perf_identity)",
-    "core.distributed_selector:ReplicaSelector(refresh_interval_ms)":
-        "ReplicaSelector is in ALLOW: the appendix evidence sweeps it",
     "bench.repeat:run_repeated": "ROADMAP item 5a error bars",
     "bench.perf:calibrate": "perfbench/driver.py calls it through a `python -c` string",
     "core.statistics:StatisticsConfig":
@@ -557,7 +571,7 @@ def test_every_option_dataclass_exists():
 
 
 def test_option_allow_list_is_short_and_current():
-    assert len(ALLOW_OPTIONS) <= 10
+    assert len(ALLOW_OPTIONS) <= 9
     assert all(reason.strip() for reason in ALLOW_OPTIONS.values())
     unset = unset_options()
     stale = sorted(

@@ -1,7 +1,5 @@
 """System-level behavioural scenarios from the paper's narrative."""
 
-import pytest
-
 from repro.partitioning.schemes import PartitionScheme
 from repro.sim.config import ClusterConfig
 from repro.systems import Cluster, build_system
@@ -23,7 +21,6 @@ class TestFigure1Walkthrough:
 
     def test_dynamic_mastering_example(self):
         cluster, system = make_dynamast()
-        selector = system.selector
         events = []
 
         # a -> partition 0 (site 0); b -> partition 1 (site 1);
@@ -129,7 +126,6 @@ class TestRemasteringParallelism:
         cluster.env.process(client(1, (("t", 25), ("t", 35))))
         cluster.env.run()
         assert len(finish) == 2
-        solo_estimate = max(finish)
         # If they serialized, the second would finish ~2x the first.
         assert max(finish) < 1.7 * min(finish)
 

@@ -24,7 +24,6 @@ from repro.replication import recovery
 from repro.sim.config import ClusterConfig
 from repro.systems import Cluster, build_system
 from repro.transactions import Transaction
-from repro.versioning import VersionVector
 from tests.helpers import assert_converged, written_chains
 
 
@@ -33,7 +32,6 @@ def run_random_workload(seed=0, num_sites=3, num_clients=8, txns_per_client=25):
     cluster = Cluster(ClusterConfig(num_sites=num_sites, seed=seed))
     scheme = PartitionScheme(lambda key: key[1] // 5, num_partitions=8)
     system = build_system("dynamast", cluster, scheme=scheme)
-    commits = []  # (txn, begin-ish info) — we record tvv via wrapper
     sessions = {}
 
     def client(client_id):

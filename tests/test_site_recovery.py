@@ -91,7 +91,6 @@ class TestSiteRecovery:
         replacement = crash_and_rejoin(cluster, 1, initial)
         if not replacement.mastered:
             # Give it something to master via the normal protocol.
-            session = system.new_session(9)
             run_writes(cluster, system, [(15, 25)], client_id=9)
             cluster.run(until=cluster.env.now + 20.0)
 

@@ -1,7 +1,5 @@
 """Tests for the site selector: routing and the remastering protocol."""
 
-import pytest
-
 from repro.core.site_selector import SiteSelector
 from repro.core.strategy import StrategyWeights
 from repro.partitioning.schemes import PartitionScheme
@@ -130,7 +128,7 @@ class TestRouteUpdate:
             txn = write_txn(0, client_id=0)
             txn.extra_cpu_ms = 30.0
             route = yield from selector.route_update(txn)
-            tvv = yield from cluster.sites[route.site].execute_update(
+            yield from cluster.sites[route.site].execute_update(
                 txn, route.min_vv, partitions=route.partitions
             )
             order.append(("holder-commit", cluster.env.now))

@@ -19,18 +19,20 @@ def make_stats(**overrides):
 
 class TestWriteFrequencies:
     def test_write_fraction(self):
+        """A partition's write count over the sample count."""
         stats = make_stats()
         stats.observe(0.0, client_id=1, partitions=[1, 2])
         stats.observe(1.0, client_id=1, partitions=[1])
-        assert stats.write_fraction(1) == 1.0  # in every sampled txn
-        assert stats.write_fraction(2) == 0.5
-        assert stats.write_fraction(99) == 0.0
+        assert stats._sample_count == 2
+        assert stats.partition_writes == {1: 2.0, 2: 1.0}  # 1 in every txn
 
     def test_empty_stats(self):
         stats = make_stats()
-        assert stats.write_fraction(0) == 0.0
-        assert stats.intra_probability(0, 1) == 0.0
-        assert stats.inter_probability(0, 1) == 0.0
+        assert stats._sample_count == 0
+        assert stats.partition_writes == {}
+        assert stats.co_intra == {}
+        assert stats.co_inter == {}
+        assert stats.access_fraction(0) == 0.0
 
     def test_duplicate_partitions_counted_once(self):
         stats = make_stats()
@@ -67,17 +69,18 @@ class TestWriteFrequencies:
 
 class TestIntraCorrelations:
     def test_intra_probability_symmetric_counts(self):
+        """Pair counts are symmetric; P(2 | 1) = 1/2 and P(1 | 2) = 1
+        differ only by the partitions' write counts."""
         stats = make_stats()
         stats.observe(0.0, 1, [1, 2])
         stats.observe(1.0, 1, [1, 3])
-        assert stats.intra_probability(1, 2) == 0.5
-        assert stats.intra_probability(2, 1) == 1.0
-        assert stats.intra_probability(1, 3) == 0.5
+        assert stats.co_intra == {1: {2: 1.0, 3: 1.0}, 2: {1: 1.0}, 3: {1: 1.0}}
+        assert stats.partition_writes == {1: 2.0, 2: 1.0, 3: 1.0}
 
     def test_intra_partners(self):
         stats = make_stats()
         stats.observe(0.0, 1, [1, 2, 3])
-        assert set(stats.intra_partners(1)) == {2, 3}
+        assert set(stats.co_intra[1]) == {2, 3}
 
 
 class TestInterCorrelations:
@@ -85,21 +88,20 @@ class TestInterCorrelations:
         stats = make_stats(inter_txn_window_ms=10.0)
         stats.observe(0.0, client_id=1, partitions=[1])
         stats.observe(5.0, client_id=1, partitions=[2])
-        assert stats.inter_probability(1, 2) == 1.0
         # Direction matters: 2 was not followed by 1.
-        assert stats.inter_probability(2, 1) == 0.0
+        assert stats.co_inter == {1: {2: 1.0}}
 
     def test_outside_window_not_correlated(self):
         stats = make_stats(inter_txn_window_ms=10.0)
         stats.observe(0.0, client_id=1, partitions=[1])
         stats.observe(50.0, client_id=1, partitions=[2])
-        assert stats.inter_probability(1, 2) == 0.0
+        assert stats.co_inter == {}
 
     def test_different_clients_not_correlated(self):
         stats = make_stats()
         stats.observe(0.0, client_id=1, partitions=[1])
         stats.observe(1.0, client_id=2, partitions=[2])
-        assert stats.inter_probability(1, 2) == 0.0
+        assert stats.co_inter == {}
 
 
 class TestExpiry:
@@ -108,14 +110,15 @@ class TestExpiry:
         stats.observe(0.0, 1, [1, 2])
         stats.observe(5.0, 1, [3])  # also creates inter pair 1->3, 2->3
         assert stats.partition_writes.get(1) == 1.0
+        assert stats.co_inter == {1: {3: 1.0}, 2: {3: 1.0}}
         # A new observation far in the future expires both old samples.
         stats.observe(500.0, 1, [7])
         assert 1 not in stats.partition_writes
         assert 2 not in stats.partition_writes
-        assert stats.intra_probability(1, 2) == 0.0
-        assert stats.inter_probability(1, 3) == 0.0
-        assert stats.partition_writes.get(7) == 1.0
-        assert stats.total_writes == 1.0
+        assert stats.co_intra == {}
+        assert stats.co_inter == {}
+        assert stats.partition_writes == {7: 1.0}
+        assert stats._sample_count == 1
 
     def test_max_samples_bound(self):
         stats = make_stats(expiry_ms=1e9, max_samples=5)
@@ -132,7 +135,7 @@ class TestSampling:
         stats = AccessStatistics(StatisticsConfig())
         stats.observe(0.0, 1, [1])
         stats.observe(1.0, 2, [])  # a write set with no partition
-        assert stats.total_writes == 1
+        assert stats._sample_count == 1
 
 
 def _bump(table, left, right):

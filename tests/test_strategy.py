@@ -83,17 +83,21 @@ def oracle_refresh_delay(source_vvs, candidate_vv, session_vv):
     return 0.0 if required is None else float(candidate_vv.lag_behind(required))
 
 
-def oracle_localization(strategy, write_partitions, candidate, probability, partners):
-    """Equations 6-7: co-access-weighted single-sitedness change."""
+def oracle_localization(strategy, write_partitions, candidate, table):
+    """Equations 6-7: co-access-weighted single-sitedness change, with
+    P(second | first) read off the raw co-access ``table`` as
+    ``count / writes(first)``."""
+    writes = strategy.statistics.partition_writes
     write_set = set(write_partitions)
     score = 0.0
     for first in write_partitions:
-        for second in partners(first):
+        base = writes.get(first, 0.0)
+        if base <= 0.0:
+            continue
+        for second, count in table.get(first, {}).items():
             if second == first:
                 continue
-            likelihood = probability(first, second)
-            if likelihood <= 0.0:
-                continue
+            likelihood = count / base
             sited = single_sited(strategy.table, candidate, first, second, write_set)
             if sited > 0:
                 score += likelihood
@@ -108,12 +112,10 @@ def oracle_score(strategy, candidate, write_partitions, loads, source_vvs,
     balance = oracle_balance(strategy, write_partitions, candidate, loads)
     delay = oracle_refresh_delay(source_vvs, candidate_vv, session_vv)
     intra = oracle_localization(
-        strategy, write_partitions, candidate,
-        stats.intra_probability, stats.intra_partners,
+        strategy, write_partitions, candidate, stats.co_intra
     ) if weights.intra_txn else 0.0
     inter = oracle_localization(
-        strategy, write_partitions, candidate,
-        stats.inter_probability, stats.inter_partners,
+        strategy, write_partitions, candidate, stats.co_inter
     ) if weights.inter_txn else 0.0
     benefit = (
         weights.balance * balance

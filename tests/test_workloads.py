@@ -216,7 +216,7 @@ class TestTPCC:
         rng = random.Random(2)
         warehouse = rng.randrange(workload.config.warehouses)
         # Seed recent lines via a New-Order for this client's warehouse.
-        no = workload._make_neworder(0, warehouse, rng)
+        workload._make_neworder(0, warehouse, rng)
         sl = workload._make_stocklevel(0, warehouse, rng)
         # District row plus order lines and stock entries.
         tables = Counter(table for table, _ in sl.all_keys())
