@@ -222,18 +222,17 @@ def check_report(current: Dict, committed: Dict) -> List[str]:
     return failures
 
 
-def main(*, check: bool = False, out: str = DEFAULT_REPORT,
-         baseline_path: str = DEFAULT_REPORT, jobs: int = 1,
+def main(*, check: bool = False, out: str = DEFAULT_REPORT, jobs: int = 1,
          cores: Optional[int] = None, emit=print) -> int:
     """Drive a perf run; returns a process exit code.
 
     ``check=False``: run the matrix over ``jobs`` workers — or, with
     ``cores``, the jobs sweep — and write ``out``. ``check=True``: run
-    it and compare the pins against the committed ``baseline_path``;
+    it and compare the pins against the committed :data:`DEFAULT_REPORT`;
     never writes; exit 1 on any mismatch.
     """
     # Load up front so a missing or stale file fails before the matrix runs.
-    committed = load_report(baseline_path, SCHEMA) if check else None
+    committed = load_report(DEFAULT_REPORT, SCHEMA) if check else None
     emit(f"perf: running {len(PERF_MATRIX)} case(s), "
          + (f"cores sweep {sweep_levels(cores)}" if cores else f"jobs={jobs}"))
     if cores:
@@ -249,9 +248,9 @@ def main(*, check: bool = False, out: str = DEFAULT_REPORT,
         for failure in failures:
             emit(f"  FAIL {failure}")
         if failures:
-            emit(f"perf: {len(failures)} check(s) failed vs {baseline_path}")
+            emit(f"perf: {len(failures)} check(s) failed vs {DEFAULT_REPORT}")
             return 1
-        emit(f"perf: {', '.join(PINNED)} identical to {baseline_path}")
+        emit(f"perf: {', '.join(PINNED)} identical to {DEFAULT_REPORT}")
         return 0
 
     write_report(payload, out)

@@ -454,7 +454,6 @@ def main(
     smoke: bool = False,
     check: bool = False,
     out: str = DEFAULT_REPORT,
-    baseline_path: str = DEFAULT_REPORT,
     jobs: int = 1,
     render_tables: bool = False,
     emit=print,
@@ -463,16 +462,16 @@ def main(
 
     ``check=False``: run the matrix (or the ``--smoke`` subset) and
     write ``out``. ``check=True``: run, compare fingerprints exactly
-    and RSS against budget versus the committed ``baseline_path``;
+    and RSS against budget versus the committed :data:`DEFAULT_REPORT`;
     never writes; exit 1 on any failure. ``render_tables=True``: load
-    the committed ``baseline_path`` and print its knee tables as
+    the committed :data:`DEFAULT_REPORT` and print its knee tables as
     markdown (the EXPERIMENTS.md / docs/SCALE.md source) without
     running anything.
     """
     if render_tables:
-        emit(_render_tables_text(load_report(baseline_path, SCHEMA)).rstrip("\n"))
+        emit(_render_tables_text(load_report(DEFAULT_REPORT, SCHEMA)).rstrip("\n"))
         return 0
-    committed = load_report(baseline_path, SCHEMA) if check else None
+    committed = load_report(DEFAULT_REPORT, SCHEMA) if check else None
     cases = select_cases(smoke=smoke)
     points = sum(len(case.ladder) for case in cases)
     emit(f"scale: running {len(cases)} case(s), {points} ladder point(s), "
@@ -504,10 +503,10 @@ def main(
         for failure in failures:
             emit(f"  FAIL {failure}")
         if failures:
-            emit(f"scale: {len(failures)} check(s) failed vs {baseline_path}")
+            emit(f"scale: {len(failures)} check(s) failed vs {DEFAULT_REPORT}")
             return 1
         emit(f"scale: fingerprints identical and RSS within budget vs "
-             f"{baseline_path}")
+             f"{DEFAULT_REPORT}")
         return 0
 
     write_report(payload, out)

@@ -48,6 +48,9 @@ from repro.sim.config import DEFENSES, ClusterConfig
 
 WORKLOADS = ("ycsb", "tpcc", "smallbank")
 
+#: Remaster decisions ``repro masters`` lists, most recent last.
+RECENT_DECISIONS = 10
+
 
 def make_workload_spec(name: str, args):
     """Describe a workload from CLI arguments as picklable pure data
@@ -61,26 +64,15 @@ def make_workload_spec(name: str, args):
     from repro.bench.parallel import WorkloadSpec
 
     if name == "ycsb":
-        return WorkloadSpec.of("ycsb", rmw_fraction=args.rmw, zipf_theta=args.skew)
-    if name == "tpcc":
-        return WorkloadSpec.of("tpcc", neworder_remote_fraction=args.remote)
-    if name == "smallbank":
-        return WorkloadSpec.of("smallbank")
+        return WorkloadSpec.of("ycsb", zipf_theta=args.skew)
+    if name in WORKLOADS:
+        return WorkloadSpec.of(name)
     raise ValueError(f"unknown workload {name!r}; expected one of {WORKLOADS}")
 
 
 def make_workload(name: str, args):
     """Instantiate a workload from CLI arguments."""
     return make_workload_spec(name, args).build()
-
-
-def row_count(text: str) -> int:
-    """An argparse type for a row count: a negative one would slice
-    "all but N" rows, so it is refused (exit 2, naming the flag)."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
 
 
 def job_count(text: str) -> int:
@@ -93,15 +85,6 @@ def job_count(text: str) -> int:
     return value
 
 
-def fraction(text: str) -> float:
-    """An argparse type for a share: outside [0, 1] it can never hold
-    or always holds, so it is refused (exit 2, naming the flag)."""
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {value:g}")
-    return value
-
-
 def add_common_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workload", choices=WORKLOADS, default="ycsb")
     parser.add_argument("--clients", type=int, default=32)
@@ -110,12 +93,8 @@ def add_common_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--duration", type=float, default=1000.0,
                         help="simulated milliseconds")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--rmw", type=float, default=0.5,
-                        help="[ycsb] RMW fraction")
     parser.add_argument("--skew", type=float, default=0.0,
                         help="[ycsb] Zipfian theta")
-    parser.add_argument("--remote", type=float, default=0.10,
-                        help="[tpcc] cross-warehouse New-Order fraction")
 
 
 def run_rows(systems, args, jobs: int = 1):
@@ -169,11 +148,7 @@ def cmd_trace(args) -> int:
         write_jsonl,
     )
 
-    if args.sample_interval <= 0:
-        print(f"repro trace: error: --sample-interval must be positive, "
-              f"got {args.sample_interval}", file=sys.stderr)
-        return 2
-    obs = Observability(sample_interval_ms=args.sample_interval)
+    obs = Observability()
     result = run_live(args.system, args, obs=obs)
     print_run_report(result)
 
@@ -186,7 +161,7 @@ def cmd_trace(args) -> int:
     print(f"wrote {events_path}", file=sys.stderr)
 
     print()
-    print(flame_summary(obs.tracer, top=args.top))
+    print(flame_summary(obs.tracer))
     print_table(
         "trace vs metrics reconciliation",
         ["phase", "trace ms", "metrics ms", "delta"],
@@ -261,7 +236,12 @@ def _print_diff(diff) -> None:
 def cmd_explain(args) -> int:
     import json
 
-    from repro.obs.attribution import AttributionError, diff_reports, render_waterfall
+    from repro.obs.attribution import (
+        EXEMPLARS,
+        AttributionError,
+        diff_reports,
+        render_waterfall,
+    )
 
     if args.diff:
         try:
@@ -294,8 +274,8 @@ def cmd_explain(args) -> int:
 
     _print_budget(report)
     print()
-    print(f"== {args.exemplars} worst transactions (waterfalls) ==")
-    for txn in report.tail_exemplars(args.exemplars):
+    print(f"== {EXEMPLARS} worst transactions (waterfalls) ==")
+    for txn in report.tail_exemplars():
         print()
         print(render_waterfall(txn))
 
@@ -311,20 +291,20 @@ def cmd_explain(args) -> int:
 
     if args.export:
         with open(args.export, "w") as handle:
-            json.dump(report.to_dict(exemplars=args.exemplars), handle,
-                      indent=2, sort_keys=True)
+            json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
         print(f"wrote {args.export}", file=sys.stderr)
     return 0
 
 
 def cmd_masters(args) -> int:
     from repro.bench.report import print_mastering, print_table
-    from repro.obs.mastery import DecisionLedger, render_decision
+    from repro.obs.mastery import (
+        CONVERGENCE_THRESHOLD,
+        WINDOW_MS,
+        DecisionLedger,
+        render_decision,
+    )
 
-    if args.window <= 0:
-        print(f"repro masters: error: --window must be positive, "
-              f"got {args.window}", file=sys.stderr)
-        return 2
     ledger = DecisionLedger()
     result = run_live(args.system, args, ledger=ledger)
 
@@ -338,9 +318,9 @@ def cmd_masters(args) -> int:
         return 0
 
     print_mastering(result)
-    series = ledger.rate_series(args.window)
+    series = ledger.rate_series(WINDOW_MS)
     print_table(
-        f"windowed remaster rate ({args.window:g} ms windows)",
+        f"windowed remaster rate ({WINDOW_MS:g} ms windows)",
         ["window start", "routed", "remastered", "moved", "fraction"],
         [
             [f"{window.start_ms:g}", window.routed, window.remastered,
@@ -348,50 +328,42 @@ def cmd_masters(args) -> int:
             for window in series
         ],
     )
-    convergence = ledger.convergence_time(
-        threshold=args.threshold, window_ms=args.window
-    )
+    convergence = ledger.convergence_time()
     print()
     if convergence is None:
-        print(f"convergence: never settled at <= {args.threshold:.0%} "
+        print(f"convergence: never settled at <= {CONVERGENCE_THRESHOLD:.0%} "
               f"remastered per window")
     else:
         print(f"convergence: {convergence:,.0f} ms from run start "
-              f"(<= {args.threshold:.0%} remastered per {args.window:g} ms "
+              f"(<= {CONVERGENCE_THRESHOLD:.0%} remastered per {WINDOW_MS:g} ms "
               f"window, steady through run end)")
 
-    timeline = ledger.timeline()
-    if args.partition is not None:
-        print()
-        print(timeline.render(args.partition, end=result.duration_ms))
-    if args.decisions:
-        print_table(
-            f"last {args.decisions} remaster decisions (--why <seq> for "
-            f"the score waterfall)",
-            ["seq", "at ms", "txn", "chosen", "runner-up", "margin",
-             "tie", "moved"],
-            [
-                [record.seq, f"{record.at_ms:g}", record.txn_id,
-                 record.chosen,
-                 "-" if record.runner_up is None else record.runner_up,
-                 f"{record.margin:.3g}", record.tie_break,
-                 record.partitions_moved]
-                for record in ledger.decisions[-args.decisions:]
-            ],
-        )
+    print_table(
+        f"last {RECENT_DECISIONS} remaster decisions (--why <seq> for "
+        f"the score waterfall)",
+        ["seq", "at ms", "txn", "chosen", "runner-up", "margin",
+         "tie", "moved"],
+        [
+            [record.seq, f"{record.at_ms:g}", record.txn_id,
+             record.chosen,
+             "-" if record.runner_up is None else record.runner_up,
+             f"{record.margin:.3g}", record.tie_break,
+             record.partitions_moved]
+            for record in ledger.decisions[-RECENT_DECISIONS:]
+        ],
+    )
 
     if args.export_jsonl:
         ledger.write_jsonl(args.export_jsonl)
         print(f"wrote {args.export_jsonl}", file=sys.stderr)
     if args.export_csv:
-        ledger.write_csv(args.export_csv, window_ms=args.window)
+        ledger.write_csv(args.export_csv)
         print(f"wrote {args.export_csv}", file=sys.stderr)
     if args.prometheus:
         from repro.obs.registry import MetricsRegistry
 
         registry = MetricsRegistry()
-        ledger.to_registry(registry, threshold=args.threshold,
-                           window_ms=args.window)
+        ledger.to_registry(registry)
         with open(args.prometheus, "w") as handle:
             handle.write(registry.to_prometheus())
         print(f"wrote {args.prometheus}", file=sys.stderr)
@@ -419,16 +391,6 @@ def cmd_compare(args) -> int:
         ["system", "txn/s", "mean ms", "p99 ms", "remaster/ship"],
         rows,
     )
-    if args.csv:
-        from repro.bench.export import write_csv
-
-        write_csv(results, args.csv)
-        print(f"wrote {args.csv}", file=sys.stderr)
-    if args.json:
-        from repro.bench.export import write_json
-
-        write_json(results, args.json)
-        print(f"wrote {args.json}", file=sys.stderr)
     return 0
 
 
@@ -438,12 +400,7 @@ def cmd_slo(args) -> int:
     from repro.faults.plan import FaultPlan
     from repro.obs.slo import SloEngine, quick_slos
 
-    if args.window <= 0:
-        print(f"repro slo: error: --window must be positive, "
-              f"got {args.window}", file=sys.stderr)
-        return 2
-    engine = (quick_slos(window_ms=args.window) if args.quick
-              else SloEngine(window_ms=args.window))
+    engine = quick_slos() if args.quick else SloEngine()
     # "none" runs unfaulted: the objectives and invariants still
     # evaluate, but there is no ground truth to correlate against, so
     # any incident is a false positive by definition.
@@ -461,7 +418,7 @@ def cmd_slo(args) -> int:
     )
     print(f"\n== repro slo: {args.system} under {args.scenario} "
           f"({args.sites} sites, {args.duration:g} ms, "
-          f"defenses={args.defenses}, window={args.window:g} ms) ==")
+          f"defenses={args.defenses}, window={engine.window_ms:g} ms) ==")
     print_slo(report.result)
     if args.html:
         from repro.obs.dashboard import write_dashboard
@@ -521,7 +478,6 @@ def cmd_chaos(args) -> int:
         num_sites=args.sites,
         num_clients=args.clients,
         duration_ms=args.duration,
-        bucket_ms=args.bucket,
         seed=args.seed,
         obs=obs,
         ledger=ledger,
@@ -575,7 +531,7 @@ def cmd_chaos(args) -> int:
                 ],
             )
     if args.masters:
-        mastering = report.mastering_summary(window_ms=args.bucket)
+        mastering = report.mastering_summary()
         if mastering is not None:
             print_mastering(report.result)
             rows = []
@@ -617,7 +573,6 @@ def _chaos_matrix(args, systems, scenarios) -> int:
         num_sites=args.sites,
         num_clients=args.clients,
         duration_ms=args.duration,
-        bucket_ms=args.bucket,
         seed=args.seed,
         mastery=args.masters,
         slo=args.slo,
@@ -646,7 +601,7 @@ def _chaos_matrix(args, systems, scenarios) -> int:
             "yes" if report.recovered() else "NO",
         ]
         if args.masters:
-            mastering = report.mastering_summary(window_ms=args.bucket)
+            mastering = report.mastering_summary()
             if mastering is None:
                 row += ["-", "-"]
             else:
@@ -692,7 +647,6 @@ def cmd_perf(args) -> int:
 
     harness = scale if args.scale else perf
     out = args.out or harness.DEFAULT_REPORT
-    baseline = args.baseline or harness.DEFAULT_REPORT
     try:
         if args.scale:
             if args.cores:
@@ -701,7 +655,6 @@ def cmd_perf(args) -> int:
                 smoke=args.smoke,
                 check=args.check,
                 out=out,
-                baseline_path=baseline,
                 jobs=args.jobs,
                 render_tables=args.render_tables,
             )
@@ -711,7 +664,6 @@ def cmd_perf(args) -> int:
         return perf.main(
             check=args.check,
             out=out,
-            baseline_path=baseline,
             jobs=args.jobs,
             cores=args.cores or None,
         )
@@ -749,7 +701,8 @@ def cmd_experiments(_args) -> int:
     return 0
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` parser: one subparser per command."""
     parser = argparse.ArgumentParser(
         prog="repro", description="DynaMast reproduction toolkit"
     )
@@ -763,8 +716,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     compare = commands.add_parser("compare", help="compare systems on a workload")
     compare.add_argument("--systems", default="",
                          help="comma-separated subset (default: all five)")
-    compare.add_argument("--csv", default="", help="also write results as CSV")
-    compare.add_argument("--json", default="", help="also write results as JSON")
     compare.add_argument("--jobs", type=job_count, default=1,
                          help="worker processes to fan the systems over "
                               "(results are bit-identical to --jobs 1)")
@@ -777,10 +728,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     trace.add_argument("--system", choices=ALL_SYSTEMS, default="dynamast")
     trace.add_argument("--out", default="repro-run",
                        help="output prefix (<out>.trace.json, <out>.events.jsonl)")
-    trace.add_argument("--sample-interval", type=float, default=10.0,
-                       help="timeline sampling cadence, simulated ms")
-    trace.add_argument("--top", type=row_count, default=20,
-                       help="flame summary rows")
     add_common_arguments(trace)
     trace.set_defaults(fn=cmd_trace)
 
@@ -797,8 +744,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                               "on malformed or mismatched pairs")
     explain.add_argument("--export", default="",
                          help="write the attribution report as JSON")
-    explain.add_argument("--exemplars", type=row_count, default=3,
-                         help="worst-transaction waterfalls to print")
     add_common_arguments(explain)
     explain.set_defaults(fn=cmd_explain)
 
@@ -807,18 +752,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                         "report mastership timelines and convergence"
     )
     masters.add_argument("--system", choices=ALL_SYSTEMS, default="dynamast")
-    masters.add_argument("--window", type=float, default=100.0,
-                         help="remaster-rate window, simulated ms")
-    masters.add_argument("--threshold", type=fraction, default=0.05,
-                         help="steady-state remastered fraction defining "
-                              "convergence (default: %(default)s)")
     masters.add_argument("--why", type=int, default=None, metavar="SEQ",
                          help="print one decision's provenance waterfall "
                               "and exit")
-    masters.add_argument("--partition", type=int, default=None,
-                         help="print this partition's ownership timeline")
-    masters.add_argument("--decisions", type=row_count, default=10,
-                         help="recent decisions to list (0 to hide)")
     masters.add_argument("--export-jsonl", default="",
                          help="write the full ledger (repro-masters/1 JSONL)")
     masters.add_argument("--export-csv", default="",
@@ -847,8 +783,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     chaos.add_argument("--clients", type=int, default=16)
     chaos.add_argument("--duration", type=float, default=10_000.0,
                        help="simulated milliseconds")
-    chaos.add_argument("--bucket", type=float, default=250.0,
-                       help="availability bucket width, simulated ms")
     chaos.add_argument("--seed", type=int, default=0)
     chaos.add_argument("--out", default="", help="write the timeline as CSV")
     chaos.add_argument("--explain", action="store_true",
@@ -881,8 +815,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     slo.add_argument("--duration", type=float, default=10_000.0,
                      help="simulated milliseconds")
     slo.add_argument("--seed", type=int, default=0)
-    slo.add_argument("--window", type=float, default=250.0,
-                     help="tumbling SLO window, simulated ms")
     slo.add_argument("--quick", action="store_true",
                      help="2-window baseline calibration for short smoke "
                           "runs (default: 4 windows)")
@@ -921,9 +853,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     perf.add_argument("--out", default=None,
                       help="report path to write (default: BENCH_perf.json, "
                            "or BENCH_scale.json with --scale)")
-    perf.add_argument("--baseline", default=None,
-                      help="committed report --check compares against "
-                           "(same defaults as --out)")
     perf.add_argument("--jobs", type=job_count, default=1,
                       help="worker processes for the matrix (simulated "
                            "results are bit-identical to serial)")
@@ -936,8 +865,11 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     experiments = commands.add_parser("experiments", help="list figure drivers")
     experiments.set_defaults(fn=cmd_experiments)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
     from repro.bench.parallel import SpecExecutionError
 
     try:

@@ -35,6 +35,10 @@ __all__ = [
 #: processes.
 DEFAULT_CHAOS_WORKLOAD = dict(num_partitions=40, rmw_fraction=0.5, zipf_theta=0.5)
 
+#: Width of an availability bucket (and of the remaster-rate windows
+#: re-convergence is read over), simulated ms.
+BUCKET_MS = 250.0
+
 
 def chaos_workload_spec() -> WorkloadSpec:
     return WorkloadSpec.of("ycsb", **DEFAULT_CHAOS_WORKLOAD)
@@ -82,41 +86,37 @@ class ChaosReport:
 
     # -- mastering re-convergence (ledger-observed chaos runs) ---------------
 
-    def mastering_summary(self, window_ms: float = 250.0) -> Optional[Dict]:
+    def mastering_summary(self) -> Optional[Dict]:
         """Mastering metrics with per-disruption re-convergence.
 
         For a chaos run with a decision ledger attached
         (``run_chaos(..., ledger=DecisionLedger())`` or the CLI's
-        ``repro chaos --masters``), returns the ledger's scalar summary
-        plus a ``reconvergence`` list with one entry per fault
-        transition: how many milliseconds after the event the windowed
-        remaster rate settled back at or below 5 % (None when
-        it never did — e.g. the run ended mid-storm). A portable
-        summary that only carries folded scalars gets an empty
-        ``reconvergence`` list (the event-level series stayed in the
-        worker). None when the run carried no ledger at all.
+        ``repro chaos --masters``), returns the run's folded ledger
+        scalars (``result.mastery``, the same for a live and a portable
+        result) plus a ``reconvergence`` list with one entry per fault
+        transition: how many milliseconds after the event the
+        :data:`BUCKET_MS`-windowed remaster rate settled back at or
+        below 5 % (None when it never did — e.g. the run ended
+        mid-storm). A portable result gets an empty ``reconvergence``
+        list (the event-level series stayed in the worker). None when
+        the run carried no ledger at all.
         """
-        if self.result is None:
+        mastery = self.result.mastery if self.result is not None else {}
+        if not mastery:
             return None
         ledger = self.result.ledger
-        if ledger is None:
-            folded = self.result.mastery
-            return {"summary": dict(folded), "reconvergence": []} if folded else None
-        reconvergence = [
+        reconvergence = [] if ledger is None else [
             {
                 "at_ms": at_ms,
                 "kind": kind,
                 "site": site,
                 "reconvergence_ms": ledger.convergence_time(
-                    after=at_ms, window_ms=window_ms
+                    after=at_ms, window_ms=BUCKET_MS
                 ),
             }
             for at_ms, kind, site in self.fault_events
         ]
-        return {
-            "summary": ledger.summary(window_ms=window_ms),
-            "reconvergence": reconvergence,
-        }
+        return {"summary": dict(mastery), "reconvergence": reconvergence}
 
     def degraded_windows(self) -> List[Tuple[float, float]]:
         """``[crash, restart)`` windows during which any site was down."""
@@ -206,7 +206,7 @@ def run_chaos(
     num_clients: int = 16,
     duration_ms: float = 10_000.0,
     warmup_ms: float = 0.0,
-    bucket_ms: float = 250.0,
+    bucket_ms: float = BUCKET_MS,
     seed: int = 0,
     workload=None,
     plan: Optional[FaultPlan] = None,
@@ -232,7 +232,10 @@ def run_chaos(
     scenario's injected fault windows. ``defenses`` selects the
     gray-failure defense preset (``ClusterConfig.defenses``).
     """
-    _check_bucket(bucket_ms)
+    # A bucket that is not positive would yield an empty timeline, which
+    # reads as a dead run that "recovered".
+    if not bucket_ms > 0:
+        raise ValueError(f"bucket_ms must be > 0, got {bucket_ms}")
     if plan is None:
         plan = build_scenario(scenario, num_sites=num_sites, duration_ms=duration_ms)
     if workload is None:
@@ -257,13 +260,6 @@ def run_chaos(
     )
 
 
-def _check_bucket(bucket_ms: float) -> None:
-    # A bucket that is not positive would yield an empty timeline, which
-    # reads as a dead run that "recovered".
-    if not bucket_ms > 0:
-        raise ValueError(f"bucket_ms must be > 0, got {bucket_ms}")
-
-
 def report_from_result(
     result,
     scenario: str,
@@ -271,7 +267,7 @@ def report_from_result(
     num_sites: int,
     duration_ms: float,
     warmup_ms: float = 0.0,
-    bucket_ms: float = 250.0,
+    bucket_ms: float = BUCKET_MS,
 ) -> ChaosReport:
     """Distill a run (live ``RunResult`` or portable ``RunSummary``)
     into a :class:`ChaosReport`.
@@ -319,7 +315,6 @@ def run_chaos_matrix(
     num_sites: int = 3,
     num_clients: int = 16,
     duration_ms: float = 10_000.0,
-    bucket_ms: float = 250.0,
     seed: int = 0,
     mastery: bool = False,
     slo: bool = False,
@@ -336,9 +331,8 @@ def run_chaos_matrix(
     gray-failure defense preset for every cell (``ClusterConfig.defenses``).
     ``slo=True`` evaluates the default SLO and invariant monitors in
     every cell; the folded verdict rides back on each summary's ``slo``
-    dict.
+    dict. Each timeline is bucketed at :data:`BUCKET_MS`.
     """
-    _check_bucket(bucket_ms)
     workload = chaos_workload_spec()
     combos = [(system, scenario) for system in systems for scenario in scenarios]
     specs = [
@@ -361,7 +355,7 @@ def run_chaos_matrix(
     return {
         combo: report_from_result(
             summary, combo[1],
-            num_sites=num_sites, duration_ms=duration_ms, bucket_ms=bucket_ms,
+            num_sites=num_sites, duration_ms=duration_ms,
         )
         for combo, summary in zip(combos, summaries)
     }

@@ -41,7 +41,7 @@ __all__ = ["NULL_OBS", "Observability"]
 class Observability:
     """Tracer + timeline sampler for one run."""
 
-    def __init__(self, tracer=None, sample_interval_ms: float = 10.0):
+    def __init__(self, tracer=None):
         self.tracer = tracer if tracer is not None else Tracer()
         #: True when this run is actually being observed. Fixed here
         #: (``Tracer.enabled`` is a class constant): 2PC reads it per
@@ -51,7 +51,7 @@ class Observability:
         #: the coordinators of an observed run; the ``2pc_inflight``
         #: timeline).
         self.inflight_2pc = 0
-        self.sampler = TimelineSampler(interval_ms=sample_interval_ms)
+        self.sampler = TimelineSampler()
 
     @property
     def timelines(self):

@@ -12,8 +12,8 @@ those paths into
 * a **blame ranking** — (category, track) pairs ordered by how much of
   the tail they explain ("62% of the p95+ tail is refresh wait at
   site 3");
-* **tail exemplars** — the k worst transactions rendered as waterfall
-  text;
+* **tail exemplars** — the :data:`EXEMPLARS` worst transactions
+  rendered as waterfall text;
 * **edge summaries** — lock wait-for holders by transaction type,
   lagging refresh origins, RPC/remaster/2PC round counts.
 
@@ -48,6 +48,9 @@ BUDGET_QUANTILES = (0.50, 0.95, 0.99)
 
 #: Rank window (each side) averaged around a quantile's nearest rank.
 _QUANTILE_WINDOW = 2
+
+#: Worst transactions a report carries as waterfalls.
+EXEMPLARS = 3
 
 
 class AttributionError(ValueError):
@@ -223,9 +226,9 @@ class AttributionReport:
             for (category, track), ms in ranked[:top]
         ]
 
-    def tail_exemplars(self, k: int = 3) -> List[TxnAttribution]:
-        """The ``k`` worst-latency transactions (waterfall candidates)."""
-        return list(reversed(self._by_latency()[-k:])) if self.txns else []
+    def tail_exemplars(self) -> List[TxnAttribution]:
+        """The :data:`EXEMPLARS` worst-latency transactions, worst first."""
+        return list(reversed(self._by_latency()[-EXEMPLARS:])) if self.txns else []
 
     def find(self, txn_id: int) -> Optional[TxnAttribution]:
         for txn in self.txns:
@@ -235,7 +238,7 @@ class AttributionReport:
 
     # -- serialization -------------------------------------------------------
 
-    def to_dict(self, exemplars: int = 3) -> Dict[str, object]:
+    def to_dict(self) -> Dict[str, object]:
         return {
             "schema": SCHEMA,
             "meta": dict(self.meta),
@@ -256,7 +259,7 @@ class AttributionReport:
                     "latency_ms": txn.latency,
                     "waterfall": render_waterfall(txn),
                 }
-                for txn in self.tail_exemplars(exemplars)
+                for txn in self.tail_exemplars()
             ],
         }
 

@@ -208,8 +208,13 @@ def load_jsonl(path: str) -> Dict[str, object]:
     return loaded
 
 
-def flame_summary(tracer: Tracer, top: int = 20) -> str:
-    """Top-N span-tree paths by total time — a text flamegraph.
+#: Rows of :func:`flame_summary`.
+FLAME_ROWS = 20
+
+
+def flame_summary(tracer: Tracer) -> str:
+    """The :data:`FLAME_ROWS` span-tree paths of most total time — a
+    text flamegraph.
 
     Paths are rooted at the transaction type (``rmw/route/routing``),
     aggregated across the recorded transactions.
@@ -233,9 +238,7 @@ def flame_summary(tracer: Tracer, top: int = 20) -> str:
              f"{txn_time:,.1f} ms end-to-end)"]
     if not totals:
         return lines[0] + "\n  (no spans recorded)"
-    ranked = sorted(totals.items(), key=lambda item: -item[1][0])[:top]
-    if not ranked:
-        return lines[0]
+    ranked = sorted(totals.items(), key=lambda item: -item[1][0])[:FLAME_ROWS]
     width = max(len(path) for path, _ in ranked)
     for path, (total, count) in ranked:
         share = total / txn_time if txn_time > 0 else 0.0

@@ -60,10 +60,14 @@ __all__ = [
 #: Export schema identifier (DESIGN.md §6.6).
 SCHEMA = "repro-masters/1"
 
-#: Default steady-state threshold for convergence: the windowed
-#: remastered fraction of routed updates must fall to or below this and
-#: stay there (the paper reports <3% steady remastering, §VI-B7).
-DEFAULT_THRESHOLD = 0.05
+#: Steady-state threshold for convergence: the windowed remastered
+#: fraction of routed updates must fall to or below this and stay there
+#: (the paper reports <3% steady remastering, §VI-B7).
+CONVERGENCE_THRESHOLD = 0.05
+
+#: Width of the remaster-rate windows of the summary, the CSV export and
+#: ``repro masters``, simulated ms.
+WINDOW_MS = 100.0
 
 #: Tie margin used when recomputing a recorded decision offline —
 #: identical to :meth:`repro.core.strategy.RemasterStrategy.decide`.
@@ -411,16 +415,13 @@ class DecisionLedger:
         ]
 
     def convergence_time(
-        self,
-        after: float = 0.0,
-        threshold: float = DEFAULT_THRESHOLD,
-        window_ms: float = 100.0,
+        self, after: float = 0.0, window_ms: float = WINDOW_MS
     ) -> Optional[float]:
         """Milliseconds from ``after`` until remastering goes quiet.
 
         Convergence is reached at the start of the first window at or
         after ``after`` whose remastered fraction of routed updates is
-        <= ``threshold`` **and stays** <= for every later window
+        <= :data:`CONVERGENCE_THRESHOLD` **and stays** <= for every later window
         through the end of the run (steady state, not a lull). Returns the delay
         from ``after`` to that window start — 0.0 when the very first
         window is already steady — or None if the rate never settles.
@@ -437,7 +438,7 @@ class DecisionLedger:
             return 0.0
         converged_from: Optional[float] = None
         for window in windows:
-            if window.remaster_fraction <= threshold:
+            if window.remaster_fraction <= CONVERGENCE_THRESHOLD:
                 if converged_from is None:
                     converged_from = window.start_ms
             else:
@@ -494,16 +495,14 @@ class DecisionLedger:
 
     # -- summary -------------------------------------------------------------
 
-    def summary(
-        self, threshold: float = DEFAULT_THRESHOLD, window_ms: float = 100.0
-    ) -> Dict[str, float]:
+    def summary(self) -> Dict[str, float]:
         """Scalar mastering metrics, portable across process boundaries.
 
         This is the dictionary folded into
         :class:`~repro.bench.parallel.RunSummary` for ``--jobs N``
         runs; keep values plain floats.
         """
-        convergence = self.convergence_time(threshold=threshold, window_ms=window_ms)
+        convergence = self.convergence_time()
         ping_pongs = self.ping_pongs()
         return {
             "decisions": float(len(self.decisions)),
@@ -516,8 +515,8 @@ class DecisionLedger:
             "ping_pong_partitions": float(len(ping_pongs)),
             "ping_pong_bounces": float(sum(ping_pongs.values())),
             "convergence_ms": -1.0 if convergence is None else round(convergence, 6),
-            "convergence_threshold": threshold,
-            "convergence_window_ms": window_ms,
+            "convergence_threshold": CONVERGENCE_THRESHOLD,
+            "convergence_window_ms": WINDOW_MS,
         }
 
     # -- export --------------------------------------------------------------
@@ -552,22 +551,21 @@ class DecisionLedger:
         with open(path, "w") as handle:
             handle.write(self.to_jsonl())
 
-    def to_csv(self, window_ms: float = 100.0) -> str:
+    def to_csv(self) -> str:
         """The windowed remaster-rate series as CSV."""
         lines = ["start_ms,routed,remastered,partitions_moved,remaster_fraction"]
-        for window in self.rate_series(window_ms):
+        for window in self.rate_series(WINDOW_MS):
             lines.append(
                 f"{window.start_ms:g},{window.routed},{window.remastered},"
                 f"{window.partitions_moved},{window.remaster_fraction:.6f}"
             )
         return "\n".join(lines) + "\n"
 
-    def write_csv(self, path: str, window_ms: float = 100.0) -> None:
+    def write_csv(self, path: str) -> None:
         with open(path, "w") as handle:
-            handle.write(self.to_csv(window_ms))
+            handle.write(self.to_csv())
 
-    def to_registry(self, registry, threshold: float = DEFAULT_THRESHOLD,
-                    window_ms: float = 100.0) -> None:
+    def to_registry(self, registry) -> None:
         """Fold mastering metrics into a MetricsRegistry for Prometheus.
 
         Counters for decision/route/move volume, gauges for locality
@@ -575,7 +573,7 @@ class DecisionLedger:
         never settled), exposed through the registry's standard
         ``to_prometheus``.
         """
-        summary = self.summary(threshold=threshold, window_ms=window_ms)
+        summary = self.summary()
         for name in ("decisions", "updates_routed", "updates_remastered",
                      "partitions_moved"):
             registry.counter(f"repro_masters_{name}_total").inc(int(summary[name]))
@@ -634,8 +632,7 @@ class MastershipTimeline:
         movers.sort(key=lambda item: (-item[1], item[0]))
         return movers[:top]
 
-    def render(self, partition: int, end: Optional[float] = None,
-               max_intervals: Optional[int] = None) -> str:
+    def render(self, partition: int, max_intervals: Optional[int] = None) -> str:
         """One partition's ownership history as a text timeline.
 
         ``max_intervals`` elides the middle of very churny histories
@@ -646,8 +643,7 @@ class MastershipTimeline:
             return f"partition {partition}: no recorded ownership"
 
         def fmt(interval: OwnershipInterval) -> str:
-            close = "…" if interval.end is None and end is None else \
-                f"{interval.end if interval.end is not None else end:g}"
+            close = "…" if interval.end is None else f"{interval.end:g}"
             return f"site{interval.site}[{interval.start:g}..{close})"
 
         if max_intervals is not None and len(history) > max_intervals:

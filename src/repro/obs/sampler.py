@@ -1,7 +1,7 @@
 """Periodic sampling of live simulation state into timelines.
 
 A :class:`TimelineSampler` runs as one simulated process that wakes
-every ``interval_ms`` and evaluates a set of named probes — plain
+every :data:`INTERVAL_MS` and evaluates a set of named probes — plain
 callables reading live state (CPU busy time, lock-table depth,
 replication queue depth, version-vector staleness, 2PC in flight).
 Each probe's readings form a :class:`Timeline`: an ordered
@@ -17,6 +17,9 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Tuple
 
 __all__ = ["Timeline", "TimelineSampler", "attach_cluster_probes"]
+
+#: Sampling cadence, simulated ms.
+INTERVAL_MS = 10.0
 
 
 class Timeline:
@@ -49,10 +52,7 @@ class Timeline:
 class TimelineSampler:
     """Drives registered probes on a fixed simulated-time cadence."""
 
-    def __init__(self, interval_ms: float = 10.0):
-        if interval_ms <= 0:
-            raise ValueError(f"sample interval must be positive, got {interval_ms}")
-        self.interval_ms = interval_ms
+    def __init__(self):
         self.probes: Dict[str, Callable[[], float]] = {}
         self.timelines: Dict[str, Timeline] = {}
         self._started = False
@@ -78,7 +78,7 @@ class TimelineSampler:
 
     def _run(self, env):
         while True:
-            yield env.timeout(self.interval_ms)
+            yield env.timeout(INTERVAL_MS)
             self.sample_once(env.now)
 
 
@@ -90,16 +90,13 @@ def attach_cluster_probes(sampler: TimelineSampler, cluster) -> None:
     (how many of the origin's commits the follower has not applied —
     version-vector staleness).
     """
-    interval = sampler.interval_ms
     for site in cluster.sites:
         label = f"site{site.index}"
         # Probes hold the *site* and dereference per sample: a crash
         # replaces the site's cpu / database / svv objects, so a probe
         # capturing those directly would silently read dead state after
         # a fault-injected restart.
-        sampler.add_probe(
-            f"cpu_utilization.{label}", _cpu_probe(site, interval)
-        )
+        sampler.add_probe(f"cpu_utilization.{label}", _cpu_probe(site))
         sampler.add_probe(
             f"lock_depth.{label}",
             lambda site=site: site.database.locks.held_count(),
@@ -120,7 +117,7 @@ def attach_cluster_probes(sampler: TimelineSampler, cluster) -> None:
             )
 
 
-def _cpu_probe(site, interval_ms: float) -> Callable[[], float]:
+def _cpu_probe(site) -> Callable[[], float]:
     """Windowed utilization: busy fraction over the last interval.
 
     Reads ``site.cpu`` on every sample (a crash swaps the resource in
@@ -134,6 +131,6 @@ def _cpu_probe(site, interval_ms: float) -> Callable[[], float]:
         cpu = site.cpu
         busy = cpu.busy_time_now()
         delta, state["busy"] = max(0.0, busy - state["busy"]), busy
-        return delta / (interval_ms * cpu.capacity)
+        return delta / (INTERVAL_MS * cpu.capacity)
 
     return probe

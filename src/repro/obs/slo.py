@@ -828,7 +828,7 @@ class SloEngine:
             registry.gauge(f"repro_slo_{key}").set(summary[key])
 
 
-def quick_slos(window_ms: float = 250.0) -> "SloEngine":
+def quick_slos() -> "SloEngine":
     """An engine tuned for short smoke runs: 2-window baselines so the
     relative thresholds arm before a scenario fault lands a third of
     the way into a 2-4 s run."""
@@ -837,7 +837,7 @@ def quick_slos(window_ms: float = 250.0) -> "SloEngine":
         if spec.baseline_factor is not None else spec
         for spec in DEFAULT_SLOS
     )
-    return SloEngine(specs=specs, window_ms=window_ms)
+    return SloEngine(specs=specs)
 
 
 __all__ = [

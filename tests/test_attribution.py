@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.obs import attribution
 from repro.obs.tracer import Tracer
 from repro.obs.attribution import (
     SCHEMA,
@@ -122,11 +123,12 @@ class TestBudgetsAndBlame:
         shares = [entry["share"] for entry in blame]
         assert shares == sorted(shares, reverse=True)
 
-    def test_tail_exemplars_worst_first(self):
+    def test_tail_exemplars_worst_first(self, monkeypatch):
         tracer, _ = synthetic_tracer()
         report = AttributionReport.from_tracer(tracer)
-        exemplars = report.tail_exemplars(2)
-        assert [round(t.latency) for t in exemplars] == [20, 10]
+        assert [round(t.latency) for t in report.tail_exemplars()] == [20, 10, 4]
+        monkeypatch.setattr(attribution, "EXEMPLARS", 2)
+        assert [round(t.latency) for t in report.tail_exemplars()] == [20, 10]
 
     def test_find(self):
         tracer, txns = synthetic_tracer()

@@ -16,7 +16,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 
 #: Combined bytes of the two documents, at most.
-BUDGET_BYTES = 176_579
+BUDGET_BYTES = 176_457
 
 #: Where a CHANGES.md entry starts; group 1 is its PR number.
 ENTRY_START = re.compile(r"^(?:- )?PR (\d+)", re.MULTILINE)

@@ -379,6 +379,12 @@ class TestAvailabilityTimeline:
         assert report.final_rate() == pytest.approx(whole.final_rate(), rel=0.1)
         assert report.recovered()
 
+    def test_a_bucket_that_is_not_positive_is_refused(self):
+        """A zero bucket printed an empty timeline and a "recovered" run
+        with 0 commit/s."""
+        with pytest.raises(ValueError, match="bucket_ms must be > 0"):
+            run_chaos("dynamast", "crash-restart", duration_ms=400.0, bucket_ms=0.0)
+
     def test_csv_round_trip(self, tmp_path):
         report = run_chaos(
             "dynamast", "crash", num_sites=3, num_clients=4,

@@ -27,8 +27,9 @@ from repro.bench.harness import run_benchmark
 from repro.faults.chaos import run_chaos, run_chaos_matrix
 from repro.obs.export import load_jsonl
 from repro.obs.mastery import (
-    DEFAULT_THRESHOLD,
+    CONVERGENCE_THRESHOLD,
     SCHEMA,
+    WINDOW_MS,
     DecisionLedger,
     MastershipTimeline,
     recompute_decision,
@@ -223,7 +224,7 @@ class TestWindowedSeries:
             ledger.route(window_start + 1.0, 0, 0)
             ledger.route(window_start + 2.0, 1, 1)  # 50% remastered
         assert ledger.convergence_time(window_ms=100.0) is None
-        assert ledger.summary(window_ms=100.0)["convergence_ms"] == -1.0
+        assert ledger.summary()["convergence_ms"] == -1.0
 
     def test_lull_is_not_convergence(self):
         ledger = DecisionLedger()
@@ -316,12 +317,13 @@ class TestChurnMetrics:
 
     def test_summary_scalars(self):
         ledger = self.build()
-        summary = ledger.summary(window_ms=100.0)
+        summary = ledger.summary()
         assert summary["partitions_moved"] == 3.0
         assert summary["churn_partitions"] == 2.0
         assert summary["ping_pong_partitions"] == 1.0
         assert summary["ping_pong_bounces"] == 1.0
-        assert summary["convergence_threshold"] == DEFAULT_THRESHOLD
+        assert summary["convergence_threshold"] == CONVERGENCE_THRESHOLD
+        assert summary["convergence_window_ms"] == WINDOW_MS
         assert all(isinstance(value, float) for value in summary.values())
 
 
@@ -360,9 +362,9 @@ class TestTimeline:
             source = index % 2
             ledger.ownership(float(index + 1), 0, source, 1 - source)
         timeline = ledger.timeline()
-        full = timeline.render(0, end=20.0)
+        full = timeline.render(0)
         assert full.count("site") == 13
-        short = timeline.render(0, end=20.0, max_intervals=6)
+        short = timeline.render(0, max_intervals=6)
         assert "(8 more)" in short
         assert short.count("site") == 5
 
@@ -412,11 +414,11 @@ class TestExport:
     def test_csv_series(self, observed_run, tmp_path):
         _, ledger = observed_run
         path = tmp_path / "rate.csv"
-        ledger.write_csv(str(path), window_ms=100.0)
+        ledger.write_csv(str(path))
         lines = path.read_text().strip().splitlines()
         assert lines[0] == \
             "start_ms,routed,remastered,partitions_moved,remaster_fraction"
-        assert len(lines) == 1 + len(ledger.rate_series(100.0))
+        assert len(lines) == 1 + len(ledger.rate_series(WINDOW_MS))
 
     def test_prometheus_exposition(self, observed_run):
         _, ledger = observed_run
@@ -453,7 +455,7 @@ class TestConvergenceAcceptance:
         assert convergence is not None
         assert 0.0 <= convergence < 800.0
         series = ledger.rate_series(100.0)
-        assert series[-1].remaster_fraction <= DEFAULT_THRESHOLD
+        assert series[-1].remaster_fraction <= CONVERGENCE_THRESHOLD
 
 
 class TestChaosMastering:
@@ -463,7 +465,7 @@ class TestChaosMastering:
             "dynamast", "crash-restart", num_sites=3, num_clients=4,
             duration_ms=1500.0, seed=4, ledger=ledger,
         )
-        mastering = report.mastering_summary(window_ms=250.0)
+        mastering = report.mastering_summary()
         assert mastering is not None
         assert mastering["summary"]["decisions"] >= 0
         reconvergence = mastering["reconvergence"]
@@ -485,6 +487,15 @@ class TestChaosMastering:
         assert mastering["summary"]["updates_routed"] > 0
         # Scalars folded worker-side; the event series stayed behind.
         assert mastering["reconvergence"] == []
+
+    def test_live_and_portable_cells_report_the_same_summary(self):
+        cell = dict(num_sites=2, num_clients=4, duration_ms=800.0, seed=4)
+        live = run_chaos("dynamast", "crash", ledger=DecisionLedger(), **cell)
+        portable = run_chaos_matrix(
+            ("dynamast",), ("crash",), mastery=True, **cell
+        )[("dynamast", "crash")]
+        assert live.mastering_summary()["summary"] == \
+            portable.mastering_summary()["summary"]
 
     def test_unobserved_chaos_has_no_mastering(self):
         report = run_chaos("dynamast", "crash", num_sites=2, num_clients=2,

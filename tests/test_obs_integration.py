@@ -7,7 +7,6 @@ import pytest
 
 from repro.bench import Metrics, run_benchmark
 from repro.bench.metrics import rate_series
-from repro.bench.export import run_to_row
 from repro.bench.report import print_run_report
 from repro.obs import Observability
 from repro.obs.export import reconcile_with_metrics, to_chrome_trace, to_jsonl
@@ -213,8 +212,6 @@ class TestAbortAccounting:
         result, _ = traced_run()
         assert result.abort_rate == result.metrics.abort_rate()
         assert result.aborts_by_type == result.metrics.aborts
-        row = run_to_row(result)
-        assert "abort_rate" in row and "aborts" in row
 
 
 class TestMetricsTimelineEdges:

@@ -22,7 +22,7 @@ def test_report_counts_wins_per_pair_and_leaves_ties_out():
     base = [3.0, 3.0, 3.0, 3.0]
     change = [2.0, 2.5, 3.0, 4.0]  # two wins, one tie, one loss
     line = pairs.report("wall_s", base, change)
-    assert "change ahead 2/3" in line
+    assert "change ahead 2/4 (1 tied)" in line
     # Parent runs identical: any median difference is beyond their spread.
     assert "beyond base Q3-Q1 0.000" in line
     assert "-8.3% of base" in line  # (2.75 - 3.0) / 3.0

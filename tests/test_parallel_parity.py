@@ -199,8 +199,7 @@ class TestPerfMatrixParity:
 
 class TestChaosMatrixParity:
     def test_matrix_cell_matches_run_chaos(self):
-        kwargs = dict(num_sites=2, num_clients=4, duration_ms=1500.0,
-                      bucket_ms=250.0, seed=4)
+        kwargs = dict(num_sites=2, num_clients=4, duration_ms=1500.0, seed=4)
         single = run_chaos("dynamast", "crash", **kwargs)
         matrix = run_chaos_matrix(("dynamast",), ("crash",), jobs=2, **kwargs)
         cell = matrix[("dynamast", "crash")]

@@ -200,15 +200,16 @@ class TestRunSweep:
 
 
 class TestReportFile:
-    def test_schema_mismatch_is_rejected(self, tmp_path):
+    def test_schema_mismatch_is_rejected(self, tmp_path, monkeypatch):
         """A /3 report (walls, calibration, baseline) is not a /4 one:
         ``--check`` refuses it before running anything."""
-        stale = tmp_path / "report.json"
+        stale = tmp_path / perf.DEFAULT_REPORT
         stale.write_text(json.dumps({"schema": "repro-perf/3", "cases": {}}))
         with pytest.raises(ValueError, match="schema"):
             load_report(str(stale), SCHEMA)
+        monkeypatch.chdir(tmp_path)
         with pytest.raises(ValueError, match="schema"):
-            perf.main(check=True, baseline_path=str(stale), emit=None)
+            perf.main(check=True, emit=None)
 
     def test_committed_report_matches_the_pinned_matrix(self):
         """BENCH_perf.json must describe exactly the matrix in code:
@@ -254,18 +255,17 @@ class TestMain:
         """End to end on a tiny matrix: a written report checks clean
         (exit 0); one altered pin exits 1 naming the case and field."""
         monkeypatch.setattr(perf, "PERF_MATRIX", TINY_MATRIX)
-        path = tmp_path / "report.json"
-        assert perf.main(out=str(path), emit=lambda line: None) == 0
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / perf.DEFAULT_REPORT
+        assert perf.main(emit=lambda line: None) == 0
         payload = json.loads(path.read_text())
         assert set(payload) == {"schema", "cases"}  # nothing host-side
-        assert perf.main(check=True, baseline_path=str(path),
-                         emit=lambda line: None) == 0
+        assert perf.main(check=True, emit=lambda line: None) == 0
 
         payload["cases"]["tiny-dynamast"]["sim_events"] += 1
         path.write_text(json.dumps(payload))
         lines = []
-        assert perf.main(check=True, baseline_path=str(path),
-                         emit=lines.append) == 1
+        assert perf.main(check=True, emit=lines.append) == 1
         failures = [line for line in lines if "FAIL" in line]
         assert len(failures) == 1
         assert "tiny-dynamast: sim_events" in failures[0]
@@ -299,10 +299,8 @@ class TestCommandLine:
         (["--scale"], "scale", "BENCH_scale.json"),
         # An explicit path is honoured even when it is the *other*
         # harness's default name.
-        (["--scale", "--out", "BENCH_perf.json", "--baseline", "BENCH_perf.json"],
-         "scale", "BENCH_perf.json"),
-        (["--out", "BENCH_scale.json", "--baseline", "BENCH_scale.json"],
-         "perf", "BENCH_scale.json"),
+        (["--scale", "--out", "BENCH_perf.json"], "scale", "BENCH_perf.json"),
+        (["--out", "BENCH_scale.json"], "perf", "BENCH_scale.json"),
     ])
     def test_report_paths_default_per_harness(self, monkeypatch, argv,
                                               harness, expected):
@@ -315,7 +313,7 @@ class TestCommandLine:
         assert cli.main(["perf", *argv]) == 0
         (called, kwargs), = calls
         assert called == harness
-        assert kwargs["out"] == kwargs["baseline_path"] == expected
+        assert kwargs["out"] == expected
 
     def test_calibrate_stays_importable_for_perfbench(self):
         """``perfbench/driver.py`` (frozen) scores the host this way."""

@@ -59,11 +59,16 @@ The same holds for *registered names*: every name in
 literal in those callers (its own registry key aside) or in the
 Makefile — a curve or workload nothing runs is deleted.
 
-Out of scope: CLI flags.
+The same holds for *CLI flags*: every ``--flag`` of ``repro``'s parser
+must be named in a file of :data:`FLAG_DOCS` (what ``make`` and CI run,
+and the documents a user reads) or in ``docs/*.md``. Tests, CHANGES,
+ROADMAP and the verify skill do not count: a flag only they pass is
+deleted, and its default becomes the code.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import re
 from pathlib import Path
@@ -616,3 +621,69 @@ def test_every_registered_name_has_a_non_test_caller():
     assert not unrun, (
         f"registered names no figure, benchmark or command runs — delete them: {unrun}"
     )
+
+
+# ---------------------------------------------------------------------------
+# CLI flags (see the module docstring)
+# ---------------------------------------------------------------------------
+
+#: Files whose text may name a flag, besides ``docs/*.md``.
+FLAG_DOCS = (
+    "Makefile", ".github/workflows/ci.yml",
+    "README.md", "CONTRIBUTING.md", "DESIGN.md", "EXPERIMENTS.md",
+)
+
+
+def doc_paths(names=FLAG_DOCS) -> list:
+    """``names`` under the repo root, then ``docs/*.md``."""
+    return [REPO / name for name in names] + sorted((REPO / "docs").glob("*.md"))
+
+
+def subcommands(parser: argparse.ArgumentParser) -> dict:
+    """``repro`` command name -> its subparser."""
+    return next(
+        action.choices for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+
+
+def command_options(parser: argparse.ArgumentParser) -> dict:
+    """``repro`` command name -> the option strings it accepts."""
+    return {
+        name: {option for action in sub._actions for option in action.option_strings}
+        for name, sub in subcommands(parser).items()
+    }
+
+
+def undocumented_flags(parser: argparse.ArgumentParser, text: str) -> list:
+    """The ``--`` flags of ``parser`` that ``text`` never names."""
+    flags = {
+        option for options in command_options(parser).values() for option in options
+        if option.startswith("--") and option != "--help"
+    }
+    return sorted(
+        flag for flag in flags
+        if not re.search(rf"(?<![\w-]){re.escape(flag)}(?![\w-])", text)
+    )
+
+
+def _flag_text() -> str:
+    return "\n".join(path.read_text() for path in doc_paths())
+
+
+def test_every_cli_flag_is_run_or_documented():
+    from repro.cli import build_parser
+
+    undocumented = undocumented_flags(build_parser(), _flag_text())
+    assert not undocumented, (
+        "CLI flags no Makefile target, CI step or doc names — delete them "
+        f"(the default becomes the code): {undocumented}"
+    )
+
+
+def test_a_restored_flag_fails_the_cli_guard():
+    from repro.cli import build_parser
+
+    parser = build_parser()
+    subcommands(parser)["chaos"].add_argument("--bucket", type=float, default=250.0)
+    assert undocumented_flags(parser, _flag_text()) == ["--bucket"]

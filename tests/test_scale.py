@@ -169,14 +169,10 @@ class TestRenderTables:
         for fragment in knee_tables(report).values():
             assert fragment in document
 
-    def test_main_render_tables_path_runs_nothing(self):
-        root = Path(__file__).resolve().parent.parent
+    def test_main_render_tables_path_runs_nothing(self, monkeypatch):
+        monkeypatch.chdir(Path(__file__).resolve().parent.parent)
         emitted = []
-        code = scale_main(
-            render_tables=True,
-            baseline_path=str(root / "BENCH_scale.json"),
-            emit=emitted.append,
-        )
+        code = scale_main(render_tables=True, emit=emitted.append)
         assert code == 0
         assert len(emitted) == 1
         assert "Per-system knees (EXPERIMENTS.md):" in emitted[0]

@@ -13,7 +13,6 @@ import json
 
 import pytest
 
-from repro.bench.export import FIELDS, attach_slo, rows_from, to_csv
 from repro.bench.harness import run_benchmark
 from repro.bench.parallel import (
     RunSpec,
@@ -817,38 +816,6 @@ class TestCsvAndPrometheus:
         text = exposition(engine)
         assert "repro_slo_incidents_total 0" in text
         assert "repro_slo_violations_total 0" in text
-
-
-class TestBenchExportColumns:
-    def test_detector_columns_are_first_class_fields(self):
-        assert "detection_latency_ms" in FIELDS
-        assert "quarantine_ms" in FIELDS
-
-    def test_slo_columns_ride_along(self, fail_slow):
-        result, engine = fail_slow
-        row = rows_from(result)[0]
-        summary = engine.summary()
-        assert row["slo_incidents"] == summary["incidents"]
-        assert row["slo_mttd_mean_ms"] == summary["mttd_mean_ms"]
-        header = to_csv(result).split("\n")[0]
-        assert "slo_incidents" in header
-        assert "detection_latency_ms" in header
-
-    def test_attach_slo_accepts_a_folded_verdict(self):
-        class Folded:
-            slo_verdict = {"incidents": 2.0, "violations": 0.0}
-
-        row = {}
-        attach_slo(row, Folded())
-        assert row == {"slo_incidents": 2.0, "slo_violations": 0.0}
-
-    def test_attach_slo_is_a_noop_without_an_engine(self):
-        class Bare:
-            slo_verdict = {}
-
-        row = {}
-        attach_slo(row, Bare())
-        assert row == {}
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ many times, with the side that goes first alternating (CONTRIBUTING.md,
 "Claiming a gain"). ``make pairs W=<workload> BASE=<rev> N=10`` unpacks
 ``BASE``'s committed files (``git archive``) into a temporary
 directory, runs ``N`` pairs at one seed, and prints for each host-side
-metric both sides' median and quartiles, how many pairs the working
-tree won, and whether the medians differ by more than the base's own
+metric both sides' median and quartiles, how many of all pairs the
+working tree won (a tie is not a win), and whether the medians differ by more than the base's own
 Q3 − Q1. Simulated results must be equal on both sides; the script says
 so or exits 1. ``W=recorder-cost R=<recorder>`` runs the pairs with that
 recorder ON, which compares what recording costs in the two trees.
@@ -108,12 +108,13 @@ def quartiles(values):
 def report(metric: str, base, change) -> str:
     (b1, b2, b3), (c1, c2, c3) = quartiles(base), quartiles(change)
     wins = sum(c < b for b, c in zip(base, change))
-    losses = sum(c > b for b, c in zip(base, change))
+    ties = sum(c == b for b, c in zip(base, change))
     resolved = abs(b2 - c2) > b3 - b1
     return (
         f"{metric:12s} base {b2:8.3f} [{b1:.3f}, {b3:.3f}]   "
         f"change {c2:8.3f} [{c1:.3f}, {c3:.3f}]   "
-        f"{(c2 - b2) / b2:+7.1%} of base   change ahead {wins}/{wins + losses}   "
+        f"{(c2 - b2) / b2:+7.1%} of base   "
+        f"change ahead {wins}/{len(base)} ({ties} tied)   "
         f"{'beyond' if resolved else 'inside'} base Q3-Q1 {b3 - b1:.3f}"
     )
 
