@@ -73,7 +73,7 @@ def main():
     print("site version vectors:   ",
           [site.svv.to_tuple() for site in cluster.sites])
     # Let the replication stream drain, then confirm the replicas agree.
-    cluster.run(until=cluster.env.now + 5.0)
+    cluster.env.run(until=cluster.env.now + 5.0)
     print("after refresh drain:    ",
           [site.svv.to_tuple() for site in cluster.sites])
 

@@ -14,8 +14,8 @@ This package exports only what every run executes. The rest is
 imported from its defining module (DESIGN.md §8, "Import floor"):
 
 * :mod:`repro.bench.parallel` — ``RunSpec`` / ``WorkloadSpec`` rows,
-  ``execute_specs`` (serial or over worker processes), ``RunSummary``,
-  ``run_fingerprint``;
+  ``execute_specs`` (serial or over worker processes, returning
+  ``RunResult.portable()`` forms), ``run_fingerprint``;
 * :mod:`repro.bench.experiments` — a driver for every table and figure
   of the paper's evaluation, exercised by the ``benchmarks/`` tree;
 * :mod:`repro.bench.repeat` — seed repeats with confidence intervals;

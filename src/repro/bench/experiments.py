@@ -3,9 +3,9 @@
 Each driver describes its experiment as :class:`RunSpec` rows — a
 :class:`WorkloadSpec`, a cluster configuration and the systems to run —
 hands them to :func:`~repro.bench.parallel.execute_specs`, and returns
-the portable :class:`RunSummary` of each run as plain data that the
-``benchmarks/`` tree formats as paper-vs-measured tables and asserts
-shape criteria on. Only ``fig5b_adaptivity`` calls ``run_benchmark``
+the portable :class:`~repro.bench.harness.RunResult` of each run as
+plain data that the ``benchmarks/`` tree formats as paper-vs-measured
+tables and asserts shape criteria on. Only ``fig5b_adaptivity`` calls ``run_benchmark``
 itself: its mid-run sampling callback is a live object no spec can
 carry. The default scales are reduced relative to the paper's 5-minute
 cluster runs (see DESIGN.md §1) but preserve the contention structure
@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.bench.harness import ALL_SYSTEMS, run_benchmark
+from repro.bench.harness import ALL_SYSTEMS, RunResult, run_benchmark
 from repro.bench.metrics import rate_series
-from repro.bench.parallel import RunSpec, RunSummary, WorkloadSpec, execute_specs
+from repro.bench.parallel import RunSpec, WorkloadSpec, execute_specs
 from repro.core.strategy import StrategyWeights
 from repro.sim.config import ClusterConfig
 from repro.workloads.ycsb import YCSBConfig, YCSBWorkload
@@ -45,7 +45,7 @@ def run_suite(
     warmup_ms: float = WARMUP_MS,
     seed: int = 0,
     jobs: int = 1,
-) -> Dict[str, RunSummary]:
+) -> Dict[str, RunResult]:
     """Run one workload against several systems (fresh workload each).
 
     One :class:`RunSpec` row per system, executed by
@@ -95,9 +95,9 @@ def _dynamast_ycsb(
 
 def fig4a_ycsb_uniform(
     client_counts: Sequence[int] = (12, 24, 48),
-) -> Dict[str, Dict[int, RunSummary]]:
+) -> Dict[str, Dict[int, RunResult]]:
     """Figure 4a: uniform YCSB, 50/50 RMW/scan, throughput vs clients."""
-    results: Dict[str, Dict[int, RunSummary]] = {s: {} for s in ALL_SYSTEMS}
+    results: Dict[str, Dict[int, RunResult]] = {s: {} for s in ALL_SYSTEMS}
     for clients in client_counts:
         suite = run_suite(
             WorkloadSpec.of("ycsb", rmw_fraction=0.5), num_clients=clients
@@ -107,7 +107,7 @@ def fig4a_ycsb_uniform(
     return results
 
 
-def fig4b_ycsb_write_heavy() -> Dict[str, RunSummary]:
+def fig4b_ycsb_write_heavy() -> Dict[str, RunResult]:
     """Figure 4b: uniform YCSB, 90/10 RMW/scan."""
     return run_suite(WorkloadSpec.of("ycsb", rmw_fraction=0.9))
 
@@ -117,7 +117,7 @@ def fig4b_ycsb_write_heavy() -> Dict[str, RunSummary]:
 # ---------------------------------------------------------------------------
 
 
-def tpcc_default_suite() -> Dict[str, RunSummary]:
+def tpcc_default_suite() -> Dict[str, RunResult]:
     """The default-mix TPC-C run shared by figures 4c, 4d and 8e-8g."""
     return run_suite(
         WorkloadSpec.of(
@@ -133,9 +133,9 @@ def tpcc_default_suite() -> Dict[str, RunSummary]:
 # ---------------------------------------------------------------------------
 
 
-def fig4e_neworder_mix() -> Dict[str, Dict[float, RunSummary]]:
+def fig4e_neworder_mix() -> Dict[str, Dict[float, RunResult]]:
     """Figure 4e: shift the mix toward New-Order transactions."""
-    results: Dict[str, Dict[float, RunSummary]] = {s: {} for s in ALL_SYSTEMS}
+    results: Dict[str, Dict[float, RunResult]] = {s: {} for s in ALL_SYSTEMS}
     for fraction in (0.45, 0.90):
         remainder = 1.0 - fraction
         suite = run_suite(
@@ -163,9 +163,9 @@ def cross_warehouse_sweep(
     remote_fractions: Sequence[float] = (0.0, 0.10, 0.33),
     systems: Sequence[str] = ("dynamast", "single-master", "multi-master", "partition-store"),
     transaction: str = "new_order",
-) -> Dict[str, Dict[float, RunSummary]]:
+) -> Dict[str, Dict[float, RunResult]]:
     """New-Order (or Payment, figure 8g) latency as remote rate grows."""
-    results: Dict[str, Dict[float, RunSummary]] = {s: {} for s in systems}
+    results: Dict[str, Dict[float, RunResult]] = {s: {} for s in systems}
     for fraction in remote_fractions:
         if transaction == "new_order":
             workload = WorkloadSpec.of("tpcc", neworder_remote_fraction=fraction)
@@ -188,7 +188,7 @@ def cross_warehouse_sweep(
 # ---------------------------------------------------------------------------
 
 
-def skew_suite() -> Dict[str, RunSummary]:
+def skew_suite() -> Dict[str, RunResult]:
     """Zipfian (theta = 0.75) 90/10 RMW/scan YCSB."""
     return run_suite(WorkloadSpec.of("ycsb", rmw_fraction=0.9, zipf_theta=0.75))
 
@@ -339,7 +339,7 @@ def fig7_breakdown() -> BreakdownResult:
 # ---------------------------------------------------------------------------
 
 
-def fig6b_database_size() -> Dict[str, Dict[int, RunSummary]]:
+def fig6b_database_size() -> Dict[str, Dict[int, RunResult]]:
     """DynaMast throughput for small vs large (6x) databases."""
     mixes = (("50-50U", 0.5, 0.0), ("90-10U", 0.9, 0.0), ("90-10S", 0.9, 0.75))
     cells = [
@@ -352,7 +352,7 @@ def fig6b_database_size() -> Dict[str, Dict[int, RunSummary]]:
                             zipf_theta=theta))
         for _, partitions, rmw, theta in cells
     ]
-    results: Dict[str, Dict[int, RunSummary]] = {label: {} for label, _, _ in mixes}
+    results: Dict[str, Dict[int, RunResult]] = {label: {} for label, _, _ in mixes}
     for (label, partitions, _, _), run in zip(cells, execute_specs(specs)):
         results[label][partitions] = run
     return results
@@ -363,7 +363,7 @@ def fig6b_database_size() -> Dict[str, Dict[int, RunSummary]]:
 # ---------------------------------------------------------------------------
 
 
-def fig6c_site_scaling() -> Dict[int, RunSummary]:
+def fig6c_site_scaling() -> Dict[int, RunResult]:
     """DynaMast 50/50 uniform YCSB throughput as sites scale 4 -> 16."""
     site_counts = (4, 8, 12, 16)
     specs = [
@@ -388,7 +388,7 @@ def fig6c_site_scaling() -> Dict[int, RunSummary]:
 def smallbank_suite(
     systems: Sequence[str] = ALL_SYSTEMS,
     hotspot_fraction: float = 0.0,
-) -> Dict[str, RunSummary]:
+) -> Dict[str, RunResult]:
     """SmallBank throughput and tail latencies."""
     return run_suite(
         WorkloadSpec.of("smallbank", hotspot_fraction=hotspot_fraction),

@@ -4,18 +4,20 @@ This module is one of the two blessed wall-clock readers in
 ``src/repro`` (the other is :mod:`repro.bench.perf`): host time is
 forbidden inside simulation code — the simulated clock is ``env.now`` —
 but the harness must measure how long the host took to execute a run.
-The measurements live on :class:`RunResult` as ``wall_clock_s`` and
-``events_processed`` and are never fed back into the simulation, so
-they cannot perturb simulated results (the fingerprint tests exclude
-them by construction).
+The measurements live on :class:`RunResult` as ``wall_clock_s``,
+``events_processed`` and ``peak_rss_kb`` and are never fed back into
+the simulation, so they cannot perturb simulated results
+(:func:`run_fingerprint` excludes them by construction).
 """
 
 from __future__ import annotations
 
+import json
+import resource
 import time
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.metrics import LatencySummary, Metrics
 from repro.core.strategy import StrategyWeights
@@ -23,9 +25,14 @@ from repro.faults.plan import SCENARIOS
 from repro.obs import NULL_OBS, Observability
 from repro.obs.sampler import Timeline
 from repro.sim.config import ClusterConfig
+from repro.sim.rand import sha256
 from repro.systems import Cluster, build_system
 from repro.systems.base import System
 from repro.workloads.base import Workload
+
+if TYPE_CHECKING:  # recorders load only when a run attaches one
+    from repro.obs.mastery import DecisionLedger
+    from repro.obs.slo import SloEngine
 
 #: Systems that maintain replicas at every site.
 REPLICATED_SYSTEMS = {"dynamast", "single-master", "multi-master"}
@@ -33,9 +40,13 @@ ALL_SYSTEMS = ("dynamast", "single-master", "multi-master", "partition-store", "
 
 
 @dataclass
-class RunMeasurements:
-    """What one run measured: the fields a live :class:`RunResult` and
-    its portable :class:`~repro.bench.parallel.RunSummary` share."""
+class RunResult:
+    """One finished run: what it measured and what its recorders kept.
+
+    A live result (from :func:`run_benchmark`) also holds the run's
+    ``obs`` and ``system``; :meth:`portable` drops those two, and what
+    is left pickles and keeps no cluster alive.
+    """
 
     system_name: str
     workload_name: str
@@ -78,56 +89,74 @@ class RunMeasurements:
     #: may change it without changing simulated results, so it is also
     #: excluded from fingerprints).
     events_processed: int = 0
-
-    # A live run's recorders; always None on a portable summary. Both
-    # shapes answer ``mastery`` / ``slo_verdict``, so consumers test
-    # these only for what a recorder alone can say.
-    obs = None
-    ledger = None
-    slo = None
+    #: Canonical digest of the simulated outcome (:func:`run_fingerprint`).
+    fingerprint: str = ""
+    #: ``ru_maxrss`` of the producing process at the run's end, in KB.
+    peak_rss_kb: int = 0
+    #: The decision ledger of a mastering-observed run (None otherwise).
+    ledger: Optional[DecisionLedger] = field(repr=False, default=None)
+    #: The finalized SLO engine of an SLO-monitored run (None otherwise):
+    #: incidents, violations and fault correlation, holding no cluster.
+    slo: Optional[SloEngine] = field(repr=False, default=None)
+    #: The observability handle of an observed run (None otherwise, and
+    #: on a portable result: its sampler closes over the cluster).
+    obs: Optional[Observability] = field(repr=False, default=None)
+    #: The live system object (None on a portable result).
+    system: Optional[System] = field(repr=False, default=None)
 
     def latency(self, txn_type: Optional[str] = None) -> LatencySummary:
         return self.metrics.latency(txn_type)
 
+    def portable(self) -> "RunResult":
+        """This result without ``obs`` and ``system``, each of which
+        pins a whole simulated cluster: picklable across a process
+        boundary, and cheap to keep in a long sweep."""
+        return replace(self, obs=None, system=None)
 
-@dataclass
-class RunResult(RunMeasurements):
-    """A finished run with its live handles still attached."""
 
-    #: The installed fault injector (None for unfaulted runs).
-    injector: Optional[object] = field(repr=False, default=None)
-    #: The observability handle of an observed run (None otherwise).
-    obs: Optional[Observability] = field(repr=False, default=None)
-    #: The decision ledger of a mastering-observed run (None otherwise).
-    ledger: Optional[object] = field(repr=False, default=None)
-    #: The SLO engine of an SLO-monitored run (None otherwise) —
-    #: finalized, with incidents/violations/correlation populated.
-    slo: Optional[object] = field(repr=False, default=None)
-    #: The live system object, for deeper inspection in tests/benches.
-    system: Optional[System] = field(repr=False, default=None)
+def run_fingerprint(result: RunResult) -> str:
+    """Digest the *simulated* outcome of a run.
 
-    @property
-    def mastery(self) -> Dict[str, float]:
-        """Folded ledger scalars (``DecisionLedger.summary()``)."""
-        return self.ledger.summary() if self.ledger is not None else {}
-
-    @property
-    def slo_verdict(self) -> Dict[str, float]:
-        """Folded SLO verdict (``SloEngine.summary()``)."""
-        return self.slo.summary() if self.slo is not None else {}
-
-    def portable(self):
-        """The picklable :class:`~repro.bench.parallel.RunSummary`.
-
-        Drops the live ``system`` / ``obs`` / ``injector`` handles —
-        each of which transitively pins an entire simulated cluster —
-        while keeping every folded measurement, so long suite loops can
-        retain results without retaining clusters, and results can
-        cross a process boundary.
-        """
-        from repro.bench.parallel import summarize
-
-        return summarize(self)
+    Covers every observable simulated quantity — commit count and the
+    sum of commit times, mean latency, per-category traffic bytes,
+    aborts by reason, routing fractions, site utilization, and the
+    fault timeline — while excluding host-side measurements
+    (``wall_clock_s``, ``events_processed``, RSS), which legitimately
+    vary across machines and process placement. Two runs of the same
+    :class:`~repro.bench.parallel.RunSpec` must produce the same
+    fingerprint whether they ran serially, in another process, or on
+    another host.
+    """
+    metrics = result.metrics
+    payload = {
+        "system": result.system_name,
+        "workload": result.workload_name,
+        "commits": metrics.commits,
+        "commit_time_sum": round(sum(metrics.commit_times), 6),
+        "latency_mean": round(result.latency().mean, 6),
+        "traffic": sorted(result.traffic_bytes.items()),
+        "aborts_by_reason": sorted(metrics.aborts_by_reason.items()),
+        "remaster_rate": round(result.remaster_rate, 9),
+        "route_fractions": [round(f, 9) for f in result.route_fractions],
+        "site_utilization": [round(u, 9) for u in result.site_utilization],
+        "fault_events": [
+            (round(event.at_ms, 6), event.kind, event.site)
+            for event in result.fault_events
+        ],
+    }
+    # Open-loop observables join the digest only when present, so every
+    # closed-loop fingerprint pinned before this subsystem existed is
+    # unchanged (getattr: results pickled by older builds lack the
+    # attribute entirely).
+    open_loop = getattr(metrics, "open_loop_counters", None)
+    if open_loop:
+        payload["open_loop"] = sorted(
+            (key, round(float(value), 6)) for key, value in open_loop.items()
+        )
+        payload["admission_wait_sum"] = round(metrics.admission_wait_total(), 6)
+    return sha256(
+        json.dumps(payload, sort_keys=True).encode()
+    ).hexdigest()[:16]
 
 
 def check_run_params(
@@ -296,8 +325,7 @@ def run_benchmark(
     cluster.env.run(until=duration_ms)
     if slo is not None:
         slo.finalize(duration_ms)
-        # Detach before the metrics object travels (RunSummary pickles
-        # Metrics; the engine holds live cluster references).
+        # The result carries the engine; the metrics' hook was for the run.
         metrics.slo_engine = None
     wall_clock_s = time.perf_counter() - wall_start
 
@@ -326,7 +354,7 @@ def run_benchmark(
              "shed": float(queue.shed), "offered": float(queue.offered)}
             for index, queue in enumerate(engine.queues)
         )
-    return RunResult(
+    result = RunResult(
         system_name=system_name,
         workload_name=workload.name,
         num_clients=num_clients,
@@ -342,7 +370,6 @@ def run_benchmark(
         aborts_by_type=dict(metrics.aborts),
         aborts_by_reason=dict(metrics.aborts_by_reason),
         fault_events=list(injector.events) if injector is not None else [],
-        injector=injector,
         timelines=dict(observability.timelines) if observability.enabled else {},
         obs=obs,
         ledger=ledger,
@@ -351,7 +378,10 @@ def run_benchmark(
         offered_rate=offered_rate,
         wall_clock_s=wall_clock_s,
         events_processed=cluster.env.events_processed,
+        peak_rss_kb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
     )
+    result.fingerprint = run_fingerprint(result)
+    return result
 
 
 def _client_loop(system, pool, client_id, rng, metrics, warmup_ms, obs):

@@ -18,13 +18,12 @@ Three pieces:
   scenario, recorder flags), checked at construction. Everything a
   spec references must be module-level and picklable — no lambdas, no
   closures, no live handles (CONTRIBUTING.md, "Spawn safety").
-* :class:`RunSummary` — the portable form of a live
-  :class:`~repro.bench.harness.RunResult`: the measurement fields both
-  share (declared once, on ``RunMeasurements``), what the recorders
-  folded, a canonical :func:`run_fingerprint`, per-worker wall clock
-  and peak RSS, with the live ``system`` / ``obs`` / ``injector``
-  handles dropped so results can cross a process boundary and a sweep
-  keeps one cluster alive at a time.
+* :meth:`RunResult.portable() <repro.bench.harness.RunResult.portable>`
+  — a finished run without its live ``system`` / ``obs`` handles: the
+  measurements, the canonical :func:`run_fingerprint`, wall clock, peak
+  RSS and the finalized recorders (ledger, SLO engine), so results can
+  cross a process boundary and a sweep keeps one cluster alive at a
+  time.
 * :class:`ParallelExecutor` — fans callables over a spawn-context
   ``ProcessPoolExecutor``, returns results in deterministic submission
   order regardless of completion order, surfaces worker crashes as
@@ -37,7 +36,7 @@ driver (``run_suite``, ``run_repeated``, the figure drivers, ``repro
 bench|compare|perf|chaos --jobs``) builds ``RunSpec`` rows and calls
 it, at every ``jobs``. :func:`execute_spec` is its single in-process
 step and returns the live result. The committed matrix reports the
-perf and scale harnesses build from those summaries share one envelope
+perf and scale harnesses build from those results share one envelope
 (:func:`host_stanza`, :func:`load_report`, :func:`write_report`).
 """
 
@@ -46,27 +45,24 @@ from __future__ import annotations
 import json
 import os
 import platform
-import resource
 import traceback
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.harness import (
-    RunMeasurements,
     RunResult,
     check_run_params,
     run_benchmark,
+    run_fingerprint,
 )
 from repro.core.strategy import StrategyWeights
 from repro.faults.plan import build_scenario
 from repro.sim.config import ClusterConfig
-from repro.sim.rand import sha256
 from repro.workloads.openloop import OpenLoopSpec
 
 __all__ = [
     "ParallelExecutor",
     "RunSpec",
-    "RunSummary",
     "SpecExecutionError",
     "WorkloadSpec",
     "execute_spec",
@@ -74,58 +70,8 @@ __all__ = [
     "host_stanza",
     "load_report",
     "run_fingerprint",
-    "summarize",
     "write_report",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Canonical run fingerprint
-# ---------------------------------------------------------------------------
-
-
-def run_fingerprint(result) -> str:
-    """Digest the *simulated* outcome of a run (RunResult or RunSummary).
-
-    Covers every observable simulated quantity — commit count and the
-    sum of commit times, mean latency, per-category traffic bytes,
-    aborts by reason, routing fractions, site utilization, and the
-    fault timeline — while excluding host-side measurements
-    (``wall_clock_s``, ``events_processed``, RSS), which legitimately
-    vary across machines and process placement. Two runs of the same
-    :class:`RunSpec` must produce the same fingerprint whether they ran
-    serially, in another process, or on another host.
-    """
-    metrics = result.metrics
-    payload = {
-        "system": result.system_name,
-        "workload": result.workload_name,
-        "commits": metrics.commits,
-        "commit_time_sum": round(sum(metrics.commit_times), 6),
-        "latency_mean": round(result.latency().mean, 6),
-        "traffic": sorted(result.traffic_bytes.items()),
-        "aborts_by_reason": sorted(metrics.aborts_by_reason.items()),
-        "remaster_rate": round(result.remaster_rate, 9),
-        "route_fractions": [round(f, 9) for f in result.route_fractions],
-        "site_utilization": [round(u, 9) for u in result.site_utilization],
-        "fault_events": [
-            (round(event.at_ms, 6), event.kind, event.site)
-            for event in result.fault_events
-        ],
-    }
-    # Open-loop observables join the digest only when present, so every
-    # closed-loop fingerprint pinned before this subsystem existed is
-    # unchanged (getattr: summaries pickled by older builds lack the
-    # attribute entirely).
-    open_loop = getattr(metrics, "open_loop_counters", None)
-    if open_loop:
-        payload["open_loop"] = sorted(
-            (key, round(float(value), 6)) for key, value in open_loop.items()
-        )
-        payload["admission_wait_sum"] = round(metrics.admission_wait_total(), 6)
-    return sha256(
-        json.dumps(payload, sort_keys=True).encode()
-    ).hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------
@@ -178,11 +124,11 @@ class RunSpec:
     weights: Optional[StrategyWeights] = None
     seed: int = 0
     streaming_metrics: bool = False
-    #: Attach a fresh DecisionLedger in the worker (mastering metrics
-    #: come back folded on ``RunSummary.mastery``; the ledger does not).
+    #: Attach a fresh DecisionLedger in the worker; it comes back on
+    #: ``RunResult.ledger``.
     mastery: bool = False
-    #: Attach a fresh SloEngine in the worker (the scalar verdict comes
-    #: back folded on ``RunSummary.slo_verdict``; the engine does not).
+    #: Attach a fresh SloEngine in the worker; it comes back finalized
+    #: on ``RunResult.slo``.
     slo: bool = False
     #: Named fault scenario, instantiated in the worker via
     #: :func:`repro.faults.plan.build_scenario` against this spec's
@@ -246,50 +192,6 @@ def execute_spec(spec: RunSpec) -> RunResult:
         ledger=ledger,
         open_loop=spec.open_loop,
         slo=slo,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Portable results
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class RunSummary(RunMeasurements):
-    """The portable form of a :class:`~repro.bench.harness.RunResult`.
-
-    Carries every folded measurement across a process boundary; the
-    live ``system`` / ``obs`` / ``injector`` handles are deliberately
-    dropped, so a summary pickles cheaply and keeps no cluster alive.
-    What the recorders knew comes along folded, under the names a live
-    result answers to as well.
-    """
-
-    #: Folded ledger scalars (mastery runs only): locality share,
-    #: entropy, churn, convergence — see DecisionLedger.summary().
-    mastery: Dict[str, float] = field(default_factory=dict)
-    #: Folded SLO verdict (SLO-monitored runs only): incident /
-    #: violation / true-positive counts, MTTD/MTTR — see
-    #: SloEngine.summary().
-    slo_verdict: Dict[str, float] = field(default_factory=dict)
-    #: Canonical digest of the simulated outcome (:func:`run_fingerprint`).
-    fingerprint: str = ""
-    #: ``ru_maxrss`` of the producing process, in KB (0 if unknown).
-    peak_rss_kb: int = 0
-
-    def portable(self) -> "RunSummary":
-        """Already portable; returns self (mirrors RunResult.portable)."""
-        return self
-
-
-def summarize(result: RunResult) -> RunSummary:
-    """Build the portable :class:`RunSummary` of a live run."""
-    return RunSummary(
-        **{f.name: getattr(result, f.name) for f in fields(RunMeasurements)},
-        mastery=result.mastery,
-        slo_verdict=result.slo_verdict,
-        fingerprint=run_fingerprint(result),
-        peak_rss_kb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
     )
 
 
@@ -401,13 +303,13 @@ class ParallelExecutor:
         return outcomes
 
 
-def _spec_worker(spec: RunSpec) -> RunSummary:
+def _spec_worker(spec: RunSpec) -> RunResult:
     """Module-level worker entrypoint (must be picklable by name)."""
-    return summarize(execute_spec(spec))
+    return execute_spec(spec).portable()
 
 
-def execute_specs(specs: Sequence[RunSpec], jobs: int = 1) -> List[RunSummary]:
-    """Execute ``specs`` and return portable summaries in spec order.
+def execute_specs(specs: Sequence[RunSpec], jobs: int = 1) -> List[RunResult]:
+    """Execute ``specs`` and return portable results in spec order.
 
     The one run path of every driver: in-process at ``jobs=1`` (one
     cluster alive at a time), over worker processes above it.

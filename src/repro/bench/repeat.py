@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.bench.parallel import RunSpec, RunSummary, WorkloadSpec, execute_specs
+from repro.bench.harness import RunResult
+from repro.bench.parallel import RunSpec, WorkloadSpec, execute_specs
 from repro.sim.config import ClusterConfig
 
 #: Two-sided 95% critical values of Student's t for df = 1..29.
@@ -77,7 +78,7 @@ class RepeatedResult:
     throughput: Estimate
     mean_latency: Estimate
     p99_latency: Estimate
-    runs: List[RunSummary]
+    runs: List[RunResult]
 
 
 def run_repeated(

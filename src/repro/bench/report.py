@@ -163,15 +163,13 @@ def print_open_loop(result) -> None:
 
 
 def print_mastering(result) -> None:
-    """Print the mastering summary of a ledger-observed run.
-
-    The folded ``mastery`` scalars of either result shape; a live
-    result adds the top-mover timeline only its ledger's event stream
-    affords. Prints nothing for a run without a ledger.
+    """Print the mastering summary and top movers of a ledger-observed
+    run. Prints nothing for a run without a ledger.
     """
-    summary = result.mastery
-    if not summary:
+    ledger = result.ledger
+    if ledger is None:
         return
+    summary = ledger.summary()
     convergence = summary["convergence_ms"]
     rows = [
         ["decisions", f"{int(summary['decisions']):,}"],
@@ -189,39 +187,24 @@ def print_mastering(result) -> None:
          f"{summary['convergence_window_ms']:g} ms window)"],
     ]
     print_table("mastering (decision ledger)", ["metric", "value"], rows)
-    if result.ledger is not None:
-        timeline = result.ledger.timeline()
-        movers = timeline.top_movers(top=5)
-        if movers:
-            print_table(
-                "most remastered partitions",
-                ["partition", "moves", "timeline"],
-                [[partition, moves,
-                  timeline.render(partition, max_intervals=6)]
-                 for partition, moves in movers],
-            )
+    timeline = ledger.timeline()
+    movers = timeline.top_movers(top=5)
+    if movers:
+        print_table(
+            "most remastered partitions",
+            ["partition", "moves", "timeline"],
+            [[partition, moves, timeline.render(partition, max_intervals=6)]
+             for partition, moves in movers],
+        )
 
 
 def print_slo(result) -> None:
-    """Print the SLO/incident verdict of an SLO-monitored run.
-
-    A live result carrying its :class:`~repro.obs.slo.SloEngine` gets
-    the full objective, incident, and fault-correlation tables; a
-    portable one gets its folded ``slo_verdict`` scalars only (the
-    window series stayed in the worker). Prints nothing for an
-    unmonitored run.
+    """Print the objective, incident and fault-correlation tables of an
+    SLO-monitored run. Prints nothing for an unmonitored run.
     """
-    summary = result.slo_verdict
-    if not summary:
-        return
     slo = result.slo
     if slo is None:
-        print_table(
-            "SLO verdict (folded)", ["metric", "value"],
-            [[name, f"{value:g}"] for name, value in sorted(summary.items())],
-        )
         return
-
     print_table(
         "SLO objectives",
         ["objective", "metric", "bound", "threshold", "windows",
@@ -266,6 +249,7 @@ def print_slo(result) -> None:
                 for span in slo.correlation
             ],
         )
+    summary = slo.summary()
     verdict = [
         ["incidents (SLO)", f"{int(summary['incidents']):,}"],
         ["violations (invariant)", f"{int(summary['violations']):,}"],

@@ -23,7 +23,7 @@ Determinism: everything here is a pure function of the pinned
 must be bit-identical to a serial sweep — the scale-smoke CI job runs
 the smoke subset at ``--jobs 2`` against the committed fingerprints to
 pin exactly that. This module reads no host clock (the per-point wall
-figures come from ``RunSummary.wall_clock_s``, measured by the blessed
+figures come from ``RunResult.wall_clock_s``, measured by the blessed
 reader inside the harness), so the determinism guard applies to it in
 full.
 """

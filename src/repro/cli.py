@@ -612,17 +612,14 @@ def _chaos_matrix(args, systems, scenarios) -> int:
                     "never" if converged < 0 else f"{converged:,.0f} ms",
                 ]
         if args.slo:
-            verdict = report.result.slo_verdict
-            if verdict:
-                mttd = verdict["mttd_mean_ms"]
-                row += [
-                    int(verdict["incidents"]),
-                    int(verdict["true_positives"]),
-                    int(verdict["false_positives"]),
-                    "n/a" if mttd < 0 else f"{mttd:,.0f}",
-                ]
-            else:
-                row += ["-", "-", "-", "-"]
+            verdict = report.result.slo.summary()
+            mttd = verdict["mttd_mean_ms"]
+            row += [
+                int(verdict["incidents"]),
+                int(verdict["true_positives"]),
+                int(verdict["false_positives"]),
+                "n/a" if mttd < 0 else f"{mttd:,.0f}",
+            ]
         rows.append(row)
     print_table(
         f"chaos matrix: {len(systems)} system(s) x {len(scenarios)} "

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.bench.harness import RunMeasurements, run_benchmark
+from repro.bench.harness import RunResult, run_benchmark
 from repro.bench.metrics import rate_series
 from repro.bench.parallel import RunSpec, WorkloadSpec, execute_specs
 from repro.faults.plan import FaultPlan, build_scenario
@@ -69,7 +69,7 @@ class ChaosReport:
     fault_events: List[Tuple[float, str, int]]
     #: The run behind the report, live (``run_chaos``) or portable
     #: (``run_chaos_matrix``).
-    result: Optional[RunMeasurements] = field(repr=False, default=None)
+    result: Optional[RunResult] = field(repr=False, default=None)
 
     # -- latency attribution (observed chaos runs only) ----------------------
 
@@ -90,22 +90,19 @@ class ChaosReport:
         """Mastering metrics with per-disruption re-convergence.
 
         For a chaos run with a decision ledger attached
-        (``run_chaos(..., ledger=DecisionLedger())`` or the CLI's
-        ``repro chaos --masters``), returns the run's folded ledger
-        scalars (``result.mastery``, the same for a live and a portable
-        result) plus a ``reconvergence`` list with one entry per fault
+        (``run_chaos(..., ledger=DecisionLedger())``, a
+        ``run_chaos_matrix(..., mastery=True)`` cell, or the CLI's
+        ``repro chaos --masters``), returns the ledger's scalar summary
+        plus a ``reconvergence`` list with one entry per fault
         transition: how many milliseconds after the event the
         :data:`BUCKET_MS`-windowed remaster rate settled back at or
         below 5 % (None when it never did — e.g. the run ended
-        mid-storm). A portable result gets an empty ``reconvergence``
-        list (the event-level series stayed in the worker). None when
-        the run carried no ledger at all.
+        mid-storm). None when the run carried no ledger.
         """
-        mastery = self.result.mastery if self.result is not None else {}
-        if not mastery:
+        ledger = self.result.ledger if self.result is not None else None
+        if ledger is None:
             return None
-        ledger = self.result.ledger
-        reconvergence = [] if ledger is None else [
+        reconvergence = [
             {
                 "at_ms": at_ms,
                 "kind": kind,
@@ -116,7 +113,7 @@ class ChaosReport:
             }
             for at_ms, kind, site in self.fault_events
         ]
-        return {"summary": dict(mastery), "reconvergence": reconvergence}
+        return {"summary": ledger.summary(), "reconvergence": reconvergence}
 
     def degraded_windows(self) -> List[Tuple[float, float]]:
         """``[crash, restart)`` windows during which any site was down."""
@@ -269,8 +266,8 @@ def report_from_result(
     warmup_ms: float = 0.0,
     bucket_ms: float = BUCKET_MS,
 ) -> ChaosReport:
-    """Distill a run (live ``RunResult`` or portable ``RunSummary``)
-    into a :class:`ChaosReport`.
+    """Distill a run (live or portable ``RunResult``) into a
+    :class:`ChaosReport`.
 
     Everything the report needs — commit/abort completion times, fault
     transitions, abort reasons — survives the portable form, so chaos
@@ -330,8 +327,9 @@ def run_chaos_matrix(
     same specs serially in-process. ``defenses`` selects the
     gray-failure defense preset for every cell (``ClusterConfig.defenses``).
     ``slo=True`` evaluates the default SLO and invariant monitors in
-    every cell; the folded verdict rides back on each summary's ``slo``
-    dict. Each timeline is bucketed at :data:`BUCKET_MS`.
+    every cell and ``mastery=True`` records its remaster decisions; the
+    finalized engine and ledger ride back on each cell's result. Each
+    timeline is bucketed at :data:`BUCKET_MS`.
     """
     workload = chaos_workload_spec()
     combos = [(system, scenario) for system in systems for scenario in scenarios]
@@ -351,11 +349,11 @@ def run_chaos_matrix(
         )
         for system, scenario in combos
     ]
-    summaries = execute_specs(specs, jobs=jobs)
+    results = execute_specs(specs, jobs=jobs)
     return {
         combo: report_from_result(
-            summary, combo[1],
+            result, combo[1],
             num_sites=num_sites, duration_ms=duration_ms,
         )
-        for combo, summary in zip(combos, summaries)
+        for combo, result in zip(combos, results)
     }

@@ -496,12 +496,7 @@ class DecisionLedger:
     # -- summary -------------------------------------------------------------
 
     def summary(self) -> Dict[str, float]:
-        """Scalar mastering metrics, portable across process boundaries.
-
-        This is the dictionary folded into
-        :class:`~repro.bench.parallel.RunSummary` for ``--jobs N``
-        runs; keep values plain floats.
-        """
+        """Scalar mastering metrics; values are plain floats."""
         convergence = self.convergence_time()
         ping_pongs = self.ping_pongs()
         return {
@@ -610,14 +605,6 @@ class MastershipTimeline:
 
     def intervals(self, partition: int) -> List[OwnershipInterval]:
         return list(self._intervals.get(partition, []))
-
-    def final_placement(self) -> Dict[int, int]:
-        """Partition -> last recorded master."""
-        return {
-            partition: history[-1].site
-            for partition, history in self._intervals.items()
-            if history
-        }
 
     def moves_of(self, partition: int) -> int:
         return max(0, len(self._intervals.get(partition, [])) - 1)

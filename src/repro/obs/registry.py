@@ -109,9 +109,6 @@ class Gauge:
     def set(self, value: float) -> None:
         self.value = value
 
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
 
 class StreamingHistogram:
     """A log-bucketed histogram of non-negative samples.

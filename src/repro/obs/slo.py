@@ -363,7 +363,8 @@ def _coalesce(
 
 
 class SloEngine:
-    """The live streaming SLO/invariant engine for one run."""
+    """The streaming SLO/invariant engine for one run; plain data once
+    finalized."""
 
     def __init__(
         self,
@@ -387,7 +388,8 @@ class SloEngine:
         self.windows_closed = 0
         self.run_end_ms: Optional[float] = None
         self.correlation: List[Dict[str, object]] = []
-        # Live-cluster handles (pure-read only; set by install()).
+        # Live-cluster handles (pure-read only; set by install(),
+        # dropped by finalize()).
         self.sites: Sequence = ()
         self.selector = None
         self.injector = None
@@ -438,7 +440,8 @@ class SloEngine:
             window.aborts += 1
 
     def finalize(self, duration_ms: float) -> None:
-        """Close trailing windows, then correlate against ground truth."""
+        """Close trailing windows, correlate against ground truth, then
+        let go of the cluster: a finalized engine is plain data."""
         if self._finalized:
             return
         window = self._window
@@ -452,6 +455,8 @@ class SloEngine:
             self._window = None
         self.run_end_ms = duration_ms
         self._correlate(duration_ms)
+        self.sites = self.queues = ()
+        self.selector = self.injector = None
         self._finalized = True
 
     def _close_window(self, window: _Window) -> None:
@@ -718,11 +723,7 @@ class SloEngine:
         return {state.spec.name: list(state.series) for state in self._states}
 
     def summary(self) -> Dict[str, float]:
-        """Scalar verdict, portable across process boundaries.
-
-        This is the dictionary folded into
-        :class:`~repro.bench.parallel.RunSummary` for ``--jobs N``
-        runs; keep values plain floats. ``-1.0`` means "not
+        """Scalar verdict; values are plain floats. ``-1.0`` means "not
         applicable" (no detected/recovered fault spans), mirroring the
         mastery ledger's ``convergence_ms`` convention.
         """

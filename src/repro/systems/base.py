@@ -101,10 +101,6 @@ class Cluster:
         for partition, site_index in placement.items():
             self.sites[site_index].mastered.add(partition)
 
-    def run(self, until: float) -> None:
-        """Advance the simulation to time ``until`` (milliseconds)."""
-        self.env.run(until=until)
-
 
 @dataclass
 class Session:

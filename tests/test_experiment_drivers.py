@@ -6,7 +6,7 @@ a few milliseconds of simulated time.
 """
 
 from repro.bench.experiments import run_suite
-from repro.bench.parallel import RunSummary, WorkloadSpec
+from repro.bench.parallel import WorkloadSpec
 
 TINY_YCSB = WorkloadSpec.of("ycsb", num_partitions=40, affinity_txns=30)
 
@@ -23,7 +23,7 @@ class TestRunSuite:
         )
         assert set(results) == {"dynamast", "partition-store"}
         for result in results.values():
-            assert isinstance(result, RunSummary)
+            assert result.system is None  # portable: no cluster kept
             assert result.metrics.commits > 0
 
     def test_fresh_workload_per_system(self):

@@ -104,7 +104,7 @@ class TestSlowHook:
     def test_injector_applies_and_lifts_slow_window(self):
         plan = FaultPlan(slowdowns=(SlowFault(1, 200.0, 500.0, factor=8.0),))
         result = _run("dynamast", plan, duration_ms=800.0)
-        injector = result.injector
+        injector = result.system.cluster.faults
         assert injector.cpu_multiplier(1) == 1.0  # past the window
         assert result.system.cluster.sites[1].cpu.slow is not None
         assert result.metrics.commits > 0
@@ -116,7 +116,7 @@ class TestSlowHook:
         ))
         result = _run("dynamast", plan, duration_ms=60.0, warmup_ms=0.0)
         # env.now is 60.0 at run end — inside both windows.
-        assert result.injector.cpu_multiplier(1) == 6.0
+        assert result.system.cluster.faults.cpu_multiplier(1) == 6.0
 
 
 # -- phi-accrual detector ---------------------------------------------------
@@ -379,7 +379,7 @@ class TestRestartHygiene:
         plan = build_scenario("crash-restart", num_sites=3,
                               duration_ms=1500.0)
         result = _run("dynamast", plan, defenses="adaptive", duration_ms=1500.0)
-        injector = result.injector
+        injector = result.system.cluster.faults
         kinds = [(event.kind, event.site) for event in injector.events]
         assert ("crash", 1) in kinds and ("restart", 1) in kinds
         # The rejoined site carries no stale suspicion, and its RTT
@@ -452,7 +452,7 @@ class TestDefensePresets:
     def _built(self, defenses):
         plan = build_scenario("crash", num_sites=3, duration_ms=300.0)
         result = _run("dynamast", plan, defenses=defenses, duration_ms=300.0)
-        return result.injector, result.system
+        return result.system.cluster.faults, result.system
 
     def test_fixed_preset_is_the_baseline(self):
         injector, system = self._built("fixed")
@@ -483,7 +483,7 @@ class TestDefensePresets:
             warmup_ms=100.0, cluster_config=ClusterConfig(num_sites=3), seed=7,
             fault_plan=plan,
         )
-        assert type(result.injector.detector) is FailureDetector
+        assert type(result.system.cluster.faults.detector) is FailureDetector
         assert not result.system.cluster.hedged_reads
         assert result.system.selector.strategy.weights.health == 0.0
 

@@ -10,23 +10,24 @@ purpose — a lambda or closure would fail to pickle, which is exactly
 the rule CONTRIBUTING.md ("Spawn safety") documents.
 """
 
+import gc
 import pickle
 import subprocess
 import sys
+import weakref
 
 import pytest
 
-from repro.bench.harness import run_benchmark
+from repro.bench import parallel
+from repro.bench.harness import RunResult, run_benchmark
 from repro.bench.parallel import (
     ParallelExecutor,
     RunSpec,
-    RunSummary,
     SpecExecutionError,
     WorkloadSpec,
     _spec_worker,
     execute_specs,
     run_fingerprint,
-    summarize,
 )
 from repro.core.strategy import StrategyWeights
 from repro.faults.plan import SCENARIOS, FaultPlan, build_scenario
@@ -217,7 +218,7 @@ class TestSpecFailurePaths:
         outcomes = ParallelExecutor(2)._run_pool(
             _spec_worker, [good, unknown_workload, bad_config]
         )
-        assert isinstance(outcomes[0], RunSummary)
+        assert isinstance(outcomes[0], RunResult)
         assert outcomes[0].metrics.commits > 0
 
         for outcome, label in ((outcomes[1], "bad-workload"),
@@ -274,9 +275,8 @@ class TestSpecFailurePaths:
 class TestPortableResults:
     def test_portable_summary_pickles_and_round_trips(self):
         result = run_spec_serially(tiny_spec())
-        summary = result.portable()
-        assert isinstance(summary, RunSummary)
-        clone = pickle.loads(pickle.dumps(summary))
+        portable = result.portable()
+        clone = pickle.loads(pickle.dumps(portable))
         assert clone.metrics.commits == result.metrics.commits
         assert clone.fingerprint == run_fingerprint(result)
         assert clone.throughput == result.throughput
@@ -285,13 +285,10 @@ class TestPortableResults:
     def test_portable_drops_live_handles(self):
         result = run_spec_serially(tiny_spec())
         assert result.system is not None  # the live run keeps its cluster
-        summary = result.portable()
-        assert not hasattr(summary, "system")
-        assert not hasattr(summary, "injector")
-        # The recorder slots exist on both shapes; a summary's are empty.
-        assert summary.obs is None and summary.ledger is None
-        assert summary.slo is None
-        assert summary.portable() is summary
+        portable = result.portable()
+        assert portable.system is None and portable.obs is None
+        assert portable.ledger is None and portable.slo is None
+        assert result.system is not None  # the live result is untouched
 
     def test_fingerprint_ignores_host_side_measurements(self):
         result = run_spec_serially(tiny_spec())
@@ -301,14 +298,35 @@ class TestPortableResults:
         assert run_fingerprint(result) == before
 
     def test_summary_carries_worker_measurements(self):
-        summary = summarize(run_spec_serially(tiny_spec()))
+        """``run_benchmark`` stamps the host measurements and the
+        fingerprint; the portable form keeps them."""
+        summary = run_spec_serially(tiny_spec()).portable()
         assert summary.wall_clock_s > 0
         assert summary.events_processed > 0
         assert summary.peak_rss_kb > 0
+        assert summary.fingerprint == run_fingerprint(summary)
+
+    def test_a_swept_run_keeps_no_cluster_alive(self, monkeypatch):
+        """A jobs=1 sweep holds one portable result per row; neither it
+        nor its ledger or SLO engine keeps the cluster reachable."""
+        clusters = []
+        execute_spec = parallel.execute_spec
+
+        def execute(spec):
+            result = execute_spec(spec)
+            clusters.append(weakref.ref(result.system.cluster))
+            return result
+
+        monkeypatch.setattr(parallel, "execute_spec", execute)
+        (result,) = execute_specs([tiny_spec(mastery=True, slo=True)], jobs=1)
+        assert result.ledger is not None and result.slo is not None
+        gc.unfreeze()  # the run loop froze its heap; let collect see it
+        gc.collect()
+        assert clusters and clusters[0]() is None
 
 
 class TestPickleRoundTrips:
-    """Every type a RunSpec or RunSummary transports must pickle."""
+    """Every type a RunSpec or a portable RunResult transports must pickle."""
 
     def test_cluster_config(self):
         config = ClusterConfig(num_sites=5, cores_per_site=3)
@@ -349,12 +367,17 @@ class TestPickleRoundTrips:
         assert clone.latency().mean == pytest.approx(metrics.latency().mean)
         assert clone.aborts_by_reason == metrics.aborts_by_reason
 
-    def test_folded_recorder_fields(self):
-        (summary,) = execute_specs([tiny_spec(mastery=True, slo=True)])
-        clone = pickle.loads(pickle.dumps(summary))
-        assert clone.slo_verdict == summary.slo_verdict != {}
-        assert clone.mastery == summary.mastery != {}
-        assert clone.fingerprint == summary.fingerprint
+    def test_finalized_recorders_are_data(self):
+        """The ledger and the finalized SLO engine hold no live handle:
+        they pickle, and every export reads the same after the trip."""
+        (result,) = execute_specs([tiny_spec(mastery=True, slo=True)])
+        assert result.slo.sites == () and result.slo.injector is None
+        clone = pickle.loads(pickle.dumps(result))
+        for name in ("ledger", "slo"):
+            recorder, copied = getattr(result, name), getattr(clone, name)
+            assert copied.to_jsonl() == recorder.to_jsonl()
+            assert copied.summary() == recorder.summary() != {}
+        assert clone.fingerprint == result.fingerprint
 
     def test_run_spec(self):
         spec = tiny_spec(

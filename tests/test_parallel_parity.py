@@ -13,10 +13,9 @@ attaches perturbs the simulation. Scales are tiny.
 
 import pytest
 
-from repro.bench.harness import ALL_SYSTEMS, run_benchmark
+from repro.bench.harness import ALL_SYSTEMS, RunResult, run_benchmark
 from repro.bench.parallel import (
     RunSpec,
-    RunSummary,
     WorkloadSpec,
     execute_spec,
     execute_specs,
@@ -54,9 +53,16 @@ def at_both_jobs(systems, **flags):
 
 def assert_same_runs(serial, parallel):
     for left, right in zip(serial, parallel):
-        assert isinstance(left, RunSummary) and isinstance(right, RunSummary)
+        assert isinstance(left, RunResult) and isinstance(right, RunResult)
         assert left.fingerprint == right.fingerprint
         assert left.metrics.commits > 0
+
+
+#: What a RunSpec flag leaves on a run, comparable across processes.
+FLAG_RECORDS = {
+    "slo": lambda run: run.slo.to_jsonl(),
+    "offered_rate": lambda run: run.offered_rate,
+}
 
 
 class TestRunSuiteParity:
@@ -84,28 +90,29 @@ class TestRunSuiteParity:
         serial, parallel = at_both_jobs(SYSTEMS, mastery=True)
         assert_same_runs(serial.values(), parallel.values())
         for system in SYSTEMS:
-            assert parallel[system].mastery == serial[system].mastery
-            assert serial[system].mastery["updates_routed"] > 0
+            summary = serial[system].ledger.summary()
+            assert parallel[system].ledger.summary() == summary
+            assert summary["updates_routed"] > 0
 
     def test_faulted_suite_parity(self):
         serial, parallel = at_both_jobs(("dynamast",), fault_scenario="crash")
         assert_same_runs(serial.values(), parallel.values())
         assert parallel["dynamast"].fault_events  # the crash happened
 
-    @pytest.mark.parametrize("flag,folded", [
-        (dict(slo=True), "slo_verdict"),
+    @pytest.mark.parametrize("flag,recorded", [
+        (dict(slo=True), "slo"),
         (dict(open_loop=OpenLoopSpec.of("constant", rate_tps=2000.0)),
          "offered_rate"),
     ])
-    def test_every_run_spec_flag_works_at_both_jobs(self, flag, folded):
+    def test_every_run_spec_flag_works_at_both_jobs(self, flag, recorded):
         """``slo`` died at jobs=1 and both were refused at jobs=2 while
         the drivers kept their own allow-list of RunSpec fields."""
+        read = FLAG_RECORDS[recorded]
         serial, parallel = at_both_jobs(SYSTEMS, **flag)
         assert_same_runs(serial.values(), parallel.values())
         for system in SYSTEMS:
-            assert getattr(serial[system], folded)
-            assert getattr(parallel[system], folded) == \
-                getattr(serial[system], folded)
+            assert read(serial[system])
+            assert read(parallel[system]) == read(serial[system])
 
 
 class TestRunRepeatedParity:
@@ -130,15 +137,15 @@ def recorded_run(system, recorder):
             cluster_config=ClusterConfig(**CLUSTER), seed=3,
             obs=Observability(), **TINY,
         )
-    (summary,) = execute_specs([recorder_spec(system, **{recorder: True})])
-    return summary
+    (result,) = execute_specs([recorder_spec(system, **{recorder: True})])
+    return result
 
 
 #: Recorder -> what it recorded on a run.
 RECORDERS = {
     "observed": lambda run: len(run.obs.tracer.spans),
-    "mastery": lambda run: run.mastery,
-    "slo": lambda run: run.slo_verdict,
+    "mastery": lambda run: run.ledger.summary(),
+    "slo": lambda run: run.slo.summary(),
 }
 
 
@@ -158,31 +165,29 @@ class TestPassiveRecorders:
         assert run_fingerprint(recorded) == plain[system].fingerprint
         assert recorded.metrics.commits > 0
         assert RECORDERS[flag](recorded)  # it did record
-        assert not plain[system].mastery and not plain[system].slo_verdict
+        assert plain[system].ledger is None and plain[system].slo is None
         if flag == "mastery" and system == "dynamast":
-            assert recorded.mastery["decisions"] > 0
+            assert recorded.ledger.summary()["decisions"] > 0
 
 
 class TestOneResultShape:
     def test_live_result_and_its_portable_form_agree(self):
-        """``mastery`` and ``slo_verdict`` read the same off a live
-        result as off the summary folded from it."""
+        """The portable form carries the live result's recorders whole."""
         live = execute_spec(recorder_spec("dynamast", mastery=True, slo=True))
-        summary = live.portable()
-        for name in ("mastery", "slo_verdict"):
-            folded = getattr(summary, name)
-            assert folded and isinstance(folded, dict)
-            assert getattr(live, name) == folded
-        assert live.ledger is not None and summary.ledger is None
+        portable = live.portable()
+        assert portable.ledger is live.ledger and portable.slo is live.slo
+        assert portable.ledger.summary()["decisions"] > 0
+        assert portable.slo.summary()["windows_evaluated"] > 0
+        assert portable.fingerprint == live.fingerprint
 
     def test_detached_recorder_is_not_folded(self):
         """A recorder taken off a live result before ``portable()`` is
-        not folded; the attribute stays assignable."""
+        not carried; the attribute stays assignable."""
         live = execute_spec(recorder_spec("dynamast", mastery=True))
         ledger, live.ledger = live.ledger, None
-        assert live.portable().mastery == {}
+        assert live.portable().ledger is None
         live.ledger = ledger
-        assert live.portable().mastery
+        assert live.portable().ledger is ledger
 
 
 class TestPerfMatrixParity:

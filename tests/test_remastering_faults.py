@@ -122,7 +122,7 @@ class TestFailureInsideTheParallelSchedule:
             assert selector.table.master_of(3) == 2
             assert_quiet_and_consistent(cluster, system)
 
-            cluster.run(until=2_000.0)
+            cluster.env.run(until=2_000.0)
             decide = selector.strategy.decide
 
             def to_site_2(partitions, site_vvs, session_vv, exclude, health):

@@ -50,7 +50,7 @@ class TestSiteRecovery:
         cluster, system = make_dynamast()
         initial = dict(system.selector.table.snapshot())
         run_writes(cluster, system, [(5, 15), (25, 35), (5, 45), (15, 55)])
-        cluster.run(until=cluster.env.now + 20.0)  # drain refreshes
+        cluster.env.run(until=cluster.env.now + 20.0)  # drain refreshes
 
         crashed = cluster.sites[1]
         expected_svv = crashed.svv.to_tuple()
@@ -68,14 +68,14 @@ class TestSiteRecovery:
         cluster, system = make_dynamast()
         initial = dict(system.selector.table.snapshot())
         run_writes(cluster, system, [(5, 15), (25, 35)])
-        cluster.run(until=cluster.env.now + 20.0)
+        cluster.env.run(until=cluster.env.now + 20.0)
 
         replacement = crash_and_rejoin(cluster, 1, initial)
         before = replacement.svv.to_tuple()
 
         # New work flows through the recovered cluster.
         run_writes(cluster, system, [(5, 25), (15, 35), (45, 55)], client_id=7)
-        cluster.run(until=cluster.env.now + 20.0)
+        cluster.env.run(until=cluster.env.now + 20.0)
 
         assert replacement.svv.total() > sum(before)
         # All sites converge again.
@@ -86,13 +86,13 @@ class TestSiteRecovery:
         cluster, system = make_dynamast()
         initial = dict(system.selector.table.snapshot())
         run_writes(cluster, system, [(5, 15)])
-        cluster.run(until=cluster.env.now + 20.0)
+        cluster.env.run(until=cluster.env.now + 20.0)
 
         replacement = crash_and_rejoin(cluster, 1, initial)
         if not replacement.mastered:
             # Give it something to master via the normal protocol.
             run_writes(cluster, system, [(15, 25)], client_id=9)
-            cluster.run(until=cluster.env.now + 20.0)
+            cluster.env.run(until=cluster.env.now + 20.0)
 
         commits_before = replacement.commits
 

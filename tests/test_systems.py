@@ -150,7 +150,7 @@ class TestPartitionStore:
         cluster, system = make_system("partition-store")
         txn = Transaction("w", 0, write_set=(("t", 5),))
         run_client(cluster, system, [txn])
-        cluster.run(until=cluster.env.now + 10.0)
+        cluster.env.run(until=cluster.env.now + 10.0)
         # The write exists only at the owning site.
         assert cluster.sites[0].database.record(("t", 5)) is not None
         assert cluster.sites[1].database.record(("t", 5)) is None
