@@ -28,6 +28,7 @@ from repro.sim.config import ClusterConfig
 from repro.sim.rand import sha256
 from repro.systems import Cluster, build_system
 from repro.systems.base import System
+from repro.transactions import restart_txn_ids
 from repro.workloads.base import Workload
 
 if TYPE_CHECKING:  # recorders load only when a run attaches one
@@ -255,6 +256,7 @@ def run_benchmark(
         warmup_ms=warmup_ms, open_loop=open_loop,
     )
     wall_start = time.perf_counter()
+    restart_txn_ids()
     observability = obs if obs is not None else NULL_OBS
     config = cluster_config or ClusterConfig()
     if seed:

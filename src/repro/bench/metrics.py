@@ -75,9 +75,9 @@ _FOLDED = (
 
 
 def _fold_samples(histogram: StreamingHistogram,
-                  samples: Union[List[float], StreamingHistogram]) -> None:
-    """Stream an exact sample list, or merge a streaming histogram, into
-    ``histogram``."""
+                  samples: Union[array, StreamingHistogram]) -> None:
+    """Stream an exact sample column, or merge a streaming histogram,
+    into ``histogram``."""
     if isinstance(samples, StreamingHistogram):
         histogram.merge(samples)
     else:
@@ -133,10 +133,11 @@ class Metrics:
 
     def __init__(self, streaming: bool = False):
         self.streaming = streaming
-        self.latencies: Dict[str, Union[List[float], StreamingHistogram]] = {}
-        #: Completion times of committed txns, 8 B each. The latency
-        #: lists stay lists: summaries sort them, and sorting a column
-        #: would box every float again.
+        #: Per-type latency samples, 8 B each in an ``array('d')``
+        #: (boxed again only while a summary sorts them), or streaming
+        #: histograms.
+        self.latencies: Dict[str, Union[array, StreamingHistogram]] = {}
+        #: Completion times of committed txns, 8 B each.
         self.commit_times = array("d")
         #: Completion times of aborted txns (for availability timelines).
         self.abort_times = array("d")
@@ -172,9 +173,9 @@ class Metrics:
         #: fingerprints unchanged.
         self.open_loop_counters: Dict[str, float] = {}
         #: Admission-queue waits (ms) of recorded open-loop arrivals —
-        #: sample list, or a streaming histogram in streaming mode.
-        self.admission_waits: Union[List[float], StreamingHistogram] = (
-            StreamingHistogram("admission_wait") if streaming else []
+        #: an ``array('d')``, or a streaming histogram in streaming mode.
+        self.admission_waits: Union[array, StreamingHistogram] = (
+            StreamingHistogram("admission_wait") if streaming else array("d")
         )
 
     def record(
@@ -204,7 +205,10 @@ class Metrics:
                 )
             histogram.record(latency)
         else:
-            self.latencies.setdefault(txn.txn_type, []).append(latency)
+            samples = self.latencies.get(txn.txn_type)
+            if samples is None:
+                samples = self.latencies[txn.txn_type] = array("d")
+            samples.append(latency)
         if outcome.remastered:
             self.remastered_txns += 1
         if outcome.distributed:

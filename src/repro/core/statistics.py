@@ -29,10 +29,14 @@ only materializes state that was already determined at observe time.
 Per-site write loads, read on every remastering decision, are kept
 **incrementally** once a partition table is attached
 (:meth:`AccessStatistics.follow_masters`): a per-site total moves when a
-sample is ingested, expired or evicted, and when a master changes. Every
-count is an integer-valued float (each mutation is ±1.0), so the sums
-are exact and order-independent below 2**53 and the totals equal a
-rescan of the window bit for bit (DESIGN.md §8).
+sample is ingested, expired or evicted, and when a master changes.
+
+Every count is an ``int`` moved by ±1. Small ints are shared objects,
+so a count costs only its dict slot; the sums are exact and
+order-independent, so the totals equal a rescan of the window. Below
+2**53, int true division rounds exactly as float division of the same
+values does, so every likelihood and load fraction is the one float
+counts gave (DESIGN.md §8).
 """
 
 from __future__ import annotations
@@ -40,7 +44,8 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
+from itertools import chain, islice
+from typing import Deque, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from repro.sim.config import check_config
 
@@ -82,12 +87,13 @@ class AccessStatistics:
         #: derives it from its weights (a zero ``inter_txn`` weight
         #: never reads the table).
         self.track_inter = track_inter
-        self._writes: Dict[int, float] = {}
-        #: Incremental ``sum(self._writes.values())``; exact because
-        #: every mutation is +-1.0 per partition.
-        self._mass: float = 0.0
-        self._intra: Dict[int, Dict[int, float]] = {}
-        self._inter: Dict[int, Dict[int, float]] = {}
+        #: Counts are ints: each mutation is +-1, and small ints are
+        #: shared objects, so a count costs its dict slot only.
+        self._writes: Dict[int, int] = {}
+        #: Incremental ``sum(self._writes.values())``.
+        self._mass = 0
+        self._intra: Dict[int, Dict[int, int]] = {}
+        self._inter: Dict[int, Dict[int, int]] = {}
         #: The retained window, one row per sample, oldest first. Rows
         #: before ``_head`` are removed and wait for :meth:`_compact`;
         #: ``_part_head`` / ``_first_head`` are where the head row's
@@ -100,7 +106,8 @@ class AccessStatistics:
         self._parts = array("I")
         #: Inter tracking only: each row's count of "first" partitions,
         #: and those flat — the client's earlier write sets inside Δt
-        #: concatenated, cut after the last one :meth:`_pairs` paired.
+        #: concatenated, cut after the last one :meth:`_shift_inter`
+        #: paired.
         #: Removal walks them again, so it decays exactly the pairs
         #: recording added.
         self._first_sizes = array("I")
@@ -115,25 +122,25 @@ class AccessStatistics:
         #: Live partition -> master map and the retained write count
         #: mastered at each site (see :meth:`follow_masters`).
         self._masters: Mapping[int, int] = {}
-        self._site_writes: List[float] = []
+        self._site_writes: List[int] = []
 
     # -- folded views ------------------------------------------------------
 
     @property
-    def partition_writes(self) -> Dict[int, float]:
+    def partition_writes(self) -> Dict[int, int]:
         """Per-partition write counts (folds pending samples)."""
         if self._pending:
             self._fold()
         return self._writes
 
     @property
-    def co_intra(self) -> Dict[int, Dict[int, float]]:
+    def co_intra(self) -> Dict[int, Dict[int, int]]:
         if self._pending:
             self._fold()
         return self._intra
 
     @property
-    def co_inter(self) -> Dict[int, Dict[int, float]]:
+    def co_inter(self) -> Dict[int, Dict[int, int]]:
         if self._pending:
             self._fold()
         return self._inter
@@ -171,12 +178,12 @@ class AccessStatistics:
         writes = self._writes
         for partition in partitions:
             if partition in writes:
-                writes[partition] += 1.0
+                writes[partition] += 1
             else:
-                writes[partition] = 1.0
-        self._mass += float(len(partitions))
+                writes[partition] = 1
+        self._mass += len(partitions)
         if self._site_writes:
-            self._shift_site_writes(partitions, 1.0)
+            self._shift_site_writes(partitions, 1)
 
         # Rows are created in the order a per-pair bump would create
         # them and filled in the same order, so every co-access row
@@ -189,54 +196,76 @@ class AccessStatistics:
                 left_row = intra[left] = {}
             for right in partitions[index + 1:]:
                 if right in left_row:
-                    left_row[right] += 1.0
+                    left_row[right] += 1
                 else:
-                    left_row[right] = 1.0
+                    left_row[right] = 1
                 row = intra.get(right)
                 if row is None:
                     row = intra[right] = {}
                 if left in row:
-                    row[left] += 1.0
+                    row[left] += 1
                 else:
-                    row[left] = 1.0
+                    row[left] = 1
 
         if self.track_inter:
-            firsts = self._record_inter(now, client_id, partitions)
-            self._first_sizes.append(len(firsts))
-            self._firsts.extend(firsts)
+            self._record_inter(now, client_id, partitions)
         self._times.append(now)
         self._sizes.append(len(partitions))
         self._parts.extend(partitions)
         if len(self._times) - self._head > self.config.max_samples:
             self._remove_oldest()
 
-    def _pairs(
-        self, firsts: Sequence[int], partitions: Sequence[int]
-    ) -> Iterator[Tuple[int, int]]:
-        """The inter-transaction pairs one sample contributes, in order,
-        as ``(index into firsts, later)``.
+    def _shift_inter(
+        self,
+        groups: Sequence[Sequence[int]],
+        partitions: Sequence[int],
+        amount: int,
+    ) -> int:
+        """Add ``amount`` to every inter-transaction pair one sample
+        contributes; returns how many firsts the walk needed.
 
-        Every ``(first, later)`` with ``first`` in ``firsts`` (the
-        earlier write sets, concatenated), ``later`` in ``partitions``
-        and ``first != later``, stopping at ``max_inter_pairs``.
-        Recording and removal both walk this, so a sample takes away
-        exactly the pairs it added.
+        The pairs are every ``(first, later)`` with ``first`` in the
+        concatenated ``groups`` (the earlier write sets), ``later`` in
+        ``partitions`` and ``first != later``, in that order, stopping
+        at ``max_inter_pairs``. Recording (+1, the client's recent write
+        sets) and removal (-1, the row's stored firsts) both walk here,
+        so a sample takes away exactly the pairs it added. A row is
+        created at its first pair and dropped at its last count, so the
+        table never holds an empty row.
         """
-        cap = self.config.max_inter_pairs
-        count = 0
-        for index, first in enumerate(firsts):
-            for later in partitions:
-                if first != later:
-                    yield index, later
-                    count += 1
-                    if count >= cap:
-                        return
+        inter = self._inter
+        left = self.config.max_inter_pairs
+        seen = walked = 0
+        for group in groups:
+            for first in group:
+                seen += 1
+                row = None
+                for later in partitions:
+                    if later == first:
+                        continue
+                    if row is None:
+                        row = inter.get(first)
+                        if row is None:
+                            row = inter[first] = {}
+                    count = row.get(later, 0) + amount
+                    if count > 0:
+                        row[later] = count
+                    else:
+                        row.pop(later, None)
+                        if not row:
+                            del inter[first]
+                            row = None
+                    walked = seen
+                    left -= 1
+                    if not left:
+                        return walked
+        return walked
 
     def _record_inter(
         self, now: float, client_id: int, partitions: Tuple[int, ...]
-    ) -> List[int]:
-        """Pair this write set with the client's recent ones within Δt;
-        returns the "first" partitions the pairs walked, in order."""
+    ) -> None:
+        """Pair this write set with the client's recent ones within Δt
+        and store the "first" partitions the pairs walked, in order."""
         window = self.config.inter_txn_window_ms
         recent = self._recent.get(client_id)
         if recent is None:
@@ -244,24 +273,12 @@ class AccessStatistics:
         horizon = now - window
         while recent and recent[0][0] < horizon:
             recent.popleft()
-        firsts = [first for _, previous in recent for first in previous]
-        # A row is only created when a pair is actually added, so the
-        # table never holds an empty row.
-        inter = self._inter
-        walked = 0
-        for index, later in self._pairs(firsts, partitions):
-            first = firsts[index]
-            row = inter.get(first)
-            if row is None:
-                row = inter[first] = {}
-            if later in row:
-                row[later] += 1.0
-            else:
-                row[later] = 1.0
-            walked = index + 1
-        del firsts[walked:]
+        groups = [previous for _, previous in recent]
+        walked = self._shift_inter(groups, partitions, 1)
+        self._first_sizes.append(walked)
+        if walked:
+            self._firsts.extend(islice(chain.from_iterable(groups), walked))
         recent.append((now, partitions))
-        return firsts
 
     # -- expiry -----------------------------------------------------------------
 
@@ -279,14 +296,14 @@ class AccessStatistics:
         partitions = self._parts[start:end]
         writes = self._writes
         for partition in partitions:
-            count = writes.get(partition, 0.0) - 1.0
+            count = writes.get(partition, 0) - 1
             if count <= 0:
                 writes.pop(partition, None)
             else:
                 writes[partition] = count
-        self._mass -= float(len(partitions))
+        self._mass -= len(partitions)
         if self._site_writes:
-            self._shift_site_writes(partitions, -1.0)
+            self._shift_site_writes(partitions, -1)
         for index, left in enumerate(partitions):
             for right in partitions[index + 1:]:
                 self._decay(self._intra, left, right)
@@ -294,9 +311,7 @@ class AccessStatistics:
         if self.track_inter:
             start = self._first_head
             end = self._first_head = start + self._first_sizes[head]
-            firsts = self._firsts[start:end]
-            for index, later in self._pairs(firsts, partitions):
-                self._decay(self._inter, firsts[index], later)
+            self._shift_inter((self._firsts[start:end],), partitions, -1)
         self._head = head = head + 1
         if head >= COMPACT_AT and 2 * head >= len(self._times):
             self._compact()
@@ -312,11 +327,11 @@ class AccessStatistics:
         self._head = self._part_head = self._first_head = 0
 
     @staticmethod
-    def _decay(table: Dict[int, Dict[int, float]], left: int, right: int) -> None:
+    def _decay(table: Dict[int, Dict[int, int]], left: int, right: int) -> None:
         row = table.get(left)
         if row is None:
             return
-        count = row.get(right, 0.0) - 1.0
+        count = row.get(right, 0) - 1
         if count <= 0:
             row.pop(right, None)
             if not row:
@@ -337,7 +352,7 @@ class AccessStatistics:
             self._fold()
         if self._mass <= 0:
             return 0.0
-        return self._writes.get(partition, 0.0) / self._mass
+        return self._writes.get(partition, 0) / self._mass
 
     # -- per-site write loads ----------------------------------------------
 
@@ -352,12 +367,12 @@ class AccessStatistics:
         if self._pending:
             self._fold()
         self._masters = masters = table.masters
-        self._site_writes = totals = [0.0] * num_sites
+        self._site_writes = totals = [0] * num_sites
         for partition, count in self._writes.items():
             totals[masters[partition]] += count
         table.on_master_change = self._master_changed
 
-    def _shift_site_writes(self, partitions: Sequence[int], amount: float) -> None:
+    def _shift_site_writes(self, partitions: Sequence[int], amount: int) -> None:
         masters = self._masters
         totals = self._site_writes
         for partition in partitions:

@@ -191,7 +191,8 @@ class RemasterStrategy:
         self,
         write_partitions: Sequence[int],
         candidates: Sequence[int],
-        co_access: Dict[int, Dict[int, float]],
+        others: Sequence[Tuple[int, ...]],
+        co_access: Dict[int, Dict[int, int]],
     ) -> List[float]:
         """Equations 6-7 for every candidate, indexed by site.
 
@@ -201,7 +202,8 @@ class RemasterStrategy:
         co-located pair split ``-`` that. So a partner inside the write
         set rewards every candidate alike (if the pair is split today);
         one outside it rewards only its own master (if split) or costs
-        every other candidate (if together).
+        every other candidate, ``others[master]`` (if together). A pair
+        that scores nothing is not divided.
         """
         gain = [0.0] * self.num_sites
         writes = self.statistics.partition_writes
@@ -210,23 +212,23 @@ class RemasterStrategy:
         for first in write_partitions:
             row = co_access.get(first)
             # An inter row can outlive its partition's own samples.
-            base = writes.get(first, 0.0)
+            base = writes.get(first, 0)
             if not row or base <= 0:
                 continue
             first_master = masters[first]
             for second, count in row.items():
-                likelihood = count / base
                 second_master = masters[second]
-                if second in write_set:
-                    if first_master != second_master:
+                if second_master != first_master:
+                    if second in write_set:
+                        likelihood = count / base
                         for site in candidates:
                             gain[site] += likelihood
-                elif first_master != second_master:
-                    gain[second_master] += likelihood
-                else:
-                    for site in candidates:
-                        if site != second_master:
-                            gain[site] -= likelihood
+                    else:
+                        gain[second_master] += count / base
+                elif second not in write_set:
+                    likelihood = count / base
+                    for site in others[second_master]:
+                        gain[site] -= likelihood
         return gain
 
     def _score_candidates(
@@ -267,13 +269,17 @@ class RemasterStrategy:
             required.merge(session_vv)
 
         no_gain = [0.0] * self.num_sites
+        others = [
+            tuple(site for site in candidates if site != master)
+            for master in range(self.num_sites)
+        ]
         intra = (
-            self._localization(write_partitions, candidates, statistics.co_intra)
+            self._localization(write_partitions, candidates, others, statistics.co_intra)
             if weights.intra_txn
             else no_gain
         )
         inter = (
-            self._localization(write_partitions, candidates, statistics.co_inter)
+            self._localization(write_partitions, candidates, others, statistics.co_inter)
             if weights.inter_txn
             else no_gain
         )

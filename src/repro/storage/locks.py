@@ -117,10 +117,21 @@ class LockTable:
             yield self.acquire(key, owner)
 
     def release_all(self, keys: Iterable[Any]) -> None:
-        """Release every key previously acquired via :meth:`acquire_all`."""
-        unique = set(keys)
-        if len(unique) == 1:
-            self.release(unique.pop())
-            return
-        for key in sorted(unique, key=repr):
+        """Release every key previously acquired via :meth:`acquire_all`.
+
+        A key with waiters wakes one, and wakes are scheduled in the
+        order of :meth:`acquire_all`, the keys' ``repr``; that order is
+        load-bearing for bit-identity. A key nobody waits for wakes
+        nobody, so those are released first, unsorted.
+        """
+        queues = self._queues
+        contended = []
+        for key in set(keys):
+            if queues.get(key):
+                contended.append(key)
+            else:
+                self.release(key)
+        if len(contended) > 1:
+            contended.sort(key=repr)
+        for key in contended:
             self.release(key)

@@ -20,7 +20,17 @@ Key = Tuple[str, Any]
 #: immutable, non-empty sequence — a key tuple or a :class:`KeyRange`.
 ScanBlock = Sequence[Key]
 
+#: Ids of the current run's transactions. :func:`restart_txn_ids`
+#: starts every run at 1, so a run's ids (identity keys in the tracer
+#: and the decision ledger) never depend on the runs before it in the
+#: process.
 _txn_ids = count(1)
+
+
+def restart_txn_ids() -> None:
+    """Number the transactions created from now on from 1."""
+    global _txn_ids
+    _txn_ids = count(1)
 
 
 class KeyRange(Sequence):

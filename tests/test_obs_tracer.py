@@ -1,7 +1,6 @@
 """Tests for the span tracer: recording, nesting, aggregation."""
 
 import hashlib
-import itertools
 import json
 import tracemalloc
 from types import SimpleNamespace
@@ -620,16 +619,13 @@ class TestExportsArePinned:
     JSONL = "5eec22618c9689f38852d04fea9dc71cd4c55a4c15597d202fe7369e8360f045"
     CHROME = "04b3b0e76be40c2d8b9c24e50b5d40029a847b90fb1b1edf2d55185e5aa544fd"
 
-    def test_jsonl_and_chrome_trace_digests(self, monkeypatch):
-        from repro import transactions
+    def test_jsonl_and_chrome_trace_digests(self):
         from repro.bench import run_benchmark
         from repro.obs import Observability
         from repro.obs.export import to_chrome_trace, to_jsonl
         from repro.sim.config import ClusterConfig
         from repro.workloads import build_workload
 
-        # Transaction ids come from a process-wide counter.
-        monkeypatch.setattr(transactions, "_txn_ids", itertools.count(1))
         obs = Observability()
         run_benchmark(
             "dynamast",

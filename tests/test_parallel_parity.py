@@ -94,6 +94,15 @@ class TestRunSuiteParity:
             assert parallel[system].ledger.summary() == summary
             assert summary["updates_routed"] > 0
 
+    def test_a_ledger_does_not_depend_on_the_runs_before_it(self):
+        """Transaction ids start at 1 in every run: the second row at
+        ``jobs=1`` used to number its transactions after the first
+        row's, and its ledger named other ``txn_id``s than at ``jobs=2``."""
+        specs = [recorder_spec("dynamast"), recorder_spec("dynamast", mastery=True)]
+        serial = execute_specs(specs, jobs=1)[1].ledger
+        assert serial.summary()["updates_remastered"] > 0
+        assert execute_specs(specs, jobs=2)[1].ledger.to_jsonl() == serial.to_jsonl()
+
     def test_faulted_suite_parity(self):
         serial, parallel = at_both_jobs(("dynamast",), fault_scenario="crash")
         assert_same_runs(serial.values(), parallel.values())

@@ -32,6 +32,17 @@ class TestPartitionScheme:
         assert scheme.partition(("item", 3)) is None
         assert scheme.partitions_of([("item", 3), ("t", 4)]) == {4}
 
+    def test_one_object_per_partition_id(self):
+        """Ids above CPython's small-int cache are computed afresh per
+        key; the scheme hands out one object per id, the one its
+        placements key, so the partition table and the selector's
+        statistics share it."""
+        scheme = simple_scheme(num_partitions=400)
+        (one,) = scheme.partitions_of([("t", 3000), ("t", 3009)])
+        assert one == 300
+        assert scheme.partition(("t", 3005)) is one
+        assert any(partition is one for partition in scheme.round_robin_placement(3))
+
     def test_range_placement_contiguous(self):
         scheme = simple_scheme(num_partitions=12)
         placement = scheme.range_placement(3)

@@ -209,6 +209,12 @@ STATISTICS_CONFIG = StatisticsConfig(
 )
 
 
+def _floats(counts):
+    """``counts``' items, sorted, with each count rendered as the float
+    the golden digest was taken with."""
+    return sorted((key, float(count)) for key, count in counts.items())
+
+
 def run_statistics_scenario():
     """Seeded observe/query interleaving; returns the snapshot payload."""
     stats = AccessStatistics(STATISTICS_CONFIG)
@@ -243,7 +249,7 @@ def run_statistics_scenario():
                 round(stats.access_fraction(first), 12),
                 round(intra.get(second, 0.0) / writes if writes else 0.0, 12),
                 round(inter.get(second, 0.0) / writes if writes else 0.0, 12),
-                sorted((key, round(value, 9)) for key, value in intra.items()),
+                sorted((key, round(float(value), 9)) for key, value in intra.items()),
                 [
                     round(load, 12)
                     for load in stats.site_write_loads()
@@ -253,12 +259,12 @@ def run_statistics_scenario():
         "observed": 400,
         "sampled": sampled,
         "total_writes": float(stats._sample_count),
-        "partition_writes": sorted(stats.partition_writes.items()),
+        "partition_writes": _floats(stats.partition_writes),
         "co_intra": sorted(
-            (left, sorted(row.items())) for left, row in stats.co_intra.items()
+            (left, _floats(row)) for left, row in stats.co_intra.items()
         ),
         "co_inter": sorted(
-            (left, sorted(row.items())) for left, row in stats.co_inter.items()
+            (left, _floats(row)) for left, row in stats.co_inter.items()
         ),
         "snapshots": snapshots,
     }

@@ -507,6 +507,41 @@ class TestLockTable:
         assert not locks.is_locked("a")
 
 
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_release_all_wakes_in_repr_order(self, traced):
+        """Only contended keys are sorted on release; their waiters
+        still wake in ``repr`` order, which is not the keys' natural or
+        set order, and a traced table hands each key to its waiter."""
+        from repro.obs import Observability
+        from repro.transactions import Transaction
+
+        env = Environment(obs=Observability() if traced else None)
+        locks = LockTable(env)
+        keys = [("t", number) for number in (9, 10, 100, 7, 70, 8, 80)]
+        contended = [("t", number) for number in (9, 100, 70, 8, 80)]
+        owners = {key: Transaction("wait", 0) for key in contended}
+        woken = []
+
+        def holder():
+            yield from locks.acquire_all(keys, owner=Transaction("hold", 0))
+            yield env.timeout(1.0)
+            locks.release_all(reversed(keys))
+
+        def waiter(key):
+            yield env.timeout(0.5)
+            yield locks.acquire(key, owner=owners[key])
+            woken.append(key)
+
+        env.process(holder())
+        for key in contended:
+            env.process(waiter(key))
+        env.run()
+        assert woken == sorted(contended, key=repr) != sorted(contended)
+        assert [locks.is_locked(key) for key in keys] == [key in contended for key in keys]
+        if traced:
+            assert locks._owners == owners
+
+
 class TestDatabase:
     def make_db(self):
         return Database(Environment(), max_versions=4)
