@@ -21,7 +21,6 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tupl
 
 from repro.bench.metrics import LatencySummary, Metrics
 from repro.core.strategy import StrategyWeights
-from repro.faults.plan import SCENARIOS
 from repro.obs import NULL_OBS, Observability
 from repro.obs.sampler import Timeline
 from repro.sim.config import ClusterConfig
@@ -187,7 +186,11 @@ def check_run_params(
         raise ValueError(
             f"num_clients must be >= 1 for a closed-loop run, got {num_clients}"
         )
-    if fault_scenario is not None and fault_scenario not in SCENARIOS:
+    if fault_scenario is None:
+        return
+    from repro.faults.plan import SCENARIOS
+
+    if fault_scenario not in SCENARIOS:
         raise ValueError(
             f"unknown fault_scenario {fault_scenario!r}; expected one of {SCENARIOS}"
         )
@@ -226,8 +229,8 @@ def run_benchmark(
     tracer and is bit-identical to an unobserved build.
     ``streaming_metrics`` stores latencies in log-bucketed histograms
     instead of raw lists (constant memory, approximate percentiles).
-    ``fault_plan`` installs a :class:`~repro.faults.FaultInjector`
-    interpreting the given :class:`~repro.faults.FaultPlan` before the
+    ``fault_plan`` installs a :class:`~repro.faults.injector.FaultInjector`
+    interpreting the given :class:`~repro.faults.plan.FaultPlan` before the
     workload starts; without one the run is bit-identical to a build
     without the faults subsystem.
     ``ledger`` attaches a :class:`~repro.obs.mastery.DecisionLedger` to

@@ -56,7 +56,6 @@ from repro.bench.harness import (
     run_fingerprint,
 )
 from repro.core.strategy import StrategyWeights
-from repro.faults.plan import build_scenario
 from repro.sim.config import ClusterConfig
 from repro.workloads.openloop import OpenLoopSpec
 
@@ -172,6 +171,8 @@ def execute_spec(spec: RunSpec) -> RunResult:
         slo = SloEngine()
     plan = None
     if spec.fault_scenario is not None:
+        from repro.faults.plan import build_scenario
+
         cluster = spec.cluster or ClusterConfig()
         plan = build_scenario(
             spec.fault_scenario,

@@ -20,11 +20,14 @@ remastering), presumed-abort 2PC termination, and the abort taxonomy —
 is specified in DESIGN.md §7; the bit-identity gate is pinned by the
 fingerprint tests in ``tests/test_faults_injection.py`` (see also
 DESIGN.md §8 on what substrate optimizations must preserve).
+
+This facade re-exports only that vocabulary (``repro.faults.errors``):
+import plans, the injector, detectors and deadlines from their own
+modules, so that an unfaulted run loads none of them.
 """
 
-from repro.faults.deadlines import DeadlineTracker
-from repro.faults.detector import AdaptiveDetector, FailureDetector
 from repro.faults.errors import (
+    FRONTEND,
     REASON_CONFLICT,
     REASON_SITE_CRASH,
     REASON_TIMEOUT,
@@ -33,41 +36,14 @@ from repro.faults.errors import (
     SiteDown,
     TransactionAborted,
 )
-from repro.faults.injector import FaultEvent, FaultInjector
-from repro.faults.plan import (
-    FRONTEND,
-    GRAY_SCENARIOS,
-    SCENARIOS,
-    CrashFault,
-    FaultPlan,
-    LinkFault,
-    SlowFault,
-    build_scenario,
-    flapping_site,
-    partition_site,
-)
 
 __all__ = [
-    "AdaptiveDetector",
-    "DeadlineTracker",
-    "FailureDetector",
-    "FaultError",
-    "FaultEvent",
-    "FaultInjector",
-    "FaultPlan",
-    "CrashFault",
-    "LinkFault",
-    "SlowFault",
-    "RpcTimeout",
-    "SiteDown",
-    "TransactionAborted",
     "FRONTEND",
-    "GRAY_SCENARIOS",
-    "SCENARIOS",
     "REASON_CONFLICT",
     "REASON_SITE_CRASH",
     "REASON_TIMEOUT",
-    "build_scenario",
-    "flapping_site",
-    "partition_site",
+    "FaultError",
+    "RpcTimeout",
+    "SiteDown",
+    "TransactionAborted",
 ]

@@ -15,6 +15,9 @@ REASON_CONFLICT = "conflict"
 REASON_TIMEOUT = "timeout"
 REASON_SITE_CRASH = "site_crash"
 
+#: Pseudo-site index for the front-end tier (selector/router machines).
+FRONTEND = -1
+
 
 class FaultError(Exception):
     """Base class for injected-failure conditions."""

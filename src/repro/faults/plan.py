@@ -24,8 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-#: Pseudo-site index for the front-end tier (selector/router machines).
-FRONTEND = -1
+from repro.faults.errors import FRONTEND
 
 
 @dataclass(frozen=True)

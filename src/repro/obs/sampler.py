@@ -14,6 +14,7 @@ schedules no sampling events, keeping its event stream untouched.
 
 from __future__ import annotations
 
+from array import array
 from typing import Callable, Dict, List, Tuple
 
 __all__ = ["Timeline", "TimelineSampler", "attach_cluster_probes"]
@@ -23,30 +24,38 @@ INTERVAL_MS = 10.0
 
 
 class Timeline:
-    """One probe's sampled ``(time_ms, value)`` series."""
+    """One probe's sampled ``(time_ms, value)`` series, kept as two
+    ``array('d')`` columns: sample ``i`` is ``(times[i], readings[i])``."""
 
-    __slots__ = ("name", "samples")
+    __slots__ = ("name", "times", "readings")
 
     def __init__(self, name: str):
         self.name = name
-        self.samples: List[Tuple[float, float]] = []
+        self.times = array("d")
+        self.readings = array("d")
 
     def append(self, when: float, value: float) -> None:
-        self.samples.append((when, value))
+        self.times.append(when)
+        self.readings.append(value)
+
+    @property
+    def samples(self) -> List[Tuple[float, float]]:
+        """The series as ``(time_ms, value)`` pairs, built on access."""
+        return list(zip(self.times, self.readings))
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.times)
 
     def values(self) -> List[float]:
-        return [value for _, value in self.samples]
+        return self.readings.tolist()
 
     def mean(self) -> float:
-        if not self.samples:
+        if not self.readings:
             return 0.0
-        return sum(self.values()) / len(self.samples)
+        return sum(self.readings) / len(self.readings)
 
     def maximum(self) -> float:
-        return max(self.values(), default=0.0)
+        return max(self.readings, default=0.0)
 
 
 class TimelineSampler:

@@ -22,8 +22,13 @@ from __future__ import annotations
 
 from typing import Generator, Optional
 
-from repro.faults.errors import FaultError, RpcTimeout, SiteDown, TransactionAborted
-from repro.faults.plan import FRONTEND
+from repro.faults.errors import (
+    FRONTEND,
+    FaultError,
+    RpcTimeout,
+    SiteDown,
+    TransactionAborted,
+)
 from repro.sim.network import Network
 from repro.transactions import Transaction
 

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.faults import FaultPlan
+from repro.faults.plan import FaultPlan
 from repro.replication import merge_logs, recover_database, recover_mastership
 from repro.replication import recovery
 from repro.replication.log import UPDATE

@@ -14,7 +14,7 @@ import json
 import pytest
 
 from repro.bench.harness import run_benchmark
-from repro.faults import CrashFault, FaultPlan, build_scenario
+from repro.faults.plan import CrashFault, FaultPlan, build_scenario
 from repro.faults.chaos import run_chaos
 from repro.faults.injector import FaultInjector
 from repro.partitioning.schemes import PartitionScheme

@@ -27,7 +27,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.faults import FRONTEND, CrashFault, FaultPlan, LinkFault
+from repro.faults.plan import FRONTEND, CrashFault, FaultPlan, LinkFault
 from repro.faults.deadlines import TIMEOUT_MS
 from repro.faults.injector import FaultInjector
 from repro.partitioning.schemes import PartitionScheme

@@ -19,21 +19,20 @@ from repro.core.partitions import PartitionTable
 from repro.core.site_selector import ADAPTIVE_HEALTH_WEIGHT
 from repro.core.statistics import AccessStatistics, StatisticsConfig
 from repro.core.strategy import RemasterStrategy, StrategyWeights
-from repro.faults import (
-    AdaptiveDetector,
-    CrashFault,
-    DeadlineTracker,
-    FaultPlan,
-    SlowFault,
-    build_scenario,
-)
 from repro.faults.chaos import run_chaos
-from repro.faults.deadlines import DEADLINE_FLOOR_MS, DEADLINE_MIN_SAMPLES, TIMEOUT_MS
+from repro.faults.deadlines import (
+    DEADLINE_FLOOR_MS,
+    DEADLINE_MIN_SAMPLES,
+    TIMEOUT_MS,
+    DeadlineTracker,
+)
 from repro.faults.detector import (
     SUSPICION_QUARANTINE_MS,
     SUSPICION_THRESHOLD,
+    AdaptiveDetector,
     FailureDetector,
 )
+from repro.faults.plan import CrashFault, FaultPlan, SlowFault, build_scenario
 from repro.sim.config import ClusterConfig
 from repro.sim.core import Environment
 from repro.sim.resources import Resource

@@ -100,6 +100,10 @@ def _fake_rows(monkeypatch, tmp_path, fingerprint_of):
     def checkout(base):
         yield tmp_path
 
+    @contextlib.contextmanager
+    def working_copy():
+        yield tmp_path / "change"
+
     def case_child(tree, case, seed):
         trees.append(tree)
         slower = 0.5 if tree == tmp_path else 0.0
@@ -109,6 +113,7 @@ def _fake_rows(monkeypatch, tmp_path, fingerprint_of):
         }
 
     monkeypatch.setattr(pairs, "checkout", checkout)
+    monkeypatch.setattr(pairs, "working_copy", working_copy)
     monkeypatch.setattr(pairs, "case_child", case_child)
     return trees
 
@@ -116,7 +121,7 @@ def _fake_rows(monkeypatch, tmp_path, fingerprint_of):
 def test_case_pairs_alternate_and_report_both_metrics(monkeypatch, tmp_path, capsys):
     trees = _fake_rows(monkeypatch, tmp_path, lambda tree: "abc")
     assert pairs.main(["--case", "leap-ycsb", "--base", "HEAD", "--pairs", "4"]) == 0
-    base, change = tmp_path, pairs.ROOT
+    base, change = tmp_path, tmp_path / "change"
     assert trees == [base, change, change, base, base, change, change, base]
     out = capsys.readouterr().out
     assert "leap-ycsb, seed 11, 4 alternated pairs against HEAD" in out
@@ -129,3 +134,35 @@ def test_differing_fingerprints_exit_1(monkeypatch, tmp_path, capsys):
     _fake_rows(monkeypatch, tmp_path, lambda tree: "abc" if tree == tmp_path else "xyz")
     assert pairs.main(["--case", "leap-ycsb", "--base", "HEAD", "--pairs", "2"]) == 1
     assert "simulated results DIFFER" in capsys.readouterr().out
+
+
+def test_both_sides_run_from_fresh_copies_never_from_the_checkout(monkeypatch):
+    """The base is a ``git archive``, the change a copy of this tree as
+    it is on disk: no child runs in the checkout, whose ``__pycache__``
+    may be warm."""
+    run = pairs.subprocess.run
+    children = []
+
+    def fake_run(command, **kwargs):
+        if command[0] == "git":
+            return run(command, **kwargs)
+        tree = Path(kwargs["cwd"])
+        children.append((tree, (tree / "tools" / "pairs.py").read_bytes(),
+                         any(tree.rglob("__pycache__"))))
+        return pairs.subprocess.CompletedProcess(command, 0, stdout=json.dumps({
+            "end_to_end": {metric: 1.0 for metric in pairs.METRICS},
+            "runs": [{"fingerprint": "abc"}],
+        }))
+
+    monkeypatch.setattr(pairs.subprocess, "run", fake_run)
+    assert pairs.main(["--workload", "ycsb-2pc", "--base", "HEAD", "--pairs", "2"]) == 0
+    trees = [tree for tree, _, _ in children]
+    assert len(trees) == 4 and pairs.ROOT not in trees
+    assert not any(warm for _, _, warm in children)
+    base, change = trees[0], trees[1]
+    assert base.name.startswith("pairs-base-") and change.name.startswith("pairs-change-")
+    assert base.parent == change.parent
+    assert {tree for tree in trees} == {base, change}
+    on_disk = (pairs.ROOT / "tools" / "pairs.py").read_bytes()
+    assert all(copy == on_disk for tree, copy, _ in children if tree == change)
+    assert not base.exists() and not change.exists()

@@ -93,6 +93,13 @@ FLOOR_EXCLUDES = (
     "repro.bench.report",
 )
 
+#: Fault machinery an unfaulted run never executes, so never imports
+#: unless something else (the chaos driver) asks for it.
+FAULT_MACHINERY = (
+    "repro.faults.plan", "repro.faults.injector", "repro.faults.detector",
+    "repro.faults.deadlines",
+)
+
 
 class TestWorkloadSpec:
     def test_builds_registered_workload(self):
@@ -163,17 +170,24 @@ class TestParallelExecutorPool:
     def test_an_unobserved_run_imports_only_what_it_executes(self):
         """The import floor every figure point pays: no OpenSSL (the
         named streams and the fingerprint hash with the builtin
-        SHA-256), no recorder, report, dashboard or driver module."""
-        code = (
-            "import sys, repro.bench, repro.cli, repro.faults.chaos\n"
-            + SHORT_RUN
-            + f"loaded = [name for name in {FLOOR_EXCLUDES!r} if name in sys.modules]\n"
-            "assert not loaded, loaded\n"
-        )
-        done = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
-        )
-        assert done.returncode == 0, done.stderr
+        SHA-256), no recorder, report, dashboard or driver module; and,
+        unless the chaos driver was imported, no fault plan, injector,
+        detector or deadline module either."""
+        for imports, excluded in (
+            ("repro.bench, repro.cli, repro.faults.chaos", FLOOR_EXCLUDES),
+            ("repro.bench, repro.cli", FLOOR_EXCLUDES + FAULT_MACHINERY),
+        ):
+            code = (
+                f"import sys, {imports}\n"
+                + SHORT_RUN
+                + f"loaded = [name for name in {excluded!r} if name in sys.modules]\n"
+                "assert not loaded, loaded\n"
+            )
+            done = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True,
+                timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
 
     def test_hashlib_fallback_hashes_identically(self):
         """Without the builtin SHA-256 module (``_sha2`` on CPython

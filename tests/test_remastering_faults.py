@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro.bench.harness import run_benchmark
 from repro.core.site_selector import SiteSelector
 from repro.core.strategy import StrategyWeights
-from repro.faults import FRONTEND, CrashFault, FaultPlan, LinkFault, build_scenario
+from repro.faults.plan import FRONTEND, CrashFault, FaultPlan, LinkFault, build_scenario
 from repro.faults.chaos import run_chaos
 from repro.faults.injector import FaultInjector
 from repro.obs import Observability

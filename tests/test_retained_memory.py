@@ -15,7 +15,11 @@ attributed to the code that allocated it:
 * a co-access entry costs what dropping the intra and inter tables
   frees, over their entries;
 * a commit time costs what dropping ``Metrics.commit_times`` frees, and
-  a latency sample what dropping ``Metrics.latencies`` frees.
+  a latency sample what dropping ``Metrics.latencies`` frees;
+* in an observed YCSB run, a span, an instant and an edge cost what
+  dropping the tracer's spans, instants and edges frees, over their
+  count, and a timeline sample what dropping the sampler's timelines
+  frees (DESIGN.md §6, "Trace store").
 
 The logs themselves keep a suffix bounded by one constant, whatever the
 run's length.
@@ -31,6 +35,7 @@ from unittest import mock
 import pytest
 
 from repro.bench import run_benchmark
+from repro.obs import Observability
 from repro.replication.log import UPDATE, DurableLog
 from repro.replication.recovery import FOLD_EVERY
 from repro.sites.data_site import DataSite
@@ -121,6 +126,14 @@ def _traced(run):
         "latencies": latencies,
         "latency_bytes": latency_bytes / latencies,
     }
+
+
+def _observed():
+    obs = Observability()
+    return obs, run_benchmark(
+        "dynamast", build_workload("ycsb"),
+        num_clients=16, duration_ms=300.0, warmup_ms=0.0, seed=89, obs=obs,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -223,3 +236,60 @@ class TestTheLogsStayBounded:
         for logs in (retained["logs"], longer):
             assert sum(len(log) for log in logs) > 2 * RETAINED_BOUND
             assert sum(len(log.records) for log in logs) <= RETAINED_BOUND
+
+
+@pytest.fixture(scope="module")
+def traced():
+    """One short observed YCSB run, and what each kind of trace record
+    and each timeline sample retains."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        obs, result = _observed()
+        tracer, timelines = obs.tracer, obs.sampler.timelines
+        measured = {}
+        for kind in ("spans", "instants", "edges"):
+            count = measured[kind] = len(getattr(tracer, kind))
+            measured[f"{kind}_bytes"] = _freed_by(
+                lambda kind=kind: setattr(tracer, kind, None)) / count
+        samples = measured["samples"] = sum(map(len, timelines.values()))
+        measured["samples_bytes"] = _freed_by(
+            lambda: (timelines.clear(), result.timelines.clear())) / samples
+    finally:
+        tracemalloc.stop()
+    return measured
+
+
+class TestWhatATraceRetains:
+    """Measured on CPython 3.11.7: arg values in typed columns per shape
+    and 4-byte transaction ids; timelines as two ``array('d')``
+    columns. The figure after "Was" is the store these replaced: 8-byte
+    ids, every arg value behind a pointer in one list, and a tuple of
+    two floats per sample."""
+
+    def test_the_run_records_every_kind(self, traced):
+        assert traced["spans"] > 20000 and traced["instants"] > 5000
+        assert traced["edges"] > 2000 and traced["samples"] > 500
+
+    def test_a_span_is_a_row_of_columns(self, traced):
+        """28.0 B a span: shape code, two times, a 4-byte id, and its
+        args (a 2-byte code for the network category). Was 34.1 B."""
+        assert traced["spans_bytes"] <= 30
+
+    def test_an_instant_is_a_row_of_columns(self, traced):
+        """26.5 B an instant, most of them a log delivery and its
+        sequence number in an ``array('q')``. Was 34.0 B, with a boxed
+        int per sequence number."""
+        assert traced["instants_bytes"] <= 29
+
+    def test_an_edge_is_a_row_of_columns(self, traced):
+        """39.2 B an edge: two 4-byte ids, and the rpc's round trip in
+        an ``array('d')`` next to its outcome and category codes. Was
+        75.8 B, with a boxed float per round trip."""
+        assert traced["edges_bytes"] <= 42
+
+    def test_a_timeline_sample_is_two_doubles(self, traced):
+        """27.3 B a sample over 25 timelines of 30 samples: two
+        doubles, and each timeline's object and arrays shared by its
+        30 samples. Was 94.9 B, a tuple of two boxed floats each."""
+        assert traced["samples_bytes"] <= 30

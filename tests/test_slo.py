@@ -20,7 +20,7 @@ from repro.bench.parallel import (
     execute_specs,
     run_fingerprint,
 )
-from repro.faults import FaultPlan, build_scenario
+from repro.faults.plan import FaultPlan, build_scenario
 from repro.faults.chaos import run_chaos
 from repro.obs.dashboard import render_dashboard, write_dashboard
 from repro.obs.export import load_jsonl

@@ -5,7 +5,10 @@ are compared by running one ``perfbench.child`` of each back to back,
 many times, with the side that goes first alternating (CONTRIBUTING.md,
 "Claiming a gain"). ``make pairs W=<workload> BASE=<rev> N=10`` unpacks
 ``BASE``'s committed files (``git archive``) into a temporary
-directory, runs ``N`` pairs at one seed, and prints for each host-side
+directory and copies this tree's files (tracked or not ignored,
+uncommitted edits included) into another, so that neither side runs
+from a checkout whose ``__pycache__`` is warm; it runs ``N`` pairs at
+one seed from the two copies, and prints for each host-side
 metric both sides' median and quartiles, how many of all pairs the
 working tree won (a tie is not a win), and whether the medians differ by more than the base's own
 Q3 − Q1. Simulated results must be equal on both sides; the script says
@@ -26,6 +29,7 @@ import contextlib
 import io
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -100,6 +104,25 @@ def checkout(base: str):
         yield Path(tree)
 
 
+@contextlib.contextmanager
+def working_copy():
+    """This tree's files, as they are on disk, copied into a temporary
+    directory: what ``git ls-files`` lists as tracked or as untracked
+    and not ignored, minus files deleted from the checkout."""
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=ROOT, check=True, capture_output=True,
+    ).stdout.decode()
+    with tempfile.TemporaryDirectory(prefix="pairs-change-") as tree:
+        for name in filter(None, listed.split("\0")):
+            source = ROOT / name
+            if source.is_file():
+                target = Path(tree) / name
+                target.parent.mkdir(parents=True, exist_ok=True)
+                shutil.copy2(source, target)
+        yield Path(tree)
+
+
 def quartiles(values):
     """``(Q1, median, Q3)``."""
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
@@ -144,11 +167,11 @@ def main(argv=None) -> int:
         return child(tree, args.workload, args.seed, args.recorder)
 
     rows = {"base": [], "change": []}
-    with checkout(args.base) as base_tree:
+    with checkout(args.base) as base_tree, working_copy() as change_tree:
         for pair in range(args.pairs):
             order = ("base", "change") if pair % 2 == 0 else ("change", "base")
             for side in order:
-                rows[side].append(one_child(base_tree if side == "base" else ROOT))
+                rows[side].append(one_child(base_tree if side == "base" else change_tree))
             print(
                 f"pair {pair + 1:2d} ({order[0]} first): " + "  ".join(
                     f"{side} {rows[side][-1]['end_to_end'][metrics[0]]:.3f} s"
