@@ -195,19 +195,22 @@ def _intern(codes: Dict[Any, int], values: List[Any], value, what: str) -> int:
     return code
 
 
-def _bad_id(txn_id) -> ValueError:
-    return ValueError(
-        f"cannot trace transaction id {txn_id!r}: ids are stored in "
-        f"4 bytes, from 0 to {_MAX_ID}"
-    )
+def _stored_id(txn) -> int:
+    """The id column entry of ``txn``: its id, or :data:`_NO_ID` for None."""
+    if txn is None:
+        return _NO_ID
+    txn_id = txn.txn_id
+    if not 0 <= txn_id <= _MAX_ID:
+        raise ValueError(
+            f"cannot trace transaction id {txn_id!r}: ids are stored in "
+            f"4 bytes, from 0 to {_MAX_ID}"
+        )
+    return txn_id
 
 
 #: The typed column that holds arg values of exactly this type; any
 #: other type goes to an object list.
 _TYPECODES = {int: "q", float: "d", str: "H"}
-
-#: Arg values a shape stages before they move to its typed columns.
-_STAGED = 256
 
 
 class _StringCodes(dict):
@@ -220,9 +223,7 @@ class _StringCodes(dict):
         super().__init__()
         self.values: List[str] = []
 
-    def __missing__(self, value) -> int:
-        if type(value) is not str:  # a column of strings met another type
-            return -1
+    def __missing__(self, value: str) -> int:
         return _intern(self, self.values, value, "arg string")
 
 
@@ -236,34 +237,30 @@ class _Columns(Sequence):
     per column per record (DESIGN.md §6, "Trace store").
     """
 
-    __slots__ = ("_shapes", "_strings", "_entries", "_shape", "_times", "_ids",
-                 "_args", "_staged", "_ranks", "_counts")
+    __slots__ = ("_shapes", "_codes", "_strings", "_args", "_shape", "_times",
+                 "_ids", "_ranks", "_counts")
 
-    def __init__(self, shapes: List[tuple], strings: _StringCodes):
-        #: ``code -> (name, track, *arg names)``, shared by the three
-        #: kinds: what a call site passes identically on every call.
+    def __init__(self, shapes: List[tuple], codes: Dict[tuple, int],
+                 strings: _StringCodes):
+        #: ``code -> (name, track, *arg names)`` and its inverse, shared
+        #: by the three kinds: what a call site passes identically on
+        #: every call.
         self._shapes = shapes
+        self._codes = codes
         self._strings = strings
-        #: ``shape -> entry`` of the shapes this kind recorded (see
-        #: :meth:`_set_entry`).
-        self._entries: Dict[tuple, tuple] = {}
+        #: ``shape -> (code, kinds, columns)`` of the shapes this kind
+        #: recorded: one column per arg name, holding that arg of the
+        #: shape's rows in call order. ``kinds[j]`` is the exact type
+        #: ``columns[j]`` holds: ``int`` in ``array('q')``, ``float`` in
+        #: ``array('d')``, ``str`` as string codes in ``array('H')``, and
+        #: ``object`` (any other type, or a mix) in a list.
+        self._args: Dict[tuple, Tuple[int, List[type], list]] = {}
         self._shape = array("H")
         #: Timestamps: ``(start, end)`` per span row, ``ts`` otherwise.
         self._times = array("d")
         #: Transaction ids, :data:`_NO_ID` for None: ``txn_id`` per span
         #: and instant row, ``(txn_id, src_txn_id)`` per edge row.
         self._ids = array("i")
-        #: ``shape code -> (kinds, columns)``: one column per arg name,
-        #: holding that arg of the shape's rows in call order.
-        #: ``kinds[j]`` is the exact type ``columns[j]`` holds: ``int``
-        #: in ``array('q')``, ``float`` in ``array('d')``, ``str`` as
-        #: string codes in ``array('H')``, and ``object`` (any other
-        #: type, or a mix) in a list.
-        self._args: Dict[int, Tuple[List[type], list]] = {}
-        #: ``shape code -> the arg values of its latest rows``, in call
-        #: order, not yet moved to its columns (see :meth:`_move`); for
-        #: shapes of two or more args.
-        self._staged: Dict[int, list] = {}
         #: Where rows ``0 .. len - 1`` sit in their shape's columns, and
         #: how many rows of each shape that covers: kept for read only
         #: and extended on the first read past its end.
@@ -282,58 +279,63 @@ class _Columns(Sequence):
     def __iter__(self):
         return map(self._record, range(len(self._shape)))
 
-    def _move(self, code: int) -> None:
-        """Move shape ``code``'s staged arg values to its columns.
+    def _store(self, shape: tuple, args: dict) -> None:
+        """Append a row's shape code and each arg value to its column.
 
-        A column whose staged values are not all of its exact type (a
-        bool among ints, an int among floats) or do not fit it (an int
-        wider than 64 bits) becomes an object list first.
+        A value of another exact type than its column holds (a bool
+        among ints, an int among floats), or an int wider than 64 bits,
+        turns that column into an object list first. A refused shape or
+        arg string leaves every column as it was.
         """
-        staged = self._staged[code]
-        kinds, columns = self._args[code]
-        width = len(kinds)
-        # Usually every staged value has its column's type: one pass says so.
-        exact = list(map(type, staged)) == kinds * (len(staged) // width)
-        for position, (kind, column) in enumerate(zip(kinds, columns)):
-            values = staged[position::width]
-            if kind is not object and (
-                    exact or list(map(type, values)) == [kind] * len(values)):
-                if kind is str:
-                    values = list(map(self._strings.__getitem__, values))
-                try:
-                    column.fromlist(values)  # all or nothing
-                    continue
-                except OverflowError:
-                    pass
-            if kind is not object:
-                column = self._widen(code, position)
-            column.extend(values)
-        staged.clear()
+        entry = self._args.get(shape)
+        if entry is None:
+            entry = self._add(shape, args)
+        code, kinds, columns = entry
+        if kinds:
+            strings = self._strings
+            try:
+                for kind, column, value in zip(kinds, columns, args.values()):
+                    if type(value) is not kind:
+                        if kind is not object:
+                            column = self._widen(entry, column)
+                        column.append(value)
+                    elif kind is str:
+                        column.append(strings[value])
+                    else:
+                        try:
+                            column.append(value)
+                        except OverflowError:  # an int wider than 64 bits
+                            self._widen(entry, column).append(value)
+            except ValueError:  # the 65 537th arg string: take the row back
+                rows = min(map(len, columns))
+                for column in columns:
+                    if len(column) > rows:
+                        column.pop()
+                raise
+        self._shape.append(code)
 
-    def _widen(self, code: int, position: int) -> list:
-        """Turn column ``position`` of shape ``code`` into an object list."""
-        kinds, columns = self._args[code]
-        column = columns[position]
+    def _add(self, shape: tuple, args: dict) -> tuple:
+        """The entry of ``shape``, on its first row in this kind: the
+        shape's code, interned once per tracer, and its arg columns,
+        typed by that row's values."""
+        code = self._codes.get(shape)
+        if code is None:
+            code = _intern(self._codes, self._shapes, shape, "shape")
+        kinds = [type(value) if type(value) in _TYPECODES else object
+                 for value in args.values()]
+        columns = [[] if kind is object else array(_TYPECODES[kind])
+                   for kind in kinds]
+        entry = self._args[shape] = (code, kinds, columns)
+        return entry
+
+    def _widen(self, entry: tuple, column) -> list:
+        """Turn ``column`` of a shape's ``entry`` into an object list."""
+        _, kinds, columns = entry
+        position = next(j for j, held in enumerate(columns) if held is column)
         if kinds[position] is str:
             column = map(self._strings.values.__getitem__, column)
         columns[position], kinds[position] = list(column), object
-        self._set_entry(code)
         return columns[position]
-
-    def _set_entry(self, code: int) -> tuple:
-        """(Re)make the hooks' entry for shape ``code`` from its columns:
-        ``(code, column, held, staged, strings)``, where a one-arg
-        shape has its ``column`` and the exact type ``held`` it holds,
-        and a wider one its ``staged`` values and the ``strings`` args
-        whose column holds strings (see :func:`_string_keys`)."""
-        shape = self._shapes[code]
-        kinds, columns = self._args[code]
-        if len(kinds) == 1:
-            entry = (code, columns[0], kinds[0], None, ())
-        else:
-            entry = (code, None, None, self._staged.get(code), _string_keys(shape, kinds))
-        self._entries[shape] = entry
-        return entry
 
     def _head(self, row: int):
         """``(name, track, args)`` of one row.
@@ -342,12 +344,10 @@ class _Columns(Sequence):
         so that a record (and every export of it) comes out the same
         whichever way a call site ordered its keywords.
         """
-        code = self._shape[row]
-        name, track, *keys = self._shapes[code]
+        shape = self._shapes[self._shape[row]]
+        name, track, *keys = shape
         if not keys:
             return name, track, ()
-        if self._staged.get(code):
-            self._move(code)
         ranks = self._ranks
         if row >= len(ranks):
             counts = self._counts
@@ -356,7 +356,7 @@ class _Columns(Sequence):
                 ranks.append(rank)
                 counts[later] = rank + 1
         rank = ranks[row]
-        kinds, columns = self._args[code]
+        _, kinds, columns = self._args[shape]
         strings = self._strings.values
         values = [strings[column[rank]] if kind is str else column[rank]
                   for kind, column in zip(kinds, columns)]
@@ -364,14 +364,6 @@ class _Columns(Sequence):
 
     def _record(self, row: int):
         raise NotImplementedError
-
-
-def _string_keys(shape: tuple, kinds: List[type]) -> Tuple[str, ...]:
-    """The args of ``shape`` whose column holds strings. A hook looks
-    their values up in the string codes (interning them) before it
-    stages them, so that the 65 537th distinct string is refused by the
-    call that passes it, not by a later :meth:`_Columns._move`."""
-    return tuple(key for key, kind in zip(shape[2:], kinds) if kind is str)
 
 
 def _id(stored: int) -> Optional[int]:
@@ -473,9 +465,7 @@ class _Txns(Mapping):
 
     def _open(self, txn, now: float) -> int:
         """Begin ``txn``'s envelope at ``now``, in a new row unless it has one."""
-        txn_id = txn.txn_id
-        if not 0 <= txn_id <= _MAX_ID:
-            raise _bad_id(txn_id)
+        txn_id = _stored_id(txn)
         code = self._type_codes.get(txn.txn_type)
         if code is None:
             code = _intern(self._type_codes, self._types, txn.txn_type,
@@ -517,16 +507,14 @@ class Tracer(NullTracer):
     enabled = True
 
     def __init__(self):
-        self._shapes: List[tuple] = []
-        #: ``shape -> code``, the inverse of ``_shapes``.
-        self._codes: Dict[tuple, int] = {}
-        self._strings = _StringCodes()
+        # Shapes and arg strings: one table each, shared by the three kinds.
+        shapes, codes, strings = [], {}, _StringCodes()
         #: The recorded spans, instants and edges: read-only sequences
         #: of :class:`SpanRecord` / :class:`InstantRecord` /
         #: :class:`EdgeRecord`, in recording order.
-        self.spans = _Spans(self._shapes, self._strings)
-        self.instants = _Instants(self._shapes, self._strings)
-        self.edges = _Edges(self._shapes, self._strings)
+        self.spans = _Spans(shapes, codes, strings)
+        self.instants = _Instants(shapes, codes, strings)
+        self.edges = _Edges(shapes, codes, strings)
         #: The transaction envelopes: a read-only mapping
         #: ``txn_id -> TxnRecord``, in the order they were opened.
         self.txns = _Txns()
@@ -557,149 +545,34 @@ class Tracer(NullTracer):
             self.instant("abort", now, track="client", txn=txn,
                          txn_type=txn.txn_type)
 
-    def _entry(self, columns: _Columns, shape: tuple, args: dict) -> tuple:
-        """``columns``' entry for ``shape``, on its first row there: the
-        shape's code, interned once per tracer and shared by the three
-        kinds, and its arg columns, typed by that row's values."""
-        code = self._codes.get(shape)
-        if code is None:
-            code = _intern(self._codes, self._shapes, shape, "shape")
-        kinds = [type(value) if type(value) in _TYPECODES else object
-                 for value in args.values()]
-        columns._args[code] = (kinds, [
-            [] if kind is object else array(_TYPECODES[kind]) for kind in kinds
-        ])
-        if len(kinds) > 1:
-            columns._staged[code] = []
-        return columns._set_entry(code)
-
     # The three recording hooks run once per record of a traced run
-    # (166 k times on perfbench's chaos-observed); each appends to its
-    # columns inline rather than through a shared helper's extra frame.
-    # The one arg of a one-arg shape (most rows) is type-checked and
-    # appended here, about 0.1 µs a row cheaper than staging it; the args
-    # of a wider shape are staged for :meth:`_Columns._move`, which
-    # type-checks them column by column.
-    # A refused id, shape or arg string leaves every column as it was.
+    # (166 k times on perfbench's chaos-observed). A refused id, shape
+    # or arg string leaves every column as it was: ids are checked
+    # before anything is appended, and the times go in last.
 
     def span(self, name: str, start: float, end: float, *,
              track: str = "", txn=None, **args) -> None:
+        txn_id = _stored_id(txn)
         spans = self.spans
-        shape = (name, track, *args) if args else (name, track)
-        entry = spans._entries.get(shape)
-        if entry is None:
-            entry = self._entry(spans, shape, args)
-        if txn is None:
-            txn_id = _NO_ID
-        else:
-            txn_id = txn.txn_id
-            if not 0 <= txn_id <= _MAX_ID:
-                raise _bad_id(txn_id)
-        code, column, held, staged, strings = entry
-        if column is not None:
-            value, = args.values()
-            if type(value) is held or held is object:
-                try:
-                    column.append(self._strings[value] if held is str else value)
-                except OverflowError:  # an int wider than 64 bits
-                    spans._widen(code, 0).append(value)
-            else:
-                spans._widen(code, 0).append(value)
-        elif staged is not None:
-            if strings:
-                codes = self._strings
-                try:
-                    for key in strings:
-                        codes[args[key]]
-                except TypeError:  # unhashable, so no string: _move widens
-                    pass
-            staged.extend(args.values())
-            if len(staged) >= _STAGED:
-                spans._move(code)
-        spans._shape.append(code)
+        spans._store((name, track, *args), args)
         spans._times.append(start)
         spans._times.append(end)
         spans._ids.append(txn_id)
 
     def instant(self, name: str, ts: float, *,
                 track: str = "", txn=None, **args) -> None:
+        txn_id = _stored_id(txn)
         instants = self.instants
-        shape = (name, track, *args) if args else (name, track)
-        entry = instants._entries.get(shape)
-        if entry is None:
-            entry = self._entry(instants, shape, args)
-        if txn is None:
-            txn_id = _NO_ID
-        else:
-            txn_id = txn.txn_id
-            if not 0 <= txn_id <= _MAX_ID:
-                raise _bad_id(txn_id)
-        code, column, held, staged, strings = entry
-        if column is not None:
-            value, = args.values()
-            if type(value) is held or held is object:
-                try:
-                    column.append(self._strings[value] if held is str else value)
-                except OverflowError:  # an int wider than 64 bits
-                    instants._widen(code, 0).append(value)
-            else:
-                instants._widen(code, 0).append(value)
-        elif staged is not None:
-            if strings:
-                codes = self._strings
-                try:
-                    for key in strings:
-                        codes[args[key]]
-                except TypeError:  # unhashable, so no string: _move widens
-                    pass
-            staged.extend(args.values())
-            if len(staged) >= _STAGED:
-                instants._move(code)
-        instants._shape.append(code)
+        instants._store((name, track, *args), args)
         instants._times.append(ts)
         instants._ids.append(txn_id)
 
     def edge(self, kind: str, ts: float, *,
              txn=None, src_txn=None, track: str = "", **args) -> None:
+        txn_id = _stored_id(txn)
+        src_id = _stored_id(src_txn)
         edges = self.edges
-        shape = (kind, track, *args) if args else (kind, track)
-        entry = edges._entries.get(shape)
-        if entry is None:
-            entry = self._entry(edges, shape, args)
-        if txn is None:
-            txn_id = _NO_ID
-        else:
-            txn_id = txn.txn_id
-            if not 0 <= txn_id <= _MAX_ID:
-                raise _bad_id(txn_id)
-        if src_txn is None:
-            src_id = _NO_ID
-        else:
-            src_id = src_txn.txn_id
-            if not 0 <= src_id <= _MAX_ID:
-                raise _bad_id(src_id)
-        code, column, held, staged, strings = entry
-        if column is not None:
-            value, = args.values()
-            if type(value) is held or held is object:
-                try:
-                    column.append(self._strings[value] if held is str else value)
-                except OverflowError:  # an int wider than 64 bits
-                    edges._widen(code, 0).append(value)
-            else:
-                edges._widen(code, 0).append(value)
-        elif staged is not None:
-            if strings:
-                codes = self._strings
-                try:
-                    for key in strings:
-                        codes[args[key]]
-                except TypeError:  # unhashable, so no string: _move widens
-                    pass
-            staged.extend(args.values())
-            if len(staged) >= _STAGED:
-                edges._move(code)
-        edges._shape.append(code)
+        edges._store((kind, track, *args), args)
         edges._times.append(ts)
         edges._ids.append(txn_id)
         edges._ids.append(src_id)

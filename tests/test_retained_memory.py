@@ -272,18 +272,18 @@ class TestWhatATraceRetains:
         assert traced["edges"] > 2000 and traced["samples"] > 500
 
     def test_a_span_is_a_row_of_columns(self, traced):
-        """28.0 B a span: shape code, two times, a 4-byte id, and its
+        """27.8 B a span: shape code, two times, a 4-byte id, and its
         args (a 2-byte code for the network category). Was 34.1 B."""
         assert traced["spans_bytes"] <= 30
 
     def test_an_instant_is_a_row_of_columns(self, traced):
-        """26.5 B an instant, most of them a log delivery and its
+        """24.8 B an instant, most of them a log delivery and its
         sequence number in an ``array('q')``. Was 34.0 B, with a boxed
         int per sequence number."""
         assert traced["instants_bytes"] <= 29
 
     def test_an_edge_is_a_row_of_columns(self, traced):
-        """39.2 B an edge: two 4-byte ids, and the rpc's round trip in
+        """37.2 B an edge: two 4-byte ids, and the rpc's round trip in
         an ``array('d')`` next to its outcome and category codes. Was
         75.8 B, with a boxed float per round trip."""
         assert traced["edges_bytes"] <= 42
