@@ -18,7 +18,6 @@ imported from its defining module (DESIGN.md §8, "Import floor"):
   ``RunResult.portable()`` forms), ``run_fingerprint``;
 * :mod:`repro.bench.experiments` — a driver for every table and figure
   of the paper's evaluation, exercised by the ``benchmarks/`` tree;
-* :mod:`repro.bench.repeat` — seed repeats with confidence intervals;
 * :mod:`repro.bench.report` — printed tables;
 * :mod:`repro.bench.perf` / :mod:`repro.bench.scale` — the pinned
   determinism matrix and the open-loop saturation knees

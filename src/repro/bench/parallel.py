@@ -32,7 +32,7 @@ Three pieces:
   at ``jobs=1``.
 
 :func:`execute_specs` is the one way to run a list of rows: every
-driver (``run_suite``, ``run_repeated``, the figure drivers, ``repro
+driver (``run_suite``, the figure drivers, ``repro
 bench|compare|perf|chaos --jobs``) builds ``RunSpec`` rows and calls
 it, at every ``jobs``. :func:`execute_spec` is its single in-process
 step and returns the live result. The committed matrix reports the

@@ -155,8 +155,9 @@ class AccessStatistics:
     # -- recording ---------------------------------------------------------
 
     def observe(self, now: float, client_id: int, partitions: Iterable[int]) -> None:
-        """Record one write transaction's partition set."""
-        partitions = tuple(sorted(set(partitions)))
+        """Record one write transaction's partition set, given sorted
+        and distinct (as ``SiteSelector.route_update`` passes it)."""
+        partitions = tuple(partitions)
         if not partitions:
             return
         pending = self._pending

@@ -93,7 +93,8 @@ def update_record_bytes(writes: int, sites: int) -> int:
 
 
 class MastershipError(Exception):
-    """An update arrived at a site that does not master its write set."""
+    """A site asked to release a partition it does not master, or to
+    gain one that a live peer still masters."""
 
 
 class DataSite:
@@ -141,6 +142,9 @@ class DataSite:
         self.replication = ReplicationManager(self)
         #: Partition ids whose master copy lives here.
         self.mastered: Set[int] = set()
+        #: Every site of the cluster, this one included (set by
+        #: :meth:`connect`); a gain is checked against their mastered sets.
+        self._peers: Sequence["DataSite"] = ()
         self.commits = 0
         self.read_txns = 0
 
@@ -174,6 +178,7 @@ class DataSite:
 
     def connect(self, sites: Sequence["DataSite"]) -> None:
         """Subscribe this site's replication manager to every other log."""
+        self._peers = sites
         for other in sites:
             if other is not self and self.replicated and other.replicated:
                 self.replication.subscribe_to(other.log)
@@ -239,6 +244,7 @@ class DataSite:
         the (CPU-charged) log replay finished; the caller re-subscribes
         the replication manager from ``svv`` afterwards.
         """
+        self._check_gain(mastered)
         self.database = database
         self.svv = svv
         self.watch = VersionWatch(self.env, svv)
@@ -440,6 +446,19 @@ class DataSite:
         self.watch.notify()
         return self.svv.copy()
 
+    def _check_gain(self, partitions: Iterable[int]) -> None:
+        """Refuse to master ``partitions`` while a live peer still
+        masters any of them: each partition has one master at a time.
+        A crashed peer does not count; its restart is checked in turn."""
+        for other in self._peers:
+            if other is not self and other.alive:
+                shared = other.mastered.intersection(partitions)
+                if shared:
+                    raise MastershipError(
+                        f"site {self.index} gains {sorted(shared)} still "
+                        f"mastered at live site {other.index}"
+                    )
+
     def grant_mastership(
         self,
         partitions: Sequence[int],
@@ -466,6 +485,7 @@ class DataSite:
         elif not self.svv.dominates(release_vv):
             yield self.watch.wait_for(release_vv)
         yield from self.cpu.use(GRANT_MS * len(partitions))
+        self._check_gain(partitions)
         self.mastered.update(partitions)
         tracer = self.env.obs.tracer
         if tracer.enabled:

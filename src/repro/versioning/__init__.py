@@ -5,23 +5,16 @@
   session (`cvv`) versions.
 * :func:`~repro.versioning.vectors.can_apply_refresh` — the update
   application rule (Equation 1).
-* :func:`~repro.versioning.vectors.satisfies_session` — the
-  strong-session snapshot-isolation freshness rule.
 * :class:`~repro.versioning.watch.VersionWatch` — a condition variable
   that wakes simulated processes when a site's version vector advances
   past a target.
 """
 
-from repro.versioning.vectors import (
-    VersionVector,
-    can_apply_refresh,
-    satisfies_session,
-)
+from repro.versioning.vectors import VersionVector, can_apply_refresh
 from repro.versioning.watch import VersionWatch
 
 __all__ = [
     "VersionVector",
     "VersionWatch",
     "can_apply_refresh",
-    "satisfies_session",
 ]

@@ -190,12 +190,3 @@ def can_apply_refresh(svv, tvv, origin: int) -> bool:
         index += 1
     return True
 
-
-def satisfies_session(svv: VersionVector, cvv: VersionVector) -> bool:
-    """Session freshness rule for strong-session SI (paper §III-A).
-
-    A client with session vector ``cvv`` may execute at a site whose
-    version vector ``svv`` dominates ``cvv`` — the site reflects every
-    update the client has previously observed.
-    """
-    return svv.dominates(cvv)

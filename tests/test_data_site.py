@@ -203,6 +203,40 @@ class TestRemasteringHandlers:
         with pytest.raises(MastershipError):
             run_process(cluster.env, process)
 
+    def test_grant_of_a_partition_a_live_peer_masters_rejected(self):
+        cluster = make_cluster()
+        site0, site1 = cluster.sites
+        site0.mastered.add(5)
+        process = cluster.env.process(
+            site1.grant_mastership([5], site0.svv.copy())
+        )
+        with pytest.raises(MastershipError, match=r"\[5\] still mastered at live site 0"):
+            run_process(cluster.env, process)
+        assert 5 not in site1.mastered
+
+    def test_grant_of_a_partition_a_crashed_peer_masters_succeeds(self):
+        # Unreplicated sites keep their mastered set through a crash,
+        # so only the peer's liveness lets the grant through.
+        cluster = Cluster(ClusterConfig(num_sites=2), replicated=False)
+        site0, site1 = cluster.sites
+        site0.mastered.add(5)
+        site0.crash()
+        assert site0.mastered == {5}
+        process = cluster.env.process(
+            site1.grant_mastership([5], site0.svv.copy())
+        )
+        run_process(cluster.env, process)
+        assert 5 in site1.mastered
+
+    def test_restart_with_a_partition_a_live_peer_masters_rejected(self):
+        cluster = make_cluster()
+        site0, site1 = cluster.sites
+        site0.mastered.add(5)
+        site1.crash()
+        with pytest.raises(MastershipError, match=r"site 1 gains \[5\]"):
+            site1.complete_restart(site1.database, site1.svv, {4, 5})
+        assert not site1.alive
+
     def test_release_waits_for_inflight_writer(self):
         cluster = make_cluster()
         site0, site1 = cluster.sites

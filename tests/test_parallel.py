@@ -89,8 +89,7 @@ FLOOR_EXCLUDES = (
     "_hashlib", "html",
     "repro.obs.slo", "repro.obs.mastery", "repro.obs.dashboard",
     "repro.obs.export", "repro.obs.attribution", "repro.obs.causal",
-    "repro.bench.scale", "repro.bench.repeat", "repro.bench.experiments",
-    "repro.bench.report",
+    "repro.bench.scale", "repro.bench.experiments", "repro.bench.report",
 )
 
 #: Fault machinery an unfaulted run never executes, so never imports

@@ -2,7 +2,7 @@
 
 The non-negotiable contract of :mod:`repro.bench.parallel`: a parallel
 sweep produces fingerprints bit-identical to the serial sweep — for
-``run_suite``, ``run_repeated``, the perf matrix, and the chaos
+``run_suite``, the perf matrix, and the chaos
 fan-out — and the ``jobs=1`` path is itself bit-identical to calling
 :func:`~repro.bench.harness.run_benchmark` directly (the reference).
 Every driver runs the same :class:`RunSpec` rows at every ``jobs``, so
@@ -22,7 +22,6 @@ from repro.bench.parallel import (
     run_fingerprint,
 )
 from repro.bench.perf import run_cases
-from repro.bench.repeat import run_repeated
 from repro.bench.experiments import run_suite
 from repro.faults.chaos import run_chaos, run_chaos_matrix
 from repro.obs import Observability
@@ -122,20 +121,6 @@ class TestRunSuiteParity:
         for system in SYSTEMS:
             assert read(serial[system])
             assert read(parallel[system]) == read(serial[system])
-
-
-class TestRunRepeatedParity:
-    def test_parallel_matches_serial_across_seeds(self):
-        spec = tiny_workload_spec()
-        kwargs = dict(seeds=(1, 2), cluster_config=ClusterConfig(**CLUSTER),
-                      **TINY)
-        serial = run_repeated("dynamast", spec, jobs=1, **kwargs)
-        parallel = run_repeated("dynamast", spec, jobs=2, **kwargs)
-        assert_same_runs(serial.runs, parallel.runs)
-        assert serial.runs[0].fingerprint != serial.runs[1].fingerprint
-        assert parallel.throughput == serial.throughput
-        assert parallel.mean_latency == serial.mean_latency
-        assert parallel.p99_latency == serial.p99_latency
 
 
 def recorded_run(system, recorder):

@@ -230,7 +230,7 @@ def run_statistics_scenario():
         now += driver.random() * 4.0
         client = driver.randrange(6)
         width = driver.randint(1, 4)
-        partitions = [driver.randrange(12) for _ in range(width)]
+        partitions = sorted({driver.randrange(12) for _ in range(width)})
         if sampler.random() < 0.85:
             stats.observe(now, client, partitions)
             sampled += 1
@@ -290,7 +290,7 @@ class TestStatisticsGolden:
             now += driver.random() * 4.0
             client = driver.randrange(6)
             width = driver.randint(1, 4)
-            partitions = [driver.randrange(12) for _ in range(width)]
+            partitions = sorted({driver.randrange(12) for _ in range(width)})
             if sampler.random() < 0.85:
                 stats.observe(now, client, partitions)
             # Query every step instead of every 7th.

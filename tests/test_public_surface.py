@@ -15,7 +15,7 @@ Two kinds of name need no caller:
   It still needs a reader: something under ``src/``, ``tests/``,
   ``perfbench/``, ``benchmarks/`` or ``tools/`` (or the Makefile)
   must refer to it, or it is deleted;
-* a name in :data:`ALLOW`, each with the reason it stays (``calibrate``
+* a name in :data:`ALLOW`, with the reason it stays (``calibrate``
   is called by ``perfbench/driver.py`` through a ``python -c`` string,
   which this scan does not parse).
 
@@ -51,7 +51,7 @@ is a key of a dict literal or ``dict(...)`` forwarded with ``**`` (see
 An option nothing sets is a second configuration no figure, benchmark
 or command runs: it is deleted, and its default becomes the code (a
 config field becomes a module constant next to its reader). The
-exceptions are the at most 9 entries of :data:`ALLOW_OPTIONS`, each
+exceptions are the at most 8 entries of :data:`ALLOW_OPTIONS`, each
 with a reason.
 
 The same holds for *registered names*: every name in
@@ -80,9 +80,6 @@ CALLER_DIRS = ("src", "perfbench", "benchmarks", "tools")
 #: Public names kept without a non-test caller, ``module:Qualified.name``
 #: -> the reason each stays.
 ALLOW = {
-    "bench.repeat:run_repeated": "ROADMAP item 5a error bars",
-    "versioning.vectors:satisfies_session":
-        "the strong-session predicate of ROADMAP item 1a's history checker",
     "bench.perf:calibrate":
         "perfbench/driver.py calls it through a `python -c` string",
 }
@@ -213,7 +210,7 @@ def test_allow_list_has_no_stale_entries():
 
 
 def test_allow_list_stays_short():
-    assert len(ALLOW) <= 3
+    assert len(ALLOW) <= 1
     assert all(reason.strip() for reason in ALLOW.values())
 
 
@@ -240,7 +237,6 @@ ALLOW_OPTIONS = {
     "cli:main(argv)": "the entry point: the console script reads sys.argv, tests pass a list",
     "sim.core:Environment.timeout(value)":
         "AllOf/AnyOf carry values in the kernel golden trace (test_perf_identity)",
-    "bench.repeat:run_repeated": "ROADMAP item 5a error bars",
     "bench.perf:calibrate": "perfbench/driver.py calls it through a `python -c` string",
     "core.statistics:StatisticsConfig":
         "STATISTICS_DIGEST reaches expiry and both caps in 400 steps only at small values",
@@ -518,7 +514,7 @@ def unset_options() -> list:
 
     A ``**`` forward out of a public function's own ``**kwargs`` sets
     the callee's options only once something sets that ``**kwargs``:
-    ``run_repeated(**kwargs)`` forwarding into a function must not set
+    a wrapper's ``**kwargs`` forwarding into a function must not set
     every option on the strength of test calls alone. A method called on
     a class by name (``OpenLoopSpec.of``) is that class's method only.
     """
@@ -576,7 +572,7 @@ def test_every_option_dataclass_exists():
 
 
 def test_option_allow_list_is_short_and_current():
-    assert len(ALLOW_OPTIONS) <= 9
+    assert len(ALLOW_OPTIONS) <= 8
     assert all(reason.strip() for reason in ALLOW_OPTIONS.values())
     unset = unset_options()
     stale = sorted(

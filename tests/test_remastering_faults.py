@@ -4,8 +4,9 @@ Algorithm 1's schedule — shared-lock lookup, exclusive upgrade, lock
 downgrade of stationary partitions, parallel release -> grant chains —
 is the schedule faulted runs measure too. These tests drive failures
 into the parallel chains and check what the driver leaves behind, and
-check single mastership at every instant (``mastership_oracle``) over
-the named fault scenarios and generated fault plans.
+run the named fault scenarios and generated fault plans, in which a
+site raises ``MastershipError`` if it gains a partition that a live
+peer still masters.
 """
 
 import pytest
@@ -21,10 +22,11 @@ from repro.faults.injector import FaultInjector
 from repro.obs import Observability
 from repro.partitioning.schemes import PartitionScheme
 from repro.sim.config import ClusterConfig
+from repro.sites.data_site import MastershipError
 from repro.systems import Cluster, build_system
 from repro.transactions import Transaction
 from repro.workloads.ycsb import YCSBConfig, YCSBWorkload
-from tests.helpers import mastership_oracle, run_process
+from tests.helpers import run_process
 from tests.test_faults_properties import (
     AMBIGUOUS_GRANT_PLAN,
     fault_plans,
@@ -86,9 +88,8 @@ class TestFailureInsideTheParallelSchedule:
         partitions 0 and 1 on the dead site, and a second round moves
         them so the transaction commits at a healthy site."""
         plan = FaultPlan(crashes=(CrashFault(0, at_ms=0.8),))
-        with mastership_oracle() as violations:
-            cluster, system = remastering_cluster(plan)
-            outcome = submit_write(cluster, system)
+        cluster, system = remastering_cluster(plan)
+        outcome = submit_write(cluster, system)
         selector = system.selector
         assert outcome.committed and outcome.remastered
         # Two chains in round one, one forced move off site 0 in round two.
@@ -97,7 +98,6 @@ class TestFailureInsideTheParallelSchedule:
         assert masters == {1}
         assert cluster.health(1) > 0
         assert_quiet_and_consistent(cluster, system)
-        assert violations == []
 
     def test_release_timeout_keeps_the_sibling_move(self):
         """Site 2 is alive but unreachable: its chain's release times
@@ -110,51 +110,56 @@ class TestFailureInsideTheParallelSchedule:
         plan = FaultPlan(links=(
             LinkFault(src=FRONTEND, dst=2, start_ms=0.0, end_ms=2_000.0, drop=True),
         ))
-        with mastership_oracle() as violations:
-            cluster, system = remastering_cluster(plan)
-            selector = system.selector
-            outcome = submit_write(cluster, system)
-            assert not outcome.committed
-            assert outcome.abort_reason == "timeout"
-            assert cluster.sites[2].alive
-            assert cluster.faults.detector.is_suspected(2)
-            assert selector.table.master_of(2) == 0
-            assert selector.table.master_of(3) == 2
-            assert_quiet_and_consistent(cluster, system)
+        cluster, system = remastering_cluster(plan)
+        selector = system.selector
+        outcome = submit_write(cluster, system)
+        assert not outcome.committed
+        assert outcome.abort_reason == "timeout"
+        assert cluster.sites[2].alive
+        assert cluster.faults.detector.is_suspected(2)
+        assert selector.table.master_of(2) == 0
+        assert selector.table.master_of(3) == 2
+        assert_quiet_and_consistent(cluster, system)
 
-            cluster.env.run(until=2_000.0)
-            decide = selector.strategy.decide
+        cluster.env.run(until=2_000.0)
+        decide = selector.strategy.decide
 
-            def to_site_2(partitions, site_vvs, session_vv, exclude, health):
-                return decide(partitions, site_vvs, session_vv,
-                              exclude={0, 1}, health=health)
+        def to_site_2(partitions, site_vvs, session_vv, exclude, health):
+            return decide(partitions, site_vvs, session_vv,
+                          exclude={0, 1}, health=health)
 
-            selector.strategy.decide = to_site_2
-            outcome = submit_write(cluster, system, (("t", 10), ("t", 15)))
+        selector.strategy.decide = to_site_2
+        outcome = submit_write(cluster, system, (("t", 10), ("t", 15)))
         assert outcome.committed and outcome.remastered
         assert selector.table.master_of(2) == 2
         assert_quiet_and_consistent(cluster, system)
-        assert violations == []
 
 
 class TestSingleMastership:
     @pytest.mark.parametrize("defenses", ("fixed", "adaptive"))
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_named_scenarios(self, scenario, defenses):
-        with mastership_oracle() as violations:
-            for seed in range(3):
-                run_chaos("dynamast", scenario, num_clients=8,
-                          duration_ms=1000.0, seed=seed, defenses=defenses)
-        assert violations == []
+        for seed in range(3):
+            run_chaos("dynamast", scenario, num_clients=8,
+                      duration_ms=1000.0, seed=seed, defenses=defenses)
 
     @settings(max_examples=6, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(plan=fault_plans(), seed=st.integers(0, 2**16))
     @example(plan=AMBIGUOUS_GRANT_PLAN, seed=0)
     def test_generated_fault_plans(self, plan, seed):
-        with mastership_oracle() as violations:
-            run_faulted_workload(plan, seed=seed)
-        assert violations == []
+        run_faulted_workload(plan, seed=seed)
+
+    def test_a_lost_grant_that_was_logged_is_refused(self, monkeypatch):
+        """Site 2 logs a grant, its reply is lost and it crashes; its
+        restart recovers the partitions from that log. A failover that
+        did not look for the logged grant grants them to site 0 too,
+        and site 0 refuses them while site 2 is live."""
+        monkeypatch.setattr(SiteSelector, "_grant_logged",
+                            lambda *args: False)
+        with pytest.raises(MastershipError,
+                           match=r"site 0 gains \[3, 6\] still mastered at live site 2"):
+            run_faulted_workload(AMBIGUOUS_GRANT_PLAN, seed=0)
 
 
 def test_faulted_routing_records_the_selector_lock_phase():

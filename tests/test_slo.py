@@ -49,11 +49,10 @@ ALL_SYSTEMS = ("dynamast", "single-master", "multi-master", "partition-store", "
 
 
 class StubSite:
-    def __init__(self, index, num_sites=3, alive=True, mastered=(), epoch=0):
+    def __init__(self, index, num_sites=3, alive=True, epoch=0):
         self.index = index
         self.num_sites = num_sites
         self.alive = alive
-        self.mastered = set(mastered) if mastered else {index}
         self.epoch = epoch
         self.svv = [0] * num_sites
 
@@ -452,38 +451,30 @@ class TestInvariants:
         engine.finalize(1000.0)
         assert engine.violations == []
 
-    def test_duplicate_mastership_is_one_violation_per_episode(self):
-        sites = [StubSite(0, mastered={5}), StubSite(1, mastered={5}),
-                 StubSite(2, mastered={2})]
-        engine, _ = _stub_engine(sites=sites)
+    def test_a_violation_is_one_incident_per_episode(self):
+        queue = StubQueue(offered=10, admitted=6, shed=3, taken=6)
+        engine, _ = _stub_engine(queues=[queue])
         engine._close_window(engine._window)
         engine._close_window(engine._window)  # still violated: same episode
         assert len(engine.violations) == 1
         violation = engine.violations[0]
-        assert violation.objective == "invariant:single_master"
         assert violation.kind == "invariant"
-        assert violation.blamed_sites == (0, 1)
-        assert "partition 5" in violation.detail
         assert violation.clear_ms is None
 
     def test_violation_clears_when_the_property_holds_again(self):
-        sites = [StubSite(0, mastered={5}), StubSite(1, mastered={5})]
-        engine, _ = _stub_engine(sites=sites, window_ms=100.0)
+        queue = StubQueue(offered=10, admitted=6, shed=3, taken=6)
+        engine, _ = _stub_engine(queues=[queue], window_ms=100.0)
         engine._close_window(engine._window)
-        sites[1].mastered = {7}
+        queue.shed = 4
         engine._close_window(engine._window)
         assert engine.violations[0].clear_ms == 200.0
-
-    def test_dead_sites_do_not_count_as_duplicate_masters(self):
-        sites = [StubSite(0, mastered={5}), StubSite(1, mastered={5}, alive=False)]
-        engine, _ = _stub_engine(sites=sites)
-        engine.finalize(1000.0)
-        assert engine.violations == []
 
     def test_selector_mapping_to_unknown_site_is_a_violation(self):
         engine, _ = _stub_engine(selector=StubSelector({3: 7}))
         engine._close_window(engine._window)
-        assert any("invalid site 7" in v.detail for v in engine.violations)
+        violation = engine.violations[0]
+        assert violation.objective == "invariant:single_master"
+        assert "invalid site 7" in violation.detail
 
     def test_admission_conservation_offered_mismatch(self):
         queue = StubQueue(offered=10, admitted=6, shed=3, taken=6)

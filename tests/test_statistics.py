@@ -34,11 +34,6 @@ class TestWriteFrequencies:
         assert stats.co_inter == {}
         assert stats.access_fraction(0) == 0.0
 
-    def test_duplicate_partitions_counted_once(self):
-        stats = make_stats()
-        stats.observe(0.0, client_id=1, partitions=[3, 3, 3])
-        assert stats.partition_writes[3] == 1.0
-
     def test_site_write_loads_sum_to_one(self):
         stats = make_stats()
         table = PartitionTable(Environment(), {0: 0, 1: 0, 2: 1})
@@ -239,7 +234,9 @@ _observe = st.tuples(
     st.just("observe"),
     st.integers(0, 8),  # ms since the previous step
     st.integers(0, 2),  # client
-    st.lists(st.sampled_from(_PARTITIONS), min_size=1, max_size=4),
+    # Sorted and distinct, as ``SiteSelector.route_update`` passes them.
+    st.lists(st.sampled_from(_PARTITIONS), min_size=1, max_size=4,
+             unique=True).map(sorted),
 )
 _remaster = st.tuples(
     st.just("remaster"), st.sampled_from(_PARTITIONS), st.integers(0, _SITES - 1)
@@ -299,7 +296,7 @@ class TestDerivedInterPairsMatchFlatPairs:
         stats.follow_masters(table, _SITES)
         reference = FlatPairStatistics(config, table.masters)
         for step in range(10 * config.max_samples):
-            partitions = [step % 6, step * 5 % 6, step * 7 % 4]
+            partitions = sorted({step % 6, step * 5 % 6, step * 7 % 4})
             stats.observe(2.0 * step, step % 3, partitions)
             reference.observe(2.0 * step, step % 3, partitions)
             assert len(stats._pending) <= config.max_samples

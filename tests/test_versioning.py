@@ -3,12 +3,7 @@
 import pytest
 
 from repro.sim.core import Environment
-from repro.versioning import (
-    VersionVector,
-    VersionWatch,
-    can_apply_refresh,
-    satisfies_session,
-)
+from repro.versioning import VersionVector, VersionWatch, can_apply_refresh
 
 
 class TestVersionVector:
@@ -119,14 +114,6 @@ class TestUpdateApplicationRule:
         tvv_b = VersionVector([0, 1, 0])
         assert can_apply_refresh(svv, tvv_a, origin=0)
         assert can_apply_refresh(svv, tvv_b, origin=1)
-
-
-class TestSessionRule:
-    def test_fresh_site_accepted(self):
-        assert satisfies_session(VersionVector([3, 2]), VersionVector([3, 1]))
-
-    def test_stale_site_rejected(self):
-        assert not satisfies_session(VersionVector([3, 0]), VersionVector([3, 1]))
 
 
 class TestVersionWatch:
