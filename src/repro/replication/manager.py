@@ -124,16 +124,17 @@ class ReplicationManager:
         while True:
             if not pending:
                 pending.append((yield queue.get()))
-            while len(queue):
-                pending.append(queue.take())
+            queue.drain_into(pending)
             # Records carry their tvv as a plain tuple; can_apply_refresh
             # consumes it directly, so no VersionVector is allocated per
-            # delivered record.
+            # delivered record. A head Equation 1 already admits is
+            # applied without waiting a scheduling turn on the watch.
             head = pending[0].tvv
             head_origin = pending[0].origin
-            yield site.watch.wait_until(
-                lambda: can_apply_refresh(site.svv, head, head_origin)
-            )
+            if not can_apply_refresh(site.svv, head, head_origin):
+                yield site.watch.wait_until(
+                    lambda: can_apply_refresh(site.svv, head, head_origin)
+                )
             request = site.cpu.request()
             yield request
             env = site.env
@@ -169,8 +170,7 @@ class ReplicationManager:
                         applied_by_origin[origin] = 1
                     notify()
                     pending.popleft()
-                    while len(queue):
-                        pending.append(queue.take())
+                    queue.drain_into(pending)
             finally:
                 site.cpu.release(request)
                 tracer = site.env.obs.tracer

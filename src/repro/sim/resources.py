@@ -74,15 +74,19 @@ class Resource:
     def request(self) -> Request:
         """Claim a slot; the returned event triggers when granted.
 
+        A free slot is granted when it is claimed: the request comes
+        back already *processed* (value ``None``, no callbacks), so the
+        process that yields it continues in the same dispatch instead
+        of waiting a scheduling turn for a zero-delay event (DESIGN.md
+        §8, "A claim granted when it is made"). A saturated resource
+        queues the request FIFO and :meth:`release` triggers it.
+
         Hot path (one request per CPU slice): the Request is built and
         the busy-time accounting applied inline instead of chaining
-        through ``Event.__init__`` / :meth:`_account`; the end state is
-        identical to the chained version.
+        through ``Event.__init__`` / :meth:`_account`.
         """
         request = Request.__new__(Request)
         request.env = self.env
-        request.callbacks = []
-        request._value = _PENDING
         request._ok = True
         request._defused = False
         request.resource = self
@@ -91,8 +95,11 @@ class Resource:
             self.busy_time += self._in_use * (now - self._last_change)
             self._last_change = now
             self._in_use += 1
-            request.succeed()
+            request._value = None
+            request.callbacks = None
         else:
+            request._value = _PENDING
+            request.callbacks = []
             self._queue.append(request)
         return request
 
@@ -199,22 +206,18 @@ class Store:
             self._getters.append(event)
         return event
 
-    def take(self) -> Any:
-        """Pop the next item now, without an event; the store must hold one.
+    def drain_into(self, target: Deque[Any]) -> None:
+        """Move every buffered item onto ``target`` now, in FIFO order.
 
-        For a consumer that has already tested ``len(store)`` and is
-        not going to wait: ``get().value`` hands back the same item but
-        builds and schedules an :class:`Event` nobody yields on.
-        Dropping that event is order-exact. It never had a callback, so
-        dispatching it ran no code; every other event is still created
-        in the same order, so the survivors keep their relative
-        ``(time, eid)`` order and eids are only renumbered
-        monotonically. No run's simulated result can move — the
-        ``events_processed`` count falls, and nothing else.
+        For a consumer that is not going to wait: it takes what has
+        been delivered in one move, without an :class:`Event` per
+        item (``get().value`` would schedule one nobody yields on). An
+        empty store moves nothing.
         """
-        if not self._items:
-            raise SimulationError("take() from an empty store")
-        return self._items.popleft()
+        items = self._items
+        if items:
+            target.extend(items)
+            items.clear()
 
 
 class AdmissionQueue:

@@ -32,7 +32,7 @@ from tests.helpers import assert_converged, run_process
 #: unfaulted run, the digest moves. Regenerate only for intentional
 #: simulation-behavior changes.
 UNFAULTED_FINGERPRINTS = {
-    "dynamast": "f4b91bf309de9b72",
+    "dynamast": "98b4ba6dad2209ab",
     "single-master": "13cac5bb9216d8cc",
     "multi-master": "4100c659f786474d",
     "partition-store": "8c5574d11d589af9",
@@ -46,8 +46,8 @@ UNFAULTED_FINGERPRINTS = {
 #: The payload additionally covers aborts by reason and the fault
 #: timeline, since those are the observable outputs of a faulted run.
 FAULTED_FINGERPRINTS = {
-    "dynamast": "02e5b528f36602b7",
-    "single-master": "11214a1a6c5f9e3b",
+    "dynamast": "cb21d561b1f269be",
+    "single-master": "8910148aac407760",
     "multi-master": "f531f4c54bad01c7",
     "partition-store": "1db12045d127ad83",
     "leap": "5e97ac0ec0c43f1c",

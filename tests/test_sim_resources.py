@@ -1,9 +1,16 @@
 """Unit tests for simulated resources: Resource, Store, RWLock."""
 
+from collections import deque
+
 import pytest
 
-from repro.sim.core import Environment, SimulationError
+from repro.faults.errors import SiteDown
+from repro.replication.log import UPDATE, LogRecord
+from repro.sim.config import ClusterConfig
+from repro.sim.core import AnyOf, Environment, SimulationError
 from repro.sim.resources import Resource, RWLock, Store
+from repro.systems.base import Cluster
+from repro.transactions import Transaction
 
 
 class TestResource:
@@ -76,6 +83,118 @@ class TestResource:
             Resource(env, capacity=0)
 
 
+class TestGrantedWhenClaimed:
+    """A free slot is granted when it is claimed: the request comes
+    back processed and its holder runs on in the same dispatch."""
+
+    def test_a_free_slot_is_granted_without_a_dispatch(self):
+        env = Environment()
+        resource = Resource(env, capacity=1)
+        granted = []
+
+        def holder():
+            request = resource.request()
+            assert request.processed and request.value is None
+            yield request
+            granted.append(env.events_processed)
+            resource.release(request)
+
+        env.process(holder())
+        env.step()  # the process's start: it runs past its grant here
+        assert granted == [1]
+        assert resource.in_use == 0
+
+    def test_a_saturated_resource_queues_requests_fifo(self):
+        env = Environment()
+        resource = Resource(env, capacity=1)
+        holder = resource.request()
+        waiters = [resource.request() for _ in range(3)]
+        assert [waiter.triggered for waiter in waiters] == [False] * 3
+        assert resource.queue_length == 3
+        for index, waiter in enumerate(waiters):
+            resource.release(holder)
+            assert [w.triggered for w in waiters] == (
+                [True] * (index + 1) + [False] * (2 - index)
+            )
+            assert not waiter.processed  # its holder resumes on dispatch
+            holder = waiter
+        assert resource.queue_length == 0 and resource.in_use == 1
+
+    def test_releasing_a_granted_claim_hands_the_slot_to_the_head_waiter(self):
+        env = Environment()
+        resource = Resource(env, capacity=1)
+        first = resource.request()
+        second, third = resource.request(), resource.request()
+        resource.release(first)
+        assert second.triggered and not third.triggered
+        assert (resource.in_use, resource.queue_length) == (1, 1)
+        env.run()
+        assert second.processed
+
+    def test_an_interrupt_inside_use_frees_the_slot(self):
+        env = Environment()
+        resource = Resource(env, capacity=1)
+        unwound = []
+
+        def worker():
+            try:
+                yield from resource.use(10.0)
+            except SiteDown:
+                unwound.append(env.now)
+
+        process = env.process(worker())
+        env.step()  # granted at once; now waiting on the service time
+        assert resource.in_use == 1
+        process.interrupt(SiteDown(0))
+        assert unwound == [0.0]
+        assert resource.in_use == 0
+        assert resource.request().processed
+
+    def test_any_of_resolves_on_a_claim_granted_when_made(self):
+        env = Environment()
+        resource = Resource(env, capacity=1)
+        request = resource.request()
+        race = AnyOf(env, [request, env.timeout(5.0)])
+        assert race.triggered and race.first is request
+        env.run()
+        assert race.processed and env.now == 5.0
+
+
+class TestRefreshAdmittedWhenDelivered:
+    def test_an_admissible_refresh_never_waits_on_the_watch(self):
+        """Equation 1 already holds for each delivered head, so the
+        drainer applies it without registering a watch waiter."""
+        cluster = Cluster(ClusterConfig(num_sites=2))
+        site0, replica = cluster.sites
+        site0.mastered.add(0)
+        waits = []
+        wait_until = replica.watch.wait_until
+        replica.watch.wait_until = lambda predicate: (
+            waits.append(predicate) or wait_until(predicate)
+        )
+
+        def writer():
+            for key in (1, 2, 3):
+                txn = Transaction("w", client_id=0, write_set=(("t", key),))
+                yield from site0.execute_update(txn)
+
+        cluster.env.process(writer())
+        cluster.env.run()
+        assert replica.svv.to_tuple() == (3, 0)
+        assert waits == [] and replica.watch.pending == 0
+
+    def test_a_refresh_behind_its_dependency_waits_on_the_watch(self):
+        cluster = Cluster(ClusterConfig(num_sites=3))
+        site0, site1, site2 = cluster.sites
+        env = cluster.env
+        site0.log.append(LogRecord(UPDATE, origin=0, tvv=(1, 0, 1), keys=(("t", 1),)))
+        env.run(until=1.0)
+        assert site1.watch.pending == 1 and site1.svv.to_tuple() == (0, 0, 0)
+        site2.log.append(LogRecord(UPDATE, origin=2, tvv=(0, 0, 1), keys=(("t", 2),)))
+        env.run(until=2.0)
+        assert site1.watch.pending == 0 and site1.svv.to_tuple() == (1, 0, 1)
+
+
 class TestStore:
     def test_put_then_get(self):
         env = Environment()
@@ -137,17 +256,19 @@ class TestStore:
         store.put("b")
         assert len(store) == 2
 
-    def test_take_pops_in_fifo_order_without_scheduling_an_event(self):
+    def test_drain_into_moves_items_in_fifo_order_without_scheduling_an_event(self):
         env = Environment()
         store = Store(env)
         store.put("a")
         store.put("b")
-        assert (store.take(), store.take()) == ("a", "b")
+        taken = deque(["head"])
+        store.drain_into(taken)
+        assert list(taken) == ["head", "a", "b"]
         assert len(store) == 0
         env.run()
         assert env.events_processed == 0  # get().value would have left two
-        with pytest.raises(SimulationError):
-            store.take()
+        store.drain_into(taken)  # an empty store moves nothing
+        assert list(taken) == ["head", "a", "b"]
 
 
 class TestRWLock:
