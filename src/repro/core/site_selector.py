@@ -429,11 +429,6 @@ class SiteSelector:
             tracer.span("grant", grant_started, env._now,
                         track=sites[target].trace_track, txn=txn,
                         partitions=len(partitions), source=source)
-            tracer.edge("remaster", release_started, txn=txn,
-                        track="selector", source=source,
-                        destination=target,
-                        partitions=len(partitions),
-                        waited=env._now - release_started)
         return target, grant_vv
 
     def _alive_target(self) -> int:

@@ -14,8 +14,10 @@ those paths into
   site 3");
 * **tail exemplars** — the :data:`EXEMPLARS` worst transactions
   rendered as waterfall text;
-* **edge summaries** — lock wait-for holders by transaction type,
-  lagging refresh origins, RPC/remaster/2PC round counts.
+* **edge summaries** — who the waits were on: lock holders by
+  transaction type and lagging refresh origins (read from the
+  ``lock_wait`` / ``refresh_wait`` instants), and counts of RPCs,
+  CPU-queue waits, remaster chains and 2PC rounds.
 
 Reports serialize to a stable JSON schema (``repro-explain/1``) so two
 runs can be diffed offline (``repro explain --diff a.json b.json``);
@@ -264,8 +266,22 @@ class AttributionReport:
         }
 
 
+#: Span name -> the edge kind it counts as: the span times the whole
+#: wait (a CPU queue, the grant closing a remaster chain, a 2PC round).
+_SPAN_EDGES = {
+    "cpu_queue": "cpu_queue",
+    "grant": "remaster",
+    "2pc_execute": "2pc_round",
+    "2pc_prepare": "2pc_round",
+    "2pc_decide": "2pc_round",
+}
+
+#: Instants that name who a wait was on; each counts as its own kind.
+_INSTANT_EDGES = ("lock_wait", "refresh_wait", "rpc")
+
+
 def summarize_edges(tracer: Tracer) -> Dict[str, object]:
-    """Aggregate the causal edges of a trace for the report.
+    """Count a trace's waits by edge kind, and say who they were on.
 
     Lock blame is keyed by the *holder's* transaction type (who was I
     behind?); refresh blame by the lagging replication origin the
@@ -274,14 +290,22 @@ def summarize_edges(tracer: Tracer) -> Dict[str, object]:
     kinds: Dict[str, int] = {}
     lock_holders: Dict[str, int] = {}
     refresh_origins: Dict[str, int] = {}
-    for edge in tracer.edges:
-        kinds[edge.kind] = kinds.get(edge.kind, 0) + 1
-        if edge.kind == "lock_wait":
-            holder = tracer.txns.get(edge.src_txn_id) if edge.src_txn_id else None
+    for span in tracer.spans:
+        kind = _SPAN_EDGES.get(span.name)
+        if kind is not None:
+            kinds[kind] = kinds.get(kind, 0) + 1
+    for instant in tracer.instants:
+        kind = instant.name
+        if kind not in _INSTANT_EDGES:
+            continue
+        kinds[kind] = kinds.get(kind, 0) + 1
+        if kind == "lock_wait":
+            holder_id = dict(instant.args)["holder"]  # 0: none known
+            holder = tracer.txns.get(holder_id) if holder_id else None
             label = holder.txn_type if holder is not None else "(unknown)"
             lock_holders[label] = lock_holders.get(label, 0) + 1
-        elif edge.kind == "refresh_wait":
-            for origin, _have, _need in dict(edge.args).get("lagging", ()):
+        elif kind == "refresh_wait":
+            for origin, _have, _need in dict(instant.args)["lagging"]:
                 label = f"site{origin}"
                 refresh_origins[label] = refresh_origins.get(label, 0) + 1
     return {

@@ -1,21 +1,13 @@
-"""Causal-graph layer over the tracer: edges and critical paths.
+"""Critical paths over the tracer's spans.
 
-The tracer's spans say *that* a transaction waited; the causal layer
-says *why* and *on whom*, and turns both into an exact partition of the
-transaction's end-to-end latency.
-
-Two pieces live here (DESIGN.md §6.5):
-
-* the **edge taxonomy** — the :class:`~repro.obs.tracer.EdgeRecord`
-  kinds protocol code emits (lock wait-for with holder identity, RPC
-  request/reply pairing, CPU-queue occupancy, replication-refresh
-  dependency, remastering chains, 2PC round ordering);
-* the **critical-path extraction** — :func:`critical_path` sweeps a
-  transaction's ``[begin, end]`` interval against its recorded spans
-  and partitions every simulated millisecond into exactly one
-  attribution category, so the per-category durations sum to the
-  measured commit latency *by construction* (the invariant
-  ``repro explain`` and the CI smoke step assert).
+The tracer's spans say *that* a transaction waited, and its
+``lock_wait`` / ``refresh_wait`` / ``rpc`` instants say *on whom*
+(DESIGN.md §6.5). :func:`critical_path` sweeps a transaction's
+``[begin, end]`` interval against its recorded spans and partitions
+every simulated millisecond into exactly one attribution category, so
+the per-category durations sum to the measured commit latency *by
+construction* (the invariant ``repro explain`` and the CI smoke step
+assert).
 
 Everything here is pure post-processing over an already-recorded trace:
 nothing touches the simulation, so the zero-overhead contract of
@@ -31,7 +23,6 @@ from repro.obs.tracer import SpanRecord, Tracer
 
 __all__ = [
     "CATEGORIES",
-    "EDGE_KINDS",
     "SPAN_CATEGORY",
     "PathSegment",
     "critical_path",
@@ -50,16 +41,6 @@ CATEGORIES = (
     "remaster_wait",
     "commit_protocol",
     "other",
-)
-
-#: Causal edge kinds recorded by the protocol code.
-EDGE_KINDS = (
-    "lock_wait",     # waiter txn -> holder txn (who held the lock I waited on)
-    "cpu_queue",     # txn queued behind a saturated CPU (queue depth)
-    "refresh_wait",  # snapshot read blocked on lagging replication origins
-    "rpc",           # request/reply pairing of one remote call
-    "remaster",      # one release->grant chain of Algorithm 1
-    "2pc_round",     # ordering of the execute/prepare/decide rounds
 )
 
 #: Span name -> attribution category. Innermost-covering-span wins, so

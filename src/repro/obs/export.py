@@ -141,16 +141,6 @@ def to_jsonl(tracer: Tracer) -> Iterator[str]:
             "txn_id": instant.txn_id,
             "args": dict(instant.args),
         }, sort_keys=True)
-    for edge in tracer.edges:
-        yield json.dumps({
-            "type": "edge",
-            "kind": edge.kind,
-            "ts": edge.ts,
-            "txn_id": edge.txn_id,
-            "src_txn_id": edge.src_txn_id,
-            "track": edge.track,
-            "args": dict(edge.args),
-        }, sort_keys=True)
 
 
 def write_jsonl(tracer: Tracer, path: str) -> None:

@@ -3,7 +3,9 @@
 A :class:`Tracer` records what happened *inside* every transaction —
 routing, release/grant waits, lock waits, execution, 2PC rounds — as
 flat span records stamped with simulated time, plus instant events
-(remasters, aborts, log deliveries) and per-transaction envelopes.
+(remasters, aborts, who a wait was on) and per-transaction envelopes.
+Each wait is recorded once: a span times it, and an instant is added
+only where it names a party the span cannot (DESIGN.md §6.5).
 Span *trees* are reconstructed on demand by interval containment:
 spans of one transaction nest strictly (a child runs entirely inside
 its parent's interval), so no parent ids need to be threaded through
@@ -15,9 +17,8 @@ untraced run is bit-identical to a run before this module existed.
 
 Records are *stored* as parallel columns, one set per record kind
 (DESIGN.md §6, "Trace store"): :class:`SpanRecord`,
-:class:`InstantRecord`, :class:`EdgeRecord` and :class:`TxnRecord` are
-what a reader gets, built on access by ``tracer.spans`` / ``.instants``
-/ ``.edges`` / ``.txns``.
+:class:`InstantRecord` and :class:`TxnRecord` are what a reader gets,
+built on access by ``tracer.spans`` / ``.instants`` / ``.txns``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = [
     "NULL_TRACER",
-    "EdgeRecord",
     "InstantRecord",
     "NullTracer",
     "SpanNode",
@@ -59,34 +59,14 @@ class SpanRecord:
 
 @dataclass(frozen=True, slots=True)
 class InstantRecord:
-    """A point event (remaster, abort, log delivery, ...)."""
+    """A point event: a remaster, an abort, or who a wait was on — the
+    lock holder (``lock_wait``), the lagging replication origins
+    (``refresh_wait``), how a remote call resolved (``rpc``)."""
 
     name: str
     ts: float
     track: str
     txn_id: Optional[int]
-    args: Tuple[Tuple[str, Any], ...] = ()
-
-
-@dataclass(frozen=True, slots=True)
-class EdgeRecord:
-    """One causal edge: *why* a transaction waited at instant ``ts``.
-
-    Edges complement spans: a span says a wait happened, an edge names
-    the other party — the holder of the lock we queued on, the lagging
-    replication origin a snapshot read waited to apply, the paired RPC,
-    the remaster chain, the 2PC round. Kinds in use (DESIGN.md §6.5):
-    ``lock_wait``, ``refresh_wait``, ``rpc``, ``remaster``,
-    ``2pc_round``, ``cpu_queue``.
-    """
-
-    kind: str
-    ts: float
-    #: The waiting/affected transaction.
-    txn_id: Optional[int]
-    #: The transaction blamed for the wait (lock holder), or None.
-    src_txn_id: Optional[int]
-    track: str
     args: Tuple[Tuple[str, Any], ...] = ()
 
 
@@ -165,10 +145,6 @@ class NullTracer:
                 track: str = "", txn=None, **args) -> None:
         pass
 
-    def edge(self, kind: str, ts: float, *,
-             txn=None, src_txn=None, track: str = "", **args) -> None:
-        pass
-
 
 #: Shared no-op tracer instance (stateless, safe to share globally).
 NULL_TRACER = NullTracer()
@@ -243,7 +219,7 @@ class _Columns(Sequence):
     def __init__(self, shapes: List[tuple], codes: Dict[tuple, int],
                  strings: _StringCodes):
         #: ``code -> (name, track, *arg names)`` and its inverse, shared
-        #: by the three kinds: what a call site passes identically on
+        #: by both kinds: what a call site passes identically on
         #: every call.
         self._shapes = shapes
         self._codes = codes
@@ -258,8 +234,7 @@ class _Columns(Sequence):
         self._shape = array("H")
         #: Timestamps: ``(start, end)`` per span row, ``ts`` otherwise.
         self._times = array("d")
-        #: Transaction ids, :data:`_NO_ID` for None: ``txn_id`` per span
-        #: and instant row, ``(txn_id, src_txn_id)`` per edge row.
+        #: Transaction ids, one per row, :data:`_NO_ID` for None.
         self._ids = array("i")
         #: Where rows ``0 .. len - 1`` sit in their shape's columns, and
         #: how many rows of each shape that covers: kept for read only
@@ -388,15 +363,6 @@ class _Instants(_Columns):
                              _id(self._ids[row]), args)
 
 
-class _Edges(_Columns):
-    __slots__ = ()
-
-    def _record(self, row: int) -> EdgeRecord:
-        kind, track, args = self._head(row)
-        return EdgeRecord(kind, self._times[row], _id(self._ids[2 * row]),
-                          _id(self._ids[2 * row + 1]), track, args)
-
-
 # The flag bits of an envelope row.
 _ENDED, _COMMITTED, _REMASTERED, _DISTRIBUTED, _RECORDED = 1, 2, 4, 8, 16
 
@@ -507,14 +473,12 @@ class Tracer(NullTracer):
     enabled = True
 
     def __init__(self):
-        # Shapes and arg strings: one table each, shared by the three kinds.
+        # Shapes and arg strings: one table each, shared by both kinds.
         shapes, codes, strings = [], {}, _StringCodes()
-        #: The recorded spans, instants and edges: read-only sequences
-        #: of :class:`SpanRecord` / :class:`InstantRecord` /
-        #: :class:`EdgeRecord`, in recording order.
+        #: The recorded spans and instants: read-only sequences of
+        #: :class:`SpanRecord` / :class:`InstantRecord`, in recording order.
         self.spans = _Spans(shapes, codes, strings)
         self.instants = _Instants(shapes, codes, strings)
-        self.edges = _Edges(shapes, codes, strings)
         #: The transaction envelopes: a read-only mapping
         #: ``txn_id -> TxnRecord``, in the order they were opened.
         self.txns = _Txns()
@@ -545,8 +509,8 @@ class Tracer(NullTracer):
             self.instant("abort", now, track="client", txn=txn,
                          txn_type=txn.txn_type)
 
-    # The three recording hooks run once per record of a traced run
-    # (166 k times on perfbench's chaos-observed). A refused id, shape
+    # The two recording hooks run once per record of a traced run
+    # (180 k times on perfbench's chaos-observed). A refused id, shape
     # or arg string leaves every column as it was: ids are checked
     # before anything is appended, and the times go in last.
 
@@ -566,16 +530,6 @@ class Tracer(NullTracer):
         instants._store((name, track, *args), args)
         instants._times.append(ts)
         instants._ids.append(txn_id)
-
-    def edge(self, kind: str, ts: float, *,
-             txn=None, src_txn=None, track: str = "", **args) -> None:
-        txn_id = _stored_id(txn)
-        src_id = _stored_id(src_txn)
-        edges = self.edges
-        edges._store((kind, track, *args), args)
-        edges._times.append(ts)
-        edges._ids.append(txn_id)
-        edges._ids.append(src_id)
 
     # -- reconstruction ------------------------------------------------------
 

@@ -32,9 +32,9 @@ class SimulationError(Exception):
 #: repayment — process-wide, like the collector itself.
 _unswept_events = 0
 
-#: Repay once this many events (roughly a second of dispatch, tens of
-#: MB of simulator state) went by without the collector.
-_SWEEP_AFTER_EVENTS = 1 << 18
+#: Repay once this many events (roughly half a second of dispatch, tens
+#: of MB of simulator state) went by without the collector.
+_SWEEP_AFTER_EVENTS = 1 << 17
 
 
 def _suspend_gc() -> bool:

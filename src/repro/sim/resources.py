@@ -127,9 +127,8 @@ class Resource:
 
         When a ``txn`` is passed and tracing is on, time spent queued
         behind a saturated resource is recorded as a ``cpu_queue`` span
-        (plus a causal edge carrying the queue depth). The bookkeeping
-        is pure recording — no extra events — so untraced runs are
-        bit-identical.
+        carrying the queue depth. The bookkeeping is pure recording — no
+        extra events — so untraced runs are bit-identical.
 
         A fail-slow fault (:attr:`slow`) stretches the service time by
         the multiplier active when the slot is requested — modeling a
@@ -145,11 +144,8 @@ class Resource:
                 queued_at = self.env.now
                 depth = len(self._queue)
                 yield request
-                granted_at = self.env.now
-                tracer.span("cpu_queue", queued_at, granted_at,
+                tracer.span("cpu_queue", queued_at, self.env.now,
                             track=track, txn=txn, depth=depth)
-                tracer.edge("cpu_queue", queued_at, txn=txn, track=track,
-                            depth=depth, waited=granted_at - queued_at)
                 try:
                     yield self.env.timeout(duration)
                 finally:

@@ -282,7 +282,7 @@ class DataSite:
         started = env._now
         if min_begin is not None and not self.svv.dominates(min_begin):
             if traced:
-                self._refresh_edge(tracer, txn, track, min_begin)
+                self._refresh_lag(tracer, txn, track, min_begin)
             yield self.watch.wait_for(min_begin)
         txn.add_timing("freshness_wait", env._now - started)
         if traced:
@@ -324,7 +324,7 @@ class DataSite:
                 self.activity.finish(self.index, partitions, token)
         return tvv
 
-    def _refresh_edge(self, tracer, txn, track, min_begin) -> None:
+    def _refresh_lag(self, tracer, txn, track, min_begin) -> None:
         """Record which lagging replication origins a snapshot waits on.
 
         Called (traced runs only) just before blocking on the version
@@ -336,8 +336,8 @@ class DataSite:
             for origin in range(self.num_sites)
             if self.svv[origin] < min_begin[origin]
         )
-        tracer.edge("refresh_wait", self.env._now, txn=txn, track=track,
-                    lagging=lagging)
+        tracer.instant("refresh_wait", self.env._now, txn=txn, track=track,
+                       lagging=lagging)
 
     def _commit(self, txn: Transaction, begin_vv: VersionVector) -> VersionVector:
         """Assign the commit timestamp, install versions, append to the log."""
@@ -373,7 +373,7 @@ class DataSite:
         started = env._now
         if min_begin is not None and not self.svv.dominates(min_begin):
             if traced:
-                self._refresh_edge(tracer, txn, track, min_begin)
+                self._refresh_lag(tracer, txn, track, min_begin)
             yield self.watch.wait_for(min_begin)
         txn.add_timing("freshness_wait", env._now - started)
         if traced:
@@ -539,7 +539,7 @@ class DataSite:
         started = self.env._now
         if min_begin is not None and not self.svv.dominates(min_begin):
             if traced:
-                self._refresh_edge(tracer, txn, track, min_begin)
+                self._refresh_lag(tracer, txn, track, min_begin)
             yield self.watch.wait_for(min_begin)
         txn.add_timing("freshness_wait", self.env._now - started)
         if traced:

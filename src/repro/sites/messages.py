@@ -68,9 +68,9 @@ def remote_call(
         if traced:
             tracer.span("network", response_started, env.now,
                         track="net", txn=txn, category=category)
-            tracer.edge("rpc", request_started, txn=txn, track="net",
-                        category=category, outcome="ok",
-                        rtt=env.now - request_started)
+            tracer.instant("rpc", request_started, txn=txn, track="net",
+                           category=category, outcome="ok",
+                           rtt=env.now - request_started)
     return result
 
 
@@ -203,13 +203,13 @@ def _guarded(network, site, handler, src, category, txn, timeout_ms):
     tracer = env.obs.tracer
     traced = tracer.enabled and txn is not None
 
-    def _edge(outcome):
-        # Causal edge pairing this request with however it resolved
-        # (ok / down / timeout) — recorded at resolution time so the
-        # rtt covers the full round including injected losses.
-        tracer.edge("rpc", started, txn=txn, track="net",
-                    category=category, outcome=outcome, dst=dst,
-                    rtt=env.now - started)
+    def _resolved(outcome):
+        # How this request resolved (ok / down / timeout), recorded at
+        # resolution time so the rtt covers the full round including
+        # injected losses.
+        tracer.instant("rpc", started, txn=txn, track="net",
+                       category=category, outcome=outcome, dst=dst,
+                       rtt=env.now - started)
 
     def _timed_out(dispatched):
         remaining = budget - (env.now - started)
@@ -224,7 +224,7 @@ def _guarded(network, site, handler, src, category, txn, timeout_ms):
         exc, remaining = _timed_out(dispatched=False)
         yield env.timeout(remaining)
         if traced:
-            _edge("timeout")
+            _resolved("timeout")
         raise exc
     yield env.timeout(network.leg_delay(src, dst, RPC_BYTES))
     if not site.alive:
@@ -234,12 +234,12 @@ def _guarded(network, site, handler, src, category, txn, timeout_ms):
             exc, remaining = _timed_out(dispatched=False)
             yield env.timeout(remaining)
             if traced:
-                _edge("timeout")
+                _resolved("timeout")
             raise exc
         yield env.timeout(network.leg_delay(dst, src))
         faults.detector.report_down(dst)
         if traced:
-            _edge("down")
+            _resolved("down")
         raise SiteDown(dst)
 
     # Dispatch: the handler runs on the destination, raced against the
@@ -257,7 +257,7 @@ def _guarded(network, site, handler, src, category, txn, timeout_ms):
     if proc.triggered and box.exc is not None:
         faults.detector.report_down(dst)
         if traced:
-            _edge("down")
+            _resolved("down")
         raise box.exc
     if proc.triggered:
         # Response leg.
@@ -266,7 +266,7 @@ def _guarded(network, site, handler, src, category, txn, timeout_ms):
             exc, remaining = _timed_out(dispatched=True)
             yield env.timeout(remaining)
             if traced:
-                _edge("timeout")
+                _resolved("timeout")
             raise exc
         yield env.timeout(network.leg_delay(dst, src, RPC_BYTES))
         faults.detector.report_success(dst)
@@ -274,16 +274,16 @@ def _guarded(network, site, handler, src, category, txn, timeout_ms):
         # hedge-delay quantiles (recording only — no events, no draws).
         faults.observe_rtt(dst, env.now - started)
         if traced:
-            _edge("ok")
+            _resolved("ok")
         return box.result
     if crash.triggered:
         faults.detector.report_down(dst)
         if traced:
-            _edge("down")
+            _resolved("down")
         raise SiteDown(dst)
     exc, _ = _timed_out(dispatched=True)
     if traced:
-        _edge("timeout")
+        _resolved("timeout")
     raise exc
 
 

@@ -53,9 +53,9 @@ class LockTable:
         """Event that triggers when the caller holds ``key``'s lock.
 
         ``owner`` (the acquiring transaction) is used only when tracing
-        is on: a contended acquire records a ``lock_wait`` causal edge
-        naming the current holder (wait-for edge), and ownership is
-        tracked so the edge's blame survives FIFO handoff on release.
+        is on: a contended acquire records a ``lock_wait`` instant naming
+        the current holder's id (0 for none known), and ownership is
+        tracked so that blame survives FIFO handoff on release.
         """
         self.total_acquires += 1
         event = Event(self.env)
@@ -68,9 +68,10 @@ class LockTable:
             queue.append(event)
             if self._traced and owner is not None:
                 self._waiting[event] = (key, owner)
-                self.env.obs.tracer.edge(
-                    "lock_wait", self.env.now,
-                    txn=owner, src_txn=self._owners.get(key),
+                holder = self._owners.get(key)
+                self.env.obs.tracer.instant(
+                    "lock_wait", self.env.now, txn=owner,
+                    holder=0 if holder is None else holder.txn_id,
                     key=key, waiters=len(queue),
                 )
         else:
@@ -107,7 +108,7 @@ class LockTable:
         keys are acquired once. The global order is the keys' ``repr`` —
         this exact order is load-bearing for bit-identity, so do not
         "simplify" it to natural tuple order.
-        ``owner`` flows to :meth:`acquire` for wait-for edges.
+        ``owner`` flows to :meth:`acquire` for lock-wait blame.
         """
         unique = set(keys)
         if len(unique) == 1:

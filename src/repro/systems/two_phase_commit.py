@@ -107,8 +107,6 @@ def two_phase_commit(
     def traced_round(name, started):
         tracer.span(f"2pc_{name}", started, env.now,
                     track=coordinator_track, txn=txn, branches=len(items))
-        tracer.edge("2pc_round", started, txn=txn,
-                    track=coordinator_track, round=name, branches=len(items))
 
     def prepare(_index, site_index, keys):
         """One vote. A timed-out prepare (idempotent) is retried a

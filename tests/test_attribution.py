@@ -52,11 +52,12 @@ def synthetic_tracer():
     warmup = make_txn()
     tracer.txn_begin(warmup, 0.0)
     tracer.txn_end(warmup, Outcome(committed=True), 1.0, recorded=False)
-    # Edges: a lock wait blaming txn 0, a refresh wait on site0's log.
-    tracer.edge("lock_wait", 0.0, txn=txns[1], src_txn=txns[0],
-                track="site1", key=("t", 1), waiters=1)
-    tracer.edge("refresh_wait", 0.0, txn=txns[2], track="site2",
-                lagging=((0, 3.0, 5.0),))
+    # Who the waits were on: txn 0 held txn 1's lock, site0's log
+    # lagged txn 2's snapshot.
+    tracer.instant("lock_wait", 0.0, txn=txns[1], track="site1",
+                   holder=txns[0].txn_id, key=("t", 1), waiters=1)
+    tracer.instant("refresh_wait", 0.0, txn=txns[2], track="site2",
+                   lagging=((0, 3.0, 5.0),))
     return tracer, txns
 
 
@@ -159,6 +160,24 @@ class TestEdgeSummary:
         assert summary["kinds"] == {"lock_wait": 1, "refresh_wait": 1}
         assert summary["lock_blame"] == {"rmw": 1}
         assert summary["refresh_origins"] == {"site0": 1}
+
+    def test_waits_a_span_times_count_under_their_edge_kind(self):
+        """A CPU queue, the grant closing a remaster chain and each 2PC
+        round are one span each, and count once; other spans and
+        instants do not count, and a lock holder of id 0 is unknown."""
+        tracer = Tracer()
+        txn = make_txn()
+        for name in ("cpu_queue", "grant", "2pc_execute", "2pc_prepare",
+                     "2pc_decide", "release", "lock_wait", "execute"):
+            tracer.span(name, 0.0, 1.0, track="site0", txn=txn)
+        tracer.instant("remaster", 1.0, track="selector", txn=txn)
+        tracer.instant("rpc", 0.0, track="net", txn=txn, outcome="ok", rtt=1.0)
+        tracer.instant("lock_wait", 0.0, txn=txn, holder=0, key=("t", 1),
+                       waiters=1)
+        summary = summarize_edges(tracer)
+        assert summary["kinds"] == {"2pc_round": 3, "cpu_queue": 1,
+                                    "lock_wait": 1, "remaster": 1, "rpc": 1}
+        assert summary["lock_blame"] == {"(unknown)": 1}
 
 
 class TestSerializationAndDiff:

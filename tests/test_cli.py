@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import hashlib
 import re
 
 import pytest
@@ -245,6 +246,31 @@ class TestExplainCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "was not attributed" in err
+
+    def test_output_and_export_are_pinned(self, capsys, tmp_path):
+        """Digests of the report (budget, blame, the causal-edges table,
+        waterfalls) and of its ``--export`` JSON, of a 2PC run whose
+        table counts all six edge kinds, and of ``repro chaos
+        --explain``'s report, taken while the tracer still kept a third
+        record kind for the waits it now writes once: how a wait is
+        recorded must not move one byte of what is explained."""
+        def digest(text):
+            return hashlib.sha256(text.encode()).hexdigest()
+
+        path = self.export(tmp_path, "pinned.json")
+        assert digest(capsys.readouterr().out) == (
+            "72a0b22ba22c4b0e67a61d9b9343662c40d82211936175b37998bf61e496458c")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "e869bd6f1a8f09bfaafd5e524873b8d329009549031a3041acef96b803c8a9ed")
+        assert main(["explain", "--system", "multi-master", "--workload", "tpcc",
+                     "--clients", "16", "--duration", "300", "--sites", "3",
+                     "--cores", "1", "--seed", "5"]) == 0
+        assert digest(capsys.readouterr().out) == (
+            "cf5a71c7761c7b9234b9da9ffea0c63f08b769aa6ec3a47ba7baac9693b9a7ef")
+        assert main(["chaos", "--system", "dynamast", "--scenario", "crash-restart",
+                     "--duration", "900", "--clients", "4", "--explain"]) == 0
+        assert digest(capsys.readouterr().out) == (
+            "699a7d90da3a02b8782e4792fbe39bd9fa9ed2e0ac5d37b3edd14e02669a8c7c")
 
 
 class TestChaosCommand:

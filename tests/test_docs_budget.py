@@ -18,10 +18,10 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 
 #: Combined bytes of the two documents, at most.
-BUDGET_BYTES = 175_940
+BUDGET_BYTES = 175_928
 
 #: Bytes of CHANGES.md, at most.
-CHANGES_BUDGET_BYTES = 81_066
+CHANGES_BUDGET_BYTES = 80_432
 
 #: Where a CHANGES.md entry starts; group 1 is its PR number.
 ENTRY_START = re.compile(r"^(?:- )?PR (\d+)", re.MULTILINE)

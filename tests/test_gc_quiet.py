@@ -178,7 +178,7 @@ class TestFinishedSimulationsAreReclaimed:
         self, explicit_collections_only, monkeypatch
     ):
         monkeypatch.setattr(core, "_unswept_events", 0)
-        dropped = self.finished_run()  # far below the real threshold
+        dropped = self.finished_run()  # far below the real 2**17 events
         Environment()
         assert dropped() is not None
 

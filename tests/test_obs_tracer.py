@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from repro.obs import tracer as tracer_module
 from repro.obs.tracer import (
     NULL_TRACER,
-    EdgeRecord,
     InstantRecord,
     NullTracer,
     SpanRecord,
@@ -272,8 +271,7 @@ class TestAggregation:
 @pytest.fixture
 def built(monkeypatch):
     """Count the records the store builds, per record type name."""
-    counts = {"SpanRecord": 0, "InstantRecord": 0, "EdgeRecord": 0,
-              "TxnRecord": 0}
+    counts = {"SpanRecord": 0, "InstantRecord": 0, "TxnRecord": 0}
     for name in counts:
         def counting(*fields, _name=name, _make=getattr(tracer_module, name)):
             counts[_name] += 1
@@ -335,7 +333,7 @@ class ListTracer:
     one mutable envelope per transaction in a dict."""
 
     def __init__(self):
-        self.spans, self.instants, self.edges = [], [], []
+        self.spans, self.instants = [], []
         self.txns = {}
 
     def txn_begin(self, txn, now):
@@ -367,15 +365,6 @@ class ListTracer:
         self.instants.append(InstantRecord(
             name, ts, track,
             txn.txn_id if txn is not None else None,
-            tuple(sorted(args.items())),
-        ))
-
-    def edge(self, kind, ts, *, txn=None, src_txn=None, track="", **args):
-        self.edges.append(EdgeRecord(
-            kind, ts,
-            txn.txn_id if txn is not None else None,
-            src_txn.txn_id if src_txn is not None else None,
-            track,
             tuple(sorted(args.items())),
         ))
 
@@ -424,7 +413,6 @@ _outcomes = st.builds(SimpleNamespace, committed=st.booleans(),
 _calls = st.lists(st.one_of(
     st.tuples(st.just("span"), _names, _times, _times, _tracks, _txns, _args),
     st.tuples(st.just("instant"), _names, _times, _tracks, _txns, _args),
-    st.tuples(st.just("edge"), _names, _times, _tracks, _txns, _txns, _args),
     st.tuples(st.just("begin"), _envelopes, _times),
     st.tuples(st.just("end"), _envelopes, _outcomes, _times, st.booleans()),
 ), max_size=40)
@@ -441,17 +429,14 @@ def _replay(calls, tracer):
         elif call[0] == "begin":
             _, txn, now = call
             tracer.txn_begin(txn, now)
-        elif call[0] == "end":
+        else:
             _, txn, outcome, now, recorded = call
             tracer.txn_end(txn, outcome, now, recorded=recorded)
-        else:
-            _, kind, ts, track, txn, src_txn, args = call
-            tracer.edge(kind, ts, txn=txn, src_txn=src_txn, track=track, **args)
     return tracer
 
 
 def _assert_same_records(tracer, model):
-    for kind in ("spans", "instants", "edges"):
+    for kind in ("spans", "instants"):
         assert list(getattr(tracer, kind)) == getattr(model, kind)
         # Equal is not enough: 1 == True == 1.0 and 0.0 == -0.0.
         assert repr(list(getattr(tracer, kind))) == repr(getattr(model, kind))
@@ -485,7 +470,7 @@ class TestColumnStoreMatchesListModel:
         _replay(calls[cut:], tracer)
         _replay(calls[cut:], model)
         _assert_same_records(tracer, model)
-        for kind in ("spans", "instants", "edges"):
+        for kind in ("spans", "instants"):
             view, records = getattr(tracer, kind), getattr(model, kind)
             assert len(view) == len(records)
             assert list(view) == records
@@ -504,7 +489,7 @@ class TestColumnStoreMatchesListModel:
             mine.sort(key=lambda span: (span.start, -span.end))
             assert tracer.spans_of(txn_id) == mine
 
-    @given(st.sampled_from(["span", "instant", "edge"]), st.lists(
+    @given(st.sampled_from(["span", "instant"]), st.lists(
         st.one_of(st.tuples(_values), st.tuples(_values, _values, _values)),
         min_size=10, max_size=60,
     ))
@@ -519,10 +504,8 @@ class TestColumnStoreMatchesListModel:
             args = dict(zip(("seq", "outcome", "waited"), values))
             if kind == "span":
                 replayed.append(("span", "apply", 0.0, 1.0, "site0", None, args))
-            elif kind == "instant":
-                replayed.append(("instant", "apply", 0.5, "site0", None, args))
             else:
-                replayed.append(("edge", "apply", 0.5, "site0", None, None, args))
+                replayed.append(("instant", "apply", 0.5, "site0", None, args))
         tracer, model = _replay(replayed, Tracer()), _replay(replayed, ListTracer())
         _assert_same_records(tracer, model)
 
@@ -550,15 +533,14 @@ class TestColumnStoreMatchesListModel:
             tracer.span("execute", float(index), index + 0.5, track="site0",
                         txn=txn, depth=index)
             tracer.instant("log_append", float(index), track="site0", seq=index)
-            tracer.edge("rpc", float(index), txn=make_txn(), track="net")
+            tracer.instant("rpc", float(index), txn=make_txn(), track="net")
             tracer.txn_end(txn, Outcome(committed=True), index + 0.5)
-        assert (len(tracer.spans), len(tracer.instants), len(tracer.edges),
-                len(tracer.txns)) == (50, 50, 50, 50)
+        assert (len(tracer.spans), len(tracer.instants),
+                len(tracer.txns)) == (50, 100, 50)
         assert sum(built.values()) == 0
         last = tracer.spans[-1]
         assert (last.start, last.end, last.args) == (49.0, 49.5, (("depth", 49),))
-        assert built == {"SpanRecord": 1, "InstantRecord": 0, "EdgeRecord": 0,
-                         "TxnRecord": 0}
+        assert built == {"SpanRecord": 1, "InstantRecord": 0, "TxnRecord": 0}
         assert len(tracer.instants[10:13]) == 3
         assert built["InstantRecord"] == 3
         assert tracer.txns[last.txn_id].end == 49.5
@@ -653,18 +635,19 @@ class TestCodeColumnsOverflow:
         tracer = Tracer()
         for index in range(1 << 15):
             tracer.span("network", 0.0, 1.0, track="net", category=f"c{index}")
-            tracer.edge("rpc", 0.0, track="net", outcome=f"o{index}", rtt=0.5)
+            tracer.instant("rpc", 0.0, track="net", outcome=f"o{index}", rtt=0.5)
         tracer.instant("log_append", 0.0, kind=None)
         tracer.instant("log_append", 0.0, kind="not coded")
         tracer.instant("abort", 0.0, kind="c0")
         with pytest.raises(ValueError, match="arg string 'c32768'"):
             tracer.span("network", 1.0, 2.0, track="net", category="c32768")
         with pytest.raises(ValueError, match="arg string 'o32768'"):
-            tracer.edge("rpc", 1.0, track="net", rtt=0.75, outcome="o32768")
-        assert (len(tracer.spans), len(tracer.edges)) == (1 << 15, 1 << 15)
+            tracer.instant("rpc", 1.0, track="net", rtt=0.75, outcome="o32768")
+        rpcs, others = tracer.instants[:1 << 15], tracer.instants[1 << 15:]
+        assert (len(tracer.spans), len(rpcs)) == (1 << 15, 1 << 15)
         assert tracer.spans[-1].args == (("category", "c32767"),)
-        assert tracer.edges[-1].args == (("outcome", "o32767"), ("rtt", 0.5))
-        assert [instant.args for instant in tracer.instants] == [
+        assert rpcs[-1].args == (("outcome", "o32767"), ("rtt", 0.5))
+        assert [instant.args for instant in others] == [
             (("kind", None),), (("kind", "not coded"),), (("kind", "c0"),)]
 
     def test_a_refused_arg_string_takes_back_the_whole_row(self):
@@ -694,26 +677,25 @@ class TestCodeColumnsOverflow:
         with pytest.raises(ValueError, match=refused):
             tracer.instant("abort", 0.0, txn=bad)
         with pytest.raises(ValueError, match=refused):
-            tracer.edge("rpc", 0.0, txn=good, src_txn=bad, rtt=0.5)
-        with pytest.raises(ValueError, match=refused):
-            tracer.edge("rpc", 0.0, txn=bad, src_txn=good, rtt=0.5)
-        with pytest.raises(ValueError, match=refused):
             tracer.txn_begin(SimpleNamespace(txn_id=txn_id, txn_type="rmw",
                                              client_id=0), 0.0)
-        assert (len(tracer.spans), len(tracer.instants), len(tracer.edges),
-                len(tracer.txns)) == (0, 0, 0, 0)
-        tracer.edge("rpc", 0.0, txn=good, src_txn=SimpleNamespace(txn_id=0), rtt=0.5)
-        assert tracer.edges[0].txn_id == (1 << 31) - 1
-        assert tracer.edges[0].src_txn_id == 0
+        assert (len(tracer.spans), len(tracer.instants),
+                len(tracer.txns)) == (0, 0, 0)
+        tracer.instant("rpc", 0.0, txn=good, rtt=0.5)
+        tracer.instant("rpc", 0.0, txn=SimpleNamespace(txn_id=0), rtt=0.5)
+        assert [instant.txn_id for instant in tracer.instants] == [(1 << 31) - 1, 0]
 
 
 class TestExportsArePinned:
-    """Digests of both exports of one fixed observed run, taken with
-    the list store at 71d5397: the columns hand every reader the same
-    records, so not one byte of either file may move."""
+    """Digests of both exports of one fixed observed run. Taken with
+    the list store at 71d5397, and re-taken once when the edge record
+    kind went: the 720 ``rpc`` edges became instants (so they joined
+    the Chrome trace), and the 45 ``remaster`` and 5 ``cpu_queue``
+    edges, which repeated a span, left the JSONL. Any other move of a
+    byte is a change in what the tracer records."""
 
-    JSONL = "5eec22618c9689f38852d04fea9dc71cd4c55a4c15597d202fe7369e8360f045"
-    CHROME = "04b3b0e76be40c2d8b9c24e50b5d40029a847b90fb1b1edf2d55185e5aa544fd"
+    JSONL = "955c2fe0f5168a8eec5686d2b86fa984b3039b36d9d24f2e13e64a31187f4f15"
+    CHROME = "ef7a27e723d0d262a29be25babf7e15cc9b30f1f881c4a913e0f464aaf51a451"
 
     def test_jsonl_and_chrome_trace_digests(self):
         from repro.bench import run_benchmark
@@ -731,8 +713,7 @@ class TestExportsArePinned:
             cluster_config=ClusterConfig(num_sites=2), seed=7, obs=obs,
         )
         tracer = obs.tracer
-        assert (len(tracer.spans), len(tracer.instants), len(tracer.edges)) == (
-            7016, 948, 770)
+        assert (len(tracer.spans), len(tracer.instants)) == (7016, 1668)
         jsonl = "\n".join(to_jsonl(tracer)).encode()
         chrome = json.dumps(to_chrome_trace(tracer, obs.timelines),
                             sort_keys=True).encode()

@@ -16,10 +16,10 @@ attributed to the code that allocated it:
   frees, over their entries;
 * a commit time costs what dropping ``Metrics.commit_times`` frees, and
   a latency sample what dropping ``Metrics.latencies`` frees;
-* in an observed YCSB run, a span, an instant and an edge cost what
-  dropping the tracer's spans, instants and edges frees, over their
-  count, and a timeline sample what dropping the sampler's timelines
-  frees (DESIGN.md §6, "Trace store").
+* in an observed YCSB run, a span and an instant cost what dropping
+  the tracer's spans and instants frees, over their count, and a
+  timeline sample what dropping the sampler's timelines frees
+  (DESIGN.md §6, "Trace store").
 
 The logs themselves keep a suffix bounded by one constant, whatever the
 run's length.
@@ -248,7 +248,7 @@ def traced():
         obs, result = _observed()
         tracer, timelines = obs.tracer, obs.sampler.timelines
         measured = {}
-        for kind in ("spans", "instants", "edges"):
+        for kind in ("spans", "instants"):
             count = measured[kind] = len(getattr(tracer, kind))
             measured[f"{kind}_bytes"] = _freed_by(
                 lambda kind=kind: setattr(tracer, kind, None)) / count
@@ -268,8 +268,8 @@ class TestWhatATraceRetains:
     two floats per sample."""
 
     def test_the_run_records_every_kind(self, traced):
-        assert traced["spans"] > 20000 and traced["instants"] > 5000
-        assert traced["edges"] > 2000 and traced["samples"] > 500
+        assert traced["spans"] > 20000 and traced["instants"] > 7000
+        assert traced["samples"] > 500
 
     def test_a_span_is_a_row_of_columns(self, traced):
         """27.8 B a span: shape code, two times, a 4-byte id, and its
@@ -277,16 +277,12 @@ class TestWhatATraceRetains:
         assert traced["spans_bytes"] <= 30
 
     def test_an_instant_is_a_row_of_columns(self, traced):
-        """24.8 B an instant, most of them a log delivery and its
-        sequence number in an ``array('q')``. Was 34.0 B, with a boxed
-        int per sequence number."""
+        """25.4 B an instant, most of them a log delivery and its
+        sequence number in an ``array('q')``, a quarter an rpc and its
+        round trip in an ``array('d')`` next to its outcome and
+        category codes. Was 34.0 B, with a boxed int per sequence
+        number (and 75.8 B an rpc, with a boxed float per round trip)."""
         assert traced["instants_bytes"] <= 29
-
-    def test_an_edge_is_a_row_of_columns(self, traced):
-        """37.2 B an edge: two 4-byte ids, and the rpc's round trip in
-        an ``array('d')`` next to its outcome and category codes. Was
-        75.8 B, with a boxed float per round trip."""
-        assert traced["edges_bytes"] <= 42
 
     def test_a_timeline_sample_is_two_doubles(self, traced):
         """27.3 B a sample over 25 timelines of 30 samples: two
