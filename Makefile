@@ -79,6 +79,9 @@ chaos-gray:
 # Tiny observed run asserting the attribution invariant: the budget
 # categories must sum to ~100% of measured commit latency (DESIGN.md
 # §6.5). Leaves explain_report.json for CI to upload as an artifact.
+# Then a traced LEAP run: both `repro trace` exports must parse, and
+# LEAP's record transfers must show as `network` spans of category
+# `ship` (the exports go to a temporary directory).
 explain-smoke:
 	python -m repro explain --system dynamast --clients 4 --duration 300 --sites 2 --seed 7 --export explain_report.json
 	python -c "import json; r = json.load(open('explain_report.json')); \
@@ -86,6 +89,16 @@ explain-smoke:
 	  total = sum(r['aggregate']['categories'].values()); \
 	  assert abs(total - r['total_latency_ms']) < 1e-6, (total, r['total_latency_ms']); \
 	  print('explain-smoke OK:', r['txn_count'], 'txns, coverage %.6f' % r['coverage'])"
+	tmp=$$(mktemp -d) && \
+	python -m repro trace --system leap --clients 4 --duration 300 --out $$tmp/leap && \
+	python -c "import json, sys; out = sys.argv[1]; \
+	  json.load(open(out + '.trace.json')); \
+	  records = [json.loads(line) for line in open(out + '.events.jsonl')]; \
+	  ships = [r for r in records if r['type'] == 'span' and r['name'] == 'network' \
+	           and r['args'].get('category') == 'ship']; \
+	  assert ships, 'no network span of category ship'; \
+	  print('explain-smoke OK: leap trace,', len(records), 'records,', len(ships), 'ship spans')" $$tmp/leap; \
+	status=$$?; rm -rf $$tmp; exit $$status
 
 # Prometheus exposition gate of the recorder smokes (arguments: the
 # file, a family it must contain): one `# TYPE` line per family, and

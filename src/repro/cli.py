@@ -139,11 +139,10 @@ def cmd_bench(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    from repro.bench.report import print_run_report, print_table
+    from repro.bench.report import print_run_report
     from repro.obs import Observability
     from repro.obs.export import (
         flame_summary,
-        reconcile_with_metrics,
         write_chrome_trace,
         write_jsonl,
     )
@@ -162,15 +161,6 @@ def cmd_trace(args) -> int:
 
     print()
     print(flame_summary(obs.tracer))
-    print_table(
-        "trace vs metrics reconciliation",
-        ["phase", "trace ms", "metrics ms", "delta"],
-        [
-            [row["phase"], row["trace_ms"], row["metrics_ms"],
-             f"{row['delta']:.2%}"]
-            for row in reconcile_with_metrics(obs.tracer, result.metrics)
-        ],
-    )
     return 0
 
 

@@ -161,10 +161,8 @@ class SiteSelector:
         yield from self.cpu.use(ROUTE_LOOKUP_MS, txn=txn, track="selector")
         for partition in partitions:
             yield self.table.info(partition).lock.acquire_read()
-        txn.add_timing("selector_lock", env._now - lock_started)
-        if traced:
-            tracer.span("selector_lock", lock_started, env._now,
-                        track="selector", txn=txn)
+        tracer.phase("selector_lock", lock_started, env._now,
+                     track="selector", txn=txn)
         self.statistics.observe(env._now, txn.client_id, partitions)
 
         masters = self.table.masters_of(partitions)
@@ -274,20 +272,19 @@ class SiteSelector:
                 f"remastering of {tuple(partitions)} did not converge",
             )
 
-        txn.add_timing("routing", env._now - decision_started)
         if operations:
             self.updates_remastered += 1
+            tracer.phase("routing", decision_started, env._now,
+                         track="selector", txn=txn, remastered=True)
             if traced:
-                tracer.span("routing", decision_started, env._now,
-                            track="selector", txn=txn, remastered=True)
                 tracer.instant(
                     "remaster", env._now, track="selector", txn=txn,
                     destination=site, partitions_moved=moved,
                     operations=operations,
                 )
-        elif traced:
-            tracer.span("routing", decision_started, env._now,
-                        track="selector", txn=txn)
+        else:
+            tracer.phase("routing", decision_started, env._now,
+                         track="selector", txn=txn)
         self._register(site, partitions, moved, exclusive=moving, token=token)
         if traced:
             tracer.span("route", route_started, env._now,

@@ -21,8 +21,8 @@ The rest is imported from its defining module, by the runs that use it
 * :mod:`repro.obs.slo` — the streaming ``SloEngine``, ``quick_slos``;
 * :mod:`repro.obs.registry` — ``MetricsRegistry``, the one Prometheus
   formatter every recorder folds into (``to_registry``);
-* :mod:`repro.obs.export` — Chrome-trace / JSONL writers and the
-  trace-vs-metrics reconciliation;
+* :mod:`repro.obs.export` — Chrome-trace / JSONL writers and the text
+  flamegraph;
 * :mod:`repro.obs.causal` / :mod:`repro.obs.attribution` — critical
   paths and latency budgets; :mod:`repro.obs.dashboard` — HTML.
 

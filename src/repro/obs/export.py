@@ -25,7 +25,6 @@ from repro.obs.tracer import Tracer
 __all__ = [
     "flame_summary",
     "load_jsonl",
-    "reconcile_with_metrics",
     "to_chrome_trace",
     "to_jsonl",
     "write_chrome_trace",
@@ -236,31 +235,3 @@ def flame_summary(tracer: Tracer) -> str:
             f"  {path.ljust(width)}  {total:>10,.1f} ms  {share:>6.1%}  {count:>6}x"
         )
     return "\n".join(lines)
-
-
-def reconcile_with_metrics(tracer: Tracer, metrics) -> List[dict]:
-    """Compare trace span totals against ``Metrics.phase_totals``.
-
-    For every phase the benchmark metrics accounted (Figure 7's
-    breakdown), sum the trace's same-named spans over the same
-    transaction population and report both totals plus the relative
-    delta. The ``other`` phase (un-instrumented queueing) is derived on
-    the trace side the same way Metrics derives it: end-to-end latency
-    minus accounted phase time.
-    """
-    trace_totals = tracer.phase_totals()
-    phase_names = [name for name in metrics.phase_totals if name != "other"]
-    accounted = sum(trace_totals.get(name, 0.0) for name in phase_names)
-    derived_other = max(0.0, tracer.recorded_latency_total() - accounted)
-    rows = []
-    for name in sorted(metrics.phase_totals):
-        metric_ms = metrics.phase_totals[name]
-        trace_ms = derived_other if name == "other" else trace_totals.get(name, 0.0)
-        delta = abs(trace_ms - metric_ms) / metric_ms if metric_ms > 0 else 0.0
-        rows.append({
-            "phase": name,
-            "trace_ms": trace_ms,
-            "metrics_ms": metric_ms,
-            "delta": delta,
-        })
-    return rows

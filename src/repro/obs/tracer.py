@@ -83,7 +83,7 @@ class TxnRecord:
     remastered: bool = False
     distributed: bool = False
     #: Whether the benchmark harness counted this txn in its Metrics
-    #: (committed after warmup) — reconciliation sums only these.
+    #: (committed after warmup).
     recorded: bool = False
 
     @property
@@ -124,9 +124,10 @@ class SpanNode:
 class NullTracer:
     """The do-nothing tracer; the default everywhere.
 
-    Every hook is a no-op and the simulation's event stream is
-    untouched. Instrumented code tests ``enabled`` and skips the call,
-    so an untraced transaction costs attribute tests, not hook calls.
+    Every hook but :meth:`phase` is a no-op and the simulation's event
+    stream is untouched. Instrumented code tests ``enabled`` and skips
+    the other calls, so an untraced transaction costs attribute tests
+    and one call per timed phase, the call that fills its breakdown.
     """
 
     enabled: bool = False
@@ -144,6 +145,16 @@ class NullTracer:
     def instant(self, name: str, ts: float, *,
                 track: str = "", txn=None, **args) -> None:
         pass
+
+    def phase(self, name: str, start: float, end: float, *,
+              track: str = "", txn, **args) -> None:
+        """Time one Figure 7 phase of ``txn``: add ``end - start`` ms to
+        its ``timings[name]``, the bucket ``Metrics.breakdown()`` sums."""
+        timings = txn.timings
+        try:
+            timings[name] += end - start
+        except KeyError:
+            timings[name] = end - start
 
 
 #: Shared no-op tracer instance (stateless, safe to share globally).
@@ -531,6 +542,25 @@ class Tracer(NullTracer):
         instants._times.append(ts)
         instants._ids.append(txn_id)
 
+    def phase(self, name: str, start: float, end: float, *,
+              track: str = "", txn, **args) -> None:
+        """Time one phase of ``txn`` and record it as a span: the one
+        record both the trace and ``Metrics.breakdown()`` read.
+
+        Both halves are inlined: a traced phase is one call, as the
+        span alone was (a nested call would add ~0.4 µs a phase).
+        """
+        timings = txn.timings
+        try:
+            timings[name] += end - start
+        except KeyError:
+            timings[name] = end - start
+        spans = self.spans
+        spans._store((name, track, *args), args)
+        spans._times.append(start)
+        spans._times.append(end)
+        spans._ids.append(_stored_id(txn))
+
     # -- reconstruction ------------------------------------------------------
 
     def spans_of(self, txn_id: int) -> List[SpanRecord]:
@@ -597,40 +627,6 @@ class Tracer(NullTracer):
             stack.append(node)
         roots.extend(SpanNode(span, orphan=True) for span in orphans)
         return roots
-
-    # -- aggregation ---------------------------------------------------------
-
-    def phase_totals(self) -> Dict[str, float]:
-        """Total span milliseconds by span name.
-
-        Only spans of transactions the benchmark harness recorded in its
-        Metrics are summed — the population whose ``Metrics.breakdown()``
-        these totals reconcile against.
-        """
-        totals: Dict[str, float] = {}
-        txns = self.txns
-        for span in self.spans:
-            if span.txn_id is None:
-                continue
-            row = txns._row(span.txn_id)
-            if row < 0 or not txns._flags[row] & _RECORDED:
-                continue
-            totals[span.name] = totals.get(span.name, 0.0) + span.duration
-        return totals
-
-    def recorded_latency_total(self) -> float:
-        """Sum of end-to-end latencies over recorded transactions."""
-        txns = self.txns
-        return sum(
-            txns._end[row] - txns._begin[row]
-            for row, flags in enumerate(txns._flags)
-            if flags & _RECORDED
-        )
-
-    def abort_count(self) -> int:
-        return sum(
-            1 for flags in self.txns._flags if flags & (_ENDED | _COMMITTED) == _ENDED
-        )
 
 
 def _contains(outer: SpanRecord, inner: SpanRecord) -> bool:

@@ -277,29 +277,17 @@ class DataSite:
         partitions = tuple(partitions)
         env = self.env
         tracer = env.obs.tracer
-        traced = tracer.enabled
-        track = self.trace_track if traced else ""
-        started = env._now
-        if min_begin is not None and not self.svv.dominates(min_begin):
-            if traced:
-                self._refresh_lag(tracer, txn, track, min_begin)
-            yield self.watch.wait_for(min_begin)
-        txn.add_timing("freshness_wait", env._now - started)
-        if traced:
-            tracer.span("freshness_wait", started, env._now, track=track, txn=txn)
+        track = self.trace_track if tracer.enabled else ""
+        yield from self._await_fresh(txn, min_begin)
 
         lock_started = env._now
         yield from self.database.locks.acquire_all(txn.write_set, txn)
-        txn.add_timing("lock_wait", env._now - lock_started)
-        if traced:
-            tracer.span("lock_wait", lock_started, env._now, track=track, txn=txn)
+        tracer.phase("lock_wait", lock_started, env._now, track=track, txn=txn)
         try:
             begin_started = env._now
             yield from self.cpu.use(TXN_BEGIN_MS, txn=txn, track=track)
             begin_vv = self.svv.copy()
-            txn.add_timing("begin", env._now - begin_started)
-            if traced:
-                tracer.span("begin", begin_started, env._now, track=track, txn=txn)
+            tracer.phase("begin", begin_started, env._now, track=track, txn=txn)
 
             execute_started = env._now
             service = execution_ms(
@@ -308,36 +296,42 @@ class DataSite:
             yield from self.cpu.use(service + txn.extra_cpu_ms, txn=txn, track=track)
             for key in txn.read_set:
                 self.database.read(key, begin_vv)
-            txn.add_timing("execute", env._now - execute_started)
-            if traced:
-                tracer.span("execute", execute_started, env._now, track=track, txn=txn)
+            tracer.phase("execute", execute_started, env._now, track=track, txn=txn)
 
             commit_started = env._now
             yield from self.cpu.use(TXN_COMMIT_MS, txn=txn, track=track)
             tvv = self._commit(txn, begin_vv)
-            txn.add_timing("commit", env._now - commit_started)
-            if traced:
-                tracer.span("commit", commit_started, env._now, track=track, txn=txn)
+            tracer.phase("commit", commit_started, env._now, track=track, txn=txn)
         finally:
             self.database.locks.release_all(txn.write_set)
             if partitions:
                 self.activity.finish(self.index, partitions, token)
         return tvv
 
-    def _refresh_lag(self, tracer, txn, track, min_begin) -> None:
-        """Record which lagging replication origins a snapshot waits on.
+    def _await_fresh(self, txn: Transaction, min_begin: Optional[VersionVector]):
+        """The freshness gate: wait until this site's vector dominates
+        ``min_begin``, timed as ``txn``'s ``freshness_wait`` phase.
 
-        Called (traced runs only) just before blocking on the version
-        watch: each ``(origin, have, need)`` names a pending update
-        stream this site must apply before the transaction may begin.
+        A traced wait first records which lagging replication origins
+        it is on: each ``(origin, have, need)`` of the ``refresh_wait``
+        instant names a pending update stream this site must apply
+        before the transaction may begin.
         """
-        lagging = tuple(
-            (origin, self.svv[origin], min_begin[origin])
-            for origin in range(self.num_sites)
-            if self.svv[origin] < min_begin[origin]
-        )
-        tracer.instant("refresh_wait", self.env._now, txn=txn, track=track,
-                       lagging=lagging)
+        env = self.env
+        tracer = env.obs.tracer
+        track = self.trace_track
+        started = env._now
+        if min_begin is not None and not self.svv.dominates(min_begin):
+            if tracer.enabled:
+                lagging = tuple(
+                    (origin, self.svv[origin], min_begin[origin])
+                    for origin in range(self.num_sites)
+                    if self.svv[origin] < min_begin[origin]
+                )
+                tracer.instant("refresh_wait", started, txn=txn, track=track,
+                               lagging=lagging)
+            yield self.watch.wait_for(min_begin)
+        tracer.phase("freshness_wait", started, env._now, track=track, txn=txn)
 
     def _commit(self, txn: Transaction, begin_vv: VersionVector) -> VersionVector:
         """Assign the commit timestamp, install versions, append to the log."""
@@ -368,16 +362,8 @@ class DataSite:
         """
         env = self.env
         tracer = env.obs.tracer
-        traced = tracer.enabled
-        track = self.trace_track if traced else ""
-        started = env._now
-        if min_begin is not None and not self.svv.dominates(min_begin):
-            if traced:
-                self._refresh_lag(tracer, txn, track, min_begin)
-            yield self.watch.wait_for(min_begin)
-        txn.add_timing("freshness_wait", env._now - started)
-        if traced:
-            tracer.span("freshness_wait", started, env._now, track=track, txn=txn)
+        track = self.trace_track if tracer.enabled else ""
+        yield from self._await_fresh(txn, min_begin)
 
         read_keys = txn.read_set if keys is None else keys
         scanned = txn.scan_count if scans is None else sum(map(len, scans))
@@ -388,9 +374,7 @@ class DataSite:
         yield from self.cpu.use(service + txn.extra_cpu_ms, txn=txn, track=track)
         for key in read_keys:
             self.database.read(key, begin_vv)
-        txn.add_timing("execute", env._now - execute_started)
-        if traced:
-            tracer.span("execute", execute_started, env._now, track=track, txn=txn)
+        tracer.phase("execute", execute_started, env._now, track=track, txn=txn)
         self.read_txns += 1
         return begin_vv
 
@@ -536,14 +520,7 @@ class DataSite:
         tracer = self.env.obs.tracer
         traced = tracer.enabled
         track = self.trace_track if traced else ""
-        started = self.env._now
-        if min_begin is not None and not self.svv.dominates(min_begin):
-            if traced:
-                self._refresh_lag(tracer, txn, track, min_begin)
-            yield self.watch.wait_for(min_begin)
-        txn.add_timing("freshness_wait", self.env._now - started)
-        if traced:
-            tracer.span("freshness_wait", started, self.env._now, track=track, txn=txn)
+        yield from self._await_fresh(txn, min_begin)
         lock_started = self.env._now
         yield from self.database.locks.acquire_all(keys, txn)
         if self.network.faults is not None and txn.txn_id in self._branch_aborted:
@@ -555,9 +532,7 @@ class DataSite:
                 REASON_TIMEOUT, f"branch of {txn.txn_id} aborted before execution"
             )
         self._branch_locked.add((txn.txn_id, keys))
-        txn.add_timing("lock_wait", self.env._now - lock_started)
-        if traced:
-            tracer.span("lock_wait", lock_started, self.env._now, track=track, txn=txn)
+        tracer.phase("lock_wait", lock_started, self.env._now, track=track, txn=txn)
         execute_started = self.env._now
         yield from self.cpu.use(TXN_BEGIN_MS, txn=txn, track=track)
         begin_vv = self.svv.copy()

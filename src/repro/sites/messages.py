@@ -45,32 +45,31 @@ def remote_call(
     """Run ``handler`` behind a simulated request/reply network hop.
 
     Usage: ``result = yield from remote_call(net, site.do_thing(...))``.
-    If ``txn`` is given, the two wire delays are accumulated into its
-    ``network`` timing bucket for the latency breakdown (Figure 7).
+    If ``txn`` is given, each wire leg is timed as its ``network``
+    phase (Figure 7) when it lands: a handler that raises leaves only
+    the request leg timed.
     """
     env = network.env
     tracer = env.obs.tracer
     request_delay = network.delay_for(RPC_BYTES)
     network.account(category, RPC_BYTES)
     request_started = env._now
-    traced = tracer.enabled
     yield env.timeout(request_delay)
-    if txn is not None and traced:
-        tracer.span("network", request_started, env.now,
-                    track="net", txn=txn, category=category)
+    if txn is not None:
+        tracer.phase("network", request_started, env._now,
+                     track="net", txn=txn, category=category)
     result = yield from handler
     response_delay = network.delay_for(RPC_BYTES)
     network.account(category, RPC_BYTES)
-    response_started = env.now
+    response_started = env._now
     yield env.timeout(response_delay)
     if txn is not None:
-        txn.add_timing("network", request_delay + response_delay)
-        if traced:
-            tracer.span("network", response_started, env.now,
-                        track="net", txn=txn, category=category)
+        tracer.phase("network", response_started, env._now,
+                     track="net", txn=txn, category=category)
+        if tracer.enabled:
             tracer.instant("rpc", request_started, txn=txn, track="net",
                            category=category, outcome="ok",
-                           rtt=env.now - request_started)
+                           rtt=env._now - request_started)
     return result
 
 

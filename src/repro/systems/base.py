@@ -155,11 +155,8 @@ class System(ABC):
         self.network.account("client", 128)
         started = env._now
         yield env.timeout(delay)
-        txn.add_timing("network", delay)
-        tracer = self.obs.tracer
-        if tracer.enabled:
-            tracer.span("network", started, env._now,
-                        track="net", txn=txn, category="client")
+        self.obs.tracer.phase("network", started, env._now,
+                              track="net", txn=txn, category="client")
 
 
 def choose_fresh_site(cluster: Cluster, session: Session, rng) -> int:

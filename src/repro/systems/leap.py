@@ -182,9 +182,12 @@ class LEAP(System):
             category="ship",
             txn=txn,
         )
+        env = self.env
         delay = self.network.delay_for(payload)
         self.network.traffic.record("ship", payload)
-        yield self.env.timeout(delay)
-        txn.add_timing("network", delay)
+        started = env._now
+        yield env.timeout(delay)
+        env.obs.tracer.phase("network", started, env._now,
+                             track="net", txn=txn, category="ship")
         site = self.sites[destination]
         yield from site_process(site, site.install_shipment(group))

@@ -117,19 +117,13 @@ class Transaction:
     #: Extra execution CPU beyond per-operation costs (stored-procedure logic).
     extra_cpu_ms: float = 0.0
     txn_id: int = field(default_factory=lambda: next(_txn_ids))
-    #: Phase -> accumulated milliseconds, filled in while the txn runs.
+    #: Phase -> accumulated milliseconds, filled in while the txn runs
+    #: by the tracer's ``phase`` calls.
     timings: Dict[str, float] = field(default_factory=dict)
 
     @property
     def is_read_only(self) -> bool:
         return not self.write_set
-
-    def add_timing(self, phase: str, duration: float) -> None:
-        """Accumulate ``duration`` ms into the breakdown bucket ``phase``."""
-        try:
-            self.timings[phase] += duration
-        except KeyError:
-            self.timings[phase] = duration
 
     @property
     def scan_count(self) -> int:

@@ -37,8 +37,7 @@ class TestLatencySummary:
 class TestMetrics:
     def make_txn(self, kind="w"):
         txn = Transaction(kind, 0, write_set=(("t", 1),) if kind == "w" else ())
-        txn.add_timing("execute", 1.0)
-        txn.add_timing("network", 0.5)
+        txn.timings.update(execute=1.0, network=0.5)
         return txn
 
     def test_record_commit(self):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.faults.errors import TransactionAborted
 from repro.sim.core import Environment
 from repro.sim.network import BANDWIDTH_BYTES_PER_MS, ONE_WAY_LATENCY_MS, Network
 from repro.sites.messages import RPC_BYTES, remote_call
@@ -78,6 +79,22 @@ class TestRemoteCall:
         process = env.process(caller())
         run_process(env, process)
         assert txn.timings["network"] == pytest.approx(2 * ONE_WAY_LATENCY_MS, abs=0.01)
+
+    def test_raising_handler_leaves_only_the_request_leg_timed(self):
+        env = Environment()
+        network = Network(env)
+        txn = Transaction("w", 0, write_set=(("t", 1),))
+
+        def handler():
+            yield env.timeout(3.0)
+            raise TransactionAborted("conflict", "refused")
+
+        def caller():
+            yield from remote_call(network, handler(), txn=txn)
+
+        with pytest.raises(TransactionAborted):
+            run_process(env, env.process(caller()))
+        assert txn.timings == {"network": network.delay_for(RPC_BYTES)}
 
     def test_traffic_category(self):
         env = Environment()

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -9,7 +10,7 @@ from repro.bench import Metrics, run_benchmark
 from repro.bench.metrics import rate_series
 from repro.bench.report import print_run_report
 from repro.obs import Observability
-from repro.obs.export import reconcile_with_metrics, to_chrome_trace, to_jsonl
+from repro.obs.export import to_chrome_trace, to_jsonl
 from repro.sim.config import ClusterConfig
 from repro.transactions import Outcome, Transaction
 from repro.workloads import YCSBConfig, YCSBWorkload
@@ -70,13 +71,25 @@ class TestTracedRun:
         assert any(i.name == "remaster" for i in obs.tracer.instants)
         assert any(i.name == "log_deliver" for i in obs.tracer.instants)
 
-    def test_trace_reconciles_with_metrics_breakdown(self):
-        result, obs = traced_run()
-        rows = reconcile_with_metrics(obs.tracer, result.metrics)
-        assert {row["phase"] for row in rows} == set(result.metrics.phase_totals)
-        for row in rows:
-            if row["metrics_ms"] > 0:
-                assert row["delta"] <= 0.01, row
+    def test_phase_spans_sum_to_the_breakdown(self):
+        """Every timed phase is also a span, so over the recorded
+        transactions each phase's spans add up to its breakdown total
+        (``other``, the untimed rest of the latency, has no span)."""
+        for system in ("dynamast", "single-master", "multi-master",
+                       "partition-store", "leap"):
+            result, obs = traced_run(system=system)
+            tracer = obs.tracer
+            recorded = {txn_id for txn_id, record in tracer.txns.items()
+                        if record.recorded}
+            phase_totals = result.metrics.phase_totals
+            spanned = dict.fromkeys(set(phase_totals) - {"other"}, 0.0)
+            for span in tracer.spans:
+                if span.txn_id in recorded and span.name in spanned:
+                    spanned[span.name] += span.duration
+            assert "network" in spanned, system
+            for phase, total in spanned.items():
+                assert math.isclose(total, phase_totals[phase], rel_tol=1e-9), (
+                    system, phase, total, phase_totals[phase])
 
     def test_timelines_sampled(self):
         result, obs = traced_run()
@@ -121,11 +134,12 @@ class TestTracedRun:
         traced_run()
         assert plain() == before
 
-    @pytest.mark.parametrize("system", ["dynamast", "partition-store"])
+    @pytest.mark.parametrize("system", ["dynamast", "partition-store", "leap"])
     def test_observed_run_fingerprint_equals_unobserved(self, system):
         """``obs.enabled`` gates the network and 2PC recorders; it is a
         plain attribute fixed at construction, OFF on the shared no-op
-        handle, and switching it ON changes nothing simulated."""
+        handle, and switching it ON changes nothing simulated, nor the
+        phases a run times."""
         from repro.bench.parallel import run_fingerprint
         from repro.obs import NULL_OBS
 
@@ -142,6 +156,7 @@ class TestTracedRun:
             seed=7,
         )
         assert run_fingerprint(on) == run_fingerprint(off)
+        assert on.metrics.phase_totals == off.metrics.phase_totals
 
     def test_untraced_run_records_nothing(self):
         result = run_benchmark(

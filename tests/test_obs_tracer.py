@@ -44,6 +44,15 @@ class TestNullTracer:
         assert issubclass(Tracer, NullTracer)
         assert Tracer().enabled
 
+    def test_a_traced_phase_is_one_record_for_both_readers(self):
+        tracer = Tracer()
+        txn = make_txn()
+        tracer.phase("routing", 1.0, 3.0, track="selector", txn=txn,
+                     remastered=True)
+        assert txn.timings == {"routing": 2.0}
+        assert list(tracer.spans) == [SpanRecord(
+            "routing", 1.0, 3.0, "selector", txn.txn_id, (("remastered", True),))]
+
 
 class TestTxnRecords:
     def test_begin_end_roundtrip(self):
@@ -71,7 +80,7 @@ class TestTxnRecords:
         txn = make_txn()
         tracer.txn_begin(txn, 0.0)
         tracer.txn_end(txn, Outcome(committed=False), 2.0)
-        assert tracer.abort_count() == 1
+        assert [record.committed for record in tracer.txns.values()] == [False]
         assert tracer.txns[txn.txn_id].recorded is False
         names = [instant.name for instant in tracer.instants]
         assert "abort" in names
@@ -240,26 +249,6 @@ class TestOrphanSpans:
 
 
 class TestAggregation:
-    def test_phase_totals_recorded_only(self):
-        tracer = Tracer()
-        kept, dropped = make_txn(), make_txn()
-        for txn, recorded in ((kept, True), (dropped, False)):
-            tracer.txn_begin(txn, 0.0)
-            tracer.span("execute", 0.0, 2.0, txn=txn)
-            tracer.txn_end(txn, Outcome(committed=True), 2.0, recorded=recorded)
-        tracer.span("refresh_apply", 0.0, 9.0, track="site1")  # no txn
-        assert tracer.phase_totals() == {"execute": 2.0}
-
-    def test_recorded_latency_total(self):
-        tracer = Tracer()
-        txn = make_txn()
-        tracer.txn_begin(txn, 1.0)
-        tracer.txn_end(txn, Outcome(committed=True), 4.0)
-        other = make_txn()
-        tracer.txn_begin(other, 0.0)
-        tracer.txn_end(other, Outcome(committed=False), 9.0)
-        assert tracer.recorded_latency_total() == 3.0
-
     def test_span_args_preserved(self):
         tracer = Tracer()
         txn = make_txn()
@@ -445,16 +434,9 @@ def _assert_same_records(tracer, model):
     for txn_id in (None, -4, 9, *model.txns):
         assert (txn_id in tracer.txns) == (txn_id in model.txns)
         assert tracer.txns.get(txn_id) == model.txns.get(txn_id)
-    totals = {}
-    for span in model.spans:
-        record = model.txns.get(span.txn_id)
-        if record is not None and record.recorded:
-            totals[span.name] = totals.get(span.name, 0.0) + span.duration
-    assert tracer.phase_totals() == totals
-    assert tracer.abort_count() == sum(
+    assert sum(record.end is not None and not record.committed
+               for record in tracer.txns.values()) == sum(
         1 for record in model.txns.values() if record.committed is False)
-    assert tracer.recorded_latency_total() == sum(
-        record.latency or 0.0 for record in model.txns.values() if record.recorded)
 
 
 class TestColumnStoreMatchesListModel:

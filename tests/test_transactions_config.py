@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.statistics import StatisticsConfig
 from repro.core.strategy import StrategyWeights
+from repro.obs.tracer import NULL_TRACER
 from repro.replication.manager import refresh_ms
 from repro.sim.config import ClusterConfig
 from repro.sim.network import ONE_WAY_LATENCY_MS
@@ -43,9 +44,9 @@ class TestTransaction:
 
     def test_timings_accumulate(self):
         txn = Transaction("w", 0)
-        txn.add_timing("execute", 1.0)
-        txn.add_timing("execute", 0.5)
-        txn.add_timing("network", 2.0)
+        NULL_TRACER.phase("execute", 0.0, 1.0, txn=txn)
+        NULL_TRACER.phase("execute", 1.0, 1.5, txn=txn)
+        NULL_TRACER.phase("network", 1.5, 3.5, txn=txn)
         assert txn.timings == {"execute": 1.5, "network": 2.0}
 
     def test_all_keys(self):
